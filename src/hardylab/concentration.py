@@ -13,9 +13,9 @@ Set-enlargement experiments use the two-level cost
     F_A(x) = inf_{a in A} sum_i min(|x_i - a_i|^2, |x_i - a_i|^r)
 
 against the bound exp(-K t) with K = (1/32) min(1/C, 1/C^(r-1)); for a
-halfspace A the cost is evaluated by an (essentially exact) feasible-point
-minimization and therefore reported as an upper bound, which keeps the tail
-comparison conservative.
+halfspace A the cost is exact up to floating-point rounding (a minimization
+over how the excess splits between the quadratic and the power branch,
+checked against brute force in the tests).
 """
 
 from __future__ import annotations
@@ -122,7 +122,8 @@ def _statistic(name, beta=None):
 
         def f(x):
             m = np.max(x, axis=1, keepdims=True)
-            return (m + np.log(np.sum(np.exp(beta * (x - m)), axis=1, keepdims=True)) / beta)[:, 0]
+            w = beta * (x - m)
+            return (m + np.log(np.sum(np.exp(w, out=w), axis=1, keepdims=True)) / beta)[:, 0]
 
         return (f, lambda n, r: 1.0, lambda n, r: 1.0)
     if name == "zero":
@@ -196,47 +197,53 @@ def g_cost(x, r):
     """sum_i min(x_i^2, |x_i|^r) for a point or batch of points."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     a = np.abs(x)
-    out = np.sum(np.minimum(a * a, np.power(a, r)), axis=1)
+    sq = a * a  # the in-place ufuncs below keep two batch-sized temporaries, not four
+    out = np.sum(np.minimum(sq, np.power(a, r, out=a), out=sq), axis=1)
     return float(out[0]) if out.shape == (1,) else out
 
 
 def _halfspace_cost(x, c, r):
-    """Exact F_A for the halfspace sum <= c (vectorized over rows).
+    """Exact F_A for the halfspace sum <= c (vectorized over rows), up to
+    floating-point rounding.
 
     The minimizer moves mass only downward with total s = (sum x - c)+, so
     F_A(x) = min { sum_i phi(d_i) : d >= 0, sum d = s } with
     phi(d) = min(d^2, d^r).  Both branches of phi are convex, hence within
     the class of coordinates above 1 (paying d^r) and within the class below
     1 (paying d^2) an even split is optimal.  Enumerating the power-class
-    size k and minimizing the convex one-dimensional class-mass split by
-    bisection is therefore exact.
+    size k and minimizing the convex one-dimensional class-mass split
+    g(m) = k (m/k)^r + (s-m)^2/(n-k) over m in [max(k, s-(n-k)), s] is
+    therefore exact; tests compare it with a brute-force minimization.
+
+    g'(m) is concave and increasing, so Newton on g'(m) = 0 started at the
+    left end of the interval climbs monotonically to the root (or stays put
+    when g' >= 0 there) and never overshoots; it stops once no row moves.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[1]
     s = np.maximum(np.sum(x, axis=1) - c, 0.0)
     best = np.where(s <= n, s * s / n, np.inf)  # k = 0: all in the quadratic branch
+    rows = np.flatnonzero(s > 0.0)
     for k in range(1, n + 1):
+        rows = rows[s[rows] >= k]  # k power coords at >= 1 need s >= k
+        if len(rows) == 0:
+            break
+        sk = s[rows]
         nq = n - k
-        m_lo = np.maximum(float(k), s - nq)  # power coords at >= 1, quad coords at <= 1
-        m_hi = s
-        feasible = m_lo <= m_hi
-        if not np.any(feasible):
-            continue
         if nq == 0:
-            m = np.where(feasible, s, 1.0)
+            cost = k * np.power(sk / k, r)
         else:
-            lo = np.where(feasible, m_lo, 0.0)
-            hi = np.where(feasible, m_hi, 1.0)
-            # g(m) = k (m/k)^r + (s-m)^2/(n-k) is convex; bisect g'(m) = 0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                gp = r * np.power(mid / k, r - 1.0) - 2.0 * (s - mid) / nq
-                hi = np.where(gp > 0, mid, hi)
-                lo = np.where(gp > 0, lo, mid)
-            m = 0.5 * (lo + hi)
-        with np.errstate(invalid="ignore"):
-            cost = k * np.power(m / k, r) + (np.square(s - m) / nq if nq else 0.0)
-        best = np.where(feasible, np.minimum(best, cost), best)
+            m = np.maximum(float(k), sk - nq)  # quad coords at <= 1
+            while True:
+                p = np.power(m / k, r - 1.0)
+                gp = r * p - 2.0 * (sk - m) / nq
+                gpp = r * (r - 1.0) * p / m + 2.0 / nq
+                m_next = np.clip(m - gp / gpp, m, sk)
+                if np.array_equal(m_next, m, equal_nan=True):  # s = inf gives nan
+                    break
+                m = m_next
+            cost = k * np.power(m / k, r) + np.square(sk - m) / nq
+        best[rows] = np.minimum(best[rows], cost)
     return np.where(s > 0.0, best, 0.0)
 
 
@@ -244,8 +251,7 @@ def f_a_cost(x, A, r):
     """Two-level transport cost to the set A.
 
     Finite point sets are handled by exact brute force; halfspaces by the
-    feasible-candidate minimization of _halfspace_cost (an upper bound,
-    conservative for tail experiments).
+    class-split minimization of _halfspace_cost, exact up to rounding.
     """
     if not 1.0 < r < 2.0:
         raise DomainValidationError("r must lie in (1, 2)")
@@ -323,9 +329,9 @@ def lipschitz_gradient_check(r, t, count, seed, box, n=8):
     if t <= 0 or box <= 0:
         raise DomainValidationError("t and box must be positive")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    u = rng.uniform(-1.0, 1.0, size=(count, n))
+    x = rng.uniform(-1.0, 1.0, size=(count, n))
     scale = rng.uniform(0.0, 1.0, size=(count, 1))
-    x = box * scale * u
+    x *= box * scale
     G = g_cost(x, r)
     keep = (G < t) & np.all(np.abs(np.abs(x) - 1.0) > 1e-12, axis=1)
     x = x[keep]

@@ -367,7 +367,7 @@ class Measure1D:
     label: str = ""
     _right: tuple | None = field(default=None, repr=False)
     _left: tuple | None = field(default=None, repr=False)
-    _sampler: tuple | None = field(default=None, repr=False)
+    _sampler: _InverseCDF | None = field(default=None, repr=False)
 
     @property
     def is_even(self):
@@ -551,6 +551,84 @@ def quantile(measure, p):
     return x
 
 
+class _InverseCDF:
+    """Piecewise-linear inverse of a CDF table, found through a guide table.
+
+    The guide table (Chen & Asau 1974; Devroye 1986, section III.2.4) splits
+    [cdf[0], cdf[-1]] into equal-width buckets.  Each bucket stores the first
+    table interval a u in it can fall in; a few vectorized forward steps
+    finish the search, and the draws of the few buckets that span more
+    intervals than that fall back to a binary search.  The interval found is
+    the one ``np.interp`` finds, and the arithmetic is its arithmetic, so
+    the result is bit-identical to ``np.interp(clip(u), cdf, xs)``.
+    """
+
+    BUCKETS = 32768
+    STEPS = 4
+    CHUNK = 32768  # draws per pass, so the temporaries stay in cache
+
+    def __init__(self, xs, cdf_nodes):
+        self.xs, self.cdf = xs, cdf_nodes
+        self.lo_u, self.hi_u = cdf_nodes[0], cdf_nodes[-1]
+        self.scale = self.BUCKETS / (self.hi_u - self.lo_u)
+        # bucket(.) is monotone, so a u in bucket b lies above every node of
+        # a lower bucket and below every node of a higher one: the interval
+        # index of u lies in [lo[b], hi[b]] exactly, with no rounding margin
+        node_bucket = np.empty(len(cdf_nodes), dtype=np.intp)
+        self._bucket(cdf_nodes, np.empty(len(cdf_nodes)), node_bucket)
+        buckets = np.arange(self.BUCKETS)
+        lo = np.maximum(np.searchsorted(node_bucket, buckets, side="left") - 1, 0)
+        hi = np.searchsorted(node_bucket, buckets, side="right") - 1
+        self.first = lo
+        self.wide = hi - lo > self.STEPS
+        # next_cdf[j] = cdf[j + 1]; +inf stops the steps at the last node
+        self.next_cdf = np.append(cdf_nodes[1:], np.inf)
+        # np.interp's slopes; the last node's slope multiplies u - cdf[-1] = 0
+        self.slope = np.append(np.diff(xs) / np.diff(cdf_nodes), 0.0)
+
+    def _bucket(self, u, scratch, out):
+        """Bucket index of each u >= cdf[0] (truncation is floor there)."""
+        np.subtract(u, self.lo_u, out=scratch)
+        scratch *= self.scale
+        out[:] = scratch
+        np.minimum(out, self.BUCKETS - 1, out=out)
+
+    def invert(self, u):
+        """Overwrite the uniforms ``u`` with their inverse-CDF values.
+
+        With j the last node with cdf[j] <= u, np.interp returns xs[j] when
+        u == cdf[j] (so also xs[-1] when u >= cdf[-1]) and otherwise
+        slope[j] * (u - cdf[j]) + xs[j].  cdf[j + 1] > u makes slope[j]
+        finite, so the general formula also yields xs[j] exactly when
+        u == cdf[j] (xs holds no -0.0), and slope[-1] = 0 covers the last node.
+        """
+        np.clip(u, self.lo_u, self.hi_u, out=u)
+        size = min(len(u), self.CHUNK)
+        k, j = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+        f, flag = np.empty(size), np.empty(size, dtype=bool)
+        for start in range(0, len(u), self.CHUNK):
+            uc = u[start : start + self.CHUNK]
+            n = len(uc)
+            kc, jc, fc, flagc = k[:n], j[:n], f[:n], flag[:n]
+            self._bucket(uc, fc, kc)
+            np.take(self.first, kc, out=jc)
+            for _ in range(self.STEPS):
+                np.take(self.next_cdf, jc, out=fc)
+                np.less_equal(fc, uc, out=flagc)
+                jc += flagc
+            np.take(self.wide, kc, out=flagc)
+            wide = np.flatnonzero(flagc)
+            if len(wide):
+                jc[wide] = np.searchsorted(self.cdf, uc[wide], side="right") - 1
+            np.take(self.cdf, jc, out=fc)
+            np.subtract(uc, fc, out=fc)
+            np.take(self.slope, jc, out=uc)
+            uc *= fc
+            np.take(self.xs, jc, out=fc)
+            uc += fc
+        return u
+
+
 def _build_sampler(measure, nodes=32769):
     """Dense Simpson CDF table on [-T, T] used for vectorized inverse sampling."""
     T = measure.truncation
@@ -561,7 +639,7 @@ def _build_sampler(measure, nodes=32769):
     fa, fm, fb = dens(xs[:-1]), dens(mids), dens(xs[1:])
     seg = (fa + 4.0 * fm + fb) * (h / 6.0)
     cdf_nodes = cdf(measure, -T) + np.concatenate([[0.0], np.cumsum(seg)])
-    return xs, cdf_nodes
+    return _InverseCDF(xs, cdf_nodes)
 
 
 def sample(measure, seed, count, _batch_index=0):
@@ -570,19 +648,17 @@ def sample(measure, seed, count, _batch_index=0):
     Philox is counter-based, so disjoint jumped sub-streams reproduce the same
     values regardless of scheduling; identical (seed, count) give identical
     output.  Draws beyond the truncation interval (total mass <= 2 eps_trunc)
-    clamp to its endpoints.
+    clamp to its endpoints.  The inverse CDF is the linear interpolant of a
+    Simpson CDF table, looked up through a guide table.
     """
     if count < 1:
         raise DomainValidationError("count must be >= 1")
     if measure._sampler is None:
         measure._sampler = _build_sampler(measure)
-    xs, cdf_nodes = measure._sampler
     bitgen = np.random.Philox(key=np.uint64(seed))
     if _batch_index:
         bitgen = bitgen.jumped(_batch_index)
-    u = np.random.Generator(bitgen).random(count)
-    u = np.clip(u, cdf_nodes[0], cdf_nodes[-1])
-    return np.interp(u, cdf_nodes, xs)
+    return measure._sampler.invert(np.random.Generator(bitgen).random(count))
 
 
 def n_profile(measure, t):

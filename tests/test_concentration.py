@@ -88,6 +88,89 @@ def test_halfspace_cost_conservative_vs_discretized_bruteforce():
         assert np.all(brute - up <= 0.35)
 
 
+def _halfspace_cost_bisection(x, c, r):
+    """Reference F_A for the halfspace sum <= c: 60 bisection steps on the
+    class-mass split for every power-class size k, over all rows."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n = x.shape[1]
+    s = np.maximum(np.sum(x, axis=1) - c, 0.0)
+    best = np.where(s <= n, s * s / n, np.inf)
+    for k in range(1, n + 1):
+        nq = n - k
+        m_lo = np.maximum(float(k), s - nq)
+        m_hi = s
+        feasible = m_lo <= m_hi
+        if not np.any(feasible):
+            continue
+        if nq == 0:
+            m = np.where(feasible, s, 1.0)
+        else:
+            lo = np.where(feasible, m_lo, 0.0)
+            hi = np.where(feasible, m_hi, 1.0)
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                gp = r * np.power(mid / k, r - 1.0) - 2.0 * (s - mid) / nq
+                hi = np.where(gp > 0, mid, hi)
+                lo = np.where(gp > 0, lo, mid)
+            m = 0.5 * (lo + hi)
+        with np.errstate(invalid="ignore"):
+            cost = k * np.power(m / k, r) + (np.square(s - m) / nq if nq else 0.0)
+        best = np.where(feasible, np.minimum(best, cost), best)
+    return np.where(s > 0.0, best, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("r", [1.2, 1.5, 1.8])
+def test_halfspace_cost_matches_bisection_reference(n, r):
+    rng = np.random.Generator(np.random.PCG64(100 * n + int(10 * r)))
+    # excess s = sum x - c: zero and negative (inside A), in (0, 1), exact
+    # integers 1..n+1, beyond n, infinite, and a random spread
+    s = np.concatenate(
+        [
+            [0.0, -2.5, 1e-9, 0.3, 0.999, n + 0.5, 2.0 * n, 10.0 * n, np.inf],
+            np.arange(1.0, n + 2.0),
+            rng.uniform(0.0, 3.0 * n, 400),
+        ]
+    )
+    exact = np.zeros((len(s), n))
+    exact[:, 0] = s  # row sums are s exactly
+    noisy = rng.normal(size=(len(s), n))
+    noisy[:, 0] += s - noisy.sum(axis=1)
+    x = np.vstack([exact, noisy])
+    with np.errstate(invalid="ignore"):  # s = inf gives nan on both sides
+        got = conc._halfspace_cost(x, 0.0, r)
+        want = _halfspace_cost_bisection(x, 0.0, r)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.all(got[: len(s)][s <= 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("n,grid", [(2, 200_001), (3, 1201)])
+@pytest.mark.parametrize("r", [1.2, 1.5, 1.8])
+def test_halfspace_cost_is_exact_vs_bruteforce(n, grid, r):
+    # min sum_i min(d_i^2, d_i^r) over d >= 0, sum d = s on a grid of the
+    # simplex.  The grid minimum is attained at a feasible point, so an exact
+    # cost is never above it; and it exceeds the true minimum by at most
+    # L * (l1 distance to the nearest grid point), L the largest slope of
+    # the summand on [0, s].  An upper bound that is not exact would fail
+    # the first check.
+    for s in (0.3, 1.0, 1.7, 2.0, 2.5, 3.0, 3.3, 4.5, 7.0):
+        d = np.linspace(0.0, s, grid)
+        if n == 2:
+            splits = (d, s - d)
+        else:
+            d1, d2 = np.meshgrid(d, d, indexing="ij")
+            inside = d1 + d2 <= s
+            d1, d2 = d1[inside], d2[inside]
+            splits = (d1, d2, np.maximum(s - d1 - d2, 0.0))
+        brute = float(np.min(sum(np.minimum(di * di, np.power(di, r)) for di in splits)))
+        x = np.zeros((1, n))
+        x[0, 0] = s
+        cost = conc.f_a_cost(x, conc.Halfspace(c=0.0), r)
+        slack = 2.0 * (n - 1) * max(2.0, r * s ** (r - 1.0)) * s / (grid - 1)
+        assert cost <= brute * (1.0 + 1e-12)
+        assert brute - cost <= slack
+
+
 def test_halfspace_cost_matches_exact_small_s():
     # for 0 < s <= n the even split stays in the quadratic branch: cost = s^2/n
     x = np.array([[0.5, 0.5, 0.5, 0.5]])

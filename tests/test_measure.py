@@ -241,6 +241,41 @@ def test_sample_count_validation(exp_measure):
         msr.sample(exp_measure, seed=1, count=0)
 
 
+@pytest.mark.parametrize(
+    "fixture", ["exp_measure", "gauss_measure", "mu15_measure", "nu2_measure", "floor_measure", "cattiaux_measure"]
+)
+def test_sample_bit_identical_to_interp(fixture, request):
+    # the guide-table lookup must reproduce np.interp on the CDF table exactly,
+    # including uniforms on a node, at either end and outside the table
+    m = request.getfixturevalue(fixture)
+    seed, count = 11, 100_000
+    draws = msr.sample(m, seed=seed, count=count)
+    table = m._sampler
+    cdf, xs = table.cdf, table.xs
+
+    def oracle(u):
+        return np.interp(np.clip(u, cdf[0], cdf[-1]), cdf, xs)
+
+    u = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(count)
+    assert np.array_equal(draws, oracle(u))
+
+    nodes = cdf[1:-1:7]
+    special = np.concatenate(
+        [
+            [0.0, cdf[0], cdf[-1], np.nextafter(cdf[0], 1.0), np.nextafter(cdf[-1], 0.0), np.nextafter(1.0, 0.0)],
+            nodes,
+            np.nextafter(nodes, 0.0),
+            np.nextafter(nodes, 1.0),
+        ]
+    )
+    pos = np.random.Generator(np.random.PCG64(5)).choice(count, size=len(special), replace=False)
+    u[pos] = special
+    want = oracle(u)
+    got = table.invert(u)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("name", ["exp", "gaussian"])
 def test_sample_kolmogorov_smirnov(name, exp_measure, gauss_measure):
     m = exp_measure if name == "exp" else gauss_measure
