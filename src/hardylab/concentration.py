@@ -223,7 +223,7 @@ def _halfspace_cost(x, c, r):
     n = x.shape[1]
     s = np.maximum(np.sum(x, axis=1) - c, 0.0)
     best = np.where(s <= n, s * s / n, np.inf)  # k = 0: all in the quadratic branch
-    rows = np.flatnonzero(s > 0.0)
+    rows = np.flatnonzero((s > 0.0) & (s < np.inf))  # s = inf keeps cost inf
     for k in range(1, n + 1):
         rows = rows[s[rows] >= k]  # k power coords at >= 1 need s >= k
         if len(rows) == 0:
@@ -239,7 +239,7 @@ def _halfspace_cost(x, c, r):
                 gp = r * p - 2.0 * (sk - m) / nq
                 gpp = r * (r - 1.0) * p / m + 2.0 / nq
                 m_next = np.clip(m - gp / gpp, m, sk)
-                if np.array_equal(m_next, m, equal_nan=True):  # s = inf gives nan
+                if np.array_equal(m_next, m, equal_nan=True):  # nan rows stop too
                     break
                 m = m_next
             cost = k * np.power(m / k, r) + np.square(sk - m) / nq

@@ -3,7 +3,7 @@ functional inequalities.
 
 The two-level energy profile is H(t) = max(t^2, |t|^q) for a dual exponent
 q >= 2; its convex conjugate H* has the explicit three-branch form computed
-by ``h_star`` and can be cross-checked against the brute-force conjugate
+by ``h_star`` and can be cross-checked against the discrete conjugate
 ``legendre_numeric``.  The interpolation weight is
 F(t) = log^(2/q)(1 + t) - log^(2/q)(2), and the Orlicz machinery uses
 Phi(x) = x^2 log^(1 - 2/q)(e + x^2) with its Luxemburg norm.
@@ -109,19 +109,55 @@ def h_star(r_prime, t):
     return float(out) if out.ndim == 0 else out
 
 
-def legendre_numeric(g, t, s_range=(-20.0, 20.0), s_steps=1_000_001, chunk=250_000):
-    """Brute-force conjugate sup_s (t s - g(s)) on an s grid; t may be an array."""
+def _lower_hull(s, gs):
+    """Indices of the lower convex hull of the points (s_i, g_i), s increasing.
+
+    A point on or above the chord of its two neighbours is never a hull
+    vertex, so one vectorized pass drops all of them at once.  If none is
+    dropped, the slopes increase strictly and every point is on the hull;
+    otherwise Andrew's monotone chain finishes the hull of what is left.
+    """
+    x0, x1, x2 = s[:-2], s[1:-1], s[2:]
+    y0, y1, y2 = gs[:-2], gs[1:-1], gs[2:]
+    turns = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) > 0.0
+    if turns.all():
+        return np.arange(len(s))
+    rest = np.concatenate(([0], np.flatnonzero(turns) + 1, [len(s) - 1]))
+    xs, ys = s.tolist(), gs.tolist()
+    hull = []
+    for i in rest.tolist():
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            # pop b unless a -> b -> i turns strictly counter-clockwise
+            if (xs[b] - xs[a]) * (ys[i] - ys[a]) - (ys[b] - ys[a]) * (xs[i] - xs[a]) > 0.0:
+                break
+            hull.pop()
+        hull.append(i)
+    return np.array(hull)
+
+
+def legendre_numeric(g, t, s_range=(-20.0, 20.0), s_steps=1_000_001):
+    """Discrete conjugate max_s (t s - g(s)) over an s grid; t may be an array.
+
+    Lucet's linear-time Legendre transform (Numer. Algorithms 16, 1997): the
+    maximum over the grid is attained at a vertex of the lower convex hull of
+    the points (s_i, g(s_i)), namely the one whose incoming and outgoing hull
+    slopes bracket t.  That vertex and its two hull neighbours (which absorb
+    rounding in the slopes) are evaluated as t s - g(s), so the result is the
+    same discrete maximum as the brute force over every grid point, for any g.
+    """
     lo, hi = s_range
     if not lo < hi:
         raise DomainValidationError("s_range must be increasing")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    best = np.full(t_arr.shape, -np.inf)
-    edges = np.linspace(lo, hi, s_steps)
-    for start in range(0, s_steps, chunk):
-        s = edges[start : start + chunk]
-        gs = np.asarray(g(s), dtype=float)
-        vals = t_arr[:, None] * s[None, :] - gs[None, :]
-        np.maximum(best, vals.max(axis=1), out=best)
+    s = np.linspace(lo, hi, s_steps)
+    gs = np.asarray(g(s), dtype=float)
+    hull = _lower_hull(s, gs)
+    hs, hg = s[hull], gs[hull]
+    slopes = np.diff(hg) / np.diff(hs)
+    j = np.searchsorted(slopes, t_arr)
+    cand = np.clip(j[:, None] + np.arange(-1, 2), 0, len(hull) - 1)
+    best = np.max(t_arr[:, None] * hs[cand] - hg[cand], axis=1)
     return float(best[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else best
 
 

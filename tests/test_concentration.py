@@ -137,10 +137,12 @@ def test_halfspace_cost_matches_bisection_reference(n, r):
     noisy = rng.normal(size=(len(s), n))
     noisy[:, 0] += s - noisy.sum(axis=1)
     x = np.vstack([exact, noisy])
-    with np.errstate(invalid="ignore"):  # s = inf gives nan on both sides
+    with np.errstate(invalid="raise"):  # no nan from the s = inf rows
         got = conc._halfspace_cost(x, 0.0, r)
-        want = _halfspace_cost_bisection(x, 0.0, r)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    finite = np.isfinite(np.concatenate([s, s]))
+    want = _halfspace_cost_bisection(x[finite], 0.0, r)
+    np.testing.assert_allclose(got[finite], want, rtol=1e-12, atol=0.0)
+    assert np.all(got[~finite] == np.inf)
     assert np.all(got[: len(s)][s <= 0.0] == 0.0)
 
 

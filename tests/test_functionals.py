@@ -50,6 +50,50 @@ def test_h_star_lower_bound():
         assert np.all(fn.h_star(rp, ts) >= 0.25 * np.minimum(ts**2, np.abs(ts) ** r) - 1e-12)
 
 
+def _legendre_bruteforce(g, t, s_range, s_steps):
+    """max over every grid point of t s - g(s): the oracle for legendre_numeric."""
+    s = np.linspace(*s_range, s_steps)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    return np.max(t_arr[:, None] * s[None, :] - np.asarray(g(s), dtype=float)[None, :], axis=1)
+
+
+_SMALL_GRID = dict(s_range=(-3.0, 3.0), s_steps=2001)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        *[(lambda rp: lambda s: fn.h(rp, s))(rp) for rp in (2.5, 3.0, 13.0 / 3.0, 8.0)],
+        lambda s: np.sin(3.0 * s) + 0.1 * s * s,
+        lambda s: np.cos(5.0 * s) - np.abs(s),
+        lambda s: -(s**2),
+    ],
+    ids=["h-2.5", "h-3", "h-13/3", "h-8", "sin-plus-quadratic", "cos-minus-abs", "concave"],
+)
+def test_legendre_numeric_matches_bruteforce(g):
+    ts = np.linspace(-20, 20, 401)
+    got = fn.legendre_numeric(g, ts, **_SMALL_GRID)
+    np.testing.assert_allclose(got, _legendre_bruteforce(g, ts, **_SMALL_GRID), rtol=1e-12, atol=1e-12)
+
+
+def test_legendre_numeric_scalar_t():
+    g = lambda s: np.sin(3.0 * s) + 0.1 * s * s  # noqa: E731
+    for t in (-2.7, 0.0, 0.4, 5.0):
+        got = fn.legendre_numeric(g, t, **_SMALL_GRID)
+        assert isinstance(got, float)
+        assert got == pytest.approx(float(_legendre_bruteforce(g, t, **_SMALL_GRID)[0]), rel=1e-12, abs=1e-12)
+
+
+def test_legendre_numeric_beyond_steepest_slope():
+    # h(3, s) has slope 27 at s = 3, so for |t| > 27 the maximum sits at a
+    # grid endpoint, outside the range of the hull slopes
+    g = lambda s: fn.h(3.0, s)  # noqa: E731
+    ts = np.array([-1e6, -500.0, -27.5, 27.5, 500.0, 1e6])
+    got = fn.legendre_numeric(g, ts, **_SMALL_GRID)
+    np.testing.assert_allclose(got, _legendre_bruteforce(g, ts, **_SMALL_GRID), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got, np.abs(ts) * 3.0 - 27.0, rtol=1e-12)
+
+
 def test_legendre_numeric_self_conjugate_quadratic():
     val = fn.legendre_numeric(lambda s: 0.5 * s * s, 1.0, s_range=(-10, 10), s_steps=200_001)
     assert val == pytest.approx(0.5, abs=1e-8)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,28 @@ from hardylab import functionals as fn
 from hardylab import measure as msr
 from hardylab import spectral
 from hardylab.errors import DomainValidationError, EnergyGuardError
+
+
+def dirichlet_form(op, u):
+    """sum c_{i+1/2} (u_{i+1} - u_i)^2 h for a node vector u."""
+    c = -op.offdiag * np.exp(0.5 * (op.weights_log[:-1] + op.weights_log[1:]))
+    du = np.diff(u)
+    return float(np.sum(c * du * du) * op.h)
+
+
+def weighted_inner(op, u, v):
+    w = np.exp(op.weights_log)
+    return float(np.sum(w * u * v) * op.h)
+
+
+def apply_generator(op, u):
+    """Action of the (negative) generator in the original u coordinates."""
+    w_half = np.exp(0.5 * op.weights_log)
+    v = u * w_half
+    out = op.diag * v
+    out[:-1] += op.offdiag * v[1:]
+    out[1:] += op.offdiag * v[:-1]
+    return out / w_half
 
 
 def test_constant_potential_gives_plain_laplacian():
@@ -21,7 +46,7 @@ def test_constant_potential_gives_plain_laplacian():
 def test_discrete_form_matches_weighted_integral(gauss_measure):
     # u = x: discrete Dirichlet form approximates Z * int 1 dmu = Z
     op = spectral.discretize(gauss_measure, N=4000)
-    val = spectral.dirichlet_form(op, op.grid)
+    val = dirichlet_form(op, op.grid)
     assert val == pytest.approx(math.exp(gauss_measure.log_z), rel=0.01)
 
 
@@ -29,8 +54,8 @@ def test_generator_symmetry(gauss_measure):
     op = spectral.discretize(gauss_measure, X=6.0, N=300)
     rng = np.random.Generator(np.random.PCG64(5))
     u, v = rng.normal(size=301), rng.normal(size=301)
-    lhs = spectral.weighted_inner(op, spectral.apply_generator(op, u), v)
-    rhs = spectral.weighted_inner(op, u, spectral.apply_generator(op, v))
+    lhs = weighted_inner(op, apply_generator(op, u), v)
+    rhs = weighted_inner(op, u, apply_generator(op, v))
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -51,6 +76,26 @@ def test_exponential_gap_is_quarter(exp_measure):
     assert gap == pytest.approx(0.25, abs=0.01)
     # and the Poincare constant estimate sits inside the criterion bracket [1, 4]
     assert 1.0 <= 1.0 / gap <= 4.0 + 1e-9
+
+
+@pytest.mark.parametrize("N", [200, 400])
+@pytest.mark.parametrize("spec", ["gaussian", "exp", "sinpower:2,1"])
+def test_gap_matches_dense_eigvalsh(spec, N):
+    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_string(spec)))
+    op = spectral.discretize(m, N=N)
+    dense = np.diag(op.diag) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
+    lam = np.linalg.eigvalsh(dense)
+    assert spectral.spectral_gap(op) == pytest.approx(lam[1], rel=1e-9)
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported inside spectral_gap only; importing the package and
+    # the CLI must not pay for it
+    code = "import sys, hardylab, hardylab.cli; print(any(k.split('.')[0] == 'scipy' for k in sys.modules))"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spectral.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_grid_convergence(gauss_measure):
