@@ -220,10 +220,14 @@ def cmd_spectral(args):
     m = _measure_from_args(args)
     op = spectral.discretize(m, X=args.X, N=args.N)
     gap = spectral.spectral_gap(op)
+    floor = spectral.gap_resolution(op)
+    resolved = gap > floor
     results = [
         {"name": "gap", "value": gap},
-        {"name": "poincare constant estimate", "value": (1.0 / gap) if gap > 0 else None},
-        {"name": "gap resolution floor", "value": spectral.gap_resolution(op)},
+        {"name": "gap resolved", "value": 1.0 if resolved else 0.0, "verdict": str(resolved)},
+        # a gap under the floor is rounding noise, and so would be its inverse
+        {"name": "poincare constant estimate", "value": (1.0 / gap) if resolved else None},
+        {"name": "gap resolution floor", "value": floor},
         {"name": "truncation mass", "value": op.truncation_mass},
     ]
     _report(args, "spectral", results)

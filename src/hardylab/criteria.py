@@ -144,38 +144,46 @@ def _chunked_log_panels(g, edges, ptol=_PANEL_PTOL, block=192):
 
 
 class _SideScan:
-    """One-sided scan state: s is the distance from the median."""
+    """One-sided scan state: s is the distance from the median.
+
+    The tail ladder depends only on the measure, the side and the grid, and
+    a weight prefix only on its integrand, so ``_side_scan`` keeps the scan
+    on the measure and ``weight_prefix`` caches each prefix by its key.
+    """
 
     def __init__(self, measure, sign, s_end, extra_s):
         self.measure = measure
         self.sign = sign
         m = measure.median
         pot = measure.potential
+        bps = pot.side_breakpoints(m, sign)
         grid = list(np.arange(0.0, s_end, GRID_STEP))
         grid.extend(extra_s)
         grid.append(s_end)
-        if sign > 0:
-            bps = [b - m for b in pot.breakpoints(m, m + s_end)]
-        else:
-            bps = [m - b for b in pot.breakpoints(m - s_end, m)]
-        grid.extend(bps)
+        grid.extend(bps(0.0, s_end))
         self.grid = np.unique(np.asarray(grid))
         self.x = lambda s: m + sign * np.asarray(s, dtype=float)
         self.neg_v_s = lambda s: -pot.value(self.x(s))
         # suffix tail in s: log int_s^(s_end) exp(-V) + extension beyond
-        beyond = quad_mod.log_extension(self.neg_v_s, s_end, initial_width=max(1.0, GRID_STEP))
+        beyond = quad_mod.log_extension(
+            self.neg_v_s, s_end, initial_width=max(1.0, GRID_STEP), breakpoints=bps
+        )
         seg_tail = _chunked_log_panels(self.neg_v_s, self.grid)
         self.tail_logs = np.empty(len(self.grid))
         self.tail_logs[-1] = beyond
         rev = np.logaddexp.accumulate(seg_tail[::-1])
         self.tail_logs[:-1] = np.logaddexp(rev[::-1], beyond)
+        self._prefixes = {}
 
-    def weight_prefix(self, g):
-        seg = _chunked_log_panels(g, self.grid)
-        prefix = np.empty(len(self.grid))
-        prefix[0] = -np.inf
-        prefix[1:] = np.logaddexp.accumulate(seg)
-        return prefix
+    def weight_prefix(self, key, g):
+        """log int_0^s exp(g) on the grid; ``key`` names g for the cache."""
+        if key not in self._prefixes:
+            seg = _chunked_log_panels(g, self.grid)
+            prefix = np.empty(len(self.grid))
+            prefix[0] = -np.inf
+            prefix[1:] = np.logaddexp.accumulate(seg)
+            self._prefixes[key] = prefix
+        return self._prefixes[key]
 
     def tail_at(self, s):
         j = int(np.searchsorted(self.grid, s, side="right") - 1)
@@ -265,13 +273,23 @@ def _weight_logf(scan, which, r):
     return g
 
 
+def _side_scan(measure, sign, horizons, s_h):
+    """The measure's scan state for one side and horizon tuple (``s_h`` in s),
+    built once per grid step."""
+    key = (sign, horizons, GRID_STEP)
+    if key not in measure._scans:
+        measure._scans[key] = _SideScan(measure, sign, s_h[-1], extra_s=s_h)
+    return measure._scans[key]
+
+
 def _scan_side(measure, kind, r, horizons, sign, refine=True):
     m = measure.median
     s_h = [h - m if sign > 0 else h + m for h in horizons]
-    scan = _SideScan(measure, sign, s_h[-1], extra_s=s_h)
+    scan = _side_scan(measure, sign, horizons, s_h)
     which, transform, log_post = _criterion_parts(kind, r, measure)
     g = _weight_logf(scan, which, r)
-    prefix = scan.weight_prefix(g)
+    # exp(V) does not depend on r; n^-(r-1) and the bweighted weight do
+    prefix = scan.weight_prefix((which, None if which == "v" else r), g)
 
     lvals = scan.tail_logs + transform(prefix)
     lvals[0] = -np.inf
@@ -452,14 +470,10 @@ def hyp_mls_check(measure, r, eps, horizons=DEFAULT_HORIZONS):
     worst, arg = math.inf, math.nan
     for sign in (+1.0, -1.0):
         s_end = horizons[-1] - m if sign > 0 else horizons[-1] + m
-        pot = measure.potential
-        if sign > 0:
-            bps = [b - m for b in pot.breakpoints(m, m + s_end)]
-        else:
-            bps = [m - b for b in pot.breakpoints(m - s_end, m)]
+        bps = measure.potential.side_breakpoints(m, sign)(0.0, s_end)
         scan = _SideScan(measure, sign, s_end, extra_s=[b - 1e-9 for b in bps if b > 1e-9])
         g = lambda s: -(r - 1.0) * scan.neg_v_s(s)
-        prefix = scan.weight_prefix(g)
+        prefix = scan.weight_prefix("rv", g)
         svals = scan.grid[1:]
         num = (r - 1.0) * (-scan.neg_v_s(svals))
         ratio = np.exp(num - prefix[1:])

@@ -163,6 +163,14 @@ class Potential:
                 pts.extend(float(k) for k in range(int(k0), int(k1) + 1))
         return sorted(p for p in pts if a < p < b)
 
+    def side_breakpoints(self, center=0.0, sign=1.0):
+        """``breakpoints`` in the coordinate s = sign * (x - center), as a
+        callable (a, b) -> ascending breakpoints in (a, b); mirrored tails and
+        one-sided scans integrate in s."""
+        if sign > 0:
+            return lambda a, b: [t - center for t in self.breakpoints(center + a, center + b)]
+        return lambda a, b: [center - t for t in reversed(self.breakpoints(center - b, center - a))]
+
 
 def _even_wrap(f):
     return lambda x: f(np.abs(np.asarray(x, dtype=float)))
@@ -368,6 +376,7 @@ class Measure1D:
     _right: tuple | None = field(default=None, repr=False)
     _left: tuple | None = field(default=None, repr=False)
     _sampler: _InverseCDF | None = field(default=None, repr=False)
+    _scans: dict = field(default_factory=dict, repr=False)  # criteria._SideScan by (sign, horizons, grid step)
 
     @property
     def is_even(self):
@@ -389,7 +398,7 @@ class Measure1D:
         if self._right is None:
             hi = self.truncation + 5.0
             edges = self._ladder_edges(self.median, hi)
-            beyond = quad_mod.log_extension(self.neg_v, hi, initial_width=1.0)
+            beyond = _log_mass_beyond(self.potential, hi, +1.0)
             suffix, _, _ = quad_mod.panel_log_suffix(self.neg_v, edges, tail_log=beyond)
             self._right = (edges, suffix)
         return self._right
@@ -398,10 +407,19 @@ class Measure1D:
         if self._left is None:
             lo = -self.truncation - 5.0
             edges = self._ladder_edges(lo, self.median)
-            beyond = quad_mod.log_extension(lambda x: self.neg_v(-x), -lo, initial_width=1.0)
+            beyond = _log_mass_beyond(self.potential, -lo, -1.0)
             prefix, _, _ = quad_mod.panel_log_prefix(self.neg_v, edges)
             self._left = (edges, np.logaddexp(prefix, beyond))
         return self._left
+
+
+def _log_mass_beyond(potential, x, sign):
+    """log of the integral of exp(-V) over sign * t >= x, in doubling chunks
+    split at the breakpoints."""
+    return quad_mod.log_extension(
+        lambda s: -potential.value(sign * s), x, initial_width=1.0,
+        breakpoints=potential.side_breakpoints(0.0, sign),
+    )
 
 
 def normalize(potential, cfg=DEFAULT_QUAD, eps_trunc=DEFAULT_EPS_TRUNC, label=""):
@@ -411,13 +429,13 @@ def normalize(potential, cfg=DEFAULT_QUAD, eps_trunc=DEFAULT_EPS_TRUNC, label=""
     median is found by a monotone root find on the CDF (0 exactly for even
     potentials), and non-integrable potentials raise NonIntegrableError.
     """
-    trunc = quad_mod.truncation_point(potential, eps_trunc, cfg)
+    trunc = quad_mod.truncation_point(potential, eps_trunc)
     neg_v = lambda x: -potential.value(x)
     core = quad_mod.integrate_log(
         neg_v, -trunc, trunc, cfg, breakpoints=potential.breakpoints(-trunc, trunc)
     ).log_value
-    tail_r = quad_mod.log_extension(neg_v, trunc, initial_width=1.0)
-    tail_l = quad_mod.log_extension(lambda x: neg_v(-x), trunc, initial_width=1.0)
+    tail_r = _log_mass_beyond(potential, trunc, +1.0)
+    tail_l = _log_mass_beyond(potential, trunc, -1.0)
     log_z = float(np.logaddexp(np.logaddexp(core, tail_r), tail_l))
     m = Measure1D(
         potential=potential,
@@ -470,7 +488,7 @@ def log_tail(measure, x):
         # 1 - left mass, via the left CDF ladder
         return float(np.log1p(-math.exp(min(log_cdf(measure, x), -1e-18))))
     if x >= edges[-1]:
-        val = quad_mod.log_extension(measure.neg_v, x, initial_width=1.0)
+        val = _log_mass_beyond(measure.potential, x, +1.0)
         return float(val - measure.log_z)
     i = int(np.searchsorted(edges, x, side="right") - 1)
     partial = -np.inf
@@ -489,7 +507,7 @@ def log_cdf(measure, x):
     if x > measure.median:
         return float(np.log1p(-math.exp(min(log_tail(measure, x), -1e-18))))
     if x <= edges[0]:
-        val = quad_mod.log_extension(lambda t: measure.neg_v(-t), -x, initial_width=1.0)
+        val = _log_mass_beyond(measure.potential, -x, -1.0)
         return float(val - measure.log_z)
     i = int(np.searchsorted(edges, x, side="right") - 1)
     partial = -np.inf

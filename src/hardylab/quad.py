@@ -74,6 +74,10 @@ _LOG_WK = np.log(_K15_WEIGHTS)
 _LOG_WG = np.log(_G7_WEIGHTS)
 
 _NEGLIGIBLE_NATS = 55.0  # panels below exp(-55) of their segment total are accepted
+# Wider tail chunks are not split at breakpoints: they are reached only by
+# tails that have not fallen 55 nats within 4096 of their start, and would
+# hold thousands of breakpoints.
+_MAX_SPLIT_WIDTH = 4096.0
 
 
 @dataclass(frozen=True)
@@ -83,15 +87,12 @@ class QuadConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
     max_depth: int = 48
-    panel_rule: str = "gk15"
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise DomainValidationError("rel_tol and abs_tol must be positive")
         if self.max_depth < 10:
             raise DomainValidationError("max_depth must be >= 10")
-        if self.panel_rule != "gk15":
-            raise DomainValidationError(f"unknown panel rule {self.panel_rule!r}")
 
 
 DEFAULT_QUAD = QuadConfig()
@@ -270,20 +271,23 @@ def integrate_log(log_f, a, b, cfg=DEFAULT_QUAD, breakpoints=None):
     return Integral(value, err, panels, log_value=total)
 
 
-def log_extension(logf, start, initial_width, ptol=1e-11, max_depth=48, max_chunks=400):
+def log_extension(logf, start, initial_width, ptol=1e-11, max_depth=48, max_chunks=400, breakpoints=None):
     """Log integral of exp(logf) over [start, +inf) by doubling chunks.
 
-    Stops once a chunk falls 55 nats below the running total, i.e. the
-    remainder is a negligible relative correction.  Raises NonIntegrableError
-    if no convergence after ``max_chunks`` doublings.
+    ``breakpoints(a, b)`` lists the integrand's jump or oscillation points in
+    (a, b); each chunk up to ``_MAX_SPLIT_WIDTH`` wide is split there, so
+    panels never straddle a jump.  Stops once a chunk falls 55 nats below the
+    running total, i.e. the remainder is a negligible relative correction.
+    Raises NonIntegrableError if no convergence after ``max_chunks`` doublings.
     """
     total = -np.inf
     lo = start
     w = initial_width
     for _ in range(max_chunks):
         hi = lo + w
-        seg_logs, _, _ = refine_log_panels(logf, np.array([lo, hi]), ptol, max_depth, strict=False)
-        chunk = float(seg_logs[0])
+        bp = breakpoints(lo, hi) if breakpoints is not None and w <= _MAX_SPLIT_WIDTH else None
+        seg_logs, _, _ = refine_log_panels(logf, _initial_edges(lo, hi, bp), ptol, max_depth, strict=False)
+        chunk = float(np.logaddexp.reduce(seg_logs))
         total = float(np.logaddexp(total, chunk))
         if chunk < total - _NEGLIGIBLE_NATS:
             return total
@@ -320,49 +324,45 @@ def panel_log_suffix(logf, edges, tail_log=-np.inf, ptol=1e-11, max_depth=60):
     return suffix, seg_logs, float(np.max(seg_errs, initial=0.0))
 
 
-def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
+def truncation_point(potential, eps):
     """Smallest X with int_X^inf exp(-V) <= eps * int_0^X exp(-V), per side.
 
-    The one-sided predicate is located by doubling then refined by bisection;
-    for uneven potentials the maximum over the two sides is returned.  Raises
-    NonIntegrableError when the predicate never holds by X = 1e6.
+    The one-sided predicate is bracketed by doubling, then located on the
+    lattice that 40 bisection steps of the bracket would visit, by a
+    bracketed secant on h(X) = log tail(X) - log eps - log core(X), which
+    decreases in X.  Both integrals are split at ``potential.breakpoints``.
+    For uneven potentials the maximum over the two sides is returned.
+    Raises NonIntegrableError when the predicate never holds by X = 1e6.
     """
     if not 0.0 < eps < 1.0:
         raise DomainValidationError("eps must be in (0, 1)")
+    log_eps = math.log(eps)
 
     def one_side(sign):
+        bps = potential.side_breakpoints(0.0, sign)
+
         def neg_v(x):
             return -potential.value(sign * x)
 
-        def core_log(x):
-            bp = potential.breakpoints(0.0, x) if sign > 0 else [-t for t in potential.breakpoints(-x, 0.0)]
-            prefix, _, _ = panel_log_prefix(neg_v, _initial_edges(0.0, x, bp), ptol=1e-9)
-            return float(prefix[-1])
+        def h(x):
+            prefix, _, _ = panel_log_prefix(neg_v, _initial_edges(0.0, x, bps(0.0, x)), ptol=1e-9)
+            tail = log_extension(neg_v, x, initial_width=max(1.0, 0.05 * x), ptol=1e-9, breakpoints=bps)
+            return tail - log_eps - float(prefix[-1])
 
-        def tail_log(x):
-            return log_extension(neg_v, x, initial_width=max(1.0, 0.05 * x), ptol=1e-9)
-
-        def ok(x):
-            return tail_log(x) <= math.log(eps) + core_log(x)
-
-        x = 1.0
-        while not ok(x):
+        lo, h_lo = 1e-3, None
+        x, hx = 1.0, h(1.0)
+        while hx > 0.0:
+            lo, h_lo = x, hx
             x *= 2.0
             if x > 1e6:
                 raise NonIntegrableError(
                     f"truncation search failed by X=1e6; exp(-V) at X is "
-                    f"{math.exp(-potential.value(sign * x / 2)):.3g}"
+                    f"{math.exp(-potential.value(sign * lo)):.3g}"
                 )
-        lo, hi = x / 2.0, x
-        if x == 1.0:
-            lo = 1e-3
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+            hx = h(x)
+        if h_lo is None:
+            h_lo = h(lo)
+        return _lattice_root(h, lo, x, h_lo, hx)
 
     xr = one_side(+1.0)
     if potential.is_even:
@@ -370,17 +370,38 @@ def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
     return max(xr, one_side(-1.0))
 
 
-def euler_gamma_integral(a, cfg=DEFAULT_QUAD):
-    """Gamma(a) for a >= 1 by direct quadrature of the Euler integral."""
-    if a < 1.0:
-        raise DomainValidationError("euler_gamma_integral requires a >= 1")
-    upper = 750.0 + 10.0 * a
+def _lattice_root(h, lo, hi, h_lo, h_hi, steps=2**40):
+    """Smallest lattice point lo + k (hi - lo) / steps, k = 0..steps, where the
+    decreasing h is <= 0, given h(hi) <= 0.  When h(lo) > 0 this is the point
+    that bisection of [lo, hi] down to one lattice step returns.
 
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            logt = np.where(t > 0, np.log(np.maximum(t, 1e-300)), -np.inf)
-        out = np.exp((a - 1.0) * logt - t)
-        return np.where(t > 0, out, 0.0 if a > 1 else 1.0)
-
-    return integrate(f, 0.0, upper, cfg, breakpoints=[1.0, 10.0, 100.0]).value
+    Illinois-modified regula falsi on the lattice indices: the estimate is
+    rounded to the lattice strictly inside the bracket, the endpoint kept
+    twice in a row has its h halved, and a bisection step follows whenever
+    six steps have not halved the bracket.
+    """
+    if h_lo <= 0.0:
+        return lo
+    w = (hi - lo) / steps
+    k_lo, k_hi = 0, steps
+    kept = 0  # +1: hi kept last step, -1: lo kept
+    widths = [math.inf] * 6
+    while k_hi - k_lo > 1:
+        k = (k_lo + k_hi) // 2
+        if k_hi - k_lo <= 0.5 * widths[-6]:
+            est = k_hi - h_hi * (k_hi - k_lo) / (h_hi - h_lo)
+            if math.isfinite(est):
+                k = min(max(round(est), k_lo + 1), k_hi - 1)
+        widths.append(k_hi - k_lo)
+        hk = h(lo + k * w)
+        if hk <= 0.0:
+            k_hi, h_hi = k, hk
+            if kept == -1:
+                h_lo *= 0.5
+            kept = -1
+        else:
+            k_lo, h_lo = k, hk
+            if kept == 1:
+                h_hi *= 0.5
+            kept = 1
+    return lo + k_hi * w

@@ -70,6 +70,20 @@ def test_spectral_subcommand(capsys):
     code, doc = run_json(capsys, ["spectral", "--potential", "gaussian", "--N", "2000"])
     assert code == 0
     assert get(doc, "gap")["value"] == pytest.approx(1.0, abs=0.01)
+    assert get(doc, "gap resolved")["verdict"] == "True"
+    assert get(doc, "poincare constant estimate")["value"] == pytest.approx(1.0, abs=0.01)
+
+
+def test_spectral_unresolved_gap_has_no_estimate(capsys):
+    # nu22 at X = 20: the gap sits under the resolution floor, so it is
+    # reported as computed but gives no Poincare constant estimate
+    code, doc = run_json(capsys, ["spectral", "--potential", "sinpower:2,2", "--X", "20"])
+    assert code == 0
+    jsonschema.validate(doc, cli.JSON_SCHEMA)
+    gap, floor = get(doc, "gap")["value"], get(doc, "gap resolution floor")["value"]
+    assert 0.0 <= gap <= floor
+    assert get(doc, "gap resolved") == {"name": "gap resolved", "value": 0.0, "verdict": "False"}
+    assert get(doc, "poincare constant estimate")["value"] is None
 
 
 def test_evaluate_subcommand(capsys):

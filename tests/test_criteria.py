@@ -303,6 +303,37 @@ def test_verdict_stable_under_denser_grid(exp_measure, floor_measure, monkeypatc
     assert criteria.blo(floor_measure, 1.5, horizons=SHORT).verdict.label == base_lo
 
 
+@pytest.mark.parametrize("token", ["sinpower:2,1", "expr:abs(x)^1.5+0.5*x"])
+def test_cached_scans_equal_fresh_scans(token, monkeypatch):
+    # scans on one measure reuse its tail ladder and its exp(V) prefix; the
+    # results are those of scans on a freshly normalized measure
+    spec = msr.PotentialSpec.from_string(token)
+
+    def fresh():
+        return msr.normalize(msr.make_potential(spec))
+
+    def same(a, b):
+        return np.array_equal(a.log_partial_sups, b.log_partial_sups) and np.array_equal(a.argmax, b.argmax)
+
+    builds = []
+    ladder = criteria._chunked_log_panels
+    monkeypatch.setattr(criteria, "_chunked_log_panels", lambda g, edges: builds.append(g) or ladder(g, edges))
+    shared = fresh()
+    sides = 1 if shared.is_even else 2
+    for r in (1.2, 1.5, 1.8):
+        assert same(criteria.blo(shared, r, horizons=SHORT), criteria.blo(fresh(), r, horizons=SHORT))
+    bp_res = criteria.bp(shared, horizons=SHORT)
+    assert same(bp_res, criteria.bp(fresh(), horizons=SHORT))
+    assert same(criteria.bmls(shared, 1.4, horizons=SHORT, bp_result=bp_res),
+                criteria.bmls(fresh(), 1.4, horizons=SHORT))
+    builds.clear()
+    criteria.blo(shared, 1.3, horizons=SHORT)
+    criteria.bmls(shared, 1.4, horizons=SHORT)
+    assert builds == []  # every ladder and prefix came from the cache
+    criteria.bmls(shared, 1.6, horizons=SHORT)
+    assert len(builds) == sides  # one n^-(r-1) prefix per side for the new r
+
+
 def test_partial_sups_nondecreasing(gauss_measure, mu15_measure):
     for m in (gauss_measure, mu15_measure):
         res = criteria.bls(m, horizons=SHORT)

@@ -160,21 +160,150 @@ def test_non_integrable_diagnostic():
         quad.truncation_point(pot, 1e-10)
 
 
+def _floor_tail_closed_form(x):
+    """int_x^inf exp(-floor t) dt = (k+1-x) e^-k + e^-(k+1) / (1 - e^-1), k = floor(x)."""
+    k = math.floor(x)
+    return (k + 1 - x) * math.exp(-k) + math.exp(-(k + 1)) / (1.0 - math.exp(-1.0))
+
+
+def _floor_core_closed_form(x):
+    """int_0^x exp(-floor t) dt = (1 - e^-k) / (1 - e^-1) + (x - k) e^-k."""
+    k = math.floor(x)
+    return (1.0 - math.exp(-k)) / (1.0 - math.exp(-1.0)) + (x - k) * math.exp(-k)
+
+
+def test_truncation_point_floor_closed_form():
+    # on [k, k+1) both integrals are linear in X, so the smallest X with
+    # tail(X) = eps core(X) solves a linear equation; it lies in [27, 28)
+    eps, k = 1e-12, 27
+    tail_k, core_k = _floor_tail_closed_form(k), _floor_core_closed_form(k)
+    x_exact = k + (tail_k - eps * core_k) / (math.exp(-k) * (1.0 + eps))
+    assert x_exact == pytest.approx(27.7402887833, abs=1e-10)
+    assert _floor_tail_closed_form(x_exact) == pytest.approx(eps * _floor_core_closed_form(x_exact), rel=1e-12)
+    pot = msr.make_potential(msr.PotentialSpec.builtin("floor"))
+    X = quad.truncation_point(pot, eps)
+    assert X == pytest.approx(x_exact, rel=1e-10)
+    assert X >= x_exact  # the predicate holds at the returned point
+
+
+def _count_panels(monkeypatch):
+    counted = [0]
+    refine = quad.refine_log_panels
+
+    def counting(*args, **kwargs):
+        out = refine(*args, **kwargs)
+        counted[0] += out[2]
+        return out
+
+    monkeypatch.setattr(quad, "refine_log_panels", counting)
+    return counted
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 2.5, 27.74, 100.2, 700.9])
+def test_log_extension_floor_breakpoints_closed_form(x, monkeypatch):
+    pot = msr.make_potential(msr.PotentialSpec.builtin("floor"))
+    counted = _count_panels(monkeypatch)
+    val = quad.log_extension(lambda t: -pot.value(t), x, initial_width=1.0, breakpoints=pot.breakpoints)
+    assert val == pytest.approx(math.log(_floor_tail_closed_form(x)), abs=1e-13 * max(1.0, x))
+    # split at the unit jumps, every panel of a constant density is accepted
+    # whole: one per unit interval (unsplit chunks take about 9000)
+    assert counted[0] <= 200
+
+
+def test_log_extension_mirrored_breakpoints():
+    # the left tail of an uneven floor potential, integrated in s = -x
+    pot = msr.make_potential(msr.PotentialSpec.from_expression("floor(abs(x)) + 0.5*floor(x)"))
+    left = pot.side_breakpoints(0.0, -1.0)
+    assert left(0.5, 3.5) == [1.0, 2.0, 3.0]
+    val = quad.log_extension(lambda s: -pot.value(-s), 2.5, initial_width=1.0, breakpoints=left)
+    # V(-s) = floor(s) + 0.5 floor(-s) = 0.5 floor(s) - 0.5 for non-integer s > 0
+    q = math.exp(-0.5)
+    exact = math.exp(0.5) * (0.5 * q**2 + q**3 / (1.0 - q))
+    assert val == pytest.approx(math.log(exact), abs=1e-12)
+
+
+def test_normalize_floor_panel_gate(monkeypatch):
+    counted = _count_panels(monkeypatch)
+    msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("floor")))
+    assert counted[0] < 20000
+
+
+def _truncation_bisection(potential, eps):
+    """The former truncation search: doubling, then 40 bisection steps on the
+    predicate, with unsplit tail chunks."""
+
+    def one_side(sign):
+        def neg_v(x):
+            return -potential.value(sign * x)
+
+        def ok(x):
+            bp = potential.breakpoints(0.0, x) if sign > 0 else [-t for t in potential.breakpoints(-x, 0.0)]
+            prefix, _, _ = quad.panel_log_prefix(neg_v, quad._initial_edges(0.0, x, bp), ptol=1e-9)
+            tail = quad.log_extension(neg_v, x, initial_width=max(1.0, 0.05 * x), ptol=1e-9)
+            return tail <= math.log(eps) + float(prefix[-1])
+
+        x = 1.0
+        while not ok(x):
+            x *= 2.0
+        lo, hi = (1e-3 if x == 1.0 else x / 2.0), x
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if ok(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    xr = one_side(+1.0)
+    return xr if potential.is_even else max(xr, one_side(-1.0))
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["exp", "gaussian", "power:1.5", "sinpower:2,1", "sinpower:1.5,1", "sinpower:2,2", "cattiaux:1.5,1.9",
+     "expr:abs(x)^1.5+0.5*x", "expr:x^2/2+sin(x)"],
+)
+def test_truncation_point_matches_bisection(token):
+    pot = msr.make_potential(msr.PotentialSpec.from_string(token))
+    X = quad.truncation_point(pot, 1e-12)
+    assert X == pytest.approx(_truncation_bisection(pot, 1e-12), rel=1e-11)
+
+
+def euler_gamma_integral(a, cfg=quad.DEFAULT_QUAD):
+    """Gamma(a) for a >= 1 by direct quadrature of the Euler integral."""
+    assert a >= 1.0
+    upper = 750.0 + 10.0 * a
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore"):
+            logt = np.where(t > 0, np.log(np.maximum(t, 1e-300)), -np.inf)
+        out = np.exp((a - 1.0) * logt - t)
+        return np.where(t > 0, out, 0.0 if a > 1 else 1.0)
+
+    return quad.integrate(f, 0.0, upper, cfg, breakpoints=[1.0, 10.0, 100.0]).value
+
+
+def test_non_integrable_oscillating_heavy_tail():
+    # exp(-V) ~ 1/x^2 never meets the predicate by X = 1e6, and its tail
+    # chunks grow to widths of 2^60 and more: only chunks up to
+    # _MAX_SPLIT_WIDTH wide are split at the half-periods of sin
+    pot = msr.make_potential(msr.PotentialSpec.from_expression("2*log(1+abs(x)) + sin(x)/(1+x^2)"))
+    with pytest.raises(NonIntegrableError):
+        quad.truncation_point(pot, 1e-12)
+
+
 def test_euler_gamma_against_math_gamma():
     for a in (1.0, 1.5, 5.0 / 3.0, 2.0, 3.5):
-        assert quad.euler_gamma_integral(a) == pytest.approx(math.gamma(a), rel=1e-9)
+        assert euler_gamma_integral(a) == pytest.approx(math.gamma(a), rel=1e-9)
 
 
 def test_euler_gamma_consistent_with_normalization():
     # the same quadrature engine must reproduce Z = 2 Gamma(1 + 1/r) for
     # the stretched-exponential family
-    from hardylab import measure as msr2
-
     for r in (1.5, 2.0):
-        m = msr2.normalize(msr2.make_potential(msr2.PotentialSpec.builtin("power", r)))
-        assert math.exp(m.log_z) == pytest.approx(
-            2.0 * quad.euler_gamma_integral(1.0 + 1.0 / r), rel=1e-9
-        )
+        m = msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("power", r)))
+        assert math.exp(m.log_z) == pytest.approx(2.0 * euler_gamma_integral(1.0 + 1.0 / r), rel=1e-9)
 
 
 def test_error_estimate_within_config_contract():
