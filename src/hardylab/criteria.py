@@ -24,6 +24,7 @@ theory provides one: [S, 4S] for bp, and an upper constant
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,11 +136,21 @@ def _validate_horizons(horizons, median):
 def _chunked_log_panels(g, edges, ptol=_PANEL_PTOL, block=192):
     """Per-interval log integrals of exp(g) between consecutive edges, chunked
     to bound the memory of the adaptive refinement."""
-    out = np.empty(len(edges) - 1)
-    for start in range(0, len(edges) - 1, block):
-        sub = edges[start : start + block + 1]
-        logs, _, _ = quad_mod.refine_log_panels(g, sub, ptol, max_depth=60, strict=False)
+    lo, hi = edges[:-1], edges[1:]
+    out = np.empty(len(lo))
+    for start in range(0, len(lo), block):
+        logs, _, _ = quad_mod.refine_log_panels(
+            g, lo[start : start + block], hi[start : start + block], ptol, max_depth=60, strict=False
+        )
         out[start : start + len(logs)] = logs
+    return out
+
+
+def _partial_logs(g, lo, hi, inside):
+    """log int_lo^hi exp(g) where ``inside``, -inf elsewhere: one batch."""
+    out = np.full(len(lo), -np.inf)
+    if inside.any():
+        out[inside], _, _ = quad_mod.refine_log_panels(g, lo[inside], hi[inside], _PANEL_PTOL, 60, strict=False)
     return out
 
 
@@ -148,32 +159,38 @@ class _SideScan:
 
     The tail ladder depends only on the measure, the side and the grid, and
     a weight prefix only on its integrand, so ``_side_scan`` keeps the scan
-    on the measure and ``weight_prefix`` caches each prefix by its key.
+    on the measure and ``weight_prefix`` caches each prefix by its key.  The
+    tail ladder is built on first use: ``hyp_mls_check`` needs only a prefix.
     """
 
     def __init__(self, measure, sign, s_end, extra_s):
         self.measure = measure
         self.sign = sign
+        self.s_end = s_end
         m = measure.median
         pot = measure.potential
-        bps = pot.side_breakpoints(m, sign)
+        self.breakpoints = pot.side_breakpoints(m, sign)
         grid = list(np.arange(0.0, s_end, GRID_STEP))
         grid.extend(extra_s)
         grid.append(s_end)
-        grid.extend(bps(0.0, s_end))
+        grid.extend(self.breakpoints(0.0, s_end))
         self.grid = np.unique(np.asarray(grid))
         self.x = lambda s: m + sign * np.asarray(s, dtype=float)
         self.neg_v_s = lambda s: -pot.value(self.x(s))
-        # suffix tail in s: log int_s^(s_end) exp(-V) + extension beyond
+        self._prefixes = {}
+
+    @functools.cached_property
+    def tail_logs(self):
+        """Suffix tail in s on the grid: log int_s^(s_end) exp(-V) + extension beyond."""
         beyond = quad_mod.log_extension(
-            self.neg_v_s, s_end, initial_width=max(1.0, GRID_STEP), breakpoints=bps
+            self.neg_v_s, self.s_end, initial_width=max(1.0, GRID_STEP), breakpoints=self.breakpoints
         )
         seg_tail = _chunked_log_panels(self.neg_v_s, self.grid)
-        self.tail_logs = np.empty(len(self.grid))
-        self.tail_logs[-1] = beyond
+        tail_logs = np.empty(len(self.grid))
+        tail_logs[-1] = beyond
         rev = np.logaddexp.accumulate(seg_tail[::-1])
-        self.tail_logs[:-1] = np.logaddexp(rev[::-1], beyond)
-        self._prefixes = {}
+        tail_logs[:-1] = np.logaddexp(rev[::-1], beyond)
+        return tail_logs
 
     def weight_prefix(self, key, g):
         """log int_0^s exp(g) on the grid; ``key`` names g for the cache."""
@@ -185,43 +202,48 @@ class _SideScan:
             self._prefixes[key] = prefix
         return self._prefixes[key]
 
-    def tail_at(self, s):
-        j = int(np.searchsorted(self.grid, s, side="right") - 1)
-        j = min(j, len(self.grid) - 2)
-        partial = -np.inf
-        if s < self.grid[j + 1]:
-            logs, _, _ = quad_mod.refine_log_panels(
-                self.neg_v_s, np.array([s, self.grid[j + 1]]), _PANEL_PTOL, 60, strict=False
-            )
-            partial = float(logs[0])
-        return float(np.logaddexp(partial, self.tail_logs[j + 1]))
+    def _cells(self, s):
+        return np.minimum(np.searchsorted(self.grid, s, side="right") - 1, len(self.grid) - 2)
 
-    def weight_at(self, g, prefix, s):
-        j = int(np.searchsorted(self.grid, s, side="right") - 1)
-        j = min(j, len(self.grid) - 2)
-        partial = -np.inf
-        if s > self.grid[j]:
-            logs, _, _ = quad_mod.refine_log_panels(
-                g, np.array([self.grid[j], s]), _PANEL_PTOL, 60, strict=False
-            )
-            partial = float(logs[0])
-        return float(np.logaddexp(prefix[j], partial))
+    def tails_at(self, s):
+        """log int_s^inf exp(-V) at the points ``s`` (an array in [0, s_end])."""
+        j = self._cells(s)
+        nxt = self.grid[j + 1]
+        return np.logaddexp(_partial_logs(self.neg_v_s, s, nxt, s < nxt), self.tail_logs[j + 1])
+
+    def weights_at(self, g, prefix, s):
+        """log int_0^s exp(g) at the points ``s``, from the grid prefix of g."""
+        j = self._cells(s)
+        left = self.grid[j]
+        return np.logaddexp(prefix[j], _partial_logs(g, left, s, s > left))
 
 
 def _golden_max(f, a, b, iters=40):
+    """Golden-section maxima of f on the brackets [a[i], b[i]], in lockstep.
+
+    Each bracket follows the scalar search exactly (same probes, same float
+    operations, ties and nan going to the right-hand point); ``f`` maps an
+    array of points to their values, so each step is one batch.  Returns
+    the arrays of argmax points and values.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    n = len(a)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
+    fcd = f(np.concatenate([c, d]))
+    fc, fd = fcd[:n], fcd[n:]
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+        left = fc >= fd
+        # left: b, d, fd = d, c, fc, then a new c; right: a, c, fc = c, d, fd, then a new d
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        f_probe = f(probe)
+        c, fc = np.where(left, probe, kept), np.where(left, f_probe, f_kept)
+        d, fd = np.where(left, kept, probe), np.where(left, f_kept, f_probe)
+    at_c = fc >= fd
+    return np.where(at_c, c, d), np.where(at_c, fc, fd)
 
 
 def _criterion_parts(kind, r, measure):
@@ -297,30 +319,45 @@ def _scan_side(measure, kind, r, horizons, sign, refine=True):
         if np.isfinite(lvals[i]):
             lvals[i] += log_post(scan.tail_logs[i])
 
-    def log_value_at(s):
-        l_abs = scan.tail_at(s)
-        j = scan.weight_at(g, prefix, s)
-        return l_abs + transform(j) + log_post(l_abs)
+    def log_values_at(s):
+        l_abs = scan.tails_at(s)
+        base = l_abs + transform(scan.weights_at(g, prefix, s))
+        return np.array([v + log_post(float(l)) for v, l in zip(base, l_abs)])
+
+    # Golden-section refinement around a window's grid argmax happens only
+    # when it beats the running best, which is never below the running grid
+    # maximum; so every window that beats the grid maximum so far is refined
+    # up front, all in one lockstep search, and the loop below adopts the
+    # results exactly as a sequential scan would.
+    grid = scan.grid
+    windows, brackets = [], {}
+    lo_idx, grid_best = 1, -np.inf
+    for k, s_hzn in enumerate(s_h):
+        hi_idx = int(np.searchsorted(grid, s_hzn, side="right"))
+        j = None
+        if hi_idx > lo_idx:
+            j = int(np.argmax(lvals[lo_idx:hi_idx])) + lo_idx
+            lo_idx = hi_idx
+            if refine and lvals[j] > grid_best:
+                grid_best = lvals[j]
+                a = grid[max(j - 1, 1)]
+                # the sup runs over (m, X]: never refine past the horizon
+                b = min(grid[min(j + 1, len(grid) - 1)], s_hzn)
+                if b > a:
+                    brackets[k] = (a, b)
+        windows.append(j)
+    refined = {}
+    if brackets:
+        s_ref, v_ref = _golden_max(log_values_at, *np.array(list(brackets.values())).T)
+        refined = dict(zip(brackets, zip(s_ref.tolist(), v_ref.tolist())))
 
     log_sups, argmaxes = [], []
     best, best_s = -np.inf, float("nan")
-    lo_idx = 1
-    grid = scan.grid
-    for s_hzn in s_h:
-        hi_idx = int(np.searchsorted(grid, s_hzn, side="right"))
-        if hi_idx > lo_idx:
-            j = int(np.argmax(lvals[lo_idx:hi_idx])) + lo_idx
-            if lvals[j] > best:
-                best, best_s = float(lvals[j]), float(grid[j])
-                if refine:
-                    a = grid[max(j - 1, 1)]
-                    # the sup runs over (m, X]: never refine past the horizon
-                    b = min(grid[min(j + 1, len(grid) - 1)], s_hzn)
-                    if b > a:
-                        s_ref, v_ref = _golden_max(log_value_at, a, b)
-                        if v_ref > best:
-                            best, best_s = float(v_ref), float(s_ref)
-            lo_idx = hi_idx
+    for k, j in enumerate(windows):
+        if j is not None and lvals[j] > best:
+            best, best_s = float(lvals[j]), float(grid[j])
+            if k in refined and refined[k][1] > best:
+                best_s, best = refined[k]
         log_sups.append(best)
         argmaxes.append(m + sign * best_s)
     verdict = classify(horizons, log_sups)

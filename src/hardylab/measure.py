@@ -294,9 +294,6 @@ class TabulatedPotential(Potential):
         x = np.asarray(x, dtype=float)
         return self.table.extrapolated(np.abs(x) if self.is_even else x)
 
-    def value_with_flag(self, x):
-        return self.value(x), self.extrapolated(x)
-
 
 def _tabulated_potential(spec):
     table = _Table(spec.grid_x, spec.grid_v)

@@ -78,6 +78,9 @@ _NEGLIGIBLE_NATS = 55.0  # panels below exp(-55) of their segment total are acce
 # tails that have not fallen 55 nats within 4096 of their start, and would
 # hold thousands of breakpoints.
 _MAX_SPLIT_WIDTH = 4096.0
+# Row maxima of panel batches at least this tall are taken column by column;
+# below it one np.max(axis=1) costs less than a call per column.
+_COLUMN_MAX_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -128,19 +131,46 @@ def _gk_linear(f, a, b):
     return k, np.abs(k - g), fx
 
 
+def _logsumexp_rows_inplace(a):
+    """``_logsumexp_rows`` of a fresh C-contiguous 2-D array, overwriting it.
+
+    The row maximum of a tall array is taken column by column, which is exact
+    and avoids the per-row cost of a reduction over short rows; rows are
+    summed with ``np.sum(axis=1)`` as in ``_logsumexp_rows``, so the results
+    are the same bit for bit.  Rows whose maximum is not finite go through
+    ``_logsumexp_rows``.
+    """
+    if len(a) < _COLUMN_MAX_ROWS:
+        m = np.max(a, axis=1)
+    else:
+        m = a[:, 0].copy()
+        for j in range(1, a.shape[1]):
+            np.maximum(m, a[:, j], out=m)
+    if not np.isfinite(m).all():
+        return _logsumexp_rows(a)
+    a -= m[:, None]
+    np.exp(a, out=a)
+    out = np.sum(a, axis=1)
+    np.log(out, out=out)
+    out += m
+    return out
+
+
 def _gk_log(logf, a, b):
     """Log-space K15/G7: log integral of exp(logf) on each panel."""
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     xs = mid[:, None] + hw[:, None] * _GK_NODES
     gx = np.asarray(logf(xs), dtype=float)
-    logk = _logsumexp_rows(gx + _LOG_WK) + np.log(hw)
-    logg = _logsumexp_rows(gx[:, 1::2] + _LOG_WG) + np.log(hw)
+    log_hw = np.log(hw)
+    logk = _logsumexp_rows_inplace(gx + _LOG_WK)
+    logk += log_hw
+    logg = _logsumexp_rows_inplace(gx[:, 1::2] + _LOG_WG)
+    logg += log_hw
     # |log K - log G| ~ relative discrepancy of the two rules
     err = np.abs(logk - logg)
-    err = np.where(np.isnan(err), np.inf, err)
-    both_ninf = np.isneginf(logk) & np.isneginf(logg)
-    err = np.where(both_ninf, 0.0, err)
+    err[np.isnan(err)] = np.inf
+    err[np.isneginf(logk) & np.isneginf(logg)] = 0.0
     return logk, err
 
 
@@ -202,14 +232,17 @@ def integrate(f, a, b, cfg=DEFAULT_QUAD, breakpoints=None):
     return Integral(done_val, done_err, panels_used)
 
 
-def refine_log_panels(logf, edges, ptol, max_depth, strict=True):
-    """Per-interval log integrals of exp(logf) between consecutive edges.
+def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
+    """Log integrals of exp(logf) over the intervals [lo[i], hi[i]].
 
     Returns (seg_logs, seg_errs, panels_used).  seg_errs is a per-segment
     bound on the relative error, estimated from accepted |logK - logG|.
+    The intervals are independent: each one's log integral and error are
+    the same bit for bit whatever other intervals share the batch, so
+    consecutive edges are passed as ``edges[:-1], edges[1:]``.
     """
-    nseg = len(edges) - 1
-    pa, pb = edges[:-1].copy(), edges[1:].copy()
+    pa, pb = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    nseg = len(pa)
     seg = np.arange(nseg, dtype=np.int64)
     depth = np.zeros(nseg, dtype=np.int32)
     acc = np.full(nseg, -np.inf)  # accepted log mass per segment
@@ -258,7 +291,7 @@ def integrate_log(log_f, a, b, cfg=DEFAULT_QUAD, breakpoints=None):
         raise DomainValidationError(f"need a < b, got [{a}, {b}]")
     edges = _initial_edges(a, b, breakpoints)
     ptol = max(cfg.rel_tol * 0.1, 1e-14)
-    seg_logs, seg_errs, panels = refine_log_panels(log_f, edges, ptol, cfg.max_depth)
+    seg_logs, seg_errs, panels = refine_log_panels(log_f, edges[:-1], edges[1:], ptol, cfg.max_depth)
     total = float(np.logaddexp.reduce(seg_logs))
     if np.isneginf(total):
         rel = 0.0
@@ -286,7 +319,8 @@ def log_extension(logf, start, initial_width, ptol=1e-11, max_depth=48, max_chun
     for _ in range(max_chunks):
         hi = lo + w
         bp = breakpoints(lo, hi) if breakpoints is not None and w <= _MAX_SPLIT_WIDTH else None
-        seg_logs, _, _ = refine_log_panels(logf, _initial_edges(lo, hi, bp), ptol, max_depth, strict=False)
+        edges = _initial_edges(lo, hi, bp)
+        seg_logs, _, _ = refine_log_panels(logf, edges[:-1], edges[1:], ptol, max_depth, strict=False)
         chunk = float(np.logaddexp.reduce(seg_logs))
         total = float(np.logaddexp(total, chunk))
         if chunk < total - _NEGLIGIBLE_NATS:
@@ -304,7 +338,8 @@ def panel_log_prefix(logf, edges, ptol=1e-11, max_depth=60):
     prefix[0] = -inf.  The accumulation order is the ascending edge order, so
     results are deterministic.
     """
-    seg_logs, seg_errs, _ = refine_log_panels(logf, np.asarray(edges, dtype=float), ptol, max_depth, strict=False)
+    edges = np.asarray(edges, dtype=float)
+    seg_logs, seg_errs, _ = refine_log_panels(logf, edges[:-1], edges[1:], ptol, max_depth, strict=False)
     prefix = np.empty(len(edges))
     prefix[0] = -np.inf
     prefix[1:] = np.logaddexp.accumulate(seg_logs)
@@ -316,7 +351,8 @@ def panel_log_suffix(logf, edges, tail_log=-np.inf, ptol=1e-11, max_depth=60):
 
     ``tail_log`` is the (already computed) log integral over [edges[-1], inf).
     """
-    seg_logs, seg_errs, _ = refine_log_panels(logf, np.asarray(edges, dtype=float), ptol, max_depth, strict=False)
+    edges = np.asarray(edges, dtype=float)
+    seg_logs, seg_errs, _ = refine_log_panels(logf, edges[:-1], edges[1:], ptol, max_depth, strict=False)
     suffix = np.empty(len(edges))
     suffix[-1] = tail_log
     rev = np.logaddexp.accumulate(seg_logs[::-1])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hardylab import criteria
+from hardylab import criteria, quad, scenarios
 from hardylab import measure as msr
 from hardylab.errors import DomainValidationError
 
@@ -365,3 +365,135 @@ def test_blo_resolves_just_above_threshold(nu2_measure):
     rp = 1.21 / 0.21
     theory = 2.0 * (2.0 / rp - 1.0 / 3.0)
     assert slope == pytest.approx(theory, rel=0.15)
+
+
+# ---------------------------------------------------------------------------
+# lockstep golden section against the sequential scan
+# ---------------------------------------------------------------------------
+
+
+def _golden_max_scalar(f, a, b, iters=40):
+    c = b - criteria._INVPHI * (b - a)
+    d = a + criteria._INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - criteria._INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + criteria._INVPHI * (b - a)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def _tail_at(scan, s):
+    j = min(int(np.searchsorted(scan.grid, s, side="right") - 1), len(scan.grid) - 2)
+    partial = -np.inf
+    if s < scan.grid[j + 1]:
+        logs, _, _ = quad.refine_log_panels(scan.neg_v_s, [s], [scan.grid[j + 1]], criteria._PANEL_PTOL, 60,
+                                            strict=False)
+        partial = float(logs[0])
+    return float(np.logaddexp(partial, scan.tail_logs[j + 1]))
+
+
+def _weight_at(scan, g, prefix, s):
+    j = min(int(np.searchsorted(scan.grid, s, side="right") - 1), len(scan.grid) - 2)
+    partial = -np.inf
+    if s > scan.grid[j]:
+        logs, _, _ = quad.refine_log_panels(g, [scan.grid[j]], [s], criteria._PANEL_PTOL, 60, strict=False)
+        partial = float(logs[0])
+    return float(np.logaddexp(prefix[j], partial))
+
+
+def _sequential_scan(measure, kind, r, horizons, sign, refine):
+    """The scan with one scalar golden-section search per adopted window,
+    run when the window is reached; returns (log partial sups, argmax)."""
+    m = measure.median
+    s_h = [h - m if sign > 0 else h + m for h in horizons]
+    scan = criteria._side_scan(measure, sign, horizons, s_h)
+    which, transform, log_post = criteria._criterion_parts(kind, r, measure)
+    g = criteria._weight_logf(scan, which, r)
+    prefix = scan.weight_prefix((which, None if which == "v" else r), g)
+    lvals = scan.tail_logs + transform(prefix)
+    lvals[0] = -np.inf
+    for i in range(1, len(lvals)):
+        if np.isfinite(lvals[i]):
+            lvals[i] += log_post(scan.tail_logs[i])
+
+    def log_value_at(s):
+        l_abs = _tail_at(scan, s)
+        return l_abs + transform(_weight_at(scan, g, prefix, s)) + log_post(l_abs)
+
+    log_sups, argmaxes = [], []
+    best, best_s = -np.inf, float("nan")
+    lo_idx = 1
+    grid = scan.grid
+    for s_hzn in s_h:
+        hi_idx = int(np.searchsorted(grid, s_hzn, side="right"))
+        if hi_idx > lo_idx:
+            j = int(np.argmax(lvals[lo_idx:hi_idx])) + lo_idx
+            if lvals[j] > best:
+                best, best_s = float(lvals[j]), float(grid[j])
+                if refine:
+                    a = grid[max(j - 1, 1)]
+                    b = min(grid[min(j + 1, len(grid) - 1)], s_hzn)
+                    if b > a:
+                        s_ref, v_ref = _golden_max_scalar(log_value_at, a, b)
+                        if v_ref > best:
+                            best, best_s = float(v_ref), float(s_ref)
+            lo_idx = hi_idx
+        log_sups.append(best)
+        argmaxes.append(m + sign * best_s)
+    return log_sups, argmaxes
+
+
+_LOCKSTEP_KINDS = (("bp", None), ("bls", None), ("blo", 1.3), ("blo", 1.7), ("bmls", 1.4), ("bweighted", 1.5))
+
+
+@pytest.mark.parametrize("name", ["exponential", "gaussian", "mu15", "nu2", "nu15", "nu22", "floor", "cattiaux",
+                                  "expr:abs(x)^1.5+0.5*x", "expr:floor(abs(x)) + 0.5*floor(x)"])
+def test_lockstep_scan_equals_sequential_scan(name):
+    if name.startswith("expr:"):
+        m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_string(name)))
+    else:
+        m = scenarios.corpus_measure(name)
+    # on floor, bp refines a window up front whose grid maximum then loses to
+    # the refined sup of the window before it: the sequential scan skips it
+    horizons = (25.0, 50.0, 100.0)
+    for kind, r in _LOCKSTEP_KINDS:
+        if kind == "bweighted" and not m.is_even:
+            continue
+        for sign in (+1, -1):
+            for refine in (True, False):
+                res = criteria._scan_side(m, kind, r, horizons, sign, refine)
+                log_sups, argmax = _sequential_scan(m, kind, r, horizons, sign, refine)
+                assert np.array_equal(res.log_partial_sups, log_sups), (kind, r, sign, refine)
+                assert np.array_equal(res.argmax, argmax), (kind, r, sign, refine)
+
+
+def test_lockstep_golden_max_ties_and_nan():
+    # a staircase has ties at every comparison, and nan compares false: each
+    # bracket still takes the scalar search's branches
+    def f(s):
+        with np.errstate(invalid="ignore"):
+            return np.where(np.abs(s - 0.37) < 0.01, np.nan, -np.floor(np.abs(s - 0.3) * 8.0))
+
+    a = np.array([0.0, 0.1, 0.25, 0.29, 0.36, -1.0])
+    b = np.array([1.0, 0.4, 0.35, 0.5, 0.38, 0.3])
+    s_max, f_max = criteria._golden_max(f, a, b)
+    for i in range(len(a)):
+        s_ref, f_ref = _golden_max_scalar(lambda s: float(f(np.array([s]))[0]), a[i], b[i])
+        assert s_max[i] == s_ref and np.array_equal(f_max[i], f_ref, equal_nan=True)
+
+
+def test_hyp_check_builds_no_tail_ladder(exp_measure, monkeypatch):
+    ladders = []
+    ladder = criteria._chunked_log_panels
+    monkeypatch.setattr(criteria, "_chunked_log_panels", lambda g, edges: ladders.append(g) or ladder(g, edges))
+    extensions = []
+    extension = quad.log_extension
+    monkeypatch.setattr(quad, "log_extension", lambda *a, **k: extensions.append(a) or extension(*a, **k))
+    criteria.hyp_mls_check(exp_measure, 1.5, 0.4)
+    assert len(ladders) == 1 and extensions == []  # the n^-(r-1) prefix of one side, no tail

@@ -88,6 +88,10 @@ def test_sinpower_zero_lambda_equals_power():
     assert np.allclose(a.value(xs), b.value(xs), rtol=1e-14)
 
 
+def _value_with_flag(pot, x):
+    return pot.value(x), pot.extrapolated(x)
+
+
 def test_tabulated_interpolation_and_extrapolation_flag():
     xs = [0.0, 1.0, 2.0, 4.0]
     vs = [0.0, 1.0, 1.5, 3.5]
@@ -99,7 +103,7 @@ def test_tabulated_interpolation_and_extrapolation_flag():
     assert pot.value(6.0) == pytest.approx(5.5)
     flags = pot.extrapolated(np.array([0.5, 3.9, 6.0, -7.0]))
     assert list(flags) == [False, False, True, True]
-    vals, fl = pot.value_with_flag(np.array([1.0, 9.0]))
+    vals, fl = _value_with_flag(pot, np.array([1.0, 9.0]))
     assert fl[1] and not fl[0]
 
 

@@ -331,3 +331,79 @@ def test_gauss_kronrod_exactness_degrees():
             assert err[0] <= 1e-14
         else:
             assert err[0] >= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# log-space panel kernel
+# ---------------------------------------------------------------------------
+
+
+def _logsumexp_rows_reference(a):
+    m = np.max(a, axis=1)
+    finite = np.isfinite(m)
+    out = np.full(a.shape[0], -np.inf)
+    if np.any(finite):
+        out[finite] = m[finite] + np.log(np.sum(np.exp(a[finite] - m[finite][:, None]), axis=1))
+    return out
+
+
+def _gk_log_reference(logf, a, b):
+    """The former panel kernel: out-of-place log-sum-exp with np.max rows."""
+    mid = 0.5 * (a + b)
+    hw = 0.5 * (b - a)
+    gx = np.asarray(logf(mid[:, None] + hw[:, None] * quad._GK_NODES), dtype=float)
+    logk = _logsumexp_rows_reference(gx + quad._LOG_WK) + np.log(hw)
+    logg = _logsumexp_rows_reference(gx[:, 1::2] + quad._LOG_WG) + np.log(hw)
+    err = np.abs(logk - logg)
+    err = np.where(np.isnan(err), np.inf, err)
+    err = np.where(np.isneginf(logk) & np.isneginf(logg), 0.0, err)
+    return logk, err
+
+
+@pytest.mark.parametrize("rows", [5, quad._COLUMN_MAX_ROWS, 700])
+def test_gk_log_equals_reference_formula(rows):
+    # panel values with -inf entries, all--inf rows, nan and +inf, on both
+    # sides of the row count where the row maximum goes column-wise
+    rng = np.random.default_rng(rows)
+    gx = rng.normal(0.0, 300.0, size=(rows, 15))
+    gx[rng.random((rows, 15)) < 0.2] = -np.inf
+    gx[1] = -np.inf
+    gx[2, 7] = np.nan
+    gx[3, 0] = np.inf
+    gx[4, 1::2] = -np.inf  # the Gauss nodes alone carry no mass
+    a = np.sort(rng.uniform(-50.0, 50.0, rows))
+    b = a + rng.uniform(1e-6, 3.0, rows)
+    with np.errstate(invalid="ignore"):
+        logk, err = quad._gk_log(lambda xs: gx.copy(), a, b)
+        ref_k, ref_err = _gk_log_reference(lambda xs: gx.copy(), a, b)
+    assert np.array_equal(logk, ref_k) and np.array_equal(err, ref_err)
+    assert np.array_equal(np.signbit(logk), np.signbit(ref_k))
+    # and on finite integrands of the corpus, where the in-place path runs
+    pot = msr.make_potential(msr.PotentialSpec.builtin("sinpower", 2, 1))
+    for logf in (lambda x: -pot.value(x), lambda x: pot.value(x)):
+        logk, err = quad._gk_log(logf, a, b)
+        ref_k, ref_err = _gk_log_reference(logf, a, b)
+        assert np.array_equal(logk, ref_k) and np.array_equal(err, ref_err)
+
+
+@pytest.mark.parametrize("token", ["exp", "gaussian", "power:1.5", "sinpower:2,1", "sinpower:2,2", "floor",
+                                   "cattiaux:1.5,1.9", "expr:floor(abs(x)) + 0.5*floor(x)"])
+def test_refine_log_panels_batch_equals_single_intervals(token):
+    # one batched call gives each interval the log integral and error that a
+    # call for that interval alone gives, bit for bit
+    pot = msr.make_potential(msr.PotentialSpec.from_string(token))
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(-30.0, 30.0, 40)
+    hi = lo + rng.uniform(1e-3, 4.0, 40)
+    # intervals that end at, start at and straddle the floor breakpoints
+    lo = np.concatenate([lo, [2.0, 3.0, -4.0, 0.5, -1.5]])
+    hi = np.concatenate([hi, [3.0, 5.5, -3.0, 2.5, -0.5]])
+    for logf in (lambda x: -pot.value(x), lambda x: 0.4 * pot.value(x)):
+        # intervals straddling a jump are refined down to zero-width panels
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs, errs, panels = quad.refine_log_panels(logf, lo, hi, 1e-9, 60, strict=False)
+            single = [quad.refine_log_panels(logf, lo[i : i + 1], hi[i : i + 1], 1e-9, 60, strict=False)
+                      for i in range(len(lo))]
+        assert np.array_equal(logs, [s[0][0] for s in single])
+        assert np.array_equal(errs, [s[1][0] for s in single])
+        assert panels == sum(s[2] for s in single)
