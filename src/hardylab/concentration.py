@@ -364,7 +364,7 @@ def transport_check(measure, alpha, x_grid=None):
         x_grid = np.linspace(-40.0, 40.0, 400)
     x = np.unique(np.asarray(x_grid, dtype=float))
     mags = np.unique(np.abs(x))
-    n_of = {m: measure_mod.n_profile(measure, m) for m in mags}
+    n_of = dict(zip(mags.tolist(), measure_mod.n_profile(measure, mags).tolist()))
     signed_n = np.array([math.copysign(n_of[abs(v)], v) if v != 0 else 0.0 for v in x])
     ii, jj = np.triu_indices(len(x), k=1)
     dn = np.abs(signed_n[ii] - signed_n[jj])

@@ -133,34 +133,13 @@ def _validate_horizons(horizons, median):
     return horizons
 
 
-def _chunked_log_panels(g, edges, ptol=_PANEL_PTOL, block=192):
-    """Per-interval log integrals of exp(g) between consecutive edges, chunked
-    to bound the memory of the adaptive refinement."""
-    lo, hi = edges[:-1], edges[1:]
-    out = np.empty(len(lo))
-    for start in range(0, len(lo), block):
-        logs, _, _ = quad_mod.refine_log_panels(
-            g, lo[start : start + block], hi[start : start + block], ptol, max_depth=60, strict=False
-        )
-        out[start : start + len(logs)] = logs
-    return out
-
-
-def _partial_logs(g, lo, hi, inside):
-    """log int_lo^hi exp(g) where ``inside``, -inf elsewhere: one batch."""
-    out = np.full(len(lo), -np.inf)
-    if inside.any():
-        out[inside], _, _ = quad_mod.refine_log_panels(g, lo[inside], hi[inside], _PANEL_PTOL, 60, strict=False)
-    return out
-
-
 class _SideScan:
     """One-sided scan state: s is the distance from the median.
 
     The tail ladder depends only on the measure, the side and the grid, and
-    a weight prefix only on its integrand, so ``_side_scan`` keeps the scan
-    on the measure and ``weight_prefix`` caches each prefix by its key.  The
-    tail ladder is built on first use: ``hyp_mls_check`` needs only a prefix.
+    a weight ladder only on its integrand, so ``_side_scan`` keeps the scan
+    on the measure and ``weight_ladder`` caches each ladder by its key.  The
+    tail ladder is built on first use: ``hyp_mls_check`` needs only a weight.
     """
 
     def __init__(self, measure, sign, s_end, extra_s):
@@ -177,45 +156,26 @@ class _SideScan:
         self.grid = np.unique(np.asarray(grid))
         self.x = lambda s: m + sign * np.asarray(s, dtype=float)
         self.neg_v_s = lambda s: -pot.value(self.x(s))
-        self._prefixes = {}
+        self._weights = {}
+
+    def _ladder(self, g, after=-np.inf):
+        return quad_mod.LogLadder(g, self.grid, _PANEL_PTOL, 60, strict=False, after=after)
 
     @functools.cached_property
-    def tail_logs(self):
-        """Suffix tail in s on the grid: log int_s^(s_end) exp(-V) + extension beyond."""
+    def tail(self):
+        """Ladder of exp(-V) in s on the grid, with the extension beyond s_end:
+        ``suffix`` is log int_s^inf exp(-V) at the grid points."""
         beyond = quad_mod.log_extension(
             self.neg_v_s, self.s_end, initial_width=max(1.0, GRID_STEP), breakpoints=self.breakpoints
         )
-        seg_tail = _chunked_log_panels(self.neg_v_s, self.grid)
-        tail_logs = np.empty(len(self.grid))
-        tail_logs[-1] = beyond
-        rev = np.logaddexp.accumulate(seg_tail[::-1])
-        tail_logs[:-1] = np.logaddexp(rev[::-1], beyond)
-        return tail_logs
+        return self._ladder(self.neg_v_s, after=beyond)
 
-    def weight_prefix(self, key, g):
-        """log int_0^s exp(g) on the grid; ``key`` names g for the cache."""
-        if key not in self._prefixes:
-            seg = _chunked_log_panels(g, self.grid)
-            prefix = np.empty(len(self.grid))
-            prefix[0] = -np.inf
-            prefix[1:] = np.logaddexp.accumulate(seg)
-            self._prefixes[key] = prefix
-        return self._prefixes[key]
-
-    def _cells(self, s):
-        return np.minimum(np.searchsorted(self.grid, s, side="right") - 1, len(self.grid) - 2)
-
-    def tails_at(self, s):
-        """log int_s^inf exp(-V) at the points ``s`` (an array in [0, s_end])."""
-        j = self._cells(s)
-        nxt = self.grid[j + 1]
-        return np.logaddexp(_partial_logs(self.neg_v_s, s, nxt, s < nxt), self.tail_logs[j + 1])
-
-    def weights_at(self, g, prefix, s):
-        """log int_0^s exp(g) at the points ``s``, from the grid prefix of g."""
-        j = self._cells(s)
-        left = self.grid[j]
-        return np.logaddexp(prefix[j], _partial_logs(g, left, s, s > left))
+    def weight_ladder(self, key, g):
+        """Ladder of exp(g) on the grid, whose ``prefix`` is log int_0^s exp(g);
+        ``key`` names g for the cache."""
+        if key not in self._weights:
+            self._weights[key] = self._ladder(g)
+        return self._weights[key]
 
 
 def _golden_max(f, a, b, iters=40):
@@ -309,19 +269,19 @@ def _scan_side(measure, kind, r, horizons, sign, refine=True):
     s_h = [h - m if sign > 0 else h + m for h in horizons]
     scan = _side_scan(measure, sign, horizons, s_h)
     which, transform, log_post = _criterion_parts(kind, r, measure)
-    g = _weight_logf(scan, which, r)
     # exp(V) does not depend on r; n^-(r-1) and the bweighted weight do
-    prefix = scan.weight_prefix((which, None if which == "v" else r), g)
+    weight = scan.weight_ladder((which, None if which == "v" else r), _weight_logf(scan, which, r))
+    tail_logs = scan.tail.suffix
 
-    lvals = scan.tail_logs + transform(prefix)
+    lvals = tail_logs + transform(weight.prefix)
     lvals[0] = -np.inf
     for i in range(1, len(lvals)):
         if np.isfinite(lvals[i]):
-            lvals[i] += log_post(scan.tail_logs[i])
+            lvals[i] += log_post(tail_logs[i])
 
     def log_values_at(s):
-        l_abs = scan.tails_at(s)
-        base = l_abs + transform(scan.weights_at(g, prefix, s))
+        l_abs = scan.tail.upper(s)
+        base = l_abs + transform(weight.lower(s))
         return np.array([v + log_post(float(l)) for v, l in zip(base, l_abs)])
 
     # Golden-section refinement around a window's grid argmax happens only
@@ -509,8 +469,7 @@ def hyp_mls_check(measure, r, eps, horizons=DEFAULT_HORIZONS):
         s_end = horizons[-1] - m if sign > 0 else horizons[-1] + m
         bps = measure.potential.side_breakpoints(m, sign)(0.0, s_end)
         scan = _SideScan(measure, sign, s_end, extra_s=[b - 1e-9 for b in bps if b > 1e-9])
-        g = lambda s: -(r - 1.0) * scan.neg_v_s(s)
-        prefix = scan.weight_prefix("rv", g)
+        prefix = scan.weight_ladder("rv", lambda s: -(r - 1.0) * scan.neg_v_s(s)).prefix
         svals = scan.grid[1:]
         num = (r - 1.0) * (-scan.neg_v_s(svals))
         ratio = np.exp(num - prefix[1:])
@@ -615,13 +574,13 @@ def tail_asymptotics(measure, x_grid):
     capped = np.zeros(len(x), dtype=bool)
     r_theta = np.empty(len(x))
     r_deriv = np.full(len(x), np.nan)
+    l_abs = log_tail(measure, x) + measure.log_z
     for i, xi in enumerate(x):
         theta[i], capped[i] = _theta_scale(pot, float(xi))
-        l_abs = log_tail(measure, float(xi)) + measure.log_z
         v = float(pot.value(np.array([xi]))[0])
-        r_theta[i] = math.exp(l_abs + v) / theta[i]
+        r_theta[i] = math.exp(l_abs[i] + v) / theta[i]
         if pot.derivative is not None:
             vp = float(pot.derivative(np.array([xi]))[0])
             if vp > 0:
-                r_deriv[i] = math.exp(l_abs + v) * vp
+                r_deriv[i] = math.exp(l_abs[i] + v) * vp
     return TailScaleTable(x=x, theta=theta, capped=capped, ratio_theta=r_theta, ratio_deriv=r_deriv)

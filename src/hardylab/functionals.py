@@ -63,15 +63,6 @@ class TestFunction:
             label=text,
         )
 
-    def check_derivative(self, n_points=100, seed=20240229, span=50.0):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        x = rng.uniform(-span, span, n_points)
-        hstep = 1e-6 * np.maximum(1.0, np.abs(x))
-        fd = (self.value(x + hstep) - self.value(x - hstep)) / (2.0 * hstep)
-        d = self.derivative(x)
-        scale = np.maximum(np.abs(d), np.maximum(np.abs(fd), 1e-8))
-        return float(np.max(np.abs(fd - d) / scale))
-
 
 @dataclass(frozen=True)
 class InequalityReport:

@@ -28,6 +28,7 @@ from .errors import BracketError, DomainValidationError
 from .quad import DEFAULT_QUAD, QuadConfig
 
 UNDERFLOW_FLOOR = 1e-300
+_LOG_FLOOR = math.log(UNDERFLOW_FLOOR)
 DEFAULT_EPS_TRUNC = 1e-12
 
 _FAMILY_ARITY = {"exp": 0, "gaussian": 0, "power": 1, "sinpower": 2, "cattiaux": 2, "floor": 0}
@@ -329,31 +330,6 @@ def make_potential(spec):
     return pot
 
 
-def check_derivative(potential, n_points=100, rel_tol=1e-5, seed=20240229, span=50.0):
-    """Max relative discrepancy between the derivative and central differences.
-
-    Points are drawn uniformly in [-span, span], discarding any closer than
-    0.05 to a declared kink (and, for floor-bearing potentials, to integers).
-    """
-    if potential.derivative is None:
-        raise DomainValidationError("potential has no derivative field")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pts = []
-    while len(pts) < n_points:
-        x = float(rng.uniform(-span, span))
-        if any(abs(x - k) < 0.05 for k in potential.kinks):
-            continue
-        if potential.spec.unit_breakpoints and abs(x - round(x)) < 0.05:
-            continue
-        pts.append(x)
-    x = np.array(pts)
-    h = 1e-6 * np.maximum(1.0, np.abs(x))
-    fd = (potential.value(x + h) - potential.value(x - h)) / (2.0 * h)
-    d = potential.derivative(x)
-    scale = np.maximum(np.abs(d), np.maximum(np.abs(fd), 1e-8))
-    return float(np.max(np.abs(fd - d) / scale))
-
-
 # ---------------------------------------------------------------------------
 # Normalized measures
 # ---------------------------------------------------------------------------
@@ -370,8 +346,7 @@ class Measure1D:
     cfg: QuadConfig = field(default_factory=lambda: DEFAULT_QUAD)
     eps_trunc: float = DEFAULT_EPS_TRUNC
     label: str = ""
-    _right: tuple | None = field(default=None, repr=False)
-    _left: tuple | None = field(default=None, repr=False)
+    _ladders: dict = field(default_factory=dict, repr=False)  # quad.LogLadder by side
     _sampler: _InverseCDF | None = field(default=None, repr=False)
     _scans: dict = field(default_factory=dict, repr=False)  # criteria._SideScan by (sign, horizons, grid step)
 
@@ -382,32 +357,25 @@ class Measure1D:
     def neg_v(self, x):
         return -self.potential.value(x)
 
-    # tail ladders: edges plus suffix (right) / prefix (left) log integrals
-    # of exp(-V), unnormalized.
-
-    def _ladder_edges(self, a, b):
-        n = max(64, int(math.ceil((b - a) / (math.pi / 8.0))))
-        edges = list(np.linspace(a, b, n + 1))
-        edges.extend(self.potential.breakpoints(a, b))
-        return np.unique(np.asarray(edges))
-
-    def right_ladder(self):
-        if self._right is None:
-            hi = self.truncation + 5.0
-            edges = self._ladder_edges(self.median, hi)
-            beyond = _log_mass_beyond(self.potential, hi, +1.0)
-            suffix, _, _ = quad_mod.panel_log_suffix(self.neg_v, edges, tail_log=beyond)
-            self._right = (edges, suffix)
-        return self._right
-
-    def left_ladder(self):
-        if self._left is None:
-            lo = -self.truncation - 5.0
-            edges = self._ladder_edges(lo, self.median)
-            beyond = _log_mass_beyond(self.potential, -lo, -1.0)
-            prefix, _, _ = quad_mod.panel_log_prefix(self.neg_v, edges)
-            self._left = (edges, np.logaddexp(prefix, beyond))
-        return self._left
+    def _ladder(self, sign):
+        """The LogLadder of exp(-V), unnormalized, from the median out to
+        truncation + 5 on side ``sign``, with the mass beyond that end; built
+        on first use at the measure's ``cfg``.  Its edges are a linspace at
+        step <= pi/8 plus the potential's breakpoints."""
+        if sign not in self._ladders:
+            end = sign * (self.truncation + 5.0)
+            a, b = sorted((self.median, end))
+            n = max(64, int(math.ceil((b - a) / (math.pi / 8.0))))
+            edges = np.unique(np.concatenate([np.linspace(a, b, n + 1), self.potential.breakpoints(a, b)]))
+            beyond = _log_mass_beyond(self.potential, abs(end), sign)
+            ptol = max(self.cfg.rel_tol * 0.1, 1e-14)  # integrate_log's panel tolerance
+            outer = {"after": beyond} if sign > 0 else {"before": beyond}
+            # -V without a reference to the measure, which would make it a cycle
+            pot = self.potential
+            self._ladders[sign] = quad_mod.LogLadder(
+                lambda x: -pot.value(x), edges, ptol, self.cfg.max_depth, strict=True, **outer
+            )
+        return self._ladders[sign]
 
 
 def _log_mass_beyond(potential, x, sign):
@@ -477,62 +445,80 @@ def _find_median(measure):
     return 0.5 * (lo + hi)
 
 
+def _log_mass(measure, x, sign):
+    """Unnormalized log mass of exp(-V) on [x, inf) for sign +1 and on
+    (-inf, x] for sign -1, at the finite points ``x`` (1-D) on that side of
+    the median.  The side's ladder is built even when ``x`` is empty."""
+    ladder = measure._ladder(sign)
+    lo, hi = float(ladder.edges[0]), float(ladder.edges[-1])
+    if sign > 0:
+        inside, beyond = (lo <= x) & (x < hi), x >= hi
+    else:
+        inside, beyond = (lo < x) & (x <= hi), x <= lo
+    out = np.empty(len(x))
+    out[inside] = (ladder.upper if sign > 0 else ladder.lower)(x[inside])
+    for i in np.flatnonzero(beyond):
+        out[i] = _log_mass_beyond(measure.potential, sign * float(x[i]), sign)
+    # between the median and a ladder built before the median was found
+    for i in np.flatnonzero(~inside & ~beyond):
+        a, b = (float(x[i]), lo) if sign > 0 else (hi, float(x[i]))
+        bps = measure.potential.breakpoints(a, b)
+        partial = quad_mod.integrate_log(measure.neg_v, a, b, measure.cfg, breakpoints=bps).log_value
+        out[i] = np.logaddexp(partial, ladder.suffix[0] if sign > 0 else ladder.prefix[-1])
+    return out
+
+
+def _log_prob(measure, x, sign):
+    """log mu([x, inf)) for sign +1 and log mu((-inf, x]) for sign -1."""
+    xs = np.asarray(x, dtype=float)
+    if np.isnan(xs).any():
+        raise DomainValidationError("query point is nan")
+    flat = np.atleast_1d(xs)
+    # mass 0 past +inf (sign +1) or -inf (sign -1) and 1 past the other; finite points are overwritten
+    out = np.where(sign * flat > 0, -np.inf, 0.0)
+    finite = np.isfinite(flat)
+    near = finite & ((flat >= measure.median) if sign > 0 else (flat <= measure.median))
+    out[near] = _log_mass(measure, flat[near], sign) - measure.log_z
+    far = finite & ~near
+    if far.any():  # 1 - the mass on the other side
+        other = _log_mass(measure, flat[far], -sign) - measure.log_z
+        out[far] = np.log1p([-math.exp(min(v, -1e-18)) for v in other.tolist()])
+    return float(out[0]) if xs.ndim == 0 else out
+
+
 def log_tail(measure, x):
-    """log of mu([x, inf)), exact in log space far beyond float underflow."""
-    x = float(x)
-    edges, suffix = measure.right_ladder()
-    if x < measure.median:
-        # 1 - left mass, via the left CDF ladder
-        return float(np.log1p(-math.exp(min(log_cdf(measure, x), -1e-18))))
-    if x >= edges[-1]:
-        val = _log_mass_beyond(measure.potential, x, +1.0)
-        return float(val - measure.log_z)
-    i = int(np.searchsorted(edges, x, side="right") - 1)
-    partial = -np.inf
-    if x < edges[i + 1]:
-        bp = measure.potential.breakpoints(x, edges[i + 1])
-        partial = quad_mod.integrate_log(
-            measure.neg_v, x, float(edges[i + 1]), measure.cfg, breakpoints=bp
-        ).log_value
-    return float(np.logaddexp(partial, suffix[i + 1]) - measure.log_z)
+    """log of mu([x, inf)), exact in log space far beyond float underflow.
+
+    ``x`` is a scalar (a float is returned) or a 1-D array, whose points
+    inside a ladder share one batched integration.  nan raises
+    DomainValidationError; -inf gives 0 and +inf gives -inf.
+    """
+    return _log_prob(measure, x, +1)
 
 
 def log_cdf(measure, x):
-    """log of mu((-inf, x])."""
-    x = float(x)
-    edges, cdf_log = measure.left_ladder()
-    if x > measure.median:
-        return float(np.log1p(-math.exp(min(log_tail(measure, x), -1e-18))))
-    if x <= edges[0]:
-        val = _log_mass_beyond(measure.potential, -x, -1.0)
-        return float(val - measure.log_z)
-    i = int(np.searchsorted(edges, x, side="right") - 1)
-    partial = -np.inf
-    if x > edges[i]:
-        bp = measure.potential.breakpoints(edges[i], x)
-        partial = quad_mod.integrate_log(
-            measure.neg_v, float(edges[i]), x, measure.cfg, breakpoints=bp
-        ).log_value
-    return float(np.logaddexp(cdf_log[i], partial) - measure.log_z)
+    """log of mu((-inf, x]), as ``log_tail``."""
+    return _log_prob(measure, x, -1)
+
+
+def _exp_floored(log_p):
+    """exp of a float or 1-D array of log probabilities; below 1e-300 is 0."""
+    vals = [math.exp(v) if v >= _LOG_FLOOR else 0.0 for v in np.atleast_1d(log_p).tolist()]
+    return vals[0] if np.ndim(log_p) == 0 else np.array(vals)
 
 
 def tail(measure, x):
-    """mu([x, inf)) by adaptive quadrature; values below 1e-300 report as 0."""
-    lt = log_tail(measure, x)
-    if lt < math.log(UNDERFLOW_FLOOR):
-        return 0.0
-    return math.exp(lt)
+    """mu([x, inf)) at a scalar or 1-D ``x``; values below 1e-300 report as 0."""
+    return _exp_floored(log_tail(measure, x))
 
 
 def cdf(measure, x):
-    lc = log_cdf(measure, x)
-    if lc < math.log(UNDERFLOW_FLOOR):
-        return 0.0
-    return math.exp(lc)
+    """mu((-inf, x]), as ``tail``."""
+    return _exp_floored(log_cdf(measure, x))
 
 
 def quantile(measure, p):
-    """x with CDF(x) = p to 1e-10 absolute in p (bisection + secant polish)."""
+    """x with CDF(x) = p to 1e-11 absolute in p (bisection + secant polish)."""
     if not 0.0 < p < 1.0:
         raise DomainValidationError("quantile requires p in (0, 1)")
     if measure.is_even and p == 0.5:
@@ -681,10 +667,10 @@ def n_profile(measure, t):
 
     N(0) = 0, N is nondecreasing, and N(t) >= V(t) - O(log) for growing
     potentials; it is the exponential-quantile reparameterization used by the
-    transport check.
+    transport check.  ``t`` is a scalar (a float is returned) or a 1-D array.
     """
     if not measure.is_even:
         raise DomainValidationError("n_profile requires an even measure")
-    if t < 0:
+    if np.any(np.asarray(t) < 0):
         raise DomainValidationError("n_profile requires t >= 0")
-    return -(math.log(2.0) + log_tail(measure, float(t)))
+    return -(math.log(2.0) + log_tail(measure, t))

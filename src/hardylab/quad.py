@@ -332,32 +332,52 @@ def log_extension(logf, start, initial_width, ptol=1e-11, max_depth=48, max_chun
     )
 
 
-def panel_log_prefix(logf, edges, ptol=1e-11, max_depth=60):
-    """Cumulative log integrals of exp(logf): prefix[i] = log int(edges[0]..edges[i]).
+# Intervals per refine_log_panels call while a ladder is built, which bounds
+# the memory of the refinement on long ladders.
+_LADDER_BLOCK = 192
 
-    prefix[0] = -inf.  The accumulation order is the ascending edge order, so
-    results are deterministic.
+
+class LogLadder:
+    """Cumulative log integrals of exp(logf) between ascending ``edges``.
+
+    ``prefix[i]`` is log(exp(before) + int_edges[0]^edges[i] exp(logf)) and
+    ``suffix[i]`` is log(int_edges[i]^edges[-1] exp(logf) + exp(after)), with
+    ``before`` and ``after`` the log masses beyond the two ends.  Every cell
+    between consecutive edges is one ``refine_log_panels`` interval at
+    (ptol, max_depth, strict).  The queries integrate each point's partial
+    cell the same way, in one batch, so a query equals a scalar integration
+    of its partial cell combined with the ladder, bit for bit.
     """
-    edges = np.asarray(edges, dtype=float)
-    seg_logs, seg_errs, _ = refine_log_panels(logf, edges[:-1], edges[1:], ptol, max_depth, strict=False)
-    prefix = np.empty(len(edges))
-    prefix[0] = -np.inf
-    prefix[1:] = np.logaddexp.accumulate(seg_logs)
-    return prefix, seg_logs, float(np.max(seg_errs, initial=0.0))
 
+    def __init__(self, logf, edges, ptol, max_depth, strict, before=-np.inf, after=-np.inf):
+        self.logf, self.ptol, self.max_depth, self.strict = logf, ptol, max_depth, strict
+        self.edges = np.asarray(edges, dtype=float)
+        lo, hi = self.edges[:-1], self.edges[1:]
+        blocks = range(0, len(lo), _LADDER_BLOCK)
+        seg = np.concatenate([self._logs(lo[i : i + _LADDER_BLOCK], hi[i : i + _LADDER_BLOCK]) for i in blocks])
+        self.prefix = np.logaddexp(np.concatenate([[-np.inf], np.logaddexp.accumulate(seg)]), before)
+        self.suffix = np.append(np.logaddexp(np.logaddexp.accumulate(seg[::-1])[::-1], after), after)
 
-def panel_log_suffix(logf, edges, tail_log=-np.inf, ptol=1e-11, max_depth=60):
-    """Suffix log integrals: suffix[i] = log int(edges[i]..edges[-1]) + tail beyond.
+    def _logs(self, lo, hi):
+        return refine_log_panels(self.logf, lo, hi, self.ptol, self.max_depth, self.strict)[0]
 
-    ``tail_log`` is the (already computed) log integral over [edges[-1], inf).
-    """
-    edges = np.asarray(edges, dtype=float)
-    seg_logs, seg_errs, _ = refine_log_panels(logf, edges[:-1], edges[1:], ptol, max_depth, strict=False)
-    suffix = np.empty(len(edges))
-    suffix[-1] = tail_log
-    rev = np.logaddexp.accumulate(seg_logs[::-1])
-    suffix[:-1] = np.logaddexp(rev[::-1], tail_log)
-    return suffix, seg_logs, float(np.max(seg_errs, initial=0.0))
+    def _partial(self, lo, hi, nonempty):
+        out = np.full(len(lo), -np.inf)
+        if nonempty.any():
+            out[nonempty] = self._logs(lo[nonempty], hi[nonempty])
+        return out
+
+    def upper(self, x):
+        """log(exp(after) + int_x^edges[-1] exp(logf)) at the points ``x`` in [edges[0], edges[-1]]."""
+        j = np.minimum(np.searchsorted(self.edges, x, side="right") - 1, len(self.edges) - 2)
+        nxt = self.edges[j + 1]
+        return np.logaddexp(self._partial(x, nxt, x < nxt), self.suffix[j + 1])
+
+    def lower(self, x):
+        """log(exp(before) + int_edges[0]^x exp(logf)) at the points ``x`` in [edges[0], edges[-1]]."""
+        j = np.searchsorted(self.edges, x, side="right") - 1
+        left = self.edges[j]
+        return np.logaddexp(self.prefix[j], self._partial(left, x, x > left))
 
 
 def truncation_point(potential, eps):
@@ -381,9 +401,9 @@ def truncation_point(potential, eps):
             return -potential.value(sign * x)
 
         def h(x):
-            prefix, _, _ = panel_log_prefix(neg_v, _initial_edges(0.0, x, bps(0.0, x)), ptol=1e-9)
+            core = LogLadder(neg_v, _initial_edges(0.0, x, bps(0.0, x)), 1e-9, 60, strict=False).prefix[-1]
             tail = log_extension(neg_v, x, initial_width=max(1.0, 0.05 * x), ptol=1e-9, breakpoints=bps)
-            return tail - log_eps - float(prefix[-1])
+            return tail - log_eps - float(core)
 
         lo, h_lo = 1e-3, None
         x, hx = 1.0, h(1.0)

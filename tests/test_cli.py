@@ -133,6 +133,16 @@ def test_numerical_failure_exit_code_3(capsys):
     assert "error" in err
 
 
+def test_measure_info_nonfinite_points(capsys):
+    code = cli.run(["measure", "info", "--potential", "exp", "--tail-at", "nan"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error:")
+    for x, tail in (("inf", 0.0), ("-inf", 1.0)):
+        code, doc = run_json(capsys, ["measure", "info", "--potential", "exp", f"--tail-at={x}"])
+        assert code == 0
+        assert get(doc, f"tail({x})")["value"] == tail
+
+
 def test_missing_r_is_numerical_validation(capsys):
     code = cli.run(["criteria", "--potential", "exp", "--kind", "blo"])
     assert code == 3

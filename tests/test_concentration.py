@@ -5,6 +5,7 @@ import pytest
 
 from hardylab import concentration as conc
 from hardylab import measure as msr
+from hardylab import quad
 from hardylab.errors import DomainValidationError
 
 # ---------------------------------------------------------------------------
@@ -282,6 +283,17 @@ def test_transport_check_adjacent_pairs_bounded_below(exp_measure):
     # numerator >= 1 always, so the infimum is at least 1/max|x-y|^alpha
     res = conc.transport_check(exp_measure, 1.5, x_grid=np.linspace(-10, 10, 81))
     assert res["b_alpha_inf"] >= 1.0 / 20.0**1.5
+
+
+def test_transport_check_batches_points_inside_the_ladder(exp_measure, monkeypatch):
+    # every |x| lies inside the tail ladder: their partial cells share one
+    # refinement call, where scalar queries made one call per magnitude
+    msr.log_tail(exp_measure, 0.0)  # the ladder itself is built on first use
+    calls = []
+    refine = quad.refine_log_panels
+    monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: calls.append(a) or refine(*a, **k))
+    conc.transport_check(exp_measure, 1.5, x_grid=np.linspace(-20.0, 20.0, 101))
+    assert len(calls) == 1
 
 
 def test_transport_check_validations(exp_measure):

@@ -316,8 +316,8 @@ def test_cached_scans_equal_fresh_scans(token, monkeypatch):
         return np.array_equal(a.log_partial_sups, b.log_partial_sups) and np.array_equal(a.argmax, b.argmax)
 
     builds = []
-    ladder = criteria._chunked_log_panels
-    monkeypatch.setattr(criteria, "_chunked_log_panels", lambda g, edges: builds.append(g) or ladder(g, edges))
+    ladder = criteria._SideScan._ladder
+    monkeypatch.setattr(criteria._SideScan, "_ladder", lambda scan, g, **k: builds.append(g) or ladder(scan, g, **k))
     shared = fresh()
     sides = 1 if shared.is_even else 2
     for r in (1.2, 1.5, 1.8):
@@ -395,7 +395,7 @@ def _tail_at(scan, s):
         logs, _, _ = quad.refine_log_panels(scan.neg_v_s, [s], [scan.grid[j + 1]], criteria._PANEL_PTOL, 60,
                                             strict=False)
         partial = float(logs[0])
-    return float(np.logaddexp(partial, scan.tail_logs[j + 1]))
+    return float(np.logaddexp(partial, scan.tail.suffix[j + 1]))
 
 
 def _weight_at(scan, g, prefix, s):
@@ -415,12 +415,12 @@ def _sequential_scan(measure, kind, r, horizons, sign, refine):
     scan = criteria._side_scan(measure, sign, horizons, s_h)
     which, transform, log_post = criteria._criterion_parts(kind, r, measure)
     g = criteria._weight_logf(scan, which, r)
-    prefix = scan.weight_prefix((which, None if which == "v" else r), g)
-    lvals = scan.tail_logs + transform(prefix)
+    prefix = scan.weight_ladder((which, None if which == "v" else r), g).prefix
+    lvals = scan.tail.suffix + transform(prefix)
     lvals[0] = -np.inf
     for i in range(1, len(lvals)):
         if np.isfinite(lvals[i]):
-            lvals[i] += log_post(scan.tail_logs[i])
+            lvals[i] += log_post(scan.tail.suffix[i])
 
     def log_value_at(s):
         l_abs = _tail_at(scan, s)
@@ -490,8 +490,8 @@ def test_lockstep_golden_max_ties_and_nan():
 
 def test_hyp_check_builds_no_tail_ladder(exp_measure, monkeypatch):
     ladders = []
-    ladder = criteria._chunked_log_panels
-    monkeypatch.setattr(criteria, "_chunked_log_panels", lambda g, edges: ladders.append(g) or ladder(g, edges))
+    ladder = criteria._SideScan._ladder
+    monkeypatch.setattr(criteria._SideScan, "_ladder", lambda scan, g, **k: ladders.append(g) or ladder(scan, g, **k))
     extensions = []
     extension = quad.log_extension
     monkeypatch.setattr(quad, "log_extension", lambda *a, **k: extensions.append(a) or extension(*a, **k))

@@ -291,9 +291,9 @@ def test_itau_report_carries_l2_component(exp_measure):
     assert rep.parameters["l2_moment"] == pytest.approx(2.0, rel=1e-8)
 
 
-def test_testfunction_derivative_check():
+def test_testfunction_derivative_check(derivative_error):
     f = fn.TestFunction.from_expression("sin(x)*exp(x/8)")
-    assert f.check_derivative() <= 1e-5
+    assert derivative_error(f.value, f.derivative) <= 1e-5
 
 
 def test_poincare_ratio_below_criterion_upper_bracket(

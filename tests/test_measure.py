@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardylab import measure as msr
+from hardylab import quad, scenarios
 from hardylab.errors import DomainValidationError, ParseError
 
 # ---------------------------------------------------------------------------
@@ -69,9 +70,10 @@ def test_potential_must_be_locally_bounded():
         msr.PotentialSpec.from_expression("x^2/2 + cos(x)", even=False),
     ],
 )
-def test_analytic_derivatives_match_finite_differences(spec):
+def test_analytic_derivatives_match_finite_differences(spec, derivative_error):
     pot = msr.make_potential(spec)
-    assert msr.check_derivative(pot) <= 1e-5
+    near_kink = lambda x: any(abs(x - k) < 0.05 for k in pot.kinks)
+    assert derivative_error(pot.value, pot.derivative, near_kink) <= 1e-5
 
 
 def test_floor_has_no_derivative():
@@ -294,6 +296,90 @@ def test_sample_kolmogorov_smirnov(name, exp_measure, gauss_measure):
     grid = np.arange(1, n + 1) / n
     ks = max(np.max(np.abs(cdf_true - grid)), np.max(np.abs(cdf_true - (grid - 1.0 / n))))
     assert ks <= 1.63 / math.sqrt(n)  # 99% band
+
+
+def test_queries_at_nan_raise(exp_measure):
+    for query in (msr.log_tail, msr.log_cdf, msr.tail, msr.cdf, msr.n_profile):
+        with pytest.raises(DomainValidationError):
+            query(exp_measure, math.nan)
+        with pytest.raises(DomainValidationError):
+            query(exp_measure, np.array([1.0, math.nan]))
+
+
+def test_queries_at_infinity_are_exact(exp_measure):
+    m = exp_measure
+    assert msr.tail(m, math.inf) == 0.0 and msr.cdf(m, math.inf) == 1.0
+    assert msr.tail(m, -math.inf) == 1.0 and msr.cdf(m, -math.inf) == 0.0
+    for x, log_tail, log_cdf in ((math.inf, -math.inf, 0.0), (-math.inf, 0.0, -math.inf)):
+        assert (msr.log_tail(m, x), msr.log_cdf(m, x)) == (log_tail, log_cdf)
+        assert math.copysign(1.0, max(msr.log_tail(m, x), msr.log_cdf(m, x))) == 1.0  # +0, not -0
+    assert msr.n_profile(m, math.inf) == math.inf
+    xs = np.array([-math.inf, 1.0, math.inf])
+    assert np.array_equal(msr.tail(m, xs), [1.0, msr.tail(m, 1.0), 0.0])
+
+
+def _scalar_log_tail(m, x):
+    """log mu([x, inf)) as a scalar query: one integrate_log over the point's
+    partial ladder cell, split at the breakpoints."""
+    ladder = m._ladder(+1)
+    edges, suffix = ladder.edges, ladder.suffix
+    if x < m.median:
+        return float(np.log1p(-math.exp(min(_scalar_log_cdf(m, x), -1e-18))))
+    if x >= edges[-1]:
+        return float(msr._log_mass_beyond(m.potential, x, +1.0) - m.log_z)
+    i = int(np.searchsorted(edges, x, side="right") - 1)
+    partial = -np.inf
+    if x < edges[i + 1]:
+        bp = m.potential.breakpoints(x, edges[i + 1])
+        partial = quad.integrate_log(m.neg_v, x, float(edges[i + 1]), m.cfg, breakpoints=bp).log_value
+    return float(np.logaddexp(partial, suffix[i + 1]) - m.log_z)
+
+
+def _scalar_log_cdf(m, x):
+    """log mu((-inf, x]) as a scalar query, as ``_scalar_log_tail``."""
+    ladder = m._ladder(-1)
+    edges, prefix = ladder.edges, ladder.prefix
+    if x > m.median:
+        return float(np.log1p(-math.exp(min(_scalar_log_tail(m, x), -1e-18))))
+    if x <= edges[0]:
+        return float(msr._log_mass_beyond(m.potential, -x, -1.0) - m.log_z)
+    i = int(np.searchsorted(edges, x, side="right") - 1)
+    partial = -np.inf
+    if x > edges[i]:
+        bp = m.potential.breakpoints(edges[i], x)
+        partial = quad.integrate_log(m.neg_v, float(edges[i]), x, m.cfg, breakpoints=bp).log_value
+    return float(np.logaddexp(prefix[i], partial) - m.log_z)
+
+
+# The last measure has its median near -3: its ladders, built while the
+# median was searched from 0, leave the jumps at -1 and -2 between the median
+# and the right ladder.
+@pytest.mark.parametrize("name", ["exponential", "gaussian", "mu15", "nu2", "nu15", "nu22", "floor", "cattiaux",
+                                  "expr:abs(x)^1.5+0.5*x", "expr:x^2/2+sin(x)", "expr:floor(abs(x)) + 0.5*floor(x)",
+                                  "expr:floor(abs(x)) + 0.8*floor(x)"])
+def test_batched_queries_equal_scalar_queries(name):
+    if name.startswith("expr:"):
+        m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_string(name)))
+    else:
+        m = scenarios.corpus_measure(name)
+    right, left = m._ladder(+1), m._ladder(-1)
+    # built at the measure's cfg, the ladders equal builds at depth 60, not
+    # strict, with panel tolerance 1e-11
+    loose = quad.LogLadder(m.neg_v, right.edges, 1e-11, 60, strict=False, after=right.suffix[-1])
+    assert np.array_equal(right.suffix, loose.suffix)
+    loose = quad.LogLadder(m.neg_v, left.edges, 1e-11, 60, strict=False, before=left.prefix[0])
+    assert np.array_equal(left.prefix, loose.prefix)
+    # 150 points per side, the median, every edge (both ladder ends among
+    # them), the breakpoints, and points beyond the ladders
+    lo, hi = left.edges[0], right.edges[-1]
+    xs = np.concatenate([
+        np.linspace(m.median, hi, 150), np.linspace(lo, m.median, 150), [m.median], right.edges, left.edges,
+        m.potential.breakpoints(lo, hi), [lo - 3.0, lo - 0.5, hi + 0.5, hi + 3.0],
+    ])
+    for query, scalar in ((msr.log_tail, _scalar_log_tail), (msr.log_cdf, _scalar_log_cdf)):
+        batched = query(m, xs)
+        assert np.array_equal(batched, [scalar(m, x) for x in xs.tolist()]), query.__name__
+        assert query(m, xs[1]) == batched[1]
 
 
 # ---------------------------------------------------------------------------

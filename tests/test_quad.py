@@ -238,7 +238,7 @@ def _truncation_bisection(potential, eps):
 
         def ok(x):
             bp = potential.breakpoints(0.0, x) if sign > 0 else [-t for t in potential.breakpoints(-x, 0.0)]
-            prefix, _, _ = quad.panel_log_prefix(neg_v, quad._initial_edges(0.0, x, bp), ptol=1e-9)
+            prefix = quad.LogLadder(neg_v, quad._initial_edges(0.0, x, bp), 1e-9, 60, strict=False).prefix
             tail = quad.log_extension(neg_v, x, initial_width=max(1.0, 0.05 * x), ptol=1e-9)
             return tail <= math.log(eps) + float(prefix[-1])
 
@@ -407,3 +407,27 @@ def test_refine_log_panels_batch_equals_single_intervals(token):
         assert np.array_equal(logs, [s[0][0] for s in single])
         assert np.array_equal(errs, [s[1][0] for s in single])
         assert panels == sum(s[2] for s in single)
+
+
+def _former_prefix_suffix(logf, edges, before, after):
+    """The former panel_log_prefix/suffix: one refinement call over all cells,
+    then the mass beyond each end folded in after the accumulation."""
+    seg, _, _ = quad.refine_log_panels(logf, edges[:-1], edges[1:], 1e-9, 60, strict=False)
+    prefix = np.concatenate([[-np.inf], np.logaddexp.accumulate(seg)])
+    suffix = np.empty(len(edges))
+    suffix[-1] = after
+    suffix[:-1] = np.logaddexp(np.logaddexp.accumulate(seg[::-1])[::-1], after)
+    return np.logaddexp(prefix, before), suffix
+
+
+@pytest.mark.parametrize("token", ["exp", "sinpower:2,1", "floor"])
+def test_log_ladder_equals_former_prefix_and_suffix(token):
+    # over 192 cells, so the ladder is built in more than one block
+    pot = msr.make_potential(msr.PotentialSpec.from_string(token))
+    logf = lambda x: -pot.value(x)
+    edges = np.unique(np.concatenate([np.linspace(0.0, 40.0, 450), pot.breakpoints(0.0, 40.0)]))
+    for before, after in ((-np.inf, -np.inf), (-3.7, -41.2), (0.3, -0.9)):
+        ladder = quad.LogLadder(logf, edges, 1e-9, 60, strict=False, before=before, after=after)
+        prefix, suffix = _former_prefix_suffix(logf, edges, before, after)
+        assert np.array_equal(ladder.prefix, prefix) and np.array_equal(ladder.suffix, suffix)
+        assert np.array_equal(ladder.lower(edges), prefix)  # no partial cell at an edge
