@@ -367,7 +367,7 @@ class Measure1D:
             a, b = sorted((self.median, end))
             n = max(64, int(math.ceil((b - a) / (math.pi / 8.0))))
             edges = np.unique(np.concatenate([np.linspace(a, b, n + 1), self.potential.breakpoints(a, b)]))
-            beyond = _log_mass_beyond(self.potential, abs(end), sign)
+            beyond = _log_mass_beyond(self.potential, [abs(end)], sign)[0]
             ptol = max(self.cfg.rel_tol * 0.1, 1e-14)  # integrate_log's panel tolerance
             outer = {"after": beyond} if sign > 0 else {"before": beyond}
             # -V without a reference to the measure, which would make it a cycle
@@ -378,13 +378,20 @@ class Measure1D:
         return self._ladders[sign]
 
 
-def _log_mass_beyond(potential, x, sign):
-    """log of the integral of exp(-V) over sign * t >= x, in doubling chunks
-    split at the breakpoints."""
-    return quad_mod.log_extension(
-        lambda s: -potential.value(sign * s), x, initial_width=1.0,
-        breakpoints=potential.side_breakpoints(0.0, sign),
-    )
+def _log_mass_beyond(potential, s, sign):
+    """log of the integral of exp(-V) over sign * t >= s at the 1-D points
+    ``s`` = sign * x: one LogLadder on the points, split at the breakpoints in
+    gaps up to ``quad._MAX_SPLIT_WIDTH`` wide, with one extension from the
+    farthest point beyond; a single point reads that extension alone."""
+    logf = lambda t: -potential.value(sign * t)
+    bps = potential.side_breakpoints(0.0, sign)
+    pts = np.unique(s).tolist()
+    gaps = [(a, b) for a, b in zip(pts, pts[1:]) if b - a <= quad_mod._MAX_SPLIT_WIDTH]
+    edges = np.unique(pts + [t for a, b in gaps for t in bps(a, b)])
+    after = quad_mod.log_extension(logf, pts[-1], initial_width=1.0, breakpoints=bps)
+    # the extension's own panel settings
+    ladder = quad_mod.LogLadder(logf, edges, 1e-11, 48, strict=False, after=after)
+    return ladder.suffix[np.searchsorted(edges, s)]
 
 
 def normalize(potential, cfg=DEFAULT_QUAD, eps_trunc=DEFAULT_EPS_TRUNC, label=""):
@@ -399,8 +406,7 @@ def normalize(potential, cfg=DEFAULT_QUAD, eps_trunc=DEFAULT_EPS_TRUNC, label=""
     core = quad_mod.integrate_log(
         neg_v, -trunc, trunc, cfg, breakpoints=potential.breakpoints(-trunc, trunc)
     ).log_value
-    tail_r = _log_mass_beyond(potential, trunc, +1.0)
-    tail_l = _log_mass_beyond(potential, trunc, -1.0)
+    tail_r, tail_l = (_log_mass_beyond(potential, [trunc], sign)[0] for sign in (+1.0, -1.0))
     log_z = float(np.logaddexp(np.logaddexp(core, tail_r), tail_l))
     m = Measure1D(
         potential=potential,
@@ -413,6 +419,7 @@ def normalize(potential, cfg=DEFAULT_QUAD, eps_trunc=DEFAULT_EPS_TRUNC, label=""
     )
     if not potential.is_even:
         m.median = _find_median(m)
+        m._ladders.clear()  # the search built them from the provisional median 0
     return m
 
 
@@ -448,23 +455,15 @@ def _find_median(measure):
 def _log_mass(measure, x, sign):
     """Unnormalized log mass of exp(-V) on [x, inf) for sign +1 and on
     (-inf, x] for sign -1, at the finite points ``x`` (1-D) on that side of
-    the median.  The side's ladder is built even when ``x`` is empty."""
+    the median.  The side's ladder is built even when ``x`` is empty; the
+    points beyond it share one ``_log_mass_beyond`` call."""
     ladder = measure._ladder(sign)
-    lo, hi = float(ladder.edges[0]), float(ladder.edges[-1])
-    if sign > 0:
-        inside, beyond = (lo <= x) & (x < hi), x >= hi
-    else:
-        inside, beyond = (lo < x) & (x <= hi), x <= lo
+    end = ladder.edges[-1] if sign > 0 else ladder.edges[0]
+    beyond = sign * x >= sign * end
     out = np.empty(len(x))
-    out[inside] = (ladder.upper if sign > 0 else ladder.lower)(x[inside])
-    for i in np.flatnonzero(beyond):
-        out[i] = _log_mass_beyond(measure.potential, sign * float(x[i]), sign)
-    # between the median and a ladder built before the median was found
-    for i in np.flatnonzero(~inside & ~beyond):
-        a, b = (float(x[i]), lo) if sign > 0 else (hi, float(x[i]))
-        bps = measure.potential.breakpoints(a, b)
-        partial = quad_mod.integrate_log(measure.neg_v, a, b, measure.cfg, breakpoints=bps).log_value
-        out[i] = np.logaddexp(partial, ladder.suffix[0] if sign > 0 else ladder.prefix[-1])
+    out[~beyond] = (ladder.upper if sign > 0 else ladder.lower)(x[~beyond])
+    if beyond.any():
+        out[beyond] = _log_mass_beyond(measure.potential, sign * x[beyond], sign)
     return out
 
 
@@ -490,7 +489,8 @@ def log_tail(measure, x):
     """log of mu([x, inf)), exact in log space far beyond float underflow.
 
     ``x`` is a scalar (a float is returned) or a 1-D array, whose points
-    inside a ladder share one batched integration.  nan raises
+    inside a ladder share one batched integration and whose points beyond
+    it share one ladder pass and one extension.  nan raises
     DomainValidationError; -inf gives 0 and +inf gives -inf.
     """
     return _log_prob(measure, x, +1)
@@ -667,7 +667,8 @@ def n_profile(measure, t):
 
     N(0) = 0, N is nondecreasing, and N(t) >= V(t) - O(log) for growing
     potentials; it is the exponential-quantile reparameterization used by the
-    transport check.  ``t`` is a scalar (a float is returned) or a 1-D array.
+    transport check.  ``t`` is a scalar (a float is returned) or a 1-D array,
+    whose points beyond the tail ladder share one ladder pass.
     """
     if not measure.is_even:
         raise DomainValidationError("n_profile requires an even measure")

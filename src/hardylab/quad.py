@@ -354,7 +354,8 @@ class LogLadder:
         self.edges = np.asarray(edges, dtype=float)
         lo, hi = self.edges[:-1], self.edges[1:]
         blocks = range(0, len(lo), _LADDER_BLOCK)
-        seg = np.concatenate([self._logs(lo[i : i + _LADDER_BLOCK], hi[i : i + _LADDER_BLOCK]) for i in blocks])
+        seg = [self._logs(lo[i : i + _LADDER_BLOCK], hi[i : i + _LADDER_BLOCK]) for i in blocks]
+        seg = np.concatenate([np.empty(0), *seg])  # a single edge has no cells
         self.prefix = np.logaddexp(np.concatenate([[-np.inf], np.logaddexp.accumulate(seg)]), before)
         self.suffix = np.append(np.logaddexp(np.logaddexp.accumulate(seg[::-1])[::-1], after), after)
 

@@ -286,12 +286,8 @@ def transport_quantile():
                f"inf={res['b_alpha_inf']:.4f} at pair {res['witness']}")
     )
     ts = np.linspace(10.0, 40.0, 31)
-    ratios = []
-    for t in ts:
-        n_val = msr.n_profile(m, float(t))
-        v_val = float(m.potential.value(np.array([t]))[0])
-        ratios.append(n_val / v_val)
-    lo, hi = min(ratios), max(ratios)
+    ratios = msr.n_profile(m, ts) / m.potential.value(ts)
+    lo, hi = float(ratios.min()), float(ratios.max())
     checks.append(
         _check("profile/potential ratio in [0.9, 1.5] on [10, 40]", lo >= 0.9 and hi <= 1.5,
                f"range=[{lo:.4f}, {hi:.4f}]")

@@ -5,7 +5,7 @@ import pytest
 
 from hardylab import concentration as conc
 from hardylab import measure as msr
-from hardylab import quad
+from hardylab import quad, scenarios
 from hardylab.errors import DomainValidationError
 
 # ---------------------------------------------------------------------------
@@ -294,6 +294,17 @@ def test_transport_check_batches_points_inside_the_ladder(exp_measure, monkeypat
     monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: calls.append(a) or refine(*a, **k))
     conc.transport_check(exp_measure, 1.5, x_grid=np.linspace(-20.0, 20.0, 101))
     assert len(calls) == 1
+
+
+def test_transport_check_shares_one_extension_beyond_the_ladder(monkeypatch):
+    # nu15's ladder ends at T + 5 = 13.7, short of the default grid's 40:
+    # one extension for the ladder's own outer mass, one for all points past it
+    m = scenarios.corpus_measure("nu15")
+    calls = []
+    extension = quad.log_extension
+    monkeypatch.setattr(quad, "log_extension", lambda *a, **k: calls.append(a) or extension(*a, **k))
+    conc.transport_check(m, 1.5)
+    assert len(calls) <= 2
 
 
 def test_transport_check_validations(exp_measure):

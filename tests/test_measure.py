@@ -318,15 +318,25 @@ def test_queries_at_infinity_are_exact(exp_measure):
     assert np.array_equal(msr.tail(m, xs), [1.0, msr.tail(m, 1.0), 0.0])
 
 
+def _scalar_log_beyond(m, s, sign):
+    """Unnormalized log mass of exp(-V) over sign * t >= s, as one doubling
+    extension from the point itself."""
+    pot = m.potential
+    return quad.log_extension(
+        lambda t: -pot.value(sign * t), s, initial_width=1.0, breakpoints=pot.side_breakpoints(0.0, sign)
+    )
+
+
 def _scalar_log_tail(m, x):
     """log mu([x, inf)) as a scalar query: one integrate_log over the point's
-    partial ladder cell, split at the breakpoints."""
+    partial ladder cell, split at the breakpoints, or one extension from a
+    point beyond the ladder."""
     ladder = m._ladder(+1)
     edges, suffix = ladder.edges, ladder.suffix
     if x < m.median:
         return float(np.log1p(-math.exp(min(_scalar_log_cdf(m, x), -1e-18))))
     if x >= edges[-1]:
-        return float(msr._log_mass_beyond(m.potential, x, +1.0) - m.log_z)
+        return float(_scalar_log_beyond(m, x, +1.0) - m.log_z)
     i = int(np.searchsorted(edges, x, side="right") - 1)
     partial = -np.inf
     if x < edges[i + 1]:
@@ -342,7 +352,7 @@ def _scalar_log_cdf(m, x):
     if x > m.median:
         return float(np.log1p(-math.exp(min(_scalar_log_tail(m, x), -1e-18))))
     if x <= edges[0]:
-        return float(msr._log_mass_beyond(m.potential, -x, -1.0) - m.log_z)
+        return float(_scalar_log_beyond(m, -x, -1.0) - m.log_z)
     i = int(np.searchsorted(edges, x, side="right") - 1)
     partial = -np.inf
     if x > edges[i]:
@@ -351,9 +361,9 @@ def _scalar_log_cdf(m, x):
     return float(np.logaddexp(prefix[i], partial) - m.log_z)
 
 
-# The last measure has its median near -3: its ladders, built while the
-# median was searched from 0, leave the jumps at -1 and -2 between the median
-# and the right ladder.
+# The last measure has its median near -3, so its right ladder holds the
+# jumps at -3, -2 and -1 between the median and 0.  Points beyond a ladder share one
+# ladder pass, whose cells sum in another order than one extension per point.
 @pytest.mark.parametrize("name", ["exponential", "gaussian", "mu15", "nu2", "nu15", "nu22", "floor", "cattiaux",
                                   "expr:abs(x)^1.5+0.5*x", "expr:x^2/2+sin(x)", "expr:floor(abs(x)) + 0.5*floor(x)",
                                   "expr:floor(abs(x)) + 0.8*floor(x)"])
@@ -376,10 +386,42 @@ def test_batched_queries_equal_scalar_queries(name):
         np.linspace(m.median, hi, 150), np.linspace(lo, m.median, 150), [m.median], right.edges, left.edges,
         m.potential.breakpoints(lo, hi), [lo - 3.0, lo - 0.5, hi + 0.5, hi + 3.0],
     ])
+    beyond = (xs <= lo) | (xs >= hi)
     for query, scalar in ((msr.log_tail, _scalar_log_tail), (msr.log_cdf, _scalar_log_cdf)):
         batched = query(m, xs)
-        assert np.array_equal(batched, [scalar(m, x) for x in xs.tolist()]), query.__name__
+        want = np.array([scalar(m, x) for x in xs.tolist()])
+        assert np.array_equal(batched[~beyond], want[~beyond]), query.__name__
+        err = np.abs(batched[beyond] - want[beyond])
+        assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(want[beyond]))), query.__name__
         assert query(m, xs[1]) == batched[1]
+
+
+@pytest.mark.parametrize(
+    "text", ["abs(x)^1.5+0.5*x", "floor(abs(x)) + 0.5*floor(x)", "floor(abs(x)) + 0.8*floor(x)"]
+)
+def test_uneven_ladders_start_at_the_median(text, monkeypatch):
+    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression(text)))
+    assert m.median < 0.0
+    assert m._ladder(+1).edges[0] == m.median == m._ladder(-1).edges[-1]
+    calls = []
+    integrate_log = quad.integrate_log
+    monkeypatch.setattr(quad, "integrate_log", lambda *a, **k: calls.append(a) or integrate_log(*a, **k))
+    between = np.linspace(m.median, 0.0, 9)
+    msr.log_tail(m, between)
+    msr.log_cdf(m, between)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["nu22", "floor", "exponential"])
+def test_far_tails_match_one_extension_per_point(name):
+    # nu22 is sinpower(2, 2): at x = 1e5 its log tail is about -1e10
+    m = scenarios.corpus_measure(name)
+    xs = np.array([20.0, 1e2, 1e3, 1e4, 1e5])
+    got = msr.log_tail(m, xs)
+    want = np.array([_scalar_log_tail(m, x) for x in xs.tolist()])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    if name == "exponential":
+        assert got == pytest.approx(-xs - math.log(2.0), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
