@@ -337,7 +337,9 @@ def make_potential(spec):
 
 @dataclass
 class Measure1D:
-    """A probability measure exp(-V)/Z dx with cached tail machinery."""
+    """A probability measure exp(-V)/Z dx.  ``ladders[sign]``, from the
+    truncation search, is the ``quad.LogLadder`` of exp(-V(sign * s)) in
+    s = sign * x for side sign = +1 or -1, which the tail queries read."""
 
     potential: Potential
     log_z: float
@@ -346,7 +348,7 @@ class Measure1D:
     cfg: QuadConfig = field(default_factory=lambda: DEFAULT_QUAD)
     eps_trunc: float = DEFAULT_EPS_TRUNC
     label: str = ""
-    _ladders: dict = field(default_factory=dict, repr=False)  # quad.LogLadder by side
+    ladders: dict = field(default_factory=dict, repr=False)
     _sampler: _InverseCDF | None = field(default=None, repr=False)
     _scans: dict = field(default_factory=dict, repr=False)  # criteria._SideScan by (sign, horizons, grid step)
 
@@ -356,26 +358,6 @@ class Measure1D:
 
     def neg_v(self, x):
         return -self.potential.value(x)
-
-    def _ladder(self, sign):
-        """The LogLadder of exp(-V), unnormalized, from the median out to
-        truncation + 5 on side ``sign``, with the mass beyond that end; built
-        on first use at the measure's ``cfg``.  Its edges are a linspace at
-        step <= pi/8 plus the potential's breakpoints."""
-        if sign not in self._ladders:
-            end = sign * (self.truncation + 5.0)
-            a, b = sorted((self.median, end))
-            n = max(64, int(math.ceil((b - a) / (math.pi / 8.0))))
-            edges = np.unique(np.concatenate([np.linspace(a, b, n + 1), self.potential.breakpoints(a, b)]))
-            beyond = _log_mass_beyond(self.potential, [abs(end)], sign)[0]
-            ptol = max(self.cfg.rel_tol * 0.1, 1e-14)  # integrate_log's panel tolerance
-            outer = {"after": beyond} if sign > 0 else {"before": beyond}
-            # -V without a reference to the measure, which would make it a cycle
-            pot = self.potential
-            self._ladders[sign] = quad_mod.LogLadder(
-                lambda x: -pot.value(x), edges, ptol, self.cfg.max_depth, strict=True, **outer
-            )
-        return self._ladders[sign]
 
 
 def _log_mass_beyond(potential, s, sign):
@@ -397,30 +379,23 @@ def _log_mass_beyond(potential, s, sign):
 def normalize(potential, cfg=DEFAULT_QUAD, eps_trunc=DEFAULT_EPS_TRUNC, label=""):
     """Build the normalized measure for ``potential``.
 
-    log Z includes the doubling-chunk tails beyond the truncation point, the
-    median is found by a monotone root find on the CDF (0 exactly for even
-    potentials), and non-integrable potentials raise NonIntegrableError.
+    ``quad.truncation_point`` integrates exp(-V) once per side, into the
+    ladders the measure keeps; log Z is the sum of their totals, and the
+    median is 0 for even potentials and otherwise read from them.
+    Non-integrable potentials raise NonIntegrableError.
     """
-    trunc = quad_mod.truncation_point(potential, eps_trunc)
-    neg_v = lambda x: -potential.value(x)
-    core = quad_mod.integrate_log(
-        neg_v, -trunc, trunc, cfg, breakpoints=potential.breakpoints(-trunc, trunc)
-    ).log_value
-    tail_r, tail_l = (_log_mass_beyond(potential, [trunc], sign)[0] for sign in (+1.0, -1.0))
-    log_z = float(np.logaddexp(np.logaddexp(core, tail_r), tail_l))
-    m = Measure1D(
+    trunc, ladders = quad_mod.truncation_point(potential, eps_trunc, cfg)
+    log_z = float(np.logaddexp(ladders[+1].suffix[0], ladders[-1].suffix[0]))
+    return Measure1D(
         potential=potential,
         log_z=log_z,
-        median=0.0,
+        median=0.0 if potential.is_even else _median(ladders, log_z),
         truncation=trunc,
         cfg=cfg,
         eps_trunc=eps_trunc,
         label=label or _default_label(potential.spec),
+        ladders=ladders,
     )
-    if not potential.is_even:
-        m.median = _find_median(m)
-        m._ladders.clear()  # the search built them from the provisional median 0
-    return m
 
 
 def _default_label(spec):
@@ -434,36 +409,38 @@ def _default_label(spec):
     return "tabulated"
 
 
-def _find_median(measure):
-    lo, hi = -measure.truncation, measure.truncation
-    f = lambda x: cdf(measure, x) - 0.5
-    flo, fhi = f(lo), f(hi)
-    if not flo < 0 < fhi:
-        raise BracketError("median bracket failed inside [-truncation, truncation]")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) < 1e-13:
-            return mid
-        if fm < 0:
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
+def _median(ladders, log_z):
+    """The x with mass Z/2 on each side: on the side with the larger ladder
+    total, the s = sign * x where that ladder's mass beyond s falls to Z/2,
+    located in the cell its suffix names by ``quad._lattice_root``."""
+    sign = 1 if ladders[+1].suffix[0] > ladders[-1].suffix[0] else -1
+    ladder = ladders[sign]
+    half = log_z - math.log(2.0)
+    j = max(int(np.count_nonzero(ladder.suffix >= half)) - 1, 0)  # suffix[j] >= half > suffix[j + 1]
+    s = quad_mod._lattice_root(
+        lambda t: float(ladder.upper(np.array([t]))[0] - half),
+        float(ladder.edges[j]), float(ladder.edges[j + 1]),
+        float(ladder.suffix[j] - half), float(ladder.suffix[j + 1] - half), steps=2**48,
+    )
+    return sign * s if s else 0.0  # equal sides give +0.0, not -0.0
 
 
 def _log_mass(measure, x, sign):
     """Unnormalized log mass of exp(-V) on [x, inf) for sign +1 and on
     (-inf, x] for sign -1, at the finite points ``x`` (1-D) on that side of
-    the median.  The side's ladder is built even when ``x`` is empty; the
-    points beyond it share one ``_log_mass_beyond`` call."""
-    ladder = measure._ladder(sign)
-    end = ladder.edges[-1] if sign > 0 else ladder.edges[0]
-    beyond = sign * x >= sign * end
-    out = np.empty(len(x))
-    out[~beyond] = (ladder.upper if sign > 0 else ladder.lower)(x[~beyond])
+    the median.  In s = sign * x, points up to the end of the side's ladder
+    read it, points beyond share one ``_log_mass_beyond`` call, and points
+    with s <= 0 (from an uneven measure's median to 0) add the other
+    ladder's mass from 0 to -s to this side's total."""
+    ladder, other = measure.ladders[sign], measure.ladders[-sign]
+    s = sign * x
+    inner, beyond = s <= 0.0, s >= ladder.edges[-1]
+    within = ~inner & ~beyond
+    out = np.empty(len(s))
+    out[within] = ladder.upper(s[within])
+    out[inner] = np.logaddexp(ladder.suffix[0], other.lower(-s[inner]))
     if beyond.any():
-        out[beyond] = _log_mass_beyond(measure.potential, sign * x[beyond], sign)
+        out[beyond] = _log_mass_beyond(measure.potential, s[beyond], sign)
     return out
 
 
@@ -668,7 +645,7 @@ def n_profile(measure, t):
     N(0) = 0, N is nondecreasing, and N(t) >= V(t) - O(log) for growing
     potentials; it is the exponential-quantile reparameterization used by the
     transport check.  ``t`` is a scalar (a float is returned) or a 1-D array,
-    whose points beyond the tail ladder share one ladder pass.
+    whose points beyond the measure's ladder share one ladder pass.
     """
     if not measure.is_even:
         raise DomainValidationError("n_profile requires an even measure")

@@ -74,10 +74,18 @@ _LOG_WK = np.log(_K15_WEIGHTS)
 _LOG_WG = np.log(_G7_WEIGHTS)
 
 _NEGLIGIBLE_NATS = 55.0  # panels below exp(-55) of their segment total are accepted
+# Panels whose |log K15 - log G7| is within this many ulps of |log K15| are
+# accepted: past |log mass| ~ 1e5 the float spacing of the log exceeds ptol.
+_ACCEPT_ULPS = 8
 # Wider tail chunks are not split at breakpoints: they are reached only by
 # tails that have not fallen 55 nats within 4096 of their start, and would
 # hold thousands of breakpoints.
 _MAX_SPLIT_WIDTH = 4096.0
+# An extension that has refined more panels than this without converging is
+# taken as non-integrable: a persistent oscillation in unsplit chunks would
+# otherwise be refined down to its own scale over ever wider chunks.  The
+# test suite and the benchmark spend at most 2862 panels in one extension.
+_EXTENSION_PANEL_BUDGET = 1 << 17
 # Row maxima of panel batches at least this tall are taken column by column;
 # below it one np.max(axis=1) costs less than a call per column.
 _COLUMN_MAX_ROWS = 128
@@ -106,7 +114,6 @@ class Integral:
     value: float
     error_estimate: float
     panels_used: int
-    log_value: float | None = None
 
 
 def _logsumexp_rows(a):
@@ -256,7 +263,7 @@ def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
         seg_tot = acc.copy()
         np.logaddexp.at(seg_tot, seg, logk)
         negligible = logk <= seg_tot[seg] - _NEGLIGIBLE_NATS
-        ok = (err <= ptol) | negligible
+        ok = (err <= ptol) | (err <= _ACCEPT_ULPS * np.spacing(np.abs(logk))) | negligible
         exhausted = ~ok & (depth >= max_depth)
         if np.any(exhausted):
             if strict:
@@ -281,29 +288,6 @@ def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
     return acc, seg_errs, panels_used
 
 
-def integrate_log(log_f, a, b, cfg=DEFAULT_QUAD, breakpoints=None):
-    """Log-space integral: returns log of the integral of exp(log_f) on [a, b].
-
-    ``value`` is filled whenever exp(log_value) is representable; the error
-    estimate is then in value units (relative error times value).
-    """
-    if not a < b:
-        raise DomainValidationError(f"need a < b, got [{a}, {b}]")
-    edges = _initial_edges(a, b, breakpoints)
-    ptol = max(cfg.rel_tol * 0.1, 1e-14)
-    seg_logs, seg_errs, panels = refine_log_panels(log_f, edges[:-1], edges[1:], ptol, cfg.max_depth)
-    total = float(np.logaddexp.reduce(seg_logs))
-    if np.isneginf(total):
-        rel = 0.0
-    else:
-        rel = float(np.sum(np.exp(seg_logs - total) * seg_errs))
-    value = math.exp(total) if total < 709.0 else math.inf
-    if total < -745.0:
-        value = 0.0
-    err = rel * value if math.isfinite(value) else math.inf
-    return Integral(value, err, panels, log_value=total)
-
-
 def log_extension(logf, start, initial_width, ptol=1e-11, max_depth=48, max_chunks=400, breakpoints=None):
     """Log integral of exp(logf) over [start, +inf) by doubling chunks.
 
@@ -311,20 +295,27 @@ def log_extension(logf, start, initial_width, ptol=1e-11, max_depth=48, max_chun
     (a, b); each chunk up to ``_MAX_SPLIT_WIDTH`` wide is split there, so
     panels never straddle a jump.  Stops once a chunk falls 55 nats below the
     running total, i.e. the remainder is a negligible relative correction.
-    Raises NonIntegrableError if no convergence after ``max_chunks`` doublings.
+    Raises NonIntegrableError if no convergence after ``max_chunks`` doublings
+    or once the chunks have spent more than ``_EXTENSION_PANEL_BUDGET`` panels.
     """
     total = -np.inf
     lo = start
     w = initial_width
+    spent = 0
     for _ in range(max_chunks):
         hi = lo + w
         bp = breakpoints(lo, hi) if breakpoints is not None and w <= _MAX_SPLIT_WIDTH else None
         edges = _initial_edges(lo, hi, bp)
-        seg_logs, _, _ = refine_log_panels(logf, edges[:-1], edges[1:], ptol, max_depth, strict=False)
+        seg_logs, _, panels = refine_log_panels(logf, edges[:-1], edges[1:], ptol, max_depth, strict=False)
         chunk = float(np.logaddexp.reduce(seg_logs))
         total = float(np.logaddexp(total, chunk))
         if chunk < total - _NEGLIGIBLE_NATS:
             return total
+        spent += panels
+        if spent > _EXTENSION_PANEL_BUDGET:
+            raise NonIntegrableError(
+                f"tail integral starting at {start:.3g} spent {spent} panels by x={hi:.3g} without converging"
+            )
         lo = hi
         w *= 2.0
     raise NonIntegrableError(
@@ -337,6 +328,16 @@ def log_extension(logf, start, initial_width, ptol=1e-11, max_depth=48, max_chun
 _LADDER_BLOCK = 192
 
 
+def _cell_logs(logf, edges, ptol, max_depth, strict):
+    """Log integrals of exp(logf) over the cells between ``edges``, refined
+    ``_LADDER_BLOCK`` cells per ``refine_log_panels`` call."""
+    lo, hi = edges[:-1], edges[1:]
+    blocks = range(0, len(lo), _LADDER_BLOCK)
+    seg = [refine_log_panels(logf, lo[i : i + _LADDER_BLOCK], hi[i : i + _LADDER_BLOCK], ptol, max_depth, strict)[0]
+           for i in blocks]
+    return np.concatenate([np.empty(0), *seg])  # a single edge has no cells
+
+
 class LogLadder:
     """Cumulative log integrals of exp(logf) between ascending ``edges``.
 
@@ -344,28 +345,26 @@ class LogLadder:
     ``suffix[i]`` is log(int_edges[i]^edges[-1] exp(logf) + exp(after)), with
     ``before`` and ``after`` the log masses beyond the two ends.  Every cell
     between consecutive edges is one ``refine_log_panels`` interval at
-    (ptol, max_depth, strict).  The queries integrate each point's partial
-    cell the same way, in one batch, so a query equals a scalar integration
-    of its partial cell combined with the ladder, bit for bit.
+    (ptol, max_depth, strict); ``cells`` passes these log integrals when the
+    caller has already computed them that way.  The queries integrate each
+    point's partial cell the same way, in one batch, so a query equals a
+    scalar integration of its partial cell combined with the ladder, bit for
+    bit.
     """
 
-    def __init__(self, logf, edges, ptol, max_depth, strict, before=-np.inf, after=-np.inf):
+    def __init__(self, logf, edges, ptol, max_depth, strict, before=-np.inf, after=-np.inf, cells=None):
         self.logf, self.ptol, self.max_depth, self.strict = logf, ptol, max_depth, strict
         self.edges = np.asarray(edges, dtype=float)
-        lo, hi = self.edges[:-1], self.edges[1:]
-        blocks = range(0, len(lo), _LADDER_BLOCK)
-        seg = [self._logs(lo[i : i + _LADDER_BLOCK], hi[i : i + _LADDER_BLOCK]) for i in blocks]
-        seg = np.concatenate([np.empty(0), *seg])  # a single edge has no cells
+        seg = _cell_logs(logf, self.edges, ptol, max_depth, strict) if cells is None else cells
         self.prefix = np.logaddexp(np.concatenate([[-np.inf], np.logaddexp.accumulate(seg)]), before)
         self.suffix = np.append(np.logaddexp(np.logaddexp.accumulate(seg[::-1])[::-1], after), after)
-
-    def _logs(self, lo, hi):
-        return refine_log_panels(self.logf, lo, hi, self.ptol, self.max_depth, self.strict)[0]
 
     def _partial(self, lo, hi, nonempty):
         out = np.full(len(lo), -np.inf)
         if nonempty.any():
-            out[nonempty] = self._logs(lo[nonempty], hi[nonempty])
+            out[nonempty] = refine_log_panels(
+                self.logf, lo[nonempty], hi[nonempty], self.ptol, self.max_depth, self.strict
+            )[0]
         return out
 
     def upper(self, x):
@@ -381,50 +380,68 @@ class LogLadder:
         return np.logaddexp(self.prefix[j], self._partial(left, x, x > left))
 
 
-def truncation_point(potential, eps):
-    """Smallest X with int_X^inf exp(-V) <= eps * int_0^X exp(-V), per side.
+def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
+    """Smallest X with int_X^inf exp(-V) <= eps * int_0^X exp(-V), per side,
+    and the ladders of exp(-V) it reads.
 
-    The one-sided predicate is bracketed by doubling, then located on the
-    lattice that 40 bisection steps of the bracket would visit, by a
-    bracketed secant on h(X) = log tail(X) - log eps - log core(X), which
-    decreases in X.  Both integrals are split at ``potential.breakpoints``.
-    For uneven potentials the maximum over the two sides is returned.
+    Side sign's ``LogLadder`` of exp(-V(sign * s)), s = sign * x, covers the
+    doubling chunks [0, 1], [1, 2], [2, 4], ... up to the first chunk end B
+    that falls 55 nats below the running total and where the predicate
+    holds, or up to 2^19, the last X the search tries.  Its edges are the
+    breakpoints, plus a step of at most pi/8 in chunks up to
+    ``_MAX_SPLIT_WIDTH`` wide; its cells are strict at the panel tolerance
+    of ``cfg``, and one ``log_extension`` from B is the mass beyond.
+    h(X) = log tail(X) - log eps - log core(X), read from the ladder,
+    decreases in X.  It is bracketed by doubling, and its root is located on
+    the lattice that 40 bisection steps of the bracket would visit, by a
+    bracketed secant.  Returns (X, {+1: right ladder, -1: left ladder}), X
+    the larger of the two sides'; an even potential's one ladder serves both.
     Raises NonIntegrableError when the predicate never holds by X = 1e6.
     """
     if not 0.0 < eps < 1.0:
         raise DomainValidationError("eps must be in (0, 1)")
     log_eps = math.log(eps)
+    ptol = max(cfg.rel_tol * 0.1, 1e-14)
+
+    def h(ladder, x):
+        x = np.atleast_1d(x)
+        return ladder.upper(x) - log_eps - ladder.lower(x)
 
     def one_side(sign):
+        logf = lambda s: -potential.value(sign * s)
         bps = potential.side_breakpoints(0.0, sign)
+        edges, cells, total, hi = [0.0], [], -np.inf, 1.0
+        while True:
+            lo = edges[-1]
+            n = math.ceil((hi - lo) / (math.pi / 8.0)) if hi - lo <= _MAX_SPLIT_WIDTH else 1
+            chunk_edges = np.unique(np.concatenate([np.linspace(lo, hi, n + 1), bps(lo, hi)]))
+            cells.append(_cell_logs(logf, chunk_edges, ptol, cfg.max_depth, True))
+            edges.extend(chunk_edges[1:].tolist())
+            chunk = float(np.logaddexp.reduce(cells[-1]))
+            total = float(np.logaddexp(total, chunk))
+            last = 2.0 * hi > 1e6
+            if last or chunk < total - _NEGLIGIBLE_NATS:
+                after = log_extension(logf, hi, initial_width=1.0, breakpoints=bps)
+                ladder = LogLadder(logf, edges, ptol, cfg.max_depth, True, after=after, cells=np.concatenate(cells))
+                if last or h(ladder, hi)[0] <= 0.0:
+                    break
+            hi *= 2.0
+        xs = 2.0 ** np.arange(round(math.log2(hi)) + 1)
+        hs = h(ladder, xs)
+        k = int(np.argmax(hs <= 0.0))
+        if hs[k] > 0.0:
+            raise NonIntegrableError(
+                f"truncation search failed by X=1e6; exp(-V) at X is {math.exp(-potential.value(sign * hi)):.3g}"
+            )
+        lo, h_lo = (xs[k - 1], hs[k - 1]) if k else (1e-3, h(ladder, 1e-3)[0])
+        x = _lattice_root(lambda t: float(h(ladder, t)[0]), float(lo), float(xs[k]), float(h_lo), float(hs[k]))
+        return x, ladder
 
-        def neg_v(x):
-            return -potential.value(sign * x)
-
-        def h(x):
-            core = LogLadder(neg_v, _initial_edges(0.0, x, bps(0.0, x)), 1e-9, 60, strict=False).prefix[-1]
-            tail = log_extension(neg_v, x, initial_width=max(1.0, 0.05 * x), ptol=1e-9, breakpoints=bps)
-            return tail - log_eps - float(core)
-
-        lo, h_lo = 1e-3, None
-        x, hx = 1.0, h(1.0)
-        while hx > 0.0:
-            lo, h_lo = x, hx
-            x *= 2.0
-            if x > 1e6:
-                raise NonIntegrableError(
-                    f"truncation search failed by X=1e6; exp(-V) at X is "
-                    f"{math.exp(-potential.value(sign * lo)):.3g}"
-                )
-            hx = h(x)
-        if h_lo is None:
-            h_lo = h(lo)
-        return _lattice_root(h, lo, x, h_lo, hx)
-
-    xr = one_side(+1.0)
+    xr, right = one_side(+1.0)
     if potential.is_even:
-        return xr
-    return max(xr, one_side(-1.0))
+        return xr, {+1: right, -1: right}
+    xl, left = one_side(-1.0)
+    return max(xr, xl), {+1: right, -1: left}
 
 
 def _lattice_root(h, lo, hi, h_lo, h_hi, steps=2**40):

@@ -54,13 +54,12 @@ def discretize(measure, X=None, N=4000):
     diag = np.zeros(N + 1)
     diag[:-1] += np.exp(-Vmid + V[:-1]) / (h * h)
     diag[1:] += np.exp(-Vmid + V[1:]) / (h * h)
-    from .errors import NonIntegrableError
     from .measure import cdf, tail  # local import to avoid a cycle
 
-    try:
+    if measure.ladders:
         mass_out = max(0.0, min(1.0, tail(measure, X) + cdf(measure, -X)))
-    except NonIntegrableError:
-        mass_out = float("nan")  # synthetic bounded-interval proxies
+    else:
+        mass_out = float("nan")  # a bounded-interval proxy built without normalize has no tails
     return TridiagonalOperator(
         grid=grid, diag=diag, offdiag=off, h=h, weights_log=-V, truncation_mass=mass_out
     )

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -55,3 +59,25 @@ def _derivative_error(value, derivative, avoid=lambda x: False, n_points=100, se
 @pytest.fixture(scope="session")
 def derivative_error():
     return _derivative_error
+
+
+# Address-space cap of the child that ``bounded_python`` starts.
+_CHILD_ADDRESS_SPACE = 1536 * 2**20
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _bounded_python(code, timeout=120.0):
+    """Run ``code`` in a child ``python -c`` with the package on its path,
+    its address space capped at about 1.5 GB (``RLIMIT_AS``, set by the
+    child itself before anything else runs) and a timeout in seconds;
+    returns the ``subprocess.CompletedProcess``.  A runaway allocation then
+    ends as MemoryError in the child alone."""
+    cap = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({_CHILD_ADDRESS_SPACE}, {_CHILD_ADDRESS_SPACE}))\n"
+    path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", cap + code], capture_output=True, text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.fixture(scope="session")
+def bounded_python():
+    return _bounded_python

@@ -286,9 +286,8 @@ def test_transport_check_adjacent_pairs_bounded_below(exp_measure):
 
 
 def test_transport_check_batches_points_inside_the_ladder(exp_measure, monkeypatch):
-    # every |x| lies inside the tail ladder: their partial cells share one
-    # refinement call, where scalar queries made one call per magnitude
-    msr.log_tail(exp_measure, 0.0)  # the ladder itself is built on first use
+    # every |x| lies inside the measure's ladder: their partial cells share
+    # one refinement call, where scalar queries made one call per magnitude
     calls = []
     refine = quad.refine_log_panels
     monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: calls.append(a) or refine(*a, **k))
@@ -297,14 +296,15 @@ def test_transport_check_batches_points_inside_the_ladder(exp_measure, monkeypat
 
 
 def test_transport_check_shares_one_extension_beyond_the_ladder(monkeypatch):
-    # nu15's ladder ends at T + 5 = 13.7, short of the default grid's 40:
-    # one extension for the ladder's own outer mass, one for all points past it
+    # nu15's ladder ends at 32, short of the default grid's 40: the points
+    # past it share one extension
     m = scenarios.corpus_measure("nu15")
+    assert m.ladders[+1].edges[-1] == 32.0
     calls = []
     extension = quad.log_extension
     monkeypatch.setattr(quad, "log_extension", lambda *a, **k: calls.append(a) or extension(*a, **k))
     conc.transport_check(m, 1.5)
-    assert len(calls) <= 2
+    assert len(calls) == 1
 
 
 def test_transport_check_validations(exp_measure):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -138,10 +139,12 @@ def test_even_measure_median_zero(nu2_measure):
     assert nu2_measure.median == 0.0
 
 
-def test_truncation_defect_bound(exp_measure, gauss_measure):
-    for m in (exp_measure, gauss_measure):
+def test_truncation_defect_bound(exp_measure, gauss_measure, floor_measure, cattiaux_measure):
+    uneven = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("abs(x)^1.5+0.5*x")))
+    measures = (exp_measure, gauss_measure, floor_measure, scenarios.corpus_measure("nu22"), cattiaux_measure, uneven)
+    for m in measures:
         inside = 1.0 - msr.tail(m, m.truncation) - (1.0 - msr.tail(m, -m.truncation))
-        assert 1.0 - inside <= 2.0 * m.eps_trunc
+        assert 1.0 - inside <= 2.0 * m.eps_trunc, m.label
 
 
 def test_asymmetric_median():
@@ -149,8 +152,39 @@ def test_asymmetric_median():
     m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("abs(x) + 0.3*x")))
     z = 1.0 / 1.3 + 1.0 / 0.7
     median_true = math.log(0.5 * 0.7 * z) / 0.7
-    assert m.median == pytest.approx(median_true, abs=1e-9)
+    assert m.median == pytest.approx(median_true, abs=1e-12)
     assert abs(math.exp(m.log_z) - z) <= 1e-9 * z
+
+
+@pytest.mark.parametrize("text", ["abs(x)+0.3*x", "abs(x)^1.5+0.5*x", "floor(abs(x)) + 0.8*floor(x)"])
+def test_uneven_median_halves_the_mass(text):
+    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression(text)))
+    assert abs(msr.cdf(m, m.median) - 0.5) <= 1e-13
+    assert abs(msr.tail(m, m.median) - 0.5) <= 1e-13
+
+
+@pytest.mark.parametrize("text", ["abs(x)+0.3*x", "abs(x)^1.5", "floor(abs(x)) + 0.5*floor(x)"])
+def test_normalize_integrates_each_side_once(text, monkeypatch):
+    # one ladder and one extension beyond it per side, one in all for an
+    # even potential; log Z and the median read them, with no point query
+    counts = {"ladders": 0, "extensions": 0, "cdf": 0}
+    init, extension, cdf = quad.LogLadder.__init__, quad.log_extension, msr.cdf
+
+    def counted(name, fn):
+        def wrapper(*a, **k):
+            counts[name] += 1
+            return fn(*a, **k)
+        return wrapper
+
+    monkeypatch.setattr(quad.LogLadder, "__init__", counted("ladders", init))
+    monkeypatch.setattr(quad, "log_extension", counted("extensions", extension))
+    monkeypatch.setattr(msr, "cdf", counted("cdf", cdf))
+    spec = msr.PotentialSpec.from_expression(text, even=text == "abs(x)^1.5")
+    m = msr.normalize(msr.make_potential(spec))
+    sides = 1 if m.is_even else 2
+    assert counts == {"ladders": sides, "extensions": sides, "cdf": 0}
+    assert not hasattr(quad, "integrate_log")
+    assert (m.ladders[+1] is m.ladders[-1]) == m.is_even
 
 
 # ---------------------------------------------------------------------------
@@ -327,43 +361,62 @@ def _scalar_log_beyond(m, s, sign):
     )
 
 
+def _integrate_log(logf, a, b, cfg):
+    """The former ``quad.integrate_log``: log of the integral of exp(logf)
+    over [a, b] in one strict refinement at cfg's panel tolerance; [a, b]
+    lies inside one ladder cell, so no breakpoint splits it."""
+    ptol = max(cfg.rel_tol * 0.1, 1e-14)
+    return float(np.logaddexp.reduce(quad.refine_log_panels(logf, [a], [b], ptol, cfg.max_depth)[0]))
+
+
+def _scalar_ladder_upper(m, ladder, s):
+    """A ladder's mass from s to infinity: one integration of the partial
+    cell, or one extension from a point beyond the ladder."""
+    edges = ladder.edges
+    if s >= edges[-1]:
+        return None
+    i = min(int(np.searchsorted(edges, s, side="right") - 1), len(edges) - 2)
+    partial = _integrate_log(ladder.logf, s, float(edges[i + 1]), m.cfg) if s < edges[i + 1] else -np.inf
+    return float(np.logaddexp(partial, ladder.suffix[i + 1]))
+
+
+def _scalar_ladder_lower(m, ladder, s):
+    """A ladder's mass from 0 to s inside it, as ``_scalar_ladder_upper``."""
+    edges = ladder.edges
+    i = int(np.searchsorted(edges, s, side="right") - 1)
+    partial = _integrate_log(ladder.logf, float(edges[i]), s, m.cfg) if s > edges[i] else -np.inf
+    return float(np.logaddexp(ladder.prefix[i], partial))
+
+
+def _scalar_log_side(m, x, sign):
+    """log mu([x, inf)) (sign +1) or log mu((-inf, x]) (sign -1) as a scalar
+    query: in s = sign * x, the side's ladder past 0, the other side's ladder
+    from an uneven measure's median to 0, and 1 - the other side beyond
+    the median."""
+    if sign * x < sign * m.median:
+        return float(np.log1p(-math.exp(min(_scalar_log_side(m, x, -sign), -1e-18))))
+    ladder, s = m.ladders[sign], sign * x
+    if s <= 0.0:
+        mass = np.logaddexp(ladder.suffix[0], _scalar_ladder_lower(m, m.ladders[-sign], -s))
+    else:
+        mass = _scalar_ladder_upper(m, ladder, s)
+        if mass is None:
+            mass = _scalar_log_beyond(m, s, sign)
+    return float(mass - m.log_z)
+
+
 def _scalar_log_tail(m, x):
-    """log mu([x, inf)) as a scalar query: one integrate_log over the point's
-    partial ladder cell, split at the breakpoints, or one extension from a
-    point beyond the ladder."""
-    ladder = m._ladder(+1)
-    edges, suffix = ladder.edges, ladder.suffix
-    if x < m.median:
-        return float(np.log1p(-math.exp(min(_scalar_log_cdf(m, x), -1e-18))))
-    if x >= edges[-1]:
-        return float(_scalar_log_beyond(m, x, +1.0) - m.log_z)
-    i = int(np.searchsorted(edges, x, side="right") - 1)
-    partial = -np.inf
-    if x < edges[i + 1]:
-        bp = m.potential.breakpoints(x, edges[i + 1])
-        partial = quad.integrate_log(m.neg_v, x, float(edges[i + 1]), m.cfg, breakpoints=bp).log_value
-    return float(np.logaddexp(partial, suffix[i + 1]) - m.log_z)
+    return _scalar_log_side(m, x, +1)
 
 
 def _scalar_log_cdf(m, x):
-    """log mu((-inf, x]) as a scalar query, as ``_scalar_log_tail``."""
-    ladder = m._ladder(-1)
-    edges, prefix = ladder.edges, ladder.prefix
-    if x > m.median:
-        return float(np.log1p(-math.exp(min(_scalar_log_tail(m, x), -1e-18))))
-    if x <= edges[0]:
-        return float(_scalar_log_beyond(m, -x, -1.0) - m.log_z)
-    i = int(np.searchsorted(edges, x, side="right") - 1)
-    partial = -np.inf
-    if x > edges[i]:
-        bp = m.potential.breakpoints(edges[i], x)
-        partial = quad.integrate_log(m.neg_v, float(edges[i]), x, m.cfg, breakpoints=bp).log_value
-    return float(np.logaddexp(prefix[i], partial) - m.log_z)
+    return _scalar_log_side(m, x, -1)
 
 
-# The last measure has its median near -3, so its right ladder holds the
-# jumps at -3, -2 and -1 between the median and 0.  Points beyond a ladder share one
-# ladder pass, whose cells sum in another order than one extension per point.
+# The last measure has its median near -3, so its log tails between the
+# median and 0 read the left ladder across the jumps at -3, -2 and -1.
+# Points beyond a ladder share one ladder pass, whose cells sum in another
+# order than one extension per point.
 @pytest.mark.parametrize("name", ["exponential", "gaussian", "mu15", "nu2", "nu15", "nu22", "floor", "cattiaux",
                                   "expr:abs(x)^1.5+0.5*x", "expr:x^2/2+sin(x)", "expr:floor(abs(x)) + 0.5*floor(x)",
                                   "expr:floor(abs(x)) + 0.8*floor(x)"])
@@ -372,18 +425,17 @@ def test_batched_queries_equal_scalar_queries(name):
         m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_string(name)))
     else:
         m = scenarios.corpus_measure(name)
-    right, left = m._ladder(+1), m._ladder(-1)
+    right, left = m.ladders[+1], m.ladders[-1]
     # built at the measure's cfg, the ladders equal builds at depth 60, not
     # strict, with panel tolerance 1e-11
-    loose = quad.LogLadder(m.neg_v, right.edges, 1e-11, 60, strict=False, after=right.suffix[-1])
-    assert np.array_equal(right.suffix, loose.suffix)
-    loose = quad.LogLadder(m.neg_v, left.edges, 1e-11, 60, strict=False, before=left.prefix[0])
-    assert np.array_equal(left.prefix, loose.prefix)
+    for ladder in (right, left):
+        loose = quad.LogLadder(ladder.logf, ladder.edges, 1e-11, 60, strict=False, after=ladder.suffix[-1])
+        assert np.array_equal(ladder.suffix, loose.suffix)
     # 150 points per side, the median, every edge (both ladder ends among
     # them), the breakpoints, and points beyond the ladders
-    lo, hi = left.edges[0], right.edges[-1]
+    lo, hi = -left.edges[-1], right.edges[-1]
     xs = np.concatenate([
-        np.linspace(m.median, hi, 150), np.linspace(lo, m.median, 150), [m.median], right.edges, left.edges,
+        np.linspace(m.median, hi, 150), np.linspace(lo, m.median, 150), [m.median], right.edges, -left.edges,
         m.potential.breakpoints(lo, hi), [lo - 3.0, lo - 0.5, hi + 0.5, hi + 3.0],
     ])
     beyond = (xs <= lo) | (xs >= hi)
@@ -399,17 +451,18 @@ def test_batched_queries_equal_scalar_queries(name):
 @pytest.mark.parametrize(
     "text", ["abs(x)^1.5+0.5*x", "floor(abs(x)) + 0.5*floor(x)", "floor(abs(x)) + 0.8*floor(x)"]
 )
-def test_uneven_ladders_start_at_the_median(text, monkeypatch):
+def test_queries_between_the_median_and_0_refine_once_per_side(text, monkeypatch):
     m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression(text)))
     assert m.median < 0.0
-    assert m._ladder(+1).edges[0] == m.median == m._ladder(-1).edges[-1]
+    assert m.ladders[+1].edges[0] == 0.0 == m.ladders[-1].edges[0]
     calls = []
-    integrate_log = quad.integrate_log
-    monkeypatch.setattr(quad, "integrate_log", lambda *a, **k: calls.append(a) or integrate_log(*a, **k))
-    between = np.linspace(m.median, 0.0, 9)
+    refine = quad.refine_log_panels
+    monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: calls.append(a) or refine(*a, **k))
+    between = np.linspace(m.median, 0.0, 9)[1:]
     msr.log_tail(m, between)
+    assert len(calls) == 1 and len(calls[0][1]) == 7  # the partial cells of the 7 points off the edge 0
     msr.log_cdf(m, between)
-    assert calls == []
+    assert len(calls) == 2 and len(calls[1][1]) == 7
 
 
 @pytest.mark.parametrize("name", ["nu22", "floor", "exponential"])
@@ -422,6 +475,26 @@ def test_far_tails_match_one_extension_per_point(name):
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
     if name == "exponential":
         assert got == pytest.approx(-xs - math.log(2.0), rel=1e-13)
+
+
+_FAR_FLOOR_TAILS = """
+import json
+import numpy as np
+from hardylab import measure as msr, scenarios
+m = scenarios.corpus_measure("floor")
+xs = [2e5, 4e5]
+print(json.dumps([msr.log_tail(m, x) for x in xs] + msr.log_tail(m, np.array(xs)).tolist()))
+"""
+
+
+def test_far_floor_tails_in_bounded_memory(bounded_python):
+    # past |log mass| ~ 1e5 the float spacing of the log exceeds the panel
+    # tolerance; panels within a few ulps of it are accepted instead of
+    # refined until memory runs out.  At integers the floor tail is e^-x / 2
+    run = bounded_python(_FAR_FLOOR_TAILS)
+    assert run.returncode == 0, run.stderr[-2000:]
+    want = [-2e5 - math.log(2.0), -4e5 - math.log(2.0)] * 2
+    assert json.loads(run.stdout) == pytest.approx(want, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -29,27 +29,26 @@ def test_oscillating_potential_self_consistency():
     tight = quad.integrate(f, 0.0, 40.0, quad.QuadConfig(rel_tol=5e-9, abs_tol=1e-12), breakpoints=bp)
     assert loose.value == pytest.approx(tight.value, rel=1e-8)
     # and the log-space twin handles exp(+V), which overflows linear floats
-    log_loose = quad.integrate_log(lambda t: pot.value(t), 0.0, 40.0, breakpoints=bp)
-    log_tight = quad.integrate_log(
-        lambda t: pot.value(t), 0.0, 40.0, quad.QuadConfig(rel_tol=5e-11, abs_tol=1e-13), breakpoints=bp
-    )
-    assert log_loose.log_value == pytest.approx(log_tight.log_value, abs=1e-8)
+    edges = quad._initial_edges(0.0, 40.0, bp)
+    log_loose = quad.LogLadder(lambda t: pot.value(t), edges, 1e-11, 48, strict=True).prefix[-1]
+    log_tight = quad.LogLadder(lambda t: pot.value(t), edges, 5e-12, 48, strict=True).prefix[-1]
+    assert log_loose == pytest.approx(log_tight, abs=1e-8)
 
 
 def test_integrate_log_closed_form():
-    res = quad.integrate_log(lambda t: np.asarray(t, dtype=float), 0.0, 100.0)
-    assert res.log_value == pytest.approx(100.0 + math.log1p(-math.exp(-100.0)), abs=1e-8)
-    assert res.value == pytest.approx(math.exp(100.0), rel=1e-8)
-    # far beyond float range the log stays exact and the value saturates
-    huge = quad.integrate_log(lambda t: np.asarray(t, dtype=float), 0.0, 1000.0)
-    assert huge.log_value == pytest.approx(1000.0, abs=1e-8)
-    assert huge.value == math.inf
+    # the log integral of exp(t) over [0, b] on a ladder, from both ends
+    ladder = quad.LogLadder(lambda t: np.asarray(t, dtype=float), [0.0, 100.0], 1e-11, 48, strict=True)
+    assert ladder.prefix[-1] == pytest.approx(100.0 + math.log1p(-math.exp(-100.0)), abs=1e-8)
+    assert ladder.suffix[0] == ladder.prefix[-1]
+    # far beyond float range the log stays exact
+    huge = quad.LogLadder(lambda t: np.asarray(t, dtype=float), [0.0, 1000.0], 1e-11, 48, strict=True)
+    assert huge.prefix[-1] == pytest.approx(1000.0, abs=1e-8)
 
 
 def test_integrate_log_unit():
-    res = quad.integrate_log(lambda t: np.zeros_like(np.asarray(t, dtype=float)), 0.0, 1.0)
-    assert res.log_value == pytest.approx(0.0, abs=1e-12)
-    assert res.value == pytest.approx(1.0, rel=1e-12)
+    ladder = quad.LogLadder(lambda t: np.zeros_like(np.asarray(t, dtype=float)), [0.0, 1.0], 1e-11, 48, strict=True)
+    assert ladder.prefix[-1] == pytest.approx(0.0, abs=1e-12)
+    assert math.exp(ladder.prefix[-1]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_log_linear_consistency():
@@ -61,8 +60,8 @@ def test_log_linear_consistency():
     ]
     for f, g, a, b in cases:
         lin = quad.integrate(f, a, b)
-        log = quad.integrate_log(g, a, b)
-        assert log.value == pytest.approx(lin.value, rel=1e-10)
+        log = quad.LogLadder(g, [a, b], 1e-11, 48, strict=True).prefix[-1]
+        assert math.exp(log) == pytest.approx(lin.value, rel=1e-10)
 
 
 def test_additivity():
@@ -125,14 +124,14 @@ def test_config_validation():
 def test_truncation_point_exponential():
     # e^-X = eps * (1 - e^-X)  =>  X ~ 27.63 at eps = 1e-12
     pot = msr.make_potential(msr.PotentialSpec.builtin("exp"))
-    X = quad.truncation_point(pot, 1e-12)
+    X, _ = quad.truncation_point(pot, 1e-12)
     assert X == pytest.approx(27.63, abs=1.0)
 
 
 def test_truncation_point_gaussian():
     # Mills ratio: tail(X) ~ exp(-X^2/2)/X against core sqrt(pi/2)
     pot = msr.make_potential(msr.PotentialSpec.builtin("gaussian"))
-    X = quad.truncation_point(pot, 1e-12)
+    X, _ = quad.truncation_point(pot, 1e-12)
     core = math.sqrt(math.pi / 2.0)
 
     def predicate(x):
@@ -144,7 +143,7 @@ def test_truncation_point_gaussian():
 
 def test_truncation_point_oscillating():
     pot = msr.make_potential(msr.PotentialSpec.builtin("sinpower", 2, 1))
-    X = quad.truncation_point(pot, 1e-12)
+    X, _ = quad.truncation_point(pot, 1e-12)
     assert 5.0 <= X <= 9.0  # bracketed by (x-1)^2 <= V <= (x+1)^2
 
 
@@ -181,9 +180,35 @@ def test_truncation_point_floor_closed_form():
     assert x_exact == pytest.approx(27.7402887833, abs=1e-10)
     assert _floor_tail_closed_form(x_exact) == pytest.approx(eps * _floor_core_closed_form(x_exact), rel=1e-12)
     pot = msr.make_potential(msr.PotentialSpec.builtin("floor"))
-    X = quad.truncation_point(pot, eps)
+    X, _ = quad.truncation_point(pot, eps)
     assert X == pytest.approx(x_exact, rel=1e-10)
     assert X >= x_exact  # the predicate holds at the returned point
+
+
+def _gaussian_truncation_root(eps):
+    """erfc(X / sqrt 2) = eps erf(X / sqrt 2), bisected to float resolution."""
+    lo, hi = 1.0, 60.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if math.erfc(mid / math.sqrt(2.0)) <= eps * math.erf(mid / math.sqrt(2.0)):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("family,eps,end", [("exp", 1e-12, 128.0), ("gaussian", 1e-12, 32.0),
+                                            ("exp", 1e-100, 256.0), ("gaussian", 1e-250, 64.0)])
+def test_truncation_point_at_or_above_closed_form_root(family, eps, end):
+    # read from the strict ladder, T satisfies the predicate and sits within
+    # 1e-10 relative of the exact root, as floor's does in the test above:
+    # exp solves e^-X = eps (1 - e^-X).  At the smaller eps the predicate
+    # still fails at the first chunk end 55 nats down (128 and 32), so the
+    # ladder runs on to the next one
+    root = math.log1p(1.0 / eps) if family == "exp" else _gaussian_truncation_root(eps)
+    X, ladders = quad.truncation_point(msr.make_potential(msr.PotentialSpec.builtin(family)), eps)
+    assert root <= X <= root * (1.0 + 1e-10)
+    assert ladders[+1].edges[-1] == end
 
 
 def _count_panels(monkeypatch):
@@ -265,7 +290,7 @@ def _truncation_bisection(potential, eps):
 )
 def test_truncation_point_matches_bisection(token):
     pot = msr.make_potential(msr.PotentialSpec.from_string(token))
-    X = quad.truncation_point(pot, 1e-12)
+    X, _ = quad.truncation_point(pot, 1e-12)
     assert X == pytest.approx(_truncation_bisection(pot, 1e-12), rel=1e-11)
 
 
@@ -291,6 +316,25 @@ def test_non_integrable_oscillating_heavy_tail():
     pot = msr.make_potential(msr.PotentialSpec.from_expression("2*log(1+abs(x)) + sin(x)/(1+x^2)"))
     with pytest.raises(NonIntegrableError):
         quad.truncation_point(pot, 1e-12)
+
+
+_PERSISTENT_OSCILLATION = """
+from hardylab import measure as msr
+from hardylab.errors import NonIntegrableError
+try:
+    msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("2*log(1+abs(x)) + 0.1*sin(x)")))
+except NonIntegrableError as e:
+    print(e)
+"""
+
+
+def test_non_integrable_persistent_oscillation_in_bounded_memory(bounded_python):
+    # exp(-V) ~ 1/x^2 with an oscillation that does not fade: the extension
+    # beyond the last ladder refines its unsplit chunks down to the
+    # oscillation, and stops at its panel budget
+    run = bounded_python(_PERSISTENT_OSCILLATION)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert "panels" in run.stdout
 
 
 def test_euler_gamma_against_math_gamma():
