@@ -12,6 +12,12 @@ with the density n = exp(-V)/Z entering through 1/n or a power of it:
     bmls(r)    mu([x,oo)) log(1/mu([x,oo))) * (int_m^x n^-(r-1))^(1/(r-1))
     bweighted(r)  mu((x,oo)) log(1/mu) * int_0^x exp(V - log(1+|t|^(2-r)))
 
+``KINDS`` holds one row per kind: the weight log-integrand (exp(V),
+n^-(r-1) or exp(V)/(1+|x|^(2-r))), the inner transform of the weight log
+mass, the log of the tail post-factor, whether r is required, whether the
+measure must be even, and the bracket rule.  Every kind runs the same scan
+from its row, and the five public scans are lookups into the table.
+
 All tail masses and weight integrals are accumulated in log space with
 per-panel log-sum-exp, so the scans stay meaningful far beyond the range
 where exp(V) or exp(-V) is representable.  Partial suprema are recorded at
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -206,53 +212,89 @@ def _golden_max(f, a, b, iters=40):
     return np.where(at_c, c, d), np.where(at_c, fc, fd)
 
 
-def _criterion_parts(kind, r, measure):
-    """Weight log-integrand tag, inner transform, and log of the tail post-factor.
-
-    The post-factor is the slowly varying piece multiplying
-    exp(tail log + transformed weight log): 1 for bp, log(1/tail) for bls,
-    bmls and bweighted, and log^(2/r')(1 + 1/(2 tail)) for blo.  It is
-    returned in log form so scans survive criterion values beyond float
-    range (doubly exponential divergences).
-    """
-    log_z = measure.log_z
-
-    def log_post_bp(l_abs):
-        return 0.0
-
-    def log_post_log(l_abs):
-        return math.log(max(-(l_abs - log_z), 1e-300))
-
-    if kind == "bp":
-        return "v", lambda j: j, log_post_bp
-    if kind == "bls":
-        return "v", lambda j: j, log_post_log
-    if kind == "blo":
-        rp = r / (r - 1.0)
-
-        def log_post_blo(l_abs):
-            l_norm = l_abs - log_z
-            return (2.0 / rp) * math.log(np.logaddexp(0.0, -(l_norm + math.log(2.0))))
-
-        return "v", lambda j: j, log_post_blo
-    if kind == "bmls":
-        return "rv", lambda j: j / (r - 1.0), log_post_log
-    if kind == "bweighted":
-        return "w", lambda j: j, log_post_log
-    raise DomainValidationError(f"unknown criterion kind {kind!r}")
+# Rows of the kind table.  A weight returns its ladder cache key with its
+# log-integrand in s; the key holds r only where the integrand reads it, so
+# bp, bls and blo at any r share one exp(V) ladder.  Post-factors stay in
+# log form, so scans survive criterion values beyond float range.
 
 
-def _weight_logf(scan, which, r):
-    if which == "v":
-        return lambda s: -scan.neg_v_s(s)
-    if which == "rv":
-        return lambda s: -(r - 1.0) * scan.neg_v_s(s)
-    # weighted: V(x) - log(1 + |x|^(2-r))
+def _exp_v(scan, r):
+    return "exp(V)", lambda s: -scan.neg_v_s(s)
+
+
+def _density_power(scan, r):
+    return ("n^-(r-1)", r), lambda s: -(r - 1.0) * scan.neg_v_s(s)
+
+
+def _weighted(scan, r):
     def g(s):
-        x = scan.x(s)
-        return -scan.neg_v_s(s) - np.log1p(np.power(np.abs(x), 2.0 - r))
+        return -scan.neg_v_s(s) - np.log1p(np.power(np.abs(scan.x(s)), 2.0 - r))
 
-    return g
+    return ("exp(V)/(1+|x|^(2-r))", r), g
+
+
+def _identity(j, r):
+    return j
+
+
+def _over_r_minus_1(j, r):
+    return j / (r - 1.0)
+
+
+def _no_post(l, r):
+    return 0.0
+
+
+def _log_log_inverse(l, r):
+    return math.log(max(-l, 1e-300))
+
+
+def _blo_post(l, r):
+    # log^(2/r')(1 + 1/(2 tail)), with the exact 1/(2 tail) argument
+    return (2.0 / (r / (r - 1.0))) * math.log(np.logaddexp(0.0, -(l + math.log(2.0))))
+
+
+def _bp_bracket(s, r, bp_result):
+    return (s, 4.0 * s)
+
+
+def _bmls_bracket(s, r, bp_result):
+    if bp_result is None or bp_result.bracket is None:
+        return None
+    return (0.0, 235.0 * bp_result.bracket[1] + math.pow(2.0, r / (r - 1.0) + 1.0) * s)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One criterion kind: the log criterion value at a point is
+    l + transform(j, r) + log_post(l - log Z, r), where l is the log of
+    int exp(-V) over the tail and j the weight log mass from the median."""
+
+    weight: object  # (scan, r) -> (cache key, log-integrand of s)
+    transform: object  # (j, r) -> transformed weight log mass
+    log_post: object  # (normalized tail log mass, r) -> log of the tail post-factor
+    needs_r: bool = False
+    needs_even: bool = False
+    bracket: object = None  # (S, r, bp_result) -> bracket of a bounded scan, or None
+
+
+KINDS = {
+    "bp": _Kind(_exp_v, _identity, _no_post, bracket=_bp_bracket),
+    "bls": _Kind(_exp_v, _identity, _log_log_inverse),
+    "blo": _Kind(_exp_v, _identity, _blo_post, needs_r=True),
+    "bmls": _Kind(_density_power, _over_r_minus_1, _log_log_inverse, needs_r=True, bracket=_bmls_bracket),
+    "bweighted": _Kind(_weighted, _identity, _log_log_inverse, needs_r=True, needs_even=True),
+}
+
+
+def _add_post(vals, l_norm, row, r):
+    """Add the row's log post-factor at the normalized tail log masses
+    ``l_norm`` to the finite entries of ``vals``, in place and one scalar
+    call per entry."""
+    for i in range(len(vals)):
+        if np.isfinite(vals[i]):
+            vals[i] += row.log_post(l_norm[i], r)
+    return vals
 
 
 def _side_scan(measure, sign, horizons, s_h):
@@ -264,25 +306,21 @@ def _side_scan(measure, sign, horizons, s_h):
     return measure._scans[key]
 
 
-def _scan_side(measure, kind, r, horizons, sign, refine=True):
+def _scan_side(measure, kind, r, horizons, sign):
     m = measure.median
     s_h = [h - m if sign > 0 else h + m for h in horizons]
     scan = _side_scan(measure, sign, horizons, s_h)
-    which, transform, log_post = _criterion_parts(kind, r, measure)
-    # exp(V) does not depend on r; n^-(r-1) and the bweighted weight do
-    weight = scan.weight_ladder((which, None if which == "v" else r), _weight_logf(scan, which, r))
+    row = KINDS[kind]
+    weight = scan.weight_ladder(*row.weight(scan, r))
     tail_logs = scan.tail.suffix
 
-    lvals = tail_logs + transform(weight.prefix)
+    lvals = tail_logs + row.transform(weight.prefix, r)
     lvals[0] = -np.inf
-    for i in range(1, len(lvals)):
-        if np.isfinite(lvals[i]):
-            lvals[i] += log_post(tail_logs[i])
+    _add_post(lvals, tail_logs - measure.log_z, row, r)
 
     def log_values_at(s):
         l_abs = scan.tail.upper(s)
-        base = l_abs + transform(weight.lower(s))
-        return np.array([v + log_post(float(l)) for v, l in zip(base, l_abs)])
+        return _add_post(l_abs + row.transform(weight.lower(s), r), l_abs - measure.log_z, row, r)
 
     # Golden-section refinement around a window's grid argmax happens only
     # when it beats the running best, which is never below the running grid
@@ -298,7 +336,7 @@ def _scan_side(measure, kind, r, horizons, sign, refine=True):
         if hi_idx > lo_idx:
             j = int(np.argmax(lvals[lo_idx:hi_idx])) + lo_idx
             lo_idx = hi_idx
-            if refine and lvals[j] > grid_best:
+            if lvals[j] > grid_best:
                 grid_best = lvals[j]
                 a = grid[max(j - 1, 1)]
                 # the sup runs over (m, X]: never refine past the horizon
@@ -320,37 +358,30 @@ def _scan_side(measure, kind, r, horizons, sign, refine=True):
                 best_s, best = refined[k]
         log_sups.append(best)
         argmaxes.append(m + sign * best_s)
-    verdict = classify(horizons, log_sups)
+    return _result(kind, "plus" if sign > 0 else "minus", r, horizons, log_sups, argmaxes)
+
+
+def _result(kind, side, r, horizons, log_sups, argmax, **extra):
+    """The result of a scan: its verdict and sups come from its log sups."""
     with np.errstate(over="ignore"):
         sups = tuple(float(np.exp(v)) for v in log_sups)
-    return CriterionResult(
-        kind=kind,
-        side="plus" if sign > 0 else "minus",
-        horizons=tuple(horizons),
-        partial_sups=sups,
-        log_partial_sups=tuple(log_sups),
-        argmax=tuple(argmaxes),
-        verdict=verdict,
-        r=r,
-    )
+    return CriterionResult(kind=kind, side=side, horizons=tuple(horizons), partial_sups=sups,
+                           log_partial_sups=tuple(log_sups), argmax=tuple(argmax),
+                           verdict=classify(horizons, log_sups), r=r, **extra)
 
 
-def _combine(measure, kind, r, horizons, mirror_even=True, refine=True, bracket_fn=None):
+def _combine(measure, kind, r, horizons, bp_result=None):
+    row = KINDS[kind]
+    if row.needs_r:
+        _check_r(r)
+    if row.needs_even and not measure.is_even:
+        raise DomainValidationError(f"{kind} requires an even measure")
     horizons = _validate_horizons(horizons, measure.median)
-    plus = _scan_side(measure, kind, r, horizons, +1, refine)
-    if mirror_even and measure.is_even:
-        minus = CriterionResult(
-            kind=kind,
-            side="minus",
-            horizons=plus.horizons,
-            partial_sups=plus.partial_sups,
-            log_partial_sups=plus.log_partial_sups,
-            argmax=tuple(-a for a in plus.argmax),
-            verdict=plus.verdict,
-            r=r,
-        )
+    plus = _scan_side(measure, kind, r, horizons, +1)
+    if measure.is_even:
+        minus = replace(plus, side="minus", argmax=tuple(-a for a in plus.argmax))
     else:
-        minus = _scan_side(measure, kind, r, horizons, -1, refine)
+        minus = _scan_side(measure, kind, r, horizons, -1)
     log_sups = tuple(
         max(a, b) for a, b in zip(plus.log_partial_sups, minus.log_partial_sups)
     )
@@ -360,22 +391,10 @@ def _combine(measure, kind, r, horizons, mirror_even=True, refine=True, bracket_
             plus.log_partial_sups, minus.log_partial_sups, plus.argmax, minus.argmax
         )
     )
-    verdict = classify(horizons, log_sups)
-    with np.errstate(over="ignore"):
-        sups = tuple(float(np.exp(v)) for v in log_sups)
-    bracket = bracket_fn(sups[-1], verdict) if bracket_fn is not None else None
-    return CriterionResult(
-        kind=kind,
-        side="max",
-        horizons=horizons,
-        partial_sups=sups,
-        log_partial_sups=log_sups,
-        argmax=argmax,
-        verdict=verdict,
-        bracket=bracket,
-        r=r,
-        sides={"plus": plus, "minus": minus},
-    )
+    res = _result(kind, "max", r, horizons, log_sups, argmax, sides={"plus": plus, "minus": minus})
+    if row.bracket is not None and res.verdict.label == "bounded":
+        res = replace(res, bracket=row.bracket(res.sup, r, bp_result))
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -383,65 +402,46 @@ def _combine(measure, kind, r, horizons, mirror_even=True, refine=True, bracket_
 # ---------------------------------------------------------------------------
 
 
-def bp(measure, horizons=DEFAULT_HORIZONS, mirror_even=True, refine=True):
+def bp(measure, horizons=DEFAULT_HORIZONS):
     """Poincare criterion scan; bounded verdicts carry the bracket [S, 4S]
     for the Poincare constant."""
-
-    def bracket_fn(s, verdict):
-        return (s, 4.0 * s) if verdict.label == "bounded" else None
-
-    return _combine(measure, "bp", None, horizons, mirror_even, refine, bracket_fn)
+    return _combine(measure, "bp", None, horizons)
 
 
-def bls(measure, horizons=DEFAULT_HORIZONS, mirror_even=True, refine=True):
+def bls(measure, horizons=DEFAULT_HORIZONS):
     """Log-Sobolev criterion scan.  The two-sided comparability constants are
     not pinned by the theory, so no bracket is attached."""
-    return _combine(measure, "bls", None, horizons, mirror_even, refine)
+    return _combine(measure, "bls", None, horizons)
 
 
-def blo(measure, r, horizons=DEFAULT_HORIZONS, mirror_even=True, refine=True):
+def blo(measure, r, horizons=DEFAULT_HORIZONS):
     """Interpolation-family criterion with tail weight log^(2/r')(1 + 1/(2 tail)).
 
     The exact 1/(2 tail) argument is kept (not the simplified 1/tail); the two
     differ by bounded factors only but the scan matches the sharp form.
     """
-    _check_r(r)
-    return _combine(measure, "blo", r, horizons, mirror_even, refine)
+    return _combine(measure, "blo", r, horizons)
 
 
-def bmls(measure, r, horizons=DEFAULT_HORIZONS, mirror_even=True, refine=True, bp_result=None):
+def bmls(measure, r, horizons=DEFAULT_HORIZONS, bp_result=None):
     """Two-level criterion with density power n^-(r-1).
 
     When a bp scan of the same measure is supplied and both verdicts are
     bounded, the bracket carries the constructive upper constant
     235 * (4 S_bp) + 2^(r'+1) * S.
     """
-    _check_r(r)
-    rp = r / (r - 1.0)
-
-    def bracket_fn(s, verdict):
-        if verdict.label != "bounded" or bp_result is None:
-            return None
-        if bp_result.bracket is None:
-            return None
-        cp_upper = bp_result.bracket[1]
-        return (0.0, 235.0 * cp_upper + math.pow(2.0, rp + 1.0) * s)
-
-    return _combine(measure, "bmls", r, horizons, mirror_even, refine, bracket_fn)
+    return _combine(measure, "bmls", r, horizons, bp_result)
 
 
-def bweighted(measure, r, horizons=DEFAULT_HORIZONS, mirror_even=True, refine=True):
+def bweighted(measure, r, horizons=DEFAULT_HORIZONS):
     """Criterion for the weighted log-Sobolev inequality with weight
     (1 + |x|^(2-r)); requires an even measure."""
-    _check_r(r)
-    if not measure.is_even:
-        raise DomainValidationError("bweighted requires an even measure")
-    return _combine(measure, "bweighted", r, horizons, mirror_even, refine)
+    return _combine(measure, "bweighted", r, horizons)
 
 
 def _check_r(r):
-    if not 1.0 < r < 2.0:
-        raise DomainValidationError("r must lie in (1, 2)")
+    if r is None or not 1.0 < r < 2.0:
+        raise DomainValidationError(f"r must lie in (1, 2), got {r}")
 
 
 @dataclass(frozen=True)
@@ -469,9 +469,10 @@ def hyp_mls_check(measure, r, eps, horizons=DEFAULT_HORIZONS):
         s_end = horizons[-1] - m if sign > 0 else horizons[-1] + m
         bps = measure.potential.side_breakpoints(m, sign)(0.0, s_end)
         scan = _SideScan(measure, sign, s_end, extra_s=[b - 1e-9 for b in bps if b > 1e-9])
-        prefix = scan.weight_ladder("rv", lambda s: -(r - 1.0) * scan.neg_v_s(s)).prefix
+        key, g = KINDS["bmls"].weight(scan, r)
+        prefix = scan.weight_ladder(key, g).prefix
         svals = scan.grid[1:]
-        num = (r - 1.0) * (-scan.neg_v_s(svals))
+        num = g(svals)
         ratio = np.exp(num - prefix[1:])
         j = int(np.argmin(ratio))
         if ratio[j] < worst:

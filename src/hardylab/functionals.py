@@ -310,7 +310,7 @@ def lo_lhs(measure, f, r, levels=40):
     return result
 
 
-_ENERGY_KINDS = ("dirichlet", "mls", "weighted", "itau", "frsob", "defective-frsob")
+_ENERGY_KINDS = ("dirichlet", "mls", "weighted", "itau", "frsob")
 
 
 def energy(measure, f, kind, r=None, tau=None):
@@ -320,8 +320,7 @@ def energy(measure, f, kind, r=None, tau=None):
     mls(r)             int H_r'(|f'|/f) f^2 dmu       (f must be positive)
     weighted(r)        int f'^2 (1 + |x|^(2-r)) dmu
     itau(tau)          int f'^2 log^(1-tau)(e + f^2/int f^2) dmu
-    frsob(r)           int f^2 F_r(f^2 / int f^2) dmu  (left-hand side; its
-                       defective twin uses the same integral)
+    frsob(r)           int f^2 F_r(f^2 / int f^2) dmu  (a left-hand side)
     """
     if kind not in _ENERGY_KINDS:
         raise DomainValidationError(f"unknown energy kind {kind!r}")
@@ -357,11 +356,23 @@ def energy(measure, f, kind, r=None, tau=None):
             lambda x: np.square(f.derivative(x))
             * np.power(np.log(math.e + np.square(f.value(x)) / m2), 1.0 - tau),
         )
-    # frsob / defective-frsob share the tight left-hand side
+    # frsob
     m2 = _expect(measure, lambda x: np.square(f.value(x)))
     if m2 <= 0.0:
         return 0.0
     return _expect(measure, lambda x: np.square(f.value(x)) * f_r(r, np.square(f.value(x)) / m2))
+
+
+# inequality kind: (required parameter or None, (measure, f[, parameter]) -> (lhs, rhs energy))
+INEQUALITIES = {
+    "poincare": (None, lambda m, f: (variance(m, f), energy(m, f, "dirichlet"))),
+    "lsi": (None, lambda m, f: (entropy_sq(m, f), energy(m, f, "dirichlet"))),
+    "lo": ("r", lambda m, f, r: (lo_lhs(m, f, r), energy(m, f, "dirichlet"))),
+    "mls": ("r", lambda m, f, r: (entropy_sq(m, f), energy(m, f, "mls", r=r))),
+    "weighted": ("r", lambda m, f, r: (entropy_sq(m, f), energy(m, f, "weighted", r=r))),
+    "frsob": ("r", lambda m, f, r: (energy(m, f, "frsob", r=r), energy(m, f, "dirichlet"))),
+    "itau": ("tau", lambda m, f, tau: (entropy_sq(m, f), energy(m, f, "itau", tau=tau))),
+}
 
 
 def ratio_report(measure, f, kind, r=None, tau=None):
@@ -372,29 +383,15 @@ def ratio_report(measure, f, kind, r=None, tau=None):
     LHS raises EnergyGuardError.  For itau the report carries the second
     component (the squared L2 mass) in ``parameters``.
     """
-    params = {}
-    if kind == "poincare":
-        lhs, rhs = variance(measure, f), energy(measure, f, "dirichlet")
-    elif kind == "lsi":
-        lhs, rhs = entropy_sq(measure, f), energy(measure, f, "dirichlet")
-    elif kind == "lo":
-        lhs, rhs = lo_lhs(measure, f, r), energy(measure, f, "dirichlet")
-        params["r"] = r
-    elif kind == "mls":
-        lhs, rhs = entropy_sq(measure, f), energy(measure, f, "mls", r=r)
-        params["r"] = r
-    elif kind == "weighted":
-        lhs, rhs = entropy_sq(measure, f), energy(measure, f, "weighted", r=r)
-        params["r"] = r
-    elif kind == "frsob":
-        lhs, rhs = energy(measure, f, "frsob", r=r), energy(measure, f, "dirichlet")
-        params["r"] = r
-    elif kind == "itau":
-        lhs, rhs = entropy_sq(measure, f), energy(measure, f, "itau", tau=tau)
-        params["tau"] = tau
-        params["l2_moment"] = _expect(measure, lambda x: np.square(f.value(x)))
-    else:
+    if kind not in INEQUALITIES:
         raise DomainValidationError(f"unknown inequality kind {kind!r}")
+    name, sides = INEQUALITIES[kind]
+    params = {name: {"r": r, "tau": tau}[name]} if name else {}
+    if None in params.values():
+        raise DomainValidationError(f"{kind} requires {name}")
+    lhs, rhs = sides(measure, f, *params.values())
+    if kind == "itau":
+        params["l2_moment"] = _expect(measure, lambda x: np.square(f.value(x)))
     if lhs <= 1e-8:  # quadrature noise floor; constants land here
         ratio = 0.0
     elif rhs < 1e-14:

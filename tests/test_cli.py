@@ -143,9 +143,16 @@ def test_measure_info_nonfinite_points(capsys):
         assert get(doc, f"tail({x})")["value"] == tail
 
 
-def test_missing_r_is_numerical_validation(capsys):
-    code = cli.run(["criteria", "--potential", "exp", "--kind", "blo"])
+@pytest.mark.parametrize("command, kind", [
+    *(("criteria", k) for k in ("blo", "bmls", "bweighted", "hyp", "asymptotics")),
+    *(("evaluate", k) for k in ("lo", "mls", "weighted", "frsob", "itau")),
+])
+def test_missing_r_is_numerical_validation(capsys, command, kind):
+    # no --r (or --tau for itau): an error line and exit 3, not a traceback
+    extra = ["--f", "x"] if command == "evaluate" else []
+    code = cli.run([command, "--potential", "exp", "--kind", kind, *extra])
     assert code == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_repro_scenario_smoke(capsys):

@@ -85,8 +85,11 @@ def test_bls_mu15_divergent(mu15_measure):
 
 
 def test_blo_requires_r_in_range(exp_measure):
+    for r in (2.5, None):
+        with pytest.raises(DomainValidationError):
+            criteria.blo(exp_measure, r)
     with pytest.raises(DomainValidationError):
-        criteria.blo(exp_measure, 2.5)
+        criteria.hyp_mls_check(exp_measure, None, 0.1)
 
 
 def test_blo_floor_divergent(floor_measure):
@@ -254,8 +257,8 @@ def test_tail_scale_requires_even():
 
 
 def test_side_symmetry_without_mirroring(nu2_measure):
-    res = criteria.bp(nu2_measure, horizons=SHORT, mirror_even=False)
-    plus, minus = res.sides["plus"], res.sides["minus"]
+    plus = criteria._scan_side(nu2_measure, "bp", None, SHORT, +1)
+    minus = criteria._scan_side(nu2_measure, "bp", None, SHORT, -1)
     for a, b in zip(plus.partial_sups, minus.partial_sups):
         assert a == pytest.approx(b, rel=1e-6)
 
@@ -407,24 +410,24 @@ def _weight_at(scan, g, prefix, s):
     return float(np.logaddexp(prefix[j], partial))
 
 
-def _sequential_scan(measure, kind, r, horizons, sign, refine):
+def _sequential_scan(measure, kind, r, horizons, sign):
     """The scan with one scalar golden-section search per adopted window,
     run when the window is reached; returns (log partial sups, argmax)."""
     m = measure.median
     s_h = [h - m if sign > 0 else h + m for h in horizons]
     scan = criteria._side_scan(measure, sign, horizons, s_h)
-    which, transform, log_post = criteria._criterion_parts(kind, r, measure)
-    g = criteria._weight_logf(scan, which, r)
-    prefix = scan.weight_ladder((which, None if which == "v" else r), g).prefix
-    lvals = scan.tail.suffix + transform(prefix)
+    row = criteria.KINDS[kind]
+    key, g = row.weight(scan, r)
+    prefix = scan.weight_ladder(key, g).prefix
+    lvals = scan.tail.suffix + row.transform(prefix, r)
     lvals[0] = -np.inf
     for i in range(1, len(lvals)):
         if np.isfinite(lvals[i]):
-            lvals[i] += log_post(scan.tail.suffix[i])
+            lvals[i] += row.log_post(scan.tail.suffix[i] - measure.log_z, r)
 
     def log_value_at(s):
         l_abs = _tail_at(scan, s)
-        return l_abs + transform(_weight_at(scan, g, prefix, s)) + log_post(l_abs)
+        return l_abs + row.transform(_weight_at(scan, g, prefix, s), r) + row.log_post(l_abs - measure.log_z, r)
 
     log_sups, argmaxes = [], []
     best, best_s = -np.inf, float("nan")
@@ -436,13 +439,12 @@ def _sequential_scan(measure, kind, r, horizons, sign, refine):
             j = int(np.argmax(lvals[lo_idx:hi_idx])) + lo_idx
             if lvals[j] > best:
                 best, best_s = float(lvals[j]), float(grid[j])
-                if refine:
-                    a = grid[max(j - 1, 1)]
-                    b = min(grid[min(j + 1, len(grid) - 1)], s_hzn)
-                    if b > a:
-                        s_ref, v_ref = _golden_max_scalar(log_value_at, a, b)
-                        if v_ref > best:
-                            best, best_s = float(v_ref), float(s_ref)
+                a = grid[max(j - 1, 1)]
+                b = min(grid[min(j + 1, len(grid) - 1)], s_hzn)
+                if b > a:
+                    s_ref, v_ref = _golden_max_scalar(log_value_at, a, b)
+                    if v_ref > best:
+                        best, best_s = float(v_ref), float(s_ref)
             lo_idx = hi_idx
         log_sups.append(best)
         argmaxes.append(m + sign * best_s)
@@ -466,11 +468,10 @@ def test_lockstep_scan_equals_sequential_scan(name):
         if kind == "bweighted" and not m.is_even:
             continue
         for sign in (+1, -1):
-            for refine in (True, False):
-                res = criteria._scan_side(m, kind, r, horizons, sign, refine)
-                log_sups, argmax = _sequential_scan(m, kind, r, horizons, sign, refine)
-                assert np.array_equal(res.log_partial_sups, log_sups), (kind, r, sign, refine)
-                assert np.array_equal(res.argmax, argmax), (kind, r, sign, refine)
+            res = criteria._scan_side(m, kind, r, horizons, sign)
+            log_sups, argmax = _sequential_scan(m, kind, r, horizons, sign)
+            assert np.array_equal(res.log_partial_sups, log_sups), (kind, r, sign)
+            assert np.array_equal(res.argmax, argmax), (kind, r, sign)
 
 
 def test_lockstep_golden_max_ties_and_nan():

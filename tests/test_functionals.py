@@ -218,7 +218,6 @@ def test_energy_dirichlet_linear(exp_measure, gauss_measure):
 def test_energy_frsob_tight_at_constants(exp_measure):
     c = fn.TestFunction.from_expression("1")
     assert fn.energy(exp_measure, c, "frsob", r=1.5) == pytest.approx(0.0, abs=1e-10)
-    assert fn.energy(exp_measure, c, "defective-frsob", r=1.5) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_energy_mls_closed_form_reduction(exp_measure):
@@ -273,6 +272,13 @@ def test_ratio_report_constant_zero(exp_measure):
     ):
         rep = fn.ratio_report(exp_measure, c, kind, **kw)
         assert rep.ratio == pytest.approx(0.0, abs=2e-7)
+
+
+def test_ratio_report_requires_its_parameter(exp_measure):
+    fx = fn.TestFunction.from_expression("x")
+    for kind in ("lo", "mls", "weighted", "frsob", "itau"):
+        with pytest.raises(DomainValidationError):
+            fn.ratio_report(exp_measure, fx, kind)
 
 
 def test_ratio_report_energy_guard(exp_measure):
