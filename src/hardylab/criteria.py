@@ -242,16 +242,16 @@ def _over_r_minus_1(j, r):
 
 
 def _no_post(l, r):
-    return 0.0
+    return np.zeros_like(l)
 
 
 def _log_log_inverse(l, r):
-    return math.log(max(-l, 1e-300))
+    return np.log(np.maximum(-l, 1e-300))
 
 
 def _blo_post(l, r):
     # log^(2/r')(1 + 1/(2 tail)), with the exact 1/(2 tail) argument
-    return (2.0 / (r / (r - 1.0))) * math.log(np.logaddexp(0.0, -(l + math.log(2.0))))
+    return (2.0 / (r / (r - 1.0))) * np.log(np.logaddexp(0.0, -(l + math.log(2.0))))
 
 
 def _bp_bracket(s, r, bp_result):
@@ -272,7 +272,7 @@ class _Kind:
 
     weight: object  # (scan, r) -> (cache key, log-integrand of s)
     transform: object  # (j, r) -> transformed weight log mass
-    log_post: object  # (normalized tail log mass, r) -> log of the tail post-factor
+    log_post: object  # (array of normalized tail log masses, r) -> logs of the tail post-factor
     needs_r: bool = False
     needs_even: bool = False
     bracket: object = None  # (S, r, bp_result) -> bracket of a bounded scan, or None
@@ -289,11 +289,9 @@ KINDS = {
 
 def _add_post(vals, l_norm, row, r):
     """Add the row's log post-factor at the normalized tail log masses
-    ``l_norm`` to the finite entries of ``vals``, in place and one scalar
-    call per entry."""
-    for i in range(len(vals)):
-        if np.isfinite(vals[i]):
-            vals[i] += row.log_post(l_norm[i], r)
+    ``l_norm`` to the finite entries of ``vals``, in place."""
+    finite = np.isfinite(vals)
+    vals[finite] += row.log_post(l_norm[finite], r)
     return vals
 
 

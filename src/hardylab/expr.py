@@ -9,9 +9,14 @@ Grammar (ASCII, whitespace insensitive):
     base   := number | 'x' | '(' expr ')' | fn '(' expr ')'
     fn     in {abs, sin, cos, exp, log, floor, sqrt}
 
-Numbers are plain decimal literals (no exponent notation).  Evaluation is
-numpy-vectorized; ``diff`` returns a new AST with the almost-everywhere
-derivative (abs -> sign, floor -> 0).
+Numbers are plain decimal literals (no exponent notation).  ``compile``
+turns an AST into a program once: nested closures in which constant
+subtrees are folded into Python floats and every operator calls its numpy
+ufunc directly, so ``x^2`` is ``np.power(x, 2.0)``, not a power with an
+array of 2s as exponent.  ``evaluate`` runs a program on a scalar (giving
+a float) or an array (giving a fresh array of the same shape).  ``diff``
+returns a new AST with the almost-everywhere derivative (abs -> sign,
+floor -> 0).
 """
 
 from __future__ import annotations
@@ -177,30 +182,65 @@ def parse(text):
     return _Parser(text).parse()
 
 
-def evaluate(node, x):
-    """Evaluate an AST at ``x`` (scalar or ndarray)."""
-    x = np.asarray(x, dtype=float)
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+
+def _var(x):
+    return x
+
+
+def _unary(ufunc, a):
+    if isinstance(a, float):
+        return float(ufunc(a))
+    if a is _var:
+        return ufunc
+    return lambda x: ufunc(a(x))
+
+
+def _binary(ufunc, a, b):
+    if isinstance(a, float):
+        if isinstance(b, float):
+            return float(ufunc(a, b))
+        return lambda x: ufunc(a, b(x))
+    if isinstance(b, float):
+        return lambda x: ufunc(a(x), b)
+    return lambda x: ufunc(a(x), b(x))
+
+
+def _compile(node):
+    """A float for a constant subtree, else a closure x -> its value."""
     if isinstance(node, Num):
-        return np.full(x.shape, node.value) if x.shape else float(node.value)
+        return float(node.value)
     if isinstance(node, Var):
-        return x if x.shape else float(x)
+        return _var
     if isinstance(node, Neg):
-        return -evaluate(node.arg, x)
+        return _unary(np.negative, _compile(node.arg))
     if isinstance(node, Call):
-        return _NUMPY_FUNCS[node.fn](evaluate(node.arg, x))
-    left = evaluate(node.left, x)
-    right = evaluate(node.right, x)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        return left / right
-    if node.op == "^":
-        return np.power(left, right)
-    raise AssertionError(node.op)
+        return _unary(_NUMPY_FUNCS[node.fn], _compile(node.arg))
+    return _binary(_UFUNCS[node.op], _compile(node.left), _compile(node.right))
+
+
+def compile(node):
+    """Compile an AST once into a program for ``evaluate``.
+
+    Constant subtrees are folded here, with the same ufuncs, so a constant
+    overflow or division by zero gives its inf or nan without a warning.
+    """
+    with np.errstate(all="ignore"):
+        run = _compile(node)
+    if isinstance(run, float):
+        return lambda x: np.full(x.shape, run)
+    if run is _var:
+        return np.copy
+    return run
+
+
+def evaluate(program, x):
+    """Run a compiled program at ``x``: a float for a scalar, and for an
+    array a fresh, writable array of its shape."""
+    x = np.asarray(x, dtype=float)
+    out = program(x)
+    return out if x.shape else float(out)
 
 
 def _is_const(node, value=None):

@@ -38,7 +38,7 @@ __all__ = [
 
 
 def _dual(r):
-    if not 1.0 < r < 2.0:
+    if r is None or not 1.0 < r < 2.0:
         raise DomainValidationError("r must lie in (1, 2)")
     return r / (r - 1.0)
 
@@ -55,10 +55,10 @@ class TestFunction:
     @staticmethod
     def from_expression(text, positive=False):
         ast = expr_mod.parse(text)
-        dast = expr_mod.diff(ast)
+        program, dprogram = expr_mod.compile(ast), expr_mod.compile(expr_mod.diff(ast))
         return TestFunction(
-            value=lambda x: np.asarray(expr_mod.evaluate(ast, x), dtype=float),
-            derivative=lambda x: np.asarray(expr_mod.evaluate(dast, x), dtype=float),
+            value=lambda x: np.asarray(expr_mod.evaluate(program, x), dtype=float),
+            derivative=lambda x: np.asarray(expr_mod.evaluate(dprogram, x), dtype=float),
             positive=positive,
             label=text,
         )
@@ -267,9 +267,8 @@ def lo_lhs(measure, f, r, levels=40):
     off once successive values differ by < 1e-10 or the numerator falls into
     cancellation noise.
     """
+    _dual(r)
     expo = 2.0 * (1.0 - 1.0 / r)
-    if not 0.0 < expo < 1.0:
-        raise DomainValidationError("r must lie in (1, 2)")
     m2 = _expect(measure, lambda x: np.square(f.value(x)))
     if m2 <= 0.0:
         return 0.0
@@ -346,7 +345,7 @@ def energy(measure, f, kind, r=None, tau=None):
             lambda x: np.square(f.derivative(x)) * (1.0 + np.power(np.abs(x), 2.0 - r)),
         )
     if kind == "itau":
-        if not 0.0 < tau < 1.0:
+        if tau is None or not 0.0 < tau < 1.0:
             raise DomainValidationError("itau requires tau in (0, 1)")
         m2 = _expect(measure, lambda x: np.square(f.value(x)))
         if m2 <= 0.0:
@@ -357,6 +356,7 @@ def energy(measure, f, kind, r=None, tau=None):
             * np.power(np.log(math.e + np.square(f.value(x)) / m2), 1.0 - tau),
         )
     # frsob
+    _dual(r)
     m2 = _expect(measure, lambda x: np.square(f.value(x)))
     if m2 <= 0.0:
         return 0.0

@@ -45,12 +45,17 @@ class PotentialSpec:
     grid_x: tuple = ()
     grid_v: tuple = ()
     even: bool = True
+    # the parsed expression and its function names, set once at construction
+    ast: object = field(default=None, init=False, repr=False, compare=False)
+    functions: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "builtin":
             self._validate_builtin()
         elif self.kind == "expression":
-            expr_mod.parse(self.expression)  # raises ParseError with position
+            ast = expr_mod.parse(self.expression)  # raises ParseError with position
+            object.__setattr__(self, "ast", ast)
+            object.__setattr__(self, "functions", frozenset(expr_mod.functions_used(ast)))
         elif self.kind == "tabulated":
             xs = np.asarray(self.grid_x, dtype=float)
             if len(xs) < 2 or np.any(np.diff(xs) <= 0):
@@ -119,10 +124,8 @@ class PotentialSpec:
                 return math.pi
             if self.family == "cattiaux":
                 return math.pi / 2.0  # sin^2 has period pi
-        if self.kind == "expression":
-            fns = expr_mod.functions_used(expr_mod.parse(self.expression))
-            if fns & {"sin", "cos"}:
-                return math.pi
+        if self.functions & {"sin", "cos"}:
+            return math.pi
         return None
 
     @property
@@ -130,9 +133,7 @@ class PotentialSpec:
         """True when the potential jumps on the integer lattice."""
         if self.kind == "builtin" and self.family == "floor":
             return True
-        if self.kind == "expression":
-            return "floor" in expr_mod.functions_used(expr_mod.parse(self.expression))
-        return False
+        return "floor" in self.functions
 
 
 @dataclass(frozen=True)
@@ -242,13 +243,13 @@ def _builtin_potential(spec):
 
 
 def _expression_potential(spec):
-    ast = expr_mod.parse(spec.expression)
-    base = lambda t: np.asarray(expr_mod.evaluate(ast, t), dtype=float)
-    if "floor" in expr_mod.functions_used(ast):
+    program = expr_mod.compile(spec.ast)
+    base = lambda t: np.asarray(expr_mod.evaluate(program, t), dtype=float)
+    if "floor" in spec.functions:
         dbase = None
     else:
-        dast = expr_mod.diff(ast)
-        dbase = lambda t: np.asarray(expr_mod.evaluate(dast, t), dtype=float)
+        dprogram = expr_mod.compile(expr_mod.diff(spec.ast))
+        dbase = lambda t: np.asarray(expr_mod.evaluate(dprogram, t), dtype=float)
     if spec.even:
         value = _even_wrap(base)
         deriv = _odd_wrap(dbase) if dbase is not None else None

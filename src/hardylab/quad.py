@@ -87,7 +87,7 @@ _MAX_SPLIT_WIDTH = 4096.0
 # test suite and the benchmark spend at most 2862 panels in one extension.
 _EXTENSION_PANEL_BUDGET = 1 << 17
 # Row maxima of panel batches at least this tall are taken column by column;
-# below it one np.max(axis=1) costs less than a call per column.
+# below it one max(axis=1) costs less than a call per column.
 _COLUMN_MAX_ROWS = 128
 
 
@@ -117,13 +117,13 @@ class Integral:
 
 
 def _logsumexp_rows(a):
-    m = np.max(a, axis=1)
+    m = a.max(axis=1)
     finite = np.isfinite(m)
     out = np.full(a.shape[0], -np.inf)
     if np.any(finite):
         af = a[finite]
         mf = m[finite][:, None]
-        out[finite] = m[finite] + np.log(np.sum(np.exp(af - mf), axis=1))
+        out[finite] = m[finite] + np.log(np.exp(af - mf).sum(axis=1))
     return out
 
 
@@ -143,12 +143,12 @@ def _logsumexp_rows_inplace(a):
 
     The row maximum of a tall array is taken column by column, which is exact
     and avoids the per-row cost of a reduction over short rows; rows are
-    summed with ``np.sum(axis=1)`` as in ``_logsumexp_rows``, so the results
+    summed with ``sum(axis=1)`` as in ``_logsumexp_rows``, so the results
     are the same bit for bit.  Rows whose maximum is not finite go through
     ``_logsumexp_rows``.
     """
     if len(a) < _COLUMN_MAX_ROWS:
-        m = np.max(a, axis=1)
+        m = a.max(axis=1)
     else:
         m = a[:, 0].copy()
         for j in range(1, a.shape[1]):
@@ -157,7 +157,7 @@ def _logsumexp_rows_inplace(a):
         return _logsumexp_rows(a)
     a -= m[:, None]
     np.exp(a, out=a)
-    out = np.sum(a, axis=1)
+    out = a.sum(axis=1)
     np.log(out, out=out)
     out += m
     return out
@@ -177,7 +177,7 @@ def _gk_log(logf, a, b):
     # |log K - log G| ~ relative discrepancy of the two rules
     err = np.abs(logk - logg)
     err[np.isnan(err)] = np.inf
-    err[np.isneginf(logk) & np.isneginf(logg)] = 0.0
+    err[(logk == -np.inf) & (logg == -np.inf)] = 0.0
     return logk, err
 
 
@@ -283,8 +283,9 @@ def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
             pb = np.concatenate([mid, pb])
             seg = np.concatenate([seg, seg])
             depth = np.concatenate([depth + 1, depth + 1])
-    seg_errs = np.exp(accerr - np.where(np.isneginf(acc), 0.0, acc))
-    seg_errs[np.isneginf(acc)] = 0.0
+    empty = acc == -np.inf
+    seg_errs = np.exp(accerr - np.where(empty, 0.0, acc))
+    seg_errs[empty] = 0.0
     return acc, seg_errs, panels_used
 
 

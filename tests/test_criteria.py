@@ -498,3 +498,36 @@ def test_hyp_check_builds_no_tail_ladder(exp_measure, monkeypatch):
     monkeypatch.setattr(quad, "log_extension", lambda *a, **k: extensions.append(a) or extension(*a, **k))
     criteria.hyp_mls_check(exp_measure, 1.5, 0.4)
     assert len(ladders) == 1 and extensions == []  # the n^-(r-1) prefix of one side, no tail
+
+
+def _softplus(y):
+    return y + math.log1p(math.exp(-y)) if y > 0 else math.log1p(math.exp(y))
+
+
+_SCALAR_POSTS = {
+    "bp": lambda l, r: 0.0,
+    "bls": lambda l, r: math.log(max(-l, 1e-300)),
+    "blo": lambda l, r: (2.0 * (r - 1.0) / r) * math.log(_softplus(-(l + math.log(2.0)))),
+    "bmls": lambda l, r: math.log(max(-l, 1e-300)),
+    "bweighted": lambda l, r: math.log(max(-l, 1e-300)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(criteria.KINDS))
+def test_vectorized_post_factor_matches_scalar_formula(kind):
+    l_norm = np.array([np.nextafter(0.0, -1.0), -1e-12, -1.0, -1e3, -1e5])
+    for r in (1.1, 1.5, 1.9):
+        got = criteria.KINDS[kind].log_post(l_norm, r)
+        want = [_SCALAR_POSTS[kind](float(l), r) for l in l_norm]
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0), (kind, r)
+
+
+@pytest.mark.parametrize("kind", sorted(criteria.KINDS))
+def test_add_post_leaves_infinite_and_nan_entries(kind):
+    vals = np.array([1.0, -np.inf, np.nan, 2.0, -np.inf])
+    l_norm = np.array([-1.0, -np.inf, np.nan, -1e3, 0.5])
+    row = criteria.KINDS[kind]
+    out = criteria._add_post(vals, l_norm, row, 1.5)
+    assert out is vals
+    assert out[1] == -np.inf and np.isnan(out[2]) and out[4] == -np.inf
+    assert np.array_equal(out[[0, 3]], np.array([1.0, 2.0]) + row.log_post(np.array([-1.0, -1e3]), 1.5))

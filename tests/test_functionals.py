@@ -281,6 +281,23 @@ def test_ratio_report_requires_its_parameter(exp_measure):
             fn.ratio_report(exp_measure, fx, kind)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, f: fn.energy(m, f, "mls"),
+        lambda m, f: fn.energy(m, f, "weighted"),
+        lambda m, f: fn.energy(m, f, "frsob"),
+        lambda m, f: fn.energy(m, f, "itau"),
+        lambda m, f: fn.lo_lhs(m, f, None),
+    ],
+    ids=["mls", "weighted", "frsob", "itau", "lo_lhs"],
+)
+def test_missing_r_or_tau_raises_domain_error(exp_measure, call):
+    f = fn.TestFunction.from_expression("1 + x^2", positive=True)
+    with pytest.raises(DomainValidationError):
+        call(exp_measure, f)
+
+
 def test_ratio_report_energy_guard(exp_measure):
     # nonzero lhs with vanishing derivative: guard must trip
     f = fn.TestFunction(

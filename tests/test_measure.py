@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardylab import measure as msr
-from hardylab import quad, scenarios
+from hardylab import criteria, expr, quad, scenarios
 from hardylab.errors import DomainValidationError, ParseError
 
 # ---------------------------------------------------------------------------
@@ -45,6 +45,26 @@ def test_expression_potential():
 def test_builtin_parameter_validation(family, params):
     with pytest.raises(DomainValidationError):
         msr.PotentialSpec.builtin(family, *params)
+
+
+def test_expression_parsed_and_compiled_once(monkeypatch):
+    calls = {"parse": 0, "compile": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(expr, name, counted(name, getattr(expr, name)))
+    spec = msr.PotentialSpec.from_string("expr:x^2/2+sin(x)")
+    pot = msr.make_potential(spec)
+    assert calls == {"parse": 1, "compile": 2}  # V and its derivative
+    m = msr.normalize(pot)
+    criteria.blo(m, 1.5, horizons=(25.0, 50.0))
+    assert calls == {"parse": 1, "compile": 2}
 
 
 def test_expression_parse_error_carries_position():
