@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -340,6 +341,7 @@ def cmd_repro(args):
     return 0 if res.passed else 3
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="hardylab",

@@ -36,14 +36,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import measure as msr
 from . import quad as quad_mod
 from .errors import DomainValidationError
 
 DEFAULT_HORIZONS = (25.0, 50.0, 100.0, 200.0, 400.0, 800.0)
-GRID_STEP = math.pi / 8.0
 PLATEAU_TOL = 0.05
 SLOPE_FLOOR = 0.02
-_PANEL_PTOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # two-sided 95% Student quantiles by degrees of freedom
@@ -140,47 +139,34 @@ def _validate_horizons(horizons, median):
 
 
 class _SideScan:
-    """One-sided scan state: s is the distance from the median.
+    """One-sided scan state in t = sign * x, from the median t0 = sign * m.
 
-    The tail ladder depends only on the measure, the side and the grid, and
-    a weight ladder only on its integrand, so ``_side_scan`` keeps the scan
-    on the measure and ``weight_ladder`` caches each ladder by its key.  The
-    tail ladder is built on first use: ``hyp_mls_check`` needs only a weight.
+    The grid is t0, t_end, the ``extra`` points, and the multiples of
+    ``quad.GRID_STEP`` and the breakpoints in between: past the truncation
+    search's end, edges of ``ladders`` (this side's grown to t_end).
+    ``_side_scan`` keeps the scan on the measure and ``weight_ladder`` each
+    weight by its key; ``hyp_mls_check`` reads a weight and grows no ladder.
     """
 
-    def __init__(self, measure, sign, s_end, extra_s):
-        self.measure = measure
-        self.sign = sign
-        self.s_end = s_end
-        m = measure.median
+    def __init__(self, measure, sign, t_end, extra):
+        self.measure, self.sign = measure, sign
         pot = measure.potential
-        self.breakpoints = pot.side_breakpoints(m, sign)
-        grid = list(np.arange(0.0, s_end, GRID_STEP))
-        grid.extend(extra_s)
-        grid.append(s_end)
-        grid.extend(self.breakpoints(0.0, s_end))
-        self.grid = np.unique(np.asarray(grid))
-        self.x = lambda s: m + sign * np.asarray(s, dtype=float)
-        self.neg_v_s = lambda s: -pot.value(self.x(s))
+        t0 = sign * measure.median
+        bps = pot.side_breakpoints(sign)(t0, t_end)
+        self.grid = np.unique(np.concatenate([[t0, t_end], extra, quad_mod.grid_steps(t0, t_end), bps]))
+        self.neg_v = lambda t: -pot.value(sign * np.asarray(t, dtype=float))
         self._weights = {}
 
-    def _ladder(self, g, after=-np.inf):
-        return quad_mod.LogLadder(g, self.grid, _PANEL_PTOL, 60, strict=False, after=after)
-
     @functools.cached_property
-    def tail(self):
-        """Ladder of exp(-V) in s on the grid, with the extension beyond s_end:
-        ``suffix`` is log int_s^inf exp(-V) at the grid points."""
-        beyond = quad_mod.log_extension(
-            self.neg_v_s, self.s_end, initial_width=max(1.0, GRID_STEP), breakpoints=self.breakpoints
-        )
-        return self._ladder(self.neg_v_s, after=beyond)
+    def ladders(self):
+        """The measure's ladders, this side's as a copy grown to t_end."""
+        return {**self.measure.ladders, self.sign: self.measure.ladders[self.sign].grown(self.grid[-1])}
 
     def weight_ladder(self, key, g):
-        """Ladder of exp(g) on the grid, whose ``prefix`` is log int_0^s exp(g);
-        ``key`` names g for the cache."""
+        """Ladder of exp(g) on the grid (panel tolerance 1e-9, depth 60, not
+        strict), whose ``prefix`` is log int_t0^t exp(g); ``key`` names g."""
         if key not in self._weights:
-            self._weights[key] = self._ladder(g)
+            self._weights[key] = quad_mod.LogLadder(g, self.grid, 1e-9, 60, strict=False)
         return self._weights[key]
 
 
@@ -213,22 +199,22 @@ def _golden_max(f, a, b, iters=40):
 
 
 # Rows of the kind table.  A weight returns its ladder cache key with its
-# log-integrand in s; the key holds r only where the integrand reads it, so
+# log-integrand in t; the key holds r only where the integrand reads it, so
 # bp, bls and blo at any r share one exp(V) ladder.  Post-factors stay in
 # log form, so scans survive criterion values beyond float range.
 
 
 def _exp_v(scan, r):
-    return "exp(V)", lambda s: -scan.neg_v_s(s)
+    return "exp(V)", lambda t: -scan.neg_v(t)
 
 
 def _density_power(scan, r):
-    return ("n^-(r-1)", r), lambda s: -(r - 1.0) * scan.neg_v_s(s)
+    return ("n^-(r-1)", r), lambda t: -(r - 1.0) * scan.neg_v(t)
 
 
 def _weighted(scan, r):
-    def g(s):
-        return -scan.neg_v_s(s) - np.log1p(np.power(np.abs(scan.x(s)), 2.0 - r))
+    def g(t):
+        return -scan.neg_v(t) - np.log1p(np.power(np.abs(t), 2.0 - r))
 
     return ("exp(V)/(1+|x|^(2-r))", r), g
 
@@ -295,30 +281,27 @@ def _add_post(vals, l_norm, row, r):
     return vals
 
 
-def _side_scan(measure, sign, horizons, s_h):
-    """The measure's scan state for one side and horizon tuple (``s_h`` in s),
-    built once per grid step."""
-    key = (sign, horizons, GRID_STEP)
+def _side_scan(measure, sign, horizons):
+    """The measure's scan state for one side and horizon tuple, built once per grid step."""
+    key = (sign, horizons, quad_mod.GRID_STEP)
     if key not in measure._scans:
-        measure._scans[key] = _SideScan(measure, sign, s_h[-1], extra_s=s_h)
+        measure._scans[key] = _SideScan(measure, sign, horizons[-1], extra=horizons)
     return measure._scans[key]
 
 
 def _scan_side(measure, kind, r, horizons, sign):
-    m = measure.median
-    s_h = [h - m if sign > 0 else h + m for h in horizons]
-    scan = _side_scan(measure, sign, horizons, s_h)
+    scan = _side_scan(measure, sign, horizons)
     row = KINDS[kind]
     weight = scan.weight_ladder(*row.weight(scan, r))
-    tail_logs = scan.tail.suffix
+    tail_logs = msr._log_mass(scan.ladders, sign * scan.grid, sign)
 
     lvals = tail_logs + row.transform(weight.prefix, r)
     lvals[0] = -np.inf
     _add_post(lvals, tail_logs - measure.log_z, row, r)
 
-    def log_values_at(s):
-        l_abs = scan.tail.upper(s)
-        return _add_post(l_abs + row.transform(weight.lower(s), r), l_abs - measure.log_z, row, r)
+    def log_values_at(t):
+        l_abs = msr._log_mass(scan.ladders, sign * t, sign)
+        return _add_post(l_abs + row.transform(weight.lower(t), r), l_abs - measure.log_z, row, r)
 
     # Golden-section refinement around a window's grid argmax happens only
     # when it beats the running best, which is never below the running grid
@@ -328,8 +311,8 @@ def _scan_side(measure, kind, r, horizons, sign):
     grid = scan.grid
     windows, brackets = [], {}
     lo_idx, grid_best = 1, -np.inf
-    for k, s_hzn in enumerate(s_h):
-        hi_idx = int(np.searchsorted(grid, s_hzn, side="right"))
+    for k, t_hzn in enumerate(horizons):
+        hi_idx = int(np.searchsorted(grid, t_hzn, side="right"))
         j = None
         if hi_idx > lo_idx:
             j = int(np.argmax(lvals[lo_idx:hi_idx])) + lo_idx
@@ -338,24 +321,24 @@ def _scan_side(measure, kind, r, horizons, sign):
                 grid_best = lvals[j]
                 a = grid[max(j - 1, 1)]
                 # the sup runs over (m, X]: never refine past the horizon
-                b = min(grid[min(j + 1, len(grid) - 1)], s_hzn)
+                b = min(grid[min(j + 1, len(grid) - 1)], t_hzn)
                 if b > a:
                     brackets[k] = (a, b)
         windows.append(j)
     refined = {}
     if brackets:
-        s_ref, v_ref = _golden_max(log_values_at, *np.array(list(brackets.values())).T)
-        refined = dict(zip(brackets, zip(s_ref.tolist(), v_ref.tolist())))
+        t_ref, v_ref = _golden_max(log_values_at, *np.array(list(brackets.values())).T)
+        refined = dict(zip(brackets, zip(t_ref.tolist(), v_ref.tolist())))
 
     log_sups, argmaxes = [], []
-    best, best_s = -np.inf, float("nan")
+    best, best_t = -np.inf, float("nan")
     for k, j in enumerate(windows):
         if j is not None and lvals[j] > best:
-            best, best_s = float(lvals[j]), float(grid[j])
+            best, best_t = float(lvals[j]), float(grid[j])
             if k in refined and refined[k][1] > best:
-                best_s, best = refined[k]
+                best_t, best = refined[k]
         log_sups.append(best)
-        argmaxes.append(m + sign * best_s)
+        argmaxes.append(sign * best_t)
     return _result(kind, "plus" if sign > 0 else "minus", r, horizons, log_sups, argmaxes)
 
 
@@ -461,20 +444,15 @@ def hyp_mls_check(measure, r, eps, horizons=DEFAULT_HORIZONS):
     if eps <= 0:
         raise DomainValidationError("eps must be positive")
     horizons = _validate_horizons(horizons, measure.median)
-    m = measure.median
     worst, arg = math.inf, math.nan
     for sign in (+1.0, -1.0):
-        s_end = horizons[-1] - m if sign > 0 else horizons[-1] + m
-        bps = measure.potential.side_breakpoints(m, sign)(0.0, s_end)
-        scan = _SideScan(measure, sign, s_end, extra_s=[b - 1e-9 for b in bps if b > 1e-9])
+        bps = measure.potential.side_breakpoints(sign)(sign * measure.median + 1e-9, horizons[-1])
+        scan = _SideScan(measure, sign, horizons[-1], extra=[b - 1e-9 for b in bps])
         key, g = KINDS["bmls"].weight(scan, r)
-        prefix = scan.weight_ladder(key, g).prefix
-        svals = scan.grid[1:]
-        num = g(svals)
-        ratio = np.exp(num - prefix[1:])
+        ratio = np.exp(g(scan.grid[1:]) - scan.weight_ladder(key, g).prefix[1:])
         j = int(np.argmin(ratio))
         if ratio[j] < worst:
-            worst, arg = float(ratio[j]), float(m + sign * svals[j])
+            worst, arg = float(ratio[j]), float(sign * scan.grid[j + 1])
         if measure.is_even:
             break
     return HypMlsResult(holds=bool(worst >= eps), worst_ratio=worst, arg=arg, eps=eps)
@@ -505,9 +483,8 @@ def asymptotic_conditions(measure, r, horizons=DEFAULT_HORIZONS):
         raise DomainValidationError("asymptotic_conditions requires a derivative field")
     horizons = _validate_horizons(horizons, measure.median)
     x_end = horizons[-1]
-    x = np.unique(
-        np.concatenate([np.arange(max(measure.median + GRID_STEP, GRID_STEP), x_end, GRID_STEP), [x_end]])
-    )
+    step = quad_mod.GRID_STEP
+    x = np.unique(np.concatenate([np.arange(max(measure.median + step, step), x_end, step), [x_end]]))
     rp = r / (r - 1.0)
     V = pot.value(x)
     Vp = pot.derivative(x)
@@ -565,15 +542,13 @@ def tail_asymptotics(measure, x_grid):
     """
     if not measure.is_even:
         raise DomainValidationError("tail_asymptotics requires an even measure")
-    from .measure import log_tail  # local import to avoid a cycle
-
     pot = measure.potential
     x = np.asarray(x_grid, dtype=float)
     theta = np.empty(len(x))
     capped = np.zeros(len(x), dtype=bool)
     r_theta = np.empty(len(x))
     r_deriv = np.full(len(x), np.nan)
-    l_abs = log_tail(measure, x) + measure.log_z
+    l_abs = msr.log_tail(measure, x) + measure.log_z
     for i, xi in enumerate(x):
         theta[i], capped[i] = _theta_scale(pot, float(xi))
         v = float(pot.value(np.array([xi]))[0])

@@ -165,13 +165,13 @@ class Potential:
                 pts.extend(float(k) for k in range(int(k0), int(k1) + 1))
         return sorted(p for p in pts if a < p < b)
 
-    def side_breakpoints(self, center=0.0, sign=1.0):
-        """``breakpoints`` in the coordinate s = sign * (x - center), as a
-        callable (a, b) -> ascending breakpoints in (a, b); mirrored tails and
+    def side_breakpoints(self, sign=1.0):
+        """``breakpoints`` in the coordinate s = sign * x, as a callable
+        (a, b) -> ascending breakpoints in (a, b); mirrored tails and
         one-sided scans integrate in s."""
         if sign > 0:
-            return lambda a, b: [t - center for t in self.breakpoints(center + a, center + b)]
-        return lambda a, b: [center - t for t in reversed(self.breakpoints(center - b, center - a))]
+            return self.breakpoints
+        return lambda a, b: [-t for t in reversed(self.breakpoints(-b, -a))]
 
 
 def _even_wrap(f):
@@ -340,7 +340,7 @@ def make_potential(spec):
 class Measure1D:
     """A probability measure exp(-V)/Z dx.  ``ladders[sign]``, from the
     truncation search, is the ``quad.LogLadder`` of exp(-V(sign * s)) in
-    s = sign * x for side sign = +1 or -1, which the tail queries read."""
+    s = sign * x for side sign = +1 or -1; no query or scan changes it."""
 
     potential: Potential
     log_z: float
@@ -359,22 +359,6 @@ class Measure1D:
 
     def neg_v(self, x):
         return -self.potential.value(x)
-
-
-def _log_mass_beyond(potential, s, sign):
-    """log of the integral of exp(-V) over sign * t >= s at the 1-D points
-    ``s`` = sign * x: one LogLadder on the points, split at the breakpoints in
-    gaps up to ``quad._MAX_SPLIT_WIDTH`` wide, with one extension from the
-    farthest point beyond; a single point reads that extension alone."""
-    logf = lambda t: -potential.value(sign * t)
-    bps = potential.side_breakpoints(0.0, sign)
-    pts = np.unique(s).tolist()
-    gaps = [(a, b) for a, b in zip(pts, pts[1:]) if b - a <= quad_mod._MAX_SPLIT_WIDTH]
-    edges = np.unique(pts + [t for a, b in gaps for t in bps(a, b)])
-    after = quad_mod.log_extension(logf, pts[-1], initial_width=1.0, breakpoints=bps)
-    # the extension's own panel settings
-    ladder = quad_mod.LogLadder(logf, edges, 1e-11, 48, strict=False, after=after)
-    return ladder.suffix[np.searchsorted(edges, s)]
 
 
 def normalize(potential, cfg=DEFAULT_QUAD, eps_trunc=DEFAULT_EPS_TRUNC, label=""):
@@ -426,22 +410,26 @@ def _median(ladders, log_z):
     return sign * s if s else 0.0  # equal sides give +0.0, not -0.0
 
 
-def _log_mass(measure, x, sign):
+def _log_mass(ladders, x, sign):
     """Unnormalized log mass of exp(-V) on [x, inf) for sign +1 and on
     (-inf, x] for sign -1, at the finite points ``x`` (1-D) on that side of
-    the median.  In s = sign * x, points up to the end of the side's ladder
-    read it, points beyond share one ``_log_mass_beyond`` call, and points
-    with s <= 0 (from an uneven measure's median to 0) add the other
-    ladder's mass from 0 to -s to this side's total."""
-    ladder, other = measure.ladders[sign], measure.ladders[-sign]
-    s = sign * x
-    inner, beyond = s <= 0.0, s >= ladder.edges[-1]
-    within = ~inner & ~beyond
+    the median, from unchanged ``ladders``.  In s = sign * x, points with
+    s <= 0 (from an uneven median to 0) add the other ladder's mass from 0
+    to -s to this side's total, points up to the end E of the side's ladder
+    read it, points in (E, 2E] read one copy of it grown to the farthest of
+    them, and each point farther takes one ``log_extension`` of its own."""
+    ladder, other = ladders[sign], ladders[-sign]
+    s, end = sign * x, ladders[sign].edges[-1]
+    inner, within, far = s <= 0.0, (s > 0.0) & (s <= end), s > 2.0 * end
+    near = ~inner & ~within & ~far
     out = np.empty(len(s))
     out[within] = ladder.upper(s[within])
-    out[inner] = np.logaddexp(ladder.suffix[0], other.lower(-s[inner]))
-    if beyond.any():
-        out[beyond] = _log_mass_beyond(measure.potential, s[beyond], sign)
+    if near.any():
+        out[near] = ladder.grown(s[near].max()).upper(s[near])
+    if inner.any():
+        out[inner] = np.logaddexp(ladder.suffix[0], other.lower(-s[inner]))
+    out[far] = [quad_mod.log_extension(ladder.logf, t, initial_width=1.0, breakpoints=ladder.breakpoints)
+                for t in s[far].tolist()]
     return out
 
 
@@ -455,10 +443,10 @@ def _log_prob(measure, x, sign):
     out = np.where(sign * flat > 0, -np.inf, 0.0)
     finite = np.isfinite(flat)
     near = finite & ((flat >= measure.median) if sign > 0 else (flat <= measure.median))
-    out[near] = _log_mass(measure, flat[near], sign) - measure.log_z
+    out[near] = _log_mass(measure.ladders, flat[near], sign) - measure.log_z
     far = finite & ~near
     if far.any():  # 1 - the mass on the other side
-        other = _log_mass(measure, flat[far], -sign) - measure.log_z
+        other = _log_mass(measure.ladders, flat[far], -sign) - measure.log_z
         out[far] = np.log1p([-math.exp(min(v, -1e-18)) for v in other.tolist()])
     return float(out[0]) if xs.ndim == 0 else out
 
@@ -467,8 +455,8 @@ def log_tail(measure, x):
     """log of mu([x, inf)), exact in log space far beyond float underflow.
 
     ``x`` is a scalar (a float is returned) or a 1-D array, whose points
-    inside a ladder share one batched integration and whose points beyond
-    it share one ladder pass and one extension.  nan raises
+    share one batched integration of the ladder they read; see
+    ``_log_mass`` for points beyond the ladder.  nan raises
     DomainValidationError; -inf gives 0 and +inf gives -inf.
     """
     return _log_prob(measure, x, +1)
@@ -645,8 +633,7 @@ def n_profile(measure, t):
 
     N(0) = 0, N is nondecreasing, and N(t) >= V(t) - O(log) for growing
     potentials; it is the exponential-quantile reparameterization used by the
-    transport check.  ``t`` is a scalar (a float is returned) or a 1-D array,
-    whose points beyond the measure's ladder share one ladder pass.
+    transport check.  ``t`` is a scalar or a 1-D array, as in ``log_tail``.
     """
     if not measure.is_even:
         raise DomainValidationError("n_profile requires an even measure")

@@ -13,6 +13,7 @@ values of several hundred thousand where exp(V) is far beyond float range.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -77,10 +78,12 @@ _NEGLIGIBLE_NATS = 55.0  # panels below exp(-55) of their segment total are acce
 # Panels whose |log K15 - log G7| is within this many ulps of |log K15| are
 # accepted: past |log mass| ~ 1e5 the float spacing of the log exceeds ptol.
 _ACCEPT_ULPS = 8
-# Wider tail chunks are not split at breakpoints: they are reached only by
-# tails that have not fallen 55 nats within 4096 of their start, and would
-# hold thousands of breakpoints.
+# Wider tail chunks are not split at a step, nor in an extension at the
+# breakpoints: they are reached only by tails that have not fallen 55 nats
+# within 4096 of their start, and would hold thousands of breakpoints.
 _MAX_SPLIT_WIDTH = 4096.0
+# Ladder and scan grid step; it resolves period-2pi oscillations of the potentials.
+GRID_STEP = math.pi / 8.0
 # An extension that has refined more panels than this without converging is
 # taken as non-integrable: a persistent oscillation in unsplit chunks would
 # otherwise be refined down to its own scale over ever wider chunks.  The
@@ -339,65 +342,101 @@ def _cell_logs(logf, edges, ptol, max_depth, strict):
     return np.concatenate([np.empty(0), *seg])  # a single edge has no cells
 
 
+def grid_steps(a, b):
+    """The multiples of ``GRID_STEP`` in (a, b)."""
+    steps = np.arange(math.floor(a / GRID_STEP), math.ceil(b / GRID_STEP) + 1) * GRID_STEP
+    return steps[(steps > a) & (steps < b)]
+
+
 class LogLadder:
     """Cumulative log integrals of exp(logf) between ascending ``edges``.
 
-    ``prefix[i]`` is log(exp(before) + int_edges[0]^edges[i] exp(logf)) and
-    ``suffix[i]`` is log(int_edges[i]^edges[-1] exp(logf) + exp(after)), with
-    ``before`` and ``after`` the log masses beyond the two ends.  Every cell
-    between consecutive edges is one ``refine_log_panels`` interval at
-    (ptol, max_depth, strict); ``cells`` passes these log integrals when the
-    caller has already computed them that way.  The queries integrate each
-    point's partial cell the same way, in one batch, so a query equals a
-    scalar integration of its partial cell combined with the ladder, bit for
-    bit.
+    ``prefix[i]`` is log int_edges[0]^edges[i] exp(logf), ``suffix[i]`` is
+    log(int_edges[i]^edges[-1] exp(logf) + exp(after)), and ``cells`` holds
+    each cell's log integral, one ``refine_log_panels`` interval at (ptol,
+    max_depth, strict).  A query integrates each point's partial cell the
+    same way, in one batch, so it equals a scalar query bit for bit.  A
+    ladder given a side's ``breakpoints(a, b)`` starts at 0 and grows over
+    the doubling chunks [0, 1], [1, 2], [2, 4], ..., split at the
+    breakpoints and, up to ``_MAX_SPLIT_WIDTH`` wide, at a step of at most
+    ``GRID_STEP``: evenly in the chunks of ``truncation_point``, at the
+    multiples of ``GRID_STEP`` (the scan grids') in those ``grown`` adds.
+    An edge depends only on its position: growing to a, then b, equals
+    growing to b, bit for bit.
     """
 
-    def __init__(self, logf, edges, ptol, max_depth, strict, before=-np.inf, after=-np.inf, cells=None):
+    def __init__(self, logf, edges, ptol, max_depth, strict, breakpoints=None):
         self.logf, self.ptol, self.max_depth, self.strict = logf, ptol, max_depth, strict
-        self.edges = np.asarray(edges, dtype=float)
-        seg = _cell_logs(logf, self.edges, ptol, max_depth, strict) if cells is None else cells
-        self.prefix = np.logaddexp(np.concatenate([[-np.inf], np.logaddexp.accumulate(seg)]), before)
-        self.suffix = np.append(np.logaddexp(np.logaddexp.accumulate(seg[::-1])[::-1], after), after)
+        self.edges, self.breakpoints = np.asarray(edges, dtype=float), breakpoints
+        self.cells = _cell_logs(logf, self.edges, ptol, max_depth, strict)
+        self._close(-np.inf)
 
-    def _partial(self, lo, hi, nonempty):
-        out = np.full(len(lo), -np.inf)
-        if nonempty.any():
-            out[nonempty] = refine_log_panels(
-                self.logf, lo[nonempty], hi[nonempty], self.ptol, self.max_depth, self.strict
-            )[0]
+    def _close(self, after=None):
+        """Accumulate the cells; ``after`` defaults to one ``log_extension``."""
+        if after is None:
+            after = log_extension(self.logf, self.edges[-1], initial_width=1.0, breakpoints=self.breakpoints)
+        self.prefix = np.concatenate([[-np.inf], np.logaddexp.accumulate(self.cells)])
+        self.suffix = np.append(np.logaddexp(np.logaddexp.accumulate(self.cells[::-1])[::-1], after), after)
+
+    def _append(self, b, even=False):
+        """Append the lattice cells up to the first edge >= b, splitting the
+        chunks evenly if ``even``, and return their log mass; ``prefix`` and
+        ``suffix`` wait for ``_close``."""
+        new = self.edges[-1:]
+        while new[-1] < b:
+            hi = max(math.ldexp(1.0, math.frexp(new[-1])[1]), 1.0)  # the end of the doubling chunk holding it
+            lo = 0.0 if hi == 1.0 else 0.5 * hi
+            n = math.ceil((hi - lo) / GRID_STEP) if hi - lo <= _MAX_SPLIT_WIDTH else 1  # 1: not split
+            steps = np.linspace(lo, hi, n + 1) if even or n == 1 else grid_steps(lo, hi)
+            chunk = np.unique(np.concatenate([[lo, hi], steps, self.breakpoints(lo, hi)]))
+            new = np.concatenate([new, chunk[chunk > new[-1]]])
+        new = new[: np.searchsorted(new, b) + 1]
+        cells = _cell_logs(self.logf, new, self.ptol, self.max_depth, self.strict)
+        self.edges = np.concatenate([self.edges, new[1:]])
+        self.cells = np.concatenate([self.cells, cells])
+        return float(np.logaddexp.reduce(cells))
+
+    def grown(self, b):
+        """A copy extended to the first lattice edge >= b, with ``after`` from its new end."""
+        out = copy.copy(self)
+        if b > self.edges[-1]:
+            out._append(b)
+            out._close()
+        return out
+
+    def _partial(self, lo, hi):
+        out, on = np.full(len(lo), -np.inf), lo < hi
+        if on.any():
+            out[on] = refine_log_panels(self.logf, lo[on], hi[on], self.ptol, self.max_depth, self.strict)[0]
         return out
 
     def upper(self, x):
         """log(exp(after) + int_x^edges[-1] exp(logf)) at the points ``x`` in [edges[0], edges[-1]]."""
-        j = np.minimum(np.searchsorted(self.edges, x, side="right") - 1, len(self.edges) - 2)
-        nxt = self.edges[j + 1]
-        return np.logaddexp(self._partial(x, nxt, x < nxt), self.suffix[j + 1])
+        k = np.searchsorted(self.edges, x)
+        return np.logaddexp(self._partial(x, self.edges[k]), self.suffix[k])
 
     def lower(self, x):
-        """log(exp(before) + int_edges[0]^x exp(logf)) at the points ``x`` in [edges[0], edges[-1]]."""
+        """log int_edges[0]^x exp(logf) at the points ``x`` in [edges[0], edges[-1]]."""
         j = np.searchsorted(self.edges, x, side="right") - 1
-        left = self.edges[j]
-        return np.logaddexp(self.prefix[j], self._partial(left, x, x > left))
+        return np.logaddexp(self.prefix[j], self._partial(self.edges[j], x))
 
 
 def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
     """Smallest X with int_X^inf exp(-V) <= eps * int_0^X exp(-V), per side,
     and the ladders of exp(-V) it reads.
 
-    Side sign's ``LogLadder`` of exp(-V(sign * s)), s = sign * x, covers the
-    doubling chunks [0, 1], [1, 2], [2, 4], ... up to the first chunk end B
-    that falls 55 nats below the running total and where the predicate
-    holds, or up to 2^19, the last X the search tries.  Its edges are the
-    breakpoints, plus a step of at most pi/8 in chunks up to
-    ``_MAX_SPLIT_WIDTH`` wide; its cells are strict at the panel tolerance
-    of ``cfg``, and one ``log_extension`` from B is the mass beyond.
-    h(X) = log tail(X) - log eps - log core(X), read from the ladder,
-    decreases in X.  It is bracketed by doubling, and its root is located on
-    the lattice that 40 bisection steps of the bracket would visit, by a
-    bracketed secant.  Returns (X, {+1: right ladder, -1: left ladder}), X
-    the larger of the two sides'; an even potential's one ladder serves both.
-    Raises NonIntegrableError when the predicate never holds by X = 1e6.
+    Side sign's ``LogLadder`` of exp(-V(sign * s)), s = sign * x, grows one
+    doubling chunk [0, 1], [1, 2], [2, 4], ... at a time, split evenly, up
+    to the first chunk end B that falls 55 nats below the running total and
+    where the predicate holds, or up to 2^19, the last X the search tries.
+    Its cells are strict at the panel tolerance of ``cfg``, and one
+    ``log_extension`` from B is the mass beyond.  h(X) = log tail(X) - log
+    eps - log core(X), read from the ladder, decreases in X.  It is
+    bracketed by doubling, and its root is located on the lattice that 40
+    bisection steps of the bracket would visit, by a bracketed secant.
+    Returns (X, {+1: right ladder, -1: left ladder}), X the larger of the
+    two sides'; an even potential's one ladder serves both.  Raises
+    NonIntegrableError when the predicate never holds by X = 1e6.
     """
     if not 0.0 < eps < 1.0:
         raise DomainValidationError("eps must be in (0, 1)")
@@ -410,20 +449,14 @@ def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
 
     def one_side(sign):
         logf = lambda s: -potential.value(sign * s)
-        bps = potential.side_breakpoints(0.0, sign)
-        edges, cells, total, hi = [0.0], [], -np.inf, 1.0
+        ladder = LogLadder(logf, [0.0], ptol, cfg.max_depth, True, breakpoints=potential.side_breakpoints(sign))
+        total, hi = -np.inf, 1.0
         while True:
-            lo = edges[-1]
-            n = math.ceil((hi - lo) / (math.pi / 8.0)) if hi - lo <= _MAX_SPLIT_WIDTH else 1
-            chunk_edges = np.unique(np.concatenate([np.linspace(lo, hi, n + 1), bps(lo, hi)]))
-            cells.append(_cell_logs(logf, chunk_edges, ptol, cfg.max_depth, True))
-            edges.extend(chunk_edges[1:].tolist())
-            chunk = float(np.logaddexp.reduce(cells[-1]))
+            chunk = ladder._append(hi, even=True)
             total = float(np.logaddexp(total, chunk))
             last = 2.0 * hi > 1e6
             if last or chunk < total - _NEGLIGIBLE_NATS:
-                after = log_extension(logf, hi, initial_width=1.0, breakpoints=bps)
-                ladder = LogLadder(logf, edges, ptol, cfg.max_depth, True, after=after, cells=np.concatenate(cells))
+                ladder._close()
                 if last or h(ladder, hi)[0] <= 0.0:
                     break
             hi *= 2.0

@@ -32,6 +32,19 @@ def test_measure_info(capsys):
     assert doc["config"]["potential"] == "exp"  # reproducible header
 
 
+def test_runs_in_one_process_share_no_list_defaults(capsys):
+    # the parser is built once per process; a second run must not see the
+    # --tail-at and --quantile-at values of the first through their [] defaults
+    first = ["measure", "info", "--potential", "exp", "--tail-at", "1.0", "2.0", "--quantile-at", "0.25"]
+    code, doc = run_json(capsys, first)
+    assert code == 0 and [row["name"] for row in doc["results"]][4:] == ["tail(1)", "tail(2)", "quantile(0.25)"]
+    code, doc = run_json(capsys, ["measure", "info", "--potential", "exp"])
+    assert code == 0
+    assert [row["name"] for row in doc["results"]] == ["Z", "log_z", "median", "truncation"]
+    assert doc["config"]["tail_at"] == [] and doc["config"]["quantile_at"] == []
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_legendre_subcommand(capsys):
     code, doc = run_json(capsys, ["legendre", "--rprime", "3", "--t", "2"])
     assert code == 0

@@ -297,14 +297,15 @@ def test_transport_check_batches_points_inside_the_ladder(exp_measure, monkeypat
 
 def test_transport_check_shares_one_extension_beyond_the_ladder(monkeypatch):
     # nu15's ladder ends at 32, short of the default grid's 40: the points
-    # past it share one extension
+    # past it read one copy of the ladder grown past 40, with one extension
+    # from its end, and the measure's ladder stays as it was
     m = scenarios.corpus_measure("nu15")
     assert m.ladders[+1].edges[-1] == 32.0
     calls = []
     extension = quad.log_extension
     monkeypatch.setattr(quad, "log_extension", lambda *a, **k: calls.append(a) or extension(*a, **k))
     conc.transport_check(m, 1.5)
-    assert len(calls) == 1
+    assert len(calls) == 1 and m.ladders[+1].edges[-1] == 32.0
 
 
 def test_transport_check_validations(exp_measure):

@@ -301,9 +301,11 @@ def test_blo_monotone_in_r(exp_measure, gauss_measure):
 def test_verdict_stable_under_denser_grid(exp_measure, floor_measure, monkeypatch):
     base_bp = criteria.bp(exp_measure, horizons=SHORT).verdict.label
     base_lo = criteria.blo(floor_measure, 1.5, horizons=SHORT).verdict.label
-    monkeypatch.setattr(criteria, "GRID_STEP", math.pi / 16.0)
+    base_points = len(criteria._side_scan(floor_measure, +1, SHORT).grid)
+    monkeypatch.setattr(quad, "GRID_STEP", math.pi / 16.0)
     assert criteria.bp(exp_measure, horizons=SHORT).verdict.label == base_bp
     assert criteria.blo(floor_measure, 1.5, horizons=SHORT).verdict.label == base_lo
+    assert len(criteria._side_scan(floor_measure, +1, SHORT).grid) > 1.5 * base_points
 
 
 @pytest.mark.parametrize("token", ["sinpower:2,1", "expr:abs(x)^1.5+0.5*x"])
@@ -319,8 +321,9 @@ def test_cached_scans_equal_fresh_scans(token, monkeypatch):
         return np.array_equal(a.log_partial_sups, b.log_partial_sups) and np.array_equal(a.argmax, b.argmax)
 
     builds = []
-    ladder = criteria._SideScan._ladder
-    monkeypatch.setattr(criteria._SideScan, "_ladder", lambda scan, g, **k: builds.append(g) or ladder(scan, g, **k))
+    init = quad.LogLadder.__init__
+    monkeypatch.setattr(quad.LogLadder, "__init__",
+                        lambda ladder, g, *a, **k: builds.append(g) or init(ladder, g, *a, **k))
     shared = fresh()
     sides = 1 if shared.is_even else 2
     for r in (1.2, 1.5, 1.8):
@@ -335,6 +338,23 @@ def test_cached_scans_equal_fresh_scans(token, monkeypatch):
     assert builds == []  # every ladder and prefix came from the cache
     criteria.bmls(shared, 1.6, horizons=SHORT)
     assert len(builds) == sides  # one n^-(r-1) prefix per side for the new r
+
+
+def test_bp_far_horizons_on_unsplit_ladder_cells():
+    # (1+|x|)^-4 is still far from negligible at 8192, so the ladder runs on
+    # to 2^19 and its chunks past 8192 are not split at a step; the scan grid
+    # still steps by GRID_STEP there.  The log sups are those of the scan on
+    # its own tail ladder, which reading the measure's ladder replaced.
+    spec = msr.PotentialSpec.from_expression("4*log(1+abs(x))", even=True)
+    m = msr.normalize(msr.make_potential(spec))
+    horizons = (1e3, 2e3, 4e3, 1e4)
+    edges = m.ladders[+1].edges
+    assert np.diff(edges)[edges[:-1] >= 8192.0].min() > 4096.0
+    res = criteria.bp(m, horizons=horizons)
+    want = [11.109459357528198, 12.494754468065267, 13.880549016612363, 15.712830532850852]
+    assert res.log_partial_sups == pytest.approx(want, rel=1e-9)
+    (scan,) = m._scans.values()  # the one side of an even measure
+    assert np.diff(scan.grid).max() <= math.pi / 8.0 * (1.0 + 1e-9)
 
 
 def test_partial_sups_nondecreasing(gauss_measure, mu15_measure):
@@ -391,63 +411,70 @@ def _golden_max_scalar(f, a, b, iters=40):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _tail_at(scan, s):
-    j = min(int(np.searchsorted(scan.grid, s, side="right") - 1), len(scan.grid) - 2)
-    partial = -np.inf
-    if s < scan.grid[j + 1]:
-        logs, _, _ = quad.refine_log_panels(scan.neg_v_s, [s], [scan.grid[j + 1]], criteria._PANEL_PTOL, 60,
-                                            strict=False)
-        partial = float(logs[0])
-    return float(np.logaddexp(partial, scan.tail.suffix[j + 1]))
+def _cell_log(ladder, a, b):
+    """log of the integral of exp(ladder.logf) over [a, b], refined at the
+    ladder's own panel tolerance, depth and strictness."""
+    if not a < b:
+        return -np.inf
+    logs, _, _ = quad.refine_log_panels(ladder.logf, [a], [b], ladder.ptol, ladder.max_depth, ladder.strict)
+    return float(logs[0])
 
 
-def _weight_at(scan, g, prefix, s):
-    j = min(int(np.searchsorted(scan.grid, s, side="right") - 1), len(scan.grid) - 2)
-    partial = -np.inf
-    if s > scan.grid[j]:
-        logs, _, _ = quad.refine_log_panels(g, [scan.grid[j]], [s], criteria._PANEL_PTOL, 60, strict=False)
-        partial = float(logs[0])
-    return float(np.logaddexp(prefix[j], partial))
+def _tail_at(scan, t):
+    """The scan's tail at t > t0 as a scalar query of its ladders: past 0
+    the side's grown ladder from t to its next edge, and from an uneven
+    median to 0 the other side's ladder from 0 to -t."""
+    ladder, other = scan.ladders[scan.sign], scan.ladders[-scan.sign]
+    if t <= 0.0:
+        j = int(np.searchsorted(other.edges, -t, side="right") - 1)
+        inner = np.logaddexp(other.prefix[j], _cell_log(other, other.edges[j], -t))
+        return float(np.logaddexp(ladder.suffix[0], inner))
+    k = int(np.searchsorted(ladder.edges, t))
+    return float(np.logaddexp(_cell_log(ladder, t, ladder.edges[k]), ladder.suffix[k]))
+
+
+def _weight_at(weight, t):
+    """A weight ladder's mass from t0 to t as a scalar query."""
+    j = int(np.searchsorted(weight.edges, t, side="right") - 1)
+    return float(np.logaddexp(weight.prefix[j], _cell_log(weight, weight.edges[j], t)))
 
 
 def _sequential_scan(measure, kind, r, horizons, sign):
     """The scan with one scalar golden-section search per adopted window,
     run when the window is reached; returns (log partial sups, argmax)."""
-    m = measure.median
-    s_h = [h - m if sign > 0 else h + m for h in horizons]
-    scan = criteria._side_scan(measure, sign, horizons, s_h)
+    scan = criteria._side_scan(measure, sign, horizons)
     row = criteria.KINDS[kind]
-    key, g = row.weight(scan, r)
-    prefix = scan.weight_ladder(key, g).prefix
-    lvals = scan.tail.suffix + row.transform(prefix, r)
+    weight = scan.weight_ladder(*row.weight(scan, r))
+    tail = msr._log_mass(scan.ladders, sign * scan.grid, sign)
+    lvals = tail + row.transform(weight.prefix, r)
     lvals[0] = -np.inf
     for i in range(1, len(lvals)):
         if np.isfinite(lvals[i]):
-            lvals[i] += row.log_post(scan.tail.suffix[i] - measure.log_z, r)
+            lvals[i] += row.log_post(tail[i] - measure.log_z, r)
 
-    def log_value_at(s):
-        l_abs = _tail_at(scan, s)
-        return l_abs + row.transform(_weight_at(scan, g, prefix, s), r) + row.log_post(l_abs - measure.log_z, r)
+    def log_value_at(t):
+        l_abs = _tail_at(scan, t)
+        return l_abs + row.transform(_weight_at(weight, t), r) + row.log_post(l_abs - measure.log_z, r)
 
     log_sups, argmaxes = [], []
-    best, best_s = -np.inf, float("nan")
+    best, best_t = -np.inf, float("nan")
     lo_idx = 1
     grid = scan.grid
-    for s_hzn in s_h:
-        hi_idx = int(np.searchsorted(grid, s_hzn, side="right"))
+    for t_hzn in horizons:
+        hi_idx = int(np.searchsorted(grid, t_hzn, side="right"))
         if hi_idx > lo_idx:
             j = int(np.argmax(lvals[lo_idx:hi_idx])) + lo_idx
             if lvals[j] > best:
-                best, best_s = float(lvals[j]), float(grid[j])
+                best, best_t = float(lvals[j]), float(grid[j])
                 a = grid[max(j - 1, 1)]
-                b = min(grid[min(j + 1, len(grid) - 1)], s_hzn)
+                b = min(grid[min(j + 1, len(grid) - 1)], t_hzn)
                 if b > a:
-                    s_ref, v_ref = _golden_max_scalar(log_value_at, a, b)
+                    t_ref, v_ref = _golden_max_scalar(log_value_at, a, b)
                     if v_ref > best:
-                        best, best_s = float(v_ref), float(s_ref)
+                        best, best_t = float(v_ref), float(t_ref)
             lo_idx = hi_idx
         log_sups.append(best)
-        argmaxes.append(m + sign * best_s)
+        argmaxes.append(sign * best_t)
     return log_sups, argmaxes
 
 
@@ -489,15 +516,39 @@ def test_lockstep_golden_max_ties_and_nan():
         assert s_max[i] == s_ref and np.array_equal(f_max[i], f_ref, equal_nan=True)
 
 
-def test_hyp_check_builds_no_tail_ladder(exp_measure, monkeypatch):
-    ladders = []
-    ladder = criteria._SideScan._ladder
-    monkeypatch.setattr(criteria._SideScan, "_ladder", lambda scan, g, **k: ladders.append(g) or ladder(scan, g, **k))
-    extensions = []
-    extension = quad.log_extension
+def test_hyp_check_builds_no_tail_ladder(monkeypatch):
+    # a fresh measure, whose ladder ends at 128, short of the last horizon
+    m = msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("exp")))
+    assert m.ladders[+1].edges[-1] < criteria.DEFAULT_HORIZONS[-1]
+    ladders, grows, extensions = [], [], []
+    init, grown, extension = quad.LogLadder.__init__, quad.LogLadder.grown, quad.log_extension
+    monkeypatch.setattr(quad.LogLadder, "__init__",
+                        lambda ladder, g, *a, **k: ladders.append(g) or init(ladder, g, *a, **k))
+    monkeypatch.setattr(quad.LogLadder, "grown", lambda ladder, b: grows.append(b) or grown(ladder, b))
     monkeypatch.setattr(quad, "log_extension", lambda *a, **k: extensions.append(a) or extension(*a, **k))
-    criteria.hyp_mls_check(exp_measure, 1.5, 0.4)
-    assert len(ladders) == 1 and extensions == []  # the n^-(r-1) prefix of one side, no tail
+    criteria.hyp_mls_check(m, 1.5, 0.4)
+    assert len(ladders) == 1 and grows == [] and extensions == []  # the n^-(r-1) prefix of one side, no tail
+    criteria.bp(m)
+    assert grows and len(extensions) == 1  # a scan grows a copy of the ladder, with one extension from its end
+
+
+@pytest.mark.parametrize("token", ["sinpower:2,2", "expr:abs(x)^1.5+0.5*x"])
+def test_scans_and_queries_do_not_depend_on_call_order(token):
+    # a scan reads a grown copy of the measure's ladder: the measure's
+    # ladders and its queries, in the ladder and beyond it, stay bit for bit
+    # as they were, and a scan after queries equals one on a fresh measure
+    spec = msr.PotentialSpec.from_string(token)
+    m, fresh = (msr.normalize(msr.make_potential(spec)) for _ in range(2))
+    ladders = {sign: (m.ladders[sign], m.ladders[sign].edges, m.ladders[sign].suffix) for sign in (+1, -1)}
+    end = m.ladders[+1].edges[-1]
+    xs = np.linspace(m.median, 3.0 * end, 25)
+    before = (msr.log_tail(m, xs), msr.log_cdf(m, -xs))
+    queried, first = criteria.bp(m, horizons=SHORT), criteria.bp(fresh, horizons=SHORT)
+    assert np.array_equal(queried.log_partial_sups, first.log_partial_sups)
+    assert np.array_equal(queried.argmax, first.argmax)
+    assert np.array_equal(msr.log_tail(m, xs), before[0]) and np.array_equal(msr.log_cdf(m, -xs), before[1])
+    for sign, (ladder, edges, suffix) in ladders.items():
+        assert m.ladders[sign] is ladder and ladder.edges is edges and ladder.suffix is suffix
 
 
 def _softplus(y):

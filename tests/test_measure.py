@@ -183,6 +183,31 @@ def test_uneven_median_halves_the_mass(text):
     assert abs(msr.tail(m, m.median) - 0.5) <= 1e-13
 
 
+@pytest.mark.parametrize("token", ["sinpower:2,2", "expr:floor(abs(x)) + 0.8*floor(x)"])
+def test_ladder_growth_is_path_independent(token):
+    # a ladder grown 100 and then 800 past its end is the ladder grown 800
+    # past it at once, bit for bit, on each side (the left ladder of the
+    # floor expression already runs to 1024); its reads inside the ladder it
+    # grew from move by rounding only, and the measure's ladders and queries
+    # do not change
+    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_string(token)))
+    end = min(m.ladders[+1].edges[-1], m.ladders[-1].edges[-1])
+    xs = np.linspace(-0.9 * end, 0.9 * end, 20)
+    before = msr.log_tail(m, xs)
+    for sign in (+1, -1):
+        ladder = m.ladders[sign]
+        edges, start = ladder.edges, ladder.edges[-1]
+        stepwise = ladder.grown(start + 100.0).grown(start + 800.0)
+        direct = ladder.grown(start + 800.0)
+        assert stepwise.edges[-1] >= start + 800.0 > stepwise.edges[-2]
+        for name in ("edges", "prefix", "suffix"):
+            assert np.array_equal(getattr(stepwise, name), getattr(direct, name)), (sign, name)
+        assert ladder.edges is edges
+        ts = np.linspace(0.0, 0.9 * start, 20)
+        assert np.allclose(direct.upper(ts), ladder.upper(ts), rtol=1e-10, atol=0.0)
+    assert np.array_equal(msr.log_tail(m, xs), before)
+
+
 @pytest.mark.parametrize("text", ["abs(x)+0.3*x", "abs(x)^1.5", "floor(abs(x)) + 0.5*floor(x)"])
 def test_normalize_integrates_each_side_once(text, monkeypatch):
     # one ladder and one extension beyond it per side, one in all for an
@@ -377,7 +402,7 @@ def _scalar_log_beyond(m, s, sign):
     extension from the point itself."""
     pot = m.potential
     return quad.log_extension(
-        lambda t: -pot.value(sign * t), s, initial_width=1.0, breakpoints=pot.side_breakpoints(0.0, sign)
+        lambda t: -pot.value(sign * t), s, initial_width=1.0, breakpoints=pot.side_breakpoints(sign)
     )
 
 
@@ -391,13 +416,14 @@ def _integrate_log(logf, a, b, cfg):
 
 def _scalar_ladder_upper(m, ladder, s):
     """A ladder's mass from s to infinity: one integration of the partial
-    cell, or one extension from a point beyond the ladder."""
+    cell up to the first edge at or past s, none on an edge, or None for a
+    point beyond the ladder, which ``_scalar_log_side`` gives one extension."""
     edges = ladder.edges
-    if s >= edges[-1]:
+    if s > edges[-1]:
         return None
-    i = min(int(np.searchsorted(edges, s, side="right") - 1), len(edges) - 2)
-    partial = _integrate_log(ladder.logf, s, float(edges[i + 1]), m.cfg) if s < edges[i + 1] else -np.inf
-    return float(np.logaddexp(partial, ladder.suffix[i + 1]))
+    i = int(np.searchsorted(edges, s))
+    partial = _integrate_log(ladder.logf, s, float(edges[i]), m.cfg) if s < edges[i] else -np.inf
+    return float(np.logaddexp(partial, ladder.suffix[i]))
 
 
 def _scalar_ladder_lower(m, ladder, s):
@@ -435,7 +461,7 @@ def _scalar_log_cdf(m, x):
 
 # The last measure has its median near -3, so its log tails between the
 # median and 0 read the left ladder across the jumps at -3, -2 and -1.
-# Points beyond a ladder share one ladder pass, whose cells sum in another
+# Points beyond a ladder read a grown copy of it, whose cells sum in another
 # order than one extension per point.
 @pytest.mark.parametrize("name", ["exponential", "gaussian", "mu15", "nu2", "nu15", "nu22", "floor", "cattiaux",
                                   "expr:abs(x)^1.5+0.5*x", "expr:x^2/2+sin(x)", "expr:floor(abs(x)) + 0.5*floor(x)",
@@ -449,7 +475,8 @@ def test_batched_queries_equal_scalar_queries(name):
     # built at the measure's cfg, the ladders equal builds at depth 60, not
     # strict, with panel tolerance 1e-11
     for ladder in (right, left):
-        loose = quad.LogLadder(ladder.logf, ladder.edges, 1e-11, 60, strict=False, after=ladder.suffix[-1])
+        loose = quad.LogLadder(ladder.logf, ladder.edges, 1e-11, 60, strict=False)
+        loose._close(ladder.suffix[-1])
         assert np.array_equal(ladder.suffix, loose.suffix)
     # 150 points per side, the median, every edge (both ladder ends among
     # them), the breakpoints, and points beyond the ladders
@@ -466,6 +493,7 @@ def test_batched_queries_equal_scalar_queries(name):
         err = np.abs(batched[beyond] - want[beyond])
         assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(want[beyond]))), query.__name__
         assert query(m, xs[1]) == batched[1]
+    assert m.ladders[+1] is right and right.edges[-1] == hi
 
 
 @pytest.mark.parametrize(

@@ -238,7 +238,7 @@ def test_log_extension_floor_breakpoints_closed_form(x, monkeypatch):
 def test_log_extension_mirrored_breakpoints():
     # the left tail of an uneven floor potential, integrated in s = -x
     pot = msr.make_potential(msr.PotentialSpec.from_expression("floor(abs(x)) + 0.5*floor(x)"))
-    left = pot.side_breakpoints(0.0, -1.0)
+    left = pot.side_breakpoints(-1.0)
     assert left(0.5, 3.5) == [1.0, 2.0, 3.0]
     val = quad.log_extension(lambda s: -pot.value(-s), 2.5, initial_width=1.0, breakpoints=left)
     # V(-s) = floor(s) + 0.5 floor(-s) = 0.5 floor(s) - 0.5 for non-integer s > 0
@@ -453,15 +453,15 @@ def test_refine_log_panels_batch_equals_single_intervals(token):
         assert panels == sum(s[2] for s in single)
 
 
-def _former_prefix_suffix(logf, edges, before, after):
+def _former_prefix_suffix(logf, edges, after):
     """The former panel_log_prefix/suffix: one refinement call over all cells,
-    then the mass beyond each end folded in after the accumulation."""
+    then the mass beyond the end folded in after the accumulation."""
     seg, _, _ = quad.refine_log_panels(logf, edges[:-1], edges[1:], 1e-9, 60, strict=False)
     prefix = np.concatenate([[-np.inf], np.logaddexp.accumulate(seg)])
     suffix = np.empty(len(edges))
     suffix[-1] = after
     suffix[:-1] = np.logaddexp(np.logaddexp.accumulate(seg[::-1])[::-1], after)
-    return np.logaddexp(prefix, before), suffix
+    return prefix, suffix
 
 
 @pytest.mark.parametrize("token", ["exp", "sinpower:2,1", "floor"])
@@ -470,8 +470,9 @@ def test_log_ladder_equals_former_prefix_and_suffix(token):
     pot = msr.make_potential(msr.PotentialSpec.from_string(token))
     logf = lambda x: -pot.value(x)
     edges = np.unique(np.concatenate([np.linspace(0.0, 40.0, 450), pot.breakpoints(0.0, 40.0)]))
-    for before, after in ((-np.inf, -np.inf), (-3.7, -41.2), (0.3, -0.9)):
-        ladder = quad.LogLadder(logf, edges, 1e-9, 60, strict=False, before=before, after=after)
-        prefix, suffix = _former_prefix_suffix(logf, edges, before, after)
+    ladder = quad.LogLadder(logf, edges, 1e-9, 60, strict=False)
+    for after in (-np.inf, -41.2, -0.9):
+        ladder._close(after)  # the mass beyond the end, as a growing ladder sets it
+        prefix, suffix = _former_prefix_suffix(logf, edges, after)
         assert np.array_equal(ladder.prefix, prefix) and np.array_equal(ladder.suffix, suffix)
         assert np.array_equal(ladder.lower(edges), prefix)  # no partial cell at an edge
