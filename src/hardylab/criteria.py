@@ -319,7 +319,7 @@ def _scan_side(measure, kind, r, horizons, sign):
             lo_idx = hi_idx
             if lvals[j] > grid_best:
                 grid_best = lvals[j]
-                a = grid[max(j - 1, 1)]
+                a = grid[j - 1]
                 # the sup runs over (m, X]: never refine past the horizon
                 b = min(grid[min(j + 1, len(grid) - 1)], t_hzn)
                 if b > a:

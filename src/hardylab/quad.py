@@ -9,6 +9,9 @@ changes, so the error accounting stays uniform.
 The log-space twin accumulates log-integrals of exp(g) integrands with
 per-panel log-sum-exp, which keeps criterion scans usable out to potential
 values of several hundred thousand where exp(V) is far beyond float range.
+Its error control is relative to each segment (a cell, an extension chunk):
+a panel's error mass must fit its width share of the segment's budget, so
+panels holding a sliver of the segment's mass stop early.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ _G7_WEIGHTS = np.array(
 _LOG_WK = np.log(_K15_WEIGHTS)
 _LOG_WG = np.log(_G7_WEIGHTS)
 
-_NEGLIGIBLE_NATS = 55.0  # panels below exp(-55) of their segment total are accepted
+_NEGLIGIBLE_NATS = 55.0  # a chunk this far below the running total ends an extension or a truncation search
 # Panels whose |log K15 - log G7| is within this many ulps of |log K15| are
 # accepted: past |log mass| ~ 1e5 the float spacing of the log exceeds ptol.
 _ACCEPT_ULPS = 8
@@ -87,7 +90,7 @@ GRID_STEP = math.pi / 8.0
 # An extension that has refined more panels than this without converging is
 # taken as non-integrable: a persistent oscillation in unsplit chunks would
 # otherwise be refined down to its own scale over ever wider chunks.  The
-# test suite and the benchmark spend at most 2862 panels in one extension.
+# test suite spends at most 2862 panels in one extension, the benchmark 155.
 _EXTENSION_PANEL_BUDGET = 1 << 17
 # Row maxima of panel batches at least this tall are taken column by column;
 # below it one max(axis=1) costs less than a call per column.
@@ -245,8 +248,13 @@ def integrate(f, a, b, cfg=DEFAULT_QUAD, breakpoints=None):
 def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
     """Log integrals of exp(logf) over the intervals [lo[i], hi[i]].
 
-    Returns (seg_logs, seg_errs, panels_used).  seg_errs is a per-segment
-    bound on the relative error, estimated from accepted |logK - logG|.
+    Panel i of segment s is accepted when err_i K_i / T_s <= ptol w_i / W_s
+    (QUADPACK's global criterion in log space: err_i = |log K15 - log G7|,
+    T_s the segment's running total, accepted plus pending, and w_i / W_s =
+    2^-depth_i), or when err_i is within ``_ACCEPT_ULPS`` ulps of |log K_i|.
+    Returns (seg_logs, seg_errs, panels_used); seg_errs, the accepted
+    err_i K_i over each segment's total, bound its relative error by about
+    ptol unless the ulp floor or a non-strict max depth accepted panels.
     The intervals are independent: each one's log integral and error are
     the same bit for bit whatever other intervals share the batch, so
     consecutive edges are passed as ``edges[:-1], edges[1:]``.
@@ -254,10 +262,10 @@ def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
     pa, pb = np.array(lo, dtype=float), np.array(hi, dtype=float)
     nseg = len(pa)
     seg = np.arange(nseg, dtype=np.int64)
-    depth = np.zeros(nseg, dtype=np.int32)
     acc = np.full(nseg, -np.inf)  # accepted log mass per segment
     accerr = np.full(nseg, -np.inf)  # log of accepted absolute-in-log error mass
     panels_used = 0
+    depth = 0  # every pending panel is 2^-depth of its segment
     while len(pa):
         logk, err = _gk_log(logf, pa, pb)
         panels_used += len(pa)
@@ -265,27 +273,24 @@ def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
         # so duplicate segment indices accumulate correctly)
         seg_tot = acc.copy()
         np.logaddexp.at(seg_tot, seg, logk)
-        negligible = logk <= seg_tot[seg] - _NEGLIGIBLE_NATS
-        ok = (err <= ptol) | (err <= _ACCEPT_ULPS * np.spacing(np.abs(logk))) | negligible
-        exhausted = ~ok & (depth >= max_depth)
-        if np.any(exhausted):
+        # log of each panel's share of its segment's total; -inf for panels without mass
+        share = np.subtract(logk, seg_tot[seg], out=np.full(len(logk), -np.inf), where=logk > -np.inf)
+        ok = (err * np.exp(share) <= math.ldexp(ptol, -depth)) | (err <= _ACCEPT_ULPS * np.spacing(np.abs(logk)))
+        if depth >= max_depth and not ok.all():
             if strict:
-                worst = int(np.argmax(np.where(exhausted, err, -np.inf)))
+                worst = int(np.argmax(np.where(ok, -np.inf, err)))
                 raise DepthExhaustedError(
                     "log-space adaptive refinement exhausted max_depth",
                     (float(pa[worst]), float(pb[worst]), float(err[worst])),
                 )
-            ok = ok | exhausted
-        take = ok
-        np.logaddexp.at(acc, seg[take], logk[take])
-        np.logaddexp.at(accerr, seg[take], logk[take] + np.log(np.maximum(err[take], 1e-300)))
-        pa, pb, seg, depth = pa[~take], pb[~take], seg[~take], depth[~take]
+            ok[:] = True
+        np.logaddexp.at(acc, seg[ok], logk[ok])
+        np.logaddexp.at(accerr, seg[ok], logk[ok] + np.log(np.maximum(err[ok], 1e-300)))
+        pa, pb, seg = pa[~ok], pb[~ok], seg[~ok]
         if len(pa):
             mid = 0.5 * (pa + pb)
-            pa = np.concatenate([pa, mid])
-            pb = np.concatenate([mid, pb])
-            seg = np.concatenate([seg, seg])
-            depth = np.concatenate([depth + 1, depth + 1])
+            pa, pb, seg = np.concatenate([pa, mid]), np.concatenate([mid, pb]), np.concatenate([seg, seg])
+            depth += 1
     empty = acc == -np.inf
     seg_errs = np.exp(accerr - np.where(empty, 0.0, acc))
     seg_errs[empty] = 0.0
@@ -327,19 +332,18 @@ def log_extension(logf, start, initial_width, ptol=1e-11, max_depth=48, max_chun
     )
 
 
-# Intervals per refine_log_panels call while a ladder is built, which bounds
-# the memory of the refinement on long ladders.
+# Intervals per refine_log_panels call in a ladder's cells and partial
+# cells, which bounds the memory of the refinement.
 _LADDER_BLOCK = 192
 
 
-def _cell_logs(logf, edges, ptol, max_depth, strict):
-    """Log integrals of exp(logf) over the cells between ``edges``, refined
-    ``_LADDER_BLOCK`` cells per ``refine_log_panels`` call."""
-    lo, hi = edges[:-1], edges[1:]
+def _interval_logs(logf, lo, hi, ptol, max_depth, strict):
+    """Log integrals of exp(logf) over the intervals [lo[i], hi[i]], refined
+    ``_LADDER_BLOCK`` intervals per ``refine_log_panels`` call."""
     blocks = range(0, len(lo), _LADDER_BLOCK)
     seg = [refine_log_panels(logf, lo[i : i + _LADDER_BLOCK], hi[i : i + _LADDER_BLOCK], ptol, max_depth, strict)[0]
            for i in blocks]
-    return np.concatenate([np.empty(0), *seg])  # a single edge has no cells
+    return np.concatenate([np.empty(0), *seg])  # no intervals, no logs
 
 
 def grid_steps(a, b):
@@ -355,11 +359,11 @@ class LogLadder:
     log(int_edges[i]^edges[-1] exp(logf) + exp(after)), and ``cells`` holds
     each cell's log integral, one ``refine_log_panels`` interval at (ptol,
     max_depth, strict).  A query integrates each point's partial cell the
-    same way, in one batch, so it equals a scalar query bit for bit.  A
-    ladder given a side's ``breakpoints(a, b)`` starts at 0 and grows over
-    the doubling chunks [0, 1], [1, 2], [2, 4], ..., split at the
-    breakpoints and, up to ``_MAX_SPLIT_WIDTH`` wide, at a step of at most
-    ``GRID_STEP``: evenly in the chunks of ``truncation_point``, at the
+    same way, ``_LADDER_BLOCK`` points per call, so it equals a scalar query
+    bit for bit.  A ladder given a side's ``breakpoints(a, b)`` starts at 0
+    and grows over the doubling chunks [0, 1], [1, 2], [2, 4], ..., split
+    at the breakpoints and, up to ``_MAX_SPLIT_WIDTH`` wide, at a step of at
+    most ``GRID_STEP``: evenly in the chunks of ``truncation_point``, at the
     multiples of ``GRID_STEP`` (the scan grids') in those ``grown`` adds.
     An edge depends only on its position: growing to a, then b, equals
     growing to b, bit for bit.
@@ -368,7 +372,7 @@ class LogLadder:
     def __init__(self, logf, edges, ptol, max_depth, strict, breakpoints=None):
         self.logf, self.ptol, self.max_depth, self.strict = logf, ptol, max_depth, strict
         self.edges, self.breakpoints = np.asarray(edges, dtype=float), breakpoints
-        self.cells = _cell_logs(logf, self.edges, ptol, max_depth, strict)
+        self.cells = _interval_logs(logf, self.edges[:-1], self.edges[1:], ptol, max_depth, strict)
         self._close(-np.inf)
 
     def _close(self, after=None):
@@ -391,7 +395,7 @@ class LogLadder:
             chunk = np.unique(np.concatenate([[lo, hi], steps, self.breakpoints(lo, hi)]))
             new = np.concatenate([new, chunk[chunk > new[-1]]])
         new = new[: np.searchsorted(new, b) + 1]
-        cells = _cell_logs(self.logf, new, self.ptol, self.max_depth, self.strict)
+        cells = _interval_logs(self.logf, new[:-1], new[1:], self.ptol, self.max_depth, self.strict)
         self.edges = np.concatenate([self.edges, new[1:]])
         self.cells = np.concatenate([self.cells, cells])
         return float(np.logaddexp.reduce(cells))
@@ -406,8 +410,7 @@ class LogLadder:
 
     def _partial(self, lo, hi):
         out, on = np.full(len(lo), -np.inf), lo < hi
-        if on.any():
-            out[on] = refine_log_panels(self.logf, lo[on], hi[on], self.ptol, self.max_depth, self.strict)[0]
+        out[on] = _interval_logs(self.logf, lo[on], hi[on], self.ptol, self.max_depth, self.strict)
         return out
 
     def upper(self, x):

@@ -38,6 +38,24 @@ def cattiaux_measure():
     return scenarios.corpus_measure("cattiaux")
 
 
+@pytest.fixture
+def panels(monkeypatch):
+    """One-element counter of the panels of every ``quad.refine_log_panels``
+    call the test makes."""
+    from hardylab import quad
+
+    counted = [0]
+    refine = quad.refine_log_panels
+
+    def counting(*args, **kwargs):
+        out = refine(*args, **kwargs)
+        counted[0] += out[2]
+        return out
+
+    monkeypatch.setattr(quad, "refine_log_panels", counting)
+    return counted
+
+
 def _derivative_error(value, derivative, avoid=lambda x: False, n_points=100, seed=20240229, span=50.0):
     """Max relative discrepancy between ``derivative`` and central differences
     of ``value`` at ``n_points`` points drawn one at a time, uniform in

@@ -357,6 +357,31 @@ def test_bp_far_horizons_on_unsplit_ladder_cells():
     assert np.diff(scan.grid).max() <= math.pi / 8.0 * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("step", [1.0 / 3.0, 0.45])
+def test_bp_sup_next_to_the_median_does_not_depend_on_the_first_grid_point(cattiaux_measure, step, monkeypatch):
+    # cattiaux's bp sup sits at x = 0.3221, between the median 0 and the
+    # first grid point; the golden-section bracket starts at the median, so
+    # the first grid point (pi/8, 1/3 or 0.45) does not set the sup
+    base = criteria.bp(cattiaux_measure)
+    assert base.log_partial_sups[-1] == pytest.approx(-2.56889411858, abs=1e-10)
+    assert abs(base.final_argmax) == pytest.approx(0.32212083, abs=1e-6)
+    monkeypatch.setattr(quad, "GRID_STEP", step)
+    assert criteria._side_scan(cattiaux_measure, +1, base.horizons).grid[1] == step
+    res = criteria.bp(cattiaux_measure)
+    assert res.log_partial_sups == pytest.approx(base.log_partial_sups, rel=1e-12)
+    assert res.final_argmax == pytest.approx(base.final_argmax, abs=1e-6)
+
+
+def test_bp_panel_budget_on_nu22(panels):
+    # nu22's scan cells near x = 800, where V rises by thousands of nats per
+    # cell, cost few panels: the bp scan took about 150k panels when every
+    # panel was held to ptol on its own, and takes about 68k
+    m = msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("sinpower", 2, 2)))
+    panels[0] = 0  # the scan's panels alone
+    criteria.bp(m)
+    assert panels[0] <= 80000
+
+
 def test_partial_sups_nondecreasing(gauss_measure, mu15_measure):
     for m in (gauss_measure, mu15_measure):
         res = criteria.bls(m, horizons=SHORT)
@@ -466,7 +491,7 @@ def _sequential_scan(measure, kind, r, horizons, sign):
             j = int(np.argmax(lvals[lo_idx:hi_idx])) + lo_idx
             if lvals[j] > best:
                 best, best_t = float(lvals[j]), float(grid[j])
-                a = grid[max(j - 1, 1)]
+                a = grid[j - 1]
                 b = min(grid[min(j + 1, len(grid) - 1)], t_hzn)
                 if b > a:
                     t_ref, v_ref = _golden_max_scalar(log_value_at, a, b)

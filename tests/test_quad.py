@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardylab import measure as msr
 from hardylab import quad
@@ -211,28 +212,14 @@ def test_truncation_point_at_or_above_closed_form_root(family, eps, end):
     assert ladders[+1].edges[-1] == end
 
 
-def _count_panels(monkeypatch):
-    counted = [0]
-    refine = quad.refine_log_panels
-
-    def counting(*args, **kwargs):
-        out = refine(*args, **kwargs)
-        counted[0] += out[2]
-        return out
-
-    monkeypatch.setattr(quad, "refine_log_panels", counting)
-    return counted
-
-
 @pytest.mark.parametrize("x", [0.0, 0.3, 2.5, 27.74, 100.2, 700.9])
-def test_log_extension_floor_breakpoints_closed_form(x, monkeypatch):
+def test_log_extension_floor_breakpoints_closed_form(x, panels):
     pot = msr.make_potential(msr.PotentialSpec.builtin("floor"))
-    counted = _count_panels(monkeypatch)
     val = quad.log_extension(lambda t: -pot.value(t), x, initial_width=1.0, breakpoints=pot.breakpoints)
     assert val == pytest.approx(math.log(_floor_tail_closed_form(x)), abs=1e-13 * max(1.0, x))
     # split at the unit jumps, every panel of a constant density is accepted
     # whole: one per unit interval (unsplit chunks take about 9000)
-    assert counted[0] <= 200
+    assert panels[0] <= 200
 
 
 def test_log_extension_mirrored_breakpoints():
@@ -247,10 +234,9 @@ def test_log_extension_mirrored_breakpoints():
     assert val == pytest.approx(math.log(exact), abs=1e-12)
 
 
-def test_normalize_floor_panel_gate(monkeypatch):
-    counted = _count_panels(monkeypatch)
+def test_normalize_floor_panel_gate(panels):
     msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("floor")))
-    assert counted[0] < 20000
+    assert panels[0] < 20000
 
 
 def _truncation_bisection(potential, eps):
@@ -451,6 +437,79 @@ def test_refine_log_panels_batch_equals_single_intervals(token):
         assert np.array_equal(logs, [s[0][0] for s in single])
         assert np.array_equal(errs, [s[1][0] for s in single])
         assert panels == sum(s[2] for s in single)
+
+
+def _gaussian_log_mass(a, b):
+    """log int_a^b exp(-x^2/2), from erfc on one side of 0 so that no digits cancel."""
+    r = math.sqrt(0.5)
+    if a >= 0.0:
+        d = math.erfc(a * r) - math.erfc(b * r)
+    elif b <= 0.0:
+        d = math.erfc(-b * r) - math.erfc(-a * r)
+    else:
+        d = math.erf(b * r) - math.erf(a * r)
+    return 0.5 * math.log(0.5 * math.pi) + math.log(d)
+
+
+def _exp_log_mass(a, b):
+    """log int_a^b exp(-x)."""
+    return -a + math.log(-math.expm1(-(b - a)))
+
+
+_CLOSED_FORMS = {
+    "exp": (lambda x: -x, _exp_log_mass, st.floats(-100.0, 100.0), st.floats(1e-3, 50.0)),
+    "gaussian": (lambda x: -0.5 * x * x, _gaussian_log_mass, st.floats(-10.0, 10.0), st.floats(0.05, 6.0)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_CLOSED_FORMS))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), digits=st.integers(8, 11))
+def test_refine_log_panels_closed_forms_within_ptol(family, data, digits):
+    # each segment's log integral is within ptol of the closed form, and its
+    # seg_errs, the estimated relative error, stays within a small multiple of ptol
+    logf, exact, starts, widths = _CLOSED_FORMS[family]
+    segments = data.draw(st.lists(st.tuples(starts, widths), min_size=1, max_size=6))
+    lo = np.array([a for a, _ in segments])
+    hi = lo + np.array([w for _, w in segments])
+    ptol = 10.0**-digits
+    logs, errs, _ = quad.refine_log_panels(logf, lo, hi, ptol, 48)
+    want = np.array([exact(a, b) for a, b in zip(lo, hi)])
+    assert np.all(np.abs(logs - want) <= ptol)
+    assert np.all(errs <= 2.0 * ptol)
+
+
+@pytest.mark.parametrize("ptol", [1e-9, 1e-11])
+@pytest.mark.parametrize("slope", [3000.0, -3000.0])
+def test_needle_cell_closed_form_in_few_panels(slope, ptol):
+    # V = -+3000 t rises by 1178 nats inside one GRID_STEP cell, as V does
+    # across a scan cell of nu22 near x = 800; nearly all of the cell's mass
+    # sits in one end panel, and the panels holding slivers of it stop early
+    # (accepted one by one at ptol, the cell took 33 panels at 1e-9 and 57 at 1e-11)
+    b = quad.GRID_STEP
+    logs, errs, panels = quad.refine_log_panels(lambda t: slope * t, [0.0], [b], ptol, 60)
+    if slope > 0.0:
+        exact = slope * b - math.log(slope) + math.log1p(-math.exp(-slope * b))
+    else:
+        exact = -math.log(-slope) + math.log(-math.expm1(slope * b))
+    assert abs(logs[0] - exact) <= ptol
+    assert errs[0] <= 2.0 * ptol
+    assert panels < 30
+
+
+def test_ladder_queries_refine_partial_cells_in_blocks(monkeypatch):
+    # a batch of 1000 points is refined at most _LADDER_BLOCK partial cells
+    # per call, and each point reads what it reads alone, bit for bit
+    pot = msr.make_potential(msr.PotentialSpec.builtin("sinpower", 2, 1))
+    ladder = quad.LogLadder(lambda x: -pot.value(x), np.linspace(0.0, 40.0, 41), 1e-11, 48, strict=True)
+    xs = np.random.default_rng(3).uniform(0.0, 40.0, 1000)
+    lengths = []
+    refine = quad.refine_log_panels
+    monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: lengths.append(len(a[1])) or refine(*a, **k))
+    upper, lower = ladder.upper(xs), ladder.lower(xs)
+    assert sum(lengths) == 2 * len(xs) and max(lengths) <= quad._LADDER_BLOCK
+    for i in range(0, len(xs), 97):
+        assert upper[i] == ladder.upper(xs[i : i + 1])[0] and lower[i] == ladder.lower(xs[i : i + 1])[0]
 
 
 def _former_prefix_suffix(logf, edges, after):
