@@ -30,7 +30,7 @@ class DepthExhaustedError(HardyLabError, ArithmeticError):
 
 
 class BracketError(HardyLabError, ArithmeticError):
-    """A bracketing search (root find or Luxemburg bisection) failed."""
+    """A bracketing search (the Luxemburg bisection) failed."""
 
 
 class EnergyGuardError(HardyLabError, ZeroDivisionError):

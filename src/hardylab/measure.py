@@ -24,7 +24,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from . import quad as quad_mod
-from .errors import BracketError, DomainValidationError
+from .errors import DomainValidationError
 from .quad import DEFAULT_QUAD, QuadConfig
 
 UNDERFLOW_FLOOR = 1e-300
@@ -374,7 +374,7 @@ def normalize(potential, cfg=DEFAULT_QUAD, eps_trunc=DEFAULT_EPS_TRUNC, label=""
     return Measure1D(
         potential=potential,
         log_z=log_z,
-        median=0.0 if potential.is_even else _median(ladders, log_z),
+        median=0.0 if potential.is_even else _ladder_quantile(ladders, log_z, 0.5),
         truncation=trunc,
         cfg=cfg,
         eps_trunc=eps_trunc,
@@ -394,20 +394,24 @@ def _default_label(spec):
     return "tabulated"
 
 
-def _median(ladders, log_z):
-    """The x with mass Z/2 on each side: on the side with the larger ladder
-    total, the s = sign * x where that ladder's mass beyond s falls to Z/2,
-    located in the cell its suffix names by ``quad._lattice_root``."""
-    sign = 1 if ladders[+1].suffix[0] > ladders[-1].suffix[0] else -1
+def _ladder_quantile(ladders, log_z, p):
+    """The x with mass p * Z on (-inf, x], from unchanged ``ladders``: -s for
+    the s where the left ladder's mass beyond falls to p * Z when p <= cdf(0),
+    else the s where the right one's falls to (1 - p) * Z.  A root past the
+    ladder's end reads a copy grown by doubling; ``quad._lattice_root`` finds
+    it in the cell the suffix names."""
+    left = log_z + math.log(p)
+    sign, target = (-1, left) if left <= ladders[-1].suffix[0] else (1, log_z + math.log1p(-p))
     ladder = ladders[sign]
-    half = log_z - math.log(2.0)
-    j = max(int(np.count_nonzero(ladder.suffix >= half)) - 1, 0)  # suffix[j] >= half > suffix[j + 1]
+    while ladder.suffix[-1] >= target:
+        ladder = ladder.grown(2.0 * ladder.edges[-1])
+    j = max(int(np.count_nonzero(ladder.suffix >= target)) - 1, 0)  # suffix[j] >= target > suffix[j + 1]
     s = quad_mod._lattice_root(
-        lambda t: float(ladder.upper(np.array([t]))[0] - half),
+        lambda t: float(ladder.upper(np.array([t]))[0] - target),
         float(ladder.edges[j]), float(ladder.edges[j + 1]),
-        float(ladder.suffix[j] - half), float(ladder.suffix[j + 1] - half), steps=2**48,
+        float(ladder.suffix[j] - target), float(ladder.suffix[j + 1] - target), steps=2**48,
     )
-    return sign * s if s else 0.0  # equal sides give +0.0, not -0.0
+    return sign * s if s else 0.0  # a root at 0 gives +0.0, not -0.0
 
 
 def _log_mass(ladders, x, sign):
@@ -484,38 +488,14 @@ def cdf(measure, x):
 
 
 def quantile(measure, p):
-    """x with CDF(x) = p to 1e-11 absolute in p (bisection + secant polish)."""
+    """x with CDF(x) = p, located as the median is: in the ladder cell (of a
+    grown copy, past the ladder's end) where the log mass beyond reaches its
+    target, on a lattice of 2^48 steps of the cell, so x holds the quadrature
+    tolerance down to the smallest float p; p = 1/2 returns the median.  p
+    outside (0, 1), or nan, raises DomainValidationError."""
     if not 0.0 < p < 1.0:
         raise DomainValidationError("quantile requires p in (0, 1)")
-    if measure.is_even and p == 0.5:
-        return 0.0
-    # bracket
-    lo, hi = measure.median - 1.0, measure.median + 1.0
-    while cdf(measure, lo) > p:
-        lo = measure.median - 2.0 * (measure.median - lo)
-        if measure.median - lo > 1e7:
-            raise BracketError("quantile bracket expansion failed (left)")
-    while cdf(measure, hi) < p:
-        hi = measure.median + 2.0 * (hi - measure.median)
-        if hi - measure.median > 1e7:
-            raise BracketError("quantile bracket expansion failed (right)")
-    flo, fhi = cdf(measure, lo) - p, cdf(measure, hi) - p
-    x = 0.5 * (lo + hi)
-    for it in range(200):
-        fx = cdf(measure, x) - p
-        if abs(fx) <= 1e-11 or hi - lo <= 1e-15 * max(1.0, abs(x)):
-            return x
-        if fx < 0:
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-        # alternate secant and bisection so a stale endpoint cannot stall
-        if it % 2 == 0 and fhi != flo:
-            xs = hi - fhi * (hi - lo) / (fhi - flo)
-        else:
-            xs = 0.5 * (lo + hi)
-        x = xs if lo < xs < hi else 0.5 * (lo + hi)
-    return x
+    return measure.median if p == 0.5 else _ladder_quantile(measure.ladders, measure.log_z, p)
 
 
 class _InverseCDF:

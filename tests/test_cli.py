@@ -23,12 +23,15 @@ def get(doc, name):
 
 
 def test_measure_info(capsys):
-    code, doc = run_json(capsys, ["measure", "info", "--potential", "exp", "--tail-at", "1.0"])
+    argv = ["measure", "info", "--potential", "exp", "--tail-at", "1.0", "--quantile-at", "1e-320"]
+    code, doc = run_json(capsys, argv)
     assert code == 0
     jsonschema.validate(doc, cli.JSON_SCHEMA)
     assert get(doc, "Z")["value"] == pytest.approx(2.0, rel=1e-8)
     assert get(doc, "median")["value"] == 0.0
     assert get(doc, "tail(1)")["value"] == pytest.approx(math.exp(-1) / 2, rel=1e-8)
+    # log(2p) = -736.134..., with p the subnormal float nearest 1e-320 (printed as 9.99989e-321)
+    assert get(doc, f"quantile({1e-320:g})")["value"] == pytest.approx(math.log(2.0 * 1e-320), rel=1e-12)
     assert doc["config"]["potential"] == "exp"  # reproducible header
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -157,6 +158,9 @@ def test_normalize_power_r2_matches_gamma():
 
 def test_even_measure_median_zero(nu2_measure):
     assert nu2_measure.median == 0.0
+    # the left ladder's log total rounds one ulp above log(Z/2) here, and its root at p = 1/2 to -1.2e-15
+    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("floor(abs(x))*2", even=True)))
+    assert msr.quantile(nu2_measure, 0.5) == msr.quantile(m, 0.5) == 0.0
 
 
 def test_truncation_defect_bound(exp_measure, gauss_measure, floor_measure, cattiaux_measure):
@@ -277,12 +281,53 @@ def test_quantile_domain(exp_measure):
         msr.quantile(exp_measure, 1.2)
 
 
+_CLOSED_QUANTILES = {  # p -> the x with CDF(x) = p, for p <= 1/2
+    "exponential": lambda p: math.log(2.0 * p),
+    "gaussian": statistics.NormalDist().inv_cdf,
+}
+
+
 def test_quantile_roundtrip_grid(exp_measure, gauss_measure):
     ps = np.linspace(0.01, 0.99, 99)
     for m in (exp_measure, gauss_measure):
-        for p in ps:
-            x = msr.quantile(m, float(p))
+        q = _CLOSED_QUANTILES[m.label]
+        for p in ps.tolist():
+            x = msr.quantile(m, p)
             assert msr.cdf(m, x) == pytest.approx(p, abs=1e-8)
+            assert x == pytest.approx(q(p) if p <= 0.5 else -q(1.0 - p), abs=1e-12)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", sorted(_CLOSED_QUANTILES))
+def test_quantile_matches_closed_forms_deep_in_the_tails(name, side):
+    # the left tail down to p = 1e-300; on the right, quantile(1 - p) against
+    # -q(1 - (1 - p)), whose complement is exact in floats, for each 1 - p < 1
+    m, q = scenarios.corpus_measure(name), _CLOSED_QUANTILES[name]
+    for p in np.logspace(-300, math.log10(0.5), 121).tolist():
+        if side == "left":
+            got, want = msr.quantile(m, p), q(p)
+        elif 1.0 - p < 1.0:
+            got, want = msr.quantile(m, 1.0 - p), -q(1.0 - (1.0 - p))
+        else:
+            continue
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (p, got, want)
+
+
+@pytest.mark.parametrize(
+    "text", ["abs(x)+0.3*x", "floor(abs(x)) + 0.8*floor(x)", "abs(x)^1.5+0.5*x", "4*log(1+abs(x))"]
+)
+def test_quantile_round_trips_through_log_cdf(text):
+    # the even heavy tail's roots lie far past its ladder's end (3.7e6 at 1e-20)
+    heavy = text.startswith("4*log")
+    ps = (1e-20, 1e-40) if heavy else (1e-12, 0.1, 0.4, 0.6, 0.9)
+    spec = msr.PotentialSpec.from_expression(text, even=heavy)
+    m = msr.normalize(msr.make_potential(spec))
+    edges = {sign: m.ladders[sign].edges for sign in (+1, -1)}
+    for p in ps:
+        got = msr.log_cdf(m, msr.quantile(m, p))
+        assert abs(got - math.log(p)) <= 1e-12 * abs(math.log(p)), (p, got)
+    assert msr.quantile(m, 0.5) == m.median
+    assert all(m.ladders[sign].edges is edges[sign] for sign in (+1, -1))  # grown copies only
 
 
 @settings(deadline=None, max_examples=25)
