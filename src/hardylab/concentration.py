@@ -1,10 +1,11 @@
 """Monte Carlo verification of product-measure concentration bounds.
 
 Deviation experiments draw from mu^(0x)n with the counter-based Philox
-generator (disjoint jumped streams per batch, merged in fixed batch order,
-so results are bit-for-bit reproducible), tabulate two-sided empirical
-tails of a statistic with known Lipschitz constants, and compare them with
-the two-level bound
+generator (disjoint jumped streams per batch, merged in fixed batch order;
+each batch is filled in per-CPU slices of its stream, the same draws for
+any CPU count, so results are bit-for-bit reproducible), hold one batch at
+a time, tabulate two-sided empirical tails of a statistic with known
+Lipschitz constants, and compare them with the two-level bound
 
     2 exp(-1/2 min(t^2 / (C L2^2), t^r / (C^(r-1) L_{r,2}^r))).
 
@@ -32,6 +33,7 @@ from .errors import DomainValidationError
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _BATCH = 50_000
+_SOFTMAX_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -121,9 +123,16 @@ def _statistic(name, beta=None):
             raise DomainValidationError("softmax statistic needs beta > 0")
 
         def f(x):
-            m = np.max(x, axis=1, keepdims=True)
-            w = beta * (x - m)
-            return (m + np.log(np.sum(np.exp(w, out=w), axis=1, keepdims=True)) / beta)[:, 0]
+            # row blocks keep the temporaries small; each row's value is the
+            # one-shot formula's, bit for bit
+            out = np.empty(x.shape[0])
+            for a in range(0, x.shape[0], _SOFTMAX_ROWS):
+                block = x[a : a + _SOFTMAX_ROWS]
+                m = np.max(block, axis=1, keepdims=True)
+                w = block - m
+                w *= beta
+                out[a : a + len(block)] = (m + np.log(np.sum(np.exp(w, out=w), axis=1, keepdims=True)) / beta)[:, 0]
+            return out
 
         return (f, lambda n, r: 1.0, lambda n, r: 1.0)
     if name == "zero":
@@ -137,8 +146,8 @@ def _batched_samples(measure, n, count, seed):
     batch_index = 0
     while done < count:
         take = min(_BATCH, count - done)
-        draws = measure_mod.sample(measure, seed, take * n, _batch_index=batch_index)
-        yield batch_index, draws.reshape(take, n)
+        # no local holds a batch while the next one is drawn
+        yield batch_index, measure_mod.sample(measure, seed, take * n, _batch_index=batch_index).reshape(take, n)
         done += take
         batch_index += 1
 
@@ -161,6 +170,7 @@ def deviation_experiment(measure, n, statistic, t_grid, count, seed, C, r, beta=
     for _, batch in _batched_samples(measure, n, count, seed):
         values[pos : pos + len(batch)] = f(batch)
         pos += len(batch)
+        del batch  # freed before the next batch is drawn
     mean = float(values.mean())
     se_mean = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     dev = np.abs(values - mean)
@@ -283,6 +293,7 @@ def enlargement_experiment(measure, n, t_grid, count, seed, C, r):
     for _, batch in _batched_samples(measure, n, count, seed):
         samples[pos : pos + len(batch)] = batch
         pos += len(batch)
+        del batch  # freed before the next batch is drawn
     sums = samples.sum(axis=1)
     c = float(np.median(sums))
     costs = _halfspace_cost(samples, c, r)

@@ -18,6 +18,7 @@ extrapolation flag per query).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,7 @@ from .quad import DEFAULT_QUAD, QuadConfig
 UNDERFLOW_FLOOR = 1e-300
 _LOG_FLOOR = math.log(UNDERFLOW_FLOOR)
 DEFAULT_EPS_TRUNC = 1e-12
+_SLICE_BITS = 18  # a sample call splits only with at least 2^18 draws per slice
 
 _FAMILY_ARITY = {"exp": 0, "gaussian": 0, "power": 1, "sinpower": 2, "cattiaux": 2, "floor": 0}
 
@@ -502,16 +504,17 @@ class _InverseCDF:
     """Piecewise-linear inverse of a CDF table, found through a guide table.
 
     The guide table (Chen & Asau 1974; Devroye 1986, section III.2.4) splits
-    [cdf[0], cdf[-1]] into equal-width buckets.  Each bucket stores the first
-    table interval a u in it can fall in; a few vectorized forward steps
-    finish the search, and the draws of the few buckets that span more
-    intervals than that fall back to a binary search.  The interval found is
-    the one ``np.interp`` finds, and the arithmetic is its arithmetic, so
-    the result is bit-identical to ``np.interp(clip(u), cdf, xs)``.
+    [cdf[0], cdf[-1]] into 65,536 equal-width buckets.  Each bucket stores
+    the first table interval a u in it can fall in and the one node that may
+    split it (``split = cdf[first + 1]``), so a draw costs one lookup, one
+    compare and one add; the draws of the buckets holding two or more nodes
+    that may split them (the tails) fall back to a binary search.  Nothing
+    here assumes equispaced nodes.  The interval found is the one
+    ``np.interp`` finds, and the arithmetic is its arithmetic, so the result
+    is bit-identical to ``np.interp(clip(u), cdf, xs)``.
     """
 
-    BUCKETS = 32768
-    STEPS = 4
+    BUCKETS = 65536
     CHUNK = 32768  # draws per pass, so the temporaries stay in cache
 
     def __init__(self, xs, cdf_nodes):
@@ -527,9 +530,10 @@ class _InverseCDF:
         lo = np.maximum(np.searchsorted(node_bucket, buckets, side="left") - 1, 0)
         hi = np.searchsorted(node_bucket, buckets, side="right") - 1
         self.first = lo
-        self.wide = hi - lo > self.STEPS
-        # next_cdf[j] = cdf[j + 1]; +inf stops the steps at the last node
-        self.next_cdf = np.append(cdf_nodes[1:], np.inf)
+        self.wide = hi - lo > 1
+        # cdf[lo + 1] is the only node that can split a narrow bucket; +inf
+        # past the last node keeps u = cdf[-1] in the last interval
+        self.split = np.append(cdf_nodes[1:], np.inf)[lo]
         # np.interp's slopes; the last node's slope multiplies u - cdf[-1] = 0
         self.slope = np.append(np.diff(xs) / np.diff(cdf_nodes), 0.0)
 
@@ -559,10 +563,9 @@ class _InverseCDF:
             kc, jc, fc, flagc = k[:n], j[:n], f[:n], flag[:n]
             self._bucket(uc, fc, kc)
             np.take(self.first, kc, out=jc)
-            for _ in range(self.STEPS):
-                np.take(self.next_cdf, jc, out=fc)
-                np.less_equal(fc, uc, out=flagc)
-                jc += flagc
+            np.take(self.split, kc, out=fc)
+            np.less_equal(fc, uc, out=flagc)
+            jc += flagc
             np.take(self.wide, kc, out=flagc)
             wide = np.flatnonzero(flagc)
             if len(wide):
@@ -589,23 +592,60 @@ def _build_sampler(measure, nodes=32769):
     return _InverseCDF(xs, cdf_nodes)
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fill_slice(table, seed, batch_index, start, view):
+    """Draws start, start + 1, ... of the (seed, batch_index) stream into view.
+
+    Philox yields four uniforms per counter step, so advancing the counter by
+    start // 4 (start a multiple of 4) lands on draw ``start`` exactly."""
+    bitgen = np.random.Philox(key=np.uint64(seed))
+    if batch_index:
+        bitgen = bitgen.jumped(batch_index)
+    bitgen.advance(start // 4)
+    np.random.Generator(bitgen).random(out=view)
+    table.invert(view)
+
+
 def sample(measure, seed, count, _batch_index=0):
     """``count`` i.i.d. draws: inverse CDF applied to a Philox uniform stream.
 
     Philox is counter-based, so disjoint jumped sub-streams reproduce the same
     values regardless of scheduling; identical (seed, count) give identical
-    output.  Draws beyond the truncation interval (total mass <= 2 eps_trunc)
-    clamp to its endpoints.  The inverse CDF is the linear interpolant of a
-    Simpson CDF table, looked up through a guide table.
+    output.  One call cuts its stream into slices, one per usable CPU (the
+    slice starts are multiples of 4 draws, and a call of fewer than 2^18
+    draws per slice stays one slice), and fills them on threads: numpy
+    releases the GIL while it draws and inverts, and each slice advances its
+    own copy of the stream to its start, so the draws are the same for any
+    CPU count.  Draws beyond the truncation interval (total mass <= 2
+    eps_trunc) clamp to its endpoints.  The inverse CDF is the linear
+    interpolant of a Simpson CDF table, looked up through a guide table.
     """
     if count < 1:
         raise DomainValidationError("count must be >= 1")
     if measure._sampler is None:
         measure._sampler = _build_sampler(measure)
-    bitgen = np.random.Philox(key=np.uint64(seed))
-    if _batch_index:
-        bitgen = bitgen.jumped(_batch_index)
-    return measure._sampler.invert(np.random.Generator(bitgen).random(count))
+    table = measure._sampler
+    out = np.empty(count)
+    slices = max(1, min(_usable_cpus(), count >> _SLICE_BITS))
+    step = -(-count // (4 * slices)) * 4
+    starts = range(0, count, step)
+    if len(starts) == 1:
+        _fill_slice(table, seed, _batch_index, 0, out)
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=len(starts) - 1) as pool:
+        rest = [pool.submit(_fill_slice, table, seed, _batch_index, a, out[a : a + step]) for a in starts[1:]]
+        _fill_slice(table, seed, _batch_index, 0, out[:step])
+        for job in rest:
+            job.result()
+    return out
 
 
 def n_profile(measure, t):

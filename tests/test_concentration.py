@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,3 +346,33 @@ def test_softmax_statistic_dominates_max(mu15):
     )
     assert rep.statistic == "softmax(2)"
     assert all(0.0 <= p <= 1.0 for p in rep.empirical_tail)
+
+
+def test_block_softmax_matches_one_shot_formula():
+    beta = 2.7
+    f, _, _ = conc._statistic("softmax", beta=beta)
+    rows = 2 * conc._SOFTMAX_ROWS + 123  # not a multiple of the block
+    x = np.random.Generator(np.random.PCG64(9)).normal(size=(rows, 64)) * 3.0
+    kept = x.copy()
+    m = np.max(x, axis=1, keepdims=True)
+    w = beta * (x - m)
+    want = (m + np.log(np.sum(np.exp(w, out=w), axis=1, keepdims=True)) / beta)[:, 0]
+    got = f(x)
+    assert np.array_equal(got, want)
+    assert np.array_equal(x, kept)  # the caller's array is not overwritten
+
+
+@pytest.mark.parametrize("statistic", ["mean_scaled", "softmax"])
+def test_deviation_holds_one_batch_at_a_time(mu15, statistic):
+    # two batches of n = 64: each is _BATCH * 64 doubles (25.6 MB); the
+    # previous batch and the statistic's temporaries must not add another one
+    n, batch_bytes = 64, conc._BATCH * 64 * 8
+    msr.sample(mu15, 0, 1)  # the sampler table is built outside the measurement
+    tracemalloc.start()
+    try:
+        beta = 2.0 if statistic == "softmax" else None
+        conc.deviation_experiment(mu15, n, statistic, (1.0,), 2 * conc._BATCH, seed=3, C=328.36, r=1.5, beta=beta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * batch_bytes

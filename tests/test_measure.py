@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -398,12 +399,57 @@ def test_sample_bit_identical_to_interp(fixture, request):
             np.nextafter(nodes, 1.0),
         ]
     )
+    # the guide table has buckets holding two or more nodes (the tails);
+    # uniforms spread over each of them take the binary-search fallback
+    wide = np.flatnonzero(table.wide)
+    assert len(wide) > 0
+    in_wide = table.lo_u + (wide[:, None] + np.array([0.1, 0.5, 0.9])).ravel() / table.scale
+    special = np.concatenate([special, in_wide])
     pos = np.random.Generator(np.random.PCG64(5)).choice(count, size=len(special), replace=False)
     u[pos] = special
+    bucket = np.empty(count, dtype=np.intp)
+    table._bucket(np.clip(u, cdf[0], cdf[-1]), np.empty(count), bucket)
+    assert np.count_nonzero(table.wide[bucket]) >= len(in_wide)
     want = oracle(u)
     got = table.invert(u)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("fixture", ["mu15_measure", "floor_measure"])
+@pytest.mark.parametrize("batch_index", [0, 3])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sample_slices_reproduce_one_stream(fixture, batch_index, cpus, request, monkeypatch):
+    # a call split into per-CPU slices returns the draws of one jumped stream,
+    # for any CPU count and any count % 4 (the last slice ends mid-block)
+    m = request.getfixturevalue(fixture)
+    monkeypatch.setattr(msr, "_usable_cpus", lambda: cpus)
+    starts = []
+    fill = msr._fill_slice
+
+    def recording(table, seed, batch_index, start, view):
+        starts.append(start)
+        fill(table, seed, batch_index, start, view)
+
+    monkeypatch.setattr(msr, "_fill_slice", recording)
+    seed = 13
+    base = 3 * 2**msr._SLICE_BITS  # three slices' worth
+    bitgen = np.random.Philox(key=np.uint64(seed))
+    if batch_index:
+        bitgen = bitgen.jumped(batch_index)
+    stream = np.random.Generator(bitgen).random(base + 3)
+    msr.sample(m, seed, 1)
+    cdf, xs = m._sampler.cdf, m._sampler.xs
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the slice threads interleave as often as they can
+    try:
+        for count in (base + 1, base + 2, base + 3):
+            starts.clear()
+            want = np.interp(np.clip(stream[:count], cdf[0], cdf[-1]), cdf, xs)
+            assert np.array_equal(msr.sample(m, seed, count, _batch_index=batch_index), want)
+            assert len(starts) == cpus and all(a % 4 == 0 for a in starts)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("name", ["exp", "gaussian"])
