@@ -141,13 +141,13 @@ def _statistic(name, beta=None):
 
 
 def _batched_samples(measure, n, count, seed):
-    """Yield (batch_index, samples[batch, n]); fixed batch size, jumped streams."""
+    """Yield samples[batch, n]; fixed batch size, one jumped stream per batch."""
     done = 0
     batch_index = 0
     while done < count:
         take = min(_BATCH, count - done)
         # no local holds a batch while the next one is drawn
-        yield batch_index, measure_mod.sample(measure, seed, take * n, _batch_index=batch_index).reshape(take, n)
+        yield measure_mod.sample(measure, seed, take * n, _batch_index=batch_index).reshape(take, n)
         done += take
         batch_index += 1
 
@@ -167,7 +167,7 @@ def deviation_experiment(measure, n, statistic, t_grid, count, seed, C, r, beta=
     f, l2_fn, lr2_fn = _statistic(statistic, beta)
     values = np.empty(count)
     pos = 0
-    for _, batch in _batched_samples(measure, n, count, seed):
+    for batch in _batched_samples(measure, n, count, seed):
         values[pos : pos + len(batch)] = f(batch)
         pos += len(batch)
         del batch  # freed before the next batch is drawn
@@ -290,7 +290,7 @@ def enlargement_experiment(measure, n, t_grid, count, seed, C, r):
     t_grid = tuple(float(t) for t in t_grid)
     samples = np.empty((count, n))
     pos = 0
-    for _, batch in _batched_samples(measure, n, count, seed):
+    for batch in _batched_samples(measure, n, count, seed):
         samples[pos : pos + len(batch)] = batch
         pos += len(batch)
         del batch  # freed before the next batch is drawn

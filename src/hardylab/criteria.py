@@ -44,6 +44,7 @@ DEFAULT_HORIZONS = (25.0, 50.0, 100.0, 200.0, 400.0, 800.0)
 PLATEAU_TOL = 0.05
 SLOPE_FLOOR = 0.02
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERS = 40  # golden-section steps per bracket
 
 # two-sided 95% Student quantiles by degrees of freedom
 _T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365, 8: 2.306}
@@ -109,7 +110,7 @@ def growth_fit(xs, log_ys):
     return (slope, slope - t * se, slope + t * se)
 
 
-def classify(horizons, log_sups, plateau_tol=PLATEAU_TOL, slope_floor=SLOPE_FLOOR):
+def classify(horizons, log_sups):
     """bounded when the sups plateau; divergent when the fitted log-log slope
     over the last half of horizons is positive with 95% confidence; otherwise
     inconclusive."""
@@ -120,9 +121,9 @@ def classify(horizons, log_sups, plateau_tol=PLATEAU_TOL, slope_floor=SLOPE_FLOO
     with np.errstate(over="ignore"):
         plateau_ratio = float(np.exp(log_sups[-1] - log_sups[mid]))
     fit = growth_fit(horizons[k // 2 :], log_sups[k // 2 :])
-    if plateau_ratio <= 1.0 + plateau_tol:
+    if plateau_ratio <= 1.0 + PLATEAU_TOL:
         label = "bounded"
-    elif fit is not None and fit[1] > slope_floor:
+    elif fit is not None and fit[1] > SLOPE_FLOOR:
         label = "divergent"
     else:
         label = "inconclusive"
@@ -170,7 +171,7 @@ class _SideScan:
         return self._weights[key]
 
 
-def _golden_max(f, a, b, iters=40):
+def _golden_max(f, a, b):
     """Golden-section maxima of f on the brackets [a[i], b[i]], in lockstep.
 
     Each bracket follows the scalar search exactly (same probes, same float
@@ -184,7 +185,7 @@ def _golden_max(f, a, b, iters=40):
     d = a + _INVPHI * (b - a)
     fcd = f(np.concatenate([c, d]))
     fc, fd = fcd[:n], fcd[n:]
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         left = fc >= fd
         # left: b, d, fd = d, c, fc, then a new c; right: a, c, fc = c, d, fd, then a new d
         b = np.where(left, d, b)
@@ -282,8 +283,8 @@ def _add_post(vals, l_norm, row, r):
 
 
 def _side_scan(measure, sign, horizons):
-    """The measure's scan state for one side and horizon tuple, built once per grid step."""
-    key = (sign, horizons, quad_mod.GRID_STEP)
+    """The measure's scan state for one side and horizon tuple, built once."""
+    key = (sign, horizons)
     if key not in measure._scans:
         measure._scans[key] = _SideScan(measure, sign, horizons[-1], extra=horizons)
     return measure._scans[key]

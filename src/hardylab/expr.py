@@ -16,7 +16,9 @@ ufunc directly, so ``x^2`` is ``np.power(x, 2.0)``, not a power with an
 array of 2s as exponent.  ``evaluate`` runs a program on a scalar (giving
 a float) or an array (giving a fresh array of the same shape).  ``diff``
 returns a new AST with the almost-everywhere derivative (abs -> sign,
-floor -> 0).
+floor -> 0); ``sign`` is a call that derivatives hold but the grammar does
+not read, and its own derivative is 0.  ASTs may also be built directly
+from the node classes, as ``measure`` builds its potential families.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ _NUMPY_FUNCS = {
     "log": np.log,
     "floor": np.floor,
     "sqrt": np.sqrt,
+    "sign": np.sign,  # only in derivatives: d abs(u) = sign(u) du
 }
 
 
@@ -281,8 +284,7 @@ def diff(node):
     if isinstance(node, Call):
         u, du = node.arg, diff(node.arg)
         if node.fn == "abs":
-            # sign(u): encoded as u/abs(u); a.e. correct, NaN exactly at kinks
-            return _mul(Bin("/", u, Call("abs", u)), du)
+            return _mul(Call("sign", u), du)  # 0 at the kink u = 0
         if node.fn == "sin":
             return _mul(Call("cos", u), du)
         if node.fn == "cos":
@@ -293,7 +295,7 @@ def diff(node):
             return _mul(Bin("/", Num(1.0), u), du)
         if node.fn == "sqrt":
             return _mul(Bin("/", Num(0.5), Call("sqrt", u)), du)
-        if node.fn == "floor":
+        if node.fn in ("floor", "sign"):
             return Num(0.0)  # a.e.
         raise AssertionError(node.fn)
     if node.op == "+":

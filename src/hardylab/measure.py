@@ -1,16 +1,19 @@
 """Potentials V and the line measures dmu = exp(-V) dx / Z they induce.
 
-Built-in potential families (all even, evaluated at |x|):
+Built-in potential families (all even, evaluated at t = |x|):
 
-    exp              V(x) = |x|                      symmetric exponential
-    gaussian         V(x) = x^2 / 2                  standard normal
-    power(r)         V(x) = |x|^r,       r >= 1
-    sinpower(a, l)   V(x) = |x + l sin x|^a,  a > 1, l >= 0
-    cattiaux(r, b)   V(x) = |x|^(r+1) + (r+1)|x|^r sin^2 x + |x|^b,
+    exp              V = t                           symmetric exponential
+    gaussian         V = t^2 / 2                     standard normal
+    power(r)         V = t^r,            r >= 1
+    sinpower(a, l)   V = |t + l sin t|^a,  a > 1, l >= 0
+    cattiaux(r, b)   V = t^(r+1) + (r+1) t^r sin^2 t + t^b,
                      r in (1,2), max(r/2, r - 1/r) < b - 1 < r - 1/2
-    floor            V(x) = floor(|x|)               no derivative
+    floor            V = floor(t)                    no derivative
 
-Potentials can also be given as expression strings (see expr) or as
+Each family is an expression tree (see expr) that holds its parameters'
+exact floats, so built-in and expression potentials share one evaluator,
+their symbolic derivatives and their breakpoints (sin and cos give the
+half-period pi, floor the unit lattice).  Potentials can also be given as
 tabulated grids (linear interpolation, last-slope extrapolation with an
 extrapolation flag per query).
 """
@@ -32,6 +35,7 @@ UNDERFLOW_FLOOR = 1e-300
 _LOG_FLOOR = math.log(UNDERFLOW_FLOOR)
 DEFAULT_EPS_TRUNC = 1e-12
 _SLICE_BITS = 18  # a sample call splits only with at least 2^18 draws per slice
+_SAMPLER_NODES = 32769  # nodes of the sampler's CDF table on [-T, T]
 
 _FAMILY_ARITY = {"exp": 0, "gaussian": 0, "power": 1, "sinpower": 2, "cattiaux": 2, "floor": 0}
 
@@ -47,17 +51,16 @@ class PotentialSpec:
     grid_x: tuple = ()
     grid_v: tuple = ()
     even: bool = True
-    # the parsed expression and its function names, set once at construction
+    # the expression tree and its function names, set once at construction
     ast: object = field(default=None, init=False, repr=False, compare=False)
     functions: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "builtin":
             self._validate_builtin()
+            self._set_ast(_family_tree(self.family, self.params))
         elif self.kind == "expression":
-            ast = expr_mod.parse(self.expression)  # raises ParseError with position
-            object.__setattr__(self, "ast", ast)
-            object.__setattr__(self, "functions", frozenset(expr_mod.functions_used(ast)))
+            self._set_ast(expr_mod.parse(self.expression))  # raises ParseError with position
         elif self.kind == "tabulated":
             xs = np.asarray(self.grid_x, dtype=float)
             if len(xs) < 2 or np.any(np.diff(xs) <= 0):
@@ -66,6 +69,10 @@ class PotentialSpec:
                 raise DomainValidationError("grid_x and grid_v lengths differ")
         else:
             raise DomainValidationError(f"unknown potential kind {self.kind!r}")
+
+    def _set_ast(self, ast):
+        object.__setattr__(self, "ast", ast)
+        object.__setattr__(self, "functions", frozenset(expr_mod.functions_used(ast)))
 
     def _validate_builtin(self):
         fam = self.family
@@ -121,21 +128,37 @@ class PotentialSpec:
     @property
     def oscillation_halfperiod(self):
         """Half oscillation period for panel splitting, or None."""
-        if self.kind == "builtin":
-            if self.family == "sinpower":
-                return math.pi
-            if self.family == "cattiaux":
-                return math.pi / 2.0  # sin^2 has period pi
-        if self.functions & {"sin", "cos"}:
-            return math.pi
-        return None
+        return math.pi if self.functions & {"sin", "cos"} else None
 
     @property
     def unit_breakpoints(self):
         """True when the potential jumps on the integer lattice."""
-        if self.kind == "builtin" and self.family == "floor":
-            return True
         return "floor" in self.functions
+
+
+def _family_tree(family, params):
+    """V of a built-in family as an expression tree in t = |x|, built from
+    nodes that hold the exact parameter floats (the grammar reads no
+    exponent notation, so a parameter such as 1e-07 formatted into the
+    text would not parse)."""
+    x, num, call = expr_mod.Var(), expr_mod.Num, expr_mod.Call
+    add = lambda a, b: expr_mod.Bin("+", a, b)
+    mul = lambda a, b: expr_mod.Bin("*", a, b)
+    pow_ = lambda a, p: expr_mod.Bin("^", a, num(p))
+    if family == "exp":
+        return x
+    if family == "gaussian":
+        return mul(num(0.5), pow_(x, 2.0))
+    if family == "power":
+        return pow_(x, params[0])
+    if family == "sinpower":
+        alpha, lam = params
+        return pow_(call("abs", add(x, mul(num(lam), call("sin", x)))), alpha)
+    if family == "cattiaux":
+        r, beta = params
+        return add(add(pow_(x, r + 1.0), mul(mul(num(r + 1.0), pow_(x, r)), pow_(call("sin", x), 2.0))),
+                   pow_(x, beta))
+    return call("floor", x)
 
 
 @dataclass(frozen=True)
@@ -145,7 +168,6 @@ class Potential:
     value: object  # callable ndarray -> ndarray
     derivative: object | None
     spec: PotentialSpec
-    kinks: tuple = ()
 
     @property
     def is_even(self):
@@ -190,75 +212,18 @@ def _odd_wrap(df):
     return d
 
 
-def _builtin_potential(spec):
-    fam, p = spec.family, spec.params
-    if fam == "exp":
-        value = lambda t: t
-        deriv = lambda t: np.ones_like(np.asarray(t, dtype=float))
-        kinks = (0.0,)
-    elif fam == "gaussian":
-        return Potential(
-            value=lambda x: 0.5 * np.square(np.asarray(x, dtype=float)),
-            derivative=lambda x: np.asarray(x, dtype=float),
-            spec=spec,
-            kinks=(),
-        )
-    elif fam == "power":
-        (r,) = p
-        value = lambda t: np.power(t, r)
-        deriv = lambda t: r * np.power(t, r - 1.0, where=t > 0, out=np.zeros_like(t))
-        kinks = (0.0,)
-    elif fam == "sinpower":
-        alpha, lam = p
-
-        def value(t):
-            return np.power(np.abs(t + lam * np.sin(t)), alpha)
-
-        def deriv(t):
-            u = t + lam * np.sin(t)
-            return alpha * np.power(np.abs(u), alpha - 1.0) * np.sign(u) * (1.0 + lam * np.cos(t))
-
-        kinks = (0.0,)
-    elif fam == "cattiaux":
-        r, beta = p
-
-        def value(t):
-            return np.power(t, r + 1.0) + (r + 1.0) * np.power(t, r) * np.square(np.sin(t)) + np.power(t, beta)
-
-        def deriv(t):
-            return (
-                (r + 1.0) * (1.0 + np.sin(2.0 * t)) * np.power(t, r)
-                + r * (r + 1.0) * np.power(t, r - 1.0, where=t > 0, out=np.zeros_like(t)) * np.square(np.sin(t))
-                + beta * np.power(t, beta - 1.0, where=t > 0, out=np.zeros_like(t))
-            )
-
-        kinks = (0.0,)
-    elif fam == "floor":
-        return Potential(
-            value=_even_wrap(lambda t: np.floor(t)), derivative=None, spec=spec, kinks=()
-        )
-    else:  # pragma: no cover - guarded by spec validation
-        raise AssertionError(fam)
-    return Potential(
-        value=_even_wrap(value), derivative=_odd_wrap(deriv), spec=spec, kinks=kinks
-    )
-
-
 def _expression_potential(spec):
+    """Evaluator of a built-in or expression spec's tree (at |x| when even),
+    with the symbolic a.e. derivative unless V contains floor."""
     program = expr_mod.compile(spec.ast)
-    base = lambda t: np.asarray(expr_mod.evaluate(program, t), dtype=float)
-    if "floor" in spec.functions:
-        dbase = None
-    else:
+    base = lambda t: expr_mod.evaluate(program, t)
+    dbase = None
+    if "floor" not in spec.functions:
         dprogram = expr_mod.compile(expr_mod.diff(spec.ast))
-        dbase = lambda t: np.asarray(expr_mod.evaluate(dprogram, t), dtype=float)
+        dbase = lambda t: expr_mod.evaluate(dprogram, t)
     if spec.even:
-        value = _even_wrap(base)
-        deriv = _odd_wrap(dbase) if dbase is not None else None
-        kinks = (0.0,)
-    else:
-        value, deriv, kinks = base, dbase, (0.0,)
-    return Potential(value=value, derivative=deriv, spec=spec, kinks=kinks)
+        return Potential(value=_even_wrap(base), derivative=_odd_wrap(dbase) if dbase else None, spec=spec)
+    return Potential(value=base, derivative=dbase, spec=spec)
 
 
 class _Table:
@@ -306,25 +271,17 @@ def _tabulated_potential(spec):
         deriv = _odd_wrap(table.deriv)
     else:
         value, deriv = table, table.deriv
-    return TabulatedPotential(
-        value=value, derivative=deriv, spec=spec, kinks=tuple(spec.grid_x), table=table
-    )
+    return TabulatedPotential(value=value, derivative=deriv, spec=spec, table=table)
 
 
 def make_potential(spec):
     """Build the evaluator for a validated PotentialSpec.
 
-    Built-in families come with analytic derivatives where smooth (floor has
-    none); expression potentials get the symbolic a.e. derivative unless they
-    contain floor.  A coarse finiteness check rejects potentials that are not
-    locally bounded.
+    Built-in and expression potentials get the symbolic a.e. derivative of
+    their tree unless it contains floor.  A coarse finiteness check rejects
+    potentials that are not locally bounded.
     """
-    if spec.kind == "builtin":
-        pot = _builtin_potential(spec)
-    elif spec.kind == "expression":
-        pot = _expression_potential(spec)
-    else:
-        pot = _tabulated_potential(spec)
+    pot = _tabulated_potential(spec) if spec.kind == "tabulated" else _expression_potential(spec)
     probe = np.array([-97.3, -31.7, -9.1, -1.3, -0.21, 0.17, 0.93, 7.7, 23.9, 88.1])
     vals = pot.value(probe)
     if not np.all(np.isfinite(vals)):
@@ -353,7 +310,7 @@ class Measure1D:
     label: str = ""
     ladders: dict = field(default_factory=dict, repr=False)
     _sampler: _InverseCDF | None = field(default=None, repr=False)
-    _scans: dict = field(default_factory=dict, repr=False)  # criteria._SideScan by (sign, horizons, grid step)
+    _scans: dict = field(default_factory=dict, repr=False)  # criteria._SideScan by (sign, horizons)
 
     @property
     def is_even(self):
@@ -579,10 +536,10 @@ class _InverseCDF:
         return u
 
 
-def _build_sampler(measure, nodes=32769):
+def _build_sampler(measure):
     """Dense Simpson CDF table on [-T, T] used for vectorized inverse sampling."""
     T = measure.truncation
-    xs = np.linspace(-T, T, nodes)
+    xs = np.linspace(-T, T, _SAMPLER_NODES)
     mids = 0.5 * (xs[:-1] + xs[1:])
     h = xs[1] - xs[0]
     dens = lambda t: np.exp(measure.neg_v(t) - measure.log_z)

@@ -232,7 +232,7 @@ def test_deviation_tail_monotone_and_probabilities(mu15):
 def test_two_sided_tail_consistent_with_one_sided(mu15):
     # |f - m| >= t splits into the two one-sided events; totals must agree
     n, count, seed = 4, 50_000, 21
-    samples = np.vstack([b for _, b in conc._batched_samples(mu15, n, count, seed)])
+    samples = np.vstack(list(conc._batched_samples(mu15, n, count, seed)))
     f = samples.sum(axis=1) / 2.0
     mean = f.mean()
     for t in (0.5, 1.0, 2.0):

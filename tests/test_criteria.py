@@ -302,10 +302,12 @@ def test_verdict_stable_under_denser_grid(exp_measure, floor_measure, monkeypatc
     base_bp = criteria.bp(exp_measure, horizons=SHORT).verdict.label
     base_lo = criteria.blo(floor_measure, 1.5, horizons=SHORT).verdict.label
     base_points = len(criteria._side_scan(floor_measure, +1, SHORT).grid)
+    # a measure keeps its scans, so the denser grid scans fresh measures
+    exp_fresh, floor_fresh = msr.normalize(exp_measure.potential), msr.normalize(floor_measure.potential)
     monkeypatch.setattr(quad, "GRID_STEP", math.pi / 16.0)
-    assert criteria.bp(exp_measure, horizons=SHORT).verdict.label == base_bp
-    assert criteria.blo(floor_measure, 1.5, horizons=SHORT).verdict.label == base_lo
-    assert len(criteria._side_scan(floor_measure, +1, SHORT).grid) > 1.5 * base_points
+    assert criteria.bp(exp_fresh, horizons=SHORT).verdict.label == base_bp
+    assert criteria.blo(floor_fresh, 1.5, horizons=SHORT).verdict.label == base_lo
+    assert len(criteria._side_scan(floor_fresh, +1, SHORT).grid) > 1.5 * base_points
 
 
 @pytest.mark.parametrize("token", ["sinpower:2,1", "expr:abs(x)^1.5+0.5*x"])
@@ -365,9 +367,10 @@ def test_bp_sup_next_to_the_median_does_not_depend_on_the_first_grid_point(catti
     base = criteria.bp(cattiaux_measure)
     assert base.log_partial_sups[-1] == pytest.approx(-2.56889411858, abs=1e-10)
     assert abs(base.final_argmax) == pytest.approx(0.32212083, abs=1e-6)
+    fresh = msr.normalize(cattiaux_measure.potential)  # a measure keeps its scans
     monkeypatch.setattr(quad, "GRID_STEP", step)
-    assert criteria._side_scan(cattiaux_measure, +1, base.horizons).grid[1] == step
-    res = criteria.bp(cattiaux_measure)
+    assert criteria._side_scan(fresh, +1, base.horizons).grid[1] == step
+    res = criteria.bp(fresh)
     assert res.log_partial_sups == pytest.approx(base.log_partial_sups, rel=1e-12)
     assert res.final_argmax == pytest.approx(base.final_argmax, abs=1e-6)
 

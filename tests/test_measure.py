@@ -95,8 +95,100 @@ def test_potential_must_be_locally_bounded():
 )
 def test_analytic_derivatives_match_finite_differences(spec, derivative_error):
     pot = msr.make_potential(spec)
-    near_kink = lambda x: any(abs(x - k) < 0.05 for k in pot.kinks)
+    near_kink = lambda x: abs(x) < 0.05  # each spec's only kink is at 0
     assert derivative_error(pot.value, pot.derivative, near_kink) <= 1e-5
+
+
+# Hand-written numpy closures of the families as the reference: V and V' of
+# the family trees must equal them bit for bit, except cattiaux's V', whose
+# closure is hand-simplified and so agrees only to rounding.
+
+
+def _closure_oracle(family, p):
+    """(V, V') of ``family`` as closures, V' None for floor."""
+    even = lambda f: lambda x: f(np.abs(np.asarray(x, dtype=float)))
+    odd = lambda df: lambda x: np.sign(np.asarray(x, dtype=float)) * df(np.abs(np.asarray(x, dtype=float)))
+    if family == "exp":
+        return even(lambda t: t), odd(lambda t: np.ones_like(t))
+    if family == "gaussian":
+        return lambda x: 0.5 * np.square(np.asarray(x, dtype=float)), lambda x: np.asarray(x, dtype=float)
+    if family == "power":
+        (r,) = p
+        return (even(lambda t: np.power(t, r)),
+                odd(lambda t: r * np.power(t, r - 1.0, where=t > 0, out=np.zeros_like(t))))
+    if family == "sinpower":
+        alpha, lam = p
+
+        def deriv(t):
+            u = t + lam * np.sin(t)
+            return alpha * np.power(np.abs(u), alpha - 1.0) * np.sign(u) * (1.0 + lam * np.cos(t))
+
+        return even(lambda t: np.power(np.abs(t + lam * np.sin(t)), alpha)), odd(deriv)
+    if family == "cattiaux":
+        r, beta = p
+
+        def value(t):
+            return np.power(t, r + 1.0) + (r + 1.0) * np.power(t, r) * np.square(np.sin(t)) + np.power(t, beta)
+
+        def deriv(t):
+            return (
+                (r + 1.0) * (1.0 + np.sin(2.0 * t)) * np.power(t, r)
+                + r * (r + 1.0) * np.power(t, r - 1.0, where=t > 0, out=np.zeros_like(t)) * np.square(np.sin(t))
+                + beta * np.power(t, beta - 1.0, where=t > 0, out=np.zeros_like(t))
+            )
+
+        return even(value), odd(deriv)
+    assert family == "floor"
+    return even(np.floor), None
+
+
+_ORACLE_POINTS = np.concatenate([
+    [0.0, 1.0, -1.0],
+    np.arange(-40, 41) * (math.pi / 2.0),
+    np.random.Generator(np.random.PCG64(15)).uniform(-1000.0, 1000.0, 10**5),
+])
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("exp", ()), ("gaussian", ()), ("power", (1.0,)), ("power", (1.5,)), ("power", (2.5,)),
+        ("sinpower", (2.0, 1.0)), ("sinpower", (2.0, 2.0)), ("sinpower", (1.5, 1.0)), ("sinpower", (1.5, 0.0)),
+        ("sinpower", (2.0, 1e-07)),  # formatted as text, 1e-07 would not parse
+        ("cattiaux", (1.5, 1.9)), ("floor", ()),
+    ],
+)
+def test_family_trees_reproduce_the_closures(family, params):
+    pot = msr.make_potential(msr.PotentialSpec.builtin(family, *params))
+    value, deriv = _closure_oracle(family, params)
+    x = _ORACLE_POINTS
+    assert pot.value(x).tobytes() == value(x).tobytes()
+    if deriv is None:
+        assert pot.derivative is None
+    elif family == "cattiaux":
+        np.testing.assert_allclose(pot.derivative(x), deriv(x), rtol=1e-13, atol=0.0)
+    else:
+        assert pot.derivative(x).tobytes() == deriv(x).tobytes()
+
+
+@pytest.mark.parametrize("text,slope", [("abs(x)", 0.0), ("abs(x)^1.5+0.5*x", 0.5)])
+def test_abs_derivative_at_its_kink(text, slope):
+    # d abs(u) = sign(u) du, which is 0 at u = 0; u/abs(u) would be nan
+    # there, with a RuntimeWarning that the test settings turn into an error
+    pot = msr.make_potential(msr.PotentialSpec.from_string("expr:" + text))
+    assert pot.derivative(0.0) == slope
+    assert pot.derivative(np.array([-1.0, 0.0, 1.0]))[1] == slope
+
+
+def test_builtin_breakpoints_come_from_the_tree():
+    for token in ("sinpower:2,1", "cattiaux:1.5,1.9"):
+        spec = msr.PotentialSpec.from_string(token)
+        assert "sin" in spec.functions and spec.oscillation_halfperiod == math.pi and not spec.unit_breakpoints
+    floor = msr.PotentialSpec.builtin("floor")
+    assert floor.unit_breakpoints and floor.oscillation_halfperiod is None
+    pot = msr.make_potential(msr.PotentialSpec.builtin("cattiaux", 1.5, 1.9))
+    assert pot.breakpoints(0.0, 7.0) == [math.pi, 2.0 * math.pi]
+    assert msr.make_potential(floor).breakpoints(-1.5, 2.5) == [-1.0, 0.0, 1.0, 2.0]
 
 
 def test_floor_has_no_derivative():
