@@ -23,7 +23,11 @@ per-panel log-sum-exp, so the scans stay meaningful far beyond the range
 where exp(V) or exp(-V) is representable.  Partial suprema are recorded at
 each requested horizon; on a grid of step pi/8 (which resolves period-2pi
 oscillations of the potentials) plus golden-section refinement around the
-running argmax.  A bounded criterion yields a constant bracket where the
+running argmax.  The refinements of one scan run in lockstep, and each call
+of the criterion value evaluates every probe of the next three steps that
+the brackets could need.  That relies on an invariant of the measure's
+queries: a point's tail and weight masses are the same bit for bit in any
+batch of points.  A bounded criterion yields a constant bracket where the
 theory provides one: [S, 4S] for bp, and an upper constant
 235 * C_P + 2^(r'+1) * S for bmls when a bp result is supplied.
 """
@@ -38,13 +42,14 @@ import numpy as np
 
 from . import measure as msr
 from . import quad as quad_mod
-from .errors import DomainValidationError
+from .errors import DomainValidationError, HardyLabError
 
 DEFAULT_HORIZONS = (25.0, 50.0, 100.0, 200.0, 400.0, 800.0)
 PLATEAU_TOL = 0.05
 SLOPE_FLOOR = 0.02
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 40  # golden-section steps per bracket
+_LOOKAHEAD = 3  # golden-section steps per batch of probes
 
 # two-sided 95% Student quantiles by degrees of freedom
 _T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365, 8: 2.306}
@@ -175,26 +180,55 @@ def _golden_max(f, a, b):
     """Golden-section maxima of f on the brackets [a[i], b[i]], in lockstep.
 
     Each bracket follows the scalar search exactly (same probes, same float
-    operations, ties and nan going to the right-hand point); ``f`` maps an
-    array of points to their values, so each step is one batch.  Returns
-    the arrays of argmax points and values.
+    operations, ties and nan going to the right-hand point).  A step's
+    probe depends only on the bracket and the branches taken so far, so
+    every probe the next ``_LOOKAHEAD`` steps could need (one for the known
+    branch, then two, then four: 7 per bracket) is evaluated in one call of
+    ``f``, which maps an array of points to their values, and the steps are
+    replayed from those values.  This needs each value to be independent
+    of the batch it is evaluated in.  A batch that raises a ``HardyLabError``
+    or meets a numpy floating-point error is dropped, and its steps call
+    ``f`` on their actual probes one step at a time, so an error or warning
+    comes from a probe that the scalar search evaluates, never from a
+    speculative one.  Returns the arrays of argmax points and values.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    n = len(a)
+    n, cols = len(a), np.arange(len(a))
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fcd = f(np.concatenate([c, d]))
     fc, fd = fcd[:n], fcd[n:]
-    for _ in range(_GOLDEN_ITERS):
-        left = fc >= fd
-        # left: b, d, fd = d, c, fc, then a new c; right: a, c, fc = c, d, fd, then a new d
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
-        probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        f_probe = f(probe)
-        c, fc = np.where(left, probe, kept), np.where(left, f_probe, f_kept)
-        d, fd = np.where(left, kept, probe), np.where(left, f_kept, f_probe)
+    for done in range(0, _GOLDEN_ITERS, _LOOKAHEAD):
+        # the brackets after each of the next steps, one row per choice of
+        # the branches so far (the first is known): in row i of step j >= 1
+        # the step went left unless bit j - 1 of i is set
+        states, probes, left = (a[None], b[None], c[None], d[None]), [], (fc >= fd)[None]
+        for j in range(min(_LOOKAHEAD, _GOLDEN_ITERS - done)):
+            if j:
+                states = tuple(np.concatenate([s, s]) for s in states)
+                left = np.repeat([True, False], 1 << (j - 1))[:, None]
+            # left: b, d = d, c, then a new c; right: a, c = c, d, then a new d
+            sa, sb, sc, sd = states
+            sb, sa = np.where(left, sd, sb), np.where(left, sa, sc)
+            kept = np.where(left, sc, sd)
+            probe = np.where(left, sb - _INVPHI * (sb - sa), sa + _INVPHI * (sb - sa))
+            states = (sa, sb, np.where(left, probe, kept), np.where(left, kept, probe))
+            probes.append(probe)
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                flat = f(np.concatenate([p.ravel() for p in probes]))
+            values = np.split(flat, np.cumsum([p.size for p in probes[:-1]]))
+        except (HardyLabError, FloatingPointError):
+            values = None
+        row = np.zeros(n, dtype=np.intp)
+        for j, probe in enumerate(probes):
+            left = fc >= fd
+            if j:
+                row += np.where(left, 0, 1 << (j - 1))
+            f_probe = f(probe[row, cols]) if values is None else values[j].reshape(probe.shape)[row, cols]
+            f_kept = np.where(left, fc, fd)
+            fc, fd = np.where(left, f_probe, f_kept), np.where(left, f_kept, f_probe)
+        a, b, c, d = (s[row, cols] for s in states)
     at_c = fc >= fd
     return np.where(at_c, c, d), np.where(at_c, fc, fd)
 

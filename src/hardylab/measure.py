@@ -28,7 +28,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from . import quad as quad_mod
-from .errors import DomainValidationError
+from .errors import DomainValidationError, NonIntegrableError
 from .quad import DEFAULT_QUAD, QuadConfig
 
 UNDERFLOW_FLOOR = 1e-300
@@ -357,13 +357,30 @@ def _ladder_quantile(ladders, log_z, p):
     """The x with mass p * Z on (-inf, x], from unchanged ``ladders``: -s for
     the s where the left ladder's mass beyond falls to p * Z when p <= cdf(0),
     else the s where the right one's falls to (1 - p) * Z.  A root past the
-    ladder's end reads a copy grown by doubling; ``quad._lattice_root`` finds
-    it in the cell the suffix names."""
+    ladder's end E (a doubling-chunk end) reads a copy grown to the first
+    2^i E whose mass beyond is below the target; i is found by galloping,
+    then bisecting, on the ``extension`` from each candidate end, which falls
+    as the end doubles, and only that copy is built.  ``quad._lattice_root``
+    finds the root in the cell the suffix names."""
     left = log_z + math.log(p)
     sign, target = (-1, left) if left <= ladders[-1].suffix[0] else (1, log_z + math.log1p(-p))
     ladder = ladders[sign]
-    while ladder.suffix[-1] >= target:
-        ladder = ladder.grown(2.0 * ladder.edges[-1])
+    if ladder.suffix[-1] >= target:
+        end = float(ladder.edges[-1])
+
+        def below(i):
+            try:
+                return ladder.extension(math.ldexp(end, i)) < target
+            except NonIntegrableError:  # out of an extension's reach: grown raises it if the search ends there
+                return True
+
+        lo, hi = 0, 1  # the mass beyond 2^lo E is not below the target
+        while not below(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if below(mid) else (mid, hi)
+        ladder = ladder.grown(math.ldexp(end, hi))
     j = max(int(np.count_nonzero(ladder.suffix >= target)) - 1, 0)  # suffix[j] >= target > suffix[j + 1]
     s = quad_mod._lattice_root(
         lambda t: float(ladder.upper(np.array([t]))[0] - target),
@@ -379,8 +396,9 @@ def _log_mass(ladders, x, sign):
     the median, from unchanged ``ladders``.  In s = sign * x, points with
     s <= 0 (from an uneven median to 0) add the other ladder's mass from 0
     to -s to this side's total, points up to the end E of the side's ladder
-    read it, points in (E, 2E] read one copy of it grown to the farthest of
-    them, and each point farther takes one ``log_extension`` of its own."""
+    read it, points in (E, 2E] read one copy of it grown to 2E, and each
+    point farther takes one ``log_extension`` of its own.  So a point's
+    value never depends on the other points of the query."""
     ladder, other = ladders[sign], ladders[-sign]
     s, end = sign * x, ladders[sign].edges[-1]
     inner, within, far = s <= 0.0, (s > 0.0) & (s <= end), s > 2.0 * end
@@ -388,11 +406,10 @@ def _log_mass(ladders, x, sign):
     out = np.empty(len(s))
     out[within] = ladder.upper(s[within])
     if near.any():
-        out[near] = ladder.grown(s[near].max()).upper(s[near])
+        out[near] = ladder.grown(2.0 * end).upper(s[near])
     if inner.any():
         out[inner] = np.logaddexp(ladder.suffix[0], other.lower(-s[inner]))
-    out[far] = [quad_mod.log_extension(ladder.logf, t, initial_width=1.0, breakpoints=ladder.breakpoints)
-                for t in s[far].tolist()]
+    out[far] = [ladder.extension(t) for t in s[far].tolist()]
     return out
 
 

@@ -378,7 +378,7 @@ class LogLadder:
     def _close(self, after=None):
         """Accumulate the cells; ``after`` defaults to one ``log_extension``."""
         if after is None:
-            after = log_extension(self.logf, self.edges[-1], initial_width=1.0, breakpoints=self.breakpoints)
+            after = self.extension(self.edges[-1])
         self.prefix = np.concatenate([[-np.inf], np.logaddexp.accumulate(self.cells)])
         self.suffix = np.append(np.logaddexp(np.logaddexp.accumulate(self.cells[::-1])[::-1], after), after)
 
@@ -399,6 +399,10 @@ class LogLadder:
         self.edges = np.concatenate([self.edges, new[1:]])
         self.cells = np.concatenate([self.cells, cells])
         return float(np.logaddexp.reduce(cells))
+
+    def extension(self, b):
+        """log int_b^inf exp(logf), by one ``log_extension`` split at the breakpoints."""
+        return log_extension(self.logf, b, initial_width=1.0, breakpoints=self.breakpoints)
 
     def grown(self, b):
         """A copy extended to the first lattice edge >= b, with ``after`` from its new end."""

@@ -544,6 +544,53 @@ def test_lockstep_golden_max_ties_and_nan():
         assert s_max[i] == s_ref and np.array_equal(f_max[i], f_ref, equal_nan=True)
 
 
+def _three_peaks(s):
+    # maxima at -1, 1 and 2.5, tilted; products only, so a point's value is
+    # the same bit for bit in any batch
+    return -((s - 1.0) * (s - 1.0) * (s + 1.0) * (s + 1.0) * (s - 2.5) * (s - 2.5)) + 0.1 * s
+
+
+def _scalar(f):
+    return lambda s: float(f(np.array([s]))[0])
+
+
+def test_lookahead_golden_max_equals_scalar_search():
+    # 40 = 13 * 3 + 1 steps: the last batch of probes is a single step
+    rng = np.random.default_rng(16)
+    a = rng.uniform(-2.0, 3.0, 64)
+    b = a + rng.uniform(1e-6, 2.5, 64)
+    calls = []
+    s_max, f_max = criteria._golden_max(lambda s: calls.append(len(s)) or _three_peaks(s), a, b)
+    assert len(calls) == 1 + math.ceil(criteria._GOLDEN_ITERS / criteria._LOOKAHEAD) == 15
+    assert calls[:2] == [2 * len(a), 7 * len(a)] and calls[-1] == len(a)
+    for i in range(len(a)):
+        s_ref, f_ref = _golden_max_scalar(_scalar(_three_peaks), a[i], b[i])
+        assert s_max[i] == s_ref and f_max[i] == f_ref
+
+
+@pytest.mark.parametrize("failure", ["raise", "invalid"])
+def test_lookahead_golden_max_fails_only_where_the_scalar_search_probes(failure):
+    # f raises, or takes the log of -1, at every point no scalar search
+    # probes: each batch holding such a speculative probe is dropped, and its
+    # steps evaluate their actual probes, so the result is the scalar one and
+    # no error or warning escapes
+    a, b = np.array([-2.0, 0.3, 1.7]), np.array([1.5, 2.9, 3.0])
+    probed = set()
+    refs = [_golden_max_scalar(lambda s: probed.add(s) or _scalar(_three_peaks)(s), a[i], b[i]) for i in range(3)]
+    dropped = []
+
+    def f(s):
+        off = np.array([t not in probed for t in s.tolist()])
+        dropped.append(off.any())
+        if off.any() and failure == "raise":
+            raise DomainValidationError("not a probe of the scalar search")
+        return _three_peaks(s) + np.log(np.where(off, -1.0, 1.0))
+
+    s_max, f_max = criteria._golden_max(f, a, b)
+    assert any(dropped)
+    assert [(float(s), float(v)) for s, v in zip(s_max, f_max)] == refs
+
+
 def test_hyp_check_builds_no_tail_ladder(monkeypatch):
     # a fresh measure, whose ladder ends at 128, short of the last horizon
     m = msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("exp")))

@@ -423,6 +423,20 @@ def test_quantile_round_trips_through_log_cdf(text):
     assert all(m.ladders[sign].edges is edges[sign] for sign in (+1, -1))  # grown copies only
 
 
+def test_deep_heavy_tail_quantile_searches_the_doubling_ends(monkeypatch):
+    # density ~ |x|^-4, so mu((-inf, -x]) = (1 + x)^-3 / 2: the root at
+    # p = 1e-300 lies about 314 doublings past the ladder's end, which are
+    # searched with one extension per candidate end, not one per doubling
+    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("4*log(1+abs(x))", even=True)))
+    calls = []
+    extension = quad.log_extension
+    monkeypatch.setattr(quad, "log_extension", lambda *a, **k: calls.append(a[1]) or extension(*a, **k))
+    x = msr.quantile(m, 1e-300)
+    assert x == -7.937005259840618e+99
+    assert x == pytest.approx(1.0 - 2e-300 ** (-1.0 / 3.0), rel=1e-13)
+    assert len(calls) <= 3 * math.log2(314)
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6))
 def test_quantile_inverse_property(p):
@@ -706,6 +720,15 @@ def test_far_tails_match_one_extension_per_point(name):
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
     if name == "exponential":
         assert got == pytest.approx(-xs - math.log(2.0), rel=1e-13)
+
+
+def test_tails_past_the_ladder_do_not_depend_on_the_batch():
+    # nu22's ladder ends at E = 16; every point in (E, 2E] reads one copy
+    # grown to 2E, whatever other points share the query
+    m = scenarios.corpus_measure("nu22")
+    assert m.ladders[+1].edges[-1] == 16.0
+    for x, y in ((20.8, 30.4), (30.4, 20.8), (16.5, 32.0), (32.0, 17.0)):
+        assert msr.log_tail(m, [x])[0] == msr.log_tail(m, [x, y])[0], (x, y)
 
 
 _FAR_FLOOR_TAILS = """
