@@ -150,8 +150,9 @@ class _SideScan:
     The grid is t0, t_end, the ``extra`` points, and the multiples of
     ``quad.GRID_STEP`` and the breakpoints in between: past the truncation
     search's end, edges of ``ladders`` (this side's grown to t_end).
-    ``_side_scan`` keeps the scan on the measure and ``weight_ladder`` each
-    weight by its key; ``hyp_mls_check`` reads a weight and grows no ladder.
+    ``v`` is V in the side coordinate, t -> V(sign * t).  ``_side_scan``
+    keeps the scan on the measure and ``weight_ladder`` each weight by its
+    key; ``hyp_mls_check`` reads a weight and grows no ladder.
     """
 
     def __init__(self, measure, sign, t_end, extra):
@@ -160,7 +161,7 @@ class _SideScan:
         t0 = sign * measure.median
         bps = pot.side_breakpoints(sign)(t0, t_end)
         self.grid = np.unique(np.concatenate([[t0, t_end], extra, quad_mod.grid_steps(t0, t_end), bps]))
-        self.neg_v = lambda t: -pot.value(sign * np.asarray(t, dtype=float))
+        self.v = pot.value if sign > 0 else lambda t: pot.value(sign * np.asarray(t, dtype=float))
         self._weights = {}
 
     @functools.cached_property
@@ -240,16 +241,16 @@ def _golden_max(f, a, b):
 
 
 def _exp_v(scan, r):
-    return "exp(V)", lambda t: -scan.neg_v(t)
+    return "exp(V)", scan.v
 
 
 def _density_power(scan, r):
-    return ("n^-(r-1)", r), lambda t: -(r - 1.0) * scan.neg_v(t)
+    return ("n^-(r-1)", r), lambda t: (r - 1.0) * scan.v(t)
 
 
 def _weighted(scan, r):
     def g(t):
-        return -scan.neg_v(t) - np.log1p(np.power(np.abs(t), 2.0 - r))
+        return scan.v(t) - np.log1p(np.power(np.abs(t), 2.0 - r))
 
     return ("exp(V)/(1+|x|^(2-r))", r), g
 

@@ -57,8 +57,8 @@ class TestFunction:
         ast = expr_mod.parse(text)
         program, dprogram = expr_mod.compile(ast), expr_mod.compile(expr_mod.diff(ast))
         return TestFunction(
-            value=lambda x: np.asarray(expr_mod.evaluate(program, x), dtype=float),
-            derivative=lambda x: np.asarray(expr_mod.evaluate(dprogram, x), dtype=float),
+            value=lambda x: expr_mod.evaluate(program, x),
+            derivative=lambda x: expr_mod.evaluate(dprogram, x),
             positive=positive,
             label=text,
         )

@@ -316,9 +316,6 @@ class Measure1D:
     def is_even(self):
         return self.potential.is_even
 
-    def neg_v(self, x):
-        return -self.potential.value(x)
-
 
 def normalize(potential, cfg=DEFAULT_QUAD, eps_trunc=DEFAULT_EPS_TRUNC, label=""):
     """Build the normalized measure for ``potential``.
@@ -559,7 +556,7 @@ def _build_sampler(measure):
     xs = np.linspace(-T, T, _SAMPLER_NODES)
     mids = 0.5 * (xs[:-1] + xs[1:])
     h = xs[1] - xs[0]
-    dens = lambda t: np.exp(measure.neg_v(t) - measure.log_z)
+    dens = lambda t: np.exp(-measure.potential.value(t) - measure.log_z)
     fa, fm, fb = dens(xs[:-1]), dens(mids), dens(xs[1:])
     seg = (fa + 4.0 * fm + fb) * (h / 6.0)
     cdf_nodes = cdf(measure, -T) + np.concatenate([[0.0], np.cumsum(seg)])

@@ -9,6 +9,8 @@ changes, so the error accounting stays uniform.
 The log-space twin accumulates log-integrals of exp(g) integrands with
 per-panel log-sum-exp, which keeps criterion scans usable out to potential
 values of several hundred thousand where exp(V) is far beyond float range.
+The nested rules share their exponentials: ``_gk_log`` shifts a panel's
+node values by their maximum and exponentiates each once.
 Its error control is relative to each segment (a cell, an extension chunk):
 a panel's error mass must fit its width share of the segment's budget, so
 panels holding a sliver of the segment's mass stop early.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,9 +95,6 @@ GRID_STEP = math.pi / 8.0
 # otherwise be refined down to its own scale over ever wider chunks.  The
 # test suite spends at most 2862 panels in one extension, the benchmark 155.
 _EXTENSION_PANEL_BUDGET = 1 << 17
-# Row maxima of panel batches at least this tall are taken column by column;
-# below it one max(axis=1) costs less than a call per column.
-_COLUMN_MAX_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -122,17 +122,6 @@ class Integral:
     panels_used: int
 
 
-def _logsumexp_rows(a):
-    m = a.max(axis=1)
-    finite = np.isfinite(m)
-    out = np.full(a.shape[0], -np.inf)
-    if np.any(finite):
-        af = a[finite]
-        mf = m[finite][:, None]
-        out[finite] = m[finite] + np.log(np.exp(af - mf).sum(axis=1))
-    return out
-
-
 def _gk_linear(f, a, b):
     """Vectorized K15/G7 values on panels [a_i, b_i]."""
     mid = 0.5 * (a + b)
@@ -144,47 +133,54 @@ def _gk_linear(f, a, b):
     return k, np.abs(k - g), fx
 
 
-def _logsumexp_rows_inplace(a):
-    """``_logsumexp_rows`` of a fresh C-contiguous 2-D array, overwriting it.
-
-    The row maximum of a tall array is taken column by column, which is exact
-    and avoids the per-row cost of a reduction over short rows; rows are
-    summed with ``sum(axis=1)`` as in ``_logsumexp_rows``, so the results
-    are the same bit for bit.  Rows whose maximum is not finite go through
-    ``_logsumexp_rows``.
-    """
-    if len(a) < _COLUMN_MAX_ROWS:
+def _gk_log_separate(gx, log_hw):
+    """Log K15/G7 and err by one log-sum-exp per rule over rows of node
+    values (-inf where a row's maximum is not finite), for ``_gk_log``."""
+    logk, logg = np.full((2, len(gx)), -np.inf)
+    for out, a in ((logk, gx + _LOG_WK), (logg, gx[:, 1::2] + _LOG_WG)):
         m = a.max(axis=1)
-    else:
-        m = a[:, 0].copy()
-        for j in range(1, a.shape[1]):
-            np.maximum(m, a[:, j], out=m)
-    if not np.isfinite(m).all():
-        return _logsumexp_rows(a)
-    a -= m[:, None]
-    np.exp(a, out=a)
-    out = a.sum(axis=1)
-    np.log(out, out=out)
-    out += m
-    return out
-
-
-def _gk_log(logf, a, b):
-    """Log-space K15/G7: log integral of exp(logf) on each panel."""
-    mid = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    xs = mid[:, None] + hw[:, None] * _GK_NODES
-    gx = np.asarray(logf(xs), dtype=float)
-    log_hw = np.log(hw)
-    logk = _logsumexp_rows_inplace(gx + _LOG_WK)
-    logk += log_hw
-    logg = _logsumexp_rows_inplace(gx[:, 1::2] + _LOG_WG)
-    logg += log_hw
-    # |log K - log G| ~ relative discrepancy of the two rules
+        finite = np.isfinite(m)
+        out[finite] = m[finite] + np.log(np.exp(a[finite] - m[finite, None]).sum(axis=1))
+        out += log_hw
     err = np.abs(logk - logg)
     err[np.isnan(err)] = np.inf
     err[(logk == -np.inf) & (logg == -np.inf)] = 0.0
     return logk, err
+
+
+def _node_sum(t):
+    """Each column's sum over the nodes, in node order (numpy sums a lone column pairwise)."""
+    return t.sum(axis=0) if t.shape[1] > 1 else np.cumsum(t, axis=0)[-1]
+
+
+def _gk_log(logf, a, b):
+    """Log-space K15/G7: log integral of exp(logf) on each panel, and
+    err = |log K15 - log G7|.  Node j of panel i sits at [j, i].  Each
+    panel's node values are shifted by their maximum and exponentiated
+    once, and K15 and G7 are fixed-order node sums of those times the
+    weights (not a matrix product, whose order may depend on the batch).
+    A panel whose maximum or log half-width is not finite, or whose G7 sum
+    underflows below the normal range, takes ``_gk_log_separate``."""
+    mid = 0.5 * (a + b)
+    hw = 0.5 * (b - a)
+    gx = np.asarray(logf(mid + hw * _GK_NODES[:, None]), dtype=float)
+    log_hw = np.log(hw)
+    m = gx.max(axis=0)
+    shared = np.isfinite(m) & np.isfinite(log_hw)
+    panels = slice(None) if shared.all() else shared.nonzero()[0]
+    e = gx[:, panels] - m[panels]
+    np.exp(e, out=e)
+    g = _node_sum(e[1::2] * _G7_WEIGHTS[:, None])
+    base = m[panels] + log_hw[panels]
+    logk = np.log(_node_sum(np.multiply(e, _K15_WEIGHTS[:, None], out=e))) + base
+    err = np.abs(logk - (np.log(np.maximum(g, sys.float_info.min)) + base))
+    shared[panels] = g >= sys.float_info.min
+    if shared.all():
+        return logk, err
+    out = np.empty((2, len(a)))
+    out[:, panels] = logk, err
+    out[:, ~shared] = _gk_log_separate(np.ascontiguousarray(gx[:, ~shared].T), log_hw[~shared])
+    return out[0], out[1]
 
 
 def _initial_edges(a, b, breakpoints):
@@ -269,12 +265,13 @@ def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
     while len(pa):
         logk, err = _gk_log(logf, pa, pb)
         panels_used += len(pa)
-        # current segment totals = accepted + pending (ufunc.at is unbuffered,
-        # so duplicate segment indices accumulate correctly)
-        seg_tot = acc.copy()
-        np.logaddexp.at(seg_tot, seg, logk)
+        tot = logk  # at depth 0 a segment's one panel is its total
+        if depth:  # accepted + pending (ufunc.at is unbuffered, so repeated segments accumulate)
+            tot = acc.copy()
+            np.logaddexp.at(tot, seg, logk)
+            tot = tot[seg]
         # log of each panel's share of its segment's total; -inf for panels without mass
-        share = np.subtract(logk, seg_tot[seg], out=np.full(len(logk), -np.inf), where=logk > -np.inf)
+        share = np.subtract(logk, tot, out=np.full(len(logk), -np.inf), where=logk > -np.inf)
         ok = (err * np.exp(share) <= math.ldexp(ptol, -depth)) | (err <= _ACCEPT_ULPS * np.spacing(np.abs(logk)))
         if depth >= max_depth and not ok.all():
             if strict:
@@ -284,13 +281,16 @@ def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
                     (float(pa[worst]), float(pb[worst]), float(err[worst])),
                 )
             ok[:] = True
-        np.logaddexp.at(acc, seg[ok], logk[ok])
-        np.logaddexp.at(accerr, seg[ok], logk[ok] + np.log(np.maximum(err[ok], 1e-300)))
-        pa, pb, seg = pa[~ok], pb[~ok], seg[~ok]
-        if len(pa):
-            mid = 0.5 * (pa + pb)
-            pa, pb, seg = np.concatenate([pa, mid]), np.concatenate([mid, pb]), np.concatenate([seg, seg])
-            depth += 1
+        rejected = (~ok).nonzero()[0]
+        done = slice(None) if not len(rejected) else ok.nonzero()[0]
+        np.logaddexp.at(acc, seg[done], logk[done])
+        np.logaddexp.at(accerr, seg[done], logk[done] + np.log(np.maximum(err[done], 1e-300)))
+        if not len(rejected):
+            break
+        pa, pb, seg = pa[rejected], pb[rejected], seg[rejected]
+        mid = 0.5 * (pa + pb)
+        pa, pb, seg = np.concatenate([pa, mid]), np.concatenate([mid, pb]), np.concatenate([seg, seg])
+        depth += 1
     empty = acc == -np.inf
     seg_errs = np.exp(accerr - np.where(empty, 0.0, acc))
     seg_errs[empty] = 0.0
@@ -306,10 +306,12 @@ def log_extension(logf, start, initial_width, ptol=1e-11, max_depth=48, max_chun
     running total, i.e. the remainder is a negligible relative correction.
     Raises NonIntegrableError if no convergence after ``max_chunks`` doublings
     or once the chunks have spent more than ``_EXTENSION_PANEL_BUDGET`` panels.
+    The doubling starts at the first initial_width * 2^k that moves ``start``
+    (past 2^53 a unit chunk is empty), so no doubling is spent on empty chunks.
     """
-    total = -np.inf
-    lo = start
-    w = initial_width
+    total, lo, w = -np.inf, start, initial_width
+    while lo + w == lo and w < math.inf:
+        w *= 2.0
     spent = 0
     for _ in range(max_chunks):
         hi = lo + w
@@ -455,7 +457,7 @@ def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
         return ladder.upper(x) - log_eps - ladder.lower(x)
 
     def one_side(sign):
-        logf = lambda s: -potential.value(sign * s)
+        logf = (lambda s: -potential.value(s)) if sign > 0 else lambda s: -potential.value(sign * s)
         ladder = LogLadder(logf, [0.0], ptol, cfg.max_depth, True, breakpoints=potential.side_breakpoints(sign))
         total, hi = -np.inf, 1.0
         while True:

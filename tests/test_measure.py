@@ -437,6 +437,14 @@ def test_deep_heavy_tail_quantile_searches_the_doubling_ends(monkeypatch):
     assert len(calls) <= 3 * math.log2(314)
 
 
+@pytest.mark.parametrize("x", [1e130, 1e200])
+def test_heavy_tail_past_the_unit_spacing_of_floats(x):
+    # past 2^53 an extension's unit first chunk does not move its start; the
+    # doubling starts at the first width that does, so the tail converges
+    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("4*log(1+abs(x))", even=True)))
+    assert msr.log_tail(m, x) == pytest.approx(-3.0 * math.log1p(x) - math.log(2.0), rel=1e-13)
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6))
 def test_quantile_inverse_property(p):

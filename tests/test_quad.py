@@ -390,13 +390,27 @@ def _gk_log_reference(logf, a, b):
     return logk, err
 
 
-@pytest.mark.parametrize("rows", [5, quad._COLUMN_MAX_ROWS, 700])
+def _assert_within_summand_ulps(a, b, gx, logk, err, ref_k, ref_err):
+    """Both kernels add the row maximum, log hw and the log of a sum of order
+    one, each rounded, so on finite rows they agree within 4 ulps of those
+    terms' magnitude (plus err's).  4 ulps of |log K| alone does not bound
+    them where the sum cancels: sinpower's -V gives |log K| = 0.087 from
+    terms near 1, and the two differ there by 8 ulps of 0.087."""
+    scale = 1.0 + np.abs(gx.max(axis=1)) + np.abs(np.log(0.5 * (b - a))) + np.abs(ref_k) + ref_err
+    assert np.all(np.abs(logk - ref_k) <= 4.0 * np.spacing(scale))
+    assert np.all(np.abs(err - ref_err) <= 4.0 * np.spacing(scale))
+
+
+@pytest.mark.parametrize("rows", [5, 128, 700])
 def test_gk_log_equals_reference_formula(rows):
-    # panel values with -inf entries, all--inf rows, nan and +inf, on both
-    # sides of the row count where the row maximum goes column-wise
+    # the kernel's one exponential per node against the former separate
+    # log-sum-exps of K15 and G7: panel values with -inf entries, all--inf
+    # rows, nan and +inf, in batches of 5, 128 and 700 panels
     rng = np.random.default_rng(rows)
     gx = rng.normal(0.0, 300.0, size=(rows, 15))
     gx[rng.random((rows, 15)) < 0.2] = -np.inf
+    gx[0, ::2] = np.linspace(-5.0, 5.0, 8)
+    gx[0, 1::2] = -800.0 - np.arange(7.0)  # the G7 sum underflows to 0
     gx[1] = -np.inf
     gx[2, 7] = np.nan
     gx[3, 0] = np.inf
@@ -404,16 +418,20 @@ def test_gk_log_equals_reference_formula(rows):
     a = np.sort(rng.uniform(-50.0, 50.0, rows))
     b = a + rng.uniform(1e-6, 3.0, rows)
     with np.errstate(invalid="ignore"):
-        logk, err = quad._gk_log(lambda xs: gx.copy(), a, b)
+        logk, err = quad._gk_log(lambda xs: gx.T.copy(), a, b)  # node j of panel i at [j, i]
         ref_k, ref_err = _gk_log_reference(lambda xs: gx.copy(), a, b)
-    assert np.array_equal(logk, ref_k) and np.array_equal(err, ref_err)
-    assert np.array_equal(np.signbit(logk), np.signbit(ref_k))
-    # and on finite integrands of the corpus, where the in-place path runs
+    # panels 0-4 take ``_gk_log_separate``, the reference's formula: the same floats, sign bits included
+    assert np.isfinite(ref_err[0]) and np.array_equal(err[:5], ref_err[:5])
+    assert np.array_equal(logk[:5], ref_k[:5]) and np.array_equal(np.signbit(logk[:5]), np.signbit(ref_k[:5]))
+    assert np.isfinite(ref_k[5:]).all() and np.isfinite(ref_err[5:]).all()
+    _assert_within_summand_ulps(*(v[5:] for v in (a, b, gx, logk, err, ref_k, ref_err)))
+    # and on finite integrands of the corpus
     pot = msr.make_potential(msr.PotentialSpec.builtin("sinpower", 2, 1))
     for logf in (lambda x: -pot.value(x), lambda x: pot.value(x)):
         logk, err = quad._gk_log(logf, a, b)
         ref_k, ref_err = _gk_log_reference(logf, a, b)
-        assert np.array_equal(logk, ref_k) and np.array_equal(err, ref_err)
+        gx = logf(0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * quad._GK_NODES)
+        _assert_within_summand_ulps(a, b, gx, logk, err, ref_k, ref_err)
 
 
 @pytest.mark.parametrize("token", ["exp", "gaussian", "power:1.5", "sinpower:2,1", "sinpower:2,2", "floor",
@@ -437,6 +455,79 @@ def test_refine_log_panels_batch_equals_single_intervals(token):
         assert np.array_equal(logs, [s[0][0] for s in single])
         assert np.array_equal(errs, [s[1][0] for s in single])
         assert panels == sum(s[2] for s in single)
+
+
+def _refine_log_panels_reference(logf, lo, hi, ptol, max_depth, strict=True):
+    """The former refinement loop: segment totals by ``ufunc.at`` at every
+    depth, boolean masks, and a compaction after every iteration."""
+    pa, pb = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    seg = np.arange(len(pa), dtype=np.int64)
+    acc, accerr = np.full(len(pa), -np.inf), np.full(len(pa), -np.inf)
+    panels_used, depth = 0, 0
+    while len(pa):
+        logk, err = quad._gk_log(logf, pa, pb)
+        panels_used += len(pa)
+        seg_tot = acc.copy()
+        np.logaddexp.at(seg_tot, seg, logk)
+        share = np.subtract(logk, seg_tot[seg], out=np.full(len(logk), -np.inf), where=logk > -np.inf)
+        ok = (err * np.exp(share) <= math.ldexp(ptol, -depth)) | (err <= quad._ACCEPT_ULPS * np.spacing(np.abs(logk)))
+        if depth >= max_depth and not ok.all():
+            if strict:
+                worst = int(np.argmax(np.where(ok, -np.inf, err)))
+                raise DepthExhaustedError(
+                    "log-space adaptive refinement exhausted max_depth",
+                    (float(pa[worst]), float(pb[worst]), float(err[worst])),
+                )
+            ok[:] = True
+        np.logaddexp.at(acc, seg[ok], logk[ok])
+        np.logaddexp.at(accerr, seg[ok], logk[ok] + np.log(np.maximum(err[ok], 1e-300)))
+        pa, pb, seg = pa[~ok], pb[~ok], seg[~ok]
+        if len(pa):
+            mid = 0.5 * (pa + pb)
+            pa, pb, seg = np.concatenate([pa, mid]), np.concatenate([mid, pb]), np.concatenate([seg, seg])
+            depth += 1
+    empty = acc == -np.inf
+    seg_errs = np.exp(accerr - np.where(empty, 0.0, acc))
+    seg_errs[empty] = 0.0
+    return acc, seg_errs, panels_used
+
+
+@pytest.mark.parametrize("token", ["exp", "gaussian", "power:1.5", "sinpower:2,1", "sinpower:2,2", "floor",
+                                   "cattiaux:1.5,1.9", "expr:floor(abs(x)) + 0.5*floor(x)"])
+def test_refine_log_panels_equals_former_loop(token):
+    # the leaner iterations accumulate each segment's panels in the same
+    # order, so logs, errors and panel counts are the same bit for bit
+    pot = msr.make_potential(msr.PotentialSpec.from_string(token))
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(-30.0, 30.0, 40)
+    hi = lo + rng.uniform(1e-3, 4.0, 40)
+    lo = np.concatenate([lo, [2.0, 3.0, -4.0, 0.5, -1.5]])
+    hi = np.concatenate([hi, [3.0, 5.5, -3.0, 2.5, -0.5]])
+    for logf in (lambda x: -pot.value(x), lambda x: 0.4 * pot.value(x)):
+        for max_depth in (60, 12):  # at depth 12 the panels at a jump are accepted unresolved
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = quad.refine_log_panels(logf, lo, hi, 1e-9, max_depth, strict=False)
+                want = _refine_log_panels_reference(logf, lo, hi, 1e-9, max_depth, strict=False)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
+
+def test_refine_log_panels_strict_max_depth_raises_as_former_loop():
+    # jumps of 3 and 7 nats stay unresolved at depth 12: both loops raise
+    # the same error, naming the panel with the larger error, at the 7-nat jump
+    def logf(x):
+        return np.where(x < 1.0, 0.0, -3.0) + np.where(x < 2.5, 0.0, -7.0)
+
+    raised = []
+    for refine in (quad.refine_log_panels, _refine_log_panels_reference):
+        with pytest.raises(DepthExhaustedError) as exc:
+            refine(logf, [0.3, 2.1], [1.95, 3.0], 1e-12, 12)
+        raised.append((str(exc.value), exc.value.panel))
+    assert raised[0] == raised[1]
+    a, b, _ = raised[0][1]
+    assert a <= 2.5 <= b
 
 
 def _gaussian_log_mass(a, b):
