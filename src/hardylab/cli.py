@@ -102,8 +102,13 @@ def _measure_from_args(args):
     return msr.normalize(msr.make_potential(spec), cfg=cfg, eps_trunc=args.eps_trunc)
 
 
-def _add_common(p):
+def _add_output(p):
     p.add_argument("--output", default=None, help="write the JSON report here instead of stdout")
+
+
+def _add_common(p):
+    """``--output`` and the tolerances that ``_measure_from_args`` reads."""
+    _add_output(p)
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10,
                    help="quadrature relative tolerance")
     p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-13,
@@ -391,11 +396,11 @@ def build_parser():
     p.add_argument("--rprime", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--numeric", action="store_true", help="also run the brute-force conjugate")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=cmd_legendre)
 
     p = sub.add_parser("threshold-scan", help="verdict matrix over (alpha, r) for oscillating potentials")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--alphas", type=lambda s: tuple(float(v) for v in s.split(",")),
                    default=(1.25, 1.5, 2.0, 3.0))
     p.add_argument("--rs", type=lambda s: tuple(float(v) for v in s.split(",")),
@@ -424,7 +429,7 @@ def build_parser():
 
     p = sub.add_parser("repro", help="run a named verification scenario end-to-end")
     p.add_argument("--name", required=True, choices=sorted(scenarios.SCENARIOS))
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=cmd_repro)
 
     return ap

@@ -135,8 +135,6 @@ def _statistic(name, beta=None):
             return out
 
         return (f, lambda n, r: 1.0, lambda n, r: 1.0)
-    if name == "zero":
-        return (lambda x: np.zeros(x.shape[0]), lambda n, r: 1.0, lambda n, r: 1.0)
     raise DomainValidationError(f"unknown statistic {name!r}")
 
 

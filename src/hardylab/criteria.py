@@ -148,8 +148,10 @@ class _SideScan:
     """One-sided scan state in t = sign * x, from the median t0 = sign * m.
 
     The grid is t0, t_end, the ``extra`` points, and the multiples of
-    ``quad.GRID_STEP`` and the breakpoints in between: past the truncation
-    search's end, edges of ``ladders`` (this side's grown to t_end).
+    ``quad.GRID_STEP`` and the breakpoints in between; those multiples and
+    breakpoints in (0, 8192) are edges of ``ladders`` (this side's grown to
+    t_end), which splits its chunks up to ``quad._MAX_SPLIT_WIDTH`` wide at
+    the same points.
     ``v`` is V in the side coordinate, t -> V(sign * t).  ``_side_scan``
     keeps the scan on the measure and ``weight_ladder`` each weight by its
     key; ``hyp_mls_check`` reads a weight and grows no ladder.
@@ -506,7 +508,8 @@ class AsymptoticScans:
 
 
 def asymptotic_conditions(measure, r, horizons=DEFAULT_HORIZONS):
-    """Derivative-based sufficient-condition diagnostics along the scan grid.
+    """Derivative-based sufficient-condition diagnostics at the multiples of
+    ``quad.GRID_STEP`` in (max(median, 0), X_end) and at X_end.
 
     Requires a potential with a derivative field; the three scans are the
     growth ratio V/V'^(r'), the weighted ratio V/(|x|^(2-r) V'^2), and the
@@ -519,8 +522,7 @@ def asymptotic_conditions(measure, r, horizons=DEFAULT_HORIZONS):
         raise DomainValidationError("asymptotic_conditions requires a derivative field")
     horizons = _validate_horizons(horizons, measure.median)
     x_end = horizons[-1]
-    step = quad_mod.GRID_STEP
-    x = np.unique(np.concatenate([np.arange(max(measure.median + step, step), x_end, step), [x_end]]))
+    x = np.append(quad_mod.grid_steps(max(measure.median, 0.0), x_end), x_end)
     rp = r / (r - 1.0)
     V = pot.value(x)
     Vp = pot.derivative(x)

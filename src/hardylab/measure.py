@@ -14,8 +14,7 @@ Each family is an expression tree (see expr) that holds its parameters'
 exact floats, so built-in and expression potentials share one evaluator,
 their symbolic derivatives and their breakpoints (sin and cos give the
 half-period pi, floor the unit lattice).  Potentials can also be given as
-tabulated grids (linear interpolation, last-slope extrapolation with an
-extrapolation flag per query).
+tabulated grids (linear interpolation, last-slope extrapolation).
 """
 
 from __future__ import annotations
@@ -249,29 +248,12 @@ class _Table:
         slopes = np.where(x < self.xs[0], self.slope_lo, slopes)
         return np.where(x > self.xs[-1], self.slope_hi, slopes)
 
-    def extrapolated(self, x):
-        x = np.asarray(x, dtype=float)
-        return (x < self.xs[0]) | (x > self.xs[-1])
-
-
-@dataclass(frozen=True)
-class TabulatedPotential(Potential):
-    table: object = None
-
-    def extrapolated(self, x):
-        """Flag queries outside the tabulated grid (per-point mask)."""
-        x = np.asarray(x, dtype=float)
-        return self.table.extrapolated(np.abs(x) if self.is_even else x)
-
 
 def _tabulated_potential(spec):
     table = _Table(spec.grid_x, spec.grid_v)
     if spec.even:
-        value = _even_wrap(table)
-        deriv = _odd_wrap(table.deriv)
-    else:
-        value, deriv = table, table.deriv
-    return TabulatedPotential(value=value, derivative=deriv, spec=spec, table=table)
+        return Potential(value=_even_wrap(table), derivative=_odd_wrap(table.deriv), spec=spec)
+    return Potential(value=table, derivative=table.deriv, spec=spec)
 
 
 def make_potential(spec):

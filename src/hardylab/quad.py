@@ -135,7 +135,7 @@ def _gk_linear(f, a, b):
 
 def _gk_log_separate(gx, log_hw):
     """Log K15/G7 and err by one log-sum-exp per rule over rows of node
-    values (-inf where a row's maximum is not finite), for ``_gk_log``."""
+    values (-inf where a row's maximum is -inf), for ``_gk_log``."""
     logk, logg = np.full((2, len(gx)), -np.inf)
     for out, a in ((logk, gx + _LOG_WK), (logg, gx[:, 1::2] + _LOG_WG)):
         m = a.max(axis=1)
@@ -159,13 +159,18 @@ def _gk_log(logf, a, b):
     panel's node values are shifted by their maximum and exponentiated
     once, and K15 and G7 are fixed-order node sums of those times the
     weights (not a matrix product, whose order may depend on the batch).
-    A panel whose maximum or log half-width is not finite, or whose G7 sum
-    underflows below the normal range, takes ``_gk_log_separate``."""
+    A panel whose maximum is -inf, whose log half-width is not finite or
+    whose G7 sum underflows below the normal range takes
+    ``_gk_log_separate``.  A nan or +inf node value, which reaches the
+    panel's maximum, raises DomainValidationError naming the panel."""
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     gx = np.asarray(logf(mid + hw * _GK_NODES[:, None]), dtype=float)
     log_hw = np.log(hw)
     m = gx.max(axis=0)
+    if not (m < np.inf).all():
+        i = int(np.argmin(m < np.inf))
+        raise DomainValidationError(f"log-integrand is {m[i]} on the panel [{a[i]:.17g}, {b[i]:.17g}]")
     shared = np.isfinite(m) & np.isfinite(log_hw)
     panels = slice(None) if shared.all() else shared.nonzero()[0]
     e = gx[:, panels] - m[panels]
@@ -364,11 +369,10 @@ class LogLadder:
     same way, ``_LADDER_BLOCK`` points per call, so it equals a scalar query
     bit for bit.  A ladder given a side's ``breakpoints(a, b)`` starts at 0
     and grows over the doubling chunks [0, 1], [1, 2], [2, 4], ..., split
-    at the breakpoints and, up to ``_MAX_SPLIT_WIDTH`` wide, at a step of at
-    most ``GRID_STEP``: evenly in the chunks of ``truncation_point``, at the
-    multiples of ``GRID_STEP`` (the scan grids') in those ``grown`` adds.
-    An edge depends only on its position: growing to a, then b, equals
-    growing to b, bit for bit.
+    at the breakpoints and, up to ``_MAX_SPLIT_WIDTH`` wide, at the
+    multiples of ``GRID_STEP`` (the scan grids'), in ``truncation_point``
+    and in ``grown`` alike.  An edge depends only on its position: growing
+    to a, then b, equals growing to b, bit for bit.
     """
 
     def __init__(self, logf, edges, ptol, max_depth, strict, breakpoints=None):
@@ -384,16 +388,14 @@ class LogLadder:
         self.prefix = np.concatenate([[-np.inf], np.logaddexp.accumulate(self.cells)])
         self.suffix = np.append(np.logaddexp(np.logaddexp.accumulate(self.cells[::-1])[::-1], after), after)
 
-    def _append(self, b, even=False):
-        """Append the lattice cells up to the first edge >= b, splitting the
-        chunks evenly if ``even``, and return their log mass; ``prefix`` and
-        ``suffix`` wait for ``_close``."""
+    def _append(self, b):
+        """Append the lattice cells up to the first edge >= b and return
+        their log mass; ``prefix`` and ``suffix`` wait for ``_close``."""
         new = self.edges[-1:]
         while new[-1] < b:
             hi = max(math.ldexp(1.0, math.frexp(new[-1])[1]), 1.0)  # the end of the doubling chunk holding it
             lo = 0.0 if hi == 1.0 else 0.5 * hi
-            n = math.ceil((hi - lo) / GRID_STEP) if hi - lo <= _MAX_SPLIT_WIDTH else 1  # 1: not split
-            steps = np.linspace(lo, hi, n + 1) if even or n == 1 else grid_steps(lo, hi)
+            steps = grid_steps(lo, hi) if hi - lo <= _MAX_SPLIT_WIDTH else []
             chunk = np.unique(np.concatenate([[lo, hi], steps, self.breakpoints(lo, hi)]))
             new = np.concatenate([new, chunk[chunk > new[-1]]])
         new = new[: np.searchsorted(new, b) + 1]
@@ -435,9 +437,10 @@ def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
     and the ladders of exp(-V) it reads.
 
     Side sign's ``LogLadder`` of exp(-V(sign * s)), s = sign * x, grows one
-    doubling chunk [0, 1], [1, 2], [2, 4], ... at a time, split evenly, up
-    to the first chunk end B that falls 55 nats below the running total and
-    where the predicate holds, or up to 2^19, the last X the search tries.
+    doubling chunk [0, 1], [1, 2], [2, 4], ... at a time, split on the
+    lattice that ``grown`` uses, up to the first chunk end B that falls 55
+    nats below the running total and where the predicate holds, or up to
+    2^19, the last X the search tries.
     Its cells are strict at the panel tolerance of ``cfg``, and one
     ``log_extension`` from B is the mass beyond.  h(X) = log tail(X) - log
     eps - log core(X), read from the ladder, decreases in X.  It is
@@ -461,7 +464,7 @@ def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
         ladder = LogLadder(logf, [0.0], ptol, cfg.max_depth, True, breakpoints=potential.side_breakpoints(sign))
         total, hi = -np.inf, 1.0
         while True:
-            chunk = ladder._append(hi, even=True)
+            chunk = ladder._append(hi)
             total = float(np.logaddexp(total, chunk))
             last = 2.0 * hi > 1e6
             if last or chunk < total - _NEGLIGIBLE_NATS:

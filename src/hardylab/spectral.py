@@ -56,10 +56,7 @@ def discretize(measure, X=None, N=4000):
     diag[1:] += np.exp(-Vmid + V[1:]) / (h * h)
     from .measure import cdf, tail  # local import to avoid a cycle
 
-    if measure.ladders:
-        mass_out = max(0.0, min(1.0, tail(measure, X) + cdf(measure, -X)))
-    else:
-        mass_out = float("nan")  # a bounded-interval proxy built without normalize has no tails
+    mass_out = max(0.0, min(1.0, tail(measure, X) + cdf(measure, -X)))
     return TridiagonalOperator(
         grid=grid, diag=diag, offdiag=off, h=h, weights_log=-V, truncation_mass=mass_out
     )

@@ -58,9 +58,10 @@ def test_criteria_bp_json_and_csv(capsys, tmp_path):
     path = str(tmp_path / "bp.csv")
     code, doc = run_json(
         capsys,
-        ["criteria", "--potential", "exp", "--kind", "bp", "--horizons", "25,50,100", "--csv", path],
+        ["criteria", "--potential", "exp", "--kind", "bp", "--horizons", "25,50,100", "--csv", path,
+         "--rel-tol", "1e-9"],
     )
-    assert code == 0
+    assert code == 0 and doc["config"]["rel_tol"] == 1e-9
     jsonschema.validate(doc, cli.JSON_SCHEMA)
     row = get(doc, "bp partial sups")
     assert row["verdict"] == "bounded"
@@ -139,14 +140,22 @@ def test_threshold_scan_small(capsys, tmp_path):
 def test_validation_error_exit_code_2():
     assert cli.run(["criteria", "--potential", "exp"]) == 2  # missing --kind
     assert cli.run(["nonsense"]) == 2
+    # the tolerance flags exist only where a measure is built from --potential
+    assert cli.run(["legendre", "--rprime", "3", "--t", "2", "--rel-tol", "1e-6"]) == 2
+    assert cli.run(["repro", "--name", "legendre-lower-bound", "--eps-trunc", "1e-9"]) == 2
+    assert cli.run(["threshold-scan", "--abs-tol", "1e-9"]) == 2
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
 def test_numerical_failure_exit_code_3(capsys):
     # flat potential is not integrable: diagnosed during normalization
     code = cli.run(["measure", "info", "--potential", "expr:0*x"])
     assert code == 3
     err = capsys.readouterr().err
     assert "error" in err
+    # V is nan on |x| < 0.05, between the probe points of make_potential
+    assert cli.run(["measure", "info", "--potential", "expr:abs(x) + sqrt(abs(x)-0.05)*0"]) == 3
+    assert "log-integrand is nan" in capsys.readouterr().err
 
 
 def test_measure_info_nonfinite_points(capsys):

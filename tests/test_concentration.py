@@ -213,13 +213,6 @@ def test_deviation_n1_matches_closed_form(exp_measure):
         assert abs(p - math.exp(-t)) <= c + 3e-3
 
 
-def test_deviation_zero_statistic(mu15):
-    rep = conc.deviation_experiment(
-        mu15, n=4, statistic="zero", t_grid=(0.5, 1.0), count=10_000, seed=1, C=1.0, r=1.5
-    )
-    assert rep.empirical_tail == (0.0, 0.0)
-
-
 def test_deviation_tail_monotone_and_probabilities(mu15):
     rep = conc.deviation_experiment(
         mu15, n=8, statistic="max", t_grid=(0.2, 0.5, 1.0, 2.0, 4.0), count=50_000, seed=3, C=2.0, r=1.5

@@ -34,10 +34,9 @@ def apply_generator(op, u):
     return out / w_half
 
 
-def test_constant_potential_gives_plain_laplacian():
-    pot = msr.make_potential(msr.PotentialSpec.from_expression("0*x + 1", even=False))
-    m = msr.Measure1D(potential=pot, log_z=0.0, median=0.0, truncation=1.0)
-    op = spectral.discretize(m, X=0.5, N=100)
+def test_constant_potential_gives_plain_laplacian(floor_measure):
+    # V = floor(|x|) is 0 on [-0.5, 0.5]
+    op = spectral.discretize(floor_measure, X=0.5, N=100)
     # all conductances equal: off-diagonal entries are constant
     assert np.allclose(op.offdiag, op.offdiag[0])
     assert np.allclose(op.diag[1:-1], -2.0 * op.offdiag[0])
