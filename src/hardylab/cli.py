@@ -24,7 +24,7 @@ from . import measure as msr
 from . import scenarios
 from . import spectral
 from .errors import HardyLabError
-from .quad import QuadConfig
+from .quad import DEFAULT_QUAD, QuadConfig
 
 JSON_SCHEMA = {
     "type": "object",
@@ -98,7 +98,7 @@ def _write_csv(path, header, rows):
 
 def _measure_from_args(args):
     spec = msr.PotentialSpec.from_string(args.potential)
-    cfg = QuadConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+    cfg = QuadConfig(rel_tol=args.rel_tol, abs_tol=getattr(args, "abs_tol", DEFAULT_QUAD.abs_tol))
     return msr.normalize(msr.make_potential(spec), cfg=cfg, eps_trunc=args.eps_trunc)
 
 
@@ -107,12 +107,10 @@ def _add_output(p):
 
 
 def _add_common(p):
-    """``--output`` and the tolerances that ``_measure_from_args`` reads."""
+    """``--output`` and the tolerances that ``_measure_from_args`` reads (``evaluate`` adds ``--abs-tol``)."""
     _add_output(p)
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10,
                    help="quadrature relative tolerance")
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-13,
-                   help="quadrature absolute tolerance")
     p.add_argument("--eps-trunc", dest="eps_trunc", type=float, default=msr.DEFAULT_EPS_TRUNC,
                    help="relative tail mass at the truncation point")
 
@@ -384,6 +382,8 @@ def build_parser():
     p = sub.add_parser("evaluate", help="evaluate one inequality on a test function")
     _add_potential(p)
     _add_common(p)
+    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-13,
+                   help="quadrature absolute tolerance")
     p.add_argument("--f", required=True, help="test function expression")
     p.add_argument("--kind", required=True,
                    choices=list(fn.INEQUALITIES))

@@ -1,11 +1,12 @@
 """Monte Carlo verification of product-measure concentration bounds.
 
-Deviation experiments draw from mu^(0x)n with the counter-based Philox
+Both experiments draw from mu^(0x)n with the counter-based Philox
 generator (disjoint jumped streams per batch, merged in fixed batch order;
 each batch is filled in per-CPU slices of its stream, the same draws for
 any CPU count, so results are bit-for-bit reproducible), hold one batch at
-a time, tabulate two-sided empirical tails of a statistic with known
-Lipschitz constants, and compare them with the two-level bound
+a time and report their empirical tails with 99% binomial radii.
+Deviation experiments tabulate two-sided empirical tails of a statistic
+with known Lipschitz constants and compare them with the two-level bound
 
     2 exp(-1/2 min(t^2 / (C L2^2), t^r / (C^(r-1) L_{r,2}^r))).
 
@@ -22,7 +23,6 @@ checked against brute force in the tests).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -62,24 +62,6 @@ class ExperimentReport:
     margins: tuple  # bound - (empirical + confidence)
     constants: dict = field(default_factory=dict)
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "measure": self.measure_label,
-                "n": self.n,
-                "statistic": self.statistic,
-                "count": self.count,
-                "seed": self.seed,
-                "t_grid": list(self.t_grid),
-                "empirical_tail": list(self.empirical_tail),
-                "confidence": list(self.confidence),
-                "bound_tail": list(self.bound_tail),
-                "margins": list(self.margins),
-                "constants": self.constants,
-            },
-            indent=2,
-        )
-
     def to_csv(self, basepath):
         """Write (t, tail) curves: <basepath>_empirical.csv and <basepath>_bound.csv."""
         paths = []
@@ -109,15 +91,12 @@ def two_level_bound(C, r, A, B, t):
 
 
 def _statistic(name, beta=None):
-    """Statistic and its (L2, L_{r,2}) Lipschitz constants as functions of (n, r)."""
-    if name == "mean_scaled":
-        return (
-            lambda x: np.sum(x, axis=1) / math.sqrt(x.shape[1]),
-            lambda n, r: 1.0,
-            lambda n, r: n ** (1.0 - 1.0 / r - 0.5),  # n^(1/r' - 1/2)
-        )
+    """Statistic and its L_{r,2} Lipschitz constant as a function of (n, r);
+    its Euclidean constant L2 is 1 for all three."""
+    if name == "mean_scaled":  # L_{r,2} = n^(1/r' - 1/2)
+        return lambda x: np.sum(x, axis=1) / math.sqrt(x.shape[1]), lambda n, r: n ** (1.0 - 1.0 / r - 0.5)
     if name == "max":
-        return (lambda x: np.max(x, axis=1), lambda n, r: 1.0, lambda n, r: 1.0)
+        return lambda x: np.max(x, axis=1), lambda n, r: 1.0
     if name == "softmax":
         if beta is None or beta <= 0:
             raise DomainValidationError("softmax statistic needs beta > 0")
@@ -134,66 +113,64 @@ def _statistic(name, beta=None):
                 out[a : a + len(block)] = (m + np.log(np.sum(np.exp(w, out=w), axis=1, keepdims=True)) / beta)[:, 0]
             return out
 
-        return (f, lambda n, r: 1.0, lambda n, r: 1.0)
+        return f, lambda n, r: 1.0
     raise DomainValidationError(f"unknown statistic {name!r}")
 
 
-def _batched_samples(measure, n, count, seed):
-    """Yield samples[batch, n]; fixed batch size, one jumped stream per batch."""
-    done = 0
-    batch_index = 0
-    while done < count:
-        take = min(_BATCH, count - done)
-        # no local holds a batch while the next one is drawn
-        yield measure_mod.sample(measure, seed, take * n, _batch_index=batch_index).reshape(take, n)
-        done += take
-        batch_index += 1
-
-
-def deviation_experiment(measure, n, statistic, t_grid, count, seed, C, r, beta=None):
-    """Two-sided tails of a statistic of mu^(0x)n against the two-level bound.
-
-    Centering uses the empirical grand mean; its O(1/sqrt(count)) bias is
-    folded into the tail conservatively by shifting the threshold down by
-    the 99% standard error of the mean before counting exceedances.
-    """
+def _checked_grid(n, count, t_grid):
     if n < 1 or count < 1:
         raise DomainValidationError("n and count must be >= 1")
     t_grid = tuple(float(t) for t in t_grid)
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise DomainValidationError("t_grid must be increasing")
-    f, l2_fn, lr2_fn = _statistic(statistic, beta)
+    return t_grid
+
+
+def _row_values(measure, n, count, seed, f):
+    """f of each row of ``count`` draws from mu^(0x)n, drawn in batches of
+    ``_BATCH`` rows, one jumped stream per batch; one batch is held at a time."""
     values = np.empty(count)
-    pos = 0
-    for batch in _batched_samples(measure, n, count, seed):
-        values[pos : pos + len(batch)] = f(batch)
-        pos += len(batch)
+    for batch_index, a in enumerate(range(0, count, _BATCH)):
+        take = min(_BATCH, count - a)
+        batch = measure_mod.sample(measure, seed, take * n, _batch_index=batch_index).reshape(take, n)
+        values[a : a + take] = f(batch)
         del batch  # freed before the next batch is drawn
+    return values
+
+
+def _tail_report(measure, n, statistic, count, seed, t_grid, tails, bound, constants):
+    """The report of the empirical ``tails`` against ``bound`` at ``t_grid``,
+    with 99% binomial radii (the variance floored at 1/(4 count)) and the
+    one-sided margins bound - (tail + radius)."""
+    conf = tuple(_Z99 * math.sqrt(max(p * (1.0 - p), 0.25 / count) / count) for p in tails)
+    margins = tuple(b - (e + c) for b, e, c in zip(bound, tails, conf))
+    return ExperimentReport(measure.label, n, statistic, count, seed, t_grid, tuple(tails), conf, tuple(bound),
+                            margins, constants)
+
+
+def deviation_experiment(measure, n, statistic, t_grid, count, seed, C, r, beta=None):
+    """Two-sided tails of a statistic of mu^(0x)n against the two-level bound
+    with L2 = 1 and the statistic's L_{r,2}.
+
+    Centering uses the empirical grand mean; its O(1/sqrt(count)) bias is
+    folded into the tail conservatively by shifting the threshold down by
+    the 99% standard error of the mean before counting exceedances.  Raises
+    DomainValidationError for n or count below 1 or a t_grid that does not
+    increase.
+    """
+    t_grid = _checked_grid(n, count, t_grid)
+    f, lr2_fn = _statistic(statistic, beta)
+    values = _row_values(measure, n, count, seed, f)
     mean = float(values.mean())
     se_mean = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     dev = np.abs(values - mean)
     shift = _Z99 * se_mean
-    emp, conf = [], []
-    for t in t_grid:
-        p = float(np.mean(dev >= max(t - shift, 0.0)))
-        emp.append(p)
-        conf.append(_Z99 * math.sqrt(max(p * (1.0 - p), 0.25 / count) / count))
-    l2, lr2 = l2_fn(n, r), lr2_fn(n, r)
-    bound = [float(two_level_bound(C, r, l2, lr2, t)) for t in t_grid]
-    margins = [b - (e + c) for b, e, c in zip(bound, emp, conf)]
-    return ExperimentReport(
-        measure_label=measure.label,
-        n=n,
-        statistic=statistic if beta is None else f"softmax({beta:g})",
-        count=count,
-        seed=seed,
-        t_grid=t_grid,
-        empirical_tail=tuple(emp),
-        confidence=tuple(conf),
-        bound_tail=tuple(bound),
-        margins=tuple(margins),
-        constants={"C": C, "r": r, "L2": l2, "Lr2": lr2, "mean": mean, "se_mean": se_mean},
-    )
+    tails = [float(np.mean(dev >= max(t - shift, 0.0))) for t in t_grid]
+    lr2 = lr2_fn(n, r)
+    bound = [float(two_level_bound(C, r, 1.0, lr2, t)) for t in t_grid]
+    label = f"softmax({beta:g})" if statistic == "softmax" else statistic
+    constants = {"C": C, "r": r, "L2": 1.0, "Lr2": lr2, "mean": mean, "se_mean": se_mean}
+    return _tail_report(measure, n, label, count, seed, t_grid, tails, bound, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +187,11 @@ def g_cost(x, r):
     return float(out[0]) if out.shape == (1,) else out
 
 
-def _halfspace_cost(x, c, r):
-    """Exact F_A for the halfspace sum <= c (vectorized over rows), up to
-    floating-point rounding.
+def _halfspace_cost(s, n, r):
+    """Exact F_A for the halfspace sum <= c from the excesses s = (sum x - c)+
+    of rows x in R^n, up to floating-point rounding.
 
-    The minimizer moves mass only downward with total s = (sum x - c)+, so
+    The minimizer moves mass only downward with total s, so
     F_A(x) = min { sum_i phi(d_i) : d >= 0, sum d = s } with
     phi(d) = min(d^2, d^r).  Both branches of phi are convex, hence within
     the class of coordinates above 1 (paying d^r) and within the class below
@@ -227,9 +204,6 @@ def _halfspace_cost(x, c, r):
     left end of the interval climbs monotonically to the root (or stays put
     when g' >= 0 there) and never overshoots; it stops once no row moves.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[1]
-    s = np.maximum(np.sum(x, axis=1) - c, 0.0)
     best = np.where(s <= n, s * s / n, np.inf)  # k = 0: all in the quadratic branch
     rows = np.flatnonzero((s > 0.0) & (s < np.inf))  # s = inf keeps cost inf
     for k in range(1, n + 1):
@@ -266,7 +240,7 @@ def f_a_cost(x, A, r):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     single = x.shape[0] == 1
     if isinstance(A, Halfspace):
-        out = _halfspace_cost(x, A.c, r)
+        out = _halfspace_cost(np.maximum(np.sum(x, axis=1) - A.c, 0.0), x.shape[1], r)
     elif isinstance(A, PointSet):
         pts = np.asarray(A.points, dtype=float)
         if pts.size == 0:
@@ -282,42 +256,20 @@ def f_a_cost(x, A, r):
 def enlargement_experiment(measure, n, t_grid, count, seed, C, r):
     """Empirical tail of F_A versus exp(-K t), A the halfspace at the
     empirical median of the coordinate sum (so mu^(0x)n(A) >= 1/2 up to
-    Monte Carlo error).  One-sided margins carry 99% binomial radii."""
-    if n < 1 or count < 1:
-        raise DomainValidationError("n and count must be >= 1")
-    t_grid = tuple(float(t) for t in t_grid)
-    samples = np.empty((count, n))
-    pos = 0
-    for batch in _batched_samples(measure, n, count, seed):
-        samples[pos : pos + len(batch)] = batch
-        pos += len(batch)
-        del batch  # freed before the next batch is drawn
-    sums = samples.sum(axis=1)
+    Monte Carlo error).  F_A depends on a row only through its sum, so only
+    the sums are kept.  The input checks, radii and margins are those of
+    ``deviation_experiment``."""
+    t_grid = _checked_grid(n, count, t_grid)
+    sums = _row_values(measure, n, count, seed, lambda x: np.sum(x, axis=1))
     c = float(np.median(sums))
-    costs = _halfspace_cost(samples, c, r)
+    costs = _halfspace_cost(np.maximum(sums - c, 0.0), n, r)
     K = (1.0 / 32.0) * min(1.0 / C, 1.0 / C ** (r - 1.0))
-    emp, conf, bound = [], [], []
     # strict exceedance: F_A has an atom of mass ~1/2 at 0, so this makes the
     # t = 0 entry the complement of the base set rather than the constant 1
-    for t in t_grid:
-        p = float(np.mean(costs > t))
-        emp.append(p)
-        conf.append(_Z99 * math.sqrt(max(p * (1.0 - p), 0.25 / count) / count))
-        bound.append(math.exp(-K * t))
-    margins = [b - (e + cf) for b, e, cf in zip(bound, emp, conf)]
-    return ExperimentReport(
-        measure_label=measure.label,
-        n=n,
-        statistic="enlargement_cost",
-        count=count,
-        seed=seed,
-        t_grid=t_grid,
-        empirical_tail=tuple(emp),
-        confidence=tuple(conf),
-        bound_tail=tuple(bound),
-        margins=tuple(margins),
-        constants={"C": C, "r": r, "K": K, "halfspace_c": c},
-    )
+    tails = [float(np.mean(costs > t)) for t in t_grid]
+    bound = [math.exp(-K * t) for t in t_grid]
+    constants = {"C": C, "r": r, "K": K, "halfspace_c": c}
+    return _tail_report(measure, n, "enlargement_cost", count, seed, t_grid, tails, bound, constants)
 
 
 def lipschitz_gradient_check(r, t, count, seed, box, n=8):

@@ -553,13 +553,16 @@ class TailScaleTable:
     ratio_deriv: np.ndarray  # int_x^inf exp(-V) / (exp(-V(x)) / V'(x)); nan if V' <= 0
 
 
-def _theta_scale(pot, x, cap=10.0):
+_THETA_CAP = 10.0  # tail_asymptotics flags a theta that reaches it
+
+
+def _theta_scale(pot, x):
     v0 = float(pot.value(np.array([x]))[0]) + 1.0
-    hs = np.linspace(0.0, cap, 2001)[1:]
+    hs = np.linspace(0.0, _THETA_CAP, 2001)[1:]
     vals = pot.value(x + hs)
     idx = np.argmax(vals >= v0)
     if vals[idx] < v0:
-        return cap, True
+        return _THETA_CAP, True
     lo = hs[idx - 1] if idx > 0 else 0.0
     hi = hs[idx]
     for _ in range(50):

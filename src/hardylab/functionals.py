@@ -257,7 +257,10 @@ def entropy_sq(measure, f):
     return raw - m2 * math.log(m2)
 
 
-def lo_lhs(measure, f, r, levels=40):
+_LO_LEVELS = 40  # most dyadic levels of the lo_lhs theta grid
+
+
+def lo_lhs(measure, f, r):
     """Interpolated variance-type left-hand side:
 
         sup_theta [int f^2 - (int |f|^theta)^(2/theta)] / (2 - theta)^(2(1-1/r))
@@ -285,7 +288,7 @@ def lo_lhs(measure, f, r, levels=40):
     values = []
     thetas = []
     prev = None
-    for j in range(1, levels + 1):
+    for j in range(1, _LO_LEVELS + 1):
         theta = 2.0 - math.pow(2.0, -j)
         val, num = ratio(theta)
         values.append(val)

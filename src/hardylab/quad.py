@@ -95,6 +95,9 @@ GRID_STEP = math.pi / 8.0
 # otherwise be refined down to its own scale over ever wider chunks.  The
 # test suite spends at most 2862 panels in one extension, the benchmark 155.
 _EXTENSION_PANEL_BUDGET = 1 << 17
+# Doubling chunks of one extension before it gives up: from a unit width,
+# the last ends near 2^400 (2.6e120) past its start.
+_EXTENSION_CHUNKS = 400
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,8 @@ def _gk_log_separate(gx, log_hw):
         finite = np.isfinite(m)
         out[finite] = m[finite] + np.log(np.exp(a[finite] - m[finite, None]).sum(axis=1))
         out += log_hw
-    err = np.abs(logk - logg)
+    with np.errstate(invalid="ignore"):  # -inf - -inf
+        err = np.abs(logk - logg)
     err[np.isnan(err)] = np.inf
     err[(logk == -np.inf) & (logg == -np.inf)] = 0.0
     return logk, err
@@ -302,23 +306,27 @@ def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
     return acc, seg_errs, panels_used
 
 
-def log_extension(logf, start, initial_width, ptol=1e-11, max_depth=48, max_chunks=400, breakpoints=None):
-    """Log integral of exp(logf) over [start, +inf) by doubling chunks.
+def log_extension(logf, start, ptol, max_depth, breakpoints=None):
+    """Log integral of exp(logf) over [start, +inf) by doubling chunks,
+    refined non-strictly at (ptol, max_depth).
 
     ``breakpoints(a, b)`` lists the integrand's jump or oscillation points in
     (a, b); each chunk up to ``_MAX_SPLIT_WIDTH`` wide is split there, so
     panels never straddle a jump.  Stops once a chunk falls 55 nats below the
     running total, i.e. the remainder is a negligible relative correction.
-    Raises NonIntegrableError if no convergence after ``max_chunks`` doublings
-    or once the chunks have spent more than ``_EXTENSION_PANEL_BUDGET`` panels.
-    The doubling starts at the first initial_width * 2^k that moves ``start``
+    A chunk without mass never stops it, since V may overflow and come back
+    to finite values; if all ``_EXTENSION_CHUNKS`` doublings find no mass
+    (V overflows from ``start`` on), the result is -inf.  Otherwise raises
+    NonIntegrableError after ``_EXTENSION_CHUNKS`` doublings or once the
+    chunks have spent more than ``_EXTENSION_PANEL_BUDGET`` panels.
+    The doubling starts at the first unit width * 2^k that moves ``start``
     (past 2^53 a unit chunk is empty), so no doubling is spent on empty chunks.
     """
-    total, lo, w = -np.inf, start, initial_width
+    total, lo, w = -np.inf, start, 1.0
     while lo + w == lo and w < math.inf:
         w *= 2.0
     spent = 0
-    for _ in range(max_chunks):
+    for _ in range(_EXTENSION_CHUNKS):
         hi = lo + w
         bp = breakpoints(lo, hi) if breakpoints is not None and w <= _MAX_SPLIT_WIDTH else None
         edges = _initial_edges(lo, hi, bp)
@@ -334,6 +342,8 @@ def log_extension(logf, start, initial_width, ptol=1e-11, max_depth=48, max_chun
             )
         lo = hi
         w *= 2.0
+    if total == -np.inf:
+        return total
     raise NonIntegrableError(
         f"tail integral starting at {start:.3g} did not converge by x={lo:.3g}"
     )
@@ -405,8 +415,9 @@ class LogLadder:
         return float(np.logaddexp.reduce(cells))
 
     def extension(self, b):
-        """log int_b^inf exp(logf), by one ``log_extension`` split at the breakpoints."""
-        return log_extension(self.logf, b, initial_width=1.0, breakpoints=self.breakpoints)
+        """log int_b^inf exp(logf), by one ``log_extension`` split at the
+        breakpoints, at the ladder's own ptol and max_depth."""
+        return log_extension(self.logf, b, self.ptol, self.max_depth, self.breakpoints)
 
     def grown(self, b):
         """A copy extended to the first lattice edge >= b, with ``after`` from its new end."""

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import functionals
 from .errors import DomainValidationError, EnergyGuardError
+from .measure import cdf, tail
 
 # smallest eigenvalue of the Neumann operator is the constant mode at 0;
 # anything larger than this (relative to the gap scale) means a broken setup
@@ -54,8 +55,6 @@ def discretize(measure, X=None, N=4000):
     diag = np.zeros(N + 1)
     diag[:-1] += np.exp(-Vmid + V[:-1]) / (h * h)
     diag[1:] += np.exp(-Vmid + V[1:]) / (h * h)
-    from .measure import cdf, tail  # local import to avoid a cycle
-
     mass_out = max(0.0, min(1.0, tail(measure, X) + cdf(measure, -X)))
     return TridiagonalOperator(
         grid=grid, diag=diag, offdiag=off, h=h, weights_log=-V, truncation_mass=mass_out

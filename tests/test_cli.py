@@ -137,13 +137,20 @@ def test_threshold_scan_small(capsys, tmp_path):
     assert rows[0] == ["alpha", "r", "verdict", "growth_exponent"]
 
 
-def test_validation_error_exit_code_2():
+def test_validation_error_exit_code_2(capsys):
     assert cli.run(["criteria", "--potential", "exp"]) == 2  # missing --kind
     assert cli.run(["nonsense"]) == 2
     # the tolerance flags exist only where a measure is built from --potential
     assert cli.run(["legendre", "--rprime", "3", "--t", "2", "--rel-tol", "1e-6"]) == 2
     assert cli.run(["repro", "--name", "legendre-lower-bound", "--eps-trunc", "1e-9"]) == 2
     assert cli.run(["threshold-scan", "--abs-tol", "1e-9"]) == 2
+    # and --abs-tol only where a linear-space integral reads it
+    for argv in (["criteria", "--potential", "exp", "--kind", "bp"], ["measure", "info", "--potential", "exp"],
+                 ["spectral", "--potential", "exp"], ["concentration", "--mode", "transport"]):
+        assert cli.run([*argv, "--abs-tol", "1e-9"]) == 2
+    code, doc = run_json(capsys, ["evaluate", "--potential", "gaussian", "--f", "x", "--kind", "poincare",
+                                  "--abs-tol", "1e-12"])
+    assert code == 0 and doc["config"]["abs_tol"] == 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
@@ -156,6 +163,8 @@ def test_numerical_failure_exit_code_3(capsys):
     # V is nan on |x| < 0.05, between the probe points of make_potential
     assert cli.run(["measure", "info", "--potential", "expr:abs(x) + sqrt(abs(x)-0.05)*0"]) == 3
     assert "log-integrand is nan" in capsys.readouterr().err
+    assert cli.run(["concentration", "--mode", "enlargement", "--t-grid", "8,4,2", "--count", "100"]) == 3
+    assert "t_grid must be increasing" in capsys.readouterr().err
 
 
 def test_measure_info_nonfinite_points(capsys):

@@ -140,7 +140,7 @@ def test_halfspace_cost_matches_bisection_reference(n, r):
     noisy[:, 0] += s - noisy.sum(axis=1)
     x = np.vstack([exact, noisy])
     with np.errstate(invalid="raise"):  # no nan from the s = inf rows
-        got = conc._halfspace_cost(x, 0.0, r)
+        got = conc.f_a_cost(x, conc.Halfspace(c=0.0), r)
     finite = np.isfinite(np.concatenate([s, s]))
     want = _halfspace_cost_bisection(x[finite], 0.0, r)
     np.testing.assert_allclose(got[finite], want, rtol=1e-12, atol=0.0)
@@ -225,8 +225,7 @@ def test_deviation_tail_monotone_and_probabilities(mu15):
 def test_two_sided_tail_consistent_with_one_sided(mu15):
     # |f - m| >= t splits into the two one-sided events; totals must agree
     n, count, seed = 4, 50_000, 21
-    samples = np.vstack(list(conc._batched_samples(mu15, n, count, seed)))
-    f = samples.sum(axis=1) / 2.0
+    f = conc._row_values(mu15, n, count, seed, lambda x: x.sum(axis=1) / 2.0)
     mean = f.mean()
     for t in (0.5, 1.0, 2.0):
         two = np.mean(np.abs(f - mean) >= t)
@@ -239,6 +238,15 @@ def test_softmax_statistic_requires_beta(mu15):
         conc.deviation_experiment(
             mu15, n=2, statistic="softmax", t_grid=(1.0,), count=100, seed=0, C=1.0, r=1.5
         )
+
+
+@pytest.mark.parametrize("experiment", ["deviation", "enlargement"])
+def test_experiments_reject_a_grid_that_does_not_increase(mu15, experiment):
+    kw = dict(n=2, t_grid=(4.0, 2.0), count=100, seed=0, C=1.0, r=1.5)
+    if experiment == "deviation":
+        kw["statistic"] = "max"
+    with pytest.raises(DomainValidationError, match="increasing"):
+        getattr(conc, f"{experiment}_experiment")(mu15, **kw)
 
 
 def test_enlargement_halfspace_mass(mu15):
@@ -314,8 +322,6 @@ def test_experiment_report_serialization(tmp_path, mu15):
     rep = conc.deviation_experiment(
         mu15, n=2, statistic="mean_scaled", t_grid=(1.0, 2.0), count=5_000, seed=2, C=3.0, r=1.5
     )
-    doc = rep.to_json()
-    assert '"empirical_tail"' in doc and '"seed": 2' in doc
     paths = rep.to_csv(str(tmp_path / "curve"))
     import csv
 
@@ -328,12 +334,12 @@ def test_experiment_report_serialization(tmp_path, mu15):
 
 
 def test_softmax_statistic_dominates_max(mu15):
-    f, l2, lr2 = conc._statistic("softmax", beta=2.0)
-    g, _, _ = conc._statistic("max")
+    f, lr2 = conc._statistic("softmax", beta=2.0)
+    g, _ = conc._statistic("max")
     x = np.random.Generator(np.random.PCG64(8)).normal(size=(100, 5))
     assert np.all(f(x) >= g(x) - 1e-12)
     assert np.all(f(x) <= g(x) + math.log(5.0) / 2.0 + 1e-12)
-    assert l2(5, 1.5) == 1.0 and lr2(5, 1.5) == 1.0
+    assert lr2(5, 1.5) == 1.0
     rep = conc.deviation_experiment(
         mu15, n=5, statistic="softmax", beta=2.0, t_grid=(1.0, 2.0), count=20_000, seed=4, C=5.0, r=1.5
     )
@@ -343,7 +349,7 @@ def test_softmax_statistic_dominates_max(mu15):
 
 def test_block_softmax_matches_one_shot_formula():
     beta = 2.7
-    f, _, _ = conc._statistic("softmax", beta=beta)
+    f, _ = conc._statistic("softmax", beta=beta)
     rows = 2 * conc._SOFTMAX_ROWS + 123  # not a multiple of the block
     x = np.random.Generator(np.random.PCG64(9)).normal(size=(rows, 64)) * 3.0
     kept = x.copy()

@@ -444,6 +444,32 @@ def test_heavy_tail_past_the_unit_spacing_of_floats(x):
     assert msr.log_tail(m, x) == pytest.approx(-3.0 * math.log1p(x) - math.log(2.0), rel=1e-13)
 
 
+def test_extensions_refine_at_the_ladder_tolerance(monkeypatch):
+    # the mass beyond a ladder follows the measure's rel_tol as its cells
+    # do: a far tail and a quantile past the ladder refine at rel_tol / 10
+    m = msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("exp")), cfg=quad.QuadConfig(rel_tol=1e-6))
+    ptol, end = m.ladders[+1].ptol, float(m.ladders[+1].edges[-1])
+    assert ptol == pytest.approx(1e-7, rel=1e-15)
+    ptols, extensions = [], []
+    refine, extension = quad.refine_log_panels, quad.log_extension
+    monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: ptols.append(a[3]) or refine(*a, **k))
+    monkeypatch.setattr(quad, "log_extension", lambda *a, **k: extensions.append(a[2:4]) or extension(*a, **k))
+    msr.log_tail(m, 10.0 * end)
+    msr.quantile(m, 1e-300)
+    assert extensions and set(extensions) == {(ptol, m.cfg.max_depth)}
+    assert ptols and set(ptols) == {ptol}
+
+
+def test_tail_where_v_overflows_is_zero():
+    # exp(|x|) overflows past 709.8, so exp(-V) has no mass in any doubling
+    # chunk from 800: the tail is 0, not a failure to converge
+    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("exp(abs(x))")))
+    with np.errstate(over="ignore"):
+        assert msr.log_tail(m, 800.0) == -math.inf
+        assert msr.tail(m, 800.0) == 0.0
+        assert msr.cdf(m, -800.0) == 0.0
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6))
 def test_quantile_inverse_property(p):
@@ -603,10 +629,10 @@ def test_queries_at_infinity_are_exact(exp_measure):
 
 def _scalar_log_beyond(m, s, sign):
     """Unnormalized log mass of exp(-V) over sign * t >= s, as one doubling
-    extension from the point itself."""
-    pot = m.potential
+    extension from the point itself at the ladder's tolerances."""
+    pot, ladder = m.potential, m.ladders[sign]
     return quad.log_extension(
-        lambda t: -pot.value(sign * t), s, initial_width=1.0, breakpoints=pot.side_breakpoints(sign)
+        lambda t: -pot.value(sign * t), s, ladder.ptol, ladder.max_depth, breakpoints=pot.side_breakpoints(sign)
     )
 
 

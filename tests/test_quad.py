@@ -215,7 +215,7 @@ def test_truncation_point_at_or_above_closed_form_root(family, eps, end):
 @pytest.mark.parametrize("x", [0.0, 0.3, 2.5, 27.74, 100.2, 700.9])
 def test_log_extension_floor_breakpoints_closed_form(x, panels):
     pot = msr.make_potential(msr.PotentialSpec.builtin("floor"))
-    val = quad.log_extension(lambda t: -pot.value(t), x, initial_width=1.0, breakpoints=pot.breakpoints)
+    val = quad.log_extension(lambda t: -pot.value(t), x, 1e-11, 48, breakpoints=pot.breakpoints)
     assert val == pytest.approx(math.log(_floor_tail_closed_form(x)), abs=1e-13 * max(1.0, x))
     # split at the unit jumps, every panel of a constant density is accepted
     # whole: one per unit interval (unsplit chunks take about 9000)
@@ -227,11 +227,19 @@ def test_log_extension_mirrored_breakpoints():
     pot = msr.make_potential(msr.PotentialSpec.from_expression("floor(abs(x)) + 0.5*floor(x)"))
     left = pot.side_breakpoints(-1.0)
     assert left(0.5, 3.5) == [1.0, 2.0, 3.0]
-    val = quad.log_extension(lambda s: -pot.value(-s), 2.5, initial_width=1.0, breakpoints=left)
+    val = quad.log_extension(lambda s: -pot.value(-s), 2.5, 1e-11, 48, breakpoints=left)
     # V(-s) = floor(s) + 0.5 floor(-s) = 0.5 floor(s) - 0.5 for non-integer s > 0
     q = math.exp(-0.5)
     exact = math.exp(0.5) * (0.5 * q**2 + q**3 / (1.0 - q))
     assert val == pytest.approx(math.log(exact), abs=1e-12)
+
+
+def test_log_extension_finds_mass_after_empty_chunks():
+    # chunks without mass (V overflowing) do not end an extension: V may
+    # come back to finite values, here 6 empty doublings from 0 on
+    val = quad.log_extension(lambda t: np.where(t < 50.0, -np.inf, 50.0 - t), 0.0, 1e-11, 48,
+                             breakpoints=lambda a, b: [50.0] if a < 50.0 < b else [])
+    assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_normalize_floor_panel_gate(panels):
@@ -250,7 +258,7 @@ def _truncation_bisection(potential, eps):
         def ok(x):
             bp = potential.breakpoints(0.0, x) if sign > 0 else [-t for t in potential.breakpoints(-x, 0.0)]
             prefix = quad.LogLadder(neg_v, quad._initial_edges(0.0, x, bp), 1e-9, 60, strict=False).prefix
-            tail = quad.log_extension(neg_v, x, initial_width=max(1.0, 0.05 * x), ptol=1e-9)
+            tail = quad.log_extension(neg_v, x, 1e-9, 48)
             return tail <= math.log(eps) + float(prefix[-1])
 
         x = 1.0
