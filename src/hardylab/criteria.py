@@ -21,14 +21,14 @@ from its row, and the five public scans are lookups into the table.
 All tail masses and weight integrals are accumulated in log space with
 per-panel log-sum-exp, so the scans stay meaningful far beyond the range
 where exp(V) or exp(-V) is representable.  Partial suprema are recorded at
-each requested horizon; on a grid of step pi/8 (which resolves period-2pi
-oscillations of the potentials) plus golden-section refinement around the
-running argmax.  The refinements of one scan run in lockstep, and each call
-of the criterion value evaluates every probe of the next three steps that
-the brackets could need.  That relies on an invariant of the measure's
-queries: a point's tail and weight masses are the same bit for bit in any
-batch of points.  A bounded criterion yields a constant bracket where the
-theory provides one: [S, 4S] for bp, and an upper constant
+each requested horizon, on a grid of step pi/8 (which resolves period-2pi
+oscillations of the potentials).  The grid argmax of every window between
+two horizons is refined by a multisection search over its two grid cells,
+and the searches of one scan run in lockstep: each call of the criterion
+value evaluates 7 points of every bracket.  That relies on an invariant of
+the measure's queries: a point's tail and weight masses are the same bit
+for bit in any batch of points.  A bounded criterion yields a constant
+bracket where the theory provides one: [S, 4S] for bp, and an upper constant
 235 * C_P + 2^(r'+1) * S for bmls when a bp result is supplied.
 """
 
@@ -42,14 +42,13 @@ import numpy as np
 
 from . import measure as msr
 from . import quad as quad_mod
-from .errors import DomainValidationError, HardyLabError
+from .errors import DomainValidationError
 
 DEFAULT_HORIZONS = (25.0, 50.0, 100.0, 200.0, 400.0, 800.0)
 PLATEAU_TOL = 0.05
 SLOPE_FLOOR = 0.02
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_ITERS = 40  # golden-section steps per bracket
-_LOOKAHEAD = 3  # golden-section steps per batch of probes
+_SECTIONS = 8  # equal cells per bracket and call: each call shrinks it 4x
+_SECTION_CALLS = 14  # 4^-14 = 3.7e-9 of the bracket is left
 
 # two-sided 95% Student quantiles by degrees of freedom
 _T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365, 8: 2.306}
@@ -137,6 +136,8 @@ def classify(horizons, log_sups):
 
 def _validate_horizons(horizons, median):
     horizons = tuple(float(x) for x in horizons)
+    if not all(math.isfinite(x) for x in horizons):
+        raise DomainValidationError(f"horizons must be finite, got {horizons}")
     if len(horizons) < 2 or any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise DomainValidationError("horizons must be increasing with >= 2 entries")
     if horizons[0] <= abs(median) + 1.0:
@@ -179,61 +180,26 @@ class _SideScan:
         return self._weights[key]
 
 
-def _golden_max(f, a, b):
-    """Golden-section maxima of f on the brackets [a[i], b[i]], in lockstep.
+def _section_max(f, a, b):
+    """Multisection maxima of f on the brackets [a[i], b[i]], in lockstep.
 
-    Each bracket follows the scalar search exactly (same probes, same float
-    operations, ties and nan going to the right-hand point).  A step's
-    probe depends only on the bracket and the branches taken so far, so
-    every probe the next ``_LOOKAHEAD`` steps could need (one for the known
-    branch, then two, then four: 7 per bracket) is evaluated in one call of
-    ``f``, which maps an array of points to their values, and the steps are
-    replayed from those values.  This needs each value to be independent
-    of the batch it is evaluated in.  A batch that raises a ``HardyLabError``
-    or meets a numpy floating-point error is dropped, and its steps call
-    ``f`` on their actual probes one step at a time, so an error or warning
-    comes from a probe that the scalar search evaluates, never from a
-    speculative one.  Returns the arrays of argmax points and values.
+    Each of ``_SECTION_CALLS`` calls of ``f``, which maps an array of
+    points to their values, evaluates the interior points of ``_SECTIONS``
+    equal cells of every bracket; each bracket then shrinks to the two cells
+    around its largest value (nan counting as -inf, ties going left).  A
+    point's value must not depend on the batch it is evaluated in, so each
+    bracket follows the scalar search exactly.  Returns the arrays of the
+    last call's argmax points and values.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    n, cols = len(a), np.arange(len(a))
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fcd = f(np.concatenate([c, d]))
-    fc, fd = fcd[:n], fcd[n:]
-    for done in range(0, _GOLDEN_ITERS, _LOOKAHEAD):
-        # the brackets after each of the next steps, one row per choice of
-        # the branches so far (the first is known): in row i of step j >= 1
-        # the step went left unless bit j - 1 of i is set
-        states, probes, left = (a[None], b[None], c[None], d[None]), [], (fc >= fd)[None]
-        for j in range(min(_LOOKAHEAD, _GOLDEN_ITERS - done)):
-            if j:
-                states = tuple(np.concatenate([s, s]) for s in states)
-                left = np.repeat([True, False], 1 << (j - 1))[:, None]
-            # left: b, d = d, c, then a new c; right: a, c = c, d, then a new d
-            sa, sb, sc, sd = states
-            sb, sa = np.where(left, sd, sb), np.where(left, sa, sc)
-            kept = np.where(left, sc, sd)
-            probe = np.where(left, sb - _INVPHI * (sb - sa), sa + _INVPHI * (sb - sa))
-            states = (sa, sb, np.where(left, probe, kept), np.where(left, kept, probe))
-            probes.append(probe)
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                flat = f(np.concatenate([p.ravel() for p in probes]))
-            values = np.split(flat, np.cumsum([p.size for p in probes[:-1]]))
-        except (HardyLabError, FloatingPointError):
-            values = None
-        row = np.zeros(n, dtype=np.intp)
-        for j, probe in enumerate(probes):
-            left = fc >= fd
-            if j:
-                row += np.where(left, 0, 1 << (j - 1))
-            f_probe = f(probe[row, cols]) if values is None else values[j].reshape(probe.shape)[row, cols]
-            f_kept = np.where(left, fc, fd)
-            fc, fd = np.where(left, f_probe, f_kept), np.where(left, f_kept, f_probe)
-        a, b, c, d = (s[row, cols] for s in states)
-    at_c = fc >= fd
-    return np.where(at_c, c, d), np.where(at_c, fc, fd)
+    cols, steps = np.arange(len(a)), np.arange(_SECTIONS + 1.0)
+    for _ in range(_SECTION_CALLS):
+        nodes = a[:, None] + ((b - a) / _SECTIONS)[:, None] * steps
+        vals = f(nodes[:, 1:-1].ravel()).reshape(len(a), _SECTIONS - 1)
+        vals = np.where(np.isnan(vals), -np.inf, vals)
+        k = np.argmax(vals, axis=1) + 1
+        a, b = nodes[cols, k - 1], nodes[cols, k + 1]
+    return nodes[cols, k], vals[cols, k - 1]
 
 
 # Rows of the kind table.  A weight returns its ladder cache key with its
@@ -341,40 +307,20 @@ def _scan_side(measure, kind, r, horizons, sign):
         l_abs = msr._log_mass(scan.ladders, sign * t, sign)
         return _add_post(l_abs + row.transform(weight.lower(t), r), l_abs - measure.log_z, row, r)
 
-    # Golden-section refinement around a window's grid argmax happens only
-    # when it beats the running best, which is never below the running grid
-    # maximum; so every window that beats the grid maximum so far is refined
-    # up front, all in one lockstep search, and the loop below adopts the
-    # results exactly as a sequential scan would.
-    grid = scan.grid
-    windows, brackets = [], {}
-    lo_idx, grid_best = 1, -np.inf
-    for k, t_hzn in enumerate(horizons):
-        hi_idx = int(np.searchsorted(grid, t_hzn, side="right"))
-        j = None
-        if hi_idx > lo_idx:
-            j = int(np.argmax(lvals[lo_idx:hi_idx])) + lo_idx
-            lo_idx = hi_idx
-            if lvals[j] > grid_best:
-                grid_best = lvals[j]
-                a = grid[j - 1]
-                # the sup runs over (m, X]: never refine past the horizon
-                b = min(grid[min(j + 1, len(grid) - 1)], t_hzn)
-                if b > a:
-                    brackets[k] = (a, b)
-        windows.append(j)
-    refined = {}
-    if brackets:
-        t_ref, v_ref = _golden_max(log_values_at, *np.array(list(brackets.values())).T)
-        refined = dict(zip(brackets, zip(t_ref.tolist(), v_ref.tolist())))
-
+    # every window's grid argmax j is refined on [grid[j-1], grid[j+1]],
+    # all in one lockstep search; the sup runs over (m, X]: never refine
+    # past the horizon
+    grid, hzn = scan.grid, np.array(horizons)
+    ends = np.searchsorted(grid, hzn, side="right")
+    js = np.array([int(np.argmax(lvals[lo:hi])) + lo for lo, hi in zip([1, *ends[:-1]], ends)])
+    b = np.minimum(grid[np.minimum(js + 1, len(grid) - 1)], hzn)
+    t_ref, v_ref = _section_max(log_values_at, grid[js - 1], b)
+    refined = v_ref > lvals[js]
     log_sups, argmaxes = [], []
     best, best_t = -np.inf, float("nan")
-    for k, j in enumerate(windows):
-        if j is not None and lvals[j] > best:
-            best, best_t = float(lvals[j]), float(grid[j])
-            if k in refined and refined[k][1] > best:
-                best_t, best = refined[k]
+    for v, t in zip(np.where(refined, v_ref, lvals[js]).tolist(), np.where(refined, t_ref, grid[js]).tolist()):
+        if v > best:
+            best, best_t = v, t
         log_sups.append(best)
         argmaxes.append(sign * best_t)
     return _result(kind, "plus" if sign > 0 else "minus", r, horizons, log_sups, argmaxes)

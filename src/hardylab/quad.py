@@ -166,10 +166,13 @@ def _gk_log(logf, a, b):
     A panel whose maximum is -inf, whose log half-width is not finite or
     whose G7 sum underflows below the normal range takes
     ``_gk_log_separate``.  A nan or +inf node value, which reaches the
-    panel's maximum, raises DomainValidationError naming the panel."""
+    panel's maximum, raises DomainValidationError naming the panel; -inf is
+    zero mass."""
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
-    gx = np.asarray(logf(mid + hw * _GK_NODES[:, None]), dtype=float)
+    # an overflowing or nan node value is caught below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx = np.asarray(logf(mid + hw * _GK_NODES[:, None]), dtype=float)
     log_hw = np.log(hw)
     m = gx.max(axis=0)
     if not (m < np.inf).all():

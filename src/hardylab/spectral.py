@@ -46,6 +46,8 @@ def discretize(measure, X=None, N=4000):
         raise DomainValidationError("discretize requires N >= 100")
     if X is None:
         X = measure.truncation
+    if not 0.0 < X < np.inf:
+        raise DomainValidationError(f"discretize requires a finite X > 0, got {X}")
     grid = np.linspace(-X, X, N + 1)
     h = grid[1] - grid[0]
     V = measure.potential.value(grid)

@@ -153,7 +153,6 @@ def test_validation_error_exit_code_2(capsys):
     assert code == 0 and doc["config"]["abs_tol"] == 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
 def test_numerical_failure_exit_code_3(capsys):
     # flat potential is not integrable: diagnosed during normalization
     code = cli.run(["measure", "info", "--potential", "expr:0*x"])
@@ -165,6 +164,13 @@ def test_numerical_failure_exit_code_3(capsys):
     assert "log-integrand is nan" in capsys.readouterr().err
     assert cli.run(["concentration", "--mode", "enlargement", "--t-grid", "8,4,2", "--count", "100"]) == 3
     assert "t_grid must be increasing" in capsys.readouterr().err
+    for last in ("inf", "nan"):
+        for kind in (["bp"], ["hyp", "--r", "1.5", "--eps", "0.1"]):
+            assert cli.run(["criteria", "--potential", "exp", "--kind", *kind, "--horizons", f"25,{last}"]) == 3
+            assert "horizons must be finite" in capsys.readouterr().err
+    for x in ("0", "-5"):
+        assert cli.run(["spectral", "--potential", "exp", f"--X={x}"]) == 3
+        assert "finite X > 0" in capsys.readouterr().err
 
 
 def test_measure_info_nonfinite_points(capsys):

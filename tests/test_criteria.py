@@ -396,6 +396,11 @@ def test_horizons_validation(exp_measure):
         criteria.bp(exp_measure, horizons=(25.0,))
     with pytest.raises(DomainValidationError):
         criteria.bp(exp_measure, horizons=(50.0, 25.0))
+    for last in (math.inf, math.nan):
+        with pytest.raises(DomainValidationError, match="horizons must be finite"):
+            criteria.bp(exp_measure, horizons=(25.0, last))
+        with pytest.raises(DomainValidationError, match="horizons must be finite"):
+            criteria.hyp_mls_check(exp_measure, 1.5, 0.1, horizons=(25.0, last))
 
 
 def test_bweighted_counterexample_diverges_along_slow_derivative_points(cattiaux_measure):
@@ -418,25 +423,36 @@ def test_blo_resolves_just_above_threshold(nu2_measure):
     assert slope == pytest.approx(theory, rel=0.15)
 
 
+def test_bmls_just_above_threshold_refines_every_window(nu2_measure):
+    # every window's grid argmax is refined, not only those whose grid value
+    # beats the running grid maximum: each horizon's sup then rises past the
+    # last, where refining only the leaders read 4.598, 4.598, 5.128, 5.128,
+    # 5.653, 5.653 and left the verdict inconclusive
+    res = criteria.bmls(nu2_measure, 1.259)
+    assert res.verdict.label == "divergent"
+    sups = res.log_partial_sups
+    assert all(b > a for a, b in zip(sups, sups[1:]))
+    assert sups == pytest.approx([4.598, 4.865, 5.128, 5.391, 5.653, 5.912], abs=1e-3)
+
+
 # ---------------------------------------------------------------------------
-# lockstep golden section against the sequential scan
+# lockstep multisection against the sequential scan
 # ---------------------------------------------------------------------------
 
 
-def _golden_max_scalar(f, a, b, iters=40):
-    c = b - criteria._INVPHI * (b - a)
-    d = a + criteria._INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - criteria._INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + criteria._INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+def _section_max_scalar(f, a, b):
+    """The multisection search on one bracket, in Python floats."""
+    for _ in range(criteria._SECTION_CALLS):
+        h = (b - a) / criteria._SECTIONS
+        nodes = [a + h * float(j) for j in range(criteria._SECTIONS + 1)]
+        best_k, best_v = None, None
+        for k in range(1, criteria._SECTIONS):
+            v = f(nodes[k])
+            v = -math.inf if math.isnan(v) else v
+            if best_k is None or v > best_v:
+                best_k, best_v = k, v
+        a, b = nodes[best_k - 1], nodes[best_k + 1]
+    return nodes[best_k], best_v
 
 
 def _cell_log(ladder, a, b):
@@ -468,8 +484,8 @@ def _weight_at(weight, t):
 
 
 def _sequential_scan(measure, kind, r, horizons, sign):
-    """The scan with one scalar golden-section search per adopted window,
-    run when the window is reached; returns (log partial sups, argmax)."""
+    """The scan with one scalar multisection search per window, run when
+    the window is reached; returns (log partial sups, argmax)."""
     scan = criteria._side_scan(measure, sign, horizons)
     row = criteria.KINDS[kind]
     weight = scan.weight_ladder(*row.weight(scan, r))
@@ -492,14 +508,12 @@ def _sequential_scan(measure, kind, r, horizons, sign):
         hi_idx = int(np.searchsorted(grid, t_hzn, side="right"))
         if hi_idx > lo_idx:
             j = int(np.argmax(lvals[lo_idx:hi_idx])) + lo_idx
-            if lvals[j] > best:
-                best, best_t = float(lvals[j]), float(grid[j])
-                a = grid[j - 1]
-                b = min(grid[min(j + 1, len(grid) - 1)], t_hzn)
-                if b > a:
-                    t_ref, v_ref = _golden_max_scalar(log_value_at, a, b)
-                    if v_ref > best:
-                        best, best_t = float(v_ref), float(t_ref)
+            a = float(grid[j - 1])
+            b = float(min(grid[min(j + 1, len(grid) - 1)], t_hzn))
+            t_ref, v_ref = _section_max_scalar(log_value_at, a, b)
+            value, t = (v_ref, t_ref) if v_ref > lvals[j] else (float(lvals[j]), float(grid[j]))
+            if value > best:
+                best, best_t = value, t
             lo_idx = hi_idx
         log_sups.append(best)
         argmaxes.append(sign * best_t)
@@ -516,8 +530,6 @@ def test_lockstep_scan_equals_sequential_scan(name):
         m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_string(name)))
     else:
         m = scenarios.corpus_measure(name)
-    # on floor, bp refines a window up front whose grid maximum then loses to
-    # the refined sup of the window before it: the sequential scan skips it
     horizons = (25.0, 50.0, 100.0)
     for kind, r in _LOCKSTEP_KINDS:
         if kind == "bweighted" and not m.is_even:
@@ -529,19 +541,20 @@ def test_lockstep_scan_equals_sequential_scan(name):
             assert np.array_equal(res.argmax, argmax), (kind, r, sign)
 
 
-def test_lockstep_golden_max_ties_and_nan():
-    # a staircase has ties at every comparison, and nan compares false: each
+def test_lockstep_section_max_ties_and_nan():
+    # a staircase has ties at every comparison, and nan counts as -inf: each
     # bracket still takes the scalar search's branches
     def f(s):
         with np.errstate(invalid="ignore"):
             return np.where(np.abs(s - 0.37) < 0.01, np.nan, -np.floor(np.abs(s - 0.3) * 8.0))
 
-    a = np.array([0.0, 0.1, 0.25, 0.29, 0.36, -1.0])
-    b = np.array([1.0, 0.4, 0.35, 0.5, 0.38, 0.3])
-    s_max, f_max = criteria._golden_max(f, a, b)
+    a = np.array([0.0, 0.1, 0.25, 0.29, 0.36, -1.0, 0.365])
+    b = np.array([1.0, 0.4, 0.35, 0.5, 0.38, 0.3, 0.375])
+    s_max, f_max = criteria._section_max(f, a, b)
+    assert f_max[-1] == -math.inf  # all of the last bracket is nan
     for i in range(len(a)):
-        s_ref, f_ref = _golden_max_scalar(lambda s: float(f(np.array([s]))[0]), a[i], b[i])
-        assert s_max[i] == s_ref and np.array_equal(f_max[i], f_ref, equal_nan=True)
+        s_ref, f_ref = _section_max_scalar(_scalar(f), a[i], b[i])
+        assert s_max[i] == s_ref and f_max[i] == f_ref
 
 
 def _three_peaks(s):
@@ -554,41 +567,26 @@ def _scalar(f):
     return lambda s: float(f(np.array([s]))[0])
 
 
-def test_lookahead_golden_max_equals_scalar_search():
-    # 40 = 13 * 3 + 1 steps: the last batch of probes is a single step
+def test_section_max_equals_scalar_search():
     rng = np.random.default_rng(16)
     a = rng.uniform(-2.0, 3.0, 64)
     b = a + rng.uniform(1e-6, 2.5, 64)
     calls = []
-    s_max, f_max = criteria._golden_max(lambda s: calls.append(len(s)) or _three_peaks(s), a, b)
-    assert len(calls) == 1 + math.ceil(criteria._GOLDEN_ITERS / criteria._LOOKAHEAD) == 15
-    assert calls[:2] == [2 * len(a), 7 * len(a)] and calls[-1] == len(a)
+    s_max, f_max = criteria._section_max(lambda s: calls.append(len(s)) or _three_peaks(s), a, b)
+    assert calls == [7 * len(a)] * 14
     for i in range(len(a)):
-        s_ref, f_ref = _golden_max_scalar(_scalar(_three_peaks), a[i], b[i])
+        s_ref, f_ref = _section_max_scalar(_scalar(_three_peaks), a[i], b[i])
         assert s_max[i] == s_ref and f_max[i] == f_ref
 
 
-@pytest.mark.parametrize("failure", ["raise", "invalid"])
-def test_lookahead_golden_max_fails_only_where_the_scalar_search_probes(failure):
-    # f raises, or takes the log of -1, at every point no scalar search
-    # probes: each batch holding such a speculative probe is dropped, and its
-    # steps evaluate their actual probes, so the result is the scalar one and
-    # no error or warning escapes
-    a, b = np.array([-2.0, 0.3, 1.7]), np.array([1.5, 2.9, 3.0])
-    probed = set()
-    refs = [_golden_max_scalar(lambda s: probed.add(s) or _scalar(_three_peaks)(s), a[i], b[i]) for i in range(3)]
-    dropped = []
-
+def test_section_max_propagates_an_error_of_f():
     def f(s):
-        off = np.array([t not in probed for t in s.tolist()])
-        dropped.append(off.any())
-        if off.any() and failure == "raise":
-            raise DomainValidationError("not a probe of the scalar search")
-        return _three_peaks(s) + np.log(np.where(off, -1.0, 1.0))
+        if (s > 1.0).any():
+            raise DomainValidationError("log-integrand is nan")
+        return _three_peaks(s)
 
-    s_max, f_max = criteria._golden_max(f, a, b)
-    assert any(dropped)
-    assert [(float(s), float(v)) for s, v in zip(s_max, f_max)] == refs
+    with pytest.raises(DomainValidationError, match="is nan"):
+        criteria._section_max(f, np.array([-2.0, 0.3]), np.array([0.5, 2.9]))
 
 
 def test_hyp_check_builds_no_tail_ladder(monkeypatch):

@@ -63,6 +63,13 @@ def test_discretize_validates_n(gauss_measure):
         spectral.discretize(gauss_measure, N=50)
 
 
+@pytest.mark.parametrize("X", [0.0, -5.0, math.inf, math.nan])
+def test_discretize_requires_a_finite_positive_x(gauss_measure, X):
+    # X <= 0 would build a degenerate or reversed grid
+    with pytest.raises(DomainValidationError, match="finite X > 0"):
+        spectral.discretize(gauss_measure, X=X, N=300)
+
+
 def test_gaussian_gap_is_one(gauss_measure):
     op = spectral.discretize(gauss_measure, N=4000)
     gap = spectral.spectral_gap(op)
