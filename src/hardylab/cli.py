@@ -26,39 +26,6 @@ from . import spectral
 from .errors import HardyLabError
 from .quad import DEFAULT_QUAD, QuadConfig
 
-JSON_SCHEMA = {
-    "type": "object",
-    "required": ["config", "kind", "results", "version"],
-    "properties": {
-        "config": {"type": "object"},
-        "kind": {"type": "string"},
-        "version": {"type": "string"},
-        "results": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "value"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "value": {
-                        "type": ["number", "array", "string", "null"],
-                        "items": {"type": ["number", "string", "null"]},
-                    },
-                    "verdict": {"type": "string"},
-                    "bracket": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                    "argmax": {"type": "number"},
-                },
-            },
-        },
-    },
-}
-
-
 def _clean(x):
     if isinstance(x, (np.floating, np.integer)):
         return _clean(x.item())
@@ -132,9 +99,9 @@ class _SubParser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
 
 
-def _horizons(text):
-    vals = tuple(float(v) for v in text.split(","))
-    return vals
+def _floats(text):
+    """A comma-separated list of floats, such as ``25,50,100``."""
+    return tuple(float(v) for v in text.split(","))
 
 
 def cmd_measure(args):
@@ -368,7 +335,7 @@ def build_parser():
                    choices=[*criteria.KINDS, "hyp", "asymptotics", "tailscale"])
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--eps", type=float, default=0.1, help="threshold for the hyp check")
-    p.add_argument("--horizons", type=_horizons, default=criteria.DEFAULT_HORIZONS)
+    p.add_argument("--horizons", type=_floats, default=criteria.DEFAULT_HORIZONS)
     p.add_argument("--csv", default=None, help="also write curve data to this CSV path")
     p.set_defaults(func=cmd_criteria)
 
@@ -401,11 +368,10 @@ def build_parser():
 
     p = sub.add_parser("threshold-scan", help="verdict matrix over (alpha, r) for oscillating potentials")
     _add_output(p)
-    p.add_argument("--alphas", type=lambda s: tuple(float(v) for v in s.split(",")),
-                   default=(1.25, 1.5, 2.0, 3.0))
-    p.add_argument("--rs", type=lambda s: tuple(float(v) for v in s.split(",")),
+    p.add_argument("--alphas", type=_floats, default=(1.25, 1.5, 2.0, 3.0))
+    p.add_argument("--rs", type=_floats,
                    default=tuple(round(1.05 + 0.05 * k, 2) for k in range(18)))
-    p.add_argument("--horizons", type=_horizons, default=criteria.DEFAULT_HORIZONS)
+    p.add_argument("--horizons", type=_floats, default=criteria.DEFAULT_HORIZONS)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_threshold_scan)
 
@@ -416,7 +382,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--statistic", default="mean_scaled", choices=["mean_scaled", "max", "softmax"])
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--t-grid", dest="t_grid", type=_horizons, default=(1.0, 2.0, 3.0))
+    p.add_argument("--t-grid", dest="t_grid", type=_floats, default=(1.0, 2.0, 3.0))
     p.add_argument("--count", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--C", type=float, default=1.0)

@@ -33,7 +33,7 @@ from .errors import DomainValidationError
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _BATCH = 50_000
-_SOFTMAX_ROWS = 4096
+_ROW_BLOCK = 4096  # rows per block of the softmax statistic and the gradient check
 
 
 @dataclass(frozen=True)
@@ -98,15 +98,15 @@ def _statistic(name, beta=None):
     if name == "max":
         return lambda x: np.max(x, axis=1), lambda n, r: 1.0
     if name == "softmax":
-        if beta is None or beta <= 0:
-            raise DomainValidationError("softmax statistic needs beta > 0")
+        if beta is None or not 0.0 < beta < math.inf:
+            raise DomainValidationError("softmax statistic needs a finite beta > 0")
 
         def f(x):
             # row blocks keep the temporaries small; each row's value is the
             # one-shot formula's, bit for bit
             out = np.empty(x.shape[0])
-            for a in range(0, x.shape[0], _SOFTMAX_ROWS):
-                block = x[a : a + _SOFTMAX_ROWS]
+            for a in range(0, x.shape[0], _ROW_BLOCK):
+                block = x[a : a + _ROW_BLOCK]
                 m = np.max(block, axis=1, keepdims=True)
                 w = block - m
                 w *= beta
@@ -121,6 +121,8 @@ def _checked_grid(n, count, t_grid):
     if n < 1 or count < 1:
         raise DomainValidationError("n and count must be >= 1")
     t_grid = tuple(float(t) for t in t_grid)
+    if not all(map(math.isfinite, t_grid)):
+        raise DomainValidationError("t_grid must be finite")
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise DomainValidationError("t_grid must be increasing")
     return t_grid
@@ -283,27 +285,35 @@ def lipschitz_gradient_check(r, t, count, seed, box, n=8):
         dG_i = r sgn(x_i) |x_i|^(r-1)   when |x_i| > 1.
 
     Returns (max sum dG_i^2 / (4t), max sum |dG_i|^r' / (2^r' t), accepted),
-    both ratios provably <= 1.
+    both ratios provably <= 1.  Past the two draws, the points are processed
+    in blocks of ``_ROW_BLOCK`` rows, so only the draws are held whole.
     """
     if not 1.0 < r < 2.0:
         raise DomainValidationError("r must lie in (1, 2)")
-    if t <= 0 or box <= 0:
-        raise DomainValidationError("t and box must be positive")
+    if not (0.0 < t < math.inf and 0.0 < box < math.inf):
+        raise DomainValidationError("t and box must be finite and positive")
+    if n < 1 or count < 1:
+        raise DomainValidationError("n and count must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     x = rng.uniform(-1.0, 1.0, size=(count, n))
     scale = rng.uniform(0.0, 1.0, size=(count, 1))
-    x *= box * scale
-    G = g_cost(x, r)
-    keep = (G < t) & np.all(np.abs(np.abs(x) - 1.0) > 1e-12, axis=1)
-    x = x[keep]
-    if len(x) == 0:
-        raise DomainValidationError("no sampled points satisfied G(x) < t; shrink the box")
-    a = np.abs(x)
-    grad = np.where(a < 1.0, 2.0 * a, r * np.power(a, r - 1.0))
     rp = r / (r - 1.0)
-    ratio_sq = float(np.max(np.sum(grad * grad, axis=1) / (4.0 * t)))
-    ratio_rp = float(np.max(np.sum(np.power(grad, rp), axis=1) / (2.0**rp * t)))
-    return ratio_sq, ratio_rp, int(len(x))
+    ratio_sq = ratio_rp = -math.inf
+    accepted = 0
+    for a in range(0, count, _ROW_BLOCK):
+        block = x[a : a + _ROW_BLOCK]
+        block *= box * scale[a : a + _ROW_BLOCK]
+        keep = (g_cost(block, r) < t) & np.all(np.abs(np.abs(block) - 1.0) > 1e-12, axis=1)
+        kept = np.abs(block[keep])
+        if len(kept) == 0:
+            continue
+        grad = np.where(kept < 1.0, 2.0 * kept, r * np.power(kept, r - 1.0))
+        ratio_sq = max(ratio_sq, float(np.max(np.sum(grad * grad, axis=1) / (4.0 * t))))
+        ratio_rp = max(ratio_rp, float(np.max(np.sum(np.power(grad, rp), axis=1) / (2.0**rp * t))))
+        accepted += len(kept)
+    if accepted == 0:
+        raise DomainValidationError("no sampled points satisfied G(x) < t; shrink the box")
+    return ratio_sq, ratio_rp, accepted
 
 
 def transport_check(measure, alpha, x_grid=None):

@@ -425,8 +425,8 @@ def hyp_mls_check(measure, r, eps, horizons=DEFAULT_HORIZONS):
     added to the grid.
     """
     _check_r(r)
-    if eps <= 0:
-        raise DomainValidationError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise DomainValidationError(f"eps must be finite and positive, got {eps}")
     horizons = _validate_horizons(horizons, measure.median)
     worst, arg = math.inf, math.nan
     for sign in (+1.0, -1.0):

@@ -20,22 +20,6 @@ from . import expr as expr_mod
 from .errors import BracketError, DomainValidationError, EnergyGuardError
 from .quad import integrate
 
-__all__ = [
-    "TestFunction",
-    "InequalityReport",
-    "h",
-    "h_star",
-    "legendre_numeric",
-    "f_r",
-    "phi",
-    "luxemburg",
-    "variance",
-    "entropy_sq",
-    "lo_lhs",
-    "energy",
-    "ratio_report",
-]
-
 
 def _dual(r):
     if r is None or not 1.0 < r < 2.0:

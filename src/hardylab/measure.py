@@ -13,8 +13,7 @@ Built-in potential families (all even, evaluated at t = |x|):
 Each family is an expression tree (see expr) that holds its parameters'
 exact floats, so built-in and expression potentials share one evaluator,
 their symbolic derivatives and their breakpoints (sin and cos give the
-half-period pi, floor the unit lattice).  Potentials can also be given as
-tabulated grids (linear interpolation, last-slope extrapolation).
+half-period pi, floor the unit lattice).
 """
 
 from __future__ import annotations
@@ -43,12 +42,10 @@ _FAMILY_ARITY = {"exp": 0, "gaussian": 0, "power": 1, "sinpower": 2, "cattiaux":
 class PotentialSpec:
     """Declarative description of a potential; validated at construction."""
 
-    kind: str  # "builtin" | "expression" | "tabulated"
+    kind: str  # "builtin" | "expression"
     family: str | None = None
     params: tuple = ()
     expression: str | None = None
-    grid_x: tuple = ()
-    grid_v: tuple = ()
     even: bool = True
     # the expression tree and its function names, set once at construction
     ast: object = field(default=None, init=False, repr=False, compare=False)
@@ -60,12 +57,6 @@ class PotentialSpec:
             self._set_ast(_family_tree(self.family, self.params))
         elif self.kind == "expression":
             self._set_ast(expr_mod.parse(self.expression))  # raises ParseError with position
-        elif self.kind == "tabulated":
-            xs = np.asarray(self.grid_x, dtype=float)
-            if len(xs) < 2 or np.any(np.diff(xs) <= 0):
-                raise DomainValidationError("tabulated grid needs >= 2 strictly increasing nodes")
-            if len(self.grid_v) != len(xs):
-                raise DomainValidationError("grid_x and grid_v lengths differ")
         else:
             raise DomainValidationError(f"unknown potential kind {self.kind!r}")
 
@@ -108,12 +99,6 @@ class PotentialSpec:
     @staticmethod
     def from_expression(text, even=False):
         return PotentialSpec(kind="expression", expression=text, even=even)
-
-    @staticmethod
-    def tabulated(xs, vs, even=False):
-        return PotentialSpec(
-            kind="tabulated", grid_x=tuple(map(float, xs)), grid_v=tuple(map(float, vs)), even=even
-        )
 
     @staticmethod
     def from_string(token):
@@ -197,73 +182,25 @@ class Potential:
         return lambda a, b: [-t for t in reversed(self.breakpoints(-b, -a))]
 
 
-def _even_wrap(f):
-    return lambda x: f(np.abs(np.asarray(x, dtype=float)))
-
-
-def _odd_wrap(df):
-    """Derivative of x -> f(|x|) is sign(x) f'(|x|)."""
-
-    def d(x):
-        x = np.asarray(x, dtype=float)
-        return np.sign(x) * df(np.abs(x))
-
-    return d
-
-
-def _expression_potential(spec):
-    """Evaluator of a built-in or expression spec's tree (at |x| when even),
-    with the symbolic a.e. derivative unless V contains floor."""
-    program = expr_mod.compile(spec.ast)
-    base = lambda t: expr_mod.evaluate(program, t)
-    dbase = None
-    if "floor" not in spec.functions:
-        dprogram = expr_mod.compile(expr_mod.diff(spec.ast))
-        dbase = lambda t: expr_mod.evaluate(dprogram, t)
-    if spec.even:
-        return Potential(value=_even_wrap(base), derivative=_odd_wrap(dbase) if dbase else None, spec=spec)
-    return Potential(value=base, derivative=dbase, spec=spec)
-
-
-class _Table:
-    """Linear interpolation with last-slope extrapolation on both ends."""
-
-    def __init__(self, xs, vs):
-        self.xs = np.asarray(xs, dtype=float)
-        self.vs = np.asarray(vs, dtype=float)
-        self.slope_lo = (self.vs[1] - self.vs[0]) / (self.xs[1] - self.xs[0])
-        self.slope_hi = (self.vs[-1] - self.vs[-2]) / (self.xs[-1] - self.xs[-2])
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        inner = np.interp(x, self.xs, self.vs)
-        lo = self.vs[0] + (x - self.xs[0]) * self.slope_lo
-        hi = self.vs[-1] + (x - self.xs[-1]) * self.slope_hi
-        return np.where(x < self.xs[0], lo, np.where(x > self.xs[-1], hi, inner))
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 2)
-        slopes = (self.vs[idx + 1] - self.vs[idx]) / (self.xs[idx + 1] - self.xs[idx])
-        slopes = np.where(x < self.xs[0], self.slope_lo, slopes)
-        return np.where(x > self.xs[-1], self.slope_hi, slopes)
-
-
-def _tabulated_potential(spec):
-    table = _Table(spec.grid_x, spec.grid_v)
-    if spec.even:
-        return Potential(value=_even_wrap(table), derivative=_odd_wrap(table.deriv), spec=spec)
-    return Potential(value=table, derivative=table.deriv, spec=spec)
-
-
 def make_potential(spec):
-    """Build the evaluator for a validated PotentialSpec.
+    """Build the evaluator for a validated PotentialSpec from its tree.
 
-    Built-in and expression potentials get the symbolic a.e. derivative of
-    their tree unless it contains floor.  A coarse finiteness check rejects
-    potentials that are not locally bounded.
+    The derivative is the tree's symbolic a.e. derivative unless V contains
+    floor.  An even spec's V is V(|x|), with derivative sign(x) V'(|x|).  A
+    coarse finiteness check rejects potentials that are not locally bounded.
     """
-    pot = _tabulated_potential(spec) if spec.kind == "tabulated" else _expression_potential(spec)
+    program = expr_mod.compile(spec.ast)
+    dprogram = None if "floor" in spec.functions else expr_mod.compile(expr_mod.diff(spec.ast))
+    if spec.even:
+        value = lambda x: expr_mod.evaluate(program, np.abs(np.asarray(x, dtype=float)))
+
+        def derivative(x):
+            x = np.asarray(x, dtype=float)
+            return np.sign(x) * expr_mod.evaluate(dprogram, np.abs(x))
+    else:
+        value = lambda x: expr_mod.evaluate(program, x)
+        derivative = lambda x: expr_mod.evaluate(dprogram, x)
+    pot = Potential(value=value, derivative=None if dprogram is None else derivative, spec=spec)
     probe = np.array([-97.3, -31.7, -9.1, -1.3, -0.21, 0.17, 0.93, 7.7, 23.9, 88.1])
     vals = pot.value(probe)
     if not np.all(np.isfinite(vals)):
@@ -327,9 +264,7 @@ def _default_label(spec):
         if spec.params:
             name += "(" + ",".join(f"{p:g}" for p in spec.params) + ")"
         return name
-    if spec.kind == "expression":
-        return spec.expression
-    return "tabulated"
+    return spec.expression
 
 
 def _ladder_quantile(ladders, log_z, p):

@@ -88,6 +88,8 @@ _ACCEPT_ULPS = 8
 # breakpoints: they are reached only by tails that have not fallen 55 nats
 # within 4096 of their start, and would hold thousands of breakpoints.
 _MAX_SPLIT_WIDTH = 4096.0
+# Bisection generations of a panel in ``integrate`` and in a measure's ladders.
+MAX_DEPTH = 48
 # Ladder and scan grid step; it resolves period-2pi oscillations of the potentials.
 GRID_STEP = math.pi / 8.0
 # An extension that has refined more panels than this without converging is
@@ -102,17 +104,16 @@ _EXTENSION_CHUNKS = 400
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and refinement limits for one adaptive integration."""
+    """Tolerances for one adaptive integration."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
-    max_depth: int = 48
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainValidationError("rel_tol and abs_tol must be positive")
-        if self.max_depth < 10:
-            raise DomainValidationError("max_depth must be >= 10")
+        if not 0.0 < self.rel_tol < 1.0:
+            raise DomainValidationError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise DomainValidationError(f"abs_tol must be finite and positive, got {self.abs_tol}")
 
 
 DEFAULT_QUAD = QuadConfig()
@@ -206,7 +207,7 @@ def integrate(f, a, b, cfg=DEFAULT_QUAD, breakpoints=None):
     """Adaptive integral of ``f`` over [a, b].
 
     Panels whose |K15 - G7| exceeds a width-proportional share of the global
-    allowance max(abs_tol, rel_tol*|I|) are bisected, up to ``cfg.max_depth``
+    allowance max(abs_tol, rel_tol*|I|) are bisected, up to ``MAX_DEPTH``
     generations, after which a DepthExhaustedError reports the worst panel.
     """
     if not a < b:
@@ -234,7 +235,7 @@ def integrate(f, a, b, cfg=DEFAULT_QUAD, breakpoints=None):
         # width-proportional allowance, with an absolute negligibility floor so
         # integrable kinks cannot force unbounded refinement of vanishing panels
         ok = err <= allow * np.maximum((pb - pa) / width, 1e-6)
-        exhausted = ~ok & (depth >= cfg.max_depth)
+        exhausted = ~ok & (depth >= MAX_DEPTH)
         if np.any(exhausted):
             worst = int(np.argmax(np.where(exhausted, err, -np.inf)))
             raise DepthExhaustedError(
@@ -475,7 +476,7 @@ def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
 
     def one_side(sign):
         logf = (lambda s: -potential.value(s)) if sign > 0 else lambda s: -potential.value(sign * s)
-        ladder = LogLadder(logf, [0.0], ptol, cfg.max_depth, True, breakpoints=potential.side_breakpoints(sign))
+        ladder = LogLadder(logf, [0.0], ptol, MAX_DEPTH, True, breakpoints=potential.side_breakpoints(sign))
         total, hi = -np.inf, 1.0
         while True:
             chunk = ladder._append(hi)

@@ -7,6 +7,39 @@ import pytest
 
 from hardylab import cli
 
+# every report's shape: config, kind, version and named results
+JSON_SCHEMA = {
+    "type": "object",
+    "required": ["config", "kind", "results", "version"],
+    "properties": {
+        "config": {"type": "object"},
+        "kind": {"type": "string"},
+        "version": {"type": "string"},
+        "results": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["name", "value"],
+                "properties": {
+                    "name": {"type": "string"},
+                    "value": {
+                        "type": ["number", "array", "string", "null"],
+                        "items": {"type": ["number", "string", "null"]},
+                    },
+                    "verdict": {"type": "string"},
+                    "bracket": {
+                        "type": "array",
+                        "items": {"type": "number"},
+                        "minItems": 2,
+                        "maxItems": 2,
+                    },
+                    "argmax": {"type": "number"},
+                },
+            },
+        },
+    },
+}
+
 
 def run_json(capsys, argv):
     code = cli.run(argv)
@@ -26,7 +59,7 @@ def test_measure_info(capsys):
     argv = ["measure", "info", "--potential", "exp", "--tail-at", "1.0", "--quantile-at", "1e-320"]
     code, doc = run_json(capsys, argv)
     assert code == 0
-    jsonschema.validate(doc, cli.JSON_SCHEMA)
+    jsonschema.validate(doc, JSON_SCHEMA)
     assert get(doc, "Z")["value"] == pytest.approx(2.0, rel=1e-8)
     assert get(doc, "median")["value"] == 0.0
     assert get(doc, "tail(1)")["value"] == pytest.approx(math.exp(-1) / 2, rel=1e-8)
@@ -62,7 +95,7 @@ def test_criteria_bp_json_and_csv(capsys, tmp_path):
          "--rel-tol", "1e-9"],
     )
     assert code == 0 and doc["config"]["rel_tol"] == 1e-9
-    jsonschema.validate(doc, cli.JSON_SCHEMA)
+    jsonschema.validate(doc, JSON_SCHEMA)
     row = get(doc, "bp partial sups")
     assert row["verdict"] == "bounded"
     assert row["bracket"][0] == pytest.approx(1.0, abs=1e-8)
@@ -96,7 +129,7 @@ def test_spectral_unresolved_gap_has_no_estimate(capsys):
     # reported as computed but gives no Poincare constant estimate
     code, doc = run_json(capsys, ["spectral", "--potential", "sinpower:2,2", "--X", "20"])
     assert code == 0
-    jsonschema.validate(doc, cli.JSON_SCHEMA)
+    jsonschema.validate(doc, JSON_SCHEMA)
     gap, floor = get(doc, "gap")["value"], get(doc, "gap resolution floor")["value"]
     assert 0.0 <= gap <= floor
     assert get(doc, "gap resolved") == {"name": "gap resolved", "value": 0.0, "verdict": "False"}
@@ -171,6 +204,18 @@ def test_numerical_failure_exit_code_3(capsys):
     for x in ("0", "-5"):
         assert cli.run(["spectral", "--potential", "exp", f"--X={x}"]) == 3
         assert "finite X > 0" in capsys.readouterr().err
+    # non-finite or out-of-range values that would give a report of nulls or unrefined panels
+    for argv, message in (
+        (["measure", "info", "--potential", "exp", "--rel-tol", "inf"], "rel_tol"),
+        (["evaluate", "--potential", "gaussian", "--f", "x", "--kind", "poincare", "--abs-tol", "inf"], "abs_tol"),
+        (["concentration", "--mode", "deviation", "--t-grid", "1,nan", "--count", "100"], "t_grid must be finite"),
+        (["criteria", "--potential", "exp", "--kind", "hyp", "--r", "1.5", "--eps", "nan"], "eps must be finite"),
+        (["concentration", "--mode", "gradcheck", "--n", "0"], "n and count"),
+        (["concentration", "--mode", "gradcheck", "--t", "inf"], "t and box must be finite"),
+        (["concentration", "--mode", "deviation", "--statistic", "softmax", "--beta", "nan"], "finite beta"),
+    ):
+        assert cli.run(argv) == 3
+        assert message in capsys.readouterr().err
 
 
 def test_measure_info_nonfinite_points(capsys):
@@ -200,7 +245,7 @@ def test_repro_scenario_smoke(capsys):
     captured = capsys.readouterr()
     assert code == 0
     doc = json.loads(captured.out)
-    jsonschema.validate(doc, cli.JSON_SCHEMA)
+    jsonschema.validate(doc, JSON_SCHEMA)
     assert "[PASS]" in captured.err
 
 
@@ -210,5 +255,5 @@ def test_output_file_roundtrip(tmp_path, capsys):
     assert code == 0
     with open(path) as fh:
         doc = json.load(fh)
-    jsonschema.validate(doc, cli.JSON_SCHEMA)
+    jsonschema.validate(doc, JSON_SCHEMA)
     assert get(doc, "h_star")["value"] == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-12)

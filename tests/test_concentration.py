@@ -234,10 +234,12 @@ def test_two_sided_tail_consistent_with_one_sided(mu15):
 
 
 def test_softmax_statistic_requires_beta(mu15):
-    with pytest.raises(DomainValidationError):
-        conc.deviation_experiment(
-            mu15, n=2, statistic="softmax", t_grid=(1.0,), count=100, seed=0, C=1.0, r=1.5
-        )
+    # beta = nan would make every value nan, and every tail 0
+    for beta in (None, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainValidationError):
+            conc.deviation_experiment(
+                mu15, n=2, statistic="softmax", t_grid=(1.0,), count=100, seed=0, C=1.0, r=1.5, beta=beta
+            )
 
 
 @pytest.mark.parametrize("experiment", ["deviation", "enlargement"])
@@ -246,6 +248,16 @@ def test_experiments_reject_a_grid_that_does_not_increase(mu15, experiment):
     if experiment == "deviation":
         kw["statistic"] = "max"
     with pytest.raises(DomainValidationError, match="increasing"):
+        getattr(conc, f"{experiment}_experiment")(mu15, **kw)
+
+
+@pytest.mark.parametrize("t_grid", [(1.0, math.nan), (math.nan,), (1.0, math.inf)])
+@pytest.mark.parametrize("experiment", ["deviation", "enlargement"])
+def test_experiments_reject_a_grid_that_is_not_finite(mu15, experiment, t_grid):
+    kw = dict(n=2, t_grid=t_grid, count=100, seed=0, C=1.0, r=1.5)
+    if experiment == "deviation":
+        kw["statistic"] = "max"
+    with pytest.raises(DomainValidationError, match="finite"):
         getattr(conc, f"{experiment}_experiment")(mu15, **kw)
 
 
@@ -279,6 +291,52 @@ def test_gradient_check_vanishes_for_large_t():
     _, _, n1 = conc.lipschitz_gradient_check(1.5, 1e6, 10_000, 5, box=2.0, n=8)
     r1, r2, _ = conc.lipschitz_gradient_check(1.5, 1e6, 10_000, 5, box=2.0, n=8)
     assert max(r1, r2) <= 1e-4
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(n=0), "n and count"), (dict(count=0), "n and count"), (dict(n=-1), "n and count"),
+    (dict(t=math.inf), "finite"), (dict(t=math.nan), "finite"), (dict(box=math.inf), "finite"),
+])
+def test_gradient_check_validation(kw, message):
+    # t = inf would accept every point, with ratios 0
+    args = dict(r=1.5, t=2.0, count=100, seed=5, box=2.0, n=8) | kw
+    with pytest.raises(DomainValidationError, match=message):
+        conc.lipschitz_gradient_check(**args)
+
+
+def _gradient_check_one_shot(r, t, count, seed, box, n=8):
+    """The gradient check over all points at once: the oracle for its row blocks."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    x = rng.uniform(-1.0, 1.0, size=(count, n))
+    scale = rng.uniform(0.0, 1.0, size=(count, 1))
+    x *= box * scale
+    G = conc.g_cost(x, r)
+    keep = (G < t) & np.all(np.abs(np.abs(x) - 1.0) > 1e-12, axis=1)
+    a = np.abs(x[keep])
+    grad = np.where(a < 1.0, 2.0 * a, r * np.power(a, r - 1.0))
+    rp = r / (r - 1.0)
+    ratio_sq = float(np.max(np.sum(grad * grad, axis=1) / (4.0 * t)))
+    ratio_rp = float(np.max(np.sum(np.power(grad, rp), axis=1) / (2.0**rp * t)))
+    return ratio_sq, ratio_rp, int(len(a))
+
+
+@pytest.mark.parametrize("count", [1, conc._ROW_BLOCK, conc._ROW_BLOCK + 1, 200_000])
+@pytest.mark.parametrize("r, t", [(1.2, 2.0), (1.8, 2.0), (1.5, 1e6)])
+def test_gradient_check_blocks_equal_the_one_shot_check(r, t, count):
+    assert conc.lipschitz_gradient_check(r, t, count, 7, box=2.0) == _gradient_check_one_shot(r, t, count, 7, 2.0)
+
+
+def test_gradient_check_holds_one_row_block_at_a_time():
+    # the draws are 200,000 x 8 doubles (12.8 MB); the cost, the mask and the
+    # gradients of every point at once would add about two more of them
+    count, n = 200_000, 8
+    tracemalloc.start()
+    try:
+        conc.lipschitz_gradient_check(1.5, 2.0, count, 7, box=2.0, n=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * count * n * 8
 
 
 def test_transport_check_adjacent_pairs_bounded_below(exp_measure):
@@ -350,7 +408,7 @@ def test_softmax_statistic_dominates_max(mu15):
 def test_block_softmax_matches_one_shot_formula():
     beta = 2.7
     f, _ = conc._statistic("softmax", beta=beta)
-    rows = 2 * conc._SOFTMAX_ROWS + 123  # not a multiple of the block
+    rows = 2 * conc._ROW_BLOCK + 123  # not a multiple of the block
     x = np.random.Generator(np.random.PCG64(9)).normal(size=(rows, 64)) * 3.0
     kept = x.copy()
     m = np.max(x, axis=1, keepdims=True)

@@ -205,18 +205,6 @@ def test_sinpower_zero_lambda_equals_power():
     assert np.allclose(a.value(xs), b.value(xs), rtol=1e-14)
 
 
-def test_tabulated_interpolation_and_extrapolation():
-    xs = [0.0, 1.0, 2.0, 4.0]
-    vs = [0.0, 1.0, 1.5, 3.5]
-    pot = msr.make_potential(msr.PotentialSpec.tabulated(xs, vs, even=True))
-    assert pot.value(0.5) == pytest.approx(0.5)
-    assert pot.value(3.0) == pytest.approx(2.5)
-    assert pot.value(-1.0) == pytest.approx(1.0)  # evenness
-    # last-slope extrapolation: slope (3.5-1.5)/2 = 1 beyond x=4
-    assert pot.value(6.0) == pytest.approx(5.5)
-    assert pot.value(-7.0) == pytest.approx(6.5)
-
-
 def test_from_string_cli_syntax():
     spec = msr.PotentialSpec.from_string("sinpower:2,1")
     assert spec.family == "sinpower" and spec.params == (2.0, 1.0)
@@ -456,7 +444,7 @@ def test_extensions_refine_at_the_ladder_tolerance(monkeypatch):
     monkeypatch.setattr(quad, "log_extension", lambda *a, **k: extensions.append(a[2:4]) or extension(*a, **k))
     msr.log_tail(m, 10.0 * end)
     msr.quantile(m, 1e-300)
-    assert extensions and set(extensions) == {(ptol, m.cfg.max_depth)}
+    assert extensions and set(extensions) == {(ptol, quad.MAX_DEPTH)}
     assert ptols and set(ptols) == {ptol}
 
 
@@ -640,7 +628,7 @@ def _integrate_log(logf, a, b, cfg):
     over [a, b] in one strict refinement at cfg's panel tolerance; [a, b]
     lies inside one ladder cell, so no breakpoint splits it."""
     ptol = max(cfg.rel_tol * 0.1, 1e-14)
-    return float(np.logaddexp.reduce(quad.refine_log_panels(logf, [a], [b], ptol, cfg.max_depth)[0]))
+    return float(np.logaddexp.reduce(quad.refine_log_panels(logf, [a], [b], ptol, quad.MAX_DEPTH)[0]))
 
 
 def _scalar_ladder_upper(m, ladder, s):
@@ -813,13 +801,3 @@ def test_normalize_raises_on_nan_potential_between_probes():
     pot = msr.make_potential(msr.PotentialSpec.from_expression("abs(x) + sqrt(abs(x)-0.05)*0"))
     with pytest.raises(DomainValidationError, match="log-integrand is nan on the panel"):
         msr.normalize(pot)
-
-
-def test_tabulated_potential_full_pipeline():
-    # |x| tabulated on a coarse grid is globally exact thanks to last-slope
-    # extrapolation, so normalization must reproduce the closed form Z = 2
-    xs = np.linspace(0.0, 10.0, 21)
-    pot = msr.make_potential(msr.PotentialSpec.tabulated(xs, xs, even=True))
-    m = msr.normalize(pot)
-    assert math.exp(m.log_z) == pytest.approx(2.0, rel=1e-9)
-    assert msr.tail(m, 1.0) == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-9)

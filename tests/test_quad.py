@@ -97,7 +97,7 @@ def test_refinement_monotone(f, a, b):
 def test_depth_exhaustion_signals_discontinuity():
     step = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
     with pytest.raises(DepthExhaustedError) as exc:
-        quad.integrate(step, 0.0, 1.0, quad.QuadConfig(rel_tol=1e-12, abs_tol=1e-15, max_depth=20))
+        quad.integrate(step, 0.0, 1.0, quad.QuadConfig(rel_tol=1e-12, abs_tol=1e-15))
     a, b, _ = exc.value.panel
     assert a <= 1.0 / 3.0 <= b  # worst panel brackets the jump
 
@@ -110,14 +110,15 @@ def test_non_finite_integrand_rejected():
 
 def test_non_integrable_singularity_exhausts_depth():
     with pytest.raises(DepthExhaustedError):
-        quad.integrate(lambda x: 1.0 / x, 0.0, 1.0, quad.QuadConfig(max_depth=30))
+        quad.integrate(lambda x: 1.0 / x, 0.0, 1.0)
 
 
 def test_config_validation():
-    with pytest.raises(DomainValidationError):
-        quad.QuadConfig(rel_tol=0.0)
-    with pytest.raises(DomainValidationError):
-        quad.QuadConfig(max_depth=5)
+    # an infinite tolerance would accept every panel unrefined
+    for tols in ({"rel_tol": 0.0}, {"rel_tol": 1.0}, {"rel_tol": math.inf}, {"rel_tol": math.nan},
+                 {"abs_tol": 0.0}, {"abs_tol": math.inf}, {"abs_tol": math.nan}):
+        with pytest.raises(DomainValidationError, match="tol"):
+            quad.QuadConfig(**tols)
     with pytest.raises(DomainValidationError):
         quad.integrate(lambda x: x, 1.0, 0.0)
 
