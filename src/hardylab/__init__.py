@@ -23,8 +23,6 @@ from .quad import Integral, QuadConfig, integrate, truncation_point  # noqa: F40
 from .measure import (  # noqa: F401
     Measure1D,
     Potential,
-    PotentialSpec,
-    make_potential,
     n_profile,
     normalize,
     quantile,

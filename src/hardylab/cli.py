@@ -1,9 +1,11 @@
 """Command-line front end: batch analyses with machine-readable reports.
 
-Every report embeds the full run configuration (flags, tolerances, seed) so
-it can be reproduced from its own header.  Exit codes: 0 success, 2 flag
-validation error, 3 numerical failure or a parameter outside its domain,
-including a missing ``--r`` or ``--tau`` that the chosen kind requires.
+Every report embeds the flags its command read (tolerances and seed
+included) so it can be reproduced from its own header; a flag that the
+chosen ``criteria`` kind or ``concentration`` mode does not read is refused
+unless it keeps its default.  Exit codes: 0 success, 2 flag validation
+error, 3 numerical failure or a parameter outside its domain, including a
+missing ``--r`` or ``--tau`` that the chosen kind requires.
 """
 
 from __future__ import annotations
@@ -44,8 +46,15 @@ def _clean(x):
     return x
 
 
+def _flags_read(args):
+    """The flags a command read: its ``reads`` set where it has one, else all."""
+    reads = getattr(args, "reads", None)
+    return reads(args) if reads else set(vars(args)) - {"func"}
+
+
 def _report(args, kind, results):
-    config = {k: _clean(v) for k, v in vars(args).items() if k != "func"}
+    read = _flags_read(args)
+    config = {k: _clean(v) for k, v in vars(args).items() if k in read}
     doc = {"config": config, "kind": kind, "results": _clean(results), "version": __version__}
     text = json.dumps(doc, indent=2)
     if args.output:
@@ -64,9 +73,9 @@ def _write_csv(path, header, rows):
 
 
 def _measure_from_args(args):
-    spec = msr.PotentialSpec.from_string(args.potential)
+    potential = msr.Potential.from_string(args.potential)
     cfg = QuadConfig(rel_tol=args.rel_tol, abs_tol=getattr(args, "abs_tol", DEFAULT_QUAD.abs_tol))
-    return msr.normalize(msr.make_potential(spec), cfg=cfg, eps_trunc=args.eps_trunc)
+    return msr.normalize(potential, cfg=cfg, eps_trunc=args.eps_trunc)
 
 
 def _add_output(p):
@@ -92,11 +101,24 @@ def _add_potential(p):
 
 
 class _SubParser(argparse.ArgumentParser):
-    """Subcommand parser that documents every default in its help text."""
+    """Subcommand parser that documents every default in its help text and
+    refuses (exit 2) a flag given a value other than its default that the
+    command does not read, where a ``reads`` default names what it reads."""
 
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("formatter_class", argparse.ArgumentDefaultsHelpFormatter)
         super().__init__(*args, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if getattr(namespace, "reads", None):
+            read = _flags_read(namespace)
+            unread = [k for k, v in vars(namespace).items() if k not in read and v != self.get_default(k)]
+            if unread:
+                flags = ", ".join("--" + k.replace("_", "-") for k in unread)
+                choice = "kind" if "kind" in read else "mode"
+                self.error(f"{flags}: not read by --{choice} {getattr(namespace, choice)}")
+        return namespace, extras
 
 
 def _floats(text):
@@ -118,6 +140,14 @@ def cmd_measure(args):
         results.append({"name": f"quantile({p:g})", "value": msr.quantile(m, p)})
     _report(args, "measure-info", results)
     return 0
+
+
+def _criteria_reads(args):
+    read = {"command", "kind", "output", "potential", "rel_tol", "eps_trunc", "horizons"}
+    if args.kind in ("hyp", "asymptotics") or (args.kind in criteria.KINDS and criteria.KINDS[args.kind].needs_r):
+        read.add("r")
+    read.add("eps" if args.kind == "hyp" else "csv")
+    return read
 
 
 def cmd_criteria(args):
@@ -230,8 +260,7 @@ def cmd_threshold_scan(args):
     results = []
     rows = []
     for alpha in args.alphas:
-        spec = msr.PotentialSpec.builtin("sinpower", alpha, 1.0)
-        m = msr.normalize(msr.make_potential(spec), label=f"sinpower({alpha:g},1)")
+        m = msr.normalize(msr.Potential.builtin("sinpower", alpha, 1.0))
         r0 = 3.0 * alpha / (2.0 * alpha + 1.0)
         results.append({"name": f"r0(alpha={alpha:g})", "value": r0})
         for r in args.rs:
@@ -251,25 +280,37 @@ def cmd_threshold_scan(args):
     return 0
 
 
+_MEASURE_FLAGS = {"potential", "rel_tol", "eps_trunc"}
+_EXPERIMENT_FLAGS = _MEASURE_FLAGS | {"n", "t_grid", "count", "seed", "C", "r", "csv"}
+_CONCENTRATION_FLAGS = {
+    "deviation": _EXPERIMENT_FLAGS | {"statistic", "beta"},
+    "enlargement": _EXPERIMENT_FLAGS,
+    "gradcheck": {"n", "r", "t", "box", "count", "seed"},
+    "transport": _MEASURE_FLAGS | {"alpha"},
+}
+
+
+def _concentration_reads(args):
+    return {"command", "mode", "output", *_CONCENTRATION_FLAGS[args.mode]}
+
+
 def cmd_concentration(args):
     results = []
-    if args.mode == "deviation":
+    if args.mode in ("deviation", "enlargement"):
         m = _measure_from_args(args)
-        rep = conc.deviation_experiment(
-            m, n=args.n, statistic=args.statistic, t_grid=args.t_grid,
-            count=args.count, seed=args.seed, C=args.C, r=args.r, beta=args.beta,
-        )
+        if args.mode == "deviation":
+            rep = conc.deviation_experiment(
+                m, n=args.n, statistic=args.statistic, t_grid=args.t_grid,
+                count=args.count, seed=args.seed, C=args.C, r=args.r, beta=args.beta,
+            )
+        else:
+            rep = conc.enlargement_experiment(
+                m, n=args.n, t_grid=args.t_grid, count=args.count, seed=args.seed, C=args.C, r=args.r
+            )
         results.extend(_experiment_results(rep))
         if args.csv:
-            rep.to_csv(args.csv)
-    elif args.mode == "enlargement":
-        m = _measure_from_args(args)
-        rep = conc.enlargement_experiment(
-            m, n=args.n, t_grid=args.t_grid, count=args.count, seed=args.seed, C=args.C, r=args.r
-        )
-        results.extend(_experiment_results(rep))
-        if args.csv:
-            rep.to_csv(args.csv)
+            for name, tail in (("empirical", rep.empirical_tail), ("bound", rep.bound_tail)):
+                _write_csv(f"{args.csv}_{name}.csv", ["t", "tail"], list(zip(rep.t_grid, tail)))
     elif args.mode == "gradcheck":
         ratio_sq, ratio_rp, accepted = conc.lipschitz_gradient_check(
             args.r, args.t, args.count, args.seed, box=args.box, n=args.n
@@ -337,7 +378,7 @@ def build_parser():
     p.add_argument("--eps", type=float, default=0.1, help="threshold for the hyp check")
     p.add_argument("--horizons", type=_floats, default=criteria.DEFAULT_HORIZONS)
     p.add_argument("--csv", default=None, help="also write curve data to this CSV path")
-    p.set_defaults(func=cmd_criteria)
+    p.set_defaults(func=cmd_criteria, reads=_criteria_reads)
 
     p = sub.add_parser("spectral", help="discrete generator spectral gap")
     _add_potential(p)
@@ -391,7 +432,7 @@ def build_parser():
     p.add_argument("--box", type=float, default=2.0, help="gradcheck sampling half-width")
     p.add_argument("--alpha", type=float, default=1.5, help="transport exponent")
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_concentration)
+    p.set_defaults(func=cmd_concentration, reads=_concentration_reads)
 
     p = sub.add_parser("repro", help="run a named verification scenario end-to-end")
     p.add_argument("--name", required=True, choices=sorted(scenarios.SCENARIOS))

@@ -22,7 +22,6 @@ checked against brute force in the tests).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -61,18 +60,6 @@ class ExperimentReport:
     bound_tail: tuple
     margins: tuple  # bound - (empirical + confidence)
     constants: dict = field(default_factory=dict)
-
-    def to_csv(self, basepath):
-        """Write (t, tail) curves: <basepath>_empirical.csv and <basepath>_bound.csv."""
-        paths = []
-        for name, ys in (("empirical", self.empirical_tail), ("bound", self.bound_tail)):
-            path = f"{basepath}_{name}.csv"
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["t", "tail"])
-                w.writerows(zip(self.t_grid, ys))
-            paths.append(path)
-        return paths
 
 
 def two_level_bound(C, r, A, B, t):
@@ -274,7 +261,7 @@ def enlargement_experiment(measure, n, t_grid, count, seed, C, r):
     return _tail_report(measure, n, "enlargement_cost", count, seed, t_grid, tails, bound, constants)
 
 
-def lipschitz_gradient_check(r, t, count, seed, box, n=8):
+def lipschitz_gradient_check(r, t, count, seed, box, n):
     """Worst gradient-budget ratios for the clipped cost min(G, t).
 
     Draws ``count`` points in the cube [-box, box]^n (radially thinned so

@@ -531,6 +531,8 @@ def tail_asymptotics(measure, x_grid):
         raise DomainValidationError("tail_asymptotics requires an even measure")
     pot = measure.potential
     x = np.asarray(x_grid, dtype=float)
+    if not (x.ndim == 1 and len(x) and np.all(np.isfinite(x))):
+        raise DomainValidationError("x_grid must be finite and nonempty")
     theta = np.empty(len(x))
     capped = np.zeros(len(x), dtype=bool)
     r_theta = np.empty(len(x))

@@ -77,6 +77,8 @@ def h_star(r_prime, t):
         raise DomainValidationError("h_star requires r_prime > 2")
     r = r_prime / (r_prime - 1.0)
     t = np.abs(np.asarray(t, dtype=float))
+    if np.isnan(t).any():
+        raise DomainValidationError("t must not be nan")
     quad_branch = 0.25 * t * t
     lin_branch = t - 1.0
     pow_branch = np.power(t / r_prime, r) / (r - 1.0)

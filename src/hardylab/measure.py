@@ -10,10 +10,13 @@ Built-in potential families (all even, evaluated at t = |x|):
                      r in (1,2), max(r/2, r - 1/r) < b - 1 < r - 1/2
     floor            V = floor(t)                    no derivative
 
-Each family is an expression tree (see expr) that holds its parameters'
-exact floats, so built-in and expression potentials share one evaluator,
-their symbolic derivatives and their breakpoints (sin and cos give the
-half-period pi, floor the unit lattice).
+A ``Potential`` is one expression tree (see expr), compiled once with its
+symbolic derivative.  Its three constructors:
+
+    Potential.builtin(family, *params)           a family's tree, holding
+                                                 the parameters' exact floats
+    Potential.from_expression(text, even=False)  an expression in x
+    Potential.from_string(token)                 the CLI syntax of either
 """
 
 from __future__ import annotations
@@ -39,85 +42,102 @@ _FAMILY_ARITY = {"exp": 0, "gaussian": 0, "power": 1, "sinpower": 2, "cattiaux":
 
 
 @dataclass(frozen=True)
-class PotentialSpec:
-    """Declarative description of a potential; validated at construction."""
+class Potential:
+    """V as an expression tree, compiled once into pointwise evaluators.
 
-    kind: str  # "builtin" | "expression"
-    family: str | None = None
-    params: tuple = ()
-    expression: str | None = None
-    even: bool = True
-    # the expression tree and its function names, set once at construction
-    ast: object = field(default=None, init=False, repr=False, compare=False)
-    functions: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
+    ``value`` and ``derivative`` take an ndarray; the derivative is the
+    tree's symbolic a.e. derivative, or None when V contains floor.  An even
+    potential's V is the tree at |x|, with derivative sign(x) V'(|x|).  A
+    coarse finiteness check rejects potentials that are not locally bounded.
+    """
+
+    ast: object
+    even: bool = False
+    label: str = ""
+    # set once at construction from the tree
+    value: object = field(init=False, repr=False, compare=False)
+    derivative: object = field(init=False, repr=False, compare=False)
+    functions: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind == "builtin":
-            self._validate_builtin()
-            self._set_ast(_family_tree(self.family, self.params))
-        elif self.kind == "expression":
-            self._set_ast(expr_mod.parse(self.expression))  # raises ParseError with position
+        functions = frozenset(expr_mod.functions_used(self.ast))
+        program = expr_mod.compile(self.ast)
+        dprogram = None if "floor" in functions else expr_mod.compile(expr_mod.diff(self.ast))
+        if self.even:
+            value = lambda x: expr_mod.evaluate(program, np.abs(np.asarray(x, dtype=float)))
+
+            def derivative(x):
+                x = np.asarray(x, dtype=float)
+                return np.sign(x) * expr_mod.evaluate(dprogram, np.abs(x))
         else:
-            raise DomainValidationError(f"unknown potential kind {self.kind!r}")
-
-    def _set_ast(self, ast):
-        object.__setattr__(self, "ast", ast)
-        object.__setattr__(self, "functions", frozenset(expr_mod.functions_used(ast)))
-
-    def _validate_builtin(self):
-        fam = self.family
-        if fam not in _FAMILY_ARITY:
-            raise DomainValidationError(f"unknown builtin family {fam!r}")
-        if len(self.params) != _FAMILY_ARITY[fam]:
-            raise DomainValidationError(
-                f"{fam} takes {_FAMILY_ARITY[fam]} parameter(s), got {len(self.params)}"
-            )
-        if fam == "power":
-            (r,) = self.params
-            if not r >= 1.0:
-                raise DomainValidationError("power(r) needs r >= 1")
-        elif fam == "sinpower":
-            alpha, lam = self.params
-            if not (alpha > 1.0 and lam >= 0.0):
-                raise DomainValidationError("sinpower(alpha, lam) needs alpha > 1 and lam >= 0")
-        elif fam == "cattiaux":
-            r, beta = self.params
-            if not (1.0 < r < 2.0):
-                raise DomainValidationError("cattiaux(r, beta) needs r in (1, 2)")
-            lo = max(r / 2.0, r - 1.0 / r)
-            if not (lo < beta - 1.0 < r - 0.5):
-                raise DomainValidationError(
-                    f"cattiaux(r, beta) needs {lo:.4f} < beta - 1 < {r - 0.5:.4f}"
-                )
-
-    # -- convenience constructors ------------------------------------------
+            value = lambda x: expr_mod.evaluate(program, x)
+            derivative = lambda x: expr_mod.evaluate(dprogram, x)
+        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "derivative", None if dprogram is None else derivative)
+        probe = np.array([-97.3, -31.7, -9.1, -1.3, -0.21, 0.17, 0.93, 7.7, 23.9, 88.1])
+        bad = probe[~np.isfinite(value(probe))]
+        if bad.size:
+            raise DomainValidationError(f"potential is not finite at x={bad[0]}")
 
     @staticmethod
     def builtin(family, *params):
-        return PotentialSpec(kind="builtin", family=family, params=tuple(float(p) for p in params))
+        """The even potential of a built-in family, labelled ``family(p1,p2)``."""
+        params = tuple(float(p) for p in params)
+        _validate_builtin(family, params)
+        label = family + ("(" + ",".join(f"{p:g}" for p in params) + ")" if params else "")
+        return Potential(_family_tree(family, params), even=True, label=label)
 
     @staticmethod
     def from_expression(text, even=False):
-        return PotentialSpec(kind="expression", expression=text, even=even)
+        """The potential of an expression in x, labelled by its text."""
+        return Potential(expr_mod.parse(text), even=even, label=text)  # raises ParseError with position
 
     @staticmethod
     def from_string(token):
         """CLI syntax: ``family``, ``family:p1,p2`` or ``expr:<expression>``."""
         if token.startswith("expr:"):
-            return PotentialSpec.from_expression(token[5:], even=False)
+            return Potential.from_expression(token[5:])
         name, _, rest = token.partition(":")
         params = [float(p) for p in rest.split(",") if p] if rest else []
-        return PotentialSpec.builtin(name, *params)
+        return Potential.builtin(name, *params)
 
-    @property
-    def oscillation_halfperiod(self):
-        """Half oscillation period for panel splitting, or None."""
-        return math.pi if self.functions & {"sin", "cos"} else None
+    def breakpoints(self, a, b):
+        """Interior panel-split points in (a, b): the multiples of the
+        half-period pi when V holds sin or cos, the integers when it holds floor."""
+        periods = [math.pi] * bool(self.functions & {"sin", "cos"}) + [1.0] * ("floor" in self.functions)
+        pts = [k * p for p in periods for k in range(math.floor(a / p) + 1, math.ceil(b / p))]
+        return sorted(p for p in pts if a < p < b)
 
-    @property
-    def unit_breakpoints(self):
-        """True when the potential jumps on the integer lattice."""
-        return "floor" in self.functions
+    def side_breakpoints(self, sign=1.0):
+        """``breakpoints`` in the coordinate s = sign * x, as a callable
+        (a, b) -> ascending breakpoints in (a, b); mirrored tails and
+        one-sided scans integrate in s."""
+        if sign > 0:
+            return self.breakpoints
+        return lambda a, b: [-t for t in reversed(self.breakpoints(-b, -a))]
+
+
+def _validate_builtin(fam, params):
+    if fam not in _FAMILY_ARITY:
+        raise DomainValidationError(f"unknown builtin family {fam!r}")
+    if len(params) != _FAMILY_ARITY[fam]:
+        raise DomainValidationError(f"{fam} takes {_FAMILY_ARITY[fam]} parameter(s), got {len(params)}")
+    if fam == "power":
+        (r,) = params
+        if not r >= 1.0:
+            raise DomainValidationError("power(r) needs r >= 1")
+    elif fam == "sinpower":
+        alpha, lam = params
+        if not (alpha > 1.0 and lam >= 0.0):
+            raise DomainValidationError("sinpower(alpha, lam) needs alpha > 1 and lam >= 0")
+    elif fam == "cattiaux":
+        r, beta = params
+        if not (1.0 < r < 2.0):
+            raise DomainValidationError("cattiaux(r, beta) needs r in (1, 2)")
+        lo = max(r / 2.0, r - 1.0 / r)
+        if not (lo < beta - 1.0 < r - 0.5):
+            raise DomainValidationError(f"cattiaux(r, beta) needs {lo:.4f} < beta - 1 < {r - 0.5:.4f}")
 
 
 def _family_tree(family, params):
@@ -145,70 +165,6 @@ def _family_tree(family, params):
     return call("floor", x)
 
 
-@dataclass(frozen=True)
-class Potential:
-    """Pointwise evaluator for V, with optional almost-everywhere derivative."""
-
-    value: object  # callable ndarray -> ndarray
-    derivative: object | None
-    spec: PotentialSpec
-
-    @property
-    def is_even(self):
-        return self.spec.even
-
-    def breakpoints(self, a, b):
-        """Interior panel-split points in (a, b): oscillation and jump lattices."""
-        pts = []
-        half = self.spec.oscillation_halfperiod
-        if half is not None:
-            k0 = math.floor(a / half) + 1
-            k1 = math.ceil(b / half) - 1
-            if k1 >= k0:
-                pts.extend(np.arange(k0, k1 + 1) * half)
-        if self.spec.unit_breakpoints:
-            k0 = math.floor(a) + 1
-            k1 = math.ceil(b) - 1
-            if k1 >= k0:
-                pts.extend(float(k) for k in range(int(k0), int(k1) + 1))
-        return sorted(p for p in pts if a < p < b)
-
-    def side_breakpoints(self, sign=1.0):
-        """``breakpoints`` in the coordinate s = sign * x, as a callable
-        (a, b) -> ascending breakpoints in (a, b); mirrored tails and
-        one-sided scans integrate in s."""
-        if sign > 0:
-            return self.breakpoints
-        return lambda a, b: [-t for t in reversed(self.breakpoints(-b, -a))]
-
-
-def make_potential(spec):
-    """Build the evaluator for a validated PotentialSpec from its tree.
-
-    The derivative is the tree's symbolic a.e. derivative unless V contains
-    floor.  An even spec's V is V(|x|), with derivative sign(x) V'(|x|).  A
-    coarse finiteness check rejects potentials that are not locally bounded.
-    """
-    program = expr_mod.compile(spec.ast)
-    dprogram = None if "floor" in spec.functions else expr_mod.compile(expr_mod.diff(spec.ast))
-    if spec.even:
-        value = lambda x: expr_mod.evaluate(program, np.abs(np.asarray(x, dtype=float)))
-
-        def derivative(x):
-            x = np.asarray(x, dtype=float)
-            return np.sign(x) * expr_mod.evaluate(dprogram, np.abs(x))
-    else:
-        value = lambda x: expr_mod.evaluate(program, x)
-        derivative = lambda x: expr_mod.evaluate(dprogram, x)
-    pot = Potential(value=value, derivative=None if dprogram is None else derivative, spec=spec)
-    probe = np.array([-97.3, -31.7, -9.1, -1.3, -0.21, 0.17, 0.93, 7.7, 23.9, 88.1])
-    vals = pot.value(probe)
-    if not np.all(np.isfinite(vals)):
-        bad = probe[~np.isfinite(np.asarray(vals))][0]
-        raise DomainValidationError(f"potential is not finite at x={bad}")
-    return pot
-
-
 # ---------------------------------------------------------------------------
 # Normalized measures
 # ---------------------------------------------------------------------------
@@ -233,7 +189,7 @@ class Measure1D:
 
     @property
     def is_even(self):
-        return self.potential.is_even
+        return self.potential.even
 
 
 def normalize(potential, cfg=DEFAULT_QUAD, eps_trunc=DEFAULT_EPS_TRUNC, label=""):
@@ -249,22 +205,13 @@ def normalize(potential, cfg=DEFAULT_QUAD, eps_trunc=DEFAULT_EPS_TRUNC, label=""
     return Measure1D(
         potential=potential,
         log_z=log_z,
-        median=0.0 if potential.is_even else _ladder_quantile(ladders, log_z, 0.5),
+        median=0.0 if potential.even else _ladder_quantile(ladders, log_z, 0.5),
         truncation=trunc,
         cfg=cfg,
         eps_trunc=eps_trunc,
-        label=label or _default_label(potential.spec),
+        label=label or potential.label,
         ladders=ladders,
     )
-
-
-def _default_label(spec):
-    if spec.kind == "builtin":
-        name = spec.family
-        if spec.params:
-            name += "(" + ",".join(f"{p:g}" for p in spec.params) + ")"
-        return name
-    return spec.expression
 
 
 def _ladder_quantile(ladders, log_z, p):

@@ -499,7 +499,7 @@ def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
         return x, ladder
 
     xr, right = one_side(+1.0)
-    if potential.is_even:
+    if potential.even:
         return xr, {+1: right, -1: right}
     xl, left = one_side(-1.0)
     return max(xr, xl), {+1: right, -1: left}

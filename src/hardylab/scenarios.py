@@ -50,17 +50,17 @@ def _check(name, passed, detail=""):
 
 @functools.lru_cache(maxsize=None)
 def corpus_measure(name):
-    specs = {
-        "exponential": msr.PotentialSpec.builtin("exp"),
-        "gaussian": msr.PotentialSpec.builtin("gaussian"),
-        "mu15": msr.PotentialSpec.builtin("power", 1.5),
-        "nu2": msr.PotentialSpec.builtin("sinpower", 2, 1),
-        "nu15": msr.PotentialSpec.builtin("sinpower", 1.5, 1),
-        "nu22": msr.PotentialSpec.builtin("sinpower", 2, 2),
-        "floor": msr.PotentialSpec.builtin("floor"),
-        "cattiaux": msr.PotentialSpec.builtin("cattiaux", 1.5, 1.9),
+    families = {
+        "exponential": ("exp",),
+        "gaussian": ("gaussian",),
+        "mu15": ("power", 1.5),
+        "nu2": ("sinpower", 2, 1),
+        "nu15": ("sinpower", 1.5, 1),
+        "nu22": ("sinpower", 2, 2),
+        "floor": ("floor",),
+        "cattiaux": ("cattiaux", 1.5, 1.9),
     }
-    return msr.normalize(msr.make_potential(specs[name]), label=name)
+    return msr.normalize(msr.Potential.builtin(*families[name]), label=name)
 
 
 def _corpus_best_f(name):

@@ -154,6 +154,62 @@ def test_concentration_gradcheck(capsys):
     assert get(doc, "max quadratic budget ratio")["value"] <= 1.0 + 1e-9
 
 
+def test_concentration_csv_curves(capsys, tmp_path):
+    base = str(tmp_path / "curve")
+    code, doc = run_json(
+        capsys,
+        ["concentration", "--mode", "deviation", "--potential", "power:1.5", "--n", "2", "--t-grid", "1,2",
+         "--count", "5000", "--seed", "2", "--C", "3", "--r", "1.5", "--csv", base],
+    )
+    assert code == 0
+    for name, row in (("empirical", "empirical tail"), ("bound", "bound tail")):
+        with open(f"{base}_{name}.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "tail"]
+        assert [[float(v) for v in r] for r in rows[1:]] == [[1.0, get(doc, row)["value"][0]],
+                                                              [2.0, get(doc, row)["value"][1]]]
+
+
+# the flags each concentration mode reads, besides command, mode and output
+CONCENTRATION_FLAGS = {
+    "deviation": {"potential", "rel_tol", "eps_trunc", "n", "statistic", "beta", "t_grid", "count", "seed", "C", "r",
+                  "csv"},
+    "enlargement": {"potential", "rel_tol", "eps_trunc", "n", "t_grid", "count", "seed", "C", "r", "csv"},
+    "gradcheck": {"n", "r", "t", "box", "count", "seed"},
+    "transport": {"potential", "rel_tol", "eps_trunc", "alpha"},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CONCENTRATION_FLAGS))
+def test_concentration_config_holds_the_flags_read(capsys, mode):
+    extra = [] if mode == "transport" else ["--count", "200"]
+    code, doc = run_json(capsys, ["concentration", "--mode", mode, *extra])
+    assert code == 0
+    assert set(doc["config"]) == {"command", "mode", "output"} | CONCENTRATION_FLAGS[mode]
+
+
+@pytest.mark.parametrize("argv", [
+    ["concentration", "--mode", "gradcheck", "--rel-tol", "5", "--eps-trunc", "7", "--potential", "nosuch"],
+    ["concentration", "--mode", "gradcheck", "--statistic", "max"],
+    ["concentration", "--mode", "enlargement", "--beta", "2"],
+    ["concentration", "--mode", "deviation", "--alpha", "2"],
+    ["concentration", "--mode", "transport", "--count", "10"],
+    ["criteria", "--potential", "exp", "--kind", "bp", "--r", "1.5"],
+    ["criteria", "--potential", "exp", "--kind", "blo", "--r", "1.5", "--eps", "0.2"],
+    ["criteria", "--potential", "exp", "--kind", "hyp", "--r", "1.5", "--csv", "hyp.csv"],
+    ["criteria", "--potential", "exp", "--kind", "tailscale", "--r", "1.5"],
+])
+def test_unread_flags_exit_code_2(capsys, argv):
+    assert cli.run(argv) == 2
+    assert "not read by" in capsys.readouterr().err
+
+
+def test_flags_at_their_defaults_are_accepted(capsys):
+    code, doc = run_json(capsys, ["concentration", "--mode", "gradcheck", "--count", "100",
+                                  "--potential", "power:1.5", "--alpha", "1.5"])
+    assert code == 0 and "potential" not in doc["config"]
+
+
 def test_threshold_scan_small(capsys, tmp_path):
     path = str(tmp_path / "scan.csv")
     code, doc = run_json(
@@ -192,7 +248,7 @@ def test_numerical_failure_exit_code_3(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "error" in err
-    # V is nan on |x| < 0.05, between the probe points of make_potential
+    # V is nan on |x| < 0.05, between the probe points of Potential
     assert cli.run(["measure", "info", "--potential", "expr:abs(x) + sqrt(abs(x)-0.05)*0"]) == 3
     assert "log-integrand is nan" in capsys.readouterr().err
     assert cli.run(["concentration", "--mode", "enlargement", "--t-grid", "8,4,2", "--count", "100"]) == 3
@@ -213,6 +269,8 @@ def test_numerical_failure_exit_code_3(capsys):
         (["concentration", "--mode", "gradcheck", "--n", "0"], "n and count"),
         (["concentration", "--mode", "gradcheck", "--t", "inf"], "t and box must be finite"),
         (["concentration", "--mode", "deviation", "--statistic", "softmax", "--beta", "nan"], "finite beta"),
+        (["legendre", "--rprime", "3", "--t", "nan"], "t must not be nan"),
+        (["criteria", "--potential", "exp", "--kind", "tailscale", "--horizons", "1"], "x_grid must be finite"),
     ):
         assert cli.run(argv) == 3
         assert message in capsys.readouterr().err

@@ -44,7 +44,7 @@ def test_bp_gaussian_sup_matches_direct_oracle(gauss_measure):
 
 
 def test_bp_lambda2_oscillation_divergent():
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("sinpower", 2, 2)))
+    m = msr.normalize(msr.Potential.builtin("sinpower", 2, 2))
     res = criteria.bp(m, horizons=(15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 50.0, 60.0, 70.0))
     assert res.verdict.label == "divergent"
     i25 = res.horizons.index(25.0)
@@ -153,7 +153,7 @@ def test_bweighted_same_power_bounded(mu15_measure):
 
 
 def test_bweighted_requires_even():
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("abs(x) + 0.3*x")))
+    m = msr.normalize(msr.Potential.from_expression("abs(x) + 0.3*x"))
     with pytest.raises(DomainValidationError):
         criteria.bweighted(m, 1.5)
 
@@ -246,9 +246,15 @@ def test_tail_scale_oscillating_plateaus(nu2_measure):
 
 
 def test_tail_scale_requires_even():
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("abs(x) + 0.3*x")))
+    m = msr.normalize(msr.Potential.from_expression("abs(x) + 0.3*x"))
     with pytest.raises(DomainValidationError):
         criteria.tail_asymptotics(m, np.array([1.0]))
+
+
+@pytest.mark.parametrize("grid", [[], [1.0, math.nan], [1.0, math.inf]])
+def test_tail_scale_requires_a_finite_nonempty_grid(exp_measure, grid):
+    with pytest.raises(DomainValidationError, match="x_grid"):
+        criteria.tail_asymptotics(exp_measure, np.array(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +272,7 @@ def test_side_symmetry_without_mirroring(nu2_measure):
 def test_minus_side_against_direct_oracle():
     # asymmetric V = |x| + 0.3 x: left tail decays like e^(0.7x); compare the
     # minus-side sup with a direct closed-form maximization
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("abs(x) + 0.3*x")))
+    m = msr.normalize(msr.Potential.from_expression("abs(x) + 0.3*x"))
     res = criteria.bp(m, horizons=(25.0, 50.0))
     z = 1.0 / 1.3 + 1.0 / 0.7
     mm = m.median
@@ -314,10 +320,8 @@ def test_verdict_stable_under_denser_grid(exp_measure, floor_measure, monkeypatc
 def test_cached_scans_equal_fresh_scans(token, monkeypatch):
     # scans on one measure reuse its tail ladder and its exp(V) prefix; the
     # results are those of scans on a freshly normalized measure
-    spec = msr.PotentialSpec.from_string(token)
-
     def fresh():
-        return msr.normalize(msr.make_potential(spec))
+        return msr.normalize(msr.Potential.from_string(token))
 
     def same(a, b):
         return np.array_equal(a.log_partial_sups, b.log_partial_sups) and np.array_equal(a.argmax, b.argmax)
@@ -347,8 +351,7 @@ def test_bp_far_horizons_on_unsplit_ladder_cells():
     # to 2^19 and its chunks past 8192 are not split at a step; the scan grid
     # still steps by GRID_STEP there.  The log sups are those of the scan on
     # its own tail ladder, which reading the measure's ladder replaced.
-    spec = msr.PotentialSpec.from_expression("4*log(1+abs(x))", even=True)
-    m = msr.normalize(msr.make_potential(spec))
+    m = msr.normalize(msr.Potential.from_expression("4*log(1+abs(x))", even=True))
     horizons = (1e3, 2e3, 4e3, 1e4)
     edges = m.ladders[+1].edges
     assert np.diff(edges)[edges[:-1] >= 8192.0].min() > 4096.0
@@ -379,7 +382,7 @@ def test_bp_panel_budget_on_nu22(panels):
     # nu22's scan cells near x = 800, where V rises by thousands of nats per
     # cell, cost few panels: the bp scan took about 150k panels when every
     # panel was held to ptol on its own, and takes about 68k
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("sinpower", 2, 2)))
+    m = msr.normalize(msr.Potential.builtin("sinpower", 2, 2))
     panels[0] = 0  # the scan's panels alone
     criteria.bp(m)
     assert panels[0] <= 80000
@@ -527,7 +530,7 @@ _LOCKSTEP_KINDS = (("bp", None), ("bls", None), ("blo", 1.3), ("blo", 1.7), ("bm
                                   "expr:abs(x)^1.5+0.5*x", "expr:floor(abs(x)) + 0.5*floor(x)"])
 def test_lockstep_scan_equals_sequential_scan(name):
     if name.startswith("expr:"):
-        m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_string(name)))
+        m = msr.normalize(msr.Potential.from_string(name))
     else:
         m = scenarios.corpus_measure(name)
     horizons = (25.0, 50.0, 100.0)
@@ -591,7 +594,7 @@ def test_section_max_propagates_an_error_of_f():
 
 def test_hyp_check_builds_no_tail_ladder(monkeypatch):
     # a fresh measure, whose ladder ends at 128, short of the last horizon
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("exp")))
+    m = msr.normalize(msr.Potential.builtin("exp"))
     assert m.ladders[+1].edges[-1] < criteria.DEFAULT_HORIZONS[-1]
     ladders, grows, extensions = [], [], []
     init, grown, extension = quad.LogLadder.__init__, quad.LogLadder.grown, quad.log_extension
@@ -610,8 +613,7 @@ def test_scans_and_queries_do_not_depend_on_call_order(token):
     # a scan reads a grown copy of the measure's ladder: the measure's
     # ladders and its queries, in the ladder and beyond it, stay bit for bit
     # as they were, and a scan after queries equals one on a fresh measure
-    spec = msr.PotentialSpec.from_string(token)
-    m, fresh = (msr.normalize(msr.make_potential(spec)) for _ in range(2))
+    m, fresh = (msr.normalize(msr.Potential.from_string(token)) for _ in range(2))
     ladders = {sign: (m.ladders[sign], m.ladders[sign].edges, m.ladders[sign].suffix) for sign in (+1, -1)}
     end = m.ladders[+1].edges[-1]
     xs = np.linspace(m.median, 3.0 * end, 25)

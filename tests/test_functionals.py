@@ -28,6 +28,8 @@ def test_h_star_values():
     assert fn.h_star(3.0, 6.0) == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-14)
     with pytest.raises(DomainValidationError):
         fn.h_star(2.0, 1.0)
+    with pytest.raises(DomainValidationError, match="nan"):
+        fn.h_star(3.0, np.array([1.0, math.nan]))
 
 
 def test_h_star_branch_continuity():

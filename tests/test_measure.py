@@ -17,17 +17,17 @@ from hardylab.errors import DomainValidationError, ParseError
 
 
 def test_builtin_values():
-    p = msr.make_potential(msr.PotentialSpec.builtin("exp"))
+    p = msr.Potential.builtin("exp")
     assert p.value(1.0) == 1.0
     assert p.value(-3.0) == 3.0
-    s = msr.make_potential(msr.PotentialSpec.builtin("sinpower", 2, 1))
+    s = msr.Potential.builtin("sinpower", 2, 1)
     assert s.value(math.pi) == pytest.approx(math.pi**2, rel=1e-14)
-    g = msr.make_potential(msr.PotentialSpec.builtin("gaussian"))
+    g = msr.Potential.builtin("gaussian")
     assert g.value(2.0) == 2.0
 
 
 def test_expression_potential():
-    p = msr.make_potential(msr.PotentialSpec.from_expression("abs(x + sin(x))^2"))
+    p = msr.Potential.from_expression("abs(x + sin(x))^2")
     assert p.value(math.pi / 2) == pytest.approx((math.pi / 2 + 1) ** 2, rel=1e-14)
 
 
@@ -46,7 +46,7 @@ def test_expression_potential():
 )
 def test_builtin_parameter_validation(family, params):
     with pytest.raises(DomainValidationError):
-        msr.PotentialSpec.builtin(family, *params)
+        msr.Potential.builtin(family, *params)
 
 
 def test_expression_parsed_and_compiled_once(monkeypatch):
@@ -61,8 +61,7 @@ def test_expression_parsed_and_compiled_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(expr, name, counted(name, getattr(expr, name)))
-    spec = msr.PotentialSpec.from_string("expr:x^2/2+sin(x)")
-    pot = msr.make_potential(spec)
+    pot = msr.Potential.from_string("expr:x^2/2+sin(x)")
     assert calls == {"parse": 1, "compile": 2}  # V and its derivative
     m = msr.normalize(pot)
     criteria.blo(m, 1.5, horizons=(25.0, 50.0))
@@ -71,32 +70,31 @@ def test_expression_parsed_and_compiled_once(monkeypatch):
 
 def test_expression_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
-        msr.PotentialSpec.from_expression("abs(x")
+        msr.Potential.from_expression("abs(x")
     assert exc.value.position == 5
 
 
 def test_potential_must_be_locally_bounded():
     with np.errstate(invalid="ignore", divide="ignore"):
         with pytest.raises(DomainValidationError):
-            msr.make_potential(msr.PotentialSpec.from_expression("log(x)"))
+            msr.Potential.from_expression("log(x)")
 
 
 @pytest.mark.parametrize(
     "spec",
     [
-        msr.PotentialSpec.builtin("exp"),
-        msr.PotentialSpec.builtin("gaussian"),
-        msr.PotentialSpec.builtin("power", 1.5),
-        msr.PotentialSpec.builtin("sinpower", 2, 1),
-        msr.PotentialSpec.builtin("sinpower", 2, 2),
-        msr.PotentialSpec.builtin("cattiaux", 1.5, 1.9),
-        msr.PotentialSpec.from_expression("x^2/2 + cos(x)", even=False),
+        msr.Potential.builtin("exp"),
+        msr.Potential.builtin("gaussian"),
+        msr.Potential.builtin("power", 1.5),
+        msr.Potential.builtin("sinpower", 2, 1),
+        msr.Potential.builtin("sinpower", 2, 2),
+        msr.Potential.builtin("cattiaux", 1.5, 1.9),
+        msr.Potential.from_expression("x^2/2 + cos(x)", even=False),
     ],
 )
 def test_analytic_derivatives_match_finite_differences(spec, derivative_error):
-    pot = msr.make_potential(spec)
-    near_kink = lambda x: abs(x) < 0.05  # each spec's only kink is at 0
-    assert derivative_error(pot.value, pot.derivative, near_kink) <= 1e-5
+    near_kink = lambda x: abs(x) < 0.05  # each potential's only kink is at 0
+    assert derivative_error(spec.value, spec.derivative, near_kink) <= 1e-5
 
 
 # Hand-written numpy closures of the families as the reference: V and V' of
@@ -159,7 +157,7 @@ _ORACLE_POINTS = np.concatenate([
     ],
 )
 def test_family_trees_reproduce_the_closures(family, params):
-    pot = msr.make_potential(msr.PotentialSpec.builtin(family, *params))
+    pot = msr.Potential.builtin(family, *params)
     value, deriv = _closure_oracle(family, params)
     x = _ORACLE_POINTS
     assert pot.value(x).tobytes() == value(x).tobytes()
@@ -175,43 +173,45 @@ def test_family_trees_reproduce_the_closures(family, params):
 def test_abs_derivative_at_its_kink(text, slope):
     # d abs(u) = sign(u) du, which is 0 at u = 0; u/abs(u) would be nan
     # there, with a RuntimeWarning that the test settings turn into an error
-    pot = msr.make_potential(msr.PotentialSpec.from_string("expr:" + text))
+    pot = msr.Potential.from_string("expr:" + text)
     assert pot.derivative(0.0) == slope
     assert pot.derivative(np.array([-1.0, 0.0, 1.0]))[1] == slope
 
 
 def test_builtin_breakpoints_come_from_the_tree():
     for token in ("sinpower:2,1", "cattiaux:1.5,1.9"):
-        spec = msr.PotentialSpec.from_string(token)
-        assert "sin" in spec.functions and spec.oscillation_halfperiod == math.pi and not spec.unit_breakpoints
-    floor = msr.PotentialSpec.builtin("floor")
-    assert floor.unit_breakpoints and floor.oscillation_halfperiod is None
-    pot = msr.make_potential(msr.PotentialSpec.builtin("cattiaux", 1.5, 1.9))
+        functions = msr.Potential.from_string(token).functions
+        assert "sin" in functions and "floor" not in functions
+    pot = msr.Potential.builtin("cattiaux", 1.5, 1.9)
     assert pot.breakpoints(0.0, 7.0) == [math.pi, 2.0 * math.pi]
-    assert msr.make_potential(floor).breakpoints(-1.5, 2.5) == [-1.0, 0.0, 1.0, 2.0]
+    floor = msr.Potential.builtin("floor")
+    assert floor.functions == {"floor"}
+    assert floor.breakpoints(-1.5, 2.5) == [-1.0, 0.0, 1.0, 2.0]
 
 
 def test_floor_has_no_derivative():
-    pot = msr.make_potential(msr.PotentialSpec.builtin("floor"))
+    pot = msr.Potential.builtin("floor")
     assert pot.derivative is None
     assert pot.value(2.7) == 2.0
     assert pot.value(-2.7) == 2.0
 
 
 def test_sinpower_zero_lambda_equals_power():
-    a = msr.make_potential(msr.PotentialSpec.builtin("sinpower", 1.7, 0.0))
-    b = msr.make_potential(msr.PotentialSpec.builtin("power", 1.7))
+    a = msr.Potential.builtin("sinpower", 1.7, 0.0)
+    b = msr.Potential.builtin("power", 1.7)
     xs = np.linspace(-20, 20, 101)
     assert np.allclose(a.value(xs), b.value(xs), rtol=1e-14)
 
 
 def test_from_string_cli_syntax():
-    spec = msr.PotentialSpec.from_string("sinpower:2,1")
-    assert spec.family == "sinpower" and spec.params == (2.0, 1.0)
-    spec = msr.PotentialSpec.from_string("expr:x^2/2")
-    assert spec.kind == "expression"
+    pot = msr.Potential.from_string("sinpower:2,1")
+    assert pot == msr.Potential.builtin("sinpower", 2, 1)
+    assert pot.even and pot.label == "sinpower(2,1)"
+    pot = msr.Potential.from_string("expr:x^2/2")
+    assert pot == msr.Potential.from_expression("x^2/2")
+    assert not pot.even and pot.label == "x^2/2"
     with pytest.raises(DomainValidationError):
-        msr.PotentialSpec.from_string("power:0.5")
+        msr.Potential.from_string("power:0.5")
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def test_normalize_exponential(exp_measure):
 
 
 def test_normalize_power_r2_matches_gamma():
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("power", 2)))
+    m = msr.normalize(msr.Potential.builtin("power", 2))
     assert math.exp(m.log_z) == pytest.approx(2.0 * math.gamma(1.5), rel=1e-9)
     assert math.exp(m.log_z) == pytest.approx(math.sqrt(math.pi), rel=1e-9)
 
@@ -233,12 +233,12 @@ def test_normalize_power_r2_matches_gamma():
 def test_even_measure_median_zero(nu2_measure):
     assert nu2_measure.median == 0.0
     # the left ladder's log total rounds one ulp above log(Z/2) here, and its root at p = 1/2 to -1.2e-15
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("floor(abs(x))*2", even=True)))
+    m = msr.normalize(msr.Potential.from_expression("floor(abs(x))*2", even=True))
     assert msr.quantile(nu2_measure, 0.5) == msr.quantile(m, 0.5) == 0.0
 
 
 def test_truncation_defect_bound(exp_measure, gauss_measure, floor_measure, cattiaux_measure):
-    uneven = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("abs(x)^1.5+0.5*x")))
+    uneven = msr.normalize(msr.Potential.from_expression("abs(x)^1.5+0.5*x"))
     measures = (exp_measure, gauss_measure, floor_measure, scenarios.corpus_measure("nu22"), cattiaux_measure, uneven)
     for m in measures:
         inside = 1.0 - msr.tail(m, m.truncation) - (1.0 - msr.tail(m, -m.truncation))
@@ -247,7 +247,7 @@ def test_truncation_defect_bound(exp_measure, gauss_measure, floor_measure, catt
 
 def test_asymmetric_median():
     # V = |x| + 0.3 x: closed-form CDF gives median log(0.35 * Z * 0.7) / 0.7
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("abs(x) + 0.3*x")))
+    m = msr.normalize(msr.Potential.from_expression("abs(x) + 0.3*x"))
     z = 1.0 / 1.3 + 1.0 / 0.7
     median_true = math.log(0.5 * 0.7 * z) / 0.7
     assert m.median == pytest.approx(median_true, abs=1e-12)
@@ -256,7 +256,7 @@ def test_asymmetric_median():
 
 @pytest.mark.parametrize("text", ["abs(x)+0.3*x", "abs(x)^1.5+0.5*x", "floor(abs(x)) + 0.8*floor(x)"])
 def test_uneven_median_halves_the_mass(text):
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression(text)))
+    m = msr.normalize(msr.Potential.from_expression(text))
     assert abs(msr.cdf(m, m.median) - 0.5) <= 1e-13
     assert abs(msr.tail(m, m.median) - 0.5) <= 1e-13
 
@@ -269,7 +269,7 @@ def test_ladder_growth_is_path_independent(token):
     # floor expression already runs to 1024); its reads inside the ladder it
     # grew from move by rounding only, and the measure's ladders and queries
     # do not change
-    pot = msr.make_potential(msr.PotentialSpec.from_string(token))
+    pot = msr.Potential.from_string(token)
     m = msr.normalize(pot)
     end = min(m.ladders[+1].edges[-1], m.ladders[-1].edges[-1])
     xs = np.linspace(-0.9 * end, 0.9 * end, 20)
@@ -308,8 +308,7 @@ def test_normalize_integrates_each_side_once(text, monkeypatch):
     monkeypatch.setattr(quad.LogLadder, "__init__", counted("ladders", init))
     monkeypatch.setattr(quad, "log_extension", counted("extensions", extension))
     monkeypatch.setattr(msr, "cdf", counted("cdf", cdf))
-    spec = msr.PotentialSpec.from_expression(text, even=text == "abs(x)^1.5")
-    m = msr.normalize(msr.make_potential(spec))
+    m = msr.normalize(msr.Potential.from_expression(text, even=text == "abs(x)^1.5"))
     sides = 1 if m.is_even else 2
     assert counts == {"ladders": sides, "extensions": sides, "cdf": 0}
     assert not hasattr(quad, "integrate_log")
@@ -400,8 +399,7 @@ def test_quantile_round_trips_through_log_cdf(text):
     # the even heavy tail's roots lie far past its ladder's end (3.7e6 at 1e-20)
     heavy = text.startswith("4*log")
     ps = (1e-20, 1e-40) if heavy else (1e-12, 0.1, 0.4, 0.6, 0.9)
-    spec = msr.PotentialSpec.from_expression(text, even=heavy)
-    m = msr.normalize(msr.make_potential(spec))
+    m = msr.normalize(msr.Potential.from_expression(text, even=heavy))
     edges = {sign: m.ladders[sign].edges for sign in (+1, -1)}
     for p in ps:
         got = msr.log_cdf(m, msr.quantile(m, p))
@@ -414,7 +412,7 @@ def test_deep_heavy_tail_quantile_searches_the_doubling_ends(monkeypatch):
     # density ~ |x|^-4, so mu((-inf, -x]) = (1 + x)^-3 / 2: the root at
     # p = 1e-300 lies about 314 doublings past the ladder's end, which are
     # searched with one extension per candidate end, not one per doubling
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("4*log(1+abs(x))", even=True)))
+    m = msr.normalize(msr.Potential.from_expression("4*log(1+abs(x))", even=True))
     calls = []
     extension = quad.log_extension
     monkeypatch.setattr(quad, "log_extension", lambda *a, **k: calls.append(a[1]) or extension(*a, **k))
@@ -428,14 +426,14 @@ def test_deep_heavy_tail_quantile_searches_the_doubling_ends(monkeypatch):
 def test_heavy_tail_past_the_unit_spacing_of_floats(x):
     # past 2^53 an extension's unit first chunk does not move its start; the
     # doubling starts at the first width that does, so the tail converges
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("4*log(1+abs(x))", even=True)))
+    m = msr.normalize(msr.Potential.from_expression("4*log(1+abs(x))", even=True))
     assert msr.log_tail(m, x) == pytest.approx(-3.0 * math.log1p(x) - math.log(2.0), rel=1e-13)
 
 
 def test_extensions_refine_at_the_ladder_tolerance(monkeypatch):
     # the mass beyond a ladder follows the measure's rel_tol as its cells
     # do: a far tail and a quantile past the ladder refine at rel_tol / 10
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("exp")), cfg=quad.QuadConfig(rel_tol=1e-6))
+    m = msr.normalize(msr.Potential.builtin("exp"), cfg=quad.QuadConfig(rel_tol=1e-6))
     ptol, end = m.ladders[+1].ptol, float(m.ladders[+1].edges[-1])
     assert ptol == pytest.approx(1e-7, rel=1e-15)
     ptols, extensions = [], []
@@ -451,7 +449,7 @@ def test_extensions_refine_at_the_ladder_tolerance(monkeypatch):
 def test_tail_where_v_overflows_is_zero():
     # exp(|x|) overflows past 709.8, so exp(-V) has no mass in any doubling
     # chunk from 800: the tail is 0, not a failure to converge
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("exp(abs(x))")))
+    m = msr.normalize(msr.Potential.from_expression("exp(abs(x))"))
     assert msr.log_tail(m, 800.0) == -math.inf
     assert msr.tail(m, 800.0) == 0.0
     assert msr.cdf(m, -800.0) == 0.0
@@ -470,7 +468,7 @@ _EXP_CACHE = []
 
 def _cached_exp():
     if not _EXP_CACHE:
-        _EXP_CACHE.append(msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("exp"))))
+        _EXP_CACHE.append(msr.normalize(msr.Potential.builtin("exp")))
     return _EXP_CACHE[0]
 
 
@@ -685,7 +683,7 @@ def _scalar_log_cdf(m, x):
                                   "expr:floor(abs(x)) + 0.8*floor(x)"])
 def test_batched_queries_equal_scalar_queries(name):
     if name.startswith("expr:"):
-        m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_string(name)))
+        m = msr.normalize(msr.Potential.from_string(name))
     else:
         m = scenarios.corpus_measure(name)
     right, left = m.ladders[+1], m.ladders[-1]
@@ -717,7 +715,7 @@ def test_batched_queries_equal_scalar_queries(name):
     "text", ["abs(x)^1.5+0.5*x", "floor(abs(x)) + 0.5*floor(x)", "floor(abs(x)) + 0.8*floor(x)"]
 )
 def test_queries_between_the_median_and_0_refine_once_per_side(text, monkeypatch):
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression(text)))
+    m = msr.normalize(msr.Potential.from_expression(text))
     assert m.median < 0.0
     assert m.ladders[+1].edges[0] == 0.0 == m.ladders[-1].edges[0]
     calls = []
@@ -790,14 +788,14 @@ def test_n_profile_dominates_potential(nu2_measure):
 
 
 def test_n_profile_requires_even():
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("abs(x) + 0.3*x")))
+    m = msr.normalize(msr.Potential.from_expression("abs(x) + 0.3*x"))
     with pytest.raises(DomainValidationError):
         msr.n_profile(m, 1.0)
 
 
 def test_normalize_raises_on_nan_potential_between_probes():
-    # V is nan on |x| < 0.05, between make_potential's probe points; the
+    # V is nan on |x| < 0.05, between the probe points of Potential; the
     # quadrature names the panel instead of counting it as zero mass
-    pot = msr.make_potential(msr.PotentialSpec.from_expression("abs(x) + sqrt(abs(x)-0.05)*0"))
+    pot = msr.Potential.from_expression("abs(x) + sqrt(abs(x)-0.05)*0")
     with pytest.raises(DomainValidationError, match="log-integrand is nan on the panel"):
         msr.normalize(pot)

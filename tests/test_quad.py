@@ -23,7 +23,7 @@ def test_truncated_exponential():
 
 def test_oscillating_potential_self_consistency():
     # exp(-V) with V = |t+sin t|^2 on [0, 40]: halved tolerance reproduces the value
-    pot = msr.make_potential(msr.PotentialSpec.builtin("sinpower", 2, 1))
+    pot = msr.Potential.builtin("sinpower", 2, 1)
     f = lambda t: np.exp(-pot.value(t))
     bp = pot.breakpoints(0.0, 40.0)
     loose = quad.integrate(f, 0.0, 40.0, quad.QuadConfig(rel_tol=1e-8, abs_tol=1e-12), breakpoints=bp)
@@ -125,14 +125,14 @@ def test_config_validation():
 
 def test_truncation_point_exponential():
     # e^-X = eps * (1 - e^-X)  =>  X ~ 27.63 at eps = 1e-12
-    pot = msr.make_potential(msr.PotentialSpec.builtin("exp"))
+    pot = msr.Potential.builtin("exp")
     X, _ = quad.truncation_point(pot, 1e-12)
     assert X == pytest.approx(27.63, abs=1.0)
 
 
 def test_truncation_point_gaussian():
     # Mills ratio: tail(X) ~ exp(-X^2/2)/X against core sqrt(pi/2)
-    pot = msr.make_potential(msr.PotentialSpec.builtin("gaussian"))
+    pot = msr.Potential.builtin("gaussian")
     X, _ = quad.truncation_point(pot, 1e-12)
     core = math.sqrt(math.pi / 2.0)
 
@@ -144,19 +144,19 @@ def test_truncation_point_gaussian():
 
 
 def test_truncation_point_oscillating():
-    pot = msr.make_potential(msr.PotentialSpec.builtin("sinpower", 2, 1))
+    pot = msr.Potential.builtin("sinpower", 2, 1)
     X, _ = quad.truncation_point(pot, 1e-12)
     assert 5.0 <= X <= 9.0  # bracketed by (x-1)^2 <= V <= (x+1)^2
 
 
 def test_truncation_validates_eps():
-    pot = msr.make_potential(msr.PotentialSpec.builtin("exp"))
+    pot = msr.Potential.builtin("exp")
     with pytest.raises(DomainValidationError):
         quad.truncation_point(pot, 1.5)
 
 
 def test_non_integrable_diagnostic():
-    pot = msr.make_potential(msr.PotentialSpec.from_expression("0*x"))
+    pot = msr.Potential.from_expression("0*x")
     with pytest.raises(NonIntegrableError):
         quad.truncation_point(pot, 1e-10)
 
@@ -181,7 +181,7 @@ def test_truncation_point_floor_closed_form():
     x_exact = k + (tail_k - eps * core_k) / (math.exp(-k) * (1.0 + eps))
     assert x_exact == pytest.approx(27.7402887833, abs=1e-10)
     assert _floor_tail_closed_form(x_exact) == pytest.approx(eps * _floor_core_closed_form(x_exact), rel=1e-12)
-    pot = msr.make_potential(msr.PotentialSpec.builtin("floor"))
+    pot = msr.Potential.builtin("floor")
     X, _ = quad.truncation_point(pot, eps)
     assert X == pytest.approx(x_exact, rel=1e-10)
     assert X >= x_exact  # the predicate holds at the returned point
@@ -208,14 +208,14 @@ def test_truncation_point_at_or_above_closed_form_root(family, eps, end):
     # still fails at the first chunk end 55 nats down (128 and 32), so the
     # ladder runs on to the next one
     root = math.log1p(1.0 / eps) if family == "exp" else _gaussian_truncation_root(eps)
-    X, ladders = quad.truncation_point(msr.make_potential(msr.PotentialSpec.builtin(family)), eps)
+    X, ladders = quad.truncation_point(msr.Potential.builtin(family), eps)
     assert root <= X <= root * (1.0 + 1e-10)
     assert ladders[+1].edges[-1] == end
 
 
 @pytest.mark.parametrize("x", [0.0, 0.3, 2.5, 27.74, 100.2, 700.9])
 def test_log_extension_floor_breakpoints_closed_form(x, panels):
-    pot = msr.make_potential(msr.PotentialSpec.builtin("floor"))
+    pot = msr.Potential.builtin("floor")
     val = quad.log_extension(lambda t: -pot.value(t), x, 1e-11, 48, breakpoints=pot.breakpoints)
     assert val == pytest.approx(math.log(_floor_tail_closed_form(x)), abs=1e-13 * max(1.0, x))
     # split at the unit jumps, every panel of a constant density is accepted
@@ -225,7 +225,7 @@ def test_log_extension_floor_breakpoints_closed_form(x, panels):
 
 def test_log_extension_mirrored_breakpoints():
     # the left tail of an uneven floor potential, integrated in s = -x
-    pot = msr.make_potential(msr.PotentialSpec.from_expression("floor(abs(x)) + 0.5*floor(x)"))
+    pot = msr.Potential.from_expression("floor(abs(x)) + 0.5*floor(x)")
     left = pot.side_breakpoints(-1.0)
     assert left(0.5, 3.5) == [1.0, 2.0, 3.0]
     val = quad.log_extension(lambda s: -pot.value(-s), 2.5, 1e-11, 48, breakpoints=left)
@@ -244,7 +244,7 @@ def test_log_extension_finds_mass_after_empty_chunks():
 
 
 def test_normalize_floor_panel_gate(panels):
-    msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("floor")))
+    msr.normalize(msr.Potential.builtin("floor"))
     assert panels[0] < 20000
 
 
@@ -275,7 +275,7 @@ def _truncation_bisection(potential, eps):
         return hi
 
     xr = one_side(+1.0)
-    return xr if potential.is_even else max(xr, one_side(-1.0))
+    return xr if potential.even else max(xr, one_side(-1.0))
 
 
 @pytest.mark.parametrize(
@@ -284,7 +284,7 @@ def _truncation_bisection(potential, eps):
      "expr:abs(x)^1.5+0.5*x", "expr:x^2/2+sin(x)"],
 )
 def test_truncation_point_matches_bisection(token):
-    pot = msr.make_potential(msr.PotentialSpec.from_string(token))
+    pot = msr.Potential.from_string(token)
     X, _ = quad.truncation_point(pot, 1e-12)
     assert X == pytest.approx(_truncation_bisection(pot, 1e-12), rel=1e-11)
 
@@ -308,7 +308,7 @@ def test_non_integrable_oscillating_heavy_tail():
     # exp(-V) ~ 1/x^2 never meets the predicate by X = 1e6, and its tail
     # chunks grow to widths of 2^60 and more: only chunks up to
     # _MAX_SPLIT_WIDTH wide are split at the half-periods of sin
-    pot = msr.make_potential(msr.PotentialSpec.from_expression("2*log(1+abs(x)) + sin(x)/(1+x^2)"))
+    pot = msr.Potential.from_expression("2*log(1+abs(x)) + sin(x)/(1+x^2)")
     with pytest.raises(NonIntegrableError):
         quad.truncation_point(pot, 1e-12)
 
@@ -317,7 +317,7 @@ _PERSISTENT_OSCILLATION = """
 from hardylab import measure as msr
 from hardylab.errors import NonIntegrableError
 try:
-    msr.normalize(msr.make_potential(msr.PotentialSpec.from_expression("2*log(1+abs(x)) + 0.1*sin(x)")))
+    msr.normalize(msr.Potential.from_expression("2*log(1+abs(x)) + 0.1*sin(x)"))
 except NonIntegrableError as e:
     print(e)
 """
@@ -341,7 +341,7 @@ def test_euler_gamma_consistent_with_normalization():
     # the same quadrature engine must reproduce Z = 2 Gamma(1 + 1/r) for
     # the stretched-exponential family
     for r in (1.5, 2.0):
-        m = msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("power", r)))
+        m = msr.normalize(msr.Potential.builtin("power", r))
         assert math.exp(m.log_z) == pytest.approx(2.0 * euler_gamma_integral(1.0 + 1.0 / r), rel=1e-9)
 
 
@@ -438,7 +438,7 @@ def test_gk_log_equals_reference_formula(rows):
     assert np.isfinite(ref_k[3:]).all() and np.isfinite(ref_err[3:]).all()
     _assert_within_summand_ulps(*(v[3:] for v in (a, b, gx, logk, err, ref_k, ref_err)))
     # and on finite integrands of the corpus
-    pot = msr.make_potential(msr.PotentialSpec.builtin("sinpower", 2, 1))
+    pot = msr.Potential.builtin("sinpower", 2, 1)
     for logf in (lambda x: -pot.value(x), lambda x: pot.value(x)):
         logk, err = quad._gk_log(logf, a, b)
         ref_k, ref_err = _gk_log_reference(logf, a, b)
@@ -451,7 +451,7 @@ def test_gk_log_equals_reference_formula(rows):
 def test_refine_log_panels_batch_equals_single_intervals(token):
     # one batched call gives each interval the log integral and error that a
     # call for that interval alone gives, bit for bit
-    pot = msr.make_potential(msr.PotentialSpec.from_string(token))
+    pot = msr.Potential.from_string(token)
     rng = np.random.default_rng(7)
     lo = rng.uniform(-30.0, 30.0, 40)
     hi = lo + rng.uniform(1e-3, 4.0, 40)
@@ -509,7 +509,7 @@ def _refine_log_panels_reference(logf, lo, hi, ptol, max_depth, strict=True):
 def test_refine_log_panels_equals_former_loop(token):
     # the leaner iterations accumulate each segment's panels in the same
     # order, so logs, errors and panel counts are the same bit for bit
-    pot = msr.make_potential(msr.PotentialSpec.from_string(token))
+    pot = msr.Potential.from_string(token)
     rng = np.random.default_rng(7)
     lo = rng.uniform(-30.0, 30.0, 40)
     hi = lo + rng.uniform(1e-3, 4.0, 40)
@@ -603,7 +603,7 @@ def test_needle_cell_closed_form_in_few_panels(slope, ptol):
 def test_ladder_queries_refine_partial_cells_in_blocks(monkeypatch):
     # a batch of 1000 points is refined at most _LADDER_BLOCK partial cells
     # per call, and each point reads what it reads alone, bit for bit
-    pot = msr.make_potential(msr.PotentialSpec.builtin("sinpower", 2, 1))
+    pot = msr.Potential.builtin("sinpower", 2, 1)
     ladder = quad.LogLadder(lambda x: -pot.value(x), np.linspace(0.0, 40.0, 41), 1e-11, 48, strict=True)
     xs = np.random.default_rng(3).uniform(0.0, 40.0, 1000)
     lengths = []
@@ -629,7 +629,7 @@ def _former_prefix_suffix(logf, edges, after):
 @pytest.mark.parametrize("token", ["exp", "sinpower:2,1", "floor"])
 def test_log_ladder_equals_former_prefix_and_suffix(token):
     # over 192 cells, so the ladder is built in more than one block
-    pot = msr.make_potential(msr.PotentialSpec.from_string(token))
+    pot = msr.Potential.from_string(token)
     logf = lambda x: -pot.value(x)
     edges = np.unique(np.concatenate([np.linspace(0.0, 40.0, 450), pot.breakpoints(0.0, 40.0)]))
     ladder = quad.LogLadder(logf, edges, 1e-9, 60, strict=False)

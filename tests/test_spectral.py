@@ -87,7 +87,7 @@ def test_exponential_gap_is_quarter(exp_measure):
 @pytest.mark.parametrize("N", [200, 400])
 @pytest.mark.parametrize("spec", ["gaussian", "exp", "sinpower:2,1"])
 def test_gap_matches_dense_eigvalsh(spec, N):
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.from_string(spec)))
+    m = msr.normalize(msr.Potential.from_string(spec))
     op = spectral.discretize(m, N=N)
     dense = np.diag(op.diag) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
     lam = np.linalg.eigvalsh(dense)
@@ -124,7 +124,7 @@ def test_rayleigh_gaussian_linear(gauss_measure):
 def test_rayleigh_exponential_near_extremal():
     # sign(x)(exp(|x|/2) - 1) approaches the optimizer; on a deep truncation
     # (eps = 1e-60, support ~ 138) the quotient clears 3.9 of the limit 4
-    m = msr.normalize(msr.make_potential(msr.PotentialSpec.builtin("exp")), eps_trunc=1e-60)
+    m = msr.normalize(msr.Potential.builtin("exp"), eps_trunc=1e-60)
     f = fn.TestFunction(
         value=lambda x: np.sign(x) * (np.exp(np.abs(x) / 2.0) - 1.0),
         derivative=lambda x: 0.5 * np.exp(np.abs(x) / 2.0),
