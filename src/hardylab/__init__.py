@@ -59,11 +59,8 @@ from .functionals import (  # noqa: F401
 from .spectral import TridiagonalOperator, discretize, rayleigh, spectral_gap  # noqa: F401
 from .concentration import (  # noqa: F401
     ExperimentReport,
-    Halfspace,
-    PointSet,
     deviation_experiment,
     enlargement_experiment,
-    f_a_cost,
     g_cost,
     lipschitz_gradient_check,
     transport_check,

@@ -2,10 +2,10 @@
 
 Every report embeds the flags its command read (tolerances and seed
 included) so it can be reproduced from its own header; a flag that the
-chosen ``criteria`` kind or ``concentration`` mode does not read is refused
-unless it keeps its default.  Exit codes: 0 success, 2 flag validation
-error, 3 numerical failure or a parameter outside its domain, including a
-missing ``--r`` or ``--tau`` that the chosen kind requires.
+chosen ``criteria`` or ``evaluate`` kind or ``concentration`` mode does not
+read is refused unless it keeps its default.  Exit codes: 0 success, 2 flag
+validation error, 3 numerical failure or a parameter outside its domain,
+including a missing ``--r`` or ``--tau`` that the chosen kind requires.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import measure as msr
 from . import scenarios
 from . import spectral
 from .errors import HardyLabError
-from .quad import DEFAULT_QUAD, QuadConfig
+from .quad import QuadConfig
 
 def _clean(x):
     if isinstance(x, (np.floating, np.integer)):
@@ -74,8 +74,7 @@ def _write_csv(path, header, rows):
 
 def _measure_from_args(args):
     potential = msr.Potential.from_string(args.potential)
-    cfg = QuadConfig(rel_tol=args.rel_tol, abs_tol=getattr(args, "abs_tol", DEFAULT_QUAD.abs_tol))
-    return msr.normalize(potential, cfg=cfg, eps_trunc=args.eps_trunc)
+    return msr.normalize(potential, cfg=QuadConfig(rel_tol=args.rel_tol), eps_trunc=args.eps_trunc)
 
 
 def _add_output(p):
@@ -83,7 +82,7 @@ def _add_output(p):
 
 
 def _add_common(p):
-    """``--output`` and the tolerances that ``_measure_from_args`` reads (``evaluate`` adds ``--abs-tol``)."""
+    """``--output`` and the tolerances that ``_measure_from_args`` reads."""
     _add_output(p)
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10,
                    help="quadrature relative tolerance")
@@ -229,6 +228,12 @@ def cmd_spectral(args):
     ]
     _report(args, "spectral", results)
     return 0
+
+
+def _evaluate_reads(args):
+    # the kind's r or tau, if any, and --positive where the mls energy checks it
+    extra = {fn.INEQUALITIES[args.kind][0], "positive" if args.kind == "mls" else None} - {None}
+    return {"command", "kind", "output", "potential", "rel_tol", "eps_trunc", "f", *extra}
 
 
 def cmd_evaluate(args):
@@ -390,15 +395,13 @@ def build_parser():
     p = sub.add_parser("evaluate", help="evaluate one inequality on a test function")
     _add_potential(p)
     _add_common(p)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-13,
-                   help="quadrature absolute tolerance")
     p.add_argument("--f", required=True, help="test function expression")
     p.add_argument("--kind", required=True,
                    choices=list(fn.INEQUALITIES))
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--positive", action="store_true", help="assert the test function is positive")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, reads=_evaluate_reads)
 
     p = sub.add_parser("legendre", help="closed-form conjugate of the two-level profile")
     p.add_argument("--rprime", type=float, required=True)

@@ -14,10 +14,10 @@ Set-enlargement experiments use the two-level cost
 
     F_A(x) = inf_{a in A} sum_i min(|x_i - a_i|^2, |x_i - a_i|^r)
 
-against the bound exp(-K t) with K = (1/32) min(1/C, 1/C^(r-1)); for a
-halfspace A the cost is exact up to floating-point rounding (a minimization
-over how the excess splits between the quadratic and the power branch,
-checked against brute force in the tests).
+against the bound exp(-K t) with K = (1/32) min(1/C, 1/C^(r-1)); A is a
+halfspace, where the cost is exact up to floating-point rounding (a
+minimization over how the excess splits between the quadratic and the
+power branch, checked against brute force in the tests).
 """
 
 from __future__ import annotations
@@ -33,18 +33,6 @@ from .errors import DomainValidationError
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _BATCH = 50_000
 _ROW_BLOCK = 4096  # rows per block of the softmax statistic and the gradient check
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """A = { x : sum_i x_i <= c }."""
-
-    c: float
-
-
-@dataclass(frozen=True)
-class PointSet:
-    points: tuple  # tuple of n-vectors
 
 
 @dataclass(frozen=True)
@@ -216,30 +204,6 @@ def _halfspace_cost(s, n, r):
             cost = k * np.power(m / k, r) + np.square(sk - m) / nq
         best[rows] = np.minimum(best[rows], cost)
     return np.where(s > 0.0, best, 0.0)
-
-
-def f_a_cost(x, A, r):
-    """Two-level transport cost to the set A.
-
-    Finite point sets are handled by exact brute force; halfspaces by the
-    class-split minimization of _halfspace_cost, exact up to rounding.
-    """
-    if not 1.0 < r < 2.0:
-        raise DomainValidationError("r must lie in (1, 2)")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    single = x.shape[0] == 1
-    if isinstance(A, Halfspace):
-        out = _halfspace_cost(np.maximum(np.sum(x, axis=1) - A.c, 0.0), x.shape[1], r)
-    elif isinstance(A, PointSet):
-        pts = np.asarray(A.points, dtype=float)
-        if pts.size == 0:
-            raise DomainValidationError("empty point set")
-        pts = np.atleast_2d(pts)
-        d = np.abs(x[:, None, :] - pts[None, :, :])
-        out = np.min(np.sum(np.minimum(d * d, np.power(d, r)), axis=2), axis=1)
-    else:
-        raise DomainValidationError("A must be a Halfspace or a PointSet")
-    return float(out[0]) if single else out
 
 
 def enlargement_experiment(measure, n, t_grid, count, seed, C, r):

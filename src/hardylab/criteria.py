@@ -40,6 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import expr as expr_mod
 from . import measure as msr
 from . import quad as quad_mod
 from .errors import DomainValidationError
@@ -297,15 +298,14 @@ def _scan_side(measure, kind, r, horizons, sign):
     scan = _side_scan(measure, sign, horizons)
     row = KINDS[kind]
     weight = scan.weight_ladder(*row.weight(scan, r))
-    tail_logs = msr._log_mass(scan.ladders, sign * scan.grid, sign)
-
-    lvals = tail_logs + row.transform(weight.prefix, r)
-    lvals[0] = -np.inf
-    _add_post(lvals, tail_logs - measure.log_z, row, r)
 
     def log_values_at(t):
         l_abs = msr._log_mass(scan.ladders, sign * t, sign)
         return _add_post(l_abs + row.transform(weight.lower(t), r), l_abs - measure.log_z, row, r)
+
+    # at a grid point the weight's partial cell is empty, so ``lower`` reads
+    # its prefix; at the median that is -inf
+    lvals = log_values_at(scan.grid)
 
     # every window's grid argmax j is refined on [grid[j-1], grid[j+1]],
     # all in one lockstep search; the sup runs over (m, X]: never refine
@@ -447,7 +447,7 @@ class AsymptoticScans:
     x: np.ndarray
     br_ratio: np.ndarray  # V / V'^(r')
     weighted_ratio: np.ndarray  # V / (|x|^(2-r) V'^2)
-    vpp_ratio: np.ndarray  # V'' / V'^2 with finite-difference V''
+    vpp_ratio: np.ndarray  # V'' / V'^2
     br_tail_max: float
     weighted_tail_max: float
     vpp_tail_max: float
@@ -459,8 +459,8 @@ def asymptotic_conditions(measure, r, horizons=DEFAULT_HORIZONS):
 
     Requires a potential with a derivative field; the three scans are the
     growth ratio V/V'^(r'), the weighted ratio V/(|x|^(2-r) V'^2), and the
-    curvature ratio V''/V'^2, each with the maximum over the tail window
-    [X_end/2, X_end].
+    curvature ratio V''/V'^2 (V'' the tree's second symbolic derivative),
+    each with the maximum over the tail window [X_end/2, X_end].
     """
     _check_r(r)
     pot = measure.potential
@@ -472,8 +472,8 @@ def asymptotic_conditions(measure, r, horizons=DEFAULT_HORIZONS):
     rp = r / (r - 1.0)
     V = pot.value(x)
     Vp = pot.derivative(x)
-    h = 1e-5 * np.maximum(1.0, np.abs(x))
-    Vpp = (pot.derivative(x + h) - pot.derivative(x - h)) / (2.0 * h)
+    second = expr_mod.compile(expr_mod.diff(expr_mod.diff(pot.ast)))
+    Vpp = expr_mod.evaluate(second, np.abs(x) if pot.even else x)
     with np.errstate(divide="ignore", invalid="ignore"):
         br = V / np.power(np.abs(Vp), rp)
         wr = V / (np.power(np.abs(x), 2.0 - r) * Vp * Vp)
@@ -533,17 +533,13 @@ def tail_asymptotics(measure, x_grid):
     x = np.asarray(x_grid, dtype=float)
     if not (x.ndim == 1 and len(x) and np.all(np.isfinite(x))):
         raise DomainValidationError("x_grid must be finite and nonempty")
-    theta = np.empty(len(x))
-    capped = np.zeros(len(x), dtype=bool)
-    r_theta = np.empty(len(x))
+    theta, capped = map(np.array, zip(*(_theta_scale(pot, xi) for xi in x.tolist())))
     r_deriv = np.full(len(x), np.nan)
-    l_abs = msr.log_tail(measure, x) + measure.log_z
-    for i, xi in enumerate(x):
-        theta[i], capped[i] = _theta_scale(pot, float(xi))
-        v = float(pot.value(np.array([xi]))[0])
-        r_theta[i] = math.exp(l_abs[i] + v) / theta[i]
+    # tail / exp(-V(x)) overflows to inf where V climbs far faster than linearly
+    with np.errstate(over="ignore"):
+        scale = np.exp(msr.log_tail(measure, x) + measure.log_z + pot.value(x))
+        r_theta = scale / theta
         if pot.derivative is not None:
-            vp = float(pot.derivative(np.array([xi]))[0])
-            if vp > 0:
-                r_deriv[i] = math.exp(l_abs[i] + v) * vp
+            vp = pot.derivative(x)
+            np.multiply(scale, vp, out=r_deriv, where=vp > 0)
     return TailScaleTable(x=x, theta=theta, capped=capped, ratio_theta=r_theta, ratio_deriv=r_deriv)

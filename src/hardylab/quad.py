@@ -100,6 +100,7 @@ _EXTENSION_PANEL_BUDGET = 1 << 17
 # Doubling chunks of one extension before it gives up: from a unit width,
 # the last ends near 2^400 (2.6e120) past its start.
 _EXTENSION_CHUNKS = 400
+ABS_TOL = 1e-13  # absolute error floor of ``integrate``, for mean-zero integrands such as E[x]
 
 
 @dataclass(frozen=True)
@@ -107,13 +108,10 @@ class QuadConfig:
     """Tolerances for one adaptive integration."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise DomainValidationError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if not 0.0 < self.abs_tol < math.inf:
-            raise DomainValidationError(f"abs_tol must be finite and positive, got {self.abs_tol}")
 
 
 DEFAULT_QUAD = QuadConfig()
@@ -207,7 +205,7 @@ def integrate(f, a, b, cfg=DEFAULT_QUAD, breakpoints=None):
     """Adaptive integral of ``f`` over [a, b].
 
     Panels whose |K15 - G7| exceeds a width-proportional share of the global
-    allowance max(abs_tol, rel_tol*|I|) are bisected, up to ``MAX_DEPTH``
+    allowance max(ABS_TOL, rel_tol*|I|) are bisected, up to ``MAX_DEPTH``
     generations, after which a DepthExhaustedError reports the worst panel.
     """
     if not a < b:
@@ -231,7 +229,7 @@ def integrate(f, a, b, cfg=DEFAULT_QUAD, breakpoints=None):
             )
         panels_used += len(pa)
         total_est = done_val + float(np.sum(k))
-        allow = max(cfg.abs_tol, cfg.rel_tol * abs(total_est))
+        allow = max(ABS_TOL, cfg.rel_tol * abs(total_est))
         # width-proportional allowance, with an absolute negligibility floor so
         # integrable kinks cannot force unbounded refinement of vanishing panels
         ok = err <= allow * np.maximum((pb - pa) / width, 1e-6)
@@ -319,10 +317,10 @@ def log_extension(logf, start, ptol, max_depth, breakpoints=None):
     panels never straddle a jump.  Stops once a chunk falls 55 nats below the
     running total, i.e. the remainder is a negligible relative correction.
     A chunk without mass never stops it, since V may overflow and come back
-    to finite values; if all ``_EXTENSION_CHUNKS`` doublings find no mass
-    (V overflows from ``start`` on), the result is -inf.  Otherwise raises
-    NonIntegrableError after ``_EXTENSION_CHUNKS`` doublings or once the
-    chunks have spent more than ``_EXTENSION_PANEL_BUDGET`` panels.
+    to finite values; if the ``_EXTENSION_CHUNKS`` doublings, or those up to
+    the end of the float range, find no mass (V overflows from ``start``
+    on), the result is -inf.  Otherwise they raise NonIntegrableError, as
+    do chunks that spend more than ``_EXTENSION_PANEL_BUDGET`` panels.
     The doubling starts at the first unit width * 2^k that moves ``start``
     (past 2^53 a unit chunk is empty), so no doubling is spent on empty chunks.
     """
@@ -332,6 +330,8 @@ def log_extension(logf, start, ptol, max_depth, breakpoints=None):
     spent = 0
     for _ in range(_EXTENSION_CHUNKS):
         hi = lo + w
+        if hi == math.inf:
+            break
         bp = breakpoints(lo, hi) if breakpoints is not None and w <= _MAX_SPLIT_WIDTH else None
         edges = _initial_edges(lo, hi, bp)
         seg_logs, _, panels = refine_log_panels(logf, edges[:-1], edges[1:], ptol, max_depth, strict=False)

@@ -144,6 +144,19 @@ def test_evaluate_subcommand(capsys):
     assert get(doc, "ratio")["value"] == pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("kind, extra, params", [
+    ("poincare", [], set()),
+    ("lo", ["--r", "1.5"], {"r"}),
+    ("itau", ["--tau", "0.5"], {"tau"}),
+    ("mls", ["--r", "1.5", "--positive"], {"r", "positive"}),
+])
+def test_evaluate_config_holds_the_flags_read(capsys, kind, extra, params):
+    f = "exp(x/4)" if kind == "mls" else "x"
+    code, doc = run_json(capsys, ["evaluate", "--potential", "gaussian", "--f", f, "--kind", kind, *extra])
+    assert code == 0
+    assert set(doc["config"]) == {"command", "kind", "output", "potential", "rel_tol", "eps_trunc", "f"} | params
+
+
 def test_concentration_gradcheck(capsys):
     code, doc = run_json(
         capsys,
@@ -198,6 +211,9 @@ def test_concentration_config_holds_the_flags_read(capsys, mode):
     ["criteria", "--potential", "exp", "--kind", "blo", "--r", "1.5", "--eps", "0.2"],
     ["criteria", "--potential", "exp", "--kind", "hyp", "--r", "1.5", "--csv", "hyp.csv"],
     ["criteria", "--potential", "exp", "--kind", "tailscale", "--r", "1.5"],
+    ["evaluate", "--potential", "gaussian", "--f", "x", "--kind", "poincare", "--r", "1.5", "--tau", "0.3"],
+    ["evaluate", "--potential", "gaussian", "--f", "x", "--kind", "itau", "--tau", "0.3", "--r", "1.5"],
+    ["evaluate", "--potential", "gaussian", "--f", "x", "--kind", "lo", "--r", "1.5", "--positive"],
 ])
 def test_unread_flags_exit_code_2(capsys, argv):
     assert cli.run(argv) == 2
@@ -232,14 +248,12 @@ def test_validation_error_exit_code_2(capsys):
     # the tolerance flags exist only where a measure is built from --potential
     assert cli.run(["legendre", "--rprime", "3", "--t", "2", "--rel-tol", "1e-6"]) == 2
     assert cli.run(["repro", "--name", "legendre-lower-bound", "--eps-trunc", "1e-9"]) == 2
-    assert cli.run(["threshold-scan", "--abs-tol", "1e-9"]) == 2
-    # and --abs-tol only where a linear-space integral reads it
-    for argv in (["criteria", "--potential", "exp", "--kind", "bp"], ["measure", "info", "--potential", "exp"],
-                 ["spectral", "--potential", "exp"], ["concentration", "--mode", "transport"]):
+    # the absolute quadrature tolerance is a constant, not a flag
+    for argv in (["threshold-scan"], ["criteria", "--potential", "exp", "--kind", "bp"],
+                 ["measure", "info", "--potential", "exp"], ["spectral", "--potential", "exp"],
+                 ["concentration", "--mode", "transport"],
+                 ["evaluate", "--potential", "gaussian", "--f", "x", "--kind", "poincare"]):
         assert cli.run([*argv, "--abs-tol", "1e-9"]) == 2
-    code, doc = run_json(capsys, ["evaluate", "--potential", "gaussian", "--f", "x", "--kind", "poincare",
-                                  "--abs-tol", "1e-12"])
-    assert code == 0 and doc["config"]["abs_tol"] == 1e-12
 
 
 def test_numerical_failure_exit_code_3(capsys):
@@ -263,7 +277,6 @@ def test_numerical_failure_exit_code_3(capsys):
     # non-finite or out-of-range values that would give a report of nulls or unrefined panels
     for argv, message in (
         (["measure", "info", "--potential", "exp", "--rel-tol", "inf"], "rel_tol"),
-        (["evaluate", "--potential", "gaussian", "--f", "x", "--kind", "poincare", "--abs-tol", "inf"], "abs_tol"),
         (["concentration", "--mode", "deviation", "--t-grid", "1,nan", "--count", "100"], "t_grid must be finite"),
         (["criteria", "--potential", "exp", "--kind", "hyp", "--r", "1.5", "--eps", "nan"], "eps must be finite"),
         (["concentration", "--mode", "gradcheck", "--n", "0"], "n and count"),

@@ -38,52 +38,52 @@ def test_g_cost_values():
     assert conc.g_cost([3.0, 0.5], 1.5) == pytest.approx(3.0**1.5 + 0.25, rel=1e-14)
 
 
+def _halfspace_cost(x, c, r):
+    """F_A of the rows of x for the halfspace A = {sum_i x_i <= c}."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return conc._halfspace_cost(np.maximum(np.sum(x, axis=1) - c, 0.0), x.shape[1], r)
+
+
+def _point_set_cost(x, points, r):
+    """F_A of the rows of x for the finite set A of ``points``, by brute force."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    d = np.abs(x[:, None, :] - np.atleast_2d(np.asarray(points, dtype=float))[None, :, :])
+    return np.min(np.sum(np.minimum(d * d, np.power(d, r)), axis=2), axis=1)
+
+
 def test_f_a_cost_membership_zero():
-    A = conc.Halfspace(c=1.0)
-    assert conc.f_a_cost([0.2, 0.3], A, 1.5) == 0.0
-    P = conc.PointSet(((0.1, 0.2),))
-    assert conc.f_a_cost([0.1, 0.2], P, 1.5) == 0.0
+    assert _halfspace_cost([0.2, 0.3], 1.0, 1.5)[0] == 0.0
+    assert _point_set_cost([0.1, 0.2], [(0.1, 0.2)], 1.5)[0] == 0.0
 
 
 def test_f_a_cost_point_set_examples():
-    P = conc.PointSet(((0.0,),))
-    assert conc.f_a_cost([0.5], P, 1.5) == pytest.approx(0.25, rel=1e-14)
-    P2 = conc.PointSet(((0.0, 0.0),))
-    assert conc.f_a_cost([3.0, 0.5], P2, 1.5) == pytest.approx(3.0**1.5 + 0.25, rel=1e-14)
-
-
-def test_f_a_cost_empty_set():
-    with pytest.raises(DomainValidationError):
-        conc.f_a_cost([1.0], conc.PointSet(()), 1.5)
+    assert _point_set_cost([0.5], [(0.0,)], 1.5)[0] == pytest.approx(0.25, rel=1e-14)
+    assert _point_set_cost([3.0, 0.5], [(0.0, 0.0)], 1.5)[0] == pytest.approx(3.0**1.5 + 0.25, rel=1e-14)
 
 
 def test_pointset_containing_halfspace_dominates():
     # any finite subset of the halfspace gives a larger infimum
     rng = np.random.Generator(np.random.PCG64(17))
-    A = conc.Halfspace(c=0.0)
     pts = rng.normal(size=(200, 3))
-    pts -= (np.maximum(pts.sum(axis=1), 0.0) / 3.0)[:, None]  # project into the halfspace
-    P = conc.PointSet(tuple(map(tuple, pts)))
+    pts -= (np.maximum(pts.sum(axis=1), 0.0) / 3.0)[:, None]  # project into the halfspace sum <= 0
     xs = rng.normal(size=(100, 3)) * 2.0
     for x in xs:
-        assert conc.f_a_cost(x, P, 1.5) >= conc.f_a_cost(x, A, 1.5) - 1e-12
+        assert _point_set_cost(x, pts, 1.5)[0] >= _halfspace_cost(x, 0.0, 1.5)[0] - 1e-12
 
 
 def test_halfspace_cost_conservative_vs_discretized_bruteforce():
     # n <= 3: compare with brute force over a dense sample of A; the candidate
     # minimization must match the discretized infimum up to its resolution
     rng = np.random.Generator(np.random.PCG64(23))
-    r = 1.5
+    r, c = 1.5, 0.5
     for n in (1, 2, 3):
-        A = conc.Halfspace(c=0.5)
         # 1e4 points of the boundary + interior
         base = rng.uniform(-4, 4, size=(10_000, n))
-        over = base.sum(axis=1) > A.c
-        base[over] -= ((base.sum(axis=1)[over] - A.c) / n)[:, None]  # project onto sum = c
-        P = conc.PointSet(tuple(map(tuple, base)))
+        over = base.sum(axis=1) > c
+        base[over] -= ((base.sum(axis=1)[over] - c) / n)[:, None]  # project onto sum = c
         xs = rng.uniform(-3, 3, size=(100, n))
-        up = conc.f_a_cost(xs, A, r)
-        brute = conc.f_a_cost(xs, P, r)
+        up = _halfspace_cost(xs, c, r)
+        brute = _point_set_cost(xs, base, r)
         # upper bound below the (subset-restricted) brute force, up to grid slack
         assert np.all(up <= brute + 1e-9)
         # and not wildly loose: within discretization resolution of the brute force
@@ -140,7 +140,7 @@ def test_halfspace_cost_matches_bisection_reference(n, r):
     noisy[:, 0] += s - noisy.sum(axis=1)
     x = np.vstack([exact, noisy])
     with np.errstate(invalid="raise"):  # no nan from the s = inf rows
-        got = conc.f_a_cost(x, conc.Halfspace(c=0.0), r)
+        got = _halfspace_cost(x, 0.0, r)
     finite = np.isfinite(np.concatenate([s, s]))
     want = _halfspace_cost_bisection(x[finite], 0.0, r)
     np.testing.assert_allclose(got[finite], want, rtol=1e-12, atol=0.0)
@@ -169,7 +169,7 @@ def test_halfspace_cost_is_exact_vs_bruteforce(n, grid, r):
         brute = float(np.min(sum(np.minimum(di * di, np.power(di, r)) for di in splits)))
         x = np.zeros((1, n))
         x[0, 0] = s
-        cost = conc.f_a_cost(x, conc.Halfspace(c=0.0), r)
+        cost = _halfspace_cost(x, 0.0, r)[0]
         slack = 2.0 * (n - 1) * max(2.0, r * s ** (r - 1.0)) * s / (grid - 1)
         assert cost <= brute * (1.0 + 1e-12)
         assert brute - cost <= slack
@@ -178,9 +178,8 @@ def test_halfspace_cost_is_exact_vs_bruteforce(n, grid, r):
 def test_halfspace_cost_matches_exact_small_s():
     # for 0 < s <= n the even split stays in the quadratic branch: cost = s^2/n
     x = np.array([[0.5, 0.5, 0.5, 0.5]])
-    A = conc.Halfspace(c=1.0)
     s = 1.0
-    assert conc.f_a_cost(x, A, 1.5) == pytest.approx(s * s / 4.0, rel=1e-12)
+    assert _halfspace_cost(x, 1.0, 1.5)[0] == pytest.approx(s * s / 4.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

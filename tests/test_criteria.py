@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -208,6 +209,15 @@ def test_asymptotics_counterexample_profiles(cattiaux_measure):
     assert np.all(np.diff(wr) > 0)  # increasing along the slow-derivative points
 
 
+@pytest.mark.parametrize("name, ratio", [
+    ("gauss_measure", lambda x: 1.0 / (x * x)),  # V''/V'^2 = 1/x^2
+    ("mu15_measure", lambda x: x**-1.5 / 3.0),  # (3/4) x^-0.5 / ((9/4) x)
+], ids=["gaussian", "mu15"])
+def test_asymptotics_curvature_ratio_closed_forms(request, name, ratio):
+    scans = criteria.asymptotic_conditions(request.getfixturevalue(name), 1.5)
+    np.testing.assert_allclose(scans.vpp_ratio, ratio(scans.x), rtol=1e-12, atol=0.0)
+
+
 def test_asymptotics_requires_derivative(floor_measure):
     with pytest.raises(DomainValidationError):
         criteria.asymptotic_conditions(floor_measure, 1.5)
@@ -243,6 +253,19 @@ def test_tail_scale_oscillating_plateaus(nu2_measure):
     scale = t.theta * (xk / 3.0) ** (1.0 / 3.0)
     assert np.all((scale >= 0.7) & (scale <= 1.4))
     assert np.all((t.ratio_theta >= 0.2) & (t.ratio_theta <= 5.0))
+
+
+def test_tail_scale_ratio_overflows_to_inf():
+    # on nu22 the tail exceeds exp(-V(x)) by up to e^2115 on the CLI's grid
+    m = scenarios.corpus_measure("nu22")
+    x = np.arange(1.0, 800.0, 2.0)
+    t = criteria.tail_asymptotics(m, x)
+    log_ratio = msr.log_tail(m, x) + m.log_z + m.potential.value(x)
+    over = log_ratio > math.log(sys.float_info.max)
+    assert over.sum() == 77 and log_ratio.max() > 2000.0
+    assert np.all(t.ratio_theta[over] == np.inf)
+    assert np.all(np.isnan(t.ratio_deriv[over]) | (t.ratio_deriv[over] == np.inf))  # nan where V' <= 0
+    np.testing.assert_allclose(t.ratio_theta[~over], np.exp(log_ratio[~over]) / t.theta[~over], rtol=1e-14)
 
 
 def test_tail_scale_requires_even():

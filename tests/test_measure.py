@@ -446,13 +446,19 @@ def test_extensions_refine_at_the_ladder_tolerance(monkeypatch):
     assert ptols and set(ptols) == {ptol}
 
 
-def test_tail_where_v_overflows_is_zero():
+def test_tail_where_v_overflows_is_zero(gauss_measure):
     # exp(|x|) overflows past 709.8, so exp(-V) has no mass in any doubling
     # chunk from 800: the tail is 0, not a failure to converge
     m = msr.normalize(msr.Potential.from_expression("exp(abs(x))"))
     assert msr.log_tail(m, 800.0) == -math.inf
     assert msr.tail(m, 800.0) == 0.0
     assert msr.cdf(m, -800.0) == 0.0
+    # x^2/2 overflows past 1.9e154; from 1e230 on the doubling chunks reach
+    # the end of the float range without mass
+    for x in (1e230, 1e300):
+        assert msr.log_tail(gauss_measure, x) == -math.inf
+        assert msr.tail(gauss_measure, x) == 0.0
+        assert msr.cdf(gauss_measure, -x) == 0.0
 
 
 @settings(deadline=None, max_examples=25)

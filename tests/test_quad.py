@@ -26,8 +26,8 @@ def test_oscillating_potential_self_consistency():
     pot = msr.Potential.builtin("sinpower", 2, 1)
     f = lambda t: np.exp(-pot.value(t))
     bp = pot.breakpoints(0.0, 40.0)
-    loose = quad.integrate(f, 0.0, 40.0, quad.QuadConfig(rel_tol=1e-8, abs_tol=1e-12), breakpoints=bp)
-    tight = quad.integrate(f, 0.0, 40.0, quad.QuadConfig(rel_tol=5e-9, abs_tol=1e-12), breakpoints=bp)
+    loose = quad.integrate(f, 0.0, 40.0, quad.QuadConfig(rel_tol=1e-8), breakpoints=bp)
+    tight = quad.integrate(f, 0.0, 40.0, quad.QuadConfig(rel_tol=5e-9), breakpoints=bp)
     assert loose.value == pytest.approx(tight.value, rel=1e-8)
     # and the log-space twin handles exp(+V), which overflows linear floats
     edges = quad._initial_edges(0.0, 40.0, bp)
@@ -88,7 +88,7 @@ def test_refinement_monotone(f, a, b):
     # halving rel_tol never increases the error estimate
     prev = None
     for rel in (1e-6, 5e-7, 2.5e-7, 1.25e-7):
-        res = quad.integrate(f, a, b, quad.QuadConfig(rel_tol=rel, abs_tol=1e-15))
+        res = quad.integrate(f, a, b, quad.QuadConfig(rel_tol=rel))
         if prev is not None:
             assert res.error_estimate <= prev * (1 + 1e-12)
         prev = res.error_estimate
@@ -97,7 +97,7 @@ def test_refinement_monotone(f, a, b):
 def test_depth_exhaustion_signals_discontinuity():
     step = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
     with pytest.raises(DepthExhaustedError) as exc:
-        quad.integrate(step, 0.0, 1.0, quad.QuadConfig(rel_tol=1e-12, abs_tol=1e-15))
+        quad.integrate(step, 0.0, 1.0, quad.QuadConfig(rel_tol=1e-12))
     a, b, _ = exc.value.panel
     assert a <= 1.0 / 3.0 <= b  # worst panel brackets the jump
 
@@ -115,10 +115,9 @@ def test_non_integrable_singularity_exhausts_depth():
 
 def test_config_validation():
     # an infinite tolerance would accept every panel unrefined
-    for tols in ({"rel_tol": 0.0}, {"rel_tol": 1.0}, {"rel_tol": math.inf}, {"rel_tol": math.nan},
-                 {"abs_tol": 0.0}, {"abs_tol": math.inf}, {"abs_tol": math.nan}):
-        with pytest.raises(DomainValidationError, match="tol"):
-            quad.QuadConfig(**tols)
+    for rel_tol in (0.0, 1.0, math.inf, math.nan):
+        with pytest.raises(DomainValidationError, match="rel_tol"):
+            quad.QuadConfig(rel_tol=rel_tol)
     with pytest.raises(DomainValidationError):
         quad.integrate(lambda x: x, 1.0, 0.0)
 
@@ -351,10 +350,10 @@ def test_error_estimate_within_config_contract():
         (lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0),
         (lambda x: np.exp(-x * x / 2), -8.0, 8.0),
     ]
-    cfg = quad.QuadConfig(rel_tol=1e-9, abs_tol=1e-12)
+    cfg = quad.QuadConfig(rel_tol=1e-9)
     for f, a, b in cases:
         res = quad.integrate(f, a, b, cfg)
-        assert res.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value)) * 1.01
+        assert res.error_estimate <= max(quad.ABS_TOL, cfg.rel_tol * abs(res.value)) * 1.01
 
 
 def test_gauss_kronrod_exactness_degrees():
