@@ -257,9 +257,10 @@ def _log_mass(ladders, x, sign):
     the median, from unchanged ``ladders``.  In s = sign * x, points with
     s <= 0 (from an uneven median to 0) add the other ladder's mass from 0
     to -s to this side's total, points up to the end E of the side's ladder
-    read it, points in (E, 2E] read one copy of it grown to 2E, and each
-    point farther takes one ``log_extension`` of its own.  So a point's
-    value never depends on the other points of the query."""
+    read it, points in (E, 2E] read one copy of it grown to 2E, and the
+    points farther share one lockstep ``log_extension``, which gives each
+    the value of an extension of its own.  So a point's value never depends
+    on the other points of the query."""
     ladder, other = ladders[sign], ladders[-sign]
     s, end = sign * x, ladders[sign].edges[-1]
     inner, within, far = s <= 0.0, (s > 0.0) & (s <= end), s > 2.0 * end
@@ -270,7 +271,8 @@ def _log_mass(ladders, x, sign):
         out[near] = ladder.grown(2.0 * end).upper(s[near])
     if inner.any():
         out[inner] = np.logaddexp(ladder.suffix[0], other.lower(-s[inner]))
-    out[far] = [ladder.extension(t) for t in s[far].tolist()]
+    if far.any():
+        out[far] = ladder.extension(s[far])
     return out
 
 

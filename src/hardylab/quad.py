@@ -308,9 +308,144 @@ def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
     return acc, seg_errs, panels_used
 
 
+# Doubling chunks of one extension refined in one call: at most this many,
+# each at most _MAX_SPLIT_WIDTH wide, with at most this many segments
+# together (a first chunk of more goes alone).  Normalizing the 8 corpus
+# measures took 97 calls at 2 chunks, 88 at 4 and 87 at 6, where the
+# chunks past the stop raised the panels from 4,262 to 5,777.  Wider chunks
+# go one per call, so the panel budget bounds the memory of a call:
+# batched, they took normalizing 2 log(1 + |x|) + 0.1 sin x to its
+# NonIntegrableError at a peak RSS of 392 MiB instead of 82 MiB.
+_EXTENSION_BATCH_CHUNKS = 4
+_EXTENSION_BATCH_SEGMENTS = 64
+# Segments of the batches of different starts that share one call of a
+# lockstep extension; it bounds the call's memory over many starts.  300
+# far points on gaussian, cattiaux, sinpower(2,1) and floor took 1-21
+# calls with traced allocations peaking at 1.2-3.8 MiB, against 1-3 calls
+# and 2.1-8.3 MiB unbounded.
+_SHARED_SEGMENTS = 2048
+
+
+class _Tail:
+    """One start's extension in ``log_extension``: the next doubling chunk
+    [lo, lo + w], the chunks judged so far, their log total and the panels
+    they spent."""
+
+    def __init__(self, start):
+        self.start, self.lo, self.w = start, start, 1.0
+        while self.lo + self.w == self.lo and self.w < math.inf:
+            self.w *= 2.0
+        self.total, self.judged, self.spent = -np.inf, 0, 0
+        self.bound = False  # spent holds whole shared calls: an upper bound of the count
+        self.solo = 0  # chunks to refine one per call, after a batch that raised
+        self.redo = False  # a shared call may have crossed the budget: redo this start alone
+        self.value = self.error = None
+
+    def plan(self, breakpoints):
+        """The edges of the chunks of this tail's next call, and whether the
+        call probes them at depth 0: while no mass is found, every chunk
+        wider than ``_MAX_SPLIT_WIDTH`` left is probed in one call."""
+        probe = self.total == -np.inf and self.w > _MAX_SPLIT_WIDTH and not self.solo
+        chunks, segments, lo, w = [], 0, self.lo, self.w
+        while len(chunks) < _EXTENSION_CHUNKS - self.judged and lo + w != math.inf:
+            split = breakpoints is not None and w <= _MAX_SPLIT_WIDTH
+            edges = _initial_edges(lo, lo + w, breakpoints(lo, lo + w) if split else None)
+            if chunks and not probe and (self.solo or w > _MAX_SPLIT_WIDTH or len(chunks) == _EXTENSION_BATCH_CHUNKS
+                                         or segments + len(edges) - 1 > _EXTENSION_BATCH_SEGMENTS):
+                break
+            chunks.append(edges)
+            segments += len(edges) - 1
+            lo, w = lo + w, 2.0 * w
+        return chunks, probe
+
+    def judge(self, chunks, logs, panels, own, probe):
+        """Walk the chunks' log masses ``logs`` in order by the stopping rule.
+        ``panels`` is what their call spent, on them alone when ``own``; a
+        probe spent one per chunk.  Panels count only up to the chunk judged,
+        so a batch whose panels may cross the budget is redone until each
+        chunk's own are known: one chunk per call, or, after shared calls,
+        the whole start alone."""
+        per_chunk = [1] * len(chunks) if probe else [panels] if own and len(chunks) == 1 else None
+        if self.spent + sum(per_chunk or [panels]) > _EXTENSION_PANEL_BUDGET and (per_chunk is None or self.bound):
+            if own and not self.bound:
+                self.solo = len(chunks)
+            else:
+                self.redo = True
+            return
+        for i, edges in enumerate(chunks):
+            if probe and logs[i] > -np.inf:  # the first chunk with mass is refined on its own
+                self.solo = 1
+                return
+            self.total = float(np.logaddexp(self.total, logs[i]))
+            self.judged += 1
+            if logs[i] < self.total - _NEGLIGIBLE_NATS:
+                self.value = self.total
+                return
+            if per_chunk is not None:
+                self.spent += per_chunk[i]
+                if self.spent > _EXTENSION_PANEL_BUDGET:
+                    self.error = NonIntegrableError(f"tail integral starting at {self.start:.3g} spent {self.spent} "
+                                                    f"panels by x={edges[-1]:.3g} without converging")
+                    return
+            self.lo, self.w, self.solo = float(edges[-1]), 2.0 * self.w, max(self.solo - 1, 0)
+        if per_chunk is None:
+            self.spent += panels
+            self.bound |= not own
+
+
+def _refine_chunks(logf, jobs, ptol, max_depth):
+    """Refine the chunks of ``jobs`` (tail, chunk edges, probe) in one call,
+    a probe's at depth 0, and let each tail judge its own.  A call that
+    raises DomainValidationError is redone one job per call, and a job's
+    own call that raises is redone one chunk per call from its first chunk,
+    so an error surfaces at the chunk where one call per chunk raises it."""
+    edges = [e for _, chunks, _ in jobs for e in chunks]
+    try:
+        seg_logs, _, panels = refine_log_panels(logf, np.concatenate([e[:-1] for e in edges]),
+                                                np.concatenate([e[1:] for e in edges]), ptol,
+                                                0 if jobs[0][2] else max_depth, strict=False)
+    except DomainValidationError as e:
+        if len(jobs) > 1:
+            for job in jobs:
+                _refine_chunks(logf, [job], ptol, max_depth)
+            return
+        tail, chunks, probe = jobs[0]
+        if len(chunks) > 1 or probe:
+            tail.solo = len(chunks)
+        else:
+            tail.error = e
+        return
+    ends = np.cumsum([len(e) - 1 for e in edges]).tolist()
+    logs = [float(np.logaddexp.reduce(seg_logs[a:b])) for a, b in zip([0, *ends], ends)]
+    for tail, chunks, probe in jobs:
+        tail.judge(chunks, logs[: len(chunks)], panels, len(jobs) == 1, probe)
+        logs = logs[len(chunks) :]
+
+
+def _calls(jobs):
+    """One round's jobs grouped into calls: a tail refining a chunk wider
+    than ``_MAX_SPLIT_WIDTH`` takes a call of its own; the others share
+    calls of at most ``_SHARED_SEGMENTS`` segments (a larger job alone),
+    probes apart from refinements."""
+    calls, open_calls = [], {}
+    for job in jobs:
+        tail, chunks, probe = job
+        if not probe and tail.w > _MAX_SPLIT_WIDTH:
+            calls.append([job])
+            continue
+        segments = sum(len(e) - 1 for e in chunks)
+        call, held = open_calls.get(probe, ([], 0))
+        if call and held + segments > _SHARED_SEGMENTS:
+            calls.append(call)
+            call, held = [], 0
+        open_calls[probe] = (call + [job], held + segments)
+    return calls + [call for call, _ in open_calls.values()]
+
+
 def log_extension(logf, start, ptol, max_depth, breakpoints=None):
     """Log integral of exp(logf) over [start, +inf) by doubling chunks,
-    refined non-strictly at (ptol, max_depth).
+    refined non-strictly at (ptol, max_depth), for a scalar ``start`` (a
+    float is returned) or a 1-D array of starts, which advance in lockstep.
 
     ``breakpoints(a, b)`` lists the integrand's jump or oscillation points in
     (a, b); each chunk up to ``_MAX_SPLIT_WIDTH`` wide is split there, so
@@ -323,34 +458,50 @@ def log_extension(logf, start, ptol, max_depth, breakpoints=None):
     do chunks that spend more than ``_EXTENSION_PANEL_BUDGET`` panels.
     The doubling starts at the first unit width * 2^k that moves ``start``
     (past 2^53 a unit chunk is empty), so no doubling is spent on empty chunks.
+
+    Each round refines the next chunks of every unfinished start in a few
+    ``refine_log_panels`` calls and judges them in order; chunks past a
+    stop are dropped.  A start's batch holds up to
+    ``_EXTENSION_BATCH_CHUNKS`` chunks and ``_EXTENSION_BATCH_SEGMENTS``
+    segments, each chunk at most ``_MAX_SPLIT_WIDTH`` wide; a wider chunk
+    takes a call of its own, and while no mass is found the wider chunks
+    left are probed in one call at depth 0, where a chunk without mass is
+    accepted whole.  The batches of different starts share calls of up to
+    ``_SHARED_SEGMENTS`` segments; a start whose shared calls may have
+    crossed the panel budget is redone alone.  A batch that raises
+    DomainValidationError is redone one chunk per call, and the first start
+    in order that raises raises.  Since the intervals of a call are
+    independent, every value, error and raise point is that of one call
+    per chunk, one start after another, bit for bit.
     """
-    total, lo, w = -np.inf, start, 1.0
-    while lo + w == lo and w < math.inf:
-        w *= 2.0
-    spent = 0
-    for _ in range(_EXTENSION_CHUNKS):
-        hi = lo + w
-        if hi == math.inf:
-            break
-        bp = breakpoints(lo, hi) if breakpoints is not None and w <= _MAX_SPLIT_WIDTH else None
-        edges = _initial_edges(lo, hi, bp)
-        seg_logs, _, panels = refine_log_panels(logf, edges[:-1], edges[1:], ptol, max_depth, strict=False)
-        chunk = float(np.logaddexp.reduce(seg_logs))
-        total = float(np.logaddexp(total, chunk))
-        if chunk < total - _NEGLIGIBLE_NATS:
-            return total
-        spent += panels
-        if spent > _EXTENSION_PANEL_BUDGET:
-            raise NonIntegrableError(
-                f"tail integral starting at {start:.3g} spent {spent} panels by x={hi:.3g} without converging"
-            )
-        lo = hi
-        w *= 2.0
-    if total == -np.inf:
-        return total
-    raise NonIntegrableError(
-        f"tail integral starting at {start:.3g} did not converge by x={lo:.3g}"
-    )
+    tails = [_Tail(s) for s in np.atleast_1d(np.asarray(start, dtype=float)).tolist()]
+    pending, failed = tails, len(tails)
+    while pending:
+        jobs = []
+        for tail in pending:
+            if tail.redo:
+                try:
+                    tail.value = log_extension(logf, tail.start, ptol, max_depth, breakpoints)
+                except (DomainValidationError, NonIntegrableError) as e:
+                    tail.error = e
+                continue
+            chunks, probe = tail.plan(breakpoints)
+            if chunks:
+                jobs.append((tail, chunks, probe))
+            elif tail.total == -np.inf:
+                tail.value = tail.total
+            else:
+                tail.error = NonIntegrableError(
+                    f"tail integral starting at {tail.start:.3g} did not converge by x={tail.lo:.3g}"
+                )
+        for call in _calls(jobs):
+            _refine_chunks(logf, call, ptol, max_depth)
+        failed = next((i for i, tail in enumerate(tails) if tail.error), len(tails))
+        pending = [tail for tail in tails[:failed] if tail.value is None and tail.error is None]
+    if failed < len(tails):
+        raise tails[failed].error
+    values = np.array([tail.value for tail in tails])
+    return float(values[0]) if np.ndim(start) == 0 else values
 
 
 # Intervals per refine_log_panels call in a ladder's cells and partial
@@ -381,12 +532,15 @@ class LogLadder:
     each cell's log integral, one ``refine_log_panels`` interval at (ptol,
     max_depth, strict).  A query integrates each point's partial cell the
     same way, ``_LADDER_BLOCK`` points per call, so it equals a scalar query
-    bit for bit.  A ladder given a side's ``breakpoints(a, b)`` starts at 0
-    and grows over the doubling chunks [0, 1], [1, 2], [2, 4], ..., split
-    at the breakpoints and, up to ``_MAX_SPLIT_WIDTH`` wide, at the
-    multiples of ``GRID_STEP`` (the scan grids'), in ``truncation_point``
-    and in ``grown`` alike.  An edge depends only on its position: growing
-    to a, then b, equals growing to b, bit for bit.
+    bit for bit; ``upper_lower`` refines the partial cells of both sides of
+    its points in one call.  A ladder given a side's ``breakpoints(a, b)``
+    starts at 0 and grows over the doubling chunks [0, 1], [1, 2], [2, 4],
+    ..., split at the breakpoints and, up to ``_MAX_SPLIT_WIDTH`` wide, at
+    the multiples of ``GRID_STEP`` (the scan grids'), in
+    ``truncation_point`` and in ``grown`` alike.  An edge depends only on
+    its position: growing to a, then b, equals growing to b, bit for bit,
+    and growing by several chunks in one call, then cutting back to a chunk
+    end, equals growing chunk by chunk.
     """
 
     def __init__(self, logf, edges, ptol, max_depth, strict, breakpoints=None):
@@ -402,25 +556,40 @@ class LogLadder:
         self.prefix = np.concatenate([[-np.inf], np.logaddexp.accumulate(self.cells)])
         self.suffix = np.append(np.logaddexp(np.logaddexp.accumulate(self.cells[::-1])[::-1], after), after)
 
+    def _lattice(self, hi):
+        """The edges past its start of the doubling chunk ending at ``hi`` (1 or a power of 2)."""
+        lo = 0.0 if hi == 1.0 else 0.5 * hi
+        steps = grid_steps(lo, hi) if hi - lo <= _MAX_SPLIT_WIDTH else []
+        return np.unique(np.concatenate([[lo, hi], steps, self.breakpoints(lo, hi)]))[1:]
+
+    def _extend(self, new):
+        """Append the cells up to the ascending edges ``new`` past the end
+        in one ``_interval_logs``; return their log integrals.  ``prefix``
+        and ``suffix`` wait for ``_close``."""
+        edges = np.concatenate([self.edges[-1:], new])
+        cells = _interval_logs(self.logf, edges[:-1], edges[1:], self.ptol, self.max_depth, self.strict)
+        self.edges = np.concatenate([self.edges, new])
+        self.cells = np.concatenate([self.cells, cells])
+        return cells
+
     def _append(self, b):
-        """Append the lattice cells up to the first edge >= b and return
-        their log mass; ``prefix`` and ``suffix`` wait for ``_close``."""
+        """Append the lattice cells up to the first edge >= b."""
         new = self.edges[-1:]
         while new[-1] < b:
-            hi = max(math.ldexp(1.0, math.frexp(new[-1])[1]), 1.0)  # the end of the doubling chunk holding it
-            lo = 0.0 if hi == 1.0 else 0.5 * hi
-            steps = grid_steps(lo, hi) if hi - lo <= _MAX_SPLIT_WIDTH else []
-            chunk = np.unique(np.concatenate([[lo, hi], steps, self.breakpoints(lo, hi)]))
+            chunk = self._lattice(max(math.ldexp(1.0, math.frexp(new[-1])[1]), 1.0))  # the chunk holding it
             new = np.concatenate([new, chunk[chunk > new[-1]]])
-        new = new[: np.searchsorted(new, b) + 1]
-        cells = _interval_logs(self.logf, new[:-1], new[1:], self.ptol, self.max_depth, self.strict)
-        self.edges = np.concatenate([self.edges, new[1:]])
-        self.cells = np.concatenate([self.cells, cells])
-        return float(np.logaddexp.reduce(cells))
+        self._extend(new[1 : np.searchsorted(new, b) + 1])
+
+    def _cut(self, end):
+        """A copy ending at the edge ``end``; its ``prefix`` and ``suffix`` wait for ``_close``."""
+        out, n = copy.copy(self), int(np.searchsorted(self.edges, end)) + 1
+        out.edges, out.cells = self.edges[:n].copy(), self.cells[: n - 1].copy()
+        return out
 
     def extension(self, b):
-        """log int_b^inf exp(logf), by one ``log_extension`` split at the
-        breakpoints, at the ladder's own ptol and max_depth."""
+        """log int_b^inf exp(logf) for a scalar or 1-D ``b``, by one lockstep
+        ``log_extension`` split at the breakpoints, at the ladder's own ptol
+        and max_depth."""
         return log_extension(self.logf, b, self.ptol, self.max_depth, self.breakpoints)
 
     def grown(self, b):
@@ -446,21 +615,41 @@ class LogLadder:
         j = np.searchsorted(self.edges, x, side="right") - 1
         return np.logaddexp(self.prefix[j], self._partial(self.edges[j], x))
 
+    def upper_lower(self, x):
+        """``upper(x)`` and ``lower(x)``, their partial cells in one ``_partial``."""
+        k, j = np.searchsorted(self.edges, x), np.searchsorted(self.edges, x, side="right") - 1
+        part = self._partial(np.concatenate([x, self.edges[j]]), np.concatenate([self.edges[k], x]))
+        return np.logaddexp(part[: len(x)], self.suffix[k]), np.logaddexp(self.prefix[j], part[len(x) :])
+
+
+# New cells of the doubling chunks a truncation search refines in one call:
+# the chunks up to this many (the first always), each at most
+# _MAX_SPLIT_WIDTH wide, up to the last chunk it tries.  Normalizing the 8
+# corpus measures took 93 calls and 2,894 panels at 50 cells, 88 and 4,262
+# at 100, 86 and 8,694 at 200 (17% slower) and 92 and 19,414 at 400: the
+# cells past the stop of a steep tail cost more panels than they save calls.
+_LADDER_BATCH_CELLS = 100
+
 
 def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
     """Smallest X with int_X^inf exp(-V) <= eps * int_0^X exp(-V), per side,
     and the ladders of exp(-V) it reads.
 
-    Side sign's ``LogLadder`` of exp(-V(sign * s)), s = sign * x, grows one
-    doubling chunk [0, 1], [1, 2], [2, 4], ... at a time, split on the
-    lattice that ``grown`` uses, up to the first chunk end B that falls 55
-    nats below the running total and where the predicate holds, or up to
-    2^19, the last X the search tries.
+    Side sign's ``LogLadder`` of exp(-V(sign * s)), s = sign * x, grows over
+    the doubling chunks [0, 1], [1, 2], [2, 4], ..., split on the lattice
+    that ``grown`` uses, up to the first chunk end B that falls 55 nats
+    below the running total and where the predicate holds, or up to 2^19,
+    the last X the search tries.  The chunks are refined in batches of up
+    to ``_LADDER_BATCH_CELLS`` new cells, each chunk at most
+    ``_MAX_SPLIT_WIDTH`` wide, walked in order and cut back to B; a batch
+    that raises is redone one chunk per call from its first chunk, so an
+    error surfaces at the chunk where growing one chunk per call raises it.
     Its cells are strict at the panel tolerance of ``cfg``, and one
     ``log_extension`` from B is the mass beyond.  h(X) = log tail(X) - log
-    eps - log core(X), read from the ladder, decreases in X.  It is
-    bracketed by doubling, and its root is located on the lattice that 40
-    bisection steps of the bracket would visit, by a bracketed secant.
+    eps - log core(X), read from the ladder (both partial cells in one
+    call), decreases in X.  It is bracketed by doubling, and its root is
+    located on the lattice that 40 bisection steps of the bracket would
+    visit, by a bracketed secant.
     Returns (X, {+1: right ladder, -1: left ladder}), X the larger of the
     two sides'; an even potential's one ladder serves both.  Raises
     NonIntegrableError when the predicate never holds by X = 1e6.
@@ -471,22 +660,42 @@ def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
     ptol = max(cfg.rel_tol * 0.1, 1e-14)
 
     def h(ladder, x):
-        x = np.atleast_1d(x)
-        return ladder.upper(x) - log_eps - ladder.lower(x)
+        upper, lower = ladder.upper_lower(np.atleast_1d(x))
+        return upper - log_eps - lower
+
+    def grow(ladder):
+        """The ladder cut at B, and B."""
+        total, hi, solo = -np.inf, 1.0, 0
+        while True:
+            ends, parts = [hi], [ladder._lattice(hi)]
+            while not solo and 2.0 * ends[-1] <= 1e6 and ends[-1] <= _MAX_SPLIT_WIDTH:
+                nxt = ladder._lattice(2.0 * ends[-1])
+                if sum(map(len, parts)) + len(nxt) > _LADDER_BATCH_CELLS:
+                    break
+                ends.append(2.0 * ends[-1])
+                parts.append(nxt)
+            try:
+                cells = ladder._extend(np.concatenate(parts))
+            except (DomainValidationError, DepthExhaustedError):
+                if len(parts) == 1:
+                    raise
+                solo = len(parts)
+                continue
+            for end, chunk in zip(ends, np.split(cells, np.cumsum([len(p) for p in parts])[:-1])):
+                chunk = float(np.logaddexp.reduce(chunk))
+                total = float(np.logaddexp(total, chunk))
+                last = 2.0 * end > 1e6
+                solo = max(solo - 1, 0)
+                if last or chunk < total - _NEGLIGIBLE_NATS:
+                    cut = ladder._cut(end)
+                    cut._close()
+                    if last or h(cut, end)[0] <= 0.0:
+                        return cut, end
+            hi = 2.0 * ends[-1]
 
     def one_side(sign):
         logf = (lambda s: -potential.value(s)) if sign > 0 else lambda s: -potential.value(sign * s)
-        ladder = LogLadder(logf, [0.0], ptol, MAX_DEPTH, True, breakpoints=potential.side_breakpoints(sign))
-        total, hi = -np.inf, 1.0
-        while True:
-            chunk = ladder._append(hi)
-            total = float(np.logaddexp(total, chunk))
-            last = 2.0 * hi > 1e6
-            if last or chunk < total - _NEGLIGIBLE_NATS:
-                ladder._close()
-                if last or h(ladder, hi)[0] <= 0.0:
-                    break
-            hi *= 2.0
+        ladder, hi = grow(LogLadder(logf, [0.0], ptol, MAX_DEPTH, True, breakpoints=potential.side_breakpoints(sign)))
         xs = 2.0 ** np.arange(round(math.log2(hi)) + 1)
         hs = h(ladder, xs)
         k = int(np.argmax(hs <= 0.0))

@@ -637,3 +637,196 @@ def test_log_ladder_equals_former_prefix_and_suffix(token):
         prefix, suffix = _former_prefix_suffix(logf, edges, after)
         assert np.array_equal(ladder.prefix, prefix) and np.array_equal(ladder.suffix, suffix)
         assert np.array_equal(ladder.lower(edges), prefix)  # no partial cell at an edge
+
+
+def _sequential_extension(logf, start, ptol, max_depth, breakpoints=None):
+    """The former ``log_extension``: one doubling chunk per refinement call."""
+    total, lo, w = -np.inf, start, 1.0
+    while lo + w == lo and w < math.inf:
+        w *= 2.0
+    spent = 0
+    for _ in range(quad._EXTENSION_CHUNKS):
+        hi = lo + w
+        if hi == math.inf:
+            break
+        bp = breakpoints(lo, hi) if breakpoints is not None and w <= quad._MAX_SPLIT_WIDTH else None
+        edges = quad._initial_edges(lo, hi, bp)
+        seg_logs, _, panels = quad.refine_log_panels(logf, edges[:-1], edges[1:], ptol, max_depth, strict=False)
+        chunk = float(np.logaddexp.reduce(seg_logs))
+        total = float(np.logaddexp(total, chunk))
+        if chunk < total - quad._NEGLIGIBLE_NATS:
+            return total
+        spent += panels
+        if spent > quad._EXTENSION_PANEL_BUDGET:
+            raise NonIntegrableError(
+                f"tail integral starting at {start:.3g} spent {spent} panels by x={hi:.3g} without converging"
+            )
+        lo = hi
+        w *= 2.0
+    if total == -np.inf:
+        return total
+    raise NonIntegrableError(f"tail integral starting at {start:.3g} did not converge by x={lo:.3g}")
+
+
+class _SequentialLadder(quad.LogLadder):
+    """A ladder whose mass beyond an end is one former extension per point."""
+
+    def extension(self, b):
+        ext = lambda t: _sequential_extension(self.logf, t, self.ptol, self.max_depth, self.breakpoints)
+        return ext(b) if np.ndim(b) == 0 else np.array([ext(t) for t in np.asarray(b).tolist()])
+
+
+def _sequential_truncation_point(potential, eps):
+    """The former truncation search: its ladder grows one doubling chunk per
+    call, and h reads ``upper`` and ``lower`` in a call each."""
+    log_eps = math.log(eps)
+    ptol = max(quad.DEFAULT_QUAD.rel_tol * 0.1, 1e-14)
+
+    def h(ladder, x):
+        x = np.atleast_1d(x)
+        return ladder.upper(x) - log_eps - ladder.lower(x)
+
+    def one_side(sign):
+        logf = lambda s: -potential.value(sign * s)
+        ladder = _SequentialLadder(logf, [0.0], ptol, quad.MAX_DEPTH, True, breakpoints=potential.side_breakpoints(sign))
+        total, hi = -np.inf, 1.0
+        while True:
+            before = len(ladder.cells)
+            ladder._append(hi)
+            chunk = float(np.logaddexp.reduce(ladder.cells[before:]))
+            total = float(np.logaddexp(total, chunk))
+            last = 2.0 * hi > 1e6
+            if last or chunk < total - quad._NEGLIGIBLE_NATS:
+                ladder._close()
+                if last or h(ladder, hi)[0] <= 0.0:
+                    break
+            hi *= 2.0
+        xs = 2.0 ** np.arange(round(math.log2(hi)) + 1)
+        hs = h(ladder, xs)
+        k = int(np.argmax(hs <= 0.0))
+        lo, h_lo = (xs[k - 1], hs[k - 1]) if k else (1e-3, h(ladder, 1e-3)[0])
+        x = quad._lattice_root(lambda t: float(h(ladder, t)[0]), float(lo), float(xs[k]), float(h_lo), float(hs[k]))
+        return x, ladder
+
+    xr, right = one_side(+1.0)
+    if potential.even:
+        return xr, {+1: right, -1: right}
+    xl, left = one_side(-1.0)
+    return max(xr, xl), {+1: right, -1: left}
+
+
+def _sequential_measure(potential):
+    X, ladders = _sequential_truncation_point(potential, msr.DEFAULT_EPS_TRUNC)
+    log_z = float(np.logaddexp(ladders[+1].suffix[0], ladders[-1].suffix[0]))
+    median = 0.0 if potential.even else msr._ladder_quantile(ladders, log_z, 0.5)
+    return msr.Measure1D(potential=potential, log_z=log_z, median=median, truncation=X, ladders=ladders)
+
+
+@pytest.mark.parametrize("token", ["exp", "gaussian", "power:1.5", "sinpower:2,1", "sinpower:1.5,1", "sinpower:2,2",
+                                   "floor", "cattiaux:1.5,1.9", "expr:abs(x)^1.5+0.5*x",
+                                   "expr:floor(abs(x)) + 0.8*floor(x)"])
+def test_batched_truncation_and_extensions_equal_one_chunk_per_call(token):
+    # batched ladder chunks and extension chunks, cut back at the stop, and
+    # far tail points in lockstep give what one chunk per call gives, bit for bit
+    pot = msr.Potential.from_string(token)
+    got, want = msr.normalize(pot), _sequential_measure(pot)
+    assert (got.truncation, got.log_z, got.median) == (want.truncation, want.log_z, want.median)
+    for sign in (+1, -1):
+        for name in ("edges", "cells", "prefix", "suffix"):
+            assert getattr(got.ladders[sign], name).tobytes() == getattr(want.ladders[sign], name).tobytes()
+    end = max(got.ladders[+1].edges[-1], got.ladders[-1].edges[-1])
+    xs = np.concatenate([np.linspace(-6.0 * end, 6.0 * end, 61), [-1e5, 1e5]])
+    assert msr.log_tail(got, xs).tobytes() == msr.log_tail(want, xs).tobytes()
+    assert msr.log_cdf(got, xs).tobytes() == msr.log_cdf(want, xs).tobytes()
+    for p in (1e-20, 1e-15, 1e-10, 1e-5, 1e-3, 0.3, 1.0 - 1e-15, 1.0 - 1e-10, 1.0 - 1e-5, 0.999, 0.7):
+        assert msr.quantile(got, p) == msr.quantile(want, p)
+
+
+def test_speculative_chunks_raise_only_where_one_chunk_per_call_raises():
+    # V is nan on 45 < |x| < 60: the Gaussian ladder ends at 32, and its
+    # extension stops at 39, before the nan; the batch [32, 47] of that
+    # extension holds it, and is redone one chunk per call
+    m = msr.normalize(msr.Potential.from_string("expr:x^2/2 + 0*sqrt((abs(x)-45)*(abs(x)-60))"))
+    assert m.truncation == 7.130506848174264  # the Gaussian's
+    # nan from 34 on is reached by the chunk [33, 35], and named there
+    with pytest.raises(DomainValidationError, match=r"nan on the panel \[33, 35\]"):
+        msr.normalize(msr.Potential.from_string("expr:x^2/2 + 0*sqrt((abs(x)-34)*(abs(x)-60))"))
+    # V = |x|^3 stops its ladder at 8 and its extension at 11, and is nan on
+    # 17 < |x| < 21: a ladder batch [0, 32] and an extension batch [8, 23]
+    # hold the nan, and are redone one chunk per call
+    got = msr.normalize(msr.Potential.from_string("expr:abs(x)^3 + 0*sqrt((abs(x)-17)*(abs(x)-21))"))
+    want = msr.normalize(msr.Potential.from_string("expr:abs(x)^3"))
+    assert (got.truncation, got.log_z) == (want.truncation, want.log_z)
+    assert got.ladders[+1].suffix.tobytes() == want.ladders[+1].suffix.tobytes()
+
+
+@pytest.mark.parametrize("token", ["exp", "gaussian", "power:1.5", "sinpower:2,1"])
+def test_normalize_refinement_calls(token, monkeypatch):
+    # the batched truncation search normalizes in at most 12 calls (one
+    # chunk per call took 21-26)
+    calls = []
+    refine = quad.refine_log_panels
+    monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: calls.append(1) or refine(*a, **k))
+    msr.normalize(msr.Potential.from_string(token))
+    assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("token", ["gaussian", "cattiaux:1.5,1.9", "sinpower:2,1", "power:1.5", "floor"])
+def test_lockstep_extension_equals_one_extension_per_start(token, monkeypatch):
+    # 300 far tail points share each round's refinement calls (one
+    # extension per point took 300-900), and each reads what an extension
+    # of its own reads, bit for bit
+    m = msr.normalize(msr.Potential.from_string(token))
+    ladder = m.ladders[+1]
+    xs = np.concatenate([np.linspace(2.0 * ladder.edges[-1], 20.0 * ladder.edges[-1], 298)[1:], [1e5, 1e200, 1e300]])
+    alone = np.array([ladder.extension(x) for x in xs.tolist()])
+    calls = []
+    refine = quad.refine_log_panels
+    monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: calls.append(1) or refine(*a, **k))
+    assert ladder.extension(xs).tobytes() == alone.tobytes()
+    assert len(calls) <= len(xs) // 10
+    assert msr.log_tail(m, xs).tobytes() == (alone - m.log_z).tobytes()
+
+
+def test_lockstep_extension_raises_for_the_first_start_that_raises():
+    # V is nan past |x| = 200: each far point's extension raises at its own
+    # first chunk, and the lockstep raises the first point's error
+    m = msr.normalize(msr.Potential.from_string("expr:abs(x)^1.5 + 0*sqrt(200-abs(x))"))
+    for xs, panel in (([900.0, 300.0], r"\[900, 901\]"), ([250.0, 900.0], r"\[250, 251\]"),
+                      ([150.0, 1e5, 300.0], r"\[100000, 100001\]")):
+        with pytest.raises(DomainValidationError, match=panel):
+            m.ladders[+1].extension(np.array(xs))
+
+
+@pytest.mark.parametrize("budget", [30, 100, 400, 2000])
+def test_lockstep_extension_counts_the_panel_budget_as_one_start_does(budget, monkeypatch):
+    # with a small panel budget the starts raise at different chunks: the
+    # lockstep raises the first failing start's error, with its exact panel count
+    monkeypatch.setattr(quad, "_EXTENSION_PANEL_BUDGET", budget)
+    pot = msr.Potential.builtin("sinpower", 1.5, 1)
+    logf = lambda t: -0.05 * pot.value(t)
+    starts = np.linspace(10.0, 400.0, 40)
+    outcomes = []
+    for run in (lambda: [_sequential_extension(logf, s, 1e-11, 48, pot.breakpoints) for s in starts.tolist()],
+                lambda: quad.log_extension(logf, starts, 1e-11, 48, pot.breakpoints).tolist()):
+        try:
+            outcomes.append(run())
+        except NonIntegrableError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_mass_free_extension_in_few_calls(monkeypatch):
+    # exp(-V) is 0 from 800 on: the chunks wider than _MAX_SPLIT_WIDTH are
+    # probed at depth 0 together (one chunk per call took 400 calls)
+    m = msr.normalize(msr.Potential.from_string("expr:exp(abs(x))"))
+    calls = []
+    refine = quad.refine_log_panels
+    monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: calls.append(1) or refine(*a, **k))
+    assert msr.log_tail(m, 800.0) == -np.inf
+    assert len(calls) <= 10
+    assert np.array_equal(msr.log_tail(m, np.array([800.0, 900.0, 1e4, 1e6])), np.full(4, -np.inf))
+    # mass found by a probe, past empty chunks of widths up to 2^16, is
+    # refined as one chunk per call refines it
+    logf = lambda t: np.where(t < 1e5, -np.inf, -1e-4 * (t - 1e5))
+    assert quad.log_extension(logf, 0.0, 1e-11, 48) == _sequential_extension(logf, 0.0, 1e-11, 48)
