@@ -84,7 +84,8 @@ def _statistic(name, beta=None):
                 block = x[a : a + _ROW_BLOCK]
                 m = np.max(block, axis=1, keepdims=True)
                 w = block - m
-                w *= beta
+                with np.errstate(over="ignore"):  # w <= 0 overflows only to -inf, whose exp is 0
+                    w *= beta
                 out[a : a + len(block)] = (m + np.log(np.sum(np.exp(w, out=w), axis=1, keepdims=True)) / beta)[:, 0]
             return out
 

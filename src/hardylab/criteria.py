@@ -503,21 +503,24 @@ _THETA_CAP = 10.0  # tail_asymptotics flags a theta that reaches it
 
 
 def _theta_scale(pot, x):
-    v0 = float(pot.value(np.array([x]))[0]) + 1.0
+    """theta and its cap flag at the points ``x``: a 2,000-step scan of
+    (0, _THETA_CAP] for the first step where V has climbed by 1, then 50
+    bisection steps, each for up to 256 points at once (bounding memory)."""
+    theta, capped = np.empty(len(x)), np.empty(len(x), dtype=bool)
     hs = np.linspace(0.0, _THETA_CAP, 2001)[1:]
-    vals = pot.value(x + hs)
-    idx = np.argmax(vals >= v0)
-    if vals[idx] < v0:
-        return _THETA_CAP, True
-    lo = hs[idx - 1] if idx > 0 else 0.0
-    hi = hs[idx]
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if float(pot.value(np.array([x + mid]))[0]) >= v0:
-            hi = mid
-        else:
-            lo = mid
-    return hi, False
+    for rows in (slice(i, i + 256) for i in range(0, len(x), 256)):
+        xr = x[rows]
+        v0 = pot.value(xr) + 1.0
+        vals = pot.value(xr[:, None] + hs)
+        idx = np.argmax(vals >= v0[:, None], axis=1)
+        capped[rows] = vals[np.arange(len(xr)), idx] < v0
+        lo, hi = np.where(idx > 0, hs[idx - 1], 0.0), hs[idx]
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            up = pot.value(xr + mid) >= v0
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        theta[rows] = np.where(capped[rows], _THETA_CAP, hi)
+    return theta, capped
 
 
 def tail_asymptotics(measure, x_grid):
@@ -533,7 +536,7 @@ def tail_asymptotics(measure, x_grid):
     x = np.asarray(x_grid, dtype=float)
     if not (x.ndim == 1 and len(x) and np.all(np.isfinite(x))):
         raise DomainValidationError("x_grid must be finite and nonempty")
-    theta, capped = map(np.array, zip(*(_theta_scale(pot, xi) for xi in x.tolist())))
+    theta, capped = _theta_scale(pot, x)
     r_deriv = np.full(len(x), np.nan)
     # tail / exp(-V(x)) overflows to inf where V climbs far faster than linearly
     with np.errstate(over="ignore"):

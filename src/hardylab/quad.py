@@ -259,9 +259,10 @@ def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
     (QUADPACK's global criterion in log space: err_i = |log K15 - log G7|,
     T_s the segment's running total, accepted plus pending, and w_i / W_s =
     2^-depth_i), or when err_i is within ``_ACCEPT_ULPS`` ulps of |log K_i|.
-    Returns (seg_logs, seg_errs, panels_used); seg_errs, the accepted
-    err_i K_i over each segment's total, bound its relative error by about
-    ptol unless the ulp floor or a non-strict max depth accepted panels.
+    Returns (seg_logs, seg_errs, panels_used, seg_panels); seg_errs, the
+    accepted err_i K_i over each segment's total, bound its relative error
+    by about ptol unless the ulp floor or a non-strict max depth accepted
+    panels, and seg_panels, which sum to panels_used, count each segment's.
     The intervals are independent: each one's log integral and error are
     the same bit for bit whatever other intervals share the batch, so
     consecutive edges are passed as ``edges[:-1], edges[1:]``.
@@ -271,7 +272,7 @@ def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
     seg = np.arange(nseg, dtype=np.int64)
     acc = np.full(nseg, -np.inf)  # accepted log mass per segment
     accerr = np.full(nseg, -np.inf)  # log of accepted absolute-in-log error mass
-    panels_used = 0
+    panels_used, split = 0, [np.empty(0, dtype=np.int64)]  # split: segments of the bisected panels
     depth = 0  # every pending panel is 2^-depth of its segment
     while len(pa):
         logk, err = _gk_log(logf, pa, pb)
@@ -299,13 +300,14 @@ def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
         if not len(rejected):
             break
         pa, pb, seg = pa[rejected], pb[rejected], seg[rejected]
+        split.append(seg)
         mid = 0.5 * (pa + pb)
         pa, pb, seg = np.concatenate([pa, mid]), np.concatenate([mid, pb]), np.concatenate([seg, seg])
         depth += 1
     empty = acc == -np.inf
     seg_errs = np.exp(accerr - np.where(empty, 0.0, acc))
     seg_errs[empty] = 0.0
-    return acc, seg_errs, panels_used
+    return acc, seg_errs, panels_used, 1 + 2 * np.bincount(np.concatenate(split), minlength=nseg)
 
 
 # Doubling chunks of one extension refined in one call: at most this many,
@@ -326,120 +328,54 @@ _EXTENSION_BATCH_SEGMENTS = 64
 _SHARED_SEGMENTS = 2048
 
 
-class _Tail:
-    """One start's extension in ``log_extension``: the next doubling chunk
-    [lo, lo + w], the chunks judged so far, their log total and the panels
-    they spent."""
-
-    def __init__(self, start):
-        self.start, self.lo, self.w = start, start, 1.0
-        while self.lo + self.w == self.lo and self.w < math.inf:
-            self.w *= 2.0
-        self.total, self.judged, self.spent = -np.inf, 0, 0
-        self.bound = False  # spent holds whole shared calls: an upper bound of the count
-        self.solo = 0  # chunks to refine one per call, after a batch that raised
-        self.redo = False  # a shared call may have crossed the budget: redo this start alone
-        self.value = self.error = None
-
-    def plan(self, breakpoints):
-        """The edges of the chunks of this tail's next call, and whether the
-        call probes them at depth 0: while no mass is found, every chunk
-        wider than ``_MAX_SPLIT_WIDTH`` left is probed in one call."""
-        probe = self.total == -np.inf and self.w > _MAX_SPLIT_WIDTH and not self.solo
-        chunks, segments, lo, w = [], 0, self.lo, self.w
-        while len(chunks) < _EXTENSION_CHUNKS - self.judged and lo + w != math.inf:
-            split = breakpoints is not None and w <= _MAX_SPLIT_WIDTH
-            edges = _initial_edges(lo, lo + w, breakpoints(lo, lo + w) if split else None)
-            if chunks and not probe and (self.solo or w > _MAX_SPLIT_WIDTH or len(chunks) == _EXTENSION_BATCH_CHUNKS
+def _tail(start, breakpoints):
+    """One start's extension in ``log_extension``: the loop of one doubling
+    chunk per call, fed by batches.  Yields (chunk edges, probe, alone):
+    its next chunks, whether they are probed at depth 0 (while no mass is
+    found, every chunk wider than ``_MAX_SPLIT_WIDTH`` left is probed in
+    one call) and whether they take a call of their own.  Is sent their
+    log masses and panel counts, or None when their own call raised, after
+    which those chunks go one per call, alone.  Returns the log integral or
+    raises; chunks past the stop are dropped unjudged."""
+    total, lo, w = -np.inf, start, 1.0
+    while lo + w == lo and w < math.inf:
+        w *= 2.0
+    spent, judged, solo = 0, 0, 0  # solo: chunks left to refine one per call
+    while True:
+        probe = total == -np.inf and w > _MAX_SPLIT_WIDTH and not solo
+        chunks, segments, a, b = [], 0, lo, w
+        while len(chunks) < _EXTENSION_CHUNKS - judged and a + b != math.inf:
+            split = breakpoints is not None and b <= _MAX_SPLIT_WIDTH
+            edges = _initial_edges(a, a + b, breakpoints(a, a + b) if split else None)
+            if chunks and not probe and (solo or b > _MAX_SPLIT_WIDTH or len(chunks) == _EXTENSION_BATCH_CHUNKS
                                          or segments + len(edges) - 1 > _EXTENSION_BATCH_SEGMENTS):
                 break
             chunks.append(edges)
             segments += len(edges) - 1
-            lo, w = lo + w, 2.0 * w
-        return chunks, probe
-
-    def judge(self, chunks, logs, panels, own, probe):
-        """Walk the chunks' log masses ``logs`` in order by the stopping rule.
-        ``panels`` is what their call spent, on them alone when ``own``; a
-        probe spent one per chunk.  Panels count only up to the chunk judged,
-        so a batch whose panels may cross the budget is redone until each
-        chunk's own are known: one chunk per call, or, after shared calls,
-        the whole start alone."""
-        per_chunk = [1] * len(chunks) if probe else [panels] if own and len(chunks) == 1 else None
-        if self.spent + sum(per_chunk or [panels]) > _EXTENSION_PANEL_BUDGET and (per_chunk is None or self.bound):
-            if own and not self.bound:
-                self.solo = len(chunks)
-            else:
-                self.redo = True
-            return
-        for i, edges in enumerate(chunks):
-            if probe and logs[i] > -np.inf:  # the first chunk with mass is refined on its own
-                self.solo = 1
-                return
-            self.total = float(np.logaddexp(self.total, logs[i]))
-            self.judged += 1
-            if logs[i] < self.total - _NEGLIGIBLE_NATS:
-                self.value = self.total
-                return
-            if per_chunk is not None:
-                self.spent += per_chunk[i]
-                if self.spent > _EXTENSION_PANEL_BUDGET:
-                    self.error = NonIntegrableError(f"tail integral starting at {self.start:.3g} spent {self.spent} "
-                                                    f"panels by x={edges[-1]:.3g} without converging")
-                    return
-            self.lo, self.w, self.solo = float(edges[-1]), 2.0 * self.w, max(self.solo - 1, 0)
-        if per_chunk is None:
-            self.spent += panels
-            self.bound |= not own
-
-
-def _refine_chunks(logf, jobs, ptol, max_depth):
-    """Refine the chunks of ``jobs`` (tail, chunk edges, probe) in one call,
-    a probe's at depth 0, and let each tail judge its own.  A call that
-    raises DomainValidationError is redone one job per call, and a job's
-    own call that raises is redone one chunk per call from its first chunk,
-    so an error surfaces at the chunk where one call per chunk raises it."""
-    edges = [e for _, chunks, _ in jobs for e in chunks]
-    try:
-        seg_logs, _, panels = refine_log_panels(logf, np.concatenate([e[:-1] for e in edges]),
-                                                np.concatenate([e[1:] for e in edges]), ptol,
-                                                0 if jobs[0][2] else max_depth, strict=False)
-    except DomainValidationError as e:
-        if len(jobs) > 1:
-            for job in jobs:
-                _refine_chunks(logf, [job], ptol, max_depth)
-            return
-        tail, chunks, probe = jobs[0]
-        if len(chunks) > 1 or probe:
-            tail.solo = len(chunks)
-        else:
-            tail.error = e
-        return
-    ends = np.cumsum([len(e) - 1 for e in edges]).tolist()
-    logs = [float(np.logaddexp.reduce(seg_logs[a:b])) for a, b in zip([0, *ends], ends)]
-    for tail, chunks, probe in jobs:
-        tail.judge(chunks, logs[: len(chunks)], panels, len(jobs) == 1, probe)
-        logs = logs[len(chunks) :]
-
-
-def _calls(jobs):
-    """One round's jobs grouped into calls: a tail refining a chunk wider
-    than ``_MAX_SPLIT_WIDTH`` takes a call of its own; the others share
-    calls of at most ``_SHARED_SEGMENTS`` segments (a larger job alone),
-    probes apart from refinements."""
-    calls, open_calls = [], {}
-    for job in jobs:
-        tail, chunks, probe = job
-        if not probe and tail.w > _MAX_SPLIT_WIDTH:
-            calls.append([job])
+            a, b = a + b, 2.0 * b
+        if not chunks:
+            break
+        reply = yield chunks, probe, bool(solo) or (not probe and w > _MAX_SPLIT_WIDTH)
+        if reply is None:
+            solo = len(chunks)
             continue
-        segments = sum(len(e) - 1 for e in chunks)
-        call, held = open_calls.get(probe, ([], 0))
-        if call and held + segments > _SHARED_SEGMENTS:
-            calls.append(call)
-            call, held = [], 0
-        open_calls[probe] = (call + [job], held + segments)
-    return calls + [call for call, _ in open_calls.values()]
+        for edges, log, panels in zip(chunks, *reply):
+            if probe and log > -np.inf:  # the first chunk with mass is refined on its own
+                solo = 1
+                break
+            total = float(np.logaddexp(total, log))
+            judged += 1
+            if log < total - _NEGLIGIBLE_NATS:
+                return total
+            spent += panels
+            if spent > _EXTENSION_PANEL_BUDGET:
+                raise NonIntegrableError(
+                    f"tail integral starting at {start:.3g} spent {spent} panels by x={edges[-1]:.3g} without converging"
+                )
+            lo, w, solo = float(edges[-1]), 2.0 * w, max(solo - 1, 0)
+    if total == -np.inf:
+        return total
+    raise NonIntegrableError(f"tail integral starting at {start:.3g} did not converge by x={lo:.3g}")
 
 
 def log_extension(logf, start, ptol, max_depth, breakpoints=None):
@@ -459,49 +395,76 @@ def log_extension(logf, start, ptol, max_depth, breakpoints=None):
     The doubling starts at the first unit width * 2^k that moves ``start``
     (past 2^53 a unit chunk is empty), so no doubling is spent on empty chunks.
 
-    Each round refines the next chunks of every unfinished start in a few
-    ``refine_log_panels`` calls and judges them in order; chunks past a
-    stop are dropped.  A start's batch holds up to
-    ``_EXTENSION_BATCH_CHUNKS`` chunks and ``_EXTENSION_BATCH_SEGMENTS``
-    segments, each chunk at most ``_MAX_SPLIT_WIDTH`` wide; a wider chunk
-    takes a call of its own, and while no mass is found the wider chunks
-    left are probed in one call at depth 0, where a chunk without mass is
-    accepted whole.  The batches of different starts share calls of up to
-    ``_SHARED_SEGMENTS`` segments; a start whose shared calls may have
-    crossed the panel budget is redone alone.  A batch that raises
-    DomainValidationError is redone one chunk per call, and the first start
-    in order that raises raises.  Since the intervals of a call are
-    independent, every value, error and raise point is that of one call
-    per chunk, one start after another, bit for bit.
+    Each round refines the next chunks of every unfinished start (a
+    ``_tail``) in a few ``refine_log_panels`` calls, and each start judges
+    its own in order by their log masses and panel counts.  A start's batch
+    holds up to ``_EXTENSION_BATCH_CHUNKS`` chunks and
+    ``_EXTENSION_BATCH_SEGMENTS`` segments, each chunk at most
+    ``_MAX_SPLIT_WIDTH`` wide; a wider chunk takes a call of its own, and
+    while no mass is found the wider chunks left are probed in one call at
+    depth 0, where a chunk without mass is accepted whole.  The other
+    batches share calls of up to ``_SHARED_SEGMENTS`` segments, probes
+    apart.  A shared call that raises DomainValidationError is redone one
+    batch per call, a batch whose own call raises one chunk per call, and
+    a lone chunk's call raises in its start; the first start in order that
+    raises raises.  Since the intervals of a call are independent, every
+    value, error and raise point is that of one call per chunk, one start
+    after another, bit for bit.
     """
-    tails = [_Tail(s) for s in np.atleast_1d(np.asarray(start, dtype=float)).tolist()]
-    pending, failed = tails, len(tails)
-    while pending:
-        jobs = []
-        for tail in pending:
-            if tail.redo:
-                try:
-                    tail.value = log_extension(logf, tail.start, ptol, max_depth, breakpoints)
-                except (DomainValidationError, NonIntegrableError) as e:
-                    tail.error = e
+    tails = [_tail(s, breakpoints) for s in np.atleast_1d(np.asarray(start, dtype=float)).tolist()]
+    asks, ends = [None] * len(tails), [None] * len(tails)  # each start's next request, and its outcome
+
+    def resume(i, reply=None, error=None):
+        try:
+            asks[i] = tails[i].throw(error) if error else tails[i].send(reply)
+        except StopIteration as stop:
+            asks[i], ends[i] = None, stop.value
+        except (DomainValidationError, NonIntegrableError) as e:
+            asks[i], ends[i] = None, e
+
+    for i in range(len(tails)):
+        resume(i)
+    while True:
+        failed = next((i for i, end in enumerate(ends) if isinstance(end, Exception)), len(tails))
+        calls, shared = [], {}
+        for i in range(failed):
+            if asks[i] is None:
                 continue
-            chunks, probe = tail.plan(breakpoints)
-            if chunks:
-                jobs.append((tail, chunks, probe))
-            elif tail.total == -np.inf:
-                tail.value = tail.total
-            else:
-                tail.error = NonIntegrableError(
-                    f"tail integral starting at {tail.start:.3g} did not converge by x={tail.lo:.3g}"
-                )
-        for call in _calls(jobs):
-            _refine_chunks(logf, call, ptol, max_depth)
-        failed = next((i for i, tail in enumerate(tails) if tail.error), len(tails))
-        pending = [tail for tail in tails[:failed] if tail.value is None and tail.error is None]
+            chunks, probe, alone = asks[i]
+            if alone:
+                calls.append([i])
+                continue
+            call, held = shared.get(probe, ([], 0))
+            segments = sum(len(e) - 1 for e in chunks)
+            if call and held + segments > _SHARED_SEGMENTS:
+                calls.append(call)
+                call, held = [], 0
+            shared[probe] = (call + [i], held + segments)
+        calls += [call for call, _ in shared.values()]
+        if not calls:
+            break
+        for call in calls:
+            jobs = [asks[i] for i in call]
+            edges = [e for chunks, _, _ in jobs for e in chunks]
+            try:
+                seg_logs, _, _, seg_panels = refine_log_panels(
+                    logf, np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges]), ptol,
+                    0 if jobs[0][1] else max_depth, strict=False)
+            except DomainValidationError as e:
+                if len(call) > 1:  # each batch is refined alone later in this round
+                    calls += [[i] for i in call]
+                else:
+                    resume(call[0], error=e if len(edges) == 1 and not jobs[0][1] else None)
+                continue
+            bounds = np.cumsum([0] + [len(e) - 1 for e in edges]).tolist()
+            logs = [float(np.logaddexp.reduce(seg_logs[a:b])) for a, b in zip(bounds, bounds[1:])]
+            panels = [int(seg_panels[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
+            for i, (chunks, _, _) in zip(call, jobs):
+                resume(i, (logs[: len(chunks)], panels[: len(chunks)]))
+                logs, panels = logs[len(chunks) :], panels[len(chunks) :]
     if failed < len(tails):
-        raise tails[failed].error
-    values = np.array([tail.value for tail in tails])
-    return float(values[0]) if np.ndim(start) == 0 else values
+        raise ends[failed]
+    return ends[0] if np.ndim(start) == 0 else np.array(ends)
 
 
 # Intervals per refine_log_panels call in a ladder's cells and partial

@@ -52,11 +52,16 @@ def discretize(measure, X=None, N=4000):
     h = grid[1] - grid[0]
     V = measure.potential.value(grid)
     Vmid = measure.potential.value(0.5 * (grid[:-1] + grid[1:]))
-    # symmetrized entries via exponent differences: T = D^{-1/2} L D^{-1/2}
-    off = -np.exp(-Vmid + 0.5 * (V[:-1] + V[1:])) / (h * h)
-    diag = np.zeros(N + 1)
-    diag[:-1] += np.exp(-Vmid + V[:-1]) / (h * h)
-    diag[1:] += np.exp(-Vmid + V[1:]) / (h * h)
+    # symmetrized entries via exponent differences: T = D^{-1/2} L D^{-1/2};
+    # an entry that overflows (a grid too coarse for V) or a zero h * h is caught below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        off = -np.exp(-Vmid + 0.5 * (V[:-1] + V[1:])) / (h * h)
+        diag = np.zeros(N + 1)
+        diag[:-1] += np.exp(-Vmid + V[:-1]) / (h * h)
+        diag[1:] += np.exp(-Vmid + V[1:]) / (h * h)
+    if not (np.isfinite(off).all() and np.isfinite(diag).all()):
+        raise DomainValidationError(f"discretize: a matrix entry is not finite on [-X, X] = [{-X:g}, {X:g}] "
+                                    f"with N = {N}; refine the grid or change X")
     mass_out = max(0.0, min(1.0, tail(measure, X) + cdf(measure, -X)))
     return TridiagonalOperator(
         grid=grid, diag=diag, offdiag=off, h=h, weights_log=-V, truncation_mass=mass_out

@@ -284,6 +284,9 @@ def test_numerical_failure_exit_code_3(capsys):
         (["concentration", "--mode", "deviation", "--statistic", "softmax", "--beta", "nan"], "finite beta"),
         (["legendre", "--rprime", "3", "--t", "nan"], "t must not be nan"),
         (["criteria", "--potential", "exp", "--kind", "tailscale", "--horizons", "1"], "x_grid must be finite"),
+        # exp(V differences) overflows on a coarse grid, and h * h underflows to 0 on a tiny one
+        (["spectral", "--potential", "gaussian", "--X", "1e5", "--N", "200"], "matrix entry is not finite"),
+        (["spectral", "--potential", "gaussian", "--X", "1e-300"], "matrix entry is not finite"),
     ):
         assert cli.run(argv) == 3
         assert message in capsys.readouterr().err

@@ -389,6 +389,15 @@ def test_softmax_statistic_dominates_max(mu15):
     assert all(0.0 <= p <= 1.0 for p in rep.empirical_tail)
 
 
+def test_softmax_at_the_largest_beta_equals_max_without_warnings():
+    # beta * (x - max) overflows to -inf, whose exp is 0: the value is the
+    # max statistic's, and no RuntimeWarning (an error in this suite) is emitted
+    f, _ = conc._statistic("softmax", beta=1.7e308)
+    g, _ = conc._statistic("max")
+    x = np.random.Generator(np.random.PCG64(10)).normal(size=(200, 7))
+    assert np.array_equal(f(x), g(x))
+
+
 def test_block_softmax_matches_one_shot_formula():
     beta = 2.7
     f, _ = conc._statistic("softmax", beta=beta)

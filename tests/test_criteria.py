@@ -268,6 +268,38 @@ def test_tail_scale_ratio_overflows_to_inf():
     np.testing.assert_allclose(t.ratio_theta[~over], np.exp(log_ratio[~over]) / t.theta[~over], rtol=1e-14)
 
 
+def _theta_scale_reference(pot, x):
+    """The former theta scan and bisection, one point at a time, with scalar V calls."""
+    v0 = float(pot.value(np.array([x]))[0]) + 1.0
+    hs = np.linspace(0.0, criteria._THETA_CAP, 2001)[1:]
+    vals = pot.value(x + hs)
+    idx = np.argmax(vals >= v0)
+    if vals[idx] < v0:
+        return criteria._THETA_CAP, True
+    lo, hi = (hs[idx - 1] if idx > 0 else 0.0), hs[idx]
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if float(pot.value(np.array([x + mid]))[0]) >= v0:
+            hi = mid
+        else:
+            lo = mid
+    return hi, False
+
+
+@pytest.mark.parametrize("token", ["sinpower:2,2", "cattiaux:1.5,1.9", "floor", "expr:0.01*abs(x)"])
+def test_tail_scale_blocks_equal_one_point_at_a_time(token):
+    # theta is found for blocks of up to 256 points at once; each point's
+    # theta and cap flag are the former per-point loop's, bit for bit
+    # (0.01|x| climbs by 1 only over 100, so it is capped)
+    pot = msr.Potential.from_string(token)
+    x = np.concatenate([np.arange(1.0, 800.0, 2.0), [-3.7, 1e5]])
+    theta, capped = criteria._theta_scale(pot, x)
+    want = [_theta_scale_reference(pot, xi) for xi in x.tolist()]
+    assert theta.tobytes() == np.array([t for t, _ in want]).tobytes()
+    assert np.array_equal(capped, [c for _, c in want])
+    assert capped.all() == (token == "expr:0.01*abs(x)")
+
+
 def test_tail_scale_requires_even():
     m = msr.normalize(msr.Potential.from_expression("abs(x) + 0.3*x"))
     with pytest.raises(DomainValidationError):
@@ -486,7 +518,7 @@ def _cell_log(ladder, a, b):
     ladder's own panel tolerance, depth and strictness."""
     if not a < b:
         return -np.inf
-    logs, _, _ = quad.refine_log_panels(ladder.logf, [a], [b], ladder.ptol, ladder.max_depth, ladder.strict)
+    logs, _, _, _ = quad.refine_log_panels(ladder.logf, [a], [b], ladder.ptol, ladder.max_depth, ladder.strict)
     return float(logs[0])
 
 

@@ -460,12 +460,15 @@ def test_refine_log_panels_batch_equals_single_intervals(token):
     for logf in (lambda x: -pot.value(x), lambda x: 0.4 * pot.value(x)):
         # intervals straddling a jump are refined down to zero-width panels
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs, errs, panels = quad.refine_log_panels(logf, lo, hi, 1e-9, 60, strict=False)
+            logs, errs, panels, counts = quad.refine_log_panels(logf, lo, hi, 1e-9, 60, strict=False)
             single = [quad.refine_log_panels(logf, lo[i : i + 1], hi[i : i + 1], 1e-9, 60, strict=False)
                       for i in range(len(lo))]
         assert np.array_equal(logs, [s[0][0] for s in single])
         assert np.array_equal(errs, [s[1][0] for s in single])
         assert panels == sum(s[2] for s in single)
+        # each interval's panel count is its count alone, and they sum to panels_used
+        assert np.array_equal(counts, [s[2] for s in single])
+        assert counts.sum() == panels
 
 
 def _refine_log_panels_reference(logf, lo, hi, ptol, max_depth, strict=True):
@@ -575,7 +578,7 @@ def test_refine_log_panels_closed_forms_within_ptol(family, data, digits):
     lo = np.array([a for a, _ in segments])
     hi = lo + np.array([w for _, w in segments])
     ptol = 10.0**-digits
-    logs, errs, _ = quad.refine_log_panels(logf, lo, hi, ptol, 48)
+    logs, errs, _, _ = quad.refine_log_panels(logf, lo, hi, ptol, 48)
     want = np.array([exact(a, b) for a, b in zip(lo, hi)])
     assert np.all(np.abs(logs - want) <= ptol)
     assert np.all(errs <= 2.0 * ptol)
@@ -589,7 +592,7 @@ def test_needle_cell_closed_form_in_few_panels(slope, ptol):
     # sits in one end panel, and the panels holding slivers of it stop early
     # (accepted one by one at ptol, the cell took 33 panels at 1e-9 and 57 at 1e-11)
     b = quad.GRID_STEP
-    logs, errs, panels = quad.refine_log_panels(lambda t: slope * t, [0.0], [b], ptol, 60)
+    logs, errs, panels, _ = quad.refine_log_panels(lambda t: slope * t, [0.0], [b], ptol, 60)
     if slope > 0.0:
         exact = slope * b - math.log(slope) + math.log1p(-math.exp(-slope * b))
     else:
@@ -617,7 +620,7 @@ def test_ladder_queries_refine_partial_cells_in_blocks(monkeypatch):
 def _former_prefix_suffix(logf, edges, after):
     """The former panel_log_prefix/suffix: one refinement call over all cells,
     then the mass beyond the end folded in after the accumulation."""
-    seg, _, _ = quad.refine_log_panels(logf, edges[:-1], edges[1:], 1e-9, 60, strict=False)
+    seg, _, _, _ = quad.refine_log_panels(logf, edges[:-1], edges[1:], 1e-9, 60, strict=False)
     prefix = np.concatenate([[-np.inf], np.logaddexp.accumulate(seg)])
     suffix = np.empty(len(edges))
     suffix[-1] = after
@@ -651,7 +654,7 @@ def _sequential_extension(logf, start, ptol, max_depth, breakpoints=None):
             break
         bp = breakpoints(lo, hi) if breakpoints is not None and w <= quad._MAX_SPLIT_WIDTH else None
         edges = quad._initial_edges(lo, hi, bp)
-        seg_logs, _, panels = quad.refine_log_panels(logf, edges[:-1], edges[1:], ptol, max_depth, strict=False)
+        seg_logs, _, panels, _ = quad.refine_log_panels(logf, edges[:-1], edges[1:], ptol, max_depth, strict=False)
         chunk = float(np.logaddexp.reduce(seg_logs))
         total = float(np.logaddexp(total, chunk))
         if chunk < total - quad._NEGLIGIBLE_NATS:
@@ -814,6 +817,56 @@ def test_lockstep_extension_counts_the_panel_budget_as_one_start_does(budget, mo
         except NonIntegrableError as e:
             outcomes.append(str(e))
     assert outcomes[0] == outcomes[1]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (DomainValidationError, NonIntegrableError) as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("starts", [[0.0], [0.0, 5.0, 2e3]])
+@pytest.mark.parametrize("logf", [lambda t: np.where(t < 3e5, -np.inf, np.nan),
+                                  lambda t: np.where(t < 3e5, -np.inf, np.where(t < 1e7, -1e-4 * (t - 3e5), np.nan))],
+                         ids=["mass-free", "mass-past-3e5"])
+def test_probe_call_that_raises_equals_one_chunk_per_call(starts, logf, monkeypatch):
+    # the depth-0 probe of the chunks wider than _MAX_SPLIT_WIDTH, shared by
+    # the starts, reaches a nan past 3e5 (no mass before it) or past 1e7
+    # (mass from 3e5 on, whose extension stops before 1e7): it is redone one
+    # start per call, then one chunk per call, and each start raises, or
+    # not, where the former loop does
+    probes = []
+    refine = quad.refine_log_panels
+
+    def recording(*a, **k):
+        try:
+            return refine(*a, **k)
+        except DomainValidationError:
+            probes.append(a[4] == 0 and len(a[1]) > len(starts))
+            raise
+
+    want = _outcome(lambda: [_sequential_extension(logf, s, 1e-11, 48) for s in starts])
+    monkeypatch.setattr(quad, "refine_log_panels", recording)
+    assert _outcome(lambda: quad.log_extension(logf, np.array(starts), 1e-11, 48).tolist()) == want
+    assert probes[0]  # the first call that raised is a probe of several chunks
+
+
+def test_start_sharing_a_probe_call_that_raises_is_redone_in_one_call(monkeypatch):
+    # start 0 finds mass on (2e4, 3e4) and stops before the nan on (1e6,
+    # 2e6) that its probe reaches; start 1e9, mass-free, shares that probe
+    # call and redoes its ~385 probed chunks in one call of its own, not one
+    # per chunk
+    def logf(t):
+        with np.errstate(invalid="ignore"):
+            return np.where((t > 1e6) & (t < 2e6), np.nan, np.where((t > 2e4) & (t < 3e4), -1e-2 * (t - 2e4), -np.inf))
+
+    want = [_sequential_extension(logf, s, 1e-11, 48) for s in (0.0, 1e9)]
+    calls = []
+    refine = quad.refine_log_panels
+    monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: calls.append(1) or refine(*a, **k))
+    assert quad.log_extension(logf, np.array([0.0, 1e9]), 1e-11, 48).tolist() == want
+    assert want[1] == -np.inf and len(calls) <= 20
 
 
 def test_mass_free_extension_in_few_calls(monkeypatch):
