@@ -3,8 +3,9 @@
 Both experiments draw from mu^(0x)n with the counter-based Philox
 generator (disjoint jumped streams per batch, merged in fixed batch order;
 each batch is filled in per-CPU slices of its stream, the same draws for
-any CPU count, so results are bit-for-bit reproducible), hold one batch at
-a time and report their empirical tails with 99% binomial radii.
+any CPU count, so results are bit-for-bit reproducible), reduce the draws
+to one value per row in cache-sized blocks as they are made, and report
+their empirical tails with 99% binomial radii.
 Deviation experiments tabulate two-sided empirical tails of a statistic
 with known Lipschitz constants and compare them with the two-level bound
 
@@ -32,7 +33,7 @@ from .errors import DomainValidationError
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _BATCH = 50_000
-_ROW_BLOCK = 4096  # rows per block of the softmax statistic and the gradient check
+_ROW_BLOCK = 4096  # rows per block of the gradient check
 
 
 @dataclass(frozen=True)
@@ -77,17 +78,11 @@ def _statistic(name, beta=None):
             raise DomainValidationError("softmax statistic needs a finite beta > 0")
 
         def f(x):
-            # row blocks keep the temporaries small; each row's value is the
-            # one-shot formula's, bit for bit
-            out = np.empty(x.shape[0])
-            for a in range(0, x.shape[0], _ROW_BLOCK):
-                block = x[a : a + _ROW_BLOCK]
-                m = np.max(block, axis=1, keepdims=True)
-                w = block - m
-                with np.errstate(over="ignore"):  # w <= 0 overflows only to -inf, whose exp is 0
-                    w *= beta
-                out[a : a + len(block)] = (m + np.log(np.sum(np.exp(w, out=w), axis=1, keepdims=True)) / beta)[:, 0]
-            return out
+            m = np.max(x, axis=1, keepdims=True)
+            w = x - m
+            with np.errstate(over="ignore"):  # w <= 0 overflows only to -inf, whose exp is 0
+                w *= beta
+            return (m + np.log(np.sum(np.exp(w, out=w), axis=1, keepdims=True)) / beta)[:, 0]
 
         return f, lambda n, r: 1.0
     raise DomainValidationError(f"unknown statistic {name!r}")
@@ -105,14 +100,14 @@ def _checked_grid(n, count, t_grid):
 
 
 def _row_values(measure, n, count, seed, f):
-    """f of each row of ``count`` draws from mu^(0x)n, drawn in batches of
-    ``_BATCH`` rows, one jumped stream per batch; one batch is held at a time."""
+    """f of each of ``count`` rows drawn from mu^(0x)n, in batches of
+    ``_BATCH`` rows, one jumped stream per batch.  ``sample`` applies f to
+    each cache-sized block of rows as it is drawn, so no batch of draws is
+    held."""
     values = np.empty(count)
     for batch_index, a in enumerate(range(0, count, _BATCH)):
         take = min(_BATCH, count - a)
-        batch = measure_mod.sample(measure, seed, take * n, _batch_index=batch_index).reshape(take, n)
-        values[a : a + take] = f(batch)
-        del batch  # freed before the next batch is drawn
+        values[a : a + take] = measure_mod.sample(measure, seed, take, n, f, _batch_index=batch_index)
     return values
 
 
@@ -237,8 +232,10 @@ def lipschitz_gradient_check(r, t, count, seed, box, n):
         dG_i = r sgn(x_i) |x_i|^(r-1)   when |x_i| > 1.
 
     Returns (max sum dG_i^2 / (4t), max sum |dG_i|^r' / (2^r' t), accepted),
-    both ratios provably <= 1.  Past the two draws, the points are processed
-    in blocks of ``_ROW_BLOCK`` rows, so only the draws are held whole.
+    both ratios provably <= 1.  The points are drawn and processed in blocks
+    of ``_ROW_BLOCK`` rows: the count * n coordinates are the first draws of
+    the seed's Philox stream and the count radial scales the next ones, read
+    by two cursors on that stream, so nothing of size count is held.
     """
     if not 1.0 < r < 2.0:
         raise DomainValidationError("r must lie in (1, 2)")
@@ -246,15 +243,19 @@ def lipschitz_gradient_check(r, t, count, seed, box, n):
         raise DomainValidationError("t and box must be finite and positive")
     if n < 1 or count < 1:
         raise DomainValidationError("n and count must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    x = rng.uniform(-1.0, 1.0, size=(count, n))
-    scale = rng.uniform(0.0, 1.0, size=(count, 1))
+    key = measure_mod._stream_key(seed)
+    coords = np.random.Generator(np.random.Philox(key=key))
+    bitgen = np.random.Philox(key=key)
+    bitgen.advance(count * n // 4)  # four draws per counter step
+    scales = np.random.Generator(bitgen)
+    scales.random(count * n % 4)  # the rest of the step up to draw count * n
     rp = r / (r - 1.0)
     ratio_sq = ratio_rp = -math.inf
     accepted = 0
     for a in range(0, count, _ROW_BLOCK):
-        block = x[a : a + _ROW_BLOCK]
-        block *= box * scale[a : a + _ROW_BLOCK]
+        rows = min(_ROW_BLOCK, count - a)
+        block = coords.uniform(-1.0, 1.0, size=(rows, n))
+        block *= box * scales.uniform(0.0, 1.0, size=(rows, 1))
         keep = (g_cost(block, r) < t) & np.all(np.abs(np.abs(block) - 1.0) > 1e-12, axis=1)
         kept = np.abs(block[keep])
         if len(kept) == 0:

@@ -352,7 +352,7 @@ class _InverseCDF:
     """
 
     BUCKETS = 65536
-    CHUNK = 32768  # draws per pass, so the temporaries stay in cache
+    CHUNK = 32768  # draws per sampler block, so the temporaries stay in cache
 
     def __init__(self, xs, cdf_nodes):
         self.xs, self.cdf = xs, cdf_nodes
@@ -389,30 +389,27 @@ class _InverseCDF:
         slope[j] * (u - cdf[j]) + xs[j].  cdf[j + 1] > u makes slope[j]
         finite, so the general formula also yields xs[j] exactly when
         u == cdf[j] (xs holds no -0.0), and slope[-1] = 0 covers the last node.
+        Every index taken is in range, so the lookups pass mode="clip", under
+        which numpy writes ``out`` directly where "raise" buffers it.
         """
         np.clip(u, self.lo_u, self.hi_u, out=u)
-        size = min(len(u), self.CHUNK)
-        k, j = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
-        f, flag = np.empty(size), np.empty(size, dtype=bool)
-        for start in range(0, len(u), self.CHUNK):
-            uc = u[start : start + self.CHUNK]
-            n = len(uc)
-            kc, jc, fc, flagc = k[:n], j[:n], f[:n], flag[:n]
-            self._bucket(uc, fc, kc)
-            np.take(self.first, kc, out=jc)
-            np.take(self.split, kc, out=fc)
-            np.less_equal(fc, uc, out=flagc)
-            jc += flagc
-            np.take(self.wide, kc, out=flagc)
-            wide = np.flatnonzero(flagc)
-            if len(wide):
-                jc[wide] = np.searchsorted(self.cdf, uc[wide], side="right") - 1
-            np.take(self.cdf, jc, out=fc)
-            np.subtract(uc, fc, out=fc)
-            np.take(self.slope, jc, out=uc)
-            uc *= fc
-            np.take(self.xs, jc, out=fc)
-            uc += fc
+        k, j = np.empty(len(u), dtype=np.intp), np.empty(len(u), dtype=np.intp)
+        f, flag = np.empty(len(u)), np.empty(len(u), dtype=bool)
+        self._bucket(u, f, k)
+        np.take(self.first, k, out=j, mode="clip")
+        np.take(self.split, k, out=f, mode="clip")
+        np.less_equal(f, u, out=flag)
+        j += flag
+        np.take(self.wide, k, out=flag, mode="clip")
+        wide = np.flatnonzero(flag)
+        if len(wide):
+            j[wide] = np.searchsorted(self.cdf, u[wide], side="right") - 1
+        np.take(self.cdf, j, out=f, mode="clip")
+        np.subtract(u, f, out=f)
+        np.take(self.slope, j, out=u, mode="clip")
+        u *= f
+        np.take(self.xs, j, out=f, mode="clip")
+        u += f
         return u
 
 
@@ -436,50 +433,80 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _fill_slice(table, seed, batch_index, start, view):
-    """Draws start, start + 1, ... of the (seed, batch_index) stream into view.
+def _stream_key(seed):
+    """The Philox key of ``seed``; a seed outside [0, 2^64 - 1] raises
+    DomainValidationError."""
+    if not 0 <= seed < 2**64:
+        raise DomainValidationError("seed must lie in [0, 2^64 - 1]")
+    return np.uint64(seed)
+
+
+def _fill_slice(table, key, batch_index, start, n, f, out):
+    """Rows start, start + 1, ... of n draws each from the (key, batch_index)
+    stream into ``out``: their draws, or with ``f`` their values.  One block
+    of at most ``CHUNK`` draws (whole rows, one row at least) is drawn,
+    inverted and reduced at a time.
 
     Philox yields four uniforms per counter step, so advancing the counter by
-    start // 4 (start a multiple of 4) lands on draw ``start`` exactly."""
-    bitgen = np.random.Philox(key=np.uint64(seed))
+    start * n // 4 (start a multiple of 4) lands on the first draw of row
+    ``start`` exactly."""
+    bitgen = np.random.Philox(key=key)
     if batch_index:
         bitgen = bitgen.jumped(batch_index)
-    bitgen.advance(start // 4)
-    np.random.Generator(bitgen).random(out=view)
-    table.invert(view)
+    bitgen.advance(start * n // 4)
+    gen = np.random.Generator(bitgen)
+    rows = max(table.CHUNK // n, 1)
+    block = None if f is None else np.empty(rows * n)
+    for a in range(0, len(out), rows):
+        take = min(rows, len(out) - a)
+        u = out[a : a + take] if f is None else block[: take * n]
+        gen.random(out=u)
+        table.invert(u)
+        if f is not None:
+            out[a : a + take] = f(u.reshape(take, n))
 
 
-def sample(measure, seed, count, _batch_index=0):
-    """``count`` i.i.d. draws: inverse CDF applied to a Philox uniform stream.
+def sample(measure, seed, count, n=1, f=None, _batch_index=0):
+    """``count`` rows of ``n`` i.i.d. draws: inverse CDF applied to a Philox
+    uniform stream, read row after row.  Without ``f`` the count * n draws
+    are returned; with ``f``, which maps a (rows, n) block to one value per
+    row from that row alone, the ``count`` values f(row).
 
     Philox is counter-based, so disjoint jumped sub-streams reproduce the same
-    values regardless of scheduling; identical (seed, count) give identical
-    output.  One call cuts its stream into slices, one per usable CPU (the
-    slice starts are multiples of 4 draws, and a call of fewer than 2^18
+    values regardless of scheduling; identical (seed, count, n, f) give
+    identical output.  One call cuts its rows into slices, one per usable CPU
+    (the slice starts are multiples of 4 rows, and a call of fewer than 2^18
     draws per slice stays one slice), and fills them on threads: numpy
     releases the GIL while it draws and inverts, and each slice advances its
-    own copy of the stream to its start, so the draws are the same for any
-    CPU count.  Draws beyond the truncation interval (total mass <= 2
+    own copy of the stream to its start, so the output is the same for any
+    CPU count.  A slice draws, inverts and reduces one block of at most
+    ``_InverseCDF.CHUNK`` draws at a time, so with ``f`` no array of all the
+    draws is made.  Draws beyond the truncation interval (total mass <= 2
     eps_trunc) clamp to its endpoints.  The inverse CDF is the linear
-    interpolant of a Simpson CDF table, looked up through a guide table.
+    interpolant of a Simpson CDF table, looked up through a guide table.  A
+    count or n below 1, or a seed outside [0, 2^64 - 1], raises
+    DomainValidationError.
     """
-    if count < 1:
-        raise DomainValidationError("count must be >= 1")
+    if count < 1 or n < 1:
+        raise DomainValidationError("count and n must be >= 1")
+    key = _stream_key(seed)
     if measure._sampler is None:
         measure._sampler = _build_sampler(measure)
     table = measure._sampler
+    if f is None:  # the rows of the draws are only their order
+        count, n = count * n, 1
     out = np.empty(count)
-    slices = max(1, min(_usable_cpus(), count >> _SLICE_BITS))
+    slices = max(1, min(_usable_cpus(), count * n >> _SLICE_BITS))
     step = -(-count // (4 * slices)) * 4
     starts = range(0, count, step)
     if len(starts) == 1:
-        _fill_slice(table, seed, _batch_index, 0, out)
+        _fill_slice(table, key, _batch_index, 0, n, f, out)
         return out
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=len(starts) - 1) as pool:
-        rest = [pool.submit(_fill_slice, table, seed, _batch_index, a, out[a : a + step]) for a in starts[1:]]
-        _fill_slice(table, seed, _batch_index, 0, out[:step])
+        rest = [pool.submit(_fill_slice, table, key, _batch_index, a, n, f, out[a : a + step]) for a in starts[1:]]
+        _fill_slice(table, key, _batch_index, 0, n, f, out[:step])
         for job in rest:
             job.result()
     return out

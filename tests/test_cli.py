@@ -287,6 +287,11 @@ def test_numerical_failure_exit_code_3(capsys):
         # exp(V differences) overflows on a coarse grid, and h * h underflows to 0 on a tiny one
         (["spectral", "--potential", "gaussian", "--X", "1e5", "--N", "200"], "matrix entry is not finite"),
         (["spectral", "--potential", "gaussian", "--X", "1e-300"], "matrix entry is not finite"),
+        # a seed that keys no Philox stream
+        (["concentration", "--mode", "deviation", "--count", "100", "--seed=-1"], "seed must lie"),
+        (["concentration", "--mode", "gradcheck", "--count", "100", "--seed=-1"], "seed must lie"),
+        (["concentration", "--mode", "deviation", "--count", "100", "--seed", str(2**64)], "seed must lie"),
+        (["concentration", "--mode", "gradcheck", "--count", "100", "--seed", str(2**64)], "seed must lie"),
     ):
         assert cli.run(argv) == 3
         assert message in capsys.readouterr().err

@@ -322,12 +322,14 @@ def _gradient_check_one_shot(r, t, count, seed, box, n):
 @pytest.mark.parametrize("count", [1, conc._ROW_BLOCK, conc._ROW_BLOCK + 1, 200_000])
 @pytest.mark.parametrize("r, t", [(1.2, 2.0), (1.8, 2.0), (1.5, 1e6)])
 def test_gradient_check_blocks_equal_the_one_shot_check(r, t, count):
-    assert conc.lipschitz_gradient_check(r, t, count, 7, box=2.0, n=8) == _gradient_check_one_shot(r, t, count, 7, 2.0, 8)
+    # n = 3 with an odd count starts the scales' cursor partway through a Philox step
+    for n in (8, 3):
+        assert conc.lipschitz_gradient_check(r, t, count, 7, box=2.0, n=n) == _gradient_check_one_shot(r, t, count, 7, 2.0, n)
 
 
 def test_gradient_check_holds_one_row_block_at_a_time():
-    # the draws are 200,000 x 8 doubles (12.8 MB); the cost, the mask and the
-    # gradients of every point at once would add about two more of them
+    # all the draws would be 200,000 x 8 doubles (12.8 MB); a block of 4096
+    # rows and its cost, mask and gradients take about 1 MB
     count, n = 200_000, 8
     tracemalloc.start()
     try:
@@ -335,7 +337,7 @@ def test_gradient_check_holds_one_row_block_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * count * n * 8
+    assert peak < count * n * 8 / 4
 
 
 def test_transport_check_adjacent_pairs_bounded_below(exp_measure):
@@ -398,10 +400,10 @@ def test_softmax_at_the_largest_beta_equals_max_without_warnings():
     assert np.array_equal(f(x), g(x))
 
 
-def test_block_softmax_matches_one_shot_formula():
+def test_softmax_matches_one_shot_formula():
     beta = 2.7
     f, _ = conc._statistic("softmax", beta=beta)
-    rows = 2 * conc._ROW_BLOCK + 123  # not a multiple of the block
+    rows = 5000
     x = np.random.Generator(np.random.PCG64(9)).normal(size=(rows, 64)) * 3.0
     kept = x.copy()
     m = np.max(x, axis=1, keepdims=True)
@@ -413,9 +415,11 @@ def test_block_softmax_matches_one_shot_formula():
 
 
 @pytest.mark.parametrize("statistic", ["mean_scaled", "softmax"])
-def test_deviation_holds_one_batch_at_a_time(mu15, statistic):
-    # two batches of n = 64: each is _BATCH * 64 doubles (25.6 MB); the
-    # previous batch and the statistic's temporaries must not add another one
+def test_deviation_holds_one_batch_at_a_time(mu15, statistic, monkeypatch):
+    # two batches of n = 64: each would be _BATCH * 64 doubles (25.6 MB);
+    # each slice thread holds one block of draws and its temporaries instead,
+    # about 1.1 MB, so the CPU count is fixed for a bound that fits any machine
+    monkeypatch.setattr(msr, "_usable_cpus", lambda: 3)
     n, batch_bytes = 64, conc._BATCH * 64 * 8
     msr.sample(mu15, 0, 1)  # the sampler table is built outside the measurement
     tracemalloc.start()
@@ -425,4 +429,4 @@ def test_deviation_holds_one_batch_at_a_time(mu15, statistic):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * batch_bytes
+    assert peak < batch_bytes / 4

@@ -557,9 +557,9 @@ def test_sample_slices_reproduce_one_stream(fixture, batch_index, cpus, request,
     starts = []
     fill = msr._fill_slice
 
-    def recording(table, seed, batch_index, start, view):
+    def recording(table, key, batch_index, start, n, f, out):
         starts.append(start)
-        fill(table, seed, batch_index, start, view)
+        fill(table, key, batch_index, start, n, f, out)
 
     monkeypatch.setattr(msr, "_fill_slice", recording)
     seed = 13
@@ -580,6 +580,38 @@ def test_sample_slices_reproduce_one_stream(fixture, batch_index, cpus, request,
             assert len(starts) == cpus and all(a % 4 == 0 for a in starts)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n", [1, 3, 64])
+@pytest.mark.parametrize("batch_index", [0, 3])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sample_rows_reduce_like_the_flat_draws(mu15_measure, n, batch_index, cpus, monkeypatch):
+    # rows drawn and reduced block by block on the slice threads give f of
+    # the flat draws' rows, also when a slice or the call ends partway
+    # through a Philox step (rows * n % 4 != 0 for n = 1 and 3)
+    m = mu15_measure
+    monkeypatch.setattr(msr, "_usable_cpus", lambda: cpus)
+    starts = []
+    fill = msr._fill_slice
+
+    def recording(table, key, batch_index, start, n, f, out):
+        starts.append(start)
+        fill(table, key, batch_index, start, n, f, out)
+
+    monkeypatch.setattr(msr, "_fill_slice", recording)
+    f = lambda x: np.max(x, axis=1) + np.sum(x * x, axis=1)
+    seed, rows = 17, 3 * 2**msr._SLICE_BITS // n + 1  # three slices' worth
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the slice threads interleave as often as they can
+    try:
+        flat = msr.sample(m, seed, rows * n, _batch_index=batch_index)
+        assert np.array_equal(msr.sample(m, seed, rows, n, _batch_index=batch_index), flat)
+        starts.clear()
+        got = msr.sample(m, seed, rows, n, f, _batch_index=batch_index)
+        assert len(starts) == cpus and all(a % 4 == 0 for a in starts)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, f(flat.reshape(rows, n)))
 
 
 @pytest.mark.parametrize("name", ["exp", "gaussian"])
