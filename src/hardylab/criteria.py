@@ -174,10 +174,10 @@ class _SideScan:
         return {**self.measure.ladders, self.sign: self.measure.ladders[self.sign].grown(self.grid[-1])}
 
     def weight_ladder(self, key, g):
-        """Ladder of exp(g) on the grid (panel tolerance 1e-9, depth 60, not
-        strict), whose ``prefix`` is log int_t0^t exp(g); ``key`` names g."""
+        """Ladder of exp(g) on the grid at panel tolerance 1e-9, whose
+        ``prefix`` is log int_t0^t exp(g); ``key`` names g."""
         if key not in self._weights:
-            self._weights[key] = quad_mod.LogLadder(g, self.grid, 1e-9, 60, strict=False)
+            self._weights[key] = quad_mod.LogLadder(g, self.grid, 1e-9)
         return self._weights[key]
 
 

@@ -88,8 +88,10 @@ _ACCEPT_ULPS = 8
 # breakpoints: they are reached only by tails that have not fallen 55 nats
 # within 4096 of their start, and would hold thousands of breakpoints.
 _MAX_SPLIT_WIDTH = 4096.0
-# Bisection generations of a panel in ``integrate`` and in a measure's ladders.
+# Bisection generations of a panel, in linear and in log space, before DepthExhaustedError.
 MAX_DEPTH = 48
+# Log-space width shares are floored at 2^-this (``integrate``'s at 1e-6), so cusps converge.
+_FLOOR_DEPTH = 30
 # Ladder and scan grid step; it resolves period-2pi oscillations of the potentials.
 GRID_STEP = math.pi / 8.0
 # An extension that has refined more panels than this without converging is
@@ -201,6 +203,12 @@ def _initial_edges(a, b, breakpoints):
     return np.unique(np.asarray(edges, dtype=float))
 
 
+def _exhausted(what, pa, pb, err):
+    """DepthExhaustedError naming the panel [pa, pb] with the largest ``err`` (-inf where accepted)."""
+    i = int(np.argmax(err))
+    return DepthExhaustedError(f"{what} exhausted MAX_DEPTH", (float(pa[i]), float(pb[i]), float(err[i])))
+
+
 def integrate(f, a, b, cfg=DEFAULT_QUAD, breakpoints=None):
     """Adaptive integral of ``f`` over [a, b].
 
@@ -235,11 +243,7 @@ def integrate(f, a, b, cfg=DEFAULT_QUAD, breakpoints=None):
         ok = err <= allow * np.maximum((pb - pa) / width, 1e-6)
         exhausted = ~ok & (depth >= MAX_DEPTH)
         if np.any(exhausted):
-            worst = int(np.argmax(np.where(exhausted, err, -np.inf)))
-            raise DepthExhaustedError(
-                "adaptive refinement exhausted max_depth",
-                (float(pa[worst]), float(pb[worst]), float(err[worst])),
-            )
+            raise _exhausted("adaptive refinement", pa, pb, np.where(exhausted, err, -np.inf))
         done_val += float(np.sum(k[ok]))
         done_err += float(np.sum(err[ok]))
         done_width += float(np.sum((pb - pa)[ok]))
@@ -252,17 +256,19 @@ def integrate(f, a, b, cfg=DEFAULT_QUAD, breakpoints=None):
     return Integral(done_val, done_err, panels_used)
 
 
-def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
+def refine_log_panels(logf, lo, hi, ptol):
     """Log integrals of exp(logf) over the intervals [lo[i], hi[i]].
 
     Panel i of segment s is accepted when err_i K_i / T_s <= ptol w_i / W_s
     (QUADPACK's global criterion in log space: err_i = |log K15 - log G7|,
     T_s the segment's running total, accepted plus pending, and w_i / W_s =
-    2^-depth_i), or when err_i is within ``_ACCEPT_ULPS`` ulps of |log K_i|.
-    Returns (seg_logs, seg_errs, panels_used, seg_panels); seg_errs, the
+    2^-min(depth_i, 30)), or when err_i is within ``_ACCEPT_ULPS`` ulps of
+    |log K_i|; the worst panel still rejected at ``MAX_DEPTH`` raises.
+    Returns (seg_logs, seg_errs, panels_used, seg_panels): seg_errs, the
     accepted err_i K_i over each segment's total, bound its relative error
-    by about ptol unless the ulp floor or a non-strict max depth accepted
-    panels, and seg_panels, which sum to panels_used, count each segment's.
+    by about ptol, plus ptol 2^-30 per floored panel, unless the ulp floor
+    accepted panels; seg_panels, which sum to panels_used, count each
+    segment's.
     The intervals are independent: each one's log integral and error are
     the same bit for bit whatever other intervals share the batch, so
     consecutive edges are passed as ``edges[:-1], edges[1:]``.
@@ -284,15 +290,10 @@ def refine_log_panels(logf, lo, hi, ptol, max_depth, strict=True):
             tot = tot[seg]
         # log of each panel's share of its segment's total; -inf for panels without mass
         share = np.subtract(logk, tot, out=np.full(len(logk), -np.inf), where=logk > -np.inf)
-        ok = (err * np.exp(share) <= math.ldexp(ptol, -depth)) | (err <= _ACCEPT_ULPS * np.spacing(np.abs(logk)))
-        if depth >= max_depth and not ok.all():
-            if strict:
-                worst = int(np.argmax(np.where(ok, -np.inf, err)))
-                raise DepthExhaustedError(
-                    "log-space adaptive refinement exhausted max_depth",
-                    (float(pa[worst]), float(pb[worst]), float(err[worst])),
-                )
-            ok[:] = True
+        ok = ((err * np.exp(share) <= math.ldexp(ptol, -min(depth, _FLOOR_DEPTH)))
+              | (err <= _ACCEPT_ULPS * np.spacing(np.abs(logk))))
+        if depth >= MAX_DEPTH and not ok.all():
+            raise _exhausted("log-space adaptive refinement", pa, pb, np.where(ok, -np.inf, err))
         rejected = (~ok).nonzero()[0]
         done = slice(None) if not len(rejected) else ok.nonzero()[0]
         np.logaddexp.at(acc, seg[done], logk[done])
@@ -331,12 +332,11 @@ _SHARED_SEGMENTS = 2048
 def _tail(start, breakpoints):
     """One start's extension in ``log_extension``: the loop of one doubling
     chunk per call, fed by batches.  Yields (chunk edges, probe, alone):
-    its next chunks, whether they are probed at depth 0 (while no mass is
-    found, every chunk wider than ``_MAX_SPLIT_WIDTH`` left is probed in
-    one call) and whether they take a call of their own.  Is sent their
-    log masses and panel counts, or None when their own call raised, after
-    which those chunks go one per call, alone.  Returns the log integral or
-    raises; chunks past the stop are dropped unjudged."""
+    its next chunks, whether they are probed (see ``log_extension``) and
+    whether they take a call of their own.  Is sent their log masses and
+    panel counts, or None when their own call raised, after which those
+    chunks go one per call, alone.  Returns the log integral or raises;
+    chunks past the stop are dropped unjudged."""
     total, lo, w = -np.inf, start, 1.0
     while lo + w == lo and w < math.inf:
         w *= 2.0
@@ -378,10 +378,10 @@ def _tail(start, breakpoints):
     raise NonIntegrableError(f"tail integral starting at {start:.3g} did not converge by x={lo:.3g}")
 
 
-def log_extension(logf, start, ptol, max_depth, breakpoints=None):
+def log_extension(logf, start, ptol, breakpoints=None):
     """Log integral of exp(logf) over [start, +inf) by doubling chunks,
-    refined non-strictly at (ptol, max_depth), for a scalar ``start`` (a
-    float is returned) or a 1-D array of starts, which advance in lockstep.
+    each refined at ptol, for a scalar ``start`` (a float is returned) or a
+    1-D array of starts, which advance in lockstep.
 
     ``breakpoints(a, b)`` lists the integrand's jump or oscillation points in
     (a, b); each chunk up to ``_MAX_SPLIT_WIDTH`` wide is split there, so
@@ -401,15 +401,15 @@ def log_extension(logf, start, ptol, max_depth, breakpoints=None):
     holds up to ``_EXTENSION_BATCH_CHUNKS`` chunks and
     ``_EXTENSION_BATCH_SEGMENTS`` segments, each chunk at most
     ``_MAX_SPLIT_WIDTH`` wide; a wider chunk takes a call of its own, and
-    while no mass is found the wider chunks left are probed in one call at
-    depth 0, where a chunk without mass is accepted whole.  The other
+    while no mass is found the wider chunks left are probed by one
+    ``_gk_log`` call, one panel each, read as mass or none.  The other
     batches share calls of up to ``_SHARED_SEGMENTS`` segments, probes
-    apart.  A shared call that raises DomainValidationError is redone one
-    batch per call, a batch whose own call raises one chunk per call, and
-    a lone chunk's call raises in its start; the first start in order that
-    raises raises.  Since the intervals of a call are independent, every
-    value, error and raise point is that of one call per chunk, one start
-    after another, bit for bit.
+    apart.  A shared call that raises DomainValidationError or
+    DepthExhaustedError is redone one batch per call, a batch whose own call
+    raises one chunk per call, and a lone chunk's call raises in its start;
+    the first start in order that raises raises.  Since the intervals of a
+    call are independent, every value, error and raise point is that of one
+    call per chunk, one start after another, bit for bit.
     """
     tails = [_tail(s, breakpoints) for s in np.atleast_1d(np.asarray(start, dtype=float)).tolist()]
     asks, ends = [None] * len(tails), [None] * len(tails)  # each start's next request, and its outcome
@@ -419,7 +419,7 @@ def log_extension(logf, start, ptol, max_depth, breakpoints=None):
             asks[i] = tails[i].throw(error) if error else tails[i].send(reply)
         except StopIteration as stop:
             asks[i], ends[i] = None, stop.value
-        except (DomainValidationError, NonIntegrableError) as e:
+        except (DomainValidationError, DepthExhaustedError, NonIntegrableError) as e:
             asks[i], ends[i] = None, e
 
     for i in range(len(tails)):
@@ -446,11 +446,13 @@ def log_extension(logf, start, ptol, max_depth, breakpoints=None):
         for call in calls:
             jobs = [asks[i] for i in call]
             edges = [e for chunks, _, _ in jobs for e in chunks]
+            lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
             try:
-                seg_logs, _, _, seg_panels = refine_log_panels(
-                    logf, np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges]), ptol,
-                    0 if jobs[0][1] else max_depth, strict=False)
-            except DomainValidationError as e:
+                if jobs[0][1]:  # a probe: each chunk is one panel, read as mass or none
+                    seg_logs, seg_panels = _gk_log(logf, lo, hi)[0], np.ones(len(lo), dtype=np.int64)
+                else:
+                    seg_logs, _, _, seg_panels = refine_log_panels(logf, lo, hi, ptol)
+            except (DomainValidationError, DepthExhaustedError) as e:
                 if len(call) > 1:  # each batch is refined alone later in this round
                     calls += [[i] for i in call]
                 else:
@@ -472,12 +474,11 @@ def log_extension(logf, start, ptol, max_depth, breakpoints=None):
 _LADDER_BLOCK = 192
 
 
-def _interval_logs(logf, lo, hi, ptol, max_depth, strict):
+def _interval_logs(logf, lo, hi, ptol):
     """Log integrals of exp(logf) over the intervals [lo[i], hi[i]], refined
     ``_LADDER_BLOCK`` intervals per ``refine_log_panels`` call."""
     blocks = range(0, len(lo), _LADDER_BLOCK)
-    seg = [refine_log_panels(logf, lo[i : i + _LADDER_BLOCK], hi[i : i + _LADDER_BLOCK], ptol, max_depth, strict)[0]
-           for i in blocks]
+    seg = [refine_log_panels(logf, lo[i : i + _LADDER_BLOCK], hi[i : i + _LADDER_BLOCK], ptol)[0] for i in blocks]
     return np.concatenate([np.empty(0), *seg])  # no intervals, no logs
 
 
@@ -492,24 +493,24 @@ class LogLadder:
 
     ``prefix[i]`` is log int_edges[0]^edges[i] exp(logf), ``suffix[i]`` is
     log(int_edges[i]^edges[-1] exp(logf) + exp(after)), and ``cells`` holds
-    each cell's log integral, one ``refine_log_panels`` interval at (ptol,
-    max_depth, strict).  A query integrates each point's partial cell the
-    same way, ``_LADDER_BLOCK`` points per call, so it equals a scalar query
-    bit for bit; ``upper_lower`` refines the partial cells of both sides of
-    its points in one call.  A ladder given a side's ``breakpoints(a, b)``
-    starts at 0 and grows over the doubling chunks [0, 1], [1, 2], [2, 4],
-    ..., split at the breakpoints and, up to ``_MAX_SPLIT_WIDTH`` wide, at
-    the multiples of ``GRID_STEP`` (the scan grids'), in
-    ``truncation_point`` and in ``grown`` alike.  An edge depends only on
+    each cell's log integral, one ``refine_log_panels`` interval at ptol, so
+    a panel rejected at ``MAX_DEPTH`` raises.  A query integrates each
+    point's partial cell the same way, ``_LADDER_BLOCK`` points per call, so
+    it equals a scalar query bit for bit; ``upper_lower`` refines the
+    partial cells of both sides of its points in one call.  A ladder given a
+    side's ``breakpoints(a, b)`` starts at 0 and grows over the doubling
+    chunks [0, 1], [1, 2], [2, 4], ..., split at the breakpoints and, up to
+    ``_MAX_SPLIT_WIDTH`` wide, at the multiples of ``GRID_STEP`` (the scan
+    grids'), in ``truncation_point`` and in ``grown`` alike.  An edge depends only on
     its position: growing to a, then b, equals growing to b, bit for bit,
     and growing by several chunks in one call, then cutting back to a chunk
     end, equals growing chunk by chunk.
     """
 
-    def __init__(self, logf, edges, ptol, max_depth, strict, breakpoints=None):
-        self.logf, self.ptol, self.max_depth, self.strict = logf, ptol, max_depth, strict
+    def __init__(self, logf, edges, ptol, breakpoints=None):
+        self.logf, self.ptol = logf, ptol
         self.edges, self.breakpoints = np.asarray(edges, dtype=float), breakpoints
-        self.cells = _interval_logs(logf, self.edges[:-1], self.edges[1:], ptol, max_depth, strict)
+        self.cells = _interval_logs(logf, self.edges[:-1], self.edges[1:], ptol)
         self._close(-np.inf)
 
     def _close(self, after=None):
@@ -530,7 +531,7 @@ class LogLadder:
         in one ``_interval_logs``; return their log integrals.  ``prefix``
         and ``suffix`` wait for ``_close``."""
         edges = np.concatenate([self.edges[-1:], new])
-        cells = _interval_logs(self.logf, edges[:-1], edges[1:], self.ptol, self.max_depth, self.strict)
+        cells = _interval_logs(self.logf, edges[:-1], edges[1:], self.ptol)
         self.edges = np.concatenate([self.edges, new])
         self.cells = np.concatenate([self.cells, cells])
         return cells
@@ -551,9 +552,8 @@ class LogLadder:
 
     def extension(self, b):
         """log int_b^inf exp(logf) for a scalar or 1-D ``b``, by one lockstep
-        ``log_extension`` split at the breakpoints, at the ladder's own ptol
-        and max_depth."""
-        return log_extension(self.logf, b, self.ptol, self.max_depth, self.breakpoints)
+        ``log_extension`` split at the breakpoints, at the ladder's own ptol."""
+        return log_extension(self.logf, b, self.ptol, self.breakpoints)
 
     def grown(self, b):
         """A copy extended to the first lattice edge >= b, with ``after`` from its new end."""
@@ -565,7 +565,7 @@ class LogLadder:
 
     def _partial(self, lo, hi):
         out, on = np.full(len(lo), -np.inf), lo < hi
-        out[on] = _interval_logs(self.logf, lo[on], hi[on], self.ptol, self.max_depth, self.strict)
+        out[on] = _interval_logs(self.logf, lo[on], hi[on], self.ptol)
         return out
 
     def upper(self, x):
@@ -607,7 +607,7 @@ def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
     ``_MAX_SPLIT_WIDTH`` wide, walked in order and cut back to B; a batch
     that raises is redone one chunk per call from its first chunk, so an
     error surfaces at the chunk where growing one chunk per call raises it.
-    Its cells are strict at the panel tolerance of ``cfg``, and one
+    Its cells are refined at the panel tolerance of ``cfg``, and one
     ``log_extension`` from B is the mass beyond.  h(X) = log tail(X) - log
     eps - log core(X), read from the ladder (both partial cells in one
     call), decreases in X.  It is bracketed by doubling, and its root is
@@ -658,7 +658,7 @@ def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
 
     def one_side(sign):
         logf = (lambda s: -potential.value(s)) if sign > 0 else lambda s: -potential.value(sign * s)
-        ladder, hi = grow(LogLadder(logf, [0.0], ptol, MAX_DEPTH, True, breakpoints=potential.side_breakpoints(sign)))
+        ladder, hi = grow(LogLadder(logf, [0.0], ptol, breakpoints=potential.side_breakpoints(sign)))
         xs = 2.0 ** np.arange(round(math.log2(hi)) + 1)
         hs = h(ladder, xs)
         k = int(np.argmax(hs <= 0.0))

@@ -230,6 +230,15 @@ def test_normalize_power_r2_matches_gamma():
     assert math.exp(m.log_z) == pytest.approx(math.sqrt(math.pi), rel=1e-9)
 
 
+def test_normalize_cusp_matches_closed_form():
+    # exp(-|x| - sqrt|x|) has a cusp at 0 that no refinement depth resolves;
+    # the panels there hold a vanishing share of the mass and stop at the
+    # negligibility floor.  With x = u^2, Z = 2 - sqrt(pi) e^(1/4) erfc(1/2)
+    m = msr.normalize(msr.Potential.from_string("expr:abs(x) + sqrt(abs(x))"))
+    exact = math.log(2.0 - math.sqrt(math.pi) * math.exp(0.25) * math.erfc(0.5))
+    assert abs(m.log_z - exact) <= 1e-13
+
+
 def test_even_measure_median_zero(nu2_measure):
     assert nu2_measure.median == 0.0
     # the left ladder's log total rounds one ulp above log(Z/2) here, and its root at p = 1/2 to -1.2e-15
@@ -277,7 +286,7 @@ def test_ladder_growth_is_path_independent(token):
     for sign in (+1, -1):
         ladder = m.ladders[sign]
         edges, start = ladder.edges, ladder.edges[-1]
-        fresh = quad.LogLadder(lambda s: -pot.value(sign * s), [0.0], ladder.ptol, ladder.max_depth, ladder.strict,
+        fresh = quad.LogLadder(lambda s: -pot.value(sign * s), [0.0], ladder.ptol,
                                breakpoints=pot.side_breakpoints(sign)).grown(start)
         for name in ("edges", "cells"):
             assert np.array_equal(getattr(fresh, name), getattr(ladder, name)), (sign, name)
@@ -439,10 +448,10 @@ def test_extensions_refine_at_the_ladder_tolerance(monkeypatch):
     ptols, extensions = [], []
     refine, extension = quad.refine_log_panels, quad.log_extension
     monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: ptols.append(a[3]) or refine(*a, **k))
-    monkeypatch.setattr(quad, "log_extension", lambda *a, **k: extensions.append(a[2:4]) or extension(*a, **k))
+    monkeypatch.setattr(quad, "log_extension", lambda *a, **k: extensions.append(a[2]) or extension(*a, **k))
     msr.log_tail(m, 10.0 * end)
     msr.quantile(m, 1e-300)
-    assert extensions and set(extensions) == {(ptol, quad.MAX_DEPTH)}
+    assert extensions and set(extensions) == {ptol}
     assert ptols and set(ptols) == {ptol}
 
 
@@ -655,16 +664,16 @@ def _scalar_log_beyond(m, s, sign):
     extension from the point itself at the ladder's tolerances."""
     pot, ladder = m.potential, m.ladders[sign]
     return quad.log_extension(
-        lambda t: -pot.value(sign * t), s, ladder.ptol, ladder.max_depth, breakpoints=pot.side_breakpoints(sign)
+        lambda t: -pot.value(sign * t), s, ladder.ptol, breakpoints=pot.side_breakpoints(sign)
     )
 
 
 def _integrate_log(logf, a, b, cfg):
     """The former ``quad.integrate_log``: log of the integral of exp(logf)
-    over [a, b] in one strict refinement at cfg's panel tolerance; [a, b]
+    over [a, b] in one refinement at cfg's panel tolerance; [a, b]
     lies inside one ladder cell, so no breakpoint splits it."""
     ptol = max(cfg.rel_tol * 0.1, 1e-14)
-    return float(np.logaddexp.reduce(quad.refine_log_panels(logf, [a], [b], ptol, quad.MAX_DEPTH)[0]))
+    return float(np.logaddexp.reduce(quad.refine_log_panels(logf, [a], [b], ptol)[0]))
 
 
 def _scalar_ladder_upper(m, ladder, s):
@@ -725,10 +734,10 @@ def test_batched_queries_equal_scalar_queries(name):
     else:
         m = scenarios.corpus_measure(name)
     right, left = m.ladders[+1], m.ladders[-1]
-    # built at the measure's cfg, the ladders equal builds at depth 60, not
-    # strict, with panel tolerance 1e-11
+    # built at the measure's cfg, the ladders equal builds on their edges
+    # with panel tolerance 1e-11
     for ladder in (right, left):
-        loose = quad.LogLadder(ladder.logf, ladder.edges, 1e-11, 60, strict=False)
+        loose = quad.LogLadder(ladder.logf, ladder.edges, 1e-11)
         loose._close(ladder.suffix[-1])
         assert np.array_equal(ladder.suffix, loose.suffix)
     # 150 points per side, the median, every edge (both ladder ends among

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,23 +32,23 @@ def test_oscillating_potential_self_consistency():
     assert loose.value == pytest.approx(tight.value, rel=1e-8)
     # and the log-space twin handles exp(+V), which overflows linear floats
     edges = quad._initial_edges(0.0, 40.0, bp)
-    log_loose = quad.LogLadder(lambda t: pot.value(t), edges, 1e-11, 48, strict=True).prefix[-1]
-    log_tight = quad.LogLadder(lambda t: pot.value(t), edges, 5e-12, 48, strict=True).prefix[-1]
+    log_loose = quad.LogLadder(lambda t: pot.value(t), edges, 1e-11).prefix[-1]
+    log_tight = quad.LogLadder(lambda t: pot.value(t), edges, 5e-12).prefix[-1]
     assert log_loose == pytest.approx(log_tight, abs=1e-8)
 
 
 def test_integrate_log_closed_form():
     # the log integral of exp(t) over [0, b] on a ladder, from both ends
-    ladder = quad.LogLadder(lambda t: np.asarray(t, dtype=float), [0.0, 100.0], 1e-11, 48, strict=True)
+    ladder = quad.LogLadder(lambda t: np.asarray(t, dtype=float), [0.0, 100.0], 1e-11)
     assert ladder.prefix[-1] == pytest.approx(100.0 + math.log1p(-math.exp(-100.0)), abs=1e-8)
     assert ladder.suffix[0] == ladder.prefix[-1]
     # far beyond float range the log stays exact
-    huge = quad.LogLadder(lambda t: np.asarray(t, dtype=float), [0.0, 1000.0], 1e-11, 48, strict=True)
+    huge = quad.LogLadder(lambda t: np.asarray(t, dtype=float), [0.0, 1000.0], 1e-11)
     assert huge.prefix[-1] == pytest.approx(1000.0, abs=1e-8)
 
 
 def test_integrate_log_unit():
-    ladder = quad.LogLadder(lambda t: np.zeros_like(np.asarray(t, dtype=float)), [0.0, 1.0], 1e-11, 48, strict=True)
+    ladder = quad.LogLadder(lambda t: np.zeros_like(np.asarray(t, dtype=float)), [0.0, 1.0], 1e-11)
     assert ladder.prefix[-1] == pytest.approx(0.0, abs=1e-12)
     assert math.exp(ladder.prefix[-1]) == pytest.approx(1.0, rel=1e-12)
 
@@ -61,7 +62,7 @@ def test_log_linear_consistency():
     ]
     for f, g, a, b in cases:
         lin = quad.integrate(f, a, b)
-        log = quad.LogLadder(g, [a, b], 1e-11, 48, strict=True).prefix[-1]
+        log = quad.LogLadder(g, [a, b], 1e-11).prefix[-1]
         assert math.exp(log) == pytest.approx(lin.value, rel=1e-10)
 
 
@@ -201,7 +202,7 @@ def _gaussian_truncation_root(eps):
 @pytest.mark.parametrize("family,eps,end", [("exp", 1e-12, 128.0), ("gaussian", 1e-12, 32.0),
                                             ("exp", 1e-100, 256.0), ("gaussian", 1e-250, 64.0)])
 def test_truncation_point_at_or_above_closed_form_root(family, eps, end):
-    # read from the strict ladder, T satisfies the predicate and sits within
+    # read from the ladder, T satisfies the predicate and sits within
     # 1e-10 relative of the exact root, as floor's does in the test above:
     # exp solves e^-X = eps (1 - e^-X).  At the smaller eps the predicate
     # still fails at the first chunk end 55 nats down (128 and 32), so the
@@ -215,7 +216,7 @@ def test_truncation_point_at_or_above_closed_form_root(family, eps, end):
 @pytest.mark.parametrize("x", [0.0, 0.3, 2.5, 27.74, 100.2, 700.9])
 def test_log_extension_floor_breakpoints_closed_form(x, panels):
     pot = msr.Potential.builtin("floor")
-    val = quad.log_extension(lambda t: -pot.value(t), x, 1e-11, 48, breakpoints=pot.breakpoints)
+    val = quad.log_extension(lambda t: -pot.value(t), x, 1e-11, breakpoints=pot.breakpoints)
     assert val == pytest.approx(math.log(_floor_tail_closed_form(x)), abs=1e-13 * max(1.0, x))
     # split at the unit jumps, every panel of a constant density is accepted
     # whole: one per unit interval (unsplit chunks take about 9000)
@@ -227,7 +228,7 @@ def test_log_extension_mirrored_breakpoints():
     pot = msr.Potential.from_expression("floor(abs(x)) + 0.5*floor(x)")
     left = pot.side_breakpoints(-1.0)
     assert left(0.5, 3.5) == [1.0, 2.0, 3.0]
-    val = quad.log_extension(lambda s: -pot.value(-s), 2.5, 1e-11, 48, breakpoints=left)
+    val = quad.log_extension(lambda s: -pot.value(-s), 2.5, 1e-11, breakpoints=left)
     # V(-s) = floor(s) + 0.5 floor(-s) = 0.5 floor(s) - 0.5 for non-integer s > 0
     q = math.exp(-0.5)
     exact = math.exp(0.5) * (0.5 * q**2 + q**3 / (1.0 - q))
@@ -237,7 +238,7 @@ def test_log_extension_mirrored_breakpoints():
 def test_log_extension_finds_mass_after_empty_chunks():
     # chunks without mass (V overflowing) do not end an extension: V may
     # come back to finite values, here 6 empty doublings from 0 on
-    val = quad.log_extension(lambda t: np.where(t < 50.0, -np.inf, 50.0 - t), 0.0, 1e-11, 48,
+    val = quad.log_extension(lambda t: np.where(t < 50.0, -np.inf, 50.0 - t), 0.0, 1e-11,
                              breakpoints=lambda a, b: [50.0] if a < 50.0 < b else [])
     assert val == pytest.approx(0.0, abs=1e-12)
 
@@ -257,8 +258,8 @@ def _truncation_bisection(potential, eps):
 
         def ok(x):
             bp = potential.breakpoints(0.0, x) if sign > 0 else [-t for t in potential.breakpoints(-x, 0.0)]
-            prefix = quad.LogLadder(neg_v, quad._initial_edges(0.0, x, bp), 1e-9, 60, strict=False).prefix
-            tail = quad.log_extension(neg_v, x, 1e-9, 48)
+            prefix = quad.LogLadder(neg_v, quad._initial_edges(0.0, x, bp), 1e-9).prefix
+            tail = quad.log_extension(neg_v, x, 1e-9)
             return tail <= math.log(eps) + float(prefix[-1])
 
         x = 1.0
@@ -445,24 +446,54 @@ def test_gk_log_equals_reference_formula(rows):
         _assert_within_summand_ulps(a, b, gx, logk, err, ref_k, ref_err)
 
 
+def _test_intervals():
+    """40 random intervals, and intervals that end at, start at and straddle
+    the floor breakpoints."""
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(-30.0, 30.0, 40)
+    hi = lo + rng.uniform(1e-3, 4.0, 40)
+    return np.concatenate([lo, [2.0, 3.0, -4.0, 0.5, -1.5]]), np.concatenate([hi, [3.0, 5.5, -3.0, 2.5, -0.5]])
+
+
+def _jumps_inside(pot, lo, hi):
+    """Whether V jumps (by more than 0.1) at an integer inside (lo[i], hi[i]), as the floor potentials do."""
+    ks = [np.arange(math.floor(a) + 1.0, math.ceil(b)) for a, b in zip(lo, hi)]
+    return np.array([bool(np.any(np.abs(pot.value(k + 1e-9) - pot.value(k - 1e-9)) > 0.1)) for k in ks])
+
+
+def _raised_alone(refine, logf, lo, hi):
+    """The panel that each interval refined alone raises DepthExhaustedError on, or None."""
+    raised = []
+    for i in range(len(lo)):
+        try:
+            refine(logf, lo[i : i + 1], hi[i : i + 1], 1e-9)
+            raised.append(None)
+        except DepthExhaustedError as e:
+            raised.append(e.panel)
+    return raised
+
+
 @pytest.mark.parametrize("token", ["exp", "gaussian", "power:1.5", "sinpower:2,1", "sinpower:2,2", "floor",
                                    "cattiaux:1.5,1.9", "expr:floor(abs(x)) + 0.5*floor(x)"])
 def test_refine_log_panels_batch_equals_single_intervals(token):
     # one batched call gives each interval the log integral and error that a
-    # call for that interval alone gives, bit for bit
+    # call for that interval alone gives, bit for bit.  An interval
+    # straddling a jump raises at MAX_DEPTH, alone and in a batch, unless
+    # rounding puts a bisection point on the jump and no node past it
     pot = msr.Potential.from_string(token)
-    rng = np.random.default_rng(7)
-    lo = rng.uniform(-30.0, 30.0, 40)
-    hi = lo + rng.uniform(1e-3, 4.0, 40)
-    # intervals that end at, start at and straddle the floor breakpoints
-    lo = np.concatenate([lo, [2.0, 3.0, -4.0, 0.5, -1.5]])
-    hi = np.concatenate([hi, [3.0, 5.5, -3.0, 2.5, -0.5]])
+    lo, hi = _test_intervals()
+    jump = _jumps_inside(pot, lo, hi)
     for logf in (lambda x: -pot.value(x), lambda x: 0.4 * pot.value(x)):
-        # intervals straddling a jump are refined down to zero-width panels
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs, errs, panels, counts = quad.refine_log_panels(logf, lo, hi, 1e-9, 60, strict=False)
-            single = [quad.refine_log_panels(logf, lo[i : i + 1], hi[i : i + 1], 1e-9, 60, strict=False)
-                      for i in range(len(lo))]
+        raised = _raised_alone(quad.refine_log_panels, logf, lo, hi)
+        bad = np.array([r is not None for r in raised])
+        assert not (bad & ~jump).any() and bad.any() == ("floor" in token)
+        if bad.any():  # the batch names the worst of the panels the intervals name alone
+            with pytest.raises(DepthExhaustedError) as exc:
+                quad.refine_log_panels(logf, lo, hi, 1e-9)
+            assert exc.value.panel in raised and exc.value.panel[2] == max(r[2] for r in raised if r)
+        lo_ok, hi_ok = lo[~bad], hi[~bad]
+        logs, errs, panels, counts = quad.refine_log_panels(logf, lo_ok, hi_ok, 1e-9)
+        single = [quad.refine_log_panels(logf, lo_ok[i : i + 1], hi_ok[i : i + 1], 1e-9) for i in range(len(lo_ok))]
         assert np.array_equal(logs, [s[0][0] for s in single])
         assert np.array_equal(errs, [s[1][0] for s in single])
         assert panels == sum(s[2] for s in single)
@@ -471,9 +502,10 @@ def test_refine_log_panels_batch_equals_single_intervals(token):
         assert counts.sum() == panels
 
 
-def _refine_log_panels_reference(logf, lo, hi, ptol, max_depth, strict=True):
+def _refine_log_panels_reference(logf, lo, hi, ptol):
     """The former refinement loop: segment totals by ``ufunc.at`` at every
-    depth, boolean masks, and a compaction after every iteration."""
+    depth, boolean masks, and a compaction after every iteration, under
+    today's acceptance rule."""
     pa, pb = np.array(lo, dtype=float), np.array(hi, dtype=float)
     seg = np.arange(len(pa), dtype=np.int64)
     acc, accerr = np.full(len(pa), -np.inf), np.full(len(pa), -np.inf)
@@ -484,15 +516,14 @@ def _refine_log_panels_reference(logf, lo, hi, ptol, max_depth, strict=True):
         seg_tot = acc.copy()
         np.logaddexp.at(seg_tot, seg, logk)
         share = np.subtract(logk, seg_tot[seg], out=np.full(len(logk), -np.inf), where=logk > -np.inf)
-        ok = (err * np.exp(share) <= math.ldexp(ptol, -depth)) | (err <= quad._ACCEPT_ULPS * np.spacing(np.abs(logk)))
-        if depth >= max_depth and not ok.all():
-            if strict:
-                worst = int(np.argmax(np.where(ok, -np.inf, err)))
-                raise DepthExhaustedError(
-                    "log-space adaptive refinement exhausted max_depth",
-                    (float(pa[worst]), float(pb[worst]), float(err[worst])),
-                )
-            ok[:] = True
+        floor = math.ldexp(ptol, -min(depth, quad._FLOOR_DEPTH))
+        ok = (err * np.exp(share) <= floor) | (err <= quad._ACCEPT_ULPS * np.spacing(np.abs(logk)))
+        if depth >= quad.MAX_DEPTH and not ok.all():
+            worst = int(np.argmax(np.where(ok, -np.inf, err)))
+            raise DepthExhaustedError(
+                "log-space adaptive refinement exhausted MAX_DEPTH",
+                (float(pa[worst]), float(pb[worst]), float(err[worst])),
+            )
         np.logaddexp.at(acc, seg[ok], logk[ok])
         np.logaddexp.at(accerr, seg[ok], logk[ok] + np.log(np.maximum(err[ok], 1e-300)))
         pa, pb, seg = pa[~ok], pb[~ok], seg[~ok]
@@ -510,26 +541,31 @@ def _refine_log_panels_reference(logf, lo, hi, ptol, max_depth, strict=True):
                                    "cattiaux:1.5,1.9", "expr:floor(abs(x)) + 0.5*floor(x)"])
 def test_refine_log_panels_equals_former_loop(token):
     # the leaner iterations accumulate each segment's panels in the same
-    # order, so logs, errors and panel counts are the same bit for bit
+    # order, so logs, errors and panel counts are the same bit for bit, and
+    # where intervals raise at a jump, both raise the same error
     pot = msr.Potential.from_string(token)
-    rng = np.random.default_rng(7)
-    lo = rng.uniform(-30.0, 30.0, 40)
-    hi = lo + rng.uniform(1e-3, 4.0, 40)
-    lo = np.concatenate([lo, [2.0, 3.0, -4.0, 0.5, -1.5]])
-    hi = np.concatenate([hi, [3.0, 5.5, -3.0, 2.5, -0.5]])
+    lo, hi = _test_intervals()
     for logf in (lambda x: -pot.value(x), lambda x: 0.4 * pot.value(x)):
-        for max_depth in (60, 12):  # at depth 12 the panels at a jump are accepted unresolved
-            with np.errstate(divide="ignore", invalid="ignore"):
-                got = quad.refine_log_panels(logf, lo, hi, 1e-9, max_depth, strict=False)
-                want = _refine_log_panels_reference(logf, lo, hi, 1e-9, max_depth, strict=False)
-            np.testing.assert_array_equal(got[0], want[0])
-            assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))
-            np.testing.assert_array_equal(got[1], want[1])
-            assert got[2] == want[2]
+        raised = _raised_alone(quad.refine_log_panels, logf, lo, hi)
+        assert _raised_alone(_refine_log_panels_reference, logf, lo, hi) == raised
+        ok = np.array([r is None for r in raised])
+        got = quad.refine_log_panels(logf, lo[ok], hi[ok], 1e-9)
+        want = _refine_log_panels_reference(logf, lo[ok], hi[ok], 1e-9)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2]
+        if not ok.all():
+            errors = []
+            for refine in (quad.refine_log_panels, _refine_log_panels_reference):
+                with pytest.raises(DepthExhaustedError) as exc:
+                    refine(logf, lo, hi, 1e-9)
+                errors.append((str(exc.value), exc.value.panel))
+            assert errors[0] == errors[1]
 
 
 def test_refine_log_panels_strict_max_depth_raises_as_former_loop():
-    # jumps of 3 and 7 nats stay unresolved at depth 12: both loops raise
+    # jumps of 3 and 7 nats stay unresolved at MAX_DEPTH: both loops raise
     # the same error, naming the panel with the larger error, at the 7-nat jump
     def logf(x):
         return np.where(x < 1.0, 0.0, -3.0) + np.where(x < 2.5, 0.0, -7.0)
@@ -537,11 +573,23 @@ def test_refine_log_panels_strict_max_depth_raises_as_former_loop():
     raised = []
     for refine in (quad.refine_log_panels, _refine_log_panels_reference):
         with pytest.raises(DepthExhaustedError) as exc:
-            refine(logf, [0.3, 2.1], [1.95, 3.0], 1e-12, 12)
+            refine(logf, [0.3, 2.1], [1.95, 3.0], 1e-12)
         raised.append((str(exc.value), exc.value.panel))
     assert raised[0] == raised[1]
     a, b, _ = raised[0][1]
     assert a <= 2.5 <= b
+
+
+def test_refine_log_panels_converges_on_a_cusp():
+    # 1 / (1 + |t|^0.05) has a cusp at 0 whose relative K15/G7 error is the
+    # same at every scale: the panels at 0 hold a vanishing share of the
+    # mass and are accepted by the floor, not refined to MAX_DEPTH.  With
+    # t = u^20 the integral is that of the rational 20 u^19 / (1 + u)
+    logs, errs, panels, _ = quad.refine_log_panels(lambda t: -np.log1p(np.abs(t) ** 0.05), [0.0], [2.0], 1e-9)
+    mpmath.mp.dps = 30
+    exact = float(mpmath.log(mpmath.quad(lambda u: 20 * u**19 / (1 + u), [0, mpmath.mpf(2) ** (mpmath.mpf(1) / 20)])))
+    assert abs(logs[0] - exact) <= 1e-12
+    assert errs[0] <= 2e-9 and panels < 200
 
 
 def _gaussian_log_mass(a, b):
@@ -578,7 +626,7 @@ def test_refine_log_panels_closed_forms_within_ptol(family, data, digits):
     lo = np.array([a for a, _ in segments])
     hi = lo + np.array([w for _, w in segments])
     ptol = 10.0**-digits
-    logs, errs, _, _ = quad.refine_log_panels(logf, lo, hi, ptol, 48)
+    logs, errs, _, _ = quad.refine_log_panels(logf, lo, hi, ptol)
     want = np.array([exact(a, b) for a, b in zip(lo, hi)])
     assert np.all(np.abs(logs - want) <= ptol)
     assert np.all(errs <= 2.0 * ptol)
@@ -592,7 +640,7 @@ def test_needle_cell_closed_form_in_few_panels(slope, ptol):
     # sits in one end panel, and the panels holding slivers of it stop early
     # (accepted one by one at ptol, the cell took 33 panels at 1e-9 and 57 at 1e-11)
     b = quad.GRID_STEP
-    logs, errs, panels, _ = quad.refine_log_panels(lambda t: slope * t, [0.0], [b], ptol, 60)
+    logs, errs, panels, _ = quad.refine_log_panels(lambda t: slope * t, [0.0], [b], ptol)
     if slope > 0.0:
         exact = slope * b - math.log(slope) + math.log1p(-math.exp(-slope * b))
     else:
@@ -606,7 +654,7 @@ def test_ladder_queries_refine_partial_cells_in_blocks(monkeypatch):
     # a batch of 1000 points is refined at most _LADDER_BLOCK partial cells
     # per call, and each point reads what it reads alone, bit for bit
     pot = msr.Potential.builtin("sinpower", 2, 1)
-    ladder = quad.LogLadder(lambda x: -pot.value(x), np.linspace(0.0, 40.0, 41), 1e-11, 48, strict=True)
+    ladder = quad.LogLadder(lambda x: -pot.value(x), np.linspace(0.0, 40.0, 41), 1e-11)
     xs = np.random.default_rng(3).uniform(0.0, 40.0, 1000)
     lengths = []
     refine = quad.refine_log_panels
@@ -620,7 +668,7 @@ def test_ladder_queries_refine_partial_cells_in_blocks(monkeypatch):
 def _former_prefix_suffix(logf, edges, after):
     """The former panel_log_prefix/suffix: one refinement call over all cells,
     then the mass beyond the end folded in after the accumulation."""
-    seg, _, _, _ = quad.refine_log_panels(logf, edges[:-1], edges[1:], 1e-9, 60, strict=False)
+    seg, _, _, _ = quad.refine_log_panels(logf, edges[:-1], edges[1:], 1e-9)
     prefix = np.concatenate([[-np.inf], np.logaddexp.accumulate(seg)])
     suffix = np.empty(len(edges))
     suffix[-1] = after
@@ -634,7 +682,7 @@ def test_log_ladder_equals_former_prefix_and_suffix(token):
     pot = msr.Potential.from_string(token)
     logf = lambda x: -pot.value(x)
     edges = np.unique(np.concatenate([np.linspace(0.0, 40.0, 450), pot.breakpoints(0.0, 40.0)]))
-    ladder = quad.LogLadder(logf, edges, 1e-9, 60, strict=False)
+    ladder = quad.LogLadder(logf, edges, 1e-9)
     for after in (-np.inf, -41.2, -0.9):
         ladder._close(after)  # the mass beyond the end, as a growing ladder sets it
         prefix, suffix = _former_prefix_suffix(logf, edges, after)
@@ -642,7 +690,7 @@ def test_log_ladder_equals_former_prefix_and_suffix(token):
         assert np.array_equal(ladder.lower(edges), prefix)  # no partial cell at an edge
 
 
-def _sequential_extension(logf, start, ptol, max_depth, breakpoints=None):
+def _sequential_extension(logf, start, ptol, breakpoints=None):
     """The former ``log_extension``: one doubling chunk per refinement call."""
     total, lo, w = -np.inf, start, 1.0
     while lo + w == lo and w < math.inf:
@@ -654,7 +702,7 @@ def _sequential_extension(logf, start, ptol, max_depth, breakpoints=None):
             break
         bp = breakpoints(lo, hi) if breakpoints is not None and w <= quad._MAX_SPLIT_WIDTH else None
         edges = quad._initial_edges(lo, hi, bp)
-        seg_logs, _, panels, _ = quad.refine_log_panels(logf, edges[:-1], edges[1:], ptol, max_depth, strict=False)
+        seg_logs, _, panels, _ = quad.refine_log_panels(logf, edges[:-1], edges[1:], ptol)
         chunk = float(np.logaddexp.reduce(seg_logs))
         total = float(np.logaddexp(total, chunk))
         if chunk < total - quad._NEGLIGIBLE_NATS:
@@ -675,7 +723,7 @@ class _SequentialLadder(quad.LogLadder):
     """A ladder whose mass beyond an end is one former extension per point."""
 
     def extension(self, b):
-        ext = lambda t: _sequential_extension(self.logf, t, self.ptol, self.max_depth, self.breakpoints)
+        ext = lambda t: _sequential_extension(self.logf, t, self.ptol, self.breakpoints)
         return ext(b) if np.ndim(b) == 0 else np.array([ext(t) for t in np.asarray(b).tolist()])
 
 
@@ -691,7 +739,7 @@ def _sequential_truncation_point(potential, eps):
 
     def one_side(sign):
         logf = lambda s: -potential.value(sign * s)
-        ladder = _SequentialLadder(logf, [0.0], ptol, quad.MAX_DEPTH, True, breakpoints=potential.side_breakpoints(sign))
+        ladder = _SequentialLadder(logf, [0.0], ptol, breakpoints=potential.side_breakpoints(sign))
         total, hi = -np.inf, 1.0
         while True:
             before = len(ladder.cells)
@@ -799,6 +847,16 @@ def test_lockstep_extension_raises_for_the_first_start_that_raises():
                       ([150.0, 1e5, 300.0], r"\[100000, 100001\]")):
         with pytest.raises(DomainValidationError, match=panel):
             m.ladders[+1].extension(np.array(xs))
+    # no breakpoints at the 2-nat jumps at 7.3 and past it: the chunks of
+    # starts 0 and 3 that hold 7.3 share a call, and start 3's panel there
+    # has the larger error; the lockstep raises start 0's, as one extension
+    # per start does
+    logf = lambda t: -0.05 * t - 2.0 * (np.floor(t + 0.5) % 2) * (t > 7.3)
+    with pytest.raises(DepthExhaustedError) as alone:
+        _sequential_extension(logf, 0.0, 1e-11)
+    with pytest.raises(DepthExhaustedError) as lockstep:
+        quad.log_extension(logf, np.array([0.0, 3.0]), 1e-11)
+    assert str(lockstep.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("budget", [30, 100, 400, 2000])
@@ -810,8 +868,8 @@ def test_lockstep_extension_counts_the_panel_budget_as_one_start_does(budget, mo
     logf = lambda t: -0.05 * pot.value(t)
     starts = np.linspace(10.0, 400.0, 40)
     outcomes = []
-    for run in (lambda: [_sequential_extension(logf, s, 1e-11, 48, pot.breakpoints) for s in starts.tolist()],
-                lambda: quad.log_extension(logf, starts, 1e-11, 48, pot.breakpoints).tolist()):
+    for run in (lambda: [_sequential_extension(logf, s, 1e-11, pot.breakpoints) for s in starts.tolist()],
+                lambda: quad.log_extension(logf, starts, 1e-11, pot.breakpoints).tolist()):
         try:
             outcomes.append(run())
         except NonIntegrableError as e:
@@ -826,30 +884,52 @@ def _outcome(run):
         return str(e)
 
 
+def _record_calls(monkeypatch):
+    """Patch quad to list each ``refine_log_panels`` call and each probe (a
+    ``_gk_log`` call outside one) as [kind, intervals, raised]."""
+    calls, inside = [], []
+    refine, gk_log = quad.refine_log_panels, quad._gk_log
+
+    def refining(logf, lo, *rest):
+        entry = ["refine", len(lo), True]
+        calls.append(entry)
+        inside.append(entry)
+        try:
+            out = refine(logf, lo, *rest)
+        finally:
+            inside.pop()
+        entry[2] = False
+        return out
+
+    def probing(logf, a, b):
+        if inside:  # a refinement's own panels
+            return gk_log(logf, a, b)
+        entry = ["probe", len(a), True]
+        calls.append(entry)
+        out = gk_log(logf, a, b)
+        entry[2] = False
+        return out
+
+    monkeypatch.setattr(quad, "refine_log_panels", refining)
+    monkeypatch.setattr(quad, "_gk_log", probing)
+    return calls
+
+
 @pytest.mark.parametrize("starts", [[0.0], [0.0, 5.0, 2e3]])
 @pytest.mark.parametrize("logf", [lambda t: np.where(t < 3e5, -np.inf, np.nan),
                                   lambda t: np.where(t < 3e5, -np.inf, np.where(t < 1e7, -1e-4 * (t - 3e5), np.nan))],
                          ids=["mass-free", "mass-past-3e5"])
 def test_probe_call_that_raises_equals_one_chunk_per_call(starts, logf, monkeypatch):
-    # the depth-0 probe of the chunks wider than _MAX_SPLIT_WIDTH, shared by
-    # the starts, reaches a nan past 3e5 (no mass before it) or past 1e7
-    # (mass from 3e5 on, whose extension stops before 1e7): it is redone one
-    # start per call, then one chunk per call, and each start raises, or
-    # not, where the former loop does
-    probes = []
-    refine = quad.refine_log_panels
-
-    def recording(*a, **k):
-        try:
-            return refine(*a, **k)
-        except DomainValidationError:
-            probes.append(a[4] == 0 and len(a[1]) > len(starts))
-            raise
-
-    want = _outcome(lambda: [_sequential_extension(logf, s, 1e-11, 48) for s in starts])
-    monkeypatch.setattr(quad, "refine_log_panels", recording)
-    assert _outcome(lambda: quad.log_extension(logf, np.array(starts), 1e-11, 48).tolist()) == want
-    assert probes[0]  # the first call that raised is a probe of several chunks
+    # the probe of the chunks wider than _MAX_SPLIT_WIDTH, shared by the
+    # starts, reaches a nan past 3e5 (no mass before it) or past 1e7 (mass
+    # from 3e5 on, whose extension stops before 1e7): it is redone one start
+    # per call, then one chunk per call, and each start raises, or not,
+    # where the former loop does
+    want = _outcome(lambda: [_sequential_extension(logf, s, 1e-11) for s in starts])
+    calls = _record_calls(monkeypatch)
+    assert _outcome(lambda: quad.log_extension(logf, np.array(starts), 1e-11).tolist()) == want
+    kind, chunks, _ = next(c for c in calls if c[2])
+    assert kind == "probe" and chunks > len(starts)  # the first call that raised is a probe of several chunks
 
 
 def test_start_sharing_a_probe_call_that_raises_is_redone_in_one_call(monkeypatch):
@@ -861,25 +941,21 @@ def test_start_sharing_a_probe_call_that_raises_is_redone_in_one_call(monkeypatc
         with np.errstate(invalid="ignore"):
             return np.where((t > 1e6) & (t < 2e6), np.nan, np.where((t > 2e4) & (t < 3e4), -1e-2 * (t - 2e4), -np.inf))
 
-    want = [_sequential_extension(logf, s, 1e-11, 48) for s in (0.0, 1e9)]
-    calls = []
-    refine = quad.refine_log_panels
-    monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: calls.append(1) or refine(*a, **k))
-    assert quad.log_extension(logf, np.array([0.0, 1e9]), 1e-11, 48).tolist() == want
+    want = [_sequential_extension(logf, s, 1e-11) for s in (0.0, 1e9)]
+    calls = _record_calls(monkeypatch)
+    assert quad.log_extension(logf, np.array([0.0, 1e9]), 1e-11).tolist() == want
     assert want[1] == -np.inf and len(calls) <= 20
 
 
 def test_mass_free_extension_in_few_calls(monkeypatch):
     # exp(-V) is 0 from 800 on: the chunks wider than _MAX_SPLIT_WIDTH are
-    # probed at depth 0 together (one chunk per call took 400 calls)
+    # probed together (one chunk per call took 400 calls)
     m = msr.normalize(msr.Potential.from_string("expr:exp(abs(x))"))
-    calls = []
-    refine = quad.refine_log_panels
-    monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: calls.append(1) or refine(*a, **k))
+    calls = _record_calls(monkeypatch)
     assert msr.log_tail(m, 800.0) == -np.inf
     assert len(calls) <= 10
     assert np.array_equal(msr.log_tail(m, np.array([800.0, 900.0, 1e4, 1e6])), np.full(4, -np.inf))
     # mass found by a probe, past empty chunks of widths up to 2^16, is
     # refined as one chunk per call refines it
     logf = lambda t: np.where(t < 1e5, -np.inf, -1e-4 * (t - 1e5))
-    assert quad.log_extension(logf, 0.0, 1e-11, 48) == _sequential_extension(logf, 0.0, 1e-11, 48)
+    assert quad.log_extension(logf, 0.0, 1e-11) == _sequential_extension(logf, 0.0, 1e-11)
