@@ -5,7 +5,8 @@ included) so it can be reproduced from its own header; a flag that the
 chosen ``criteria`` or ``evaluate`` kind or ``concentration`` mode does not
 read is refused unless it keeps its default.  Exit codes: 0 success, 2 flag
 validation error, 3 numerical failure or a parameter outside its domain,
-including a missing ``--r`` or ``--tau`` that the chosen kind requires.
+including a missing ``--r`` or ``--tau`` that the chosen kind requires, or
+an array too large for memory.
 """
 
 from __future__ import annotations
@@ -455,6 +456,9 @@ def run(argv=None):
         return args.func(args)
     except HardyLabError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:  # e.g. a spectral --N whose matrix does not fit
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 3
     except AssertionError as e:
         print(f"numerical assertion failed: {e}", file=sys.stderr)

@@ -1,11 +1,11 @@
 """Monte Carlo verification of product-measure concentration bounds.
 
 Both experiments draw from mu^(0x)n with the counter-based Philox
-generator (disjoint jumped streams per batch, merged in fixed batch order;
-each batch is filled in per-CPU slices of its stream, the same draws for
-any CPU count, so results are bit-for-bit reproducible), reduce the draws
-to one value per row in cache-sized blocks as they are made, and report
-their empirical tails with 99% binomial radii.
+generator in one ``measure.sample`` call (row i is draws i * n to
+(i + 1) * n - 1 of the seed's one stream, filled in per-CPU slices, the
+same draws for any CPU count, so results are bit-for-bit reproducible),
+reduce the draws to one value per row in cache-sized blocks as they are
+made, and report their empirical tails with 99% binomial radii.
 Deviation experiments tabulate two-sided empirical tails of a statistic
 with known Lipschitz constants and compare them with the two-level bound
 
@@ -32,7 +32,6 @@ from . import measure as measure_mod
 from .errors import DomainValidationError
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-_BATCH = 50_000
 _ROW_BLOCK = 4096  # rows per block of the gradient check
 
 
@@ -99,18 +98,6 @@ def _checked_grid(n, count, t_grid):
     return t_grid
 
 
-def _row_values(measure, n, count, seed, f):
-    """f of each of ``count`` rows drawn from mu^(0x)n, in batches of
-    ``_BATCH`` rows, one jumped stream per batch.  ``sample`` applies f to
-    each cache-sized block of rows as it is drawn, so no batch of draws is
-    held."""
-    values = np.empty(count)
-    for batch_index, a in enumerate(range(0, count, _BATCH)):
-        take = min(_BATCH, count - a)
-        values[a : a + take] = measure_mod.sample(measure, seed, take, n, f, _batch_index=batch_index)
-    return values
-
-
 def _tail_report(measure, n, statistic, count, seed, t_grid, tails, bound, constants):
     """The report of the empirical ``tails`` against ``bound`` at ``t_grid``,
     with 99% binomial radii (the variance floored at 1/(4 count)) and the
@@ -133,7 +120,7 @@ def deviation_experiment(measure, n, statistic, t_grid, count, seed, C, r, beta=
     """
     t_grid = _checked_grid(n, count, t_grid)
     f, lr2_fn = _statistic(statistic, beta)
-    values = _row_values(measure, n, count, seed, f)
+    values = measure_mod.sample(measure, seed, count, n, f)
     mean = float(values.mean())
     se_mean = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     dev = np.abs(values - mean)
@@ -209,7 +196,7 @@ def enlargement_experiment(measure, n, t_grid, count, seed, C, r):
     the sums are kept.  The input checks, radii and margins are those of
     ``deviation_experiment``."""
     t_grid = _checked_grid(n, count, t_grid)
-    sums = _row_values(measure, n, count, seed, lambda x: np.sum(x, axis=1))
+    sums = measure_mod.sample(measure, seed, count, n, lambda x: np.sum(x, axis=1))
     c = float(np.median(sums))
     costs = _halfspace_cost(np.maximum(sums - c, 0.0), n, r)
     K = (1.0 / 32.0) * min(1.0 / C, 1.0 / C ** (r - 1.0))
@@ -244,11 +231,7 @@ def lipschitz_gradient_check(r, t, count, seed, box, n):
     if n < 1 or count < 1:
         raise DomainValidationError("n and count must be >= 1")
     key = measure_mod._stream_key(seed)
-    coords = np.random.Generator(np.random.Philox(key=key))
-    bitgen = np.random.Philox(key=key)
-    bitgen.advance(count * n // 4)  # four draws per counter step
-    scales = np.random.Generator(bitgen)
-    scales.random(count * n % 4)  # the rest of the step up to draw count * n
+    coords, scales = measure_mod._stream(key, 0), measure_mod._stream(key, count * n)
     rp = r / (r - 1.0)
     ratio_sq = ratio_rp = -math.inf
     accepted = 0

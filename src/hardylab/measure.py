@@ -441,20 +441,24 @@ def _stream_key(seed):
     return np.uint64(seed)
 
 
-def _fill_slice(table, key, batch_index, start, n, f, out):
-    """Rows start, start + 1, ... of n draws each from the (key, batch_index)
-    stream into ``out``: their draws, or with ``f`` their values.  One block
-    of at most ``CHUNK`` draws (whole rows, one row at least) is drawn,
-    inverted and reduced at a time.
-
-    Philox yields four uniforms per counter step, so advancing the counter by
-    start * n // 4 (start a multiple of 4) lands on the first draw of row
-    ``start`` exactly."""
+def _stream(key, draw):
+    """A generator on the key's Philox stream whose next uniform is draw
+    number ``draw``: Philox yields four uniforms per counter step, so the
+    counter advances by draw // 4 and the draw % 4 uniforms before ``draw``
+    in that step are discarded."""
     bitgen = np.random.Philox(key=key)
-    if batch_index:
-        bitgen = bitgen.jumped(batch_index)
-    bitgen.advance(start * n // 4)
+    bitgen.advance(draw // 4)
     gen = np.random.Generator(bitgen)
+    gen.random(draw % 4)
+    return gen
+
+
+def _fill_slice(table, key, start, n, f, out):
+    """Rows start, start + 1, ... into ``out`` (row i is draws i * n to
+    (i + 1) * n - 1 of the key's stream): their draws, or with ``f`` their
+    values.  One block of at most ``CHUNK`` draws (whole rows, one row at
+    least) is drawn, inverted and reduced at a time."""
+    gen = _stream(key, start * n)
     rows = max(table.CHUNK // n, 1)
     block = None if f is None else np.empty(rows * n)
     for a in range(0, len(out), rows):
@@ -466,23 +470,23 @@ def _fill_slice(table, key, batch_index, start, n, f, out):
             out[a : a + take] = f(u.reshape(take, n))
 
 
-def sample(measure, seed, count, n=1, f=None, _batch_index=0):
-    """``count`` rows of ``n`` i.i.d. draws: inverse CDF applied to a Philox
-    uniform stream, read row after row.  Without ``f`` the count * n draws
+def sample(measure, seed, count, n=1, f=None):
+    """``count`` rows of ``n`` i.i.d. draws: inverse CDF applied to the seed's
+    Philox uniform stream, read row after row, so row i is draws i * n to
+    (i + 1) * n - 1 of that one stream.  Without ``f`` the count * n draws
     are returned; with ``f``, which maps a (rows, n) block to one value per
     row from that row alone, the ``count`` values f(row).
 
-    Philox is counter-based, so disjoint jumped sub-streams reproduce the same
-    values regardless of scheduling; identical (seed, count, n, f) give
-    identical output.  One call cuts its rows into slices, one per usable CPU
-    (the slice starts are multiples of 4 rows, and a call of fewer than 2^18
+    Philox is counter-based, so any row can be read without the rows before
+    it; identical (seed, count, n, f) give identical output.  One call cuts
+    its rows into slices, one per usable CPU (a call of fewer than 2^18
     draws per slice stays one slice), and fills them on threads: numpy
-    releases the GIL while it draws and inverts, and each slice advances its
-    own copy of the stream to its start, so the output is the same for any
-    CPU count.  A slice draws, inverts and reduces one block of at most
-    ``_InverseCDF.CHUNK`` draws at a time, so with ``f`` no array of all the
-    draws is made.  Draws beyond the truncation interval (total mass <= 2
-    eps_trunc) clamp to its endpoints.  The inverse CDF is the linear
+    releases the GIL while it draws and inverts, and each slice positions
+    its own cursor on the stream at its first row, so the output is the
+    same for any CPU count.  A slice draws, inverts and reduces one block of
+    at most ``_InverseCDF.CHUNK`` draws at a time, so with ``f`` no array of
+    all the draws is made.  Draws beyond the truncation interval (total mass
+    <= 2 eps_trunc) clamp to its endpoints.  The inverse CDF is the linear
     interpolant of a Simpson CDF table, looked up through a guide table.  A
     count or n below 1, or a seed outside [0, 2^64 - 1], raises
     DomainValidationError.
@@ -497,16 +501,16 @@ def sample(measure, seed, count, n=1, f=None, _batch_index=0):
         count, n = count * n, 1
     out = np.empty(count)
     slices = max(1, min(_usable_cpus(), count * n >> _SLICE_BITS))
-    step = -(-count // (4 * slices)) * 4
+    step = -(-count // slices)
     starts = range(0, count, step)
     if len(starts) == 1:
-        _fill_slice(table, key, _batch_index, 0, n, f, out)
+        _fill_slice(table, key, 0, n, f, out)
         return out
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=len(starts) - 1) as pool:
-        rest = [pool.submit(_fill_slice, table, key, _batch_index, a, n, f, out[a : a + step]) for a in starts[1:]]
-        _fill_slice(table, key, _batch_index, 0, n, f, out[:step])
+        rest = [pool.submit(_fill_slice, table, key, a, n, f, out[a : a + step]) for a in starts[1:]]
+        _fill_slice(table, key, 0, n, f, out[:step])
         for job in rest:
             job.result()
     return out

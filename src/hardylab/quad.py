@@ -169,8 +169,8 @@ def _gk_log(logf, a, b):
     ``_gk_log_separate``.  A nan or +inf node value, which reaches the
     panel's maximum, raises DomainValidationError naming the panel; -inf is
     zero mass."""
-    mid = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
+    mid = 0.5 * a + 0.5 * b  # a + b overflows within a factor of 2 of the float max
+    hw = 0.5 * b - 0.5 * a
     # an overflowing or nan node value is caught below, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         gx = np.asarray(logf(mid + hw * _GK_NODES[:, None]), dtype=float)
@@ -302,7 +302,7 @@ def refine_log_panels(logf, lo, hi, ptol):
             break
         pa, pb, seg = pa[rejected], pb[rejected], seg[rejected]
         split.append(seg)
-        mid = 0.5 * (pa + pb)
+        mid = 0.5 * pa + 0.5 * pb
         pa, pb, seg = np.concatenate([pa, mid]), np.concatenate([mid, pb]), np.concatenate([seg, seg])
         depth += 1
     empty = acc == -np.inf

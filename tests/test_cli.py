@@ -297,6 +297,17 @@ def test_numerical_failure_exit_code_3(capsys):
         assert message in capsys.readouterr().err
 
 
+def test_out_of_memory_exit_code_3(capsys, monkeypatch):
+    # a spectral --N whose matrices do not fit; the allocation is not attempted
+    def discretize(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000001,)")
+
+    monkeypatch.setattr(cli.spectral, "discretize", discretize)
+    assert cli.run(["spectral", "--potential", "gaussian", "--N", "100000000000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Unable to allocate" in err
+
+
 def test_measure_info_nonfinite_points(capsys):
     code = cli.run(["measure", "info", "--potential", "exp", "--tail-at", "nan"])
     assert code == 3

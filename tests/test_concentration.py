@@ -224,7 +224,7 @@ def test_deviation_tail_monotone_and_probabilities(mu15):
 def test_two_sided_tail_consistent_with_one_sided(mu15):
     # |f - m| >= t splits into the two one-sided events; totals must agree
     n, count, seed = 4, 50_000, 21
-    f = conc._row_values(mu15, n, count, seed, lambda x: x.sum(axis=1) / 2.0)
+    f = msr.sample(mu15, seed, count, n, lambda x: x.sum(axis=1) / 2.0)
     mean = f.mean()
     for t in (0.5, 1.0, 2.0):
         two = np.mean(np.abs(f - mean) >= t)
@@ -416,17 +416,34 @@ def test_softmax_matches_one_shot_formula():
 
 @pytest.mark.parametrize("statistic", ["mean_scaled", "softmax"])
 def test_deviation_holds_one_batch_at_a_time(mu15, statistic, monkeypatch):
-    # two batches of n = 64: each would be _BATCH * 64 doubles (25.6 MB);
-    # each slice thread holds one block of draws and its temporaries instead,
-    # about 1.1 MB, so the CPU count is fixed for a bound that fits any machine
+    # 100,000 rows of n = 64 are 51.2 MB of draws; each slice thread holds
+    # one block of draws and its temporaries, about 1.1 MB, next to the
+    # 0.8 MB of row values, so the CPU count is fixed for a bound that fits
+    # any machine
     monkeypatch.setattr(msr, "_usable_cpus", lambda: 3)
-    n, batch_bytes = 64, conc._BATCH * 64 * 8
     msr.sample(mu15, 0, 1)  # the sampler table is built outside the measurement
     tracemalloc.start()
     try:
         beta = 2.0 if statistic == "softmax" else None
-        conc.deviation_experiment(mu15, n, statistic, (1.0,), 2 * conc._BATCH, seed=3, C=328.36, r=1.5, beta=beta)
+        conc.deviation_experiment(mu15, 64, statistic, (1.0,), 100_000, seed=3, C=328.36, r=1.5, beta=beta)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < batch_bytes / 4
+    assert peak < 6.4e6
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_experiments_read_one_stream(mu15, cpus, monkeypatch):
+    # past 50,000 rows too, row i of an experiment is draws i * n to
+    # (i + 1) * n - 1 of the seed's one stream, on any number of CPUs
+    # (60,001 rows of n = 16 make three slices on three)
+    monkeypatch.setattr(msr, "_usable_cpus", lambda: cpus)
+    n, count, seed = 16, 60_001, 5
+    rows = msr.sample(mu15, seed, count * n).reshape(count, n)
+    got, sample = [], msr.sample
+    monkeypatch.setattr(msr, "sample", lambda *a, **k: got.append(sample(*a, **k)) or got[-1])
+    conc.deviation_experiment(mu15, n, "max", (0.5, 1.0), count, seed, C=328.36, r=1.5)
+    conc.enlargement_experiment(mu15, n, (2.0, 4.0), count, seed, C=328.36, r=1.5)
+    assert len(got) == 2
+    assert np.array_equal(got[0], np.max(rows, axis=1))
+    assert np.array_equal(got[1], np.sum(rows, axis=1))
