@@ -3,9 +3,11 @@
 Both experiments draw from mu^(0x)n with the counter-based Philox
 generator in one ``measure.sample`` call (row i is draws i * n to
 (i + 1) * n - 1 of the seed's one stream, filled in per-CPU slices, the
-same draws for any CPU count, so results are bit-for-bit reproducible),
-reduce the draws to one value per row in cache-sized blocks as they are
-made, and report their empirical tails with 99% binomial radii.
+same draws for any CPU count, so results are bit-for-bit reproducible):
+each raw 64-bit word is inverted through a guide table indexed by its top
+16 bits, with no clip.  They reduce the draws to one value per row in
+cache-sized blocks as they are made, and report their empirical tails with
+99% binomial radii.  The gradient check runs on the same per-CPU slices.
 Deviation experiments tabulate two-sided empirical tails of a statistic
 with known Lipschitz constants and compare them with the two-level bound
 
@@ -219,10 +221,14 @@ def lipschitz_gradient_check(r, t, count, seed, box, n):
         dG_i = r sgn(x_i) |x_i|^(r-1)   when |x_i| > 1.
 
     Returns (max sum dG_i^2 / (4t), max sum |dG_i|^r' / (2^r' t), accepted),
-    both ratios provably <= 1.  The points are drawn and processed in blocks
-    of ``_ROW_BLOCK`` rows: the count * n coordinates are the first draws of
-    the seed's Philox stream and the count radial scales the next ones, read
-    by two cursors on that stream, so nothing of size count is held.
+    both ratios provably <= 1.  The count * n coordinates are the first
+    draws of the seed's Philox stream and the count radial scales the next
+    ones.  ``measure._on_slices`` cuts the points into per-CPU slices on
+    threads; a slice positions a cursor for its coordinates and one for its
+    scales with ``measure._stream`` and processes its points in blocks of
+    ``_ROW_BLOCK`` rows, so nothing of size count is held.  Every value of a
+    point depends on that point alone, and the slices' results combine by
+    max and by sum, so the result is the same for any CPU count.
     """
     if not 1.0 < r < 2.0:
         raise DomainValidationError("r must lie in (1, 2)")
@@ -231,25 +237,30 @@ def lipschitz_gradient_check(r, t, count, seed, box, n):
     if n < 1 or count < 1:
         raise DomainValidationError("n and count must be >= 1")
     key = measure_mod._stream_key(seed)
-    coords, scales = measure_mod._stream(key, 0), measure_mod._stream(key, count * n)
     rp = r / (r - 1.0)
-    ratio_sq = ratio_rp = -math.inf
-    accepted = 0
-    for a in range(0, count, _ROW_BLOCK):
-        rows = min(_ROW_BLOCK, count - a)
-        block = coords.uniform(-1.0, 1.0, size=(rows, n))
-        block *= box * scales.uniform(0.0, 1.0, size=(rows, 1))
-        keep = (g_cost(block, r) < t) & np.all(np.abs(np.abs(block) - 1.0) > 1e-12, axis=1)
-        kept = np.abs(block[keep])
-        if len(kept) == 0:
-            continue
-        grad = np.where(kept < 1.0, 2.0 * kept, r * np.power(kept, r - 1.0))
-        ratio_sq = max(ratio_sq, float(np.max(np.sum(grad * grad, axis=1) / (4.0 * t))))
-        ratio_rp = max(ratio_rp, float(np.max(np.sum(np.power(grad, rp), axis=1) / (2.0**rp * t))))
-        accepted += len(kept)
-    if accepted == 0:
+
+    def check(start, stop):
+        coords, scales = measure_mod._stream(key, start * n), measure_mod._stream(key, count * n + start)
+        ratio_sq = ratio_rp = -math.inf
+        accepted = 0
+        for a in range(start, stop, _ROW_BLOCK):
+            rows = min(_ROW_BLOCK, stop - a)
+            block = coords.uniform(-1.0, 1.0, size=(rows, n))
+            block *= box * scales.uniform(0.0, 1.0, size=(rows, 1))
+            keep = (g_cost(block, r) < t) & np.all(np.abs(np.abs(block) - 1.0) > 1e-12, axis=1)
+            kept = np.abs(block[keep])
+            if len(kept) == 0:
+                continue
+            grad = np.where(kept < 1.0, 2.0 * kept, r * np.power(kept, r - 1.0))
+            ratio_sq = max(ratio_sq, float(np.max(np.sum(grad * grad, axis=1) / (4.0 * t))))
+            ratio_rp = max(ratio_rp, float(np.max(np.sum(np.power(grad, rp), axis=1) / (2.0**rp * t))))
+            accepted += len(kept)
+        return ratio_sq, ratio_rp, accepted
+
+    ratios_sq, ratios_rp, accepted = zip(*measure_mod._on_slices(count, n, check))
+    if sum(accepted) == 0:
         raise DomainValidationError("no sampled points satisfied G(x) < t; shrink the box")
-    return ratio_sq, ratio_rp, accepted
+    return max(ratios_sq), max(ratios_rp), sum(accepted)
 
 
 def transport_check(measure, alpha, x_grid=None):

@@ -338,77 +338,75 @@ def quantile(measure, p):
 
 
 class _InverseCDF:
-    """Piecewise-linear inverse of a CDF table, found through a guide table.
+    """Piecewise-linear inverse of a CDF table, looked up from raw Philox words.
 
-    The guide table (Chen & Asau 1974; Devroye 1986, section III.2.4) splits
-    [cdf[0], cdf[-1]] into 65,536 equal-width buckets.  Each bucket stores
-    the first table interval a u in it can fall in and the one node that may
-    split it (``split = cdf[first + 1]``), so a draw costs one lookup, one
-    compare and one add; the draws of the buckets holding two or more nodes
-    that may split them (the tails) fall back to a binary search.  Nothing
+    A raw 64-bit word w stands for the uniform u = (w >> 11) 2^-53, which is
+    what ``Generator.random`` makes of it.  The guide table (Chen & Asau 1974;
+    Devroye 1986, section III.2.4) splits [0, 1) into 65,536 buckets of width
+    2^-16, so the bucket of u is the word's top 16 bits, w >> 48, which equals
+    floor(u 2^16) exactly.  The table gains a first node 0, whose interval
+    [0, cdf[0]) has slope 0 at xs[0], and the last node keeps slope 0, so a u
+    below cdf[0] or past cdf[-1] maps to the end value with no clip.  A bucket
+    stores the last node below it (``first``) and the one node that may split
+    it (``split``), so a draw costs one lookup, one compare and one add; a
+    bucket holding two or more nodes (the tails, runs of equal nodes) stores
+    a negative ``first`` instead, and its draws take a binary search.  Nothing
     here assumes equispaced nodes.  The interval found is the one
     ``np.interp`` finds, and the arithmetic is its arithmetic, so the result
     is bit-identical to ``np.interp(clip(u), cdf, xs)``.
     """
 
-    BUCKETS = 65536
+    BUCKETS = 65536  # 2^16: a word's top 16 bits
     CHUNK = 32768  # draws per sampler block, so the temporaries stay in cache
 
     def __init__(self, xs, cdf_nodes):
-        self.xs, self.cdf = xs, cdf_nodes
-        self.lo_u, self.hi_u = cdf_nodes[0], cdf_nodes[-1]
-        self.scale = self.BUCKETS / (self.hi_u - self.lo_u)
-        # bucket(.) is monotone, so a u in bucket b lies above every node of
-        # a lower bucket and below every node of a higher one: the interval
-        # index of u lies in [lo[b], hi[b]] exactly, with no rounding margin
-        node_bucket = np.empty(len(cdf_nodes), dtype=np.intp)
-        self._bucket(cdf_nodes, np.empty(len(cdf_nodes)), node_bucket)
-        buckets = np.arange(self.BUCKETS)
-        lo = np.maximum(np.searchsorted(node_bucket, buckets, side="left") - 1, 0)
-        hi = np.searchsorted(node_bucket, buckets, side="right") - 1
-        self.first = lo
-        self.wide = hi - lo > 1
-        # cdf[lo + 1] is the only node that can split a narrow bucket; +inf
-        # past the last node keeps u = cdf[-1] in the last interval
-        self.split = np.append(cdf_nodes[1:], np.inf)[lo]
-        # np.interp's slopes; the last node's slope multiplies u - cdf[-1] = 0
-        self.slope = np.append(np.diff(xs) / np.diff(cdf_nodes), 0.0)
+        self._cdf, self._xs = np.concatenate([[0.0], cdf_nodes]), np.concatenate([xs[:1], xs])
+        self.cdf, self.xs = self._cdf[1:], self._xs[1:]
+        # np.interp's slopes; an interval of zero width is never the one found
+        # (cdf[j + 1] > u), so its slope, like the last node's, is 0
+        width = np.diff(self._cdf)
+        self.slope = np.zeros(len(self._cdf))
+        np.divide(np.diff(self._xs), width, out=self.slope[:-1], where=width > 0)
+        # bucket b holds the nodes with floor(cdf 2^16) = b (65,536 past 1);
+        # the node of index below[b] in the extended table is the last one under the bucket
+        counts = np.bincount(np.minimum(cdf_nodes * self.BUCKETS, self.BUCKETS).astype(np.intp),
+                             minlength=self.BUCKETS + 1)[: self.BUCKETS]
+        below = np.cumsum(counts) - counts
+        self.first = np.where(counts > 1, -2, below)  # -2 + (split <= u) stays negative
+        # +inf past the last node keeps u >= cdf[-1] in the last interval
+        self.split = np.append(cdf_nodes, np.inf)[below]
 
-    def _bucket(self, u, scratch, out):
-        """Bucket index of each u >= cdf[0] (truncation is floor there)."""
-        np.subtract(u, self.lo_u, out=scratch)
-        scratch *= self.scale
-        out[:] = scratch
-        np.minimum(out, self.BUCKETS - 1, out=out)
-
-    def invert(self, u):
-        """Overwrite the uniforms ``u`` with their inverse-CDF values.
+    def invert(self, w, u):
+        """Overwrite ``u`` with the inverse-CDF values of the raw words ``w``
+        (overwritten too).
 
         With j the last node with cdf[j] <= u, np.interp returns xs[j] when
         u == cdf[j] (so also xs[-1] when u >= cdf[-1]) and otherwise
         slope[j] * (u - cdf[j]) + xs[j].  cdf[j + 1] > u makes slope[j]
         finite, so the general formula also yields xs[j] exactly when
-        u == cdf[j] (xs holds no -0.0), and slope[-1] = 0 covers the last node.
-        Every index taken is in range, so the lookups pass mode="clip", under
-        which numpy writes ``out`` directly where "raise" buffers it.
+        u == cdf[j] (xs holds no -0.0), and the zero slopes of the first and
+        the last node cover u outside the table.  Every index taken is in
+        range, so the lookups pass mode="clip", under which numpy writes
+        ``out`` directly where "raise" buffers it.
         """
-        np.clip(u, self.lo_u, self.hi_u, out=u)
-        k, j = np.empty(len(u), dtype=np.intp), np.empty(len(u), dtype=np.intp)
-        f, flag = np.empty(len(u)), np.empty(len(u), dtype=bool)
-        self._bucket(u, f, k)
-        np.take(self.first, k, out=j, mode="clip")
-        np.take(self.split, k, out=f, mode="clip")
+        w >>= np.uint64(11)
+        bits = w.view(np.int64)  # below 2^53 now
+        u[...] = bits
+        u *= 2.0**-53
+        bits >>= 37  # the bucket: the word's top 16 bits
+        j, f, flag = np.empty(len(u), dtype=np.intp), np.empty(len(u)), np.empty(len(u), dtype=bool)
+        np.take(self.first, bits, out=j, mode="clip")
+        np.take(self.split, bits, out=f, mode="clip")
         np.less_equal(f, u, out=flag)
         j += flag
-        np.take(self.wide, k, out=flag, mode="clip")
-        wide = np.flatnonzero(flag)
+        wide = np.flatnonzero(np.less(j, 0, out=flag))
         if len(wide):
-            j[wide] = np.searchsorted(self.cdf, u[wide], side="right") - 1
-        np.take(self.cdf, j, out=f, mode="clip")
+            j[wide] = np.searchsorted(self._cdf, u[wide], side="right") - 1
+        np.take(self._cdf, j, out=f, mode="clip")
         np.subtract(u, f, out=f)
         np.take(self.slope, j, out=u, mode="clip")
         u *= f
-        np.take(self.xs, j, out=f, mode="clip")
+        np.take(self._xs, j, out=f, mode="clip")
         u += f
         return u
 
@@ -442,10 +440,10 @@ def _stream_key(seed):
 
 
 def _stream(key, draw):
-    """A generator on the key's Philox stream whose next uniform is draw
-    number ``draw``: Philox yields four uniforms per counter step, so the
-    counter advances by draw // 4 and the draw % 4 uniforms before ``draw``
-    in that step are discarded."""
+    """A generator on the key's Philox stream whose next uniform, and its bit
+    generator's next raw word, is draw number ``draw``: Philox yields four
+    words per counter step, so the counter advances by draw // 4 and the
+    draw % 4 words before ``draw`` in that step are discarded."""
     bitgen = np.random.Philox(key=key)
     bitgen.advance(draw // 4)
     gen = np.random.Generator(bitgen)
@@ -456,40 +454,56 @@ def _stream(key, draw):
 def _fill_slice(table, key, start, n, f, out):
     """Rows start, start + 1, ... into ``out`` (row i is draws i * n to
     (i + 1) * n - 1 of the key's stream): their draws, or with ``f`` their
-    values.  One block of at most ``CHUNK`` draws (whole rows, one row at
-    least) is drawn, inverted and reduced at a time."""
-    gen = _stream(key, start * n)
+    values.  One block of at most ``CHUNK`` raw words (whole rows, one row
+    at least) is drawn, inverted and reduced at a time."""
+    bitgen = _stream(key, start * n).bit_generator
     rows = max(table.CHUNK // n, 1)
     block = None if f is None else np.empty(rows * n)
     for a in range(0, len(out), rows):
         take = min(rows, len(out) - a)
         u = out[a : a + take] if f is None else block[: take * n]
-        gen.random(out=u)
-        table.invert(u)
+        table.invert(bitgen.random_raw(len(u)), u)
         if f is not None:
             out[a : a + take] = f(u.reshape(take, n))
 
 
+def _on_slices(count, n, fill):
+    """The results of fill(a, b) on the slices [a, b) that cut ``count`` rows
+    of ``n`` draws one per usable CPU, in slice order.  A call of fewer than
+    2^18 draws per slice stays one slice; the others run on threads, which
+    overlap wherever numpy releases the GIL."""
+    slices = max(1, min(_usable_cpus(), count * n >> _SLICE_BITS))
+    step = -(-count // slices)
+    bounds = [(a, min(a + step, count)) for a in range(0, count, step)]
+    if len(bounds) == 1:
+        return [fill(0, count)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
+        rest = [pool.submit(fill, a, b) for a, b in bounds[1:]]
+        return [fill(*bounds[0])] + [job.result() for job in rest]
+
+
 def sample(measure, seed, count, n=1, f=None):
     """``count`` rows of ``n`` i.i.d. draws: inverse CDF applied to the seed's
-    Philox uniform stream, read row after row, so row i is draws i * n to
+    Philox stream, read row after row, so row i is draws i * n to
     (i + 1) * n - 1 of that one stream.  Without ``f`` the count * n draws
     are returned; with ``f``, which maps a (rows, n) block to one value per
     row from that row alone, the ``count`` values f(row).
 
     Philox is counter-based, so any row can be read without the rows before
-    it; identical (seed, count, n, f) give identical output.  One call cuts
-    its rows into slices, one per usable CPU (a call of fewer than 2^18
-    draws per slice stays one slice), and fills them on threads: numpy
-    releases the GIL while it draws and inverts, and each slice positions
-    its own cursor on the stream at its first row, so the output is the
-    same for any CPU count.  A slice draws, inverts and reduces one block of
-    at most ``_InverseCDF.CHUNK`` draws at a time, so with ``f`` no array of
-    all the draws is made.  Draws beyond the truncation interval (total mass
-    <= 2 eps_trunc) clamp to its endpoints.  The inverse CDF is the linear
-    interpolant of a Simpson CDF table, looked up through a guide table.  A
-    count or n below 1, or a seed outside [0, 2^64 - 1], raises
-    DomainValidationError.
+    it; identical (seed, count, n, f) give identical output.  ``_on_slices``
+    cuts the rows into slices, one per usable CPU, and fills them on
+    threads: each slice positions its own cursor on the stream at its first
+    row, so the output is the same for any CPU count.  A slice draws raw
+    64-bit words, one block of at most ``_InverseCDF.CHUNK`` at a time, and
+    inverts and reduces them in place, so with ``f`` no array of all the
+    draws is made.  Draw i is the inverse at the uniform (w >> 11) 2^-53 of
+    its word w, which is ``Generator.random``'s draw i.  Draws beyond the
+    truncation interval (total mass <= 2 eps_trunc) map to its endpoints.
+    The inverse CDF is the linear interpolant of a Simpson CDF table, looked
+    up through a guide table indexed by the word's top 16 bits.  A count or
+    n below 1, or a seed outside [0, 2^64 - 1], raises DomainValidationError.
     """
     if count < 1 or n < 1:
         raise DomainValidationError("count and n must be >= 1")
@@ -500,19 +514,7 @@ def sample(measure, seed, count, n=1, f=None):
     if f is None:  # the rows of the draws are only their order
         count, n = count * n, 1
     out = np.empty(count)
-    slices = max(1, min(_usable_cpus(), count * n >> _SLICE_BITS))
-    step = -(-count // slices)
-    starts = range(0, count, step)
-    if len(starts) == 1:
-        _fill_slice(table, key, 0, n, f, out)
-        return out
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=len(starts) - 1) as pool:
-        rest = [pool.submit(_fill_slice, table, key, a, n, f, out[a : a + step]) for a in starts[1:]]
-        _fill_slice(table, key, 0, n, f, out[:step])
-        for job in rest:
-            job.result()
+    _on_slices(count, n, lambda a, b: _fill_slice(table, key, a, n, f, out[a:b]))
     return out
 
 

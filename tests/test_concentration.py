@@ -327,10 +327,38 @@ def test_gradient_check_blocks_equal_the_one_shot_check(r, t, count):
         assert conc.lipschitz_gradient_check(r, t, count, 7, box=2.0, n=n) == _gradient_check_one_shot(r, t, count, 7, 2.0, n)
 
 
-def test_gradient_check_holds_one_row_block_at_a_time():
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_gradient_check_is_the_same_on_any_cpu_count(seed, monkeypatch):
+    # counts that are multiples neither of the row block nor of the slice
+    # count; past 2^19 draws per call the points are cut into per-CPU slices
+    # whose cursors start partway through a block and a Philox step
+    cuts, on_slices = [], msr._on_slices
+
+    def recording(count, n, fill):
+        cuts.append([])
+        return on_slices(count, n, lambda a, b: cuts[-1].append((a, b)) or fill(a, b))
+
+    monkeypatch.setattr(msr, "_on_slices", recording)
+    for count, n, slices in ((10_007, 8, (1, 1, 1)), (65_537, 8, (1, 2, 2)), (120_001, 7, (1, 2, 3))):
+        results = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(msr, "_usable_cpus", lambda: cpus)
+            results.append(conc.lipschitz_gradient_check(1.5, 2.0, count, seed, box=2.0, n=n))
+            bounds = sorted(cuts[-1])
+            assert len(bounds) == slices[cpus - 1]
+            assert bounds[0][0] == 0 and bounds[-1][1] == count
+            assert all(b == a for (_, b), (a, _) in zip(bounds, bounds[1:]))
+        assert results[0] == results[1] == results[2] == _gradient_check_one_shot(1.5, 2.0, count, seed, 2.0, n)
+
+
+def test_gradient_check_holds_one_row_block_at_a_time(monkeypatch):
     # all the draws would be 200,000 x 8 doubles (12.8 MB); a block of 4096
-    # rows and its cost, mask and gradients take about 1 MB
+    # rows and its cost, mask and gradients take about 1 MB on each slice
+    # thread, so the CPU count is fixed for a bound that fits any machine,
+    # and a first call outside the measurement imports the thread pool
     count, n = 200_000, 8
+    monkeypatch.setattr(msr, "_usable_cpus", lambda: 2)
+    conc.lipschitz_gradient_check(1.5, 2.0, 2**16, 7, box=2.0, n=n)
     tracemalloc.start()
     try:
         conc.lipschitz_gradient_check(1.5, 2.0, count, 7, box=2.0, n=n)

@@ -523,46 +523,62 @@ def test_sample_count_validation(exp_measure):
         msr.sample(exp_measure, seed=1, count=0)
 
 
+@pytest.fixture(scope="module")
+def floor_jump_measure():
+    # the Simpson table of x^2/2 + floor(x) holds runs of equal nodes (3,207
+    # zero-width intervals in x in [6.5, 8.09]); building it warns of nothing
+    m = msr.normalize(msr.Potential.from_expression("x^2/2+floor(x)"))
+    msr.sample(m, 0, 1)
+    assert np.count_nonzero(np.diff(m._sampler.cdf) == 0) > 0
+    return m
+
+
+def _words(k, rng):
+    """The raw Philox words of the uniforms k 2^-53, k clipped to [0, 2^53 - 1],
+    with random low 11 bits, which the uniform drops."""
+    k = np.clip(k, 0, 2**53 - 1).astype(np.uint64)
+    return (k << np.uint64(11)) | rng.integers(0, 2**11, size=k.shape, dtype=np.uint64)
+
+
 @pytest.mark.parametrize(
-    "fixture", ["exp_measure", "gauss_measure", "mu15_measure", "nu2_measure", "floor_measure", "cattiaux_measure"]
+    "fixture",
+    ["exp_measure", "gauss_measure", "mu15_measure", "nu2_measure", "floor_measure", "cattiaux_measure",
+     "floor_jump_measure"],
 )
 def test_sample_bit_identical_to_interp(fixture, request):
-    # the guide-table lookup must reproduce np.interp on the CDF table exactly,
-    # including uniforms on a node, at either end and outside the table
+    # the guide-table lookup from raw words must reproduce np.interp on the
+    # CDF table exactly, including uniforms on a node, at either end and
+    # outside the table
     m = request.getfixturevalue(fixture)
     seed, count = 11, 100_000
     draws = msr.sample(m, seed=seed, count=count)
     table = m._sampler
     cdf, xs = table.cdf, table.xs
 
-    def oracle(u):
+    def oracle(w):
+        u = (w >> np.uint64(11)) * 2.0**-53
         return np.interp(np.clip(u, cdf[0], cdf[-1]), cdf, xs)
 
-    u = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(count)
-    assert np.array_equal(draws, oracle(u))
+    words = np.random.Philox(key=np.uint64(seed)).random_raw(count)
+    assert np.array_equal(draws, oracle(words))
 
-    nodes = cdf[1:-1:7]
-    special = np.concatenate(
-        [
-            [0.0, cdf[0], cdf[-1], np.nextafter(cdf[0], 1.0), np.nextafter(cdf[-1], 0.0), np.nextafter(1.0, 0.0)],
-            nodes,
-            np.nextafter(nodes, 0.0),
-            np.nextafter(nodes, 1.0),
-        ]
-    )
+    # k of the first uniform k 2^-53 at or above each node, and its neighbours
+    at = lambda v: np.ceil(v * 2.0**53).astype(np.int64)[:, None] + np.array([-1, 0, 1])
     # the guide table has buckets holding two or more nodes (the tails);
-    # uniforms spread over each of them take the binary-search fallback
-    wide = np.flatnonzero(table.wide)
+    # words spread over each of them take the binary-search fallback
+    wide = np.flatnonzero(table.first < 0)
     assert len(wide) > 0
-    in_wide = table.lo_u + (wide[:, None] + np.array([0.1, 0.5, 0.9])).ravel() / table.scale
-    special = np.concatenate([special, in_wide])
-    pos = np.random.Generator(np.random.PCG64(5)).choice(count, size=len(special), replace=False)
-    u[pos] = special
-    bucket = np.empty(count, dtype=np.intp)
-    table._bucket(np.clip(u, cdf[0], cdf[-1]), np.empty(count), bucket)
-    assert np.count_nonzero(table.wide[bucket]) >= len(in_wide)
-    want = oracle(u)
-    got = table.invert(u)
+    in_wide = (wide[:, None] << 37) + (np.array([0.1, 0.5, 0.9]) * 2**37).astype(np.int64)
+    k = np.concatenate([[0], at(cdf[[0, -1]]).ravel(), at(cdf[1:-1:7]).ravel(), in_wide.ravel()])
+    if cdf[-1] > 1.0:  # the floor tables end above 1: every uniform lies under the last node
+        assert at(cdf[-1:]).min() > 2**53
+    rng = np.random.Generator(np.random.PCG64(5))
+    special = np.append(_words(k, rng), np.uint64(2**64 - 1))
+    pos = rng.choice(count, size=len(special), replace=False)
+    words[pos] = special
+    assert np.count_nonzero(table.first[words >> np.uint64(48)] < 0) >= in_wide.size
+    want = oracle(words)
+    got = table.invert(words.copy(), np.empty(count))
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
