@@ -7,7 +7,9 @@ same draws for any CPU count, so results are bit-for-bit reproducible):
 each raw 64-bit word is inverted through a guide table indexed by its top
 16 bits, with no clip.  They reduce the draws to one value per row in
 cache-sized blocks as they are made, and report their empirical tails with
-99% binomial radii.  The gradient check runs on the same per-CPU slices.
+99% binomial radii; the max statistic inverts only each row's largest word,
+whose draw is the row's largest, bit for bit, since the inverse CDF is
+nondecreasing in the word.  The gradient check runs on the same slices.
 Deviation experiments tabulate two-sided empirical tails of a statistic
 with known Lipschitz constants and compare them with the two-level bound
 
@@ -57,23 +59,29 @@ def two_level_bound(C, r, A, B, t):
 
     A bounds the Euclidean gradient norm, B the (r', 2) mixed norm.
     """
-    if not (C > 0 and A > 0 and B > 0):
-        raise DomainValidationError("C, A, B must be positive")
-    if not 1.0 < r < 2.0:
-        raise DomainValidationError("r must lie in (1, 2)")
+    _check_constants(C, r, A, B)
     t = np.asarray(t, dtype=float)
     expo = 0.5 * np.minimum(t * t / (C * A * A), np.power(np.abs(t), r) / (C ** (r - 1.0) * B**r))
     out = np.minimum(2.0 * np.exp(-expo), 1.0)
     return float(out) if out.ndim == 0 else out
 
 
+def _check_constants(C, r, A=1.0, B=1.0):
+    if not (C > 0 and A > 0 and B > 0):
+        raise DomainValidationError("C, A, B must be positive")
+    if not 1.0 < r < 2.0:
+        raise DomainValidationError("r must lie in (1, 2)")
+
+
 def _statistic(name, beta=None):
     """Statistic and its L_{r,2} Lipschitz constant as a function of (n, r);
-    its Euclidean constant L2 is 1 for all three."""
+    its Euclidean constant L2 is 1 for all three.  The max is
+    ``measure.row_max``, which ``measure.sample`` recognises and computes
+    from each row's largest raw word alone."""
     if name == "mean_scaled":  # L_{r,2} = n^(1/r' - 1/2)
         return lambda x: np.sum(x, axis=1) / math.sqrt(x.shape[1]), lambda n, r: n ** (1.0 - 1.0 / r - 0.5)
     if name == "max":
-        return lambda x: np.max(x, axis=1), lambda n, r: 1.0
+        return measure_mod.row_max, lambda n, r: 1.0
     if name == "softmax":
         if beta is None or not 0.0 < beta < math.inf:
             raise DomainValidationError("softmax statistic needs a finite beta > 0")
@@ -81,15 +89,18 @@ def _statistic(name, beta=None):
         def f(x):
             m = np.max(x, axis=1, keepdims=True)
             w = x - m
-            with np.errstate(over="ignore"):  # w <= 0 overflows only to -inf, whose exp is 0
+            # w <= 0 overflows only to -inf, whose exp is 0; the log sum / beta
+            # overflows to inf for a tiny beta, which deviation_experiment refuses
+            with np.errstate(over="ignore"):
                 w *= beta
-            return (m + np.log(np.sum(np.exp(w, out=w), axis=1, keepdims=True)) / beta)[:, 0]
+                return (m + np.log(np.sum(np.exp(w, out=w), axis=1, keepdims=True)) / beta)[:, 0]
 
         return f, lambda n, r: 1.0
     raise DomainValidationError(f"unknown statistic {name!r}")
 
 
-def _checked_grid(n, count, t_grid):
+def _checked_grid(n, count, t_grid, C, r):
+    _check_constants(C, r)
     if n < 1 or count < 1:
         raise DomainValidationError("n and count must be >= 1")
     t_grid = tuple(float(t) for t in t_grid)
@@ -117,14 +128,19 @@ def deviation_experiment(measure, n, statistic, t_grid, count, seed, C, r, beta=
     Centering uses the empirical grand mean; its O(1/sqrt(count)) bias is
     folded into the tail conservatively by shifting the threshold down by
     the 99% standard error of the mean before counting exceedances.  Raises
-    DomainValidationError for n or count below 1 or a t_grid that does not
-    increase.
+    DomainValidationError for n or count below 1, a t_grid that does not
+    increase, C <= 0 or r outside (1, 2), and a statistic whose values, mean
+    or standard error is not finite (a softmax of tiny beta).
     """
-    t_grid = _checked_grid(n, count, t_grid)
+    t_grid = _checked_grid(n, count, t_grid, C, r)
     f, lr2_fn = _statistic(statistic, beta)
     values = measure_mod.sample(measure, seed, count, n, f)
-    mean = float(values.mean())
-    se_mean = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+    # an overflow, or a value that is not finite, leaves the mean or its error not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+        se_mean = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(se_mean)):
+        raise DomainValidationError("the statistic, its mean or its standard error is not finite")
     dev = np.abs(values - mean)
     shift = _Z99 * se_mean
     tails = [float(np.mean(dev >= max(t - shift, 0.0))) for t in t_grid]
@@ -144,8 +160,9 @@ def g_cost(x, r):
     """sum_i min(x_i^2, |x_i|^r) for a point or batch of points."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     a = np.abs(x)
-    sq = a * a  # the in-place ufuncs below keep two batch-sized temporaries, not four
-    out = np.sum(np.minimum(sq, np.power(a, r, out=a), out=sq), axis=1)
+    with np.errstate(over="ignore"):  # a cost past the float range is inf
+        sq = a * a  # the in-place ufuncs below keep two batch-sized temporaries, not four
+        out = np.sum(np.minimum(sq, np.power(a, r, out=a), out=sq), axis=1)
     return float(out[0]) if out.shape == (1,) else out
 
 
@@ -197,7 +214,7 @@ def enlargement_experiment(measure, n, t_grid, count, seed, C, r):
     Monte Carlo error).  F_A depends on a row only through its sum, so only
     the sums are kept.  The input checks, radii and margins are those of
     ``deviation_experiment``."""
-    t_grid = _checked_grid(n, count, t_grid)
+    t_grid = _checked_grid(n, count, t_grid, C, r)
     sums = measure_mod.sample(measure, seed, count, n, lambda x: np.sum(x, axis=1))
     c = float(np.median(sums))
     costs = _halfspace_cost(np.maximum(sums - c, 0.0), n, r)

@@ -375,6 +375,11 @@ class _InverseCDF:
         self.first = np.where(counts > 1, -2, below)  # -2 + (split <= u) stays negative
         # +inf past the last node keeps u >= cdf[-1] in the last interval
         self.split = np.append(cdf_nodes, np.inf)[below]
+        # the interpolant is nondecreasing in u within an interval (rounding is
+        # monotone and slope >= 0); across node j + 1 it is if its value at the
+        # largest float below cdf[j + 1] does not pass xs[j + 1]
+        last = self.slope[:-1] * (np.nextafter(self._cdf[1:], -np.inf) - self._cdf[:-1]) + self._xs[:-1]
+        self.monotone = bool(np.all(last <= self._xs[1:]))
 
     def invert(self, w, u):
         """Overwrite ``u`` with the inverse-CDF values of the raw words ``w``
@@ -451,16 +456,31 @@ def _stream(key, draw):
     return gen
 
 
+def row_max(x):
+    """np.max(x, axis=1).  As the ``f`` of ``sample`` it is recognised: the
+    uniform (w >> 11) 2^-53 is nondecreasing in the raw word w, and so is a
+    table's interpolant when its ``monotone`` check holds, so a row's largest
+    draw is its largest word's (max F^-1(U_i) = F^-1(max U_i)), and only that
+    word is inverted, with the same bits."""
+    return np.max(x, axis=1)
+
+
 def _fill_slice(table, key, start, n, f, out):
     """Rows start, start + 1, ... into ``out`` (row i is draws i * n to
     (i + 1) * n - 1 of the key's stream): their draws, or with ``f`` their
     values.  One block of at most ``CHUNK`` raw words (whole rows, one row
-    at least) is drawn, inverted and reduced at a time."""
+    at least) is drawn, inverted and reduced at a time; for ``row_max`` on a
+    monotone table, the block's words are reduced to each row's largest
+    first and only those are inverted, into ``out``."""
     bitgen = _stream(key, start * n).bit_generator
     rows = max(table.CHUNK // n, 1)
-    block = None if f is None else np.empty(rows * n)
+    top = f is row_max and table.monotone  # invert each row's largest word alone
+    block = None if f is None or top else np.empty(rows * n)
     for a in range(0, len(out), rows):
         take = min(rows, len(out) - a)
+        if top:
+            table.invert(bitgen.random_raw((take, n)).max(axis=1), out[a : a + take])
+            continue
         u = out[a : a + take] if f is None else block[: take * n]
         table.invert(bitgen.random_raw(len(u)), u)
         if f is not None:
@@ -499,8 +519,10 @@ def sample(measure, seed, count, n=1, f=None):
     64-bit words, one block of at most ``_InverseCDF.CHUNK`` at a time, and
     inverts and reduces them in place, so with ``f`` no array of all the
     draws is made.  Draw i is the inverse at the uniform (w >> 11) 2^-53 of
-    its word w, which is ``Generator.random``'s draw i.  Draws beyond the
-    truncation interval (total mass <= 2 eps_trunc) map to its endpoints.
+    its word w, which is ``Generator.random``'s draw i.  With f = ``row_max``
+    only each row's largest word is inverted: the inverse is nondecreasing
+    in the word, so its draw is the row's largest, bit for bit.  Draws beyond
+    the truncation interval (total mass <= 2 eps_trunc) map to its endpoints.
     The inverse CDF is the linear interpolant of a Simpson CDF table, looked
     up through a guide table indexed by the word's top 16 bits.  A count or
     n below 1, or a seed outside [0, 2^64 - 1], raises DomainValidationError.

@@ -292,6 +292,18 @@ def test_numerical_failure_exit_code_3(capsys):
         (["concentration", "--mode", "gradcheck", "--count", "100", "--seed=-1"], "seed must lie"),
         (["concentration", "--mode", "deviation", "--count", "100", "--seed", str(2**64)], "seed must lie"),
         (["concentration", "--mode", "gradcheck", "--count", "100", "--seed", str(2**64)], "seed must lie"),
+        # constants outside the two-level bound: a traceback, nulls or wrong costs before
+        *((["concentration", "--mode", "enlargement", "--count", "100", *flag], message) for flag, message in (
+            (["--C", "0"], "C, A, B must be positive"), (["--C", "-5"], "C, A, B must be positive"),
+            (["--C", "nan"], "C, A, B must be positive"), (["--r", "2.5"], "r must lie"),
+            (["--r", "0.5"], "r must lie"), (["--r", "nan"], "r must lie"),
+        )),
+        # a softmax of tiny beta overflows: its values, or their squared deviations
+        *((["concentration", "--mode", "deviation", "--statistic", "softmax", "--beta", beta, "--n", "3",
+            "--count", "100"], "not finite") for beta in ("1e-320", "1e-300")),
+        # every cost overflows to inf, which G < t rejects, with no RuntimeWarning
+        (["concentration", "--mode", "gradcheck", "--n", "8", "--r", "1.5", "--t", "3", "--box", "1e200",
+          "--count", "100000"], "no sampled points"),
     ):
         assert cli.run(argv) == 3
         assert message in capsys.readouterr().err

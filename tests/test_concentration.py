@@ -38,6 +38,14 @@ def test_g_cost_values():
     assert conc.g_cost([3.0, 0.5], 1.5) == pytest.approx(3.0**1.5 + 0.25, rel=1e-14)
 
 
+def test_g_cost_past_the_float_range_is_inf_without_warnings():
+    # x^2 overflows at |x| = 1e200, where min(x^2, |x|^r) is |x|^r, and both
+    # do at 1e250, where the cost is inf (which the gradient check's G < t
+    # rejects); no RuntimeWarning is emitted
+    costs = conc.g_cost([[1e200, 0.5], [1e250, 1.0]], 1.5)
+    assert costs.tolist() == [np.power(1e200, 1.5) + 0.25, math.inf]
+
+
 def _halfspace_cost(x, c, r):
     """F_A of the rows of x for the halfspace A = {sum_i x_i <= c}."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -250,6 +258,36 @@ def test_experiments_reject_a_grid_that_does_not_increase(mu15, experiment):
         getattr(conc, f"{experiment}_experiment")(mu15, **kw)
 
 
+@pytest.mark.parametrize("C, r, message", [
+    (0.0, 1.5, "C, A, B must be positive"), (-5.0, 1.5, "C, A, B must be positive"),
+    (math.nan, 1.5, "C, A, B must be positive"), (1.0, 2.5, "r must lie"), (1.0, 0.5, "r must lie"),
+    (1.0, 2.0, "r must lie"), (1.0, math.nan, "r must lie"),
+])
+@pytest.mark.parametrize("experiment", ["deviation", "enlargement"])
+def test_experiments_reject_constants_outside_the_bound(mu15, experiment, C, r, message, monkeypatch):
+    # for r > 2 the branches of min(d^2, d^r) swap, so the halfspace cost
+    # would be wrong; C <= 0 divides by zero or raises to a fractional power;
+    # both are refused before any draw
+    monkeypatch.setattr(msr, "sample", None)
+    kw = dict(n=2, t_grid=(1.0,), count=100, seed=0, C=C, r=r)
+    if experiment == "deviation":
+        kw["statistic"] = "max"
+    with pytest.raises(DomainValidationError, match=message):
+        getattr(conc, f"{experiment}_experiment")(mu15, **kw)
+
+
+@pytest.mark.parametrize("beta", [1e-320, 1e-300])
+def test_deviation_refuses_a_statistic_that_is_not_finite(mu15, beta):
+    # log(n) / beta overflows to inf at beta = 1e-320 (tails 0 and a nan
+    # standard error); at 1e-300 the values are finite but their squared
+    # deviations overflow (tails 1, a false counterexample); neither emits a
+    # RuntimeWarning (an error in this suite)
+    with pytest.raises(DomainValidationError, match="not finite"):
+        conc.deviation_experiment(
+            mu15, n=3, statistic="softmax", beta=beta, t_grid=(1.0, 2.0, 3.0), count=100, seed=0, C=1.0, r=1.5
+        )
+
+
 @pytest.mark.parametrize("t_grid", [(1.0, math.nan), (math.nan,), (1.0, math.inf)])
 @pytest.mark.parametrize("experiment", ["deviation", "enlargement"])
 def test_experiments_reject_a_grid_that_is_not_finite(mu15, experiment, t_grid):
@@ -442,7 +480,7 @@ def test_softmax_matches_one_shot_formula():
     assert np.array_equal(x, kept)  # the caller's array is not overwritten
 
 
-@pytest.mark.parametrize("statistic", ["mean_scaled", "softmax"])
+@pytest.mark.parametrize("statistic", ["mean_scaled", "softmax", "max"])
 def test_deviation_holds_one_batch_at_a_time(mu15, statistic, monkeypatch):
     # 100,000 rows of n = 64 are 51.2 MB of draws; each slice thread holds
     # one block of draws and its temporaries, about 1.1 MB, next to the

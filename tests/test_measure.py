@@ -2,6 +2,8 @@ import json
 import math
 import statistics
 import sys
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -582,6 +584,103 @@ def test_sample_bit_identical_to_interp(fixture, request):
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    # the table passes its monotone check, row_max, which inverts each row's
+    # largest word alone, gives the largest draw of each row bit for bit, and
+    # the draws of the words around every node and of the special words,
+    # sorted, do not decrease
+    assert table.monotone
+    assert np.array_equal(msr.sample(m, seed, count // 8, 8, msr.row_max), np.max(draws.reshape(-1, 8), axis=1))
+    assert _row_max_on_words(table, np.concatenate([_node_words(table._cdf), special])) == (True, True)
+
+
+def _replay(words):
+    """A stand-in for ``measure._stream`` whose raw words, from the draw asked
+    for on, are those of ``words``."""
+
+    def stream(key, draw):
+        cursor = [draw]
+
+        def random_raw(shape):
+            size = int(np.prod(shape))
+            cursor[0] += size
+            return words[cursor[0] - size : cursor[0]].reshape(shape).copy()
+
+        return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
+
+    return stream
+
+
+def _row_max_on_words(table, words):
+    """Whether ``sample`` with ``row_max`` gives the largest draw of each row of
+    two ``words`` when the stream is replaced by them, and whether the draws
+    of the words, sorted, do not decrease (an odd last word is dropped)."""
+    words, measure = words[: len(words) // 2 * 2], SimpleNamespace(_sampler=table)
+    with mock.patch.object(msr, "_stream", _replay(words)):
+        flat = msr.sample(measure, 0, len(words))
+        got = msr.sample(measure, 0, len(words) // 2, 2, msr.row_max)
+    ordered = table.invert(np.sort(words), np.empty(len(words)))
+    return bool(np.array_equal(got, np.max(flat.reshape(-1, 2), axis=1))), bool(np.all(ordered[1:] >= ordered[:-1]))
+
+
+def _node_words(cdf):
+    """Rows of two raw words for each node c below 1: the largest uniform
+    k 2^-53 below c and the first at or above it."""
+    k = np.ceil(cdf[cdf < 1.0] * 2.0**53).astype(np.int64)[:, None] + np.array([-1, 0])
+    return np.clip(k, 0, 2**53 - 1).astype(np.uint64).ravel() << np.uint64(11)
+
+
+def _ulp_steps(start, steps):
+    """start, then each next value the given number of ulps above the last."""
+    out = [start]
+    for step in steps:
+        out.append(out[-1])
+        for _ in range(step):
+            out[-1] = math.nextafter(out[-1], math.inf)
+    return out
+
+
+@st.composite
+def _tables(draw):
+    """Increasing xs, from ulp steps to |x| up to 1e12, and a nondecreasing
+    cdf: spread over [0, 1.01], clustered near 0 or near 1, or in steps of
+    a few ulps (equal nodes included)."""
+    k = draw(st.integers(2, 12))
+    steps = lambda lo, hi, size: draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        xs = np.unique(draw(st.lists(st.floats(-1e12, 1e12), min_size=k, max_size=k)))
+    else:
+        xs = np.array(_ulp_steps(draw(st.floats(-1e12, 1e12)), steps(1, 4, k - 1)))
+    mode = draw(st.sampled_from(["spread", "near0", "near1", "ulps"]))
+    if mode == "ulps":
+        cdf = _ulp_steps(draw(st.floats(1e-12, 1.0)), steps(0, 3, len(xs) - 1))
+    else:
+        # no width below 1e-46, so every slope is finite
+        lo, hi = {"spread": (1e-30, 1.01), "near0": (1e-30, 1e-9), "near1": (1.0 - 1e-9, 1.0)}[mode]
+        cdf = draw(st.lists(st.just(0.0) | st.floats(lo, hi), min_size=len(xs), max_size=len(xs)))
+    return xs, np.sort(np.array(cdf))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_tables())
+def test_row_max_is_the_largest_draw_on_any_table(table):
+    # slope (nextafter(cdf[j + 1], -inf) - cdf[j]) + xs[j] <= xs[j + 1] makes
+    # the interpolant nondecreasing, so the largest word's draw is the row's
+    # largest; a table that fails it takes the general path
+    xs, cdf = table
+    t = msr._InverseCDF(xs, cdf)
+    exact, ascending = _row_max_on_words(t, _node_words(t._cdf))
+    assert exact
+    assert ascending or not t.monotone
+
+
+def test_row_max_falls_back_on_a_table_that_is_not_monotone():
+    # found by searching random tables: the slope rounds so that the draw of
+    # the largest uniform below the node at 0.974... passes the node's value
+    xs, cdf = np.array([-1386307.2561283193, -0.5044082462406216]), np.array([0.0, 0.9743247235686219])
+    t = msr._InverseCDF(xs, cdf)
+    assert not t.monotone
+    assert _row_max_on_words(t, _node_words(t._cdf)) == (True, False)
+
 
 @pytest.mark.parametrize("fixture", ["mu15_measure", "floor_measure"])
 @pytest.mark.parametrize("seed", [0, 3])  # seed 0 keys Philox with the zero key
@@ -644,9 +743,11 @@ def test_sample_rows_reduce_like_the_flat_draws(mu15_measure, n, seed, cpus, mon
         starts.clear()
         got = msr.sample(m, seed, rows, n, f)
         assert len(starts) == cpus
+        top = msr.sample(m, seed, rows, n, msr.row_max)  # inverts each row's largest word alone
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, f(flat.reshape(rows, n)))
+    assert np.array_equal(top, np.max(flat.reshape(rows, n), axis=1))
 
 
 @pytest.mark.parametrize("name", ["exp", "gaussian"])
