@@ -19,7 +19,7 @@ from .errors import (  # noqa: F401
     NonIntegrableError,
     ParseError,
 )
-from .quad import Integral, QuadConfig, integrate, truncation_point  # noqa: F401
+from .quad import Integral, integrate, truncation_point  # noqa: F401
 from .measure import (  # noqa: F401
     Measure1D,
     Potential,

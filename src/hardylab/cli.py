@@ -27,7 +27,7 @@ from . import measure as msr
 from . import scenarios
 from . import spectral
 from .errors import HardyLabError
-from .quad import QuadConfig
+from .quad import REL_TOL
 
 def _clean(x):
     if isinstance(x, (np.floating, np.integer)):
@@ -75,7 +75,7 @@ def _write_csv(path, header, rows):
 
 def _measure_from_args(args):
     potential = msr.Potential.from_string(args.potential)
-    return msr.normalize(potential, cfg=QuadConfig(rel_tol=args.rel_tol), eps_trunc=args.eps_trunc)
+    return msr.normalize(potential, rel_tol=args.rel_tol, eps_trunc=args.eps_trunc)
 
 
 def _add_output(p):
@@ -85,7 +85,7 @@ def _add_output(p):
 def _add_common(p):
     """``--output`` and the tolerances that ``_measure_from_args`` reads."""
     _add_output(p)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10,
+    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=REL_TOL,
                    help="quadrature relative tolerance")
     p.add_argument("--eps-trunc", dest="eps_trunc", type=float, default=msr.DEFAULT_EPS_TRUNC,
                    help="relative tail mass at the truncation point")
@@ -128,8 +128,10 @@ def _floats(text):
 
 def cmd_measure(args):
     m = _measure_from_args(args)
+    with np.errstate(over="ignore"):  # a Z past the float range reports as inf
+        z = float(np.exp(m.log_z))
     results = [
-        {"name": "Z", "value": float(np.exp(m.log_z))},
+        {"name": "Z", "value": z},
         {"name": "log_z", "value": m.log_z},
         {"name": "median", "value": m.median},
         {"name": "truncation", "value": m.truncation},

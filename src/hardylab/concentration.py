@@ -34,6 +34,7 @@ import numpy as np
 
 from . import measure as measure_mod
 from .errors import DomainValidationError
+from .functionals import _dual
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _ROW_BLOCK = 4096  # rows per block of the gradient check
@@ -69,8 +70,7 @@ def two_level_bound(C, r, A, B, t):
 def _check_constants(C, r, A=1.0, B=1.0):
     if not (C > 0 and A > 0 and B > 0):
         raise DomainValidationError("C, A, B must be positive")
-    if not 1.0 < r < 2.0:
-        raise DomainValidationError("r must lie in (1, 2)")
+    _dual(r)
 
 
 def _statistic(name, beta=None):
@@ -238,23 +238,24 @@ def lipschitz_gradient_check(r, t, count, seed, box, n):
         dG_i = r sgn(x_i) |x_i|^(r-1)   when |x_i| > 1.
 
     Returns (max sum dG_i^2 / (4t), max sum |dG_i|^r' / (2^r' t), accepted),
-    both ratios provably <= 1.  The count * n coordinates are the first
-    draws of the seed's Philox stream and the count radial scales the next
-    ones.  ``measure._on_slices`` cuts the points into per-CPU slices on
-    threads; a slice positions a cursor for its coordinates and one for its
-    scales with ``measure._stream`` and processes its points in blocks of
-    ``_ROW_BLOCK`` rows, so nothing of size count is held.  Every value of a
-    point depends on that point alone, and the slices' results combine by
-    max and by sum, so the result is the same for any CPU count.
+    both ratios provably <= 1, the second read as sum (|dG_i| / 2)^r' / t
+    where 2^r' t is past the float range (r near 1).  The count * n
+    coordinates are the first draws of the seed's Philox stream and the
+    count radial scales the next ones.  ``measure._on_slices`` cuts the
+    points into per-CPU slices on threads; a slice positions a cursor for
+    its coordinates and one for its scales with ``measure._stream`` and
+    processes its points in blocks of ``_ROW_BLOCK`` rows, so nothing of
+    size count is held.  Every value of a point depends on that point alone,
+    and the slices' results combine by max and by sum, so the result is the
+    same for any CPU count.
     """
-    if not 1.0 < r < 2.0:
-        raise DomainValidationError("r must lie in (1, 2)")
+    rp = _dual(r)
     if not (0.0 < t < math.inf and 0.0 < box < math.inf):
         raise DomainValidationError("t and box must be finite and positive")
     if n < 1 or count < 1:
         raise DomainValidationError("n and count must be >= 1")
     key = measure_mod._stream_key(seed)
-    rp = r / (r - 1.0)
+    scale = 2.0**rp * t if rp < 1024.0 else math.inf  # 2^r' overflows from r' = 1024 on
 
     def check(start, stop):
         coords, scales = measure_mod._stream(key, start * n), measure_mod._stream(key, count * n + start)
@@ -270,7 +271,9 @@ def lipschitz_gradient_check(r, t, count, seed, box, n):
                 continue
             grad = np.where(kept < 1.0, 2.0 * kept, r * np.power(kept, r - 1.0))
             ratio_sq = max(ratio_sq, float(np.max(np.sum(grad * grad, axis=1) / (4.0 * t))))
-            ratio_rp = max(ratio_rp, float(np.max(np.sum(np.power(grad, rp), axis=1) / (2.0**rp * t))))
+            sums = (np.sum(np.power(grad, rp), axis=1) / scale if scale < math.inf
+                    else np.sum(np.power(0.5 * grad, rp), axis=1) / t)
+            ratio_rp = max(ratio_rp, float(np.max(sums)))
             accepted += len(kept)
         return ratio_sq, ratio_rp, accepted
 

@@ -44,6 +44,7 @@ from . import expr as expr_mod
 from . import measure as msr
 from . import quad as quad_mod
 from .errors import DomainValidationError
+from .functionals import _dual
 
 DEFAULT_HORIZONS = (25.0, 50.0, 100.0, 200.0, 400.0, 800.0)
 PLATEAU_TOL = 0.05
@@ -242,7 +243,7 @@ def _log_log_inverse(l, r):
 
 def _blo_post(l, r):
     # log^(2/r')(1 + 1/(2 tail)), with the exact 1/(2 tail) argument
-    return (2.0 / (r / (r - 1.0))) * np.log(np.logaddexp(0.0, -(l + math.log(2.0))))
+    return (2.0 / _dual(r)) * np.log(np.logaddexp(0.0, -(l + math.log(2.0))))
 
 
 def _bp_bracket(s, r, bp_result):
@@ -252,7 +253,8 @@ def _bp_bracket(s, r, bp_result):
 def _bmls_bracket(s, r, bp_result):
     if bp_result is None or bp_result.bracket is None:
         return None
-    return (0.0, 235.0 * bp_result.bracket[1] + math.pow(2.0, r / (r - 1.0) + 1.0) * s)
+    rp = _dual(r)  # 2^(r'+1) overflows from r' = 1023 on (r near 1): the constant reports as inf
+    return (0.0, 235.0 * bp_result.bracket[1] + (math.pow(2.0, rp + 1.0) * s if rp < 1023.0 else math.inf))
 
 
 @dataclass(frozen=True)
@@ -338,7 +340,7 @@ def _result(kind, side, r, horizons, log_sups, argmax, **extra):
 def _combine(measure, kind, r, horizons, bp_result=None):
     row = KINDS[kind]
     if row.needs_r:
-        _check_r(r)
+        _dual(r)
     if row.needs_even and not measure.is_even:
         raise DomainValidationError(f"{kind} requires an even measure")
     horizons = _validate_horizons(horizons, measure.median)
@@ -404,11 +406,6 @@ def bweighted(measure, r, horizons=DEFAULT_HORIZONS):
     return _combine(measure, "bweighted", r, horizons)
 
 
-def _check_r(r):
-    if r is None or not 1.0 < r < 2.0:
-        raise DomainValidationError(f"r must lie in (1, 2), got {r}")
-
-
 @dataclass(frozen=True)
 class HypMlsResult:
     holds: bool
@@ -424,7 +421,7 @@ def hyp_mls_check(measure, r, eps, horizons=DEFAULT_HORIZONS):
     potentials the dips sit just before the jump points, so those points are
     added to the grid.
     """
-    _check_r(r)
+    _dual(r)
     if not 0.0 < eps < math.inf:
         raise DomainValidationError(f"eps must be finite and positive, got {eps}")
     horizons = _validate_horizons(horizons, measure.median)
@@ -462,14 +459,13 @@ def asymptotic_conditions(measure, r, horizons=DEFAULT_HORIZONS):
     curvature ratio V''/V'^2 (V'' the tree's second symbolic derivative),
     each with the maximum over the tail window [X_end/2, X_end].
     """
-    _check_r(r)
+    rp = _dual(r)
     pot = measure.potential
     if pot.derivative is None:
         raise DomainValidationError("asymptotic_conditions requires a derivative field")
     horizons = _validate_horizons(horizons, measure.median)
     x_end = horizons[-1]
     x = np.append(quad_mod.grid_steps(max(measure.median, 0.0), x_end), x_end)
-    rp = r / (r - 1.0)
     V = pot.value(x)
     Vp = pot.derivative(x)
     second = expr_mod.compile(expr_mod.diff(expr_mod.diff(pot.ast)))

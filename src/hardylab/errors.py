@@ -22,7 +22,7 @@ class NonIntegrableError(HardyLabError, ArithmeticError):
 
 
 class DepthExhaustedError(HardyLabError, ArithmeticError):
-    """Adaptive quadrature hit MAX_DEPTH; carries the worst offending panel."""
+    """Adaptive quadrature hit MAX_DEPTH or its panel budget; carries the worst offending panel."""
 
     def __init__(self, message, panel):
         super().__init__(f"{message}; worst panel {panel}")

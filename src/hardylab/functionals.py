@@ -22,8 +22,11 @@ from .quad import integrate
 
 
 def _dual(r):
+    """The dual exponent r' = r / (r - 1) of r in (1, 2); the one check of
+    the inequality exponent r, which every function taking it calls.  r
+    outside (1, 2), nan or None raises DomainValidationError."""
     if r is None or not 1.0 < r < 2.0:
-        raise DomainValidationError("r must lie in (1, 2)")
+        raise DomainValidationError(f"r must lie in (1, 2), got {r}")
     return r / (r - 1.0)
 
 
@@ -170,7 +173,7 @@ def _expect(measure, integrand):
         return integrand(x) * np.exp(-measure.potential.value(x) - dens_log_z)
 
     bp = measure.potential.breakpoints(-T, T)
-    return integrate(f, -T, T, measure.cfg, breakpoints=bp).value
+    return integrate(f, -T, T, measure.rel_tol, breakpoints=bp).value
 
 
 def luxemburg(measure, f, r):
@@ -200,14 +203,10 @@ def luxemburg(measure, f, r):
 
     lo = math.sqrt(norm2_sq)  # Phi(x) >= x^2 forces L >= ||f||_2
     hi = lo
-    for _ in range(60):
-        if mean_phi(hi) <= 1.0:
-            break
+    while mean_phi(hi) > 1.0:
         hi *= 2.0
         if hi > 1e6 * lo:
             raise BracketError("Phi-integral stays above 1 up to 1e6 * ||f||_2")
-    else:
-        raise BracketError("Phi-integral stays above 1 up to 1e6 * ||f||_2")
     if mean_phi(lo) < 1.0:
         # L can sit below ||f||_2 only by quadrature noise; tighten from below
         lo *= 0.5
@@ -312,10 +311,10 @@ def energy(measure, f, kind, r=None, tau=None):
     """
     if kind not in _ENERGY_KINDS:
         raise DomainValidationError(f"unknown energy kind {kind!r}")
+    rp = _dual(r) if kind in ("mls", "weighted", "frsob") else None
     if kind == "dirichlet":
         return _expect(measure, lambda x: np.square(f.derivative(x)))
     if kind == "mls":
-        rp = _dual(r)
         if not f.positive:
             raise DomainValidationError("mls energy requires a positive test function")
 
@@ -328,7 +327,6 @@ def energy(measure, f, kind, r=None, tau=None):
 
         return _expect(measure, integrand)
     if kind == "weighted":
-        _dual(r)
         return _expect(
             measure,
             lambda x: np.square(f.derivative(x)) * (1.0 + np.power(np.abs(x), 2.0 - r)),
@@ -345,7 +343,6 @@ def energy(measure, f, kind, r=None, tau=None):
             * np.power(np.log(math.e + np.square(f.value(x)) / m2), 1.0 - tau),
         )
     # frsob
-    _dual(r)
     m2 = _expect(measure, lambda x: np.square(f.value(x)))
     if m2 <= 0.0:
         return 0.0

@@ -30,7 +30,6 @@ import numpy as np
 from . import expr as expr_mod
 from . import quad as quad_mod
 from .errors import DomainValidationError, NonIntegrableError
-from .quad import DEFAULT_QUAD, QuadConfig
 
 UNDERFLOW_FLOOR = 1e-300
 _LOG_FLOOR = math.log(UNDERFLOW_FLOOR)
@@ -174,13 +173,14 @@ def _family_tree(family, params):
 class Measure1D:
     """A probability measure exp(-V)/Z dx.  ``ladders[sign]``, from the
     truncation search, is the ``quad.LogLadder`` of exp(-V(sign * s)) in
-    s = sign * x for side sign = +1 or -1; no query or scan changes it."""
+    s = sign * x for side sign = +1 or -1; no query or scan changes it.
+    ``rel_tol``, the float it was normalized at, is its functionals' too."""
 
     potential: Potential
     log_z: float
     median: float
     truncation: float
-    cfg: QuadConfig = field(default_factory=lambda: DEFAULT_QUAD)
+    rel_tol: float = quad_mod.REL_TOL
     eps_trunc: float = DEFAULT_EPS_TRUNC
     label: str = ""
     ladders: dict = field(default_factory=dict, repr=False)
@@ -192,22 +192,22 @@ class Measure1D:
         return self.potential.even
 
 
-def normalize(potential, cfg=DEFAULT_QUAD, eps_trunc=DEFAULT_EPS_TRUNC, label=""):
-    """Build the normalized measure for ``potential``.
+def normalize(potential, rel_tol=quad_mod.REL_TOL, eps_trunc=DEFAULT_EPS_TRUNC, label=""):
+    """Build the normalized measure for ``potential`` at the float ``rel_tol`` in (0, 1).
 
     ``quad.truncation_point`` integrates exp(-V) once per side, into the
     ladders the measure keeps; log Z is the sum of their totals, and the
     median is 0 for even potentials and otherwise read from them.
     Non-integrable potentials raise NonIntegrableError.
     """
-    trunc, ladders = quad_mod.truncation_point(potential, eps_trunc, cfg)
+    trunc, ladders = quad_mod.truncation_point(potential, eps_trunc, rel_tol)
     log_z = float(np.logaddexp(ladders[+1].suffix[0], ladders[-1].suffix[0]))
     return Measure1D(
         potential=potential,
         log_z=log_z,
         median=0.0 if potential.even else _ladder_quantile(ladders, log_z, 0.5),
         truncation=trunc,
-        cfg=cfg,
+        rel_tol=rel_tol,
         eps_trunc=eps_trunc,
         label=label or potential.label,
         ladders=ladders,
@@ -423,8 +423,8 @@ def _build_sampler(measure):
     mids = 0.5 * (xs[:-1] + xs[1:])
     h = xs[1] - xs[0]
     dens = lambda t: np.exp(-measure.potential.value(t) - measure.log_z)
-    fa, fm, fb = dens(xs[:-1]), dens(mids), dens(xs[1:])
-    seg = (fa + 4.0 * fm + fb) * (h / 6.0)
+    fx, fm = dens(xs), dens(mids)
+    seg = (fx[:-1] + 4.0 * fm + fx[1:]) * (h / 6.0)
     cdf_nodes = cdf(measure, -T) + np.concatenate([[0.0], np.cumsum(seg)])
     return _InverseCDF(xs, cdf_nodes)
 

@@ -103,20 +103,16 @@ _EXTENSION_PANEL_BUDGET = 1 << 17
 # the last ends near 2^400 (2.6e120) past its start.
 _EXTENSION_CHUNKS = 400
 ABS_TOL = 1e-13  # absolute error floor of ``integrate``, for mean-zero integrands such as E[x]
+REL_TOL = 1e-10  # default relative tolerance of ``integrate``, ``truncation_point`` and ``measure.normalize``
+# Panels of one ``integrate`` call, which a mean-zero integrand refined to
+# ABS_TOL would otherwise double until memory runs out.  The test suite
+# spends at most 123 in one call (of 996), the benchmark 140, the README 23.
+PANEL_BUDGET = 1 << 17
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances for one adaptive integration."""
-
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
-            raise DomainValidationError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-
-
-DEFAULT_QUAD = QuadConfig()
+def _check_rel_tol(rel_tol):
+    if not 0.0 < rel_tol < 1.0:
+        raise DomainValidationError(f"rel_tol must lie in (0, 1), got {rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -203,19 +199,21 @@ def _initial_edges(a, b, breakpoints):
     return np.unique(np.asarray(edges, dtype=float))
 
 
-def _exhausted(what, pa, pb, err):
+def _exhausted(what, pa, pb, err, limit="MAX_DEPTH"):
     """DepthExhaustedError naming the panel [pa, pb] with the largest ``err`` (-inf where accepted)."""
     i = int(np.argmax(err))
-    return DepthExhaustedError(f"{what} exhausted MAX_DEPTH", (float(pa[i]), float(pb[i]), float(err[i])))
+    return DepthExhaustedError(f"{what} exhausted {limit}", (float(pa[i]), float(pb[i]), float(err[i])))
 
 
-def integrate(f, a, b, cfg=DEFAULT_QUAD, breakpoints=None):
-    """Adaptive integral of ``f`` over [a, b].
+def integrate(f, a, b, rel_tol=REL_TOL, breakpoints=None):
+    """Adaptive integral of ``f`` over [a, b] at the float ``rel_tol`` in (0, 1).
 
     Panels whose |K15 - G7| exceeds a width-proportional share of the global
     allowance max(ABS_TOL, rel_tol*|I|) are bisected, up to ``MAX_DEPTH``
-    generations, after which a DepthExhaustedError reports the worst panel.
+    generations and ``PANEL_BUDGET`` panels, past which a DepthExhaustedError
+    reports the worst panel.
     """
+    _check_rel_tol(rel_tol)
     if not a < b:
         raise DomainValidationError(f"need a < b, got [{a}, {b}]")
     edges = _initial_edges(a, b, breakpoints)
@@ -225,7 +223,6 @@ def integrate(f, a, b, cfg=DEFAULT_QUAD, breakpoints=None):
 
     done_val = 0.0
     done_err = 0.0
-    done_width = 0.0
     panels_used = 0
     while len(pa):
         k, err, fx = _gk_linear(f, pa, pb)
@@ -237,16 +234,18 @@ def integrate(f, a, b, cfg=DEFAULT_QUAD, breakpoints=None):
             )
         panels_used += len(pa)
         total_est = done_val + float(np.sum(k))
-        allow = max(ABS_TOL, cfg.rel_tol * abs(total_est))
+        allow = max(ABS_TOL, rel_tol * abs(total_est))
         # width-proportional allowance, with an absolute negligibility floor so
         # integrable kinks cannot force unbounded refinement of vanishing panels
         ok = err <= allow * np.maximum((pb - pa) / width, 1e-6)
         exhausted = ~ok & (depth >= MAX_DEPTH)
         if np.any(exhausted):
             raise _exhausted("adaptive refinement", pa, pb, np.where(exhausted, err, -np.inf))
+        if panels_used + 2 * np.count_nonzero(~ok) > PANEL_BUDGET:
+            raise _exhausted("adaptive refinement", pa, pb, np.where(ok, -np.inf, err),
+                             f"PANEL_BUDGET ({PANEL_BUDGET} panels)")
         done_val += float(np.sum(k[ok]))
         done_err += float(np.sum(err[ok]))
-        done_width += float(np.sum((pb - pa)[ok]))
         pa, pb, depth = pa[~ok], pb[~ok], depth[~ok]
         if len(pa):
             mid = 0.5 * (pa + pb)
@@ -594,7 +593,7 @@ class LogLadder:
 _LADDER_BATCH_CELLS = 100
 
 
-def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
+def truncation_point(potential, eps, rel_tol=REL_TOL):
     """Smallest X with int_X^inf exp(-V) <= eps * int_0^X exp(-V), per side,
     and the ladders of exp(-V) it reads.
 
@@ -607,20 +606,21 @@ def truncation_point(potential, eps, cfg=DEFAULT_QUAD):
     ``_MAX_SPLIT_WIDTH`` wide, walked in order and cut back to B; a batch
     that raises is redone one chunk per call from its first chunk, so an
     error surfaces at the chunk where growing one chunk per call raises it.
-    Its cells are refined at the panel tolerance of ``cfg``, and one
-    ``log_extension`` from B is the mass beyond.  h(X) = log tail(X) - log
-    eps - log core(X), read from the ladder (both partial cells in one
-    call), decreases in X.  It is bracketed by doubling, and its root is
-    located on the lattice that 40 bisection steps of the bracket would
-    visit, by a bracketed secant.
+    Its cells are refined at the panel tolerance max(rel_tol / 10, 1e-14)
+    for the float ``rel_tol`` in (0, 1), and one ``log_extension`` from B
+    is the mass beyond.  h(X) = log tail(X) - log eps - log core(X), read
+    from the ladder (both partial cells in one call), decreases in X.  It is
+    bracketed by doubling, and its root is located on the lattice that 40
+    bisection steps of the bracket would visit, by a bracketed secant.
     Returns (X, {+1: right ladder, -1: left ladder}), X the larger of the
     two sides'; an even potential's one ladder serves both.  Raises
     NonIntegrableError when the predicate never holds by X = 1e6.
     """
+    _check_rel_tol(rel_tol)
     if not 0.0 < eps < 1.0:
         raise DomainValidationError("eps must be in (0, 1)")
     log_eps = math.log(eps)
-    ptol = max(cfg.rel_tol * 0.1, 1e-14)
+    ptol = max(rel_tol * 0.1, 1e-14)
 
     def h(ladder, x):
         upper, lower = ladder.upper_lower(np.atleast_1d(x))

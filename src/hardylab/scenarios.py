@@ -301,7 +301,7 @@ def criteria_ordering():
         m = corpus_measure(name)
         bp_res = criteria.bp(m)
         for r in (1.2, 1.5, 1.8):
-            rp = r / (r - 1.0)
+            rp = fn._dual(r)
             lo_res = criteria.blo(m, r)
             offset = (2.0 / rp) * math.log(math.log(2.0))
             ok = all(

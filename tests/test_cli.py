@@ -309,6 +309,23 @@ def test_numerical_failure_exit_code_3(capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name, key, value", [
+    # 2^(r'+1) with r' = 10001 is past the float range: the bmls upper constant reports as inf
+    (["criteria", "--potential", "expr:x^4-3*x^2", "--kind", "bmls", "--r", "1.0001",
+      "--horizons", "100,200,400,800,1600"], "bmls partial sups", "bracket", [0.0, "inf"]),
+    # so is 2^r' in the dual-power budget ratio, read as sum (g/2)^r' / t, which underflows
+    (["concentration", "--mode", "gradcheck", "--n", "1", "--r", "1.0001", "--t", "1e+300", "--box", "1000",
+      "--count", "1", "--seed", "3"], "max dual-power budget ratio", "value", 0.0),
+    # Z = exp(1000.92) overflows; log Z is finite
+    (["measure", "info", "--potential", "expr:x^2/2-1000"], "Z", "value", "inf"),
+])
+def test_values_past_the_float_range_exit_code_0(capsys, argv, name, key, value):
+    # a traceback or a RuntimeWarning (an error under pytest) before
+    code, doc = run_json(capsys, argv)
+    assert code == 0 and capsys.readouterr().err == ""
+    assert get(doc, name)[key] == value
+
+
 def test_out_of_memory_exit_code_3(capsys, monkeypatch):
     # a spectral --N whose matrices do not fit; the allocation is not attempted
     def discretize(*args, **kwargs):

@@ -4,9 +4,40 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hardylab import concentration as conc
+from hardylab import criteria
 from hardylab import functionals as fn
 from hardylab.errors import BracketError, DomainValidationError, EnergyGuardError
 from hardylab.functionals import _expect
+
+# Every public function that takes the inequality exponent r, called with
+# (measure, positive test function, r); each checks r through ``_dual``.
+_R_ENTRY_POINTS = {
+    "criteria.bmls": lambda m, f, r: criteria.bmls(m, r),
+    "criteria.blo": lambda m, f, r: criteria.blo(m, r),
+    "criteria.bweighted": lambda m, f, r: criteria.bweighted(m, r),
+    "criteria.hyp_mls_check": lambda m, f, r: criteria.hyp_mls_check(m, r, 0.1),
+    "criteria.asymptotic_conditions": lambda m, f, r: criteria.asymptotic_conditions(m, r),
+    "functionals.lo_lhs": lambda m, f, r: fn.lo_lhs(m, f, r),
+    "functionals.f_r": lambda m, f, r: fn.f_r(r, 1.0),
+    "functionals.phi": lambda m, f, r: fn.phi(r, 1.0),
+    "functionals.energy(mls)": lambda m, f, r: fn.energy(m, f, "mls", r=r),
+    "functionals.energy(weighted)": lambda m, f, r: fn.energy(m, f, "weighted", r=r),
+    "functionals.energy(frsob)": lambda m, f, r: fn.energy(m, f, "frsob", r=r),
+    "concentration.two_level_bound": lambda m, f, r: conc.two_level_bound(1.0, r, 1.0, 1.0, 1.0),
+    "concentration.deviation_experiment": lambda m, f, r: conc.deviation_experiment(m, 2, "max", [1.0], 100, 0, 1.0, r),
+    "concentration.enlargement_experiment": lambda m, f, r: conc.enlargement_experiment(m, 2, (1.0,), 100, 0, 1.0, r),
+    "concentration.lipschitz_gradient_check": lambda m, f, r: conc.lipschitz_gradient_check(r, 1.0, 100, 0, 2.0, 2),
+}
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, math.nan, None])
+@pytest.mark.parametrize("entry", sorted(_R_ENTRY_POINTS))
+def test_every_r_entry_point_refuses_r_outside_1_2(exp_measure, entry, r):
+    f = fn.TestFunction.from_expression("exp(x/4)", positive=True)
+    with pytest.raises(DomainValidationError, match=r"r must lie in \(1, 2\)"):
+        _R_ENTRY_POINTS[entry](exp_measure, f, r)
+
 
 # ---------------------------------------------------------------------------
 # closed-form transforms

@@ -456,7 +456,7 @@ def test_tail_near_the_float_max_has_no_overflowing_midpoint():
 def test_extensions_refine_at_the_ladder_tolerance(monkeypatch):
     # the mass beyond a ladder follows the measure's rel_tol as its cells
     # do: a far tail and a quantile past the ladder refine at rel_tol / 10
-    m = msr.normalize(msr.Potential.builtin("exp"), cfg=quad.QuadConfig(rel_tol=1e-6))
+    m = msr.normalize(msr.Potential.builtin("exp"), rel_tol=1e-6)
     ptol, end = m.ladders[+1].ptol, float(m.ladders[+1].edges[-1])
     assert ptol == pytest.approx(1e-7, rel=1e-15)
     ptols, extensions = [], []
@@ -523,6 +523,25 @@ def test_sample_moments(exp_measure):
 def test_sample_count_validation(exp_measure):
     with pytest.raises(DomainValidationError):
         msr.sample(exp_measure, seed=1, count=0)
+
+
+@pytest.mark.parametrize("name", ["mu15", "exponential", "gaussian", "floor", "cattiaux", "nu22",
+                                  "expr:x^2/2+floor(x)"])
+def test_sampler_table_equals_three_pass_simpson(name):
+    # the table evaluates the density once at the nodes; the oracle is the
+    # Simpson formula with the density evaluated at each panel's left end,
+    # midpoint and right end separately
+    m = msr.normalize(msr.Potential.from_string(name)) if name.startswith("expr:") else scenarios.corpus_measure(name)
+    T = m.truncation
+    xs = np.linspace(-T, T, msr._SAMPLER_NODES)
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    h = xs[1] - xs[0]
+    dens = lambda t: np.exp(-m.potential.value(t) - m.log_z)
+    seg = (dens(xs[:-1]) + 4.0 * dens(mids) + dens(xs[1:])) * (h / 6.0)
+    cdf_nodes = msr.cdf(m, -T) + np.concatenate([[0.0], np.cumsum(seg)])
+    table = msr._build_sampler(m)
+    assert np.array_equal(table.xs, xs)
+    assert np.array_equal(table.cdf, cdf_nodes)
 
 
 @pytest.fixture(scope="module")
@@ -795,11 +814,11 @@ def _scalar_log_beyond(m, s, sign):
     )
 
 
-def _integrate_log(logf, a, b, cfg):
+def _integrate_log(logf, a, b, rel_tol):
     """The former ``quad.integrate_log``: log of the integral of exp(logf)
-    over [a, b] in one refinement at cfg's panel tolerance; [a, b]
+    over [a, b] in one refinement at rel_tol's panel tolerance; [a, b]
     lies inside one ladder cell, so no breakpoint splits it."""
-    ptol = max(cfg.rel_tol * 0.1, 1e-14)
+    ptol = max(rel_tol * 0.1, 1e-14)
     return float(np.logaddexp.reduce(quad.refine_log_panels(logf, [a], [b], ptol)[0]))
 
 
@@ -811,7 +830,7 @@ def _scalar_ladder_upper(m, ladder, s):
     if s > edges[-1]:
         return None
     i = int(np.searchsorted(edges, s))
-    partial = _integrate_log(ladder.logf, s, float(edges[i]), m.cfg) if s < edges[i] else -np.inf
+    partial = _integrate_log(ladder.logf, s, float(edges[i]), m.rel_tol) if s < edges[i] else -np.inf
     return float(np.logaddexp(partial, ladder.suffix[i]))
 
 
@@ -819,7 +838,7 @@ def _scalar_ladder_lower(m, ladder, s):
     """A ladder's mass from 0 to s inside it, as ``_scalar_ladder_upper``."""
     edges = ladder.edges
     i = int(np.searchsorted(edges, s, side="right") - 1)
-    partial = _integrate_log(ladder.logf, float(edges[i]), s, m.cfg) if s > edges[i] else -np.inf
+    partial = _integrate_log(ladder.logf, float(edges[i]), s, m.rel_tol) if s > edges[i] else -np.inf
     return float(np.logaddexp(ladder.prefix[i], partial))
 
 
@@ -861,7 +880,7 @@ def test_batched_queries_equal_scalar_queries(name):
     else:
         m = scenarios.corpus_measure(name)
     right, left = m.ladders[+1], m.ladders[-1]
-    # built at the measure's cfg, the ladders equal builds on their edges
+    # built at the measure's rel_tol, the ladders equal builds on their edges
     # with panel tolerance 1e-11
     for ladder in (right, left):
         loose = quad.LogLadder(ladder.logf, ladder.edges, 1e-11)

@@ -27,8 +27,8 @@ def test_oscillating_potential_self_consistency():
     pot = msr.Potential.builtin("sinpower", 2, 1)
     f = lambda t: np.exp(-pot.value(t))
     bp = pot.breakpoints(0.0, 40.0)
-    loose = quad.integrate(f, 0.0, 40.0, quad.QuadConfig(rel_tol=1e-8), breakpoints=bp)
-    tight = quad.integrate(f, 0.0, 40.0, quad.QuadConfig(rel_tol=5e-9), breakpoints=bp)
+    loose = quad.integrate(f, 0.0, 40.0, 1e-8, breakpoints=bp)
+    tight = quad.integrate(f, 0.0, 40.0, 5e-9, breakpoints=bp)
     assert loose.value == pytest.approx(tight.value, rel=1e-8)
     # and the log-space twin handles exp(+V), which overflows linear floats
     edges = quad._initial_edges(0.0, 40.0, bp)
@@ -89,7 +89,7 @@ def test_refinement_monotone(f, a, b):
     # halving rel_tol never increases the error estimate
     prev = None
     for rel in (1e-6, 5e-7, 2.5e-7, 1.25e-7):
-        res = quad.integrate(f, a, b, quad.QuadConfig(rel_tol=rel))
+        res = quad.integrate(f, a, b, rel)
         if prev is not None:
             assert res.error_estimate <= prev * (1 + 1e-12)
         prev = res.error_estimate
@@ -98,7 +98,7 @@ def test_refinement_monotone(f, a, b):
 def test_depth_exhaustion_signals_discontinuity():
     step = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
     with pytest.raises(DepthExhaustedError) as exc:
-        quad.integrate(step, 0.0, 1.0, quad.QuadConfig(rel_tol=1e-12))
+        quad.integrate(step, 0.0, 1.0, 1e-12)
     a, b, _ = exc.value.panel
     assert a <= 1.0 / 3.0 <= b  # worst panel brackets the jump
 
@@ -116,9 +116,13 @@ def test_non_integrable_singularity_exhausts_depth():
 
 def test_config_validation():
     # an infinite tolerance would accept every panel unrefined
+    pot = msr.Potential.builtin("exp")
     for rel_tol in (0.0, 1.0, math.inf, math.nan):
-        with pytest.raises(DomainValidationError, match="rel_tol"):
-            quad.QuadConfig(rel_tol=rel_tol)
+        for call in (lambda: quad.integrate(lambda x: x, 0.0, 1.0, rel_tol),
+                     lambda: quad.truncation_point(pot, 1e-12, rel_tol),
+                     lambda: msr.normalize(pot, rel_tol=rel_tol)):
+            with pytest.raises(DomainValidationError, match="rel_tol"):
+                call()
     with pytest.raises(DomainValidationError):
         quad.integrate(lambda x: x, 1.0, 0.0)
 
@@ -289,7 +293,7 @@ def test_truncation_point_matches_bisection(token):
     assert X == pytest.approx(_truncation_bisection(pot, 1e-12), rel=1e-11)
 
 
-def euler_gamma_integral(a, cfg=quad.DEFAULT_QUAD):
+def euler_gamma_integral(a, rel_tol=quad.REL_TOL):
     """Gamma(a) for a >= 1 by direct quadrature of the Euler integral."""
     assert a >= 1.0
     upper = 750.0 + 10.0 * a
@@ -301,7 +305,7 @@ def euler_gamma_integral(a, cfg=quad.DEFAULT_QUAD):
         out = np.exp((a - 1.0) * logt - t)
         return np.where(t > 0, out, 0.0 if a > 1 else 1.0)
 
-    return quad.integrate(f, 0.0, upper, cfg, breakpoints=[1.0, 10.0, 100.0]).value
+    return quad.integrate(f, 0.0, upper, rel_tol, breakpoints=[1.0, 10.0, 100.0]).value
 
 
 def test_non_integrable_oscillating_heavy_tail():
@@ -332,6 +336,21 @@ def test_non_integrable_persistent_oscillation_in_bounded_memory(bounded_python)
     assert "panels" in run.stdout
 
 
+_MEAN_ZERO_CUBE = """
+from hardylab import cli
+raise SystemExit(cli.run(["evaluate", "--potential", "expr:0.01*abs(x)", "--f", "x^3", "--kind", "poincare"]))
+"""
+
+
+def test_integrate_stops_at_its_panel_budget(bounded_python):
+    # E[x^3] = 0 under a wide symmetric measure: the error never falls to
+    # ABS_TOL, and the pending panels double until the budget stops them
+    run = bounded_python(_MEAN_ZERO_CUBE)
+    assert run.returncode == 3, run.stderr[-2000:]
+    assert f"exhausted PANEL_BUDGET ({quad.PANEL_BUDGET} panels)" in run.stderr
+    assert "out of memory" not in run.stderr
+
+
 def test_euler_gamma_against_math_gamma():
     for a in (1.0, 1.5, 5.0 / 3.0, 2.0, 3.5):
         assert euler_gamma_integral(a) == pytest.approx(math.gamma(a), rel=1e-9)
@@ -351,10 +370,10 @@ def test_error_estimate_within_config_contract():
         (lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0),
         (lambda x: np.exp(-x * x / 2), -8.0, 8.0),
     ]
-    cfg = quad.QuadConfig(rel_tol=1e-9)
+    rel_tol = 1e-9
     for f, a, b in cases:
-        res = quad.integrate(f, a, b, cfg)
-        assert res.error_estimate <= max(quad.ABS_TOL, cfg.rel_tol * abs(res.value)) * 1.01
+        res = quad.integrate(f, a, b, rel_tol)
+        assert res.error_estimate <= max(quad.ABS_TOL, rel_tol * abs(res.value)) * 1.01
 
 
 def test_gauss_kronrod_exactness_degrees():
@@ -731,7 +750,7 @@ def _sequential_truncation_point(potential, eps):
     """The former truncation search: its ladder grows one doubling chunk per
     call, and h reads ``upper`` and ``lower`` in a call each."""
     log_eps = math.log(eps)
-    ptol = max(quad.DEFAULT_QUAD.rel_tol * 0.1, 1e-14)
+    ptol = max(quad.REL_TOL * 0.1, 1e-14)
 
     def h(ladder, x):
         x = np.atleast_1d(x)
