@@ -16,6 +16,7 @@ import csv
 import functools
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -136,8 +137,9 @@ def cmd_measure(args):
         {"name": "median", "value": m.median},
         {"name": "truncation", "value": m.truncation},
     ]
-    for x in args.tail_at:
-        results.append({"name": f"tail({x:g})", "value": msr.tail(m, x)})
+    if args.tail_at:  # one batched query, equal to one query per point bit for bit
+        tails = msr.tail(m, np.array(args.tail_at)).tolist()
+        results += [{"name": f"tail({x:g})", "value": t} for x, t in zip(args.tail_at, tails)]
     for p in args.quantile_at:
         results.append({"name": f"quantile({p:g})", "value": msr.quantile(m, p)})
     _report(args, "measure-info", results)
@@ -161,10 +163,11 @@ def cmd_criteria(args):
         if needs_r and args.r is None:
             raise HardyLabError(f"--r is required for kind {kind}")
         params = {"r": args.r} if needs_r else {}
-        if kind == "bmls":  # its upper constant reads the Poincare bracket
-            params["bp_result"] = criteria.bp(m, horizons=args.horizons)
         # looked up at call time, so a wrapper set on the module sees the call
         res = getattr(criteria, kind)(m, horizons=args.horizons, **params)
+        if kind == "bmls" and res.verdict.label == "bounded":  # its upper constant reads the Poincare bracket
+            bp_result = criteria.bp(m, horizons=args.horizons)
+            res = replace(res, bracket=criteria.KINDS["bmls"].bracket(res.sup, args.r, bp_result))
         entry = {
             "name": f"{kind} partial sups",
             "value": list(res.partial_sups),

@@ -165,15 +165,19 @@ def phi(r, x):
 
 
 def _expect(measure, integrand):
-    """int integrand(x) dmu over the truncated support."""
+    """int integrand(x) dmu over the truncated support [-T, T], split at the
+    potential's breakpoints.  Unless its first pass accepts every panel, the
+    adaptive integral starts again from the cells of the measure's ladders
+    inside (-T, T), mapped to x, which already resolve exp(-V)."""
     T = measure.truncation
     dens_log_z = measure.log_z
 
     def f(x):
         return integrand(x) * np.exp(-measure.potential.value(x) - dens_log_z)
 
-    bp = measure.potential.breakpoints(-T, T)
-    return integrate(f, -T, T, measure.rel_tol, breakpoints=bp).value
+    right, left = measure.ladders[+1].edges, measure.ladders[-1].edges
+    cells = np.concatenate([-left[(left > 0.0) & (left < T)], right[right < T]])
+    return integrate(f, -T, T, measure.rel_tol, breakpoints=measure.potential.breakpoints(-T, T), cells=cells).value
 
 
 def luxemburg(measure, f, r):

@@ -243,11 +243,8 @@ def _ladder_quantile(ladders, log_z, p):
             lo, hi = (lo, mid) if below(mid) else (mid, hi)
         ladder = ladder.grown(math.ldexp(end, hi))
     j = max(int(np.count_nonzero(ladder.suffix >= target)) - 1, 0)  # suffix[j] >= target > suffix[j + 1]
-    s = quad_mod._lattice_root(
-        lambda t: float(ladder.upper(np.array([t]))[0] - target),
-        float(ladder.edges[j]), float(ladder.edges[j + 1]),
-        float(ladder.suffix[j] - target), float(ladder.suffix[j + 1] - target), steps=2**48,
-    )
+    s = quad_mod._lattice_root(lambda t: ladder.upper(t) - target, ladder.edges[j : j + 2],
+                               ladder.suffix[j : j + 2] - target, 2**48)
     return sign * s if s else 0.0  # a root at 0 gives +0.0, not -0.0
 
 

@@ -106,7 +106,7 @@ ABS_TOL = 1e-13  # absolute error floor of ``integrate``, for mean-zero integran
 REL_TOL = 1e-10  # default relative tolerance of ``integrate``, ``truncation_point`` and ``measure.normalize``
 # Panels of one ``integrate`` call, which a mean-zero integrand refined to
 # ABS_TOL would otherwise double until memory runs out.  The test suite
-# spends at most 123 in one call (of 996), the benchmark 140, the README 23.
+# spends at most 1,427 in one call (of 1,005), the benchmark 201, the README 153.
 PANEL_BUDGET = 1 << 17
 
 
@@ -162,30 +162,34 @@ def _gk_log(logf, a, b):
     weights (not a matrix product, whose order may depend on the batch).
     A panel whose maximum is -inf, whose log half-width is not finite or
     whose G7 sum underflows below the normal range takes
-    ``_gk_log_separate``.  A nan or +inf node value, which reaches the
+    ``_gk_log_separate``; one finiteness test of maximum + log half-width
+    finds the first two.  A nan or +inf node value, which reaches the
     panel's maximum, raises DomainValidationError naming the panel; -inf is
     zero mass."""
-    mid = 0.5 * a + 0.5 * b  # a + b overflows within a factor of 2 of the float max
-    hw = 0.5 * b - 0.5 * a
+    ha, hb = 0.5 * a, 0.5 * b  # a + b overflows within a factor of 2 of the float max
+    mid, hw = ha + hb, hb - ha
+    log_hw = np.log(hw)
     # an overflowing or nan node value is caught below, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         gx = np.asarray(logf(mid + hw * _GK_NODES[:, None]), dtype=float)
-    log_hw = np.log(hw)
-    m = gx.max(axis=0)
-    if not (m < np.inf).all():
-        i = int(np.argmin(m < np.inf))
-        raise DomainValidationError(f"log-integrand is {m[i]} on the panel [{a[i]:.17g}, {b[i]:.17g}]")
-    shared = np.isfinite(m) & np.isfinite(log_hw)
-    panels = slice(None) if shared.all() else shared.nonzero()[0]
+        m = gx.max(axis=0)
+        base = m + log_hw
+    shared = np.isfinite(base)
+    panels = slice(None)
+    if not shared.all():
+        if not (m < np.inf).all():
+            i = int(np.argmin(m < np.inf))
+            raise DomainValidationError(f"log-integrand is {m[i]} on the panel [{a[i]:.17g}, {b[i]:.17g}]")
+        panels = shared.nonzero()[0]
     e = gx[:, panels] - m[panels]
     np.exp(e, out=e)
     g = _node_sum(e[1::2] * _G7_WEIGHTS[:, None])
-    base = m[panels] + log_hw[panels]
+    base = base[panels]
     logk = np.log(_node_sum(np.multiply(e, _K15_WEIGHTS[:, None], out=e))) + base
+    if isinstance(panels, slice) and g.min(initial=math.inf) >= sys.float_info.min:
+        return logk, np.abs(logk - (np.log(g) + base))
     err = np.abs(logk - (np.log(np.maximum(g, sys.float_info.min)) + base))
     shared[panels] = g >= sys.float_info.min
-    if shared.all():
-        return logk, err
     out = np.empty((2, len(a)))
     out[:, panels] = logk, err
     out[:, ~shared] = _gk_log_separate(np.ascontiguousarray(gx[:, ~shared].T), log_hw[~shared])
@@ -195,7 +199,8 @@ def _gk_log(logf, a, b):
 def _initial_edges(a, b, breakpoints):
     edges = [a, b]
     if breakpoints is not None:
-        edges.extend(t for t in np.atleast_1d(breakpoints) if a < t < b)
+        t = np.atleast_1d(np.asarray(breakpoints, dtype=float))
+        edges = np.concatenate([edges, t[(a < t) & (t < b)]])
     return np.unique(np.asarray(edges, dtype=float))
 
 
@@ -205,53 +210,66 @@ def _exhausted(what, pa, pb, err, limit="MAX_DEPTH"):
     return DepthExhaustedError(f"{what} exhausted {limit}", (float(pa[i]), float(pb[i]), float(err[i])))
 
 
-def integrate(f, a, b, rel_tol=REL_TOL, breakpoints=None):
+def integrate(f, a, b, rel_tol=REL_TOL, breakpoints=None, cells=None):
     """Adaptive integral of ``f`` over [a, b] at the float ``rel_tol`` in (0, 1).
 
     Panels whose |K15 - G7| exceeds a width-proportional share of the global
     allowance max(ABS_TOL, rel_tol*|I|) are bisected, up to ``MAX_DEPTH``
     generations and ``PANEL_BUDGET`` panels, past which a DepthExhaustedError
-    reports the worst panel.
+    reports the worst panel.  With ``cells``, a first pass over [a, b] split
+    at the breakpoints that rejects any panel is dropped, and the refinement
+    starts again from those panels split at the cells as well; the dropped
+    pass counts toward the budget.  A first pass that accepts every panel
+    keeps its answer: an odd integrand cancels in a panel symmetric about 0,
+    where on a split mesh its panels would refine their rounding against
+    ABS_TOL.
     """
     _check_rel_tol(rel_tol)
     if not a < b:
         raise DomainValidationError(f"need a < b, got [{a}, {b}]")
     edges = _initial_edges(a, b, breakpoints)
-    pa, pb = edges[:-1].copy(), edges[1:].copy()
-    depth = np.zeros(len(pa), dtype=np.int32)
+    pa, pb = edges[:-1], edges[1:]
     width = b - a
 
     done_val = 0.0
     done_err = 0.0
     panels_used = 0
+    depth = 0  # every pending panel has been bisected this many times
     while len(pa):
         k, err, fx = _gk_linear(f, pa, pb)
-        if not np.all(np.isfinite(fx)):
+        if not np.isfinite(fx).all():
             bad = np.argwhere(~np.isfinite(fx))
             i, j = bad[0]
             raise DomainValidationError(
                 f"integrand not finite near x={pa[i] + (pb[i] - pa[i]) * 0.5 * (1 + _GK_NODES[j]):.6g}"
             )
         panels_used += len(pa)
-        total_est = done_val + float(np.sum(k))
+        total_est = done_val + float(k.sum())
         allow = max(ABS_TOL, rel_tol * abs(total_est))
         # width-proportional allowance, with an absolute negligibility floor so
         # integrable kinks cannot force unbounded refinement of vanishing panels
-        ok = err <= allow * np.maximum((pb - pa) / width, 1e-6)
-        exhausted = ~ok & (depth >= MAX_DEPTH)
-        if np.any(exhausted):
-            raise _exhausted("adaptive refinement", pa, pb, np.where(exhausted, err, -np.inf))
-        if panels_used + 2 * np.count_nonzero(~ok) > PANEL_BUDGET:
-            raise _exhausted("adaptive refinement", pa, pb, np.where(ok, -np.inf, err),
+        bad = ~(err <= allow * np.maximum((pb - pa) / width, 1e-6))
+        rejected = np.count_nonzero(bad)
+        if rejected and depth >= MAX_DEPTH:
+            raise _exhausted("adaptive refinement", pa, pb, np.where(bad, err, -np.inf))
+        if panels_used + 2 * rejected > PANEL_BUDGET:
+            raise _exhausted("adaptive refinement", pa, pb, np.where(bad, err, -np.inf),
                              f"PANEL_BUDGET ({PANEL_BUDGET} panels)")
-        done_val += float(np.sum(k[ok]))
-        done_err += float(np.sum(err[ok]))
-        pa, pb, depth = pa[~ok], pb[~ok], depth[~ok]
-        if len(pa):
-            mid = 0.5 * (pa + pb)
-            pa = np.concatenate([pa, mid])
-            pb = np.concatenate([mid, pb])
-            depth = np.concatenate([depth + 1, depth + 1])
+        if not rejected:
+            done_val += float(k.sum())
+            done_err += float(err.sum())
+            break
+        if cells is not None:
+            edges = _initial_edges(a, b, np.concatenate([edges, cells]))
+            pa, pb, cells = edges[:-1], edges[1:], None
+            continue
+        ok = ~bad
+        done_val += float(k[ok].sum())
+        done_err += float(err[ok].sum())
+        pa, pb = pa[bad], pb[bad]
+        mid = 0.5 * (pa + pb)
+        pa, pb = np.concatenate([pa, mid]), np.concatenate([mid, pb])
+        depth += 1
     return Integral(done_val, done_err, panels_used)
 
 
@@ -270,7 +288,9 @@ def refine_log_panels(logf, lo, hi, ptol):
     segment's.
     The intervals are independent: each one's log integral and error are
     the same bit for bit whatever other intervals share the batch, so
-    consecutive edges are passed as ``edges[:-1], edges[1:]``.
+    consecutive edges are passed as ``edges[:-1], edges[1:]``.  A call
+    whose intervals all pass whole in the first pass skips the per-segment
+    accumulation.
     """
     pa, pb = np.array(lo, dtype=float), np.array(hi, dtype=float)
     nseg = len(pa)
@@ -282,21 +302,25 @@ def refine_log_panels(logf, lo, hi, ptol):
     while len(pa):
         logk, err = _gk_log(logf, pa, pb)
         panels_used += len(pa)
-        tot = logk  # at depth 0 a segment's one panel is its total
         if depth:  # accepted + pending (ufunc.at is unbuffered, so repeated segments accumulate)
             tot = acc.copy()
             np.logaddexp.at(tot, seg, logk)
-            tot = tot[seg]
-        # log of each panel's share of its segment's total; -inf for panels without mass
-        share = np.subtract(logk, tot, out=np.full(len(logk), -np.inf), where=logk > -np.inf)
-        ok = ((err * np.exp(share) <= math.ldexp(ptol, -min(depth, _FLOOR_DEPTH)))
-              | (err <= _ACCEPT_ULPS * np.spacing(np.abs(logk))))
+            # log of each panel's share of its segment's total; -inf for panels without mass
+            share = np.subtract(logk, tot[seg], out=np.full(len(logk), -np.inf), where=logk > -np.inf)
+            ok = err * np.exp(share) <= math.ldexp(ptol, -min(depth, _FLOOR_DEPTH))
+        else:  # a segment's one panel is its total: its share is 1, or 0 where it has no mass and err is 0
+            ok = err <= ptol
+        ok |= err <= _ACCEPT_ULPS * np.spacing(np.abs(logk))
         if depth >= MAX_DEPTH and not ok.all():
             raise _exhausted("log-space adaptive refinement", pa, pb, np.where(ok, -np.inf, err))
         rejected = (~ok).nonzero()[0]
+        if not depth and not len(rejected):  # each segment's one panel: logaddexp(-inf, v) is v + 0.0
+            acc, accerr = logk + 0.0, logk + np.log(np.maximum(err, 1e-300)) + 0.0
+            break
         done = slice(None) if not len(rejected) else ok.nonzero()[0]
-        np.logaddexp.at(acc, seg[done], logk[done])
-        np.logaddexp.at(accerr, seg[done], logk[done] + np.log(np.maximum(err[done], 1e-300)))
+        segs, kept = seg[done], logk[done]
+        np.logaddexp.at(acc, segs, kept)
+        np.logaddexp.at(accerr, segs, kept + np.log(np.maximum(err[done], 1e-300)))
         if not len(rejected):
             break
         pa, pb, seg = pa[rejected], pb[rejected], seg[rejected]
@@ -519,11 +543,14 @@ class LogLadder:
         self.prefix = np.concatenate([[-np.inf], np.logaddexp.accumulate(self.cells)])
         self.suffix = np.append(np.logaddexp(np.logaddexp.accumulate(self.cells[::-1])[::-1], after), after)
 
-    def _lattice(self, hi):
-        """The edges past its start of the doubling chunk ending at ``hi`` (1 or a power of 2)."""
-        lo = 0.0 if hi == 1.0 else 0.5 * hi
-        steps = grid_steps(lo, hi) if hi - lo <= _MAX_SPLIT_WIDTH else []
-        return np.unique(np.concatenate([[lo, hi], steps, self.breakpoints(lo, hi)]))[1:]
+    def _lattice(self, lo, hi):
+        """The edges in (lo, hi] of the doubling chunks from ``lo`` to ``hi``
+        (0 or chunk ends): the chunk ends, the breakpoints and, in chunks up
+        to ``_MAX_SPLIT_WIDTH`` wide, the multiples of ``GRID_STEP``."""
+        ends = 2.0 ** np.arange(round(math.log2(lo)) + 1 if lo else 0, round(math.log2(hi)) + 1)
+        top = min(hi, 2.0 * _MAX_SPLIT_WIDTH)  # the chunk ending there is the last that is split at the steps
+        steps = grid_steps(lo, top) if lo < top else []
+        return np.unique(np.concatenate([ends, steps, self.breakpoints(lo, hi)]))
 
     def _extend(self, new):
         """Append the cells up to the ascending edges ``new`` past the end
@@ -537,11 +564,11 @@ class LogLadder:
 
     def _append(self, b):
         """Append the lattice cells up to the first edge >= b."""
-        new = self.edges[-1:]
-        while new[-1] < b:
-            chunk = self._lattice(max(math.ldexp(1.0, math.frexp(new[-1])[1]), 1.0))  # the chunk holding it
-            new = np.concatenate([new, chunk[chunk > new[-1]]])
-        self._extend(new[1 : np.searchsorted(new, b) + 1])
+        end = float(self.edges[-1])
+        start = math.ldexp(1.0, math.frexp(end)[1] - 1) if end >= 1.0 else 0.0  # of the chunk past the end
+        new = self._lattice(start, max(2.0 ** math.ceil(math.log2(b)), 1.0))
+        new = new[new > end]
+        self._extend(new[: np.searchsorted(new, b) + 1])
 
     def _cut(self, end):
         """A copy ending at the edge ``end``; its ``prefix`` and ``suffix`` wait for ``_close``."""
@@ -630,21 +657,23 @@ def truncation_point(potential, eps, rel_tol=REL_TOL):
         """The ladder cut at B, and B."""
         total, hi, solo = -np.inf, 1.0, 0
         while True:
-            ends, parts = [hi], [ladder._lattice(hi)]
-            while not solo and 2.0 * ends[-1] <= 1e6 and ends[-1] <= _MAX_SPLIT_WIDTH:
-                nxt = ladder._lattice(2.0 * ends[-1])
-                if sum(map(len, parts)) + len(nxt) > _LADDER_BATCH_CELLS:
-                    break
+            # a chunk past the first joins a batch only if it starts below
+            # (_LADDER_BATCH_CELLS + 1) GRID_STEP: later ones hold more steps than a batch
+            ends = [hi]
+            while (not solo and 2.0 * ends[-1] <= 1e6
+                   and ends[-1] <= min(_MAX_SPLIT_WIDTH, (_LADDER_BATCH_CELLS + 1) * GRID_STEP)):
                 ends.append(2.0 * ends[-1])
-                parts.append(nxt)
+            edges = ladder._lattice(0.5 * hi if hi > 1.0 else 0.0, ends[-1])
+            cuts = np.searchsorted(edges, ends, side="right")  # new cells up to each chunk end
+            n = max(int(np.searchsorted(cuts, _LADDER_BATCH_CELLS, side="right")), 1)
             try:
-                cells = ladder._extend(np.concatenate(parts))
+                cells = ladder._extend(edges[: cuts[n - 1]])
             except (DomainValidationError, DepthExhaustedError):
-                if len(parts) == 1:
+                if n == 1:
                     raise
-                solo = len(parts)
+                solo = n
                 continue
-            for end, chunk in zip(ends, np.split(cells, np.cumsum([len(p) for p in parts])[:-1])):
+            for end, chunk in zip(ends[:n], np.split(cells, cuts[: n - 1])):
                 chunk = float(np.logaddexp.reduce(chunk))
                 total = float(np.logaddexp(total, chunk))
                 last = 2.0 * end > 1e6
@@ -654,7 +683,7 @@ def truncation_point(potential, eps, rel_tol=REL_TOL):
                     cut._close()
                     if last or h(cut, end)[0] <= 0.0:
                         return cut, end
-            hi = 2.0 * ends[-1]
+            hi = 2.0 * ends[n - 1]
 
     def one_side(sign):
         logf = (lambda s: -potential.value(s)) if sign > 0 else lambda s: -potential.value(sign * s)
@@ -666,9 +695,10 @@ def truncation_point(potential, eps, rel_tol=REL_TOL):
             raise NonIntegrableError(
                 f"truncation search failed by X=1e6; exp(-V) at X is {math.exp(-potential.value(sign * hi)):.3g}"
             )
-        lo, h_lo = (xs[k - 1], hs[k - 1]) if k else (1e-3, h(ladder, 1e-3)[0])
-        x = _lattice_root(lambda t: float(h(ladder, t)[0]), float(lo), float(xs[k]), float(h_lo), float(hs[k]))
-        return x, ladder
+        lo = xs[k - 1] if k else 1e-3
+        # h at the bracket's ends and every edge between them, read from the ladder (1e-3 is no edge)
+        pts = np.concatenate([[lo], ladder.edges[(ladder.edges > lo) & (ladder.edges < xs[k])], xs[k : k + 1]])
+        return _lattice_root(lambda t: h(ladder, t), pts, h(ladder, pts), 2**40), ladder
 
     xr, right = one_side(+1.0)
     if potential.even:
@@ -677,38 +707,70 @@ def truncation_point(potential, eps, rel_tol=REL_TOL):
     return max(xr, xl), {+1: right, -1: left}
 
 
-def _lattice_root(h, lo, hi, h_lo, h_hi, steps=2**40):
-    """Smallest lattice point lo + k (hi - lo) / steps, k = 0..steps, where the
-    decreasing h is <= 0, given h(hi) <= 0.  When h(lo) > 0 this is the point
-    that bisection of [lo, hi] down to one lattice step returns.
+def _inverse_estimate(p, v):
+    """The position where the curve through the points (p[k], v[k]), v
+    strictly decreasing, crosses 0: Neville's scheme for p as a polynomial
+    in v, relative to p[0]."""
+    x = [t - p[0] for t in p]
+    for d in range(1, len(p)):
+        x = [(v[k] * x[k + 1] - v[k + d] * x[k]) / (v[k] - v[k + d]) for k in range(len(x) - 1)]
+    return p[0] + x[0]
 
-    Illinois-modified regula falsi on the lattice indices: the estimate is
-    rounded to the lattice strictly inside the bracket, the endpoint kept
-    twice in a row has its h halved, and a bisection step follows whenever
-    six steps have not halved the bracket.
+
+def _lattice_root(h, xs, hs, steps):
+    """Smallest lattice point lo + k (hi - lo) / steps, k = 0..steps, lo =
+    xs[0] and hi = xs[-1], where the decreasing h is <= 0, given its values
+    ``hs`` at the ascending points ``xs`` with hs[-1] <= 0.  When hs[0] > 0
+    this is the point that bisection of [lo, hi] down to one lattice step
+    returns.  ``h`` maps an array of points to an array.
+
+    The known points narrow the lattice to the part between the last of
+    them with h > 0 and the first with h <= 0, at no call of h.  Each call
+    then reads a fan of lattice points inside that bracket: the rounded
+    estimate c and c -+ 1, 2, 4, ... out to the bracket's ends, so the
+    bracket shrinks to about the estimate's error, and at least halves.
+    The estimate inverts the cubic through the bracket's ends and the
+    nearest known point past each, or the secant of the ends where it falls
+    outside them.
     """
-    if h_lo <= 0.0:
+    xs, hs = np.asarray(xs, dtype=float), np.asarray(hs, dtype=float)
+    i = int(np.argmax(hs <= 0.0))
+    lo, hi = float(xs[0]), float(xs[-1])
+    if i == 0:
         return lo
     w = (hi - lo) / steps
-    k_lo, k_hi = 0, steps
-    kept = 0  # +1: hi kept last step, -1: lo kept
-    widths = [math.inf] * 6
+    a, b = float(xs[i - 1]), float(xs[i])
+    # k_lo: the last lattice point <= a, where h > 0; k_hi: the first >= b, where h <= 0
+    k_lo = min(max(math.floor((a - lo) / w), 0), steps)
+    while k_lo < steps and lo + (k_lo + 1) * w <= a:
+        k_lo += 1
+    while k_lo > 0 and lo + k_lo * w > a:
+        k_lo -= 1
+    k_hi = min(max(math.ceil((b - lo) / w), k_lo + 1), steps)
+    while k_hi > k_lo + 1 and lo + (k_hi - 1) * w >= b:
+        k_hi -= 1
+    while k_hi < steps and lo + k_hi * w < b:
+        k_hi += 1
+    # the known points in lattice units; pos[i - 1] and pos[i] bracket the root
+    pos, val = ((xs - lo) / w).tolist(), hs.tolist()
     while k_hi - k_lo > 1:
-        k = (k_lo + k_hi) // 2
-        if k_hi - k_lo <= 0.5 * widths[-6]:
-            est = k_hi - h_hi * (k_hi - k_lo) / (h_hi - h_lo)
-            if math.isfinite(est):
-                k = min(max(round(est), k_lo + 1), k_hi - 1)
-        widths.append(k_hi - k_lo)
-        hk = h(lo + k * w)
-        if hk <= 0.0:
-            k_hi, h_hi = k, hk
-            if kept == -1:
-                h_lo *= 0.5
-            kept = -1
-        else:
-            k_lo, h_lo = k, hk
-            if kept == 1:
-                h_hi *= 0.5
-            kept = 1
+        near = slice(max(i - 2, 0), i + 2)
+        p, v = pos[near], val[near]
+        est = _inverse_estimate(p, v) if all(u > t for u, t in zip(v, v[1:])) else math.nan
+        if not pos[i - 1] < est < pos[i]:
+            est = pos[i] - val[i] * (pos[i] - pos[i - 1]) / (val[i] - val[i - 1])
+        c = round(est) if math.isfinite(est) else (k_lo + k_hi) // 2
+        c = min(max(c, k_lo + 1), k_hi - 1)
+        fan = 1 << np.arange(max(c - k_lo, k_hi - c).bit_length(), dtype=np.int64)
+        ks = np.concatenate([c - fan[::-1], [c], c + fan])
+        ks = ks[(ks > k_lo) & (ks < k_hi)]
+        hk = np.asarray(h(lo + ks * w), dtype=float)
+        j = int(np.argmax(hk <= 0.0)) if (hk <= 0.0).any() else len(ks)
+        if j < len(ks):
+            k_hi = int(ks[j])
+        if j:
+            k_lo = int(ks[j - 1])
+        pos[i:i] = ks.tolist()
+        val[i:i] = hk.tolist()
+        i += j
     return lo + k_hi * w

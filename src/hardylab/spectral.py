@@ -62,7 +62,9 @@ def discretize(measure, X=None, N=4000):
     if not (np.isfinite(off).all() and np.isfinite(diag).all()):
         raise DomainValidationError(f"discretize: a matrix entry is not finite on [-X, X] = [{-X:g}, {X:g}] "
                                     f"with N = {N}; refine the grid or change X")
-    mass_out = max(0.0, min(1.0, tail(measure, X) + cdf(measure, -X)))
+    # an even measure's cdf(-X) is its tail(X), the same computation on the same ladder
+    upper = tail(measure, X)
+    mass_out = max(0.0, min(1.0, upper + (upper if measure.is_even else cdf(measure, -X))))
     return TridiagonalOperator(
         grid=grid, diag=diag, offdiag=off, h=h, weights_log=-V, truncation_mass=mass_out
     )

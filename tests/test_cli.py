@@ -29,7 +29,8 @@ JSON_SCHEMA = {
                     "verdict": {"type": "string"},
                     "bracket": {
                         "type": "array",
-                        "items": {"type": "number"},
+                        # ``cli._clean`` writes an infinite constant as "inf" or "-inf"
+                        "items": {"anyOf": [{"type": "number"}, {"enum": ["inf", "-inf"]}]},
                         "minItems": 2,
                         "maxItems": 2,
                     },
@@ -66,6 +67,14 @@ def test_measure_info(capsys):
     # log(2p) = -736.134..., with p the subnormal float nearest 1e-320 (printed as 9.99989e-321)
     assert get(doc, f"quantile({1e-320:g})")["value"] == pytest.approx(math.log(2.0 * 1e-320), rel=1e-12)
     assert doc["config"]["potential"] == "exp"  # reproducible header
+
+
+def test_measure_info_tails_equal_scalar_queries(capsys):
+    # the --tail-at points share one batched query, which equals a query per point
+    xs = [-3.0, 0.25, 7.5, 40.0, 200.0, 1e5]
+    code, doc = run_json(capsys, ["measure", "info", "--potential", "sinpower:2,1", "--tail-at", *map(str, xs)])
+    m = cli.msr.normalize(cli.msr.Potential.from_string("sinpower:2,1"))
+    assert code == 0 and [get(doc, f"tail({x:g})")["value"] for x in xs] == [cli.msr.tail(m, x) for x in xs]
 
 
 def test_runs_in_one_process_share_no_list_defaults(capsys):
@@ -114,6 +123,17 @@ def test_criteria_blo_threshold(capsys):
     )
     assert code == 0
     assert get(doc, "blo partial sups")["verdict"] == "bounded"
+
+
+@pytest.mark.parametrize("potential, verdict, bp_calls", [("sinpower:2,1", "divergent", 0), ("gaussian", "bounded", 1)])
+def test_criteria_bmls_runs_bp_only_when_bounded(capsys, monkeypatch, potential, verdict, bp_calls):
+    # the bp scan feeds only the upper constant of a bounded bmls verdict
+    calls, bp = [], cli.criteria.bp
+    monkeypatch.setattr(cli.criteria, "bp", lambda *a, **k: calls.append(1) or bp(*a, **k))
+    code, doc = run_json(capsys, ["criteria", "--potential", potential, "--kind", "bmls", "--r", "1.4"])
+    row = get(doc, "bmls partial sups")
+    assert code == 0 and row["verdict"] == verdict and len(calls) == bp_calls
+    assert ("bracket" in row) == (verdict == "bounded")
 
 
 def test_spectral_subcommand(capsys):
@@ -323,6 +343,7 @@ def test_values_past_the_float_range_exit_code_0(capsys, argv, name, key, value)
     # a traceback or a RuntimeWarning (an error under pytest) before
     code, doc = run_json(capsys, argv)
     assert code == 0 and capsys.readouterr().err == ""
+    jsonschema.validate(doc, JSON_SCHEMA)
     assert get(doc, name)[key] == value
 
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hardylab import concentration as conc
 from hardylab import criteria
 from hardylab import functionals as fn
+from hardylab import measure as msr
+from hardylab import quad
 from hardylab.errors import BracketError, DomainValidationError, EnergyGuardError
 from hardylab.functionals import _expect
 
@@ -262,6 +264,42 @@ def test_energy_mls_closed_form_reduction(exp_measure):
     )
     m2 = _expect(exp_measure, lambda x: np.exp(np.asarray(x, float) / 2.0))
     assert fn.energy(exp_measure, f, "mls", r=1.5) == pytest.approx(m2 / 16.0, rel=1e-6)
+
+
+def _truncated_moments(family, T):
+    """E x^2 and E x^4 over [-T, T]: 2 and 24 under exp, 1 and 3 under the
+    gaussian, less their mass past T."""
+    if family == "exp":
+        e = math.exp(-T)
+        return 2.0 - e * (T**2 + 2.0 * T + 2.0), 24.0 - e * (T**4 + 4.0 * T**3 + 12.0 * T**2 + 24.0 * T + 24.0)
+    erf, phi = math.erf(T / math.sqrt(2.0)), math.exp(-0.5 * T * T) / math.sqrt(2.0 * math.pi)
+    return erf - 2.0 * T * phi, 3.0 * erf - 2.0 * phi * (T**3 + 3.0 * T)
+
+
+@pytest.mark.parametrize("family", ["exp", "gaussian"])
+def test_expect_from_ladder_cells(family, exp_measure, gauss_measure):
+    # the adaptive integral starts from the ladders' cells: E x^2 and E x^4
+    # agree with the one started from [-T, T] split only at the breakpoints,
+    # and with the closed forms, within 1e-12 relative
+    m = exp_measure if family == "exp" else gauss_measure
+    T = m.truncation
+    for k, exact in zip((2, 4), _truncated_moments(family, T)):
+        got = _expect(m, lambda x: x**k)
+        f = lambda x: x**k * np.exp(-m.potential.value(x) - m.log_z)
+        plain = quad.integrate(f, -T, T, m.rel_tol, breakpoints=m.potential.breakpoints(-T, T)).value
+        assert got == pytest.approx(plain, rel=1e-12) and got == pytest.approx(exact, rel=1e-12)
+
+
+def test_expect_keeps_a_first_pass_that_accepts_every_panel(monkeypatch):
+    # E[x] under a wide symmetric measure cancels in the one panel [-T, T];
+    # started from the ladder cells, its panels refined their rounding
+    # against ABS_TOL until PANEL_BUDGET raised.  E[x^2] restarts from the cells
+    m = msr.normalize(msr.Potential.from_string("expr:0.1*abs(x)"))
+    used, integrate = [], quad.integrate
+    monkeypatch.setattr(fn, "integrate", lambda *a, **k: used.append(integrate(*a, **k)) or used[-1])
+    assert abs(_expect(m, lambda x: x)) < 1e-12 and used[-1].panels_used == 1
+    assert _expect(m, lambda x: x * x) == pytest.approx(200.0, rel=1e-9) and used[-1].panels_used > 1000
+    assert fn.variance(m, fn.TestFunction.from_expression("x")) == pytest.approx(200.0, rel=1e-9)
 
 
 def test_energy_mls_requires_positivity(exp_measure):

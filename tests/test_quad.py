@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -746,9 +747,55 @@ class _SequentialLadder(quad.LogLadder):
         return ext(b) if np.ndim(b) == 0 else np.array([ext(t) for t in np.asarray(b).tolist()])
 
 
+def _scalar_lattice_root(h, lo, hi, h_lo, h_hi, steps=2**40):
+    """The former ``quad._lattice_root``: one point per call of the scalar h.
+    Smallest lattice point lo + k (hi - lo) / steps, k = 0..steps, where the
+    decreasing h is <= 0, given h(hi) <= 0.  When h(lo) > 0 this is the point
+    that bisection of [lo, hi] down to one lattice step returns.
+
+    Illinois-modified regula falsi on the lattice indices: the estimate is
+    rounded to the lattice strictly inside the bracket, the endpoint kept
+    twice in a row has its h halved, and a bisection step follows whenever
+    six steps have not halved the bracket.
+    """
+    if h_lo <= 0.0:
+        return lo
+    w = (hi - lo) / steps
+    k_lo, k_hi = 0, steps
+    kept = 0  # +1: hi kept last step, -1: lo kept
+    widths = [math.inf] * 6
+    while k_hi - k_lo > 1:
+        k = (k_lo + k_hi) // 2
+        if k_hi - k_lo <= 0.5 * widths[-6]:
+            est = k_hi - h_hi * (k_hi - k_lo) / (h_hi - h_lo)
+            if math.isfinite(est):
+                k = min(max(round(est), k_lo + 1), k_hi - 1)
+        widths.append(k_hi - k_lo)
+        hk = h(lo + k * w)
+        if hk <= 0.0:
+            k_hi, h_hi = k, hk
+            if kept == -1:
+                h_lo *= 0.5
+            kept = -1
+        else:
+            k_lo, h_lo = k, hk
+            if kept == 1:
+                h_hi *= 0.5
+            kept = 1
+    return lo + k_hi * w
+
+
+def _scalar_root(h, xs, hs, steps):
+    """``quad._lattice_root`` by the former search: the scalar one over all
+    of [xs[0], xs[-1]], from h at its ends, reading no point between."""
+    return _scalar_lattice_root(lambda t: float(h(np.array([t]))[0]), float(xs[0]), float(xs[-1]),
+                                float(hs[0]), float(hs[-1]), steps)
+
+
 def _sequential_truncation_point(potential, eps):
     """The former truncation search: its ladder grows one doubling chunk per
-    call, and h reads ``upper`` and ``lower`` in a call each."""
+    call, h reads ``upper`` and ``lower`` in a call each, and the root is
+    the former scalar search's."""
     log_eps = math.log(eps)
     ptol = max(quad.REL_TOL * 0.1, 1e-14)
 
@@ -775,7 +822,7 @@ def _sequential_truncation_point(potential, eps):
         hs = h(ladder, xs)
         k = int(np.argmax(hs <= 0.0))
         lo, h_lo = (xs[k - 1], hs[k - 1]) if k else (1e-3, h(ladder, 1e-3)[0])
-        x = quad._lattice_root(lambda t: float(h(ladder, t)[0]), float(lo), float(xs[k]), float(h_lo), float(hs[k]))
+        x = _scalar_lattice_root(lambda t: float(h(ladder, t)[0]), float(lo), float(xs[k]), float(h_lo), float(hs[k]))
         return x, ladder
 
     xr, right = one_side(+1.0)
@@ -795,11 +842,16 @@ def _sequential_measure(potential):
 @pytest.mark.parametrize("token", ["exp", "gaussian", "power:1.5", "sinpower:2,1", "sinpower:1.5,1", "sinpower:2,2",
                                    "floor", "cattiaux:1.5,1.9", "expr:abs(x)^1.5+0.5*x",
                                    "expr:floor(abs(x)) + 0.8*floor(x)"])
-def test_batched_truncation_and_extensions_equal_one_chunk_per_call(token):
-    # batched ladder chunks and extension chunks, cut back at the stop, and
-    # far tail points in lockstep give what one chunk per call gives, bit for bit
+def test_batched_truncation_and_extensions_equal_one_chunk_per_call(token, monkeypatch):
+    # batched ladder chunks and extension chunks, cut back at the stop, far
+    # tail points in lockstep and roots read in fans give what one chunk
+    # per call and the former scalar root search give, bit for bit
     pot = msr.Potential.from_string(token)
-    got, want = msr.normalize(pot), _sequential_measure(pot)
+    got = msr.normalize(pot)
+    ps = (1e-20, 1e-15, 1e-10, 1e-5, 1e-3, 0.3, 1.0 - 1e-15, 1.0 - 1e-10, 1.0 - 1e-5, 0.999, 0.7)
+    got_quantiles = [msr.quantile(got, p) for p in ps]
+    monkeypatch.setattr(quad, "_lattice_root", _scalar_root)
+    want = _sequential_measure(pot)
     assert (got.truncation, got.log_z, got.median) == (want.truncation, want.log_z, want.median)
     for sign in (+1, -1):
         for name in ("edges", "cells", "prefix", "suffix"):
@@ -808,8 +860,7 @@ def test_batched_truncation_and_extensions_equal_one_chunk_per_call(token):
     xs = np.concatenate([np.linspace(-6.0 * end, 6.0 * end, 61), [-1e5, 1e5]])
     assert msr.log_tail(got, xs).tobytes() == msr.log_tail(want, xs).tobytes()
     assert msr.log_cdf(got, xs).tobytes() == msr.log_cdf(want, xs).tobytes()
-    for p in (1e-20, 1e-15, 1e-10, 1e-5, 1e-3, 0.3, 1.0 - 1e-15, 1.0 - 1e-10, 1.0 - 1e-5, 0.999, 0.7):
-        assert msr.quantile(got, p) == msr.quantile(want, p)
+    assert got_quantiles == [msr.quantile(want, p) for p in ps]
 
 
 def test_speculative_chunks_raise_only_where_one_chunk_per_call_raises():
@@ -828,6 +879,115 @@ def test_speculative_chunks_raise_only_where_one_chunk_per_call_raises():
     want = msr.normalize(msr.Potential.from_string("expr:abs(x)^3"))
     assert (got.truncation, got.log_z) == (want.truncation, want.log_z)
     assert got.ladders[+1].suffix.tobytes() == want.ladders[+1].suffix.tobytes()
+
+
+_CORPUS_TOKENS = ("exp", "gaussian", "power:1.5", "sinpower:2,1", "sinpower:1.5,1", "sinpower:2,2", "floor",
+                  "cattiaux:1.5,1.9")
+_ROOT_PS = (1e-300, 1e-15, 1e-6, 0.05, 0.5, 0.95, 1.0 - 1e-6)
+
+
+def _random_potentials(seed, count):
+    """Potentials drawn as the metamorphic oracles of ROADMAP item 18 draw
+    them: 0.5 |x|^p, p in [1.2, 2.5], plus one or two terms of c |x|^q,
+    c x^2, c sin(a x), c cos(x) and c log(1 + |x|)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        text = f"0.5*abs(x)^{rng.uniform(1.2, 2.5):.3f}"
+        for _ in range(rng.randint(1, 2)):
+            kind, c = rng.choice(["pow", "sq", "sin", "cos", "log"]), rng.uniform(-1.0, 1.0)
+            if kind == "pow":
+                text += f" + {rng.uniform(0.1, 1.0):.3f}*abs(x)^{rng.uniform(1.0, 2.5):.3f}"
+            elif kind == "sq":
+                text += f" + {rng.uniform(0.0, 0.5):.3f}*x^2"
+            else:
+                body = {"sin": f"sin({rng.uniform(0.5, 3.0):.3f}*x)", "cos": "cos(x)", "log": "log(1+abs(x))"}[kind]
+                text += f" {'+' if c >= 0.0 else '-'} {abs(c):.3f}*{body}"
+        out.append("expr:" + text)
+    return out
+
+
+def _root_outcome(token):
+    """T, log Z, the median and the quantiles at _ROOT_PS, as float.hex."""
+    m = msr.normalize(msr.Potential.from_string(token))
+    return [v.hex() for v in (m.truncation, m.log_z, m.median, *(msr.quantile(m, p) for p in _ROOT_PS))]
+
+
+def test_fanned_roots_equal_the_former_scalar_search(monkeypatch):
+    # the truncation search narrowed to a ladder cell and read in fans, and
+    # the median and quantiles read the same way, give the former
+    # one-point-per-call search's floats on the corpus, four uneven or
+    # jumping expressions and 20 random potentials
+    tokens = [*_CORPUS_TOKENS, "expr:abs(x)^1.5+0.5*x", "expr:x^2/2+sin(x)", "expr:floor(abs(x)) + 0.8*floor(x)",
+              "expr:x^2/2+floor(x)", *_random_potentials(18, 20)]
+    got = [_root_outcome(t) for t in tokens]
+    monkeypatch.setattr(quad, "_lattice_root", _scalar_root)
+    for token, outcome in zip(tokens, got):
+        assert _root_outcome(token) == outcome, token
+
+
+@pytest.mark.parametrize("token", ["gaussian", "sinpower:2,2"])
+def test_truncation_root_in_few_calls(token, monkeypatch):
+    # an even potential's one truncation root reads h, one upper_lower call
+    # each, in 2 fans here; the former scalar search read it 8 times
+    counts, root = [], quad._lattice_root
+
+    def counting(h, *rest):
+        calls = []
+        out = root(lambda t: calls.append(len(t)) or h(t), *rest)
+        counts.append(len(calls))
+        return out
+
+    monkeypatch.setattr(quad, "_lattice_root", counting)
+    msr.normalize(msr.Potential.from_string(token))
+    assert len(counts) == 1 and counts[0] <= 3
+
+
+@pytest.mark.parametrize("steps", [2**10, 2**40, 2**48])
+def test_lattice_root_equals_the_scalar_search(steps):
+    # on smooth, kinked and rounded (flat over many lattice steps) decreasing
+    # functions, with known points inside the bracket or not, the fans find
+    # the scalar search's lattice point
+    rng = np.random.default_rng(steps)
+    shapes = [lambda t, r: r - t, lambda t, r: np.exp(-t) - np.exp(-r), lambda t, r: np.round(1e3 * (r - t)) / 1e3,
+              lambda t, r: np.where(t < r, (r - t) ** 3, r - t), lambda t, r: np.where(t < r, 11.0 - t, -t)]
+    for f in shapes:
+        for r in rng.uniform(0.5, 9.5, 6).tolist():
+            h = lambda t: f(np.asarray(t, dtype=float), r)
+            for xs in (np.array([0.0, 10.0]), np.linspace(0.0, 10.0, 9)):
+                assert quad._lattice_root(h, xs, h(xs), steps) == _scalar_root(h, xs, h(xs), steps)
+
+
+def test_refine_log_panels_lean_first_pass_equals_former_loop():
+    # batches whose intervals all pass whole in the first pass skip the
+    # accumulation: they, batches that do not and rows without mass give the
+    # former loop's floats, signs of zero included; a row reaching +inf or
+    # nan raises the former loop's error
+    gauss, nu2, floor = (lambda x, p=msr.Potential.from_string(t): -p.value(x)
+                         for t in ("gaussian", "sinpower:2,1", "floor"))
+    no_mass = lambda x: np.where((x > 1.0) & (x < 2.0), -np.inf, gauss(x))
+    short, units = np.arange(0.0, 6.0, 1e-3) + 0.1, np.arange(-6.0, 6.0)
+    cells = quad._initial_edges(-9.0, 9.0, np.pi * np.arange(-2, 3))
+    cases = [(gauss, short, short + 1e-3), (floor, units, units + 1.0),
+             (lambda x: np.zeros_like(x), units, units + 1.0),
+             (gauss, np.array([0.0, 2.5]), np.array([2.5, 9.0])), (nu2, cells[:-1], cells[1:]),
+             (lambda x: floor(x) - 3.0 * x * x, units, units + 1.0),
+             (no_mass, np.array([1.2, 0.5, 1.0, 2.0]), np.array([1.8, 1.0, 2.0, 3.0])), (no_mass, [1.2], [1.8])]
+    for f, lo, hi in cases:
+        got, want = quad.refine_log_panels(f, lo, hi, 1e-11), _refine_log_panels_reference(f, lo, hi, 1e-11)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(np.signbit(got[0]), np.signbit(want[0]))
+        assert np.array_equal(got[1], want[1]) and got[2] == want[2]
+    # the first three cases pass whole in the first pass, the next three do not
+    one_pass = [quad.refine_log_panels(f, lo, hi, 1e-11)[2] == len(lo) for f, lo, hi in cases[:6]]
+    assert one_pass == [True] * 3 + [False] * 3
+    for bad in (np.inf, np.nan):
+        spoiled = lambda x: np.where((x > 1.0) & (x < 1.5), bad, gauss(x))
+        errors = []
+        for refine in (quad.refine_log_panels, _refine_log_panels_reference):
+            with pytest.raises(DomainValidationError) as exc:
+                refine(spoiled, np.array([0.0, 1.0]), np.array([1.0, 2.0]), 1e-11)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("token", ["exp", "gaussian", "power:1.5", "sinpower:2,1"])

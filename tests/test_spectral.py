@@ -34,6 +34,15 @@ def apply_generator(op, u):
     return out / w_half
 
 
+@pytest.mark.parametrize("token, X", [("gaussian", None), ("sinpower:2,2", 40.0), ("expr:abs(x)^1.5+0.5*x", None)])
+def test_truncation_mass_is_both_tails(token, X):
+    # an even measure reads its tail at X once and doubles it: the sum of
+    # the two tails, as an uneven one computes it
+    m = msr.normalize(msr.Potential.from_string(token))
+    X = m.truncation if X is None else X
+    assert spectral.discretize(m, X=X, N=100).truncation_mass == min(1.0, msr.tail(m, X) + msr.cdf(m, -X))
+
+
 def test_constant_potential_gives_plain_laplacian(floor_measure):
     # V = floor(|x|) is 0 on [-0.5, 0.5]
     op = spectral.discretize(floor_measure, X=0.5, N=100)
