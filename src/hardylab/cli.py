@@ -6,7 +6,8 @@ chosen ``criteria`` or ``evaluate`` kind or ``concentration`` mode does not
 read is refused unless it keeps its default.  Exit codes: 0 success, 2 flag
 validation error, 3 numerical failure or a parameter outside its domain,
 including a missing ``--r`` or ``--tau`` that the chosen kind requires, or
-an array too large for memory.
+an array too large for memory.  A reader that closes the pipe early
+(``| head``) leaves the code unchanged and writes no traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -63,7 +65,10 @@ def _report(args, kind, results):
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader is gone: the rest goes to devnull (Python docs, "Note on SIGPIPE")
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return doc
 
 

@@ -158,12 +158,15 @@ def deviation_experiment(measure, n, statistic, t_grid, count, seed, C, r, beta=
 
 def g_cost(x, r):
     """sum_i min(x_i^2, |x_i|^r) for a point or batch of points."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    a = np.abs(x)
-    with np.errstate(over="ignore"):  # a cost past the float range is inf
-        sq = a * a  # the in-place ufuncs below keep two batch-sized temporaries, not four
-        out = np.sum(np.minimum(sq, np.power(a, r, out=a), out=sq), axis=1)
+    out = _abs_cost(np.abs(np.atleast_2d(np.asarray(x, dtype=float))), r)
     return float(out[0]) if out.shape == (1,) else out
+
+
+def _abs_cost(a, r):
+    """sum_i min(a_i^2, a_i^r) of the rows of a = |x|, which is left as it is."""
+    with np.errstate(over="ignore"):  # a cost past the float range is inf
+        sq = a * a  # the in-place minimum keeps two batch-sized temporaries, not three
+        return np.sum(np.minimum(sq, np.power(a, r), out=sq), axis=1)
 
 
 def _halfspace_cost(s, n, r):
@@ -181,30 +184,35 @@ def _halfspace_cost(s, n, r):
 
     g'(m) is concave and increasing, so Newton on g'(m) = 0 started at the
     left end of the interval climbs monotonically to the root (or stays put
-    when g' >= 0 there) and never overshoots; it stops once no row moves.
+    when g' >= 0 there) and never overshoots.  A row whose step does not
+    move it (or makes it nan) would stay put from then on, so each step
+    runs only on the rows that still move.  A cost past the float range is
+    inf, with no warning.
     """
-    best = np.where(s <= n, s * s / n, np.inf)  # k = 0: all in the quadratic branch
-    rows = np.flatnonzero((s > 0.0) & (s < np.inf))  # s = inf keeps cost inf
-    for k in range(1, n + 1):
-        rows = rows[s[rows] >= k]  # k power coords at >= 1 need s >= k
-        if len(rows) == 0:
-            break
-        sk = s[rows]
-        nq = n - k
-        if nq == 0:
-            cost = k * np.power(sk / k, r)
-        else:
-            m = np.maximum(float(k), sk - nq)  # quad coords at <= 1
-            while True:
-                p = np.power(m / k, r - 1.0)
-                gp = r * p - 2.0 * (sk - m) / nq
-                gpp = r * (r - 1.0) * p / m + 2.0 / nq
-                m_next = np.clip(m - gp / gpp, m, sk)
-                if np.array_equal(m_next, m, equal_nan=True):  # nan rows stop too
-                    break
-                m = m_next
-            cost = k * np.power(m / k, r) + np.square(sk - m) / nq
-        best[rows] = np.minimum(best[rows], cost)
+    with np.errstate(over="ignore"):
+        best = np.where(s <= n, s * s / n, np.inf)  # k = 0: all in the quadratic branch
+        rows = np.flatnonzero((s > 0.0) & (s < np.inf))  # s = inf keeps cost inf
+        for k in range(1, n + 1):
+            rows = rows[s[rows] >= k]  # k power coords at >= 1 need s >= k
+            if len(rows) == 0:
+                break
+            sk = s[rows]
+            nq = n - k
+            if nq == 0:
+                cost = k * np.power(sk / k, r)
+            else:
+                m = np.maximum(float(k), sk - nq)  # quad coords at <= 1
+                live, ml, sl = np.arange(len(m)), m, sk
+                while len(live):
+                    p = np.power(ml / k, r - 1.0)
+                    gp = r * p - 2.0 * (sl - ml) / nq
+                    gpp = r * (r - 1.0) * p / ml + 2.0 / nq
+                    m_next = np.clip(ml - gp / gpp, ml, sl)
+                    moved = m_next > ml  # False for a nan step
+                    m[live] = m_next
+                    live, ml, sl = live[moved], m_next[moved], sl[moved]
+                cost = k * np.power(m / k, r) + np.square(sk - m) / nq
+            best[rows] = np.minimum(best[rows], cost)
     return np.where(s > 0.0, best, 0.0)
 
 
@@ -265,11 +273,13 @@ def lipschitz_gradient_check(r, t, count, seed, box, n):
             rows = min(_ROW_BLOCK, stop - a)
             block = coords.uniform(-1.0, 1.0, size=(rows, n))
             block *= box * scales.uniform(0.0, 1.0, size=(rows, 1))
-            keep = (g_cost(block, r) < t) & np.all(np.abs(np.abs(block) - 1.0) > 1e-12, axis=1)
-            kept = np.abs(block[keep])
+            np.abs(block, out=block)  # every value below reads |x| alone
+            kept = block[_abs_cost(block, r) < t]
+            kept = kept[np.all(np.abs(kept - 1.0) > 1e-12, axis=1)]  # off the kinks of G
             if len(kept) == 0:
                 continue
-            grad = np.where(kept < 1.0, 2.0 * kept, r * np.power(kept, r - 1.0))
+            grad, big = 2.0 * kept, kept >= 1.0
+            grad[big] = r * np.power(kept[big], r - 1.0)
             ratio_sq = max(ratio_sq, float(np.max(np.sum(grad * grad, axis=1) / (4.0 * t))))
             sums = (np.sum(np.power(grad, rp), axis=1) / scale if scale < math.inf
                     else np.sum(np.power(0.5 * grad, rp), axis=1) / t)

@@ -389,7 +389,8 @@ class _InverseCDF:
         u == cdf[j] (xs holds no -0.0), and the zero slopes of the first and
         the last node cover u outside the table.  Every index taken is in
         range, so the lookups pass mode="clip", under which numpy writes
-        ``out`` directly where "raise" buffers it.
+        ``out`` directly where "raise" buffers it.  The draws of wide buckets
+        are searched in ascending order, each from where the last one ended.
         """
         w >>= np.uint64(11)
         bits = w.view(np.int64)  # below 2^53 now
@@ -403,7 +404,9 @@ class _InverseCDF:
         j += flag
         wide = np.flatnonzero(np.less(j, 0, out=flag))
         if len(wide):
-            j[wide] = np.searchsorted(self._cdf, u[wide], side="right") - 1
+            keys = u[wide]
+            order = np.argsort(keys)
+            j[wide[order]] = np.searchsorted(self._cdf, keys[order], side="right") - 1
         np.take(self._cdf, j, out=f, mode="clip")
         np.subtract(u, f, out=f)
         np.take(self.slope, j, out=u, mode="clip")
@@ -467,8 +470,9 @@ def _fill_slice(table, key, start, n, f, out):
     (i + 1) * n - 1 of the key's stream): their draws, or with ``f`` their
     values.  One block of at most ``CHUNK`` raw words (whole rows, one row
     at least) is drawn, inverted and reduced at a time; for ``row_max`` on a
-    monotone table, the block's words are reduced to each row's largest
-    first and only those are inverted, into ``out``."""
+    monotone table, each block's words are reduced to each row's largest,
+    kept in ``out``'s memory as uint64, and only those are inverted, in
+    ``CHUNK``-sized calls once the slice is drawn."""
     bitgen = _stream(key, start * n).bit_generator
     rows = max(table.CHUNK // n, 1)
     top = f is row_max and table.monotone  # invert each row's largest word alone
@@ -476,12 +480,16 @@ def _fill_slice(table, key, start, n, f, out):
     for a in range(0, len(out), rows):
         take = min(rows, len(out) - a)
         if top:
-            table.invert(bitgen.random_raw((take, n)).max(axis=1), out[a : a + take])
+            np.max(bitgen.random_raw((take, n)), axis=1, out=out[a : a + take].view(np.uint64))
             continue
         u = out[a : a + take] if f is None else block[: take * n]
         table.invert(bitgen.random_raw(len(u)), u)
         if f is not None:
             out[a : a + take] = f(u.reshape(take, n))
+    if top:
+        for a in range(0, len(out), table.CHUNK):
+            chunk = out[a : a + table.CHUNK]
+            table.invert(chunk.view(np.uint64).copy(), chunk)  # invert reads the words after writing u
 
 
 def _on_slices(count, n, fill):

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -357,6 +360,21 @@ def test_out_of_memory_exit_code_3(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Unable to allocate" in err
 
+
+
+def test_a_closed_pipe_ends_the_report_without_a_traceback():
+    # the reader closes its end before the command writes, as `| head -c 10`
+    # does: the report goes nowhere, stderr stays empty and the exit code is the command's
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = [sys.executable, "-m", "hardylab.cli", "criteria", "--potential", "exp", "--kind", "bmls", "--r", "1.3",
+            "--horizons", "100,200,400,800,1600"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert b"Traceback" not in err and err == b""
 
 def test_measure_info_nonfinite_points(capsys):
     code = cli.run(["measure", "info", "--potential", "exp", "--tail-at", "nan"])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,60 @@ def test_halfspace_cost_matches_exact_small_s():
     assert _halfspace_cost(x, 1.0, 1.5)[0] == pytest.approx(s * s / 4.0, rel=1e-12)
 
 
+def _former_halfspace_cost(s, n, r):
+    """``conc._halfspace_cost`` as it was: each Newton step on every row,
+    until no row moves."""
+    best = np.where(s <= n, s * s / n, np.inf)
+    rows = np.flatnonzero((s > 0.0) & (s < np.inf))
+    for k in range(1, n + 1):
+        rows = rows[s[rows] >= k]
+        if len(rows) == 0:
+            break
+        sk = s[rows]
+        nq = n - k
+        if nq == 0:
+            cost = k * np.power(sk / k, r)
+        else:
+            m = np.maximum(float(k), sk - nq)
+            while True:
+                p = np.power(m / k, r - 1.0)
+                gp = r * p - 2.0 * (sk - m) / nq
+                gpp = r * (r - 1.0) * p / m + 2.0 / nq
+                m_next = np.clip(m - gp / gpp, m, sk)
+                if np.array_equal(m_next, m, equal_nan=True):
+                    break
+                m = m_next
+            cost = k * np.power(m / k, r) + np.square(sk - m) / nq
+        best[rows] = np.minimum(best[rows], cost)
+    return np.where(s > 0.0, best, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 16, 32])
+@pytest.mark.parametrize("r", [1.01, 1.5, 1.99])
+def test_halfspace_newton_on_moving_rows_equals_the_full_array_loop(n, r):
+    # the Newton steps run on the rows that still move give every row the
+    # final m, and so the cost, of steps run on all rows until none moves;
+    # an excess past the float range costs inf with no RuntimeWarning
+    rng = np.random.Generator(np.random.PCG64(3))
+    s = np.concatenate([[0.0, np.inf, np.nan, 1e300], np.arange(1.0, n + 1.0), rng.uniform(0.0, 3.0 * n, 2000),
+                        rng.exponential(1.0, 500)])
+    with np.errstate(over="ignore"):
+        want = _former_halfspace_cost(s, n, r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = conc._halfspace_cost(s, n, r)
+    assert np.array_equal(got, want)
+    assert got[:3].tolist() == [0.0, math.inf, 0.0]
+    assert (got[3] == math.inf) if r > 1.03 else (1e300 < got[3] < math.inf)  # 1e300^r overflows from r = 1.028 on
+
+
+def test_halfspace_newton_on_the_bench_sums_equals_the_full_array_loop(mu15):
+    # the enlargement's own excesses: 50,000 sums of 16 draws of power:1.5 over their median
+    sums = msr.sample(mu15, 7, 50_000, 16, lambda x: np.sum(x, axis=1))
+    s = np.maximum(sums - np.median(sums), 0.0)
+    assert np.array_equal(conc._halfspace_cost(s, 16, 1.5), _former_halfspace_cost(s, 16, 1.5))
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -363,6 +418,39 @@ def test_gradient_check_blocks_equal_the_one_shot_check(r, t, count):
     # n = 3 with an odd count starts the scales' cursor partway through a Philox step
     for n in (8, 3):
         assert conc.lipschitz_gradient_check(r, t, count, 7, box=2.0, n=n) == _gradient_check_one_shot(r, t, count, 7, 2.0, n)
+
+
+def _former_gradient_check(r, t, count, seed, box, n):
+    """The gradient check's row-block loop as it was, on one slice: the cost
+    by ``g_cost``, |x| taken again for the kink filter and the kept points,
+    and r |x|^(r-1) at every kept coordinate."""
+    rp = r / (r - 1.0)
+    scale = 2.0**rp * t
+    coords, scales = msr._stream(np.uint64(seed), 0), msr._stream(np.uint64(seed), count * n)
+    ratio_sq = ratio_rp = -math.inf
+    accepted = 0
+    for a in range(0, count, conc._ROW_BLOCK):
+        rows = min(conc._ROW_BLOCK, count - a)
+        block = coords.uniform(-1.0, 1.0, size=(rows, n))
+        block *= box * scales.uniform(0.0, 1.0, size=(rows, 1))
+        keep = (conc.g_cost(block, r) < t) & np.all(np.abs(np.abs(block) - 1.0) > 1e-12, axis=1)
+        kept = np.abs(block[keep])
+        if len(kept) == 0:
+            continue
+        grad = np.where(kept < 1.0, 2.0 * kept, r * np.power(kept, r - 1.0))
+        ratio_sq = max(ratio_sq, float(np.max(np.sum(grad * grad, axis=1) / (4.0 * t))))
+        ratio_rp = max(ratio_rp, float(np.max(np.sum(np.power(grad, rp), axis=1) / scale)))
+        accepted += len(kept)
+    return ratio_sq, ratio_rp, accepted
+
+
+@pytest.mark.parametrize("r, t", [(1.2, 2.5), (1.5, 4.3), (1.8, 9.7)])
+def test_gradient_check_reading_abs_once_equals_the_former_block(r, t, monkeypatch):
+    # the bench's (r, t, box = 1 + t^(1/r)) at 200,000 points of n = 8, and n = 1
+    monkeypatch.setattr(msr, "_usable_cpus", lambda: 1)
+    box = round(1.0 + t ** (1.0 / r), 4)
+    for count, n in ((200_000, 8), (20_001, 1)):
+        assert conc.lipschitz_gradient_check(r, t, count, 11, box, n) == _former_gradient_check(r, t, count, 11, box, n)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])

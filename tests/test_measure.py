@@ -701,6 +701,39 @@ def test_row_max_falls_back_on_a_table_that_is_not_monotone():
     assert _row_max_on_words(t, _node_words(t._cdf)) == (True, False)
 
 
+
+def _former_row_max_loop(table, key, n, out):
+    """The row-max block loop as it was, on one slice: the row maxima of each
+    block of at most ``CHUNK`` words inverted on their own, one call per block."""
+    bitgen = msr._stream(key, 0).bit_generator
+    rows = max(table.CHUNK // n, 1)
+    for a in range(0, len(out), rows):
+        take = min(rows, len(out) - a)
+        table.invert(bitgen.random_raw((take, n)).max(axis=1), out[a : a + take])
+    return out
+
+
+@pytest.mark.parametrize("name", ["exponential", "gaussian", "mu15", "nu2", "nu15", "nu22", "floor", "cattiaux",
+                                  "expr:x^2/2+floor(x)"])
+def test_row_max_slices_equal_the_former_block_loop(name, monkeypatch):
+    # the row maxima kept in the output's memory and inverted once per slice
+    # in CHUNK-sized calls equal the former per-block inversions: n = 1, a
+    # row longer than a block, and row counts that are not a multiple of the
+    # rows per block, on one slice and on two
+    if name.startswith("expr:"):
+        m = msr.normalize(msr.Potential.from_string(name))
+    else:
+        m = scenarios.corpus_measure(name)
+    msr.sample(m, 0, 1)
+    table, key = m._sampler, np.uint64(5)
+    assert table.monotone
+    chunk = table.CHUNK
+    for count, n in ((1, 1), (1, chunk + 3), (2**19 + 3, 1), (17, chunk + 5), (2**13 + 7, 64)):
+        want = _former_row_max_loop(table, key, n, np.empty(count))
+        for cpus in (1, 2):
+            monkeypatch.setattr(msr, "_usable_cpus", lambda: cpus)
+            assert np.array_equal(msr.sample(m, 5, count, n, msr.row_max), want)
+
 @pytest.mark.parametrize("fixture", ["mu15_measure", "floor_measure"])
 @pytest.mark.parametrize("seed", [0, 3])  # seed 0 keys Philox with the zero key
 @pytest.mark.parametrize("cpus", [1, 3])
