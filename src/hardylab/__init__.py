@@ -56,7 +56,7 @@ from .functionals import (  # noqa: F401
     ratio_report,
     variance,
 )
-from .spectral import TridiagonalOperator, discretize, rayleigh, spectral_gap  # noqa: F401
+from .spectral import TridiagonalOperator, discretize, spectral_gap  # noqa: F401
 from .concentration import (  # noqa: F401
     ExperimentReport,
     deviation_experiment,

@@ -4,10 +4,10 @@ Every report embeds the flags its command read (tolerances and seed
 included) so it can be reproduced from its own header; a flag that the
 chosen ``criteria`` or ``evaluate`` kind or ``concentration`` mode does not
 read is refused unless it keeps its default.  Exit codes: 0 success, 2 flag
-validation error, 3 numerical failure or a parameter outside its domain,
-including a missing ``--r`` or ``--tau`` that the chosen kind requires, or
-an array too large for memory.  A reader that closes the pipe early
-(``| head``) leaves the code unchanged and writes no traceback.
+validation error, 3 numerical failure, a parameter outside its domain (a
+missing ``--r`` or ``--tau`` that the kind requires included), an array
+too large for memory or a report that cannot be written.  A reader that
+closes the pipe early (``| head``) changes neither the code nor stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -67,8 +66,10 @@ def _report(args, kind, results):
     else:
         try:
             print(text, flush=True)
-        except BrokenPipeError:  # the reader is gone: the rest goes to devnull (Python docs, "Note on SIGPIPE")
+        except OSError as e:  # the rest goes to devnull, so the flush at exit prints nothing
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(e, BrokenPipeError):  # a reader that is gone (Python docs, "Note on SIGPIPE")
+                raise
     return doc
 
 
@@ -170,9 +171,6 @@ def cmd_criteria(args):
         params = {"r": args.r} if needs_r else {}
         # looked up at call time, so a wrapper set on the module sees the call
         res = getattr(criteria, kind)(m, horizons=args.horizons, **params)
-        if kind == "bmls" and res.verdict.label == "bounded":  # its upper constant reads the Poincare bracket
-            bp_result = criteria.bp(m, horizons=args.horizons)
-            res = replace(res, bracket=criteria.KINDS["bmls"].bracket(res.sup, args.r, bp_result))
         entry = {
             "name": f"{kind} partial sups",
             "value": list(res.partial_sups),
@@ -469,6 +467,9 @@ def run(argv=None):
         return 3
     except MemoryError as e:  # e.g. a spectral --N whose matrix does not fit
         print(f"error: out of memory: {e}", file=sys.stderr)
+        return 3
+    except OSError as e:  # a report, --output or --csv file on a full disk or in a missing directory
+        print(f"error: cannot write the report: {e}", file=sys.stderr)
         return 3
     except AssertionError as e:
         print(f"numerical assertion failed: {e}", file=sys.stderr)

@@ -29,7 +29,7 @@ value evaluates 7 points of every bracket.  That relies on an invariant of
 the measure's queries: a point's tail and weight masses are the same bit
 for bit in any batch of points.  A bounded criterion yields a constant
 bracket where the theory provides one: [S, 4S] for bp, and an upper constant
-235 * C_P + 2^(r'+1) * S for bmls when a bp result is supplied.
+235 * C_P + 2^(r'+1) * S for bmls, with C_P = 4 S_bp from its own bp scan.
 """
 
 from __future__ import annotations
@@ -246,15 +246,16 @@ def _blo_post(l, r):
     return (2.0 / _dual(r)) * np.log(np.logaddexp(0.0, -(l + math.log(2.0))))
 
 
-def _bp_bracket(s, r, bp_result):
+def _bp_bracket(measure, horizons, s, r):
     return (s, 4.0 * s)
 
 
-def _bmls_bracket(s, r, bp_result):
-    if bp_result is None or bp_result.bracket is None:
+def _bmls_bracket(measure, horizons, s, r):
+    c_p = bp(measure, horizons).bracket  # reuses the side scans cached on the measure
+    if c_p is None:
         return None
     rp = _dual(r)  # 2^(r'+1) overflows from r' = 1023 on (r near 1): the constant reports as inf
-    return (0.0, 235.0 * bp_result.bracket[1] + (math.pow(2.0, rp + 1.0) * s if rp < 1023.0 else math.inf))
+    return (0.0, 235.0 * c_p[1] + (math.pow(2.0, rp + 1.0) * s if rp < 1023.0 else math.inf))
 
 
 @dataclass(frozen=True)
@@ -268,7 +269,7 @@ class _Kind:
     log_post: object  # (array of normalized tail log masses, r) -> logs of the tail post-factor
     needs_r: bool = False
     needs_even: bool = False
-    bracket: object = None  # (S, r, bp_result) -> bracket of a bounded scan, or None
+    bracket: object = None  # (measure, horizons, S, r) -> bracket of a bounded scan, or None
 
 
 KINDS = {
@@ -337,7 +338,7 @@ def _result(kind, side, r, horizons, log_sups, argmax, **extra):
                            verdict=classify(horizons, log_sups), r=r, **extra)
 
 
-def _combine(measure, kind, r, horizons, bp_result=None):
+def _combine(measure, kind, r, horizons):
     row = KINDS[kind]
     if row.needs_r:
         _dual(r)
@@ -360,7 +361,7 @@ def _combine(measure, kind, r, horizons, bp_result=None):
     )
     res = _result(kind, "max", r, horizons, log_sups, argmax, sides={"plus": plus, "minus": minus})
     if row.bracket is not None and res.verdict.label == "bounded":
-        res = replace(res, bracket=row.bracket(res.sup, r, bp_result))
+        res = replace(res, bracket=row.bracket(measure, horizons, res.sup, r))
     return res
 
 
@@ -390,14 +391,14 @@ def blo(measure, r, horizons=DEFAULT_HORIZONS):
     return _combine(measure, "blo", r, horizons)
 
 
-def bmls(measure, r, horizons=DEFAULT_HORIZONS, bp_result=None):
+def bmls(measure, r, horizons=DEFAULT_HORIZONS):
     """Two-level criterion with density power n^-(r-1).
 
-    When a bp scan of the same measure is supplied and both verdicts are
-    bounded, the bracket carries the constructive upper constant
-    235 * (4 S_bp) + 2^(r'+1) * S.
+    A bounded verdict runs a bp scan of the measure at the same horizons;
+    when that is bounded too, the bracket carries the constructive upper
+    constant 235 * (4 S_bp) + 2^(r'+1) * S.
     """
-    return _combine(measure, "bmls", r, horizons, bp_result)
+    return _combine(measure, "bmls", r, horizons)
 
 
 def bweighted(measure, r, horizons=DEFAULT_HORIZONS):
@@ -430,7 +431,8 @@ def hyp_mls_check(measure, r, eps, horizons=DEFAULT_HORIZONS):
         bps = measure.potential.side_breakpoints(sign)(sign * measure.median + 1e-9, horizons[-1])
         scan = _SideScan(measure, sign, horizons[-1], extra=[b - 1e-9 for b in bps])
         key, g = KINDS["bmls"].weight(scan, r)
-        ratio = np.exp(g(scan.grid[1:]) - scan.weight_ladder(key, g).prefix[1:])
+        with np.errstate(over="ignore"):  # an inf ratio is never the smallest
+            ratio = np.exp(g(scan.grid[1:]) - scan.weight_ladder(key, g).prefix[1:])
         j = int(np.argmin(ratio))
         if ratio[j] < worst:
             worst, arg = float(ratio[j]), float(sign * scan.grid[j + 1])
@@ -470,7 +472,7 @@ def asymptotic_conditions(measure, r, horizons=DEFAULT_HORIZONS):
     Vp = pot.derivative(x)
     second = expr_mod.compile(expr_mod.diff(expr_mod.diff(pot.ast)))
     Vpp = expr_mod.evaluate(second, np.abs(x) if pot.even else x)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # an inf power sends its ratio to 0
         br = V / np.power(np.abs(Vp), rp)
         wr = V / (np.power(np.abs(x), 2.0 - r) * Vp * Vp)
         vr = Vpp / (Vp * Vp)

@@ -82,9 +82,10 @@ def h_star(r_prime, t):
     t = np.abs(np.asarray(t, dtype=float))
     if np.isnan(t).any():
         raise DomainValidationError("t must not be nan")
-    quad_branch = 0.25 * t * t
-    lin_branch = t - 1.0
-    pow_branch = np.power(t / r_prime, r) / (r - 1.0)
+    with np.errstate(over="ignore"):  # a branch past the float range is inf, as is the conjugate there
+        quad_branch = 0.25 * t * t
+        lin_branch = t - 1.0
+        pow_branch = np.power(t / r_prime, r) / (r - 1.0)
     out = np.where(t <= 2.0, quad_branch, np.where(t <= r_prime, lin_branch, pow_branch))
     return float(out) if out.ndim == 0 else out
 

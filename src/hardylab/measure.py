@@ -15,7 +15,7 @@ symbolic derivative.  Its three constructors:
 
     Potential.builtin(family, *params)           a family's tree, holding
                                                  the parameters' exact floats
-    Potential.from_expression(text, even=False)  an expression in x
+    Potential.from_expression(text)              an expression in x
     Potential.from_string(token)                 the CLI syntax of either
 """
 
@@ -88,9 +88,9 @@ class Potential:
         return Potential(_family_tree(family, params), even=True, label=label)
 
     @staticmethod
-    def from_expression(text, even=False):
+    def from_expression(text):
         """The potential of an expression in x, labelled by its text."""
-        return Potential(expr_mod.parse(text), even=even, label=text)  # raises ParseError with position
+        return Potential(expr_mod.parse(text), label=text)  # raises ParseError with position
 
     @staticmethod
     def from_string(token):

@@ -235,41 +235,42 @@ def integrate(f, a, b, rel_tol=REL_TOL, breakpoints=None, cells=None):
     done_err = 0.0
     panels_used = 0
     depth = 0  # every pending panel has been bisected this many times
-    while len(pa):
-        k, err, fx = _gk_linear(f, pa, pb)
-        if not np.isfinite(fx).all():
-            bad = np.argwhere(~np.isfinite(fx))
-            i, j = bad[0]
-            raise DomainValidationError(
-                f"integrand not finite near x={pa[i] + (pb[i] - pa[i]) * 0.5 * (1 + _GK_NODES[j]):.6g}"
-            )
-        panels_used += len(pa)
-        total_est = done_val + float(k.sum())
-        allow = max(ABS_TOL, rel_tol * abs(total_est))
-        # width-proportional allowance, with an absolute negligibility floor so
-        # integrable kinks cannot force unbounded refinement of vanishing panels
-        bad = ~(err <= allow * np.maximum((pb - pa) / width, 1e-6))
-        rejected = np.count_nonzero(bad)
-        if rejected and depth >= MAX_DEPTH:
-            raise _exhausted("adaptive refinement", pa, pb, np.where(bad, err, -np.inf))
-        if panels_used + 2 * rejected > PANEL_BUDGET:
-            raise _exhausted("adaptive refinement", pa, pb, np.where(bad, err, -np.inf),
-                             f"PANEL_BUDGET ({PANEL_BUDGET} panels)")
-        if not rejected:
-            done_val += float(k.sum())
-            done_err += float(err.sum())
-            break
-        if cells is not None:
-            edges = _initial_edges(a, b, np.concatenate([edges, cells]))
-            pa, pb, cells = edges[:-1], edges[1:], None
-            continue
-        ok = ~bad
-        done_val += float(k[ok].sum())
-        done_err += float(err[ok].sum())
-        pa, pb = pa[bad], pb[bad]
-        mid = 0.5 * (pa + pb)
-        pa, pb = np.concatenate([pa, mid]), np.concatenate([mid, pb])
-        depth += 1
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf node value (nan |K - G|) raises below
+        while len(pa):
+            k, err, fx = _gk_linear(f, pa, pb)
+            if not np.isfinite(fx).all():
+                bad = np.argwhere(~np.isfinite(fx))
+                i, j = bad[0]
+                raise DomainValidationError(
+                    f"integrand not finite near x={pa[i] + (pb[i] - pa[i]) * 0.5 * (1 + _GK_NODES[j]):.6g}"
+                )
+            panels_used += len(pa)
+            total_est = done_val + float(k.sum())
+            allow = max(ABS_TOL, rel_tol * abs(total_est))
+            # width-proportional allowance, with an absolute negligibility floor so
+            # integrable kinks cannot force unbounded refinement of vanishing panels
+            bad = ~(err <= allow * np.maximum((pb - pa) / width, 1e-6))
+            rejected = np.count_nonzero(bad)
+            if rejected and depth >= MAX_DEPTH:
+                raise _exhausted("adaptive refinement", pa, pb, np.where(bad, err, -np.inf))
+            if panels_used + 2 * rejected > PANEL_BUDGET:
+                raise _exhausted("adaptive refinement", pa, pb, np.where(bad, err, -np.inf),
+                                 f"PANEL_BUDGET ({PANEL_BUDGET} panels)")
+            if not rejected:
+                done_val += float(k.sum())
+                done_err += float(err.sum())
+                break
+            if cells is not None:
+                edges = _initial_edges(a, b, np.concatenate([edges, cells]))
+                pa, pb, cells = edges[:-1], edges[1:], None
+                continue
+            ok = ~bad
+            done_val += float(k[ok].sum())
+            done_err += float(err[ok].sum())
+            pa, pb = pa[bad], pb[bad]
+            mid = 0.5 * (pa + pb)
+            pa, pb = np.concatenate([pa, mid]), np.concatenate([mid, pb])
+            depth += 1
     return Integral(done_val, done_err, panels_used)
 
 

@@ -119,7 +119,7 @@ def poincare_bracket():
         m = corpus_measure(name)
         gap = spectral.spectral_gap(spectral.discretize(m, X=kw["X"], N=kw["N"]))
         cp_est = 1.0 / gap
-        ray = spectral.rayleigh(m, _corpus_best_f(name))
+        ray = fn.ratio_report(m, _corpus_best_f(name), "poincare").ratio
         sbp = criteria.bp(m).partial_sups[-1]
         checks.append(
             _check(
@@ -231,12 +231,10 @@ def floor_split():
 @functools.lru_cache(maxsize=None)
 def _constructive_constant(name, r):
     """Upper mLS constant 235 * C_P_upper + 2^(r'+1) * S_mls from the scans."""
-    m = corpus_measure(name)
-    bp_res = criteria.bp(m)
-    mls_res = criteria.bmls(m, r, bp_result=bp_res)
-    if mls_res.bracket is None:
-        raise RuntimeError(f"no constructive constant for {name}: bmls not bounded")
-    return mls_res.bracket[1]
+    bracket = criteria.bmls(corpus_measure(name), r).bracket
+    if bracket is None:
+        raise RuntimeError(f"no constructive constant for {name}: bmls or bp not bounded")
+    return bracket[1]
 
 
 def concentration_deviation():

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import functionals
-from .errors import DomainValidationError, EnergyGuardError
+from .errors import DomainValidationError
 from .measure import cdf, tail
 
 # smallest eigenvalue of the Neumann operator is the constant mode at 0;
@@ -102,12 +101,3 @@ def spectral_gap(op):
             f"Neumann ground mode not at zero: lambda0={lam0:.3e}, lambda1={lam1:.3e}"
         )
     return max(lam1, 0.0)
-
-
-def rayleigh(measure, f):
-    """variance(f) / dirichlet(f): a certified lower bound on the Poincare constant."""
-    num = functionals.variance(measure, f)
-    den = functionals.energy(measure, f, "dirichlet")
-    if den < 1e-14:
-        raise EnergyGuardError("rayleigh: dirichlet energy below guard")
-    return num / den

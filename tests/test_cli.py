@@ -327,6 +327,9 @@ def test_numerical_failure_exit_code_3(capsys):
         # every cost overflows to inf, which G < t rejects, with no RuntimeWarning
         (["concentration", "--mode", "gradcheck", "--n", "8", "--r", "1.5", "--t", "3", "--box", "1e200",
           "--count", "100000"], "no sampled points"),
+        # exp(x) overflows at the nodes of the variance, which the finiteness check refuses
+        (["evaluate", "--potential", "expr:0.01*abs(x)", "--f", "exp(x)", "--kind", "poincare"],
+         "integrand not finite"),
     ):
         assert cli.run(argv) == 3
         assert message in capsys.readouterr().err
@@ -341,13 +344,25 @@ def test_numerical_failure_exit_code_3(capsys):
       "--count", "1", "--seed", "3"], "max dual-power budget ratio", "value", 0.0),
     # Z = exp(1000.92) overflows; log Z is finite
     (["measure", "info", "--potential", "expr:x^2/2-1000"], "Z", "value", "inf"),
+    # the selected branch of the conjugate is inf, and so are the two it does not select
+    (["legendre", "--rprime", "10", "--t", "1e+300"], "h_star", "value", "inf"),
+    # t^2 and t^r are inf at t = 1e300, so the bound there is 0
+    (["concentration", "--mode", "deviation", "--potential", "power:1.5", "--n", "64", "--count", "100",
+      "--C", "0.5", "--r", "1.5", "--t-grid", "1,1e300", "--statistic", "max"], "bound tail", "value",
+     lambda tails: tails[-1] == 0.0),
+    # an inf ratio n^-(r-1) / int n^-(r-1) is never the smallest
+    (["criteria", "--potential", "power:7", "--kind", "hyp", "--r", "1.5"], "hyp holds", "verdict", "True"),
+    # |V'|^r' with r' = 101 is inf past x = 800, where the growth ratio is 0
+    (["criteria", "--potential", "expr:x^2+1000", "--kind", "asymptotics", "--r", "1.01"],
+     "growth ratio tail max", "value", lambda v: 0.0 < v < 1e-280),
 ])
 def test_values_past_the_float_range_exit_code_0(capsys, argv, name, key, value):
     # a traceback or a RuntimeWarning (an error under pytest) before
     code, doc = run_json(capsys, argv)
     assert code == 0 and capsys.readouterr().err == ""
     jsonschema.validate(doc, JSON_SCHEMA)
-    assert get(doc, name)[key] == value
+    got = get(doc, name)[key]
+    assert value(got) if callable(value) else got == value
 
 
 def test_out_of_memory_exit_code_3(capsys, monkeypatch):
@@ -375,6 +390,29 @@ def test_a_closed_pipe_ends_the_report_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert b"Traceback" not in err and err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_report_to_a_full_device_exits_3():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = [sys.executable, "-m", "hardylab.cli", "measure", "info", "--potential", "exp"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.decode().splitlines() == ["error: cannot write the report: [Errno 28] No space left on device"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "info", "--potential", "exp", "--output"],
+    ["criteria", "--potential", "exp", "--kind", "bp", "--horizons", "25,50", "--csv"],
+])
+def test_a_report_that_cannot_be_written_exits_3(capsys, tmp_path, argv):
+    path = str(tmp_path / "missing" / "report")
+    assert cli.run([*argv, path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the report:") and path in err and len(err.splitlines()) == 1
+
 
 def test_measure_info_nonfinite_points(capsys):
     code = cli.run(["measure", "info", "--potential", "exp", "--tail-at", "nan"])

@@ -496,18 +496,21 @@ def test_gradient_check_holds_one_row_block_at_a_time(monkeypatch):
 
 def test_transport_check_adjacent_pairs_bounded_below(exp_measure):
     # numerator >= 1 always, so the infimum is at least 1/max|x-y|^alpha
-    res = conc.transport_check(exp_measure, 1.5, x_grid=np.linspace(-10, 10, 81))
-    assert res["b_alpha_inf"] >= 1.0 / 20.0**1.5
+    res = conc.transport_check(exp_measure, 1.5)
+    assert res["grid_size"] == 400
+    assert res["b_alpha_inf"] >= 1.0 / 80.0**1.5
 
 
 def test_transport_check_batches_points_inside_the_ladder(exp_measure, monkeypatch):
-    # every |x| lies inside the measure's ladder: their partial cells share
-    # one refinement call, where scalar queries made one call per magnitude
+    # the grid's 200 magnitudes lie inside exp's ladder (to 128): their partial
+    # cells share refinement calls of quad._LADDER_BLOCK intervals, where
+    # scalar queries made one call per magnitude
+    assert exp_measure.ladders[+1].edges[-1] > 40.0
     calls = []
     refine = quad.refine_log_panels
     monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: calls.append(a) or refine(*a, **k))
-    conc.transport_check(exp_measure, 1.5, x_grid=np.linspace(-20.0, 20.0, 101))
-    assert len(calls) == 1
+    conc.transport_check(exp_measure, 1.5)
+    assert len(calls) == math.ceil(200 / quad._LADDER_BLOCK)
 
 
 def test_transport_check_shares_one_extension_beyond_the_ladder(monkeypatch):

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from hardylab import criteria, quad, scenarios
+from hardylab import criteria, expr, quad, scenarios
 from hardylab import measure as msr
 from hardylab.errors import DomainValidationError
 
@@ -125,16 +126,17 @@ def test_bmls_exponential_small_power_closed_form(exp_measure):
     assert res.verdict.plateau_ratio > 10.0
 
 
-def test_bmls_bracket_uses_bp(exp_measure, cattiaux_measure):
+def test_bmls_bracket_uses_bp(cattiaux_measure, monkeypatch):
+    # a bounded bmls runs its own bp scan for the Poincare end of its constant
+    res = criteria.bmls(cattiaux_measure, 1.5)
     bp_res = criteria.bp(cattiaux_measure)
-    res = criteria.bmls(cattiaux_measure, 1.5, bp_result=bp_res)
     assert res.verdict.label == "bounded"
-    assert res.bracket is not None
-    lo, up = res.bracket
     rp = 3.0
-    expected = 235.0 * bp_res.bracket[1] + 2.0 ** (rp + 1.0) * res.partial_sups[-1]
-    assert up == pytest.approx(expected, rel=1e-12)
-    # without a bp result there is no bracket
+    assert res.bracket == (0.0, 235.0 * bp_res.bracket[1] + 2.0 ** (rp + 1.0) * res.partial_sups[-1])
+    assert res.bracket == (0.0, 75.00742324028751)
+    # a bp scan without a bracket leaves the bmls verdict without one
+    unbounded = dataclasses.replace(bp_res, bracket=None)
+    monkeypatch.setattr(criteria, "bp", lambda *a, **k: unbounded)
     assert criteria.bmls(cattiaux_measure, 1.5).bracket is None
 
 
@@ -383,7 +385,8 @@ def test_cached_scans_equal_fresh_scans(token, monkeypatch):
         return msr.normalize(msr.Potential.from_string(token))
 
     def same(a, b):
-        return np.array_equal(a.log_partial_sups, b.log_partial_sups) and np.array_equal(a.argmax, b.argmax)
+        return (np.array_equal(a.log_partial_sups, b.log_partial_sups) and np.array_equal(a.argmax, b.argmax)
+                and a.bracket == b.bracket)
 
     builds = []
     init = quad.LogLadder.__init__
@@ -393,10 +396,8 @@ def test_cached_scans_equal_fresh_scans(token, monkeypatch):
     sides = 1 if shared.is_even else 2
     for r in (1.2, 1.5, 1.8):
         assert same(criteria.blo(shared, r, horizons=SHORT), criteria.blo(fresh(), r, horizons=SHORT))
-    bp_res = criteria.bp(shared, horizons=SHORT)
-    assert same(bp_res, criteria.bp(fresh(), horizons=SHORT))
-    assert same(criteria.bmls(shared, 1.4, horizons=SHORT, bp_result=bp_res),
-                criteria.bmls(fresh(), 1.4, horizons=SHORT))
+    assert same(criteria.bp(shared, horizons=SHORT), criteria.bp(fresh(), horizons=SHORT))
+    assert same(criteria.bmls(shared, 1.4, horizons=SHORT), criteria.bmls(fresh(), 1.4, horizons=SHORT))
     builds.clear()
     criteria.blo(shared, 1.3, horizons=SHORT)
     criteria.bmls(shared, 1.4, horizons=SHORT)
@@ -410,7 +411,7 @@ def test_bp_far_horizons_on_unsplit_ladder_cells():
     # to 2^19 and its chunks past 8192 are not split at a step; the scan grid
     # still steps by GRID_STEP there.  The log sups are those of the scan on
     # its own tail ladder, which reading the measure's ladder replaced.
-    m = msr.normalize(msr.Potential.from_expression("4*log(1+abs(x))", even=True))
+    m = msr.normalize(msr.Potential(expr.parse("4*log(1+abs(x))"), even=True, label="4*log(1+abs(x))"))
     horizons = (1e3, 2e3, 4e3, 1e4)
     edges = m.ladders[+1].edges
     assert np.diff(edges)[edges[:-1] >= 8192.0].min() > 4096.0

@@ -239,6 +239,25 @@ def test_lo_lhs_dyadic_grid_oracle(exp_measure):
     assert fn.lo_lhs(exp_measure, fx, r) == pytest.approx(best, rel=1e-4)
 
 
+def test_lo_lhs_parabolic_refinement_beats_the_grid(exp_measure):
+    # at r = 1.99 the sup over theta of the closed form above, 1.1280017033
+    # at theta = 1.9618, lies between grid points: the best grid value is
+    # 1.1278942281 at theta = 1.96875, and the refinement around it lands in
+    # between, by far more than the quadrature's error
+    r = 1.99
+    expo = 2.0 * (1.0 - 1.0 / r)
+
+    def candidate(theta):
+        return (2.0 - math.gamma(1.0 + theta) ** (2.0 / theta)) / (2.0 - theta) ** expo
+
+    grid = max(candidate(2.0 - 2.0**-j) for j in range(1, 21))
+    sup = max(candidate(theta) for theta in np.linspace(1.9, 1.99, 9001))
+    assert grid == pytest.approx(1.1278942281, abs=1e-10)
+    assert sup == pytest.approx(1.1280017033, abs=1e-10)
+    got = fn.lo_lhs(exp_measure, fn.TestFunction.from_expression("x"), r)
+    assert grid + 1e-6 < got <= sup * (1.0 + 1e-9)
+
+
 def test_lo_lhs_monotone_in_r(exp_measure):
     fx = fn.TestFunction.from_expression("x")
     assert fn.lo_lhs(exp_measure, fx, 1.8) >= fn.lo_lhs(exp_measure, fx, 1.2) - 1e-10
@@ -329,6 +348,21 @@ def test_ratio_report_poincare(exp_measure, gauss_measure):
     assert rep.ratio == pytest.approx(1.0, rel=1e-8)
     rep2 = fn.ratio_report(exp_measure, fx, "poincare")
     assert rep2.ratio == pytest.approx(2.0, rel=1e-8)
+
+
+def test_poincare_ratio_exponential_near_extremal():
+    # sign(x)(exp(|x|/2) - 1) approaches the optimizer; on a deep truncation
+    # (eps = 1e-60, support ~ 138) the quotient clears 3.9 of the limit 4
+    m = msr.normalize(msr.Potential.builtin("exp"), eps_trunc=1e-60)
+    f = fn.TestFunction(
+        value=lambda x: np.sign(x) * (np.exp(np.abs(x) / 2.0) - 1.0),
+        derivative=lambda x: 0.5 * np.exp(np.abs(x) / 2.0),
+    )
+    ratio = fn.ratio_report(m, f, "poincare").ratio
+    T = m.truncation
+    oracle = (T - 3.0 + 4.0 * math.exp(-T / 2.0) - math.exp(-T)) / (T / 4.0)
+    assert ratio == pytest.approx(oracle, rel=1e-6)
+    assert ratio >= 3.9
 
 
 def test_ratio_report_constant_zero(exp_measure):

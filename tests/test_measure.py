@@ -91,7 +91,7 @@ def test_potential_must_be_locally_bounded():
         msr.Potential.builtin("sinpower", 2, 1),
         msr.Potential.builtin("sinpower", 2, 2),
         msr.Potential.builtin("cattiaux", 1.5, 1.9),
-        msr.Potential.from_expression("x^2/2 + cos(x)", even=False),
+        msr.Potential.from_expression("x^2/2 + cos(x)"),
     ],
 )
 def test_analytic_derivatives_match_finite_differences(spec, derivative_error):
@@ -244,7 +244,7 @@ def test_normalize_cusp_matches_closed_form():
 def test_even_measure_median_zero(nu2_measure):
     assert nu2_measure.median == 0.0
     # the left ladder's log total rounds one ulp above log(Z/2) here, and its root at p = 1/2 to -1.2e-15
-    m = msr.normalize(msr.Potential.from_expression("floor(abs(x))*2", even=True))
+    m = msr.normalize(msr.Potential(expr.parse("floor(abs(x))*2"), even=True, label="floor(abs(x))*2"))
     assert msr.quantile(nu2_measure, 0.5) == msr.quantile(m, 0.5) == 0.0
 
 
@@ -319,7 +319,7 @@ def test_normalize_integrates_each_side_once(text, monkeypatch):
     monkeypatch.setattr(quad.LogLadder, "__init__", counted("ladders", init))
     monkeypatch.setattr(quad, "log_extension", counted("extensions", extension))
     monkeypatch.setattr(msr, "cdf", counted("cdf", cdf))
-    m = msr.normalize(msr.Potential.from_expression(text, even=text == "abs(x)^1.5"))
+    m = msr.normalize(msr.Potential(expr.parse(text), even=text == "abs(x)^1.5", label=text))
     sides = 1 if m.is_even else 2
     assert counts == {"ladders": sides, "extensions": sides, "cdf": 0}
     assert not hasattr(quad, "integrate_log")
@@ -410,7 +410,7 @@ def test_quantile_round_trips_through_log_cdf(text):
     # the even heavy tail's roots lie far past its ladder's end (3.7e6 at 1e-20)
     heavy = text.startswith("4*log")
     ps = (1e-20, 1e-40) if heavy else (1e-12, 0.1, 0.4, 0.6, 0.9)
-    m = msr.normalize(msr.Potential.from_expression(text, even=heavy))
+    m = msr.normalize(msr.Potential(expr.parse(text), even=heavy, label=text))
     edges = {sign: m.ladders[sign].edges for sign in (+1, -1)}
     for p in ps:
         got = msr.log_cdf(m, msr.quantile(m, p))
@@ -423,7 +423,7 @@ def test_deep_heavy_tail_quantile_searches_the_doubling_ends(monkeypatch):
     # density ~ |x|^-4, so mu((-inf, -x]) = (1 + x)^-3 / 2: the root at
     # p = 1e-300 lies about 314 doublings past the ladder's end, which are
     # searched with one extension per candidate end, not one per doubling
-    m = msr.normalize(msr.Potential.from_expression("4*log(1+abs(x))", even=True))
+    m = msr.normalize(msr.Potential(expr.parse("4*log(1+abs(x))"), even=True, label="4*log(1+abs(x))"))
     calls = []
     extension = quad.log_extension
     monkeypatch.setattr(quad, "log_extension", lambda *a, **k: calls.append(a[1]) or extension(*a, **k))
@@ -437,7 +437,7 @@ def test_deep_heavy_tail_quantile_searches_the_doubling_ends(monkeypatch):
 def test_heavy_tail_past_the_unit_spacing_of_floats(x):
     # past 2^53 an extension's unit first chunk does not move its start; the
     # doubling starts at the first width that does, so the tail converges
-    m = msr.normalize(msr.Potential.from_expression("4*log(1+abs(x))", even=True))
+    m = msr.normalize(msr.Potential(expr.parse("4*log(1+abs(x))"), even=True, label="4*log(1+abs(x))"))
     assert msr.log_tail(m, x) == pytest.approx(-3.0 * math.log1p(x) - math.log(2.0), rel=1e-13)
 
 

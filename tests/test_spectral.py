@@ -6,10 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from hardylab import functionals as fn
 from hardylab import measure as msr
 from hardylab import spectral
-from hardylab.errors import DomainValidationError, EnergyGuardError
+from hardylab.errors import DomainValidationError
 
 
 def dirichlet_form(op, u):
@@ -123,29 +122,3 @@ def test_truncation_monotonicity(gauss_measure):
     gaps = [spectral.spectral_gap(spectral.discretize(gauss_measure, X=X, N=4000)) for X in (6.0, 8.0, 10.0)]
     for a, b in zip(gaps, gaps[1:]):
         assert b <= a + 1e-4
-
-
-def test_rayleigh_gaussian_linear(gauss_measure):
-    fx = fn.TestFunction.from_expression("x")
-    assert spectral.rayleigh(gauss_measure, fx) == pytest.approx(1.0, rel=1e-8)
-
-
-def test_rayleigh_exponential_near_extremal():
-    # sign(x)(exp(|x|/2) - 1) approaches the optimizer; on a deep truncation
-    # (eps = 1e-60, support ~ 138) the quotient clears 3.9 of the limit 4
-    m = msr.normalize(msr.Potential.builtin("exp"), eps_trunc=1e-60)
-    f = fn.TestFunction(
-        value=lambda x: np.sign(x) * (np.exp(np.abs(x) / 2.0) - 1.0),
-        derivative=lambda x: 0.5 * np.exp(np.abs(x) / 2.0),
-    )
-    ray = spectral.rayleigh(m, f)
-    T = m.truncation
-    oracle = (T - 3.0 + 4.0 * math.exp(-T / 2.0) - math.exp(-T)) / (T / 4.0)
-    assert ray == pytest.approx(oracle, rel=1e-6)
-    assert ray >= 3.9
-
-
-def test_rayleigh_constant_guard(exp_measure):
-    c = fn.TestFunction.from_expression("3")
-    with pytest.raises(EnergyGuardError):
-        spectral.rayleigh(exp_measure, c)
