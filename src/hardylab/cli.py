@@ -192,7 +192,8 @@ def cmd_criteria(args):
         results.append(
             {"name": "hyp holds", "value": 1.0 if res.holds else 0.0, "verdict": str(res.holds)}
         )
-        results.append({"name": "worst ratio", "value": res.worst_ratio, "argmax": res.arg})
+        results.append({"name": "worst ratio", "value": res.worst_ratio, "argmax": res.arg,
+                        "unresolved_from": res.unresolved_from})
     elif kind == "asymptotics":
         res = criteria.asymptotic_conditions(m, args.r, horizons=args.horizons)
         results.append({"name": "growth ratio tail max", "value": res.br_tail_max})

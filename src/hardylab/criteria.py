@@ -413,6 +413,12 @@ class HypMlsResult:
     worst_ratio: float
     arg: float
     eps: float
+    unresolved_from: float  # the first grid point whose ratio is rounding, nearest the median; nan if none
+
+
+# Largest rounding, 2 ulps of the larger of its two logs, that a hyp ratio
+# may carry: from |log| = 2^32 (4.3e9) on, a ratio is left out of the minimum.
+_HYP_LOG_ROUNDING = 1e-6
 
 
 def hyp_mls_check(measure, r, eps, horizons=DEFAULT_HORIZONS):
@@ -420,25 +426,35 @@ def hyp_mls_check(measure, r, eps, horizons=DEFAULT_HORIZONS):
 
     Returns the smallest observed ratio and where it occurs.  For piecewise
     potentials the dips sit just before the jump points, so those points are
-    added to the grid.
+    added to the grid.  A ratio is exp of a difference of two logs near
+    (r-1)V, which is rounding where they carry more than ``_HYP_LOG_ROUNDING``:
+    those points are left out, and the first from the median is ``unresolved_from``.
+    Raises DomainValidationError where no point is left.
     """
     _dual(r)
     if not 0.0 < eps < math.inf:
         raise DomainValidationError(f"eps must be finite and positive, got {eps}")
     horizons = _validate_horizons(horizons, measure.median)
-    worst, arg = math.inf, math.nan
+    worst, arg, unresolved, reach = math.inf, math.nan, math.nan, math.inf
     for sign in (+1.0, -1.0):
         bps = measure.potential.side_breakpoints(sign)(sign * measure.median + 1e-9, horizons[-1])
         scan = _SideScan(measure, sign, horizons[-1], extra=[b - 1e-9 for b in bps])
         key, g = KINDS["bmls"].weight(scan, r)
+        lg, lp = g(scan.grid[1:]), scan.weight_ladder(key, g).prefix[1:]
+        resolved = 2.0 * np.spacing(np.maximum(np.abs(lg), np.abs(lp))) <= _HYP_LOG_ROUNDING
         with np.errstate(over="ignore"):  # an inf ratio is never the smallest
-            ratio = np.exp(g(scan.grid[1:]) - scan.weight_ladder(key, g).prefix[1:])
+            ratio = np.where(resolved, np.exp(lg - lp), np.inf)
         j = int(np.argmin(ratio))
         if ratio[j] < worst:
             worst, arg = float(ratio[j]), float(sign * scan.grid[j + 1])
+        k = int(np.argmin(resolved))
+        if not resolved[k] and scan.grid[k + 1] - scan.grid[0] < reach:
+            unresolved, reach = float(sign * scan.grid[k + 1]), scan.grid[k + 1] - scan.grid[0]
         if measure.is_even:
             break
-    return HypMlsResult(holds=bool(worst >= eps), worst_ratio=worst, arg=arg, eps=eps)
+    if math.isnan(arg):
+        raise DomainValidationError(f"no hyp ratio is resolved: its logs carry rounding from x = {unresolved:.6g} on")
+    return HypMlsResult(holds=bool(worst >= eps), worst_ratio=worst, arg=arg, eps=eps, unresolved_from=unresolved)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ JSON_SCHEMA = {
                         "maxItems": 2,
                     },
                     "argmax": {"type": "number"},
+                    # the hyp check's first grid point whose ratio is rounding; null when every point resolves
+                    "unresolved_from": {"type": ["number", "null"]},
                 },
             },
         },
@@ -302,6 +304,8 @@ def test_numerical_failure_exit_code_3(capsys):
         (["measure", "info", "--potential", "exp", "--rel-tol", "inf"], "rel_tol"),
         (["concentration", "--mode", "deviation", "--t-grid", "1,nan", "--count", "100"], "t_grid must be finite"),
         (["criteria", "--potential", "exp", "--kind", "hyp", "--r", "1.5", "--eps", "nan"], "eps must be finite"),
+        # (r-1)V >= 2^32 from the median on: every hyp ratio is rounding, and none is left
+        (["criteria", "--potential", "expr:x^2+10000000000", "--kind", "hyp", "--r", "1.5"], "no hyp ratio is resolved"),
         (["concentration", "--mode", "gradcheck", "--n", "0"], "n and count"),
         (["concentration", "--mode", "gradcheck", "--t", "inf"], "t and box must be finite"),
         (["concentration", "--mode", "deviation", "--statistic", "softmax", "--beta", "nan"], "finite beta"),
@@ -352,6 +356,9 @@ def test_numerical_failure_exit_code_3(capsys):
      lambda tails: tails[-1] == 0.0),
     # an inf ratio n^-(r-1) / int n^-(r-1) is never the smallest
     (["criteria", "--potential", "power:7", "--kind", "hyp", "--r", "1.5"], "hyp holds", "verdict", "True"),
+    # past x = 26.31 the ratio's two logs carry more than 1e-6 of rounding and are left out
+    (["criteria", "--potential", "power:7", "--kind", "hyp", "--r", "1.5"], "worst ratio", "unresolved_from",
+     lambda x: 26.31 < x < 26.32),
     # |V'|^r' with r' = 101 is inf past x = 800, where the growth ratio is 0
     (["criteria", "--potential", "expr:x^2+1000", "--kind", "asymptotics", "--r", "1.01"],
      "growth ratio tail max", "value", lambda v: 0.0 < v < 1e-280),

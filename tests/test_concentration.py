@@ -503,14 +503,14 @@ def test_transport_check_adjacent_pairs_bounded_below(exp_measure):
 
 def test_transport_check_batches_points_inside_the_ladder(exp_measure, monkeypatch):
     # the grid's 200 magnitudes lie inside exp's ladder (to 128): their partial
-    # cells share refinement calls of quad._LADDER_BLOCK intervals, where
-    # scalar queries made one call per magnitude
+    # cells share one refinement call, where scalar queries made one call
+    # per magnitude
     assert exp_measure.ladders[+1].edges[-1] > 40.0
     calls = []
     refine = quad.refine_log_panels
     monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: calls.append(a) or refine(*a, **k))
     conc.transport_check(exp_measure, 1.5)
-    assert len(calls) == math.ceil(200 / quad._LADDER_BLOCK)
+    assert len(calls) == 1
 
 
 def test_transport_check_shares_one_extension_beyond_the_ladder(monkeypatch):

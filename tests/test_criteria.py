@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,22 @@ def test_hyp_floor_dips_at_jumps(floor_measure):
     assert res.holds
     # piecewise-exponential closed form: dips approach 1 - e^(-1/2)
     assert res.worst_ratio == pytest.approx(1.0 - math.exp(-0.5), abs=1e-3)
+
+
+def test_hyp_leaves_rounded_ratios_out():
+    # (r-1)V = 0.5 x^7 reaches 2^32 at x = 26.3, where 2 ulps of the two logs
+    # exceed 1e-6: from there on exp(g - prefix) is their rounding (1.0 at
+    # x = 344.79, where the ulp is 64), not the ratio, which grows like x^6;
+    # the minimum is read off the 66 resolved points
+    m = msr.normalize(msr.Potential.builtin("power", 7.0))
+    res = criteria.hyp_mls_check(m, 1.5, 1.3)
+    assert res.holds and res.worst_ratio == pytest.approx(1.3799, abs=1e-4)
+    assert res.arg == pytest.approx(math.pi / 4.0, rel=1e-15)
+    assert res.unresolved_from == pytest.approx(67.0 * math.pi / 8.0, rel=1e-15)
+    assert 0.5 * res.unresolved_from**7 >= 2.0**32 > 0.5 * (res.unresolved_from - math.pi / 8.0) ** 7
+    # the corpus resolves every point
+    for name in ("exponential", "floor", "cattiaux"):
+        assert math.isnan(criteria.hyp_mls_check(scenarios.corpus_measure(name), 1.5, 0.1).unresolved_from)
 
 
 def test_hyp_gaussian_ratio_grows(gauss_measure):
@@ -420,6 +437,52 @@ def test_bp_far_horizons_on_unsplit_ladder_cells():
     assert res.log_partial_sups == pytest.approx(want, rel=1e-9)
     (scan,) = m._scans.values()  # the one side of an even measure
     assert np.diff(scan.grid).max() <= math.pi / 8.0 * (1.0 + 1e-9)
+
+
+def _cells_in_blocks_of_192(ladder):
+    """The former ladder build: the cells refined 192 intervals per call."""
+    lo, hi = ladder.edges[:-1], ladder.edges[1:]
+    blocks = range(0, len(lo), 192)
+    return np.concatenate([quad.refine_log_panels(ladder.logf, lo[i : i + 192], hi[i : i + 192], ladder.ptol)[0]
+                           for i in blocks])
+
+
+def _horizon_800_build(token, which):
+    """The build of a horizon-800 scan ladder of the measure: the bp weight
+    ladder on the scan grid of its right side, or its tail ladder grown to
+    the last horizon, which refines the new cells past its end."""
+    m = msr.normalize(msr.Potential.from_string(token))
+    if which == "weight":
+        scan = criteria._SideScan(m, +1.0, 800.0, criteria.DEFAULT_HORIZONS)
+        _, g = criteria.KINDS["bp"].weight(scan, None)
+        return lambda: quad.LogLadder(g, scan.grid, 1e-9), 0
+    return lambda: m.ladders[+1].grown(800.0), len(m.ladders[+1].cells)
+
+
+@pytest.mark.parametrize("token, which", [("sinpower:2,1", "weight"), ("cattiaux:1.5,1.9", "weight"),
+                                          ("cattiaux:1.5,1.9", "tail")])
+def test_scan_ladders_refine_their_cells_in_one_call(token, which, monkeypatch):
+    # the 2,043 cells of a weight ladder and the 2,024 new cells of a grown
+    # tail ladder go to one refinement call (the calls of at most
+    # _EXTENSION_BATCH_SEGMENTS intervals are the mass beyond the end), and
+    # equal the former build in blocks of 192 intervals bit for bit; the
+    # build's traced allocations peak within 1.5 MB
+    build, old = _horizon_800_build(token, which)
+    calls = []
+    refine = quad.refine_log_panels
+    monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: calls.append(len(a[1])) or refine(*a, **k))
+    ladder = build()
+    monkeypatch.undo()
+    assert len(ladder.cells) - old > 2000
+    assert [n for n in calls if n > quad._EXTENSION_BATCH_SEGMENTS] == [len(ladder.cells) - old]
+    assert np.array_equal(ladder.cells, _cells_in_blocks_of_192(ladder))
+    tracemalloc.start()
+    try:
+        build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 @pytest.mark.parametrize("step", [1.0 / 3.0, 0.45])

@@ -2,6 +2,7 @@ import json
 import math
 import statistics
 import sys
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -973,6 +974,23 @@ def test_tails_past_the_ladder_do_not_depend_on_the_batch():
     assert m.ladders[+1].edges[-1] == 16.0
     for x, y in ((20.8, 30.4), (30.4, 20.8), (16.5, 32.0), (32.0, 17.0)):
         assert msr.log_tail(m, [x])[0] == msr.log_tail(m, [x, y])[0], (x, y)
+
+
+def test_a_long_tail_query_holds_one_block_of_partial_cells_at_a_time():
+    # 20,000 points inside nu2's ladder refine their partial cells in
+    # blocks of quad._LADDER_BLOCK intervals, whose nodes _gk_log evaluates
+    # in blocks of quad._NODE_BLOCK panels: the traced allocations peak
+    # within 3 MB, next to the 0.16 MB of each array over the points
+    m = scenarios.corpus_measure("nu2")
+    xs = np.random.default_rng(5).uniform(0.0, m.ladders[+1].edges[-1], 20_000)
+    msr.log_tail(m, xs[:10])  # one-off costs outside the measurement
+    tracemalloc.start()
+    try:
+        msr.log_tail(m, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 _FAR_FLOOR_TAILS = """

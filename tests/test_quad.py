@@ -430,6 +430,16 @@ def _assert_within_summand_ulps(a, b, gx, logk, err, ref_k, ref_err):
     assert np.all(np.abs(err - ref_err) <= 4.0 * np.spacing(scale))
 
 
+def _by_node(values, a, b):
+    """A log-integrand that gives node j of panel i the value values[i, j],
+    for any block or subset of the panels [a, b]: it finds the panel by its
+    midpoint, which ``_gk_log`` evaluates at node 7 (0.0) exactly."""
+    mid = 0.5 * a + 0.5 * b
+    assert len(np.unique(mid)) == len(mid)
+    order = np.argsort(mid)
+    return lambda xs: values[order[np.searchsorted(mid, xs[7], sorter=order)]].T.copy()
+
+
 @pytest.mark.parametrize("rows", [5, 128, 700])
 def test_gk_log_equals_reference_formula(rows):
     # the kernel's one exponential per node against the former separate
@@ -448,9 +458,9 @@ def test_gk_log_equals_reference_formula(rows):
         nonfinite = gx.copy()
         nonfinite[3, 7] = bad
         with pytest.raises(DomainValidationError, match=f"log-integrand is {bad} on the panel \\[{a[3]:.17g}, "):
-            quad._gk_log(lambda xs: nonfinite.T.copy(), a, b)
+            quad._gk_log(_by_node(nonfinite, a, b), a, b)
     with np.errstate(invalid="ignore"):  # the all--inf row's -inf - -inf
-        logk, err = quad._gk_log(lambda xs: gx.T.copy(), a, b)  # node j of panel i at [j, i]
+        logk, err = quad._gk_log(_by_node(gx, a, b), a, b)
         ref_k, ref_err = _gk_log_reference(lambda xs: gx.copy(), a, b)
     # panels 0-2 take ``_gk_log_separate``, the reference's formula: the same floats, sign bits included
     assert np.isfinite(ref_err[0]) and np.array_equal(err[:3], ref_err[:3])
@@ -464,6 +474,44 @@ def test_gk_log_equals_reference_formula(rows):
         ref_k, ref_err = _gk_log_reference(logf, a, b)
         gx = logf(0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * quad._GK_NODES)
         _assert_within_summand_ulps(a, b, gx, logk, err, ref_k, ref_err)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.uint64)
+
+
+def test_gk_log_node_blocks_equal_single_panels():
+    # a batch is evaluated _NODE_BLOCK panels at a time: each panel's log
+    # K15 and err equal those of a call for that panel alone, bit for bit,
+    # over batches that end short of, at and past a block's end, with -inf
+    # panels and panels whose G7 sum underflows (``_gk_log_separate``)
+    # spread over the blocks; a nan or +inf node raises naming the first
+    # panel holding one, in whichever block it sits
+    nb = quad._NODE_BLOCK
+    for rows in (1, nb - 1, nb, nb + 1, 3 * nb + 7):
+        rng = np.random.default_rng(rows)
+        gx = rng.normal(0.0, 300.0, size=(rows, 15))
+        gx[rng.random((rows, 15)) < 0.2] = -np.inf
+        gx[::5] = -np.inf
+        gx[1::5, ::2] = np.linspace(-5.0, 5.0, 8)
+        gx[1::5, 1::2] = -800.0 - np.arange(7.0)  # the G7 sum underflows to 0
+        a = rng.uniform(-50.0, 50.0, rows)
+        b = a + rng.uniform(1e-6, 3.0, rows)
+        logf = _by_node(gx, a, b)
+        with np.errstate(invalid="ignore"):  # an all--inf panel's -inf - -inf
+            logk, err = quad._gk_log(logf, a, b)
+            single = [quad._gk_log(logf, a[i : i + 1], b[i : i + 1]) for i in range(rows)]
+        assert np.array_equal(_bits(logk), _bits([k[0] for k, _ in single]))
+        assert np.array_equal(_bits(err), _bits([e[0] for _, e in single]))
+        assert (logk[::5] == -np.inf).all() and (err[::5] == 0.0).all()
+        if rows > 1:
+            assert np.isfinite(logk[1::5]).all() and np.isfinite(err[1::5]).all()
+        for first in sorted({0, rows // 2, rows - 1}):
+            bad = gx.copy()
+            bad[first, 3] = np.nan
+            bad[first + 1 :: 3, 8] = np.inf
+            with pytest.raises(DomainValidationError, match=f"is nan on the panel \\[{a[first]:.17g}, "):
+                quad._gk_log(_by_node(bad, a, b), a, b)
 
 
 def _test_intervals():
@@ -671,16 +719,17 @@ def test_needle_cell_closed_form_in_few_panels(slope, ptol):
 
 
 def test_ladder_queries_refine_partial_cells_in_blocks(monkeypatch):
-    # a batch of 1000 points is refined at most _LADDER_BLOCK partial cells
-    # per call, and each point reads what it reads alone, bit for bit
+    # a batch of points longer than _LADDER_BLOCK is refined in blocks of at
+    # most _LADDER_BLOCK partial cells per call, and each point reads what
+    # it reads alone, bit for bit
     pot = msr.Potential.builtin("sinpower", 2, 1)
     ladder = quad.LogLadder(lambda x: -pot.value(x), np.linspace(0.0, 40.0, 41), 1e-11)
-    xs = np.random.default_rng(3).uniform(0.0, 40.0, 1000)
+    xs = np.random.default_rng(3).uniform(0.0, 40.0, quad._LADDER_BLOCK + 904)
     lengths = []
     refine = quad.refine_log_panels
     monkeypatch.setattr(quad, "refine_log_panels", lambda *a, **k: lengths.append(len(a[1])) or refine(*a, **k))
     upper, lower = ladder.upper(xs), ladder.lower(xs)
-    assert sum(lengths) == 2 * len(xs) and max(lengths) <= quad._LADDER_BLOCK
+    assert lengths == [quad._LADDER_BLOCK, 904] * 2
     for i in range(0, len(xs), 97):
         assert upper[i] == ladder.upper(xs[i : i + 1])[0] and lower[i] == ladder.lower(xs[i : i + 1])[0]
 
@@ -698,7 +747,6 @@ def _former_prefix_suffix(logf, edges, after):
 
 @pytest.mark.parametrize("token", ["exp", "sinpower:2,1", "floor"])
 def test_log_ladder_equals_former_prefix_and_suffix(token):
-    # over 192 cells, so the ladder is built in more than one block
     pot = msr.Potential.from_string(token)
     logf = lambda x: -pot.value(x)
     edges = np.unique(np.concatenate([np.linspace(0.0, 40.0, 450), pot.breakpoints(0.0, 40.0)]))
