@@ -88,13 +88,13 @@ def _statistic(name, beta=None):
             raise DomainValidationError("softmax statistic needs a finite beta > 0")
 
         def f(x):
+            # log(mean(exp)), not log(sum(exp)): it drops the constant log(n) / beta,
+            # which no deviation reads and which swamps the values' digits for a tiny beta
             m = np.max(x, axis=1, keepdims=True)
             w = x - m
-            # w <= 0 overflows only to -inf, whose exp is 0; the log sum / beta
-            # overflows to inf for a tiny beta, which deviation_experiment refuses
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore"):  # w <= 0 overflows only to -inf, whose expm1 is -1
                 w *= beta
-                return (m + np.log(np.sum(np.exp(w, out=w), axis=1, keepdims=True)) / beta)[:, 0]
+                return (m + np.log1p(np.mean(np.expm1(w, out=w), axis=1, keepdims=True)) / beta)[:, 0]
 
         return f, lambda n, r: 1.0
     raise DomainValidationError(f"unknown statistic {name!r}")
@@ -131,7 +131,7 @@ def deviation_experiment(measure, n, statistic, t_grid, count, seed, C, r, beta=
     the 99% standard error of the mean before counting exceedances.  Raises
     DomainValidationError for n or count below 1, a t_grid that does not
     increase, C <= 0 or r outside (1, 2), and a statistic whose values, mean
-    or standard error is not finite (a softmax of tiny beta).
+    or standard error is not finite.
     """
     t_grid = _checked_grid(n, count, t_grid, C, r)
     f, lr2_fn = _statistic(statistic, beta)

@@ -168,6 +168,12 @@ def _gk_log(logf, a, b):
     return out[0], out[1]
 
 
+def _nodes(a, b):
+    """The 15 nodes of each panel [a_i, b_i], node j of panel i at [j, i], and the half-widths."""
+    ha, hb = 0.5 * a, 0.5 * b  # a + b overflows within a factor of 2 of the float max
+    return ha + hb + (hb - ha) * _GK_NODES[:, None], hb - ha
+
+
 def _gk_log_block(logf, a, b):
     """Log-space K15/G7: log integral of exp(logf) on each panel, and
     err = |log K15 - log G7|.  Node j of panel i sits at [j, i].  Each
@@ -178,24 +184,18 @@ def _gk_log_block(logf, a, b):
     whose G7 sum underflows below the normal range takes
     ``_gk_log_separate``; one finiteness test of maximum + log half-width
     finds the first two.  A nan or +inf node value, which reaches the
-    panel's maximum, raises DomainValidationError naming the panel; -inf is
-    zero mass."""
-    ha, hb = 0.5 * a, 0.5 * b  # a + b overflows within a factor of 2 of the float max
-    mid, hw = ha + hb, hb - ha
+    panel's maximum, fails the panel: its log K15 and err are nan.  -inf
+    is zero mass."""
+    xs, hw = _nodes(a, b)
     log_hw = np.log(hw)
-    # an overflowing or nan node value is caught below, so numpy need not warn
+    # an overflowing or nan node value fails its panel, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        gx = np.asarray(logf(mid + hw * _GK_NODES[:, None]), dtype=float)
+        gx = np.asarray(logf(xs), dtype=float)
         m = gx.max(axis=0)
         base = m + log_hw
     shared = np.isfinite(base)
-    panels = slice(None)
-    if not shared.all():
-        if not (m < np.inf).all():
-            i = int(np.argmin(m < np.inf))
-            raise DomainValidationError(f"log-integrand is {m[i]} on the panel [{a[i]:.17g}, {b[i]:.17g}]")
-        panels = shared.nonzero()[0]
-    e = gx[:, panels] - m[panels]
+    panels = slice(None) if shared.all() else shared.nonzero()[0]
+    e = np.subtract(gx[:, panels], m[panels], order="C")  # a gathered copy is F-ordered
     np.exp(e, out=e)
     g = _node_sum(e[1::2] * _G7_WEIGHTS[:, None])
     base = base[panels]
@@ -204,9 +204,10 @@ def _gk_log_block(logf, a, b):
         return logk, np.abs(logk - (np.log(g) + base))
     err = np.abs(logk - (np.log(np.maximum(g, sys.float_info.min)) + base))
     shared[panels] = g >= sys.float_info.min
-    out = np.empty((2, len(a)))
+    out = np.full((2, len(a)), np.nan)
     out[:, panels] = logk, err
-    out[:, ~shared] = _gk_log_separate(np.ascontiguousarray(gx[:, ~shared].T), log_hw[~shared])
+    separate = ~shared & (m < np.inf)
+    out[:, separate] = _gk_log_separate(np.ascontiguousarray(gx[:, separate].T), log_hw[separate])
     return out[0], out[1]
 
 
@@ -295,17 +296,20 @@ def refine_log_panels(logf, lo, hi, ptol):
     (QUADPACK's global criterion in log space: err_i = |log K15 - log G7|,
     T_s the segment's running total, accepted plus pending, and w_i / W_s =
     2^-min(depth_i, 30)), or when err_i is within ``_ACCEPT_ULPS`` ulps of
-    |log K_i|; the worst panel still rejected at ``MAX_DEPTH`` raises.
-    Returns (seg_logs, seg_errs, panels_used, seg_panels): seg_errs, the
-    accepted err_i K_i over each segment's total, bound its relative error
-    by about ptol, plus ptol 2^-30 per floored panel, unless the ulp floor
-    accepted panels; seg_panels, which sum to panels_used, count each
-    segment's.
-    The intervals are independent: each one's log integral and error are
-    the same bit for bit whatever other intervals share the batch, so
-    consecutive edges are passed as ``edges[:-1], edges[1:]``.  A call
-    whose intervals all pass whole in the first pass skips the per-segment
-    accumulation; the others add the error masses once, after the last pass.
+    |log K_i|.  A panel whose node maximum is nan or +inf, or still rejected
+    at ``MAX_DEPTH``, fails its segment (see ``_fail``), refined no further.
+    Returns (seg_logs, seg_errs, panels_used, seg_panels, failures): seg_errs,
+    the accepted err_i K_i over each segment's total, bound its relative
+    error by about ptol, plus ptol 2^-30 per floored panel, unless the ulp
+    floor accepted panels; seg_panels, which sum to panels_used, count each
+    segment's; ``failures`` maps each failed segment, nan in seg_logs and
+    seg_errs, to (key, error), read by ``_raise_first``.
+    The intervals are independent: each one's log integral, error and
+    failure are the same bit for bit whatever other intervals share the
+    batch, so consecutive edges are passed as ``edges[:-1], edges[1:]``.  A
+    call whose intervals all pass whole in the first pass skips the
+    per-segment accumulation and the failure search (of rejected panels);
+    the others add the error masses once, after the last pass.
     """
     pa, pb = np.array(lo, dtype=float), np.array(hi, dtype=float)
     nseg = len(pa)
@@ -313,21 +317,21 @@ def refine_log_panels(logf, lo, hi, ptol):
     acc = np.full(nseg, -np.inf)  # accepted log mass per segment
     accerr = np.full(nseg, -np.inf)  # log of accepted absolute-in-log error mass
     panels_used, split, errs = 0, [np.empty(0, dtype=np.int64)], []  # segments bisected; accepted ones, log errors
+    failures = {}
     depth = 0  # every pending panel is 2^-depth of its segment
     while len(pa):
         logk, err = _gk_log(logf, pa, pb)
         panels_used += len(pa)
         if depth:  # accepted + pending (ufunc.at is unbuffered, so repeated segments accumulate)
             tot = acc.copy()
-            np.logaddexp.at(tot, seg, logk)
+            with np.errstate(invalid="ignore"):  # a failed panel's nan makes its segment's total nan
+                np.logaddexp.at(tot, seg, logk)
             # log of each panel's share of its segment's total; -inf for panels without mass
             share = np.subtract(logk, tot[seg], out=np.full(len(logk), -np.inf), where=logk > -np.inf)
             ok = err * np.exp(share) <= math.ldexp(ptol, -min(depth, _FLOOR_DEPTH))
         else:  # a segment's one panel is its total: its share is 1, or 0 where it has no mass and err is 0
             ok = err <= ptol
         ok |= err <= _ACCEPT_ULPS * np.spacing(np.abs(logk))
-        if depth >= MAX_DEPTH and not ok.all():
-            raise _exhausted("log-space adaptive refinement", pa, pb, np.where(ok, -np.inf, err))
         rejected = (~ok).nonzero()[0]
         if not depth and not len(rejected):  # each segment's one panel: logaddexp(-inf, v) is v + 0.0
             acc, accerr = logk + 0.0, logk + np.log(np.maximum(err, 1e-300)) + 0.0
@@ -336,6 +340,8 @@ def refine_log_panels(logf, lo, hi, ptol):
         segs, kept = seg[done], logk[done]
         np.logaddexp.at(acc, segs, kept)
         errs.append((segs, kept + np.log(np.maximum(err[done], 1e-300))))
+        if len(rejected) and (depth >= MAX_DEPTH or np.isnan(err[rejected]).any()):
+            rejected = _fail(failures, logf, depth, pa, pb, seg, err, rejected, acc)
         if not len(rejected):  # in pass order: each segment adds its error masses in the order they were accepted
             np.logaddexp.at(accerr, *map(np.concatenate, zip(*errs)))
             break
@@ -347,7 +353,37 @@ def refine_log_panels(logf, lo, hi, ptol):
     empty = acc == -np.inf
     seg_errs = np.exp(accerr - np.where(empty, 0.0, acc))
     seg_errs[empty] = 0.0
-    return acc, seg_errs, panels_used, 1 + 2 * np.bincount(np.concatenate(split), minlength=nseg)
+    return acc, seg_errs, panels_used, 1 + 2 * np.bincount(np.concatenate(split), minlength=nseg), failures
+
+
+def _fail(failures, logf, depth, pa, pb, seg, err, rejected, acc):
+    """Enter in ``failures``, and mark nan in ``acc``, each segment that a
+    ``rejected`` panel fails at this depth, with the error that a call for
+    it alone raises: at its first panel in pass order whose log K15 is nan
+    (its node maximum is read again to name it), else, at ``MAX_DEPTH``, at
+    its largest err, the first on ties.  Its key is (depth, that panel's
+    rank in this order over the pass).  Return the other rejected panels."""
+    bad = rejected if depth >= MAX_DEPTH else rejected[np.isnan(err[rejected])]
+    order = bad[np.lexsort((-err[bad], ~np.isnan(err[bad])))]  # a stable sort: pass order on ties
+    segs, rank = np.unique(seg[order], return_index=True)
+    worst = order[rank]
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.asarray(logf(_nodes(pa[worst], pb[worst])[0]), dtype=float).max(axis=0)
+    for s, r, i, m in zip(segs.tolist(), rank.tolist(), worst.tolist(), top.tolist()):
+        failures[s] = (depth, r), (
+            DomainValidationError(f"log-integrand is {m} on the panel [{pa[i]:.17g}, {pb[i]:.17g}]")
+            if math.isnan(err[i]) else _exhausted("log-space adaptive refinement", pa[i : i + 1], pb[i : i + 1],
+                                                   err[i : i + 1]))
+    acc[segs] = np.nan
+    return rejected[~np.isin(seg[rejected], segs)]
+
+
+def _raise_first(failures, a=0, b=math.inf):
+    """Raise what one call over the intervals a..b-1 of a call that returned
+    ``failures`` raises: the error of their least key (keys are unique)."""
+    first = min((f for i, f in failures.items() if a <= i < b), default=None)
+    if first:
+        raise first[1]
 
 
 # Doubling chunks of one extension refined in one call: at most this many,
@@ -360,33 +396,27 @@ def refine_log_panels(logf, lo, hi, ptol):
 # NonIntegrableError at a peak RSS of 392 MiB instead of 82 MiB.
 _EXTENSION_BATCH_CHUNKS = 4
 _EXTENSION_BATCH_SEGMENTS = 64
-# Segments of the batches of different starts that share one call of a
-# lockstep extension; it bounds the call's memory over many starts.  300
-# far points on gaussian, cattiaux, sinpower(2,1) and floor took 1-21
-# calls with traced allocations peaking at 1.2-3.8 MiB, against 1-3 calls
-# and 2.1-8.3 MiB unbounded.
-_SHARED_SEGMENTS = 2048
 
 
 def _tail(start, breakpoints):
     """One start's extension in ``log_extension``: the loop of one doubling
     chunk per call, fed by batches.  Yields (chunk edges, probe, alone):
     its next chunks, whether they are probed (see ``log_extension``) and
-    whether they take a call of their own.  Is sent their log masses and
-    panel counts, or None when their own call raised, after which those
-    chunks go one per call, alone.  Returns the log integral or raises;
-    chunks past the stop are dropped unjudged."""
+    whether they take a call of their own.  Is sent the call's segment logs,
+    panel counts and failures, and its first segment's index there.  Judges
+    its chunks in order, each raising what a call for it alone raises, and
+    returns the log integral; chunks past the stop are dropped, unjudged."""
     total, lo, w = -np.inf, start, 1.0
     while lo + w == lo and w < math.inf:
         w *= 2.0
-    spent, judged, solo = 0, 0, 0  # solo: chunks left to refine one per call
+    spent, judged, found = 0, 0, False  # found: a probe saw the next chunk's mass
     while True:
-        probe = total == -np.inf and w > _MAX_SPLIT_WIDTH and not solo
+        probe = total == -np.inf and w > _MAX_SPLIT_WIDTH and not found
         chunks, segments, a, b = [], 0, lo, w
         while len(chunks) < _EXTENSION_CHUNKS - judged and a + b != math.inf:
             split = breakpoints is not None and b <= _MAX_SPLIT_WIDTH
             edges = _initial_edges(a, a + b, breakpoints(a, a + b) if split else None)
-            if chunks and not probe and (solo or b > _MAX_SPLIT_WIDTH or len(chunks) == _EXTENSION_BATCH_CHUNKS
+            if chunks and not probe and (b > _MAX_SPLIT_WIDTH or len(chunks) == _EXTENSION_BATCH_CHUNKS
                                          or segments + len(edges) - 1 > _EXTENSION_BATCH_SEGMENTS):
                 break
             chunks.append(edges)
@@ -394,24 +424,24 @@ def _tail(start, breakpoints):
             a, b = a + b, 2.0 * b
         if not chunks:
             break
-        reply = yield chunks, probe, bool(solo) or (not probe and w > _MAX_SPLIT_WIDTH)
-        if reply is None:
-            solo = len(chunks)
-            continue
-        for edges, log, panels in zip(chunks, *reply):
-            if probe and log > -np.inf:  # the first chunk with mass is refined on its own
-                solo = 1
+        seg_logs, seg_panels, failures, end = yield chunks, probe, not probe and w > _MAX_SPLIT_WIDTH
+        for edges in chunks:
+            first, end = end, end + len(edges) - 1
+            _raise_first(failures, first, end)
+            if probe and seg_logs[first] > -np.inf:  # the first chunk with mass is refined on its own
+                found = True
                 break
+            log = float(np.logaddexp.reduce(seg_logs[first:end]))
             total = float(np.logaddexp(total, log))
             judged += 1
             if log < total - _NEGLIGIBLE_NATS:
                 return total
-            spent += panels
+            spent += int(seg_panels[first:end].sum())
             if spent > _EXTENSION_PANEL_BUDGET:
                 raise NonIntegrableError(
                     f"tail integral starting at {start:.3g} spent {spent} panels by x={edges[-1]:.3g} without converging"
                 )
-            lo, w, solo = float(edges[-1]), 2.0 * w, max(solo - 1, 0)
+            lo, w, found = float(edges[-1]), 2.0 * w, False
     if total == -np.inf:
         return total
     raise NonIntegrableError(f"tail integral starting at {start:.3g} did not converge by x={lo:.3g}")
@@ -440,22 +470,20 @@ def log_extension(logf, start, ptol, breakpoints=None):
     holds up to ``_EXTENSION_BATCH_CHUNKS`` chunks and
     ``_EXTENSION_BATCH_SEGMENTS`` segments, each chunk at most
     ``_MAX_SPLIT_WIDTH`` wide; a wider chunk takes a call of its own, and
-    while no mass is found the wider chunks left are probed by one
-    ``_gk_log`` call, one panel each, read as mass or none.  The other
-    batches share calls of up to ``_SHARED_SEGMENTS`` segments, probes
-    apart.  A shared call that raises DomainValidationError or
-    DepthExhaustedError is redone one batch per call, a batch whose own call
-    raises one chunk per call, and a lone chunk's call raises in its start;
-    the first start in order that raises raises.  Since the intervals of a
-    call are independent, every value, error and raise point is that of one
-    call per chunk, one start after another, bit for bit.
+    while no mass is found the wider chunks left are probed, one panel
+    each at ptol inf, read as mass or none.  The other batches share one
+    call, and the probes another.  A start judging a chunk that a failed
+    panel reaches raises the error of a call for that chunk alone, and the
+    first start in order that raises raises.  Since
+    the intervals of a call are independent, every value, error and raise
+    point is that of one call per chunk, one start after another, bit for bit.
     """
     tails = [_tail(s, breakpoints) for s in np.atleast_1d(np.asarray(start, dtype=float)).tolist()]
     asks, ends = [None] * len(tails), [None] * len(tails)  # each start's next request, and its outcome
 
-    def resume(i, reply=None, error=None):
+    def resume(i, reply=None):
         try:
-            asks[i] = tails[i].throw(error) if error else tails[i].send(reply)
+            asks[i] = tails[i].send(reply)
         except StopIteration as stop:
             asks[i], ends[i] = None, stop.value
         except (DomainValidationError, DepthExhaustedError, NonIntegrableError) as e:
@@ -465,44 +493,19 @@ def log_extension(logf, start, ptol, breakpoints=None):
         resume(i)
     while True:
         failed = next((i for i, end in enumerate(ends) if isinstance(end, Exception)), len(tails))
-        calls, shared = [], {}
-        for i in range(failed):
-            if asks[i] is None:
-                continue
-            chunks, probe, alone = asks[i]
-            if alone:
-                calls.append([i])
-                continue
-            call, held = shared.get(probe, ([], 0))
-            segments = sum(len(e) - 1 for e in chunks)
-            if call and held + segments > _SHARED_SEGMENTS:
-                calls.append(call)
-                call, held = [], 0
-            shared[probe] = (call + [i], held + segments)
-        calls += [call for call, _ in shared.values()]
+        live = [i for i in range(failed) if asks[i] is not None]  # those after a start that raised read nothing more
+        calls = [[i] for i in live if asks[i][2]]  # the chunks that go alone, then the probes and the other batches
+        calls += [c for probe in (True, False) if (c := [i for i in live if asks[i][1:] == (probe, False)])]
         if not calls:
             break
         for call in calls:
-            jobs = [asks[i] for i in call]
-            edges = [e for chunks, _, _ in jobs for e in chunks]
+            edges = [e for i in call for e in asks[i][0]]
             lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
-            try:
-                if jobs[0][1]:  # a probe: each chunk is one panel, read as mass or none
-                    seg_logs, seg_panels = _gk_log(logf, lo, hi)[0], np.ones(len(lo), dtype=np.int64)
-                else:
-                    seg_logs, _, _, seg_panels = refine_log_panels(logf, lo, hi, ptol)
-            except (DomainValidationError, DepthExhaustedError) as e:
-                if len(call) > 1:  # each batch is refined alone later in this round
-                    calls += [[i] for i in call]
-                else:
-                    resume(call[0], error=e if len(edges) == 1 and not jobs[0][1] else None)
-                continue
-            bounds = np.cumsum([0] + [len(e) - 1 for e in edges]).tolist()
-            logs = [float(np.logaddexp.reduce(seg_logs[a:b])) for a, b in zip(bounds, bounds[1:])]
-            panels = [int(seg_panels[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
-            for i, (chunks, _, _) in zip(call, jobs):
-                resume(i, (logs[: len(chunks)], panels[: len(chunks)]))
-                logs, panels = logs[len(chunks) :], panels[len(chunks) :]
+            probe = asks[call[0]][1]  # a probe's one panel per chunk is accepted whatever its error
+            seg_logs, _, _, seg_panels, failures = refine_log_panels(logf, lo, hi, math.inf if probe else ptol)
+            firsts = np.cumsum([0] + [sum(len(e) - 1 for e in asks[i][0]) for i in call]).tolist()
+            for i, first in zip(call, firsts):
+                resume(i, (seg_logs, seg_panels, failures, first))
     if failed < len(tails):
         raise ends[failed]
     return ends[0] if np.ndim(start) == 0 else np.array(ends)
@@ -515,10 +518,14 @@ _LADDER_BLOCK = 4096
 
 def _interval_logs(logf, lo, hi, ptol):
     """Log integrals of exp(logf) over the intervals [lo[i], hi[i]], by one
-    ``refine_log_panels`` call per ``_LADDER_BLOCK`` intervals."""
-    blocks = range(0, len(lo), _LADDER_BLOCK)
-    seg = [refine_log_panels(logf, lo[i : i + _LADDER_BLOCK], hi[i : i + _LADDER_BLOCK], ptol)[0] for i in blocks]
-    return np.concatenate([np.empty(0), *seg])  # no intervals, no logs
+    ``refine_log_panels`` call per ``_LADDER_BLOCK`` intervals, and their
+    failures, keyed first by their block's start (an earlier call raises first)."""
+    logs, failures = [np.empty(0)], {}  # no intervals, no logs
+    for i in range(0, len(lo), _LADDER_BLOCK):
+        out = refine_log_panels(logf, lo[i : i + _LADDER_BLOCK], hi[i : i + _LADDER_BLOCK], ptol)
+        logs.append(out[0])
+        failures.update({i + j: ((i, *key), error) for j, (key, error) in out[4].items()})
+    return np.concatenate(logs), failures
 
 
 def grid_steps(a, b):
@@ -533,7 +540,7 @@ class LogLadder:
     ``prefix[i]`` is log int_edges[0]^edges[i] exp(logf), ``suffix[i]`` is
     log(int_edges[i]^edges[-1] exp(logf) + exp(after)), and ``cells`` holds
     each cell's log integral at ptol, all in one ``refine_log_panels`` call
-    up to ``_LADDER_BLOCK`` cells, so a panel rejected at ``MAX_DEPTH``
+    up to ``_LADDER_BLOCK`` cells; a failed cell raises what that call
     raises.  A query integrates its points' partial cells the same way, so
     it equals a scalar query bit for bit; ``upper_lower`` refines the
     partial cells of both sides of its points in one call.  A ladder given a
@@ -549,7 +556,8 @@ class LogLadder:
     def __init__(self, logf, edges, ptol, breakpoints=None):
         self.logf, self.ptol = logf, ptol
         self.edges, self.breakpoints = np.asarray(edges, dtype=float), breakpoints
-        self.cells = _interval_logs(logf, self.edges[:-1], self.edges[1:], ptol)
+        self.cells, failures = _interval_logs(logf, self.edges[:-1], self.edges[1:], ptol)
+        _raise_first(failures)
         self._close(-np.inf)
 
     def _close(self, after=None):
@@ -570,13 +578,13 @@ class LogLadder:
 
     def _extend(self, new):
         """Append the cells up to the ascending edges ``new`` past the end
-        in one ``_interval_logs``; return their log integrals.  ``prefix``
-        and ``suffix`` wait for ``_close``."""
+        in one ``_interval_logs``; return their log integrals and failures.
+        ``prefix`` and ``suffix`` wait for ``_close``."""
         edges = np.concatenate([self.edges[-1:], new])
-        cells = _interval_logs(self.logf, edges[:-1], edges[1:], self.ptol)
+        cells, failures = _interval_logs(self.logf, edges[:-1], edges[1:], self.ptol)
         self.edges = np.concatenate([self.edges, new])
         self.cells = np.concatenate([self.cells, cells])
-        return cells
+        return cells, failures
 
     def _append(self, b):
         """Append the lattice cells up to the first edge >= b."""
@@ -584,7 +592,7 @@ class LogLadder:
         start = math.ldexp(1.0, math.frexp(end)[1] - 1) if end >= 1.0 else 0.0  # of the chunk past the end
         new = self._lattice(start, max(2.0 ** math.ceil(math.log2(b)), 1.0))
         new = new[new > end]
-        self._extend(new[: np.searchsorted(new, b) + 1])
+        _raise_first(self._extend(new[: np.searchsorted(new, b) + 1])[1])
 
     def _cut(self, end):
         """A copy ending at the edge ``end``; its ``prefix`` and ``suffix`` wait for ``_close``."""
@@ -607,7 +615,8 @@ class LogLadder:
 
     def _partial(self, lo, hi):
         out, on = np.full(len(lo), -np.inf), lo < hi
-        out[on] = _interval_logs(self.logf, lo[on], hi[on], self.ptol)
+        out[on], failures = _interval_logs(self.logf, lo[on], hi[on], self.ptol)
+        _raise_first(failures)
         return out
 
     def upper(self, x):
@@ -646,10 +655,8 @@ def truncation_point(potential, eps, rel_tol=REL_TOL):
     below the running total and where the predicate holds, or up to 2^19,
     the last X the search tries.  The chunks are refined in batches of up
     to ``_LADDER_BATCH_CELLS`` new cells, each chunk at most
-    ``_MAX_SPLIT_WIDTH`` wide, walked in order and cut back to B; a batch
-    that raises is redone one chunk per call from its first chunk, so an
-    error surfaces at the chunk where growing one chunk per call raises it.
-    Its cells are refined at the panel tolerance max(rel_tol / 10, 1e-14)
+    ``_MAX_SPLIT_WIDTH`` wide, walked in order and cut back to B; a chunk
+    raises, as it is walked, what growing it alone raises.  Its cells are refined at the panel tolerance max(rel_tol / 10, 1e-14)
     for the float ``rel_tol`` in (0, 1), and one ``log_extension`` from B
     is the mass beyond.  h(X) = log tail(X) - log eps - log core(X), read
     from the ladder (both partial cells in one call), decreases in X.  It is
@@ -671,29 +678,22 @@ def truncation_point(potential, eps, rel_tol=REL_TOL):
 
     def grow(ladder):
         """The ladder cut at B, and B."""
-        total, hi, solo = -np.inf, 1.0, 0
+        total, hi = -np.inf, 1.0
         while True:
             # a chunk past the first joins a batch only if it starts below
             # (_LADDER_BATCH_CELLS + 1) GRID_STEP: later ones hold more steps than a batch
             ends = [hi]
-            while (not solo and 2.0 * ends[-1] <= 1e6
-                   and ends[-1] <= min(_MAX_SPLIT_WIDTH, (_LADDER_BATCH_CELLS + 1) * GRID_STEP)):
+            while 2.0 * ends[-1] <= 1e6 and ends[-1] <= min(_MAX_SPLIT_WIDTH, (_LADDER_BATCH_CELLS + 1) * GRID_STEP):
                 ends.append(2.0 * ends[-1])
             edges = ladder._lattice(0.5 * hi if hi > 1.0 else 0.0, ends[-1])
-            cuts = np.searchsorted(edges, ends, side="right")  # new cells up to each chunk end
+            cuts = np.searchsorted(edges, ends, side="right").tolist()  # new cells up to each chunk end
             n = max(int(np.searchsorted(cuts, _LADDER_BATCH_CELLS, side="right")), 1)
-            try:
-                cells = ladder._extend(edges[: cuts[n - 1]])
-            except (DomainValidationError, DepthExhaustedError):
-                if n == 1:
-                    raise
-                solo = n
-                continue
-            for end, chunk in zip(ends[:n], np.split(cells, cuts[: n - 1])):
-                chunk = float(np.logaddexp.reduce(chunk))
+            cells, failures = ladder._extend(edges[: cuts[n - 1]])
+            for first, stop, end in zip([0, *cuts], cuts[:n], ends):
+                _raise_first(failures, first, stop)
+                chunk = float(np.logaddexp.reduce(cells[first:stop]))
                 total = float(np.logaddexp(total, chunk))
                 last = 2.0 * end > 1e6
-                solo = max(solo - 1, 0)
                 if last or chunk < total - _NEGLIGIBLE_NATS:
                     cut = ladder._cut(end)
                     cut._close()

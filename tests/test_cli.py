@@ -325,9 +325,6 @@ def test_numerical_failure_exit_code_3(capsys):
             (["--C", "nan"], "C, A, B must be positive"), (["--r", "2.5"], "r must lie"),
             (["--r", "0.5"], "r must lie"), (["--r", "nan"], "r must lie"),
         )),
-        # a softmax of tiny beta overflows: its values, or their squared deviations
-        *((["concentration", "--mode", "deviation", "--statistic", "softmax", "--beta", beta, "--n", "3",
-            "--count", "100"], "not finite") for beta in ("1e-320", "1e-300")),
         # every cost overflows to inf, which G < t rejects, with no RuntimeWarning
         (["concentration", "--mode", "gradcheck", "--n", "8", "--r", "1.5", "--t", "3", "--box", "1e200",
           "--count", "100000"], "no sampled points"),

@@ -331,16 +331,27 @@ def test_experiments_reject_constants_outside_the_bound(mu15, experiment, C, r, 
         getattr(conc, f"{experiment}_experiment")(mu15, **kw)
 
 
-@pytest.mark.parametrize("beta", [1e-320, 1e-300])
-def test_deviation_refuses_a_statistic_that_is_not_finite(mu15, beta):
-    # log(n) / beta overflows to inf at beta = 1e-320 (tails 0 and a nan
-    # standard error); at 1e-300 the values are finite but their squared
-    # deviations overflow (tails 1, a false counterexample); neither emits a
+@pytest.mark.parametrize("values", [math.inf, 1e300], ids=["inf", "1e300"])
+def test_deviation_refuses_a_statistic_that_is_not_finite(mu15, values, monkeypatch):
+    # values of inf leave the mean not finite; values of +-1e300 leave it
+    # finite but their squared deviations overflow; neither emits a
     # RuntimeWarning (an error in this suite)
+    alternating = lambda x: values * (-1.0) ** np.arange(len(x))
+    monkeypatch.setattr(conc, "_statistic", lambda name, beta: (alternating, lambda n, r: 1.0))
     with pytest.raises(DomainValidationError, match="not finite"):
-        conc.deviation_experiment(
-            mu15, n=3, statistic="softmax", beta=beta, t_grid=(1.0, 2.0, 3.0), count=100, seed=0, C=1.0, r=1.5
-        )
+        conc.deviation_experiment(mu15, n=3, statistic="max", t_grid=(1.0, 2.0, 3.0), count=100, seed=0, C=1.0, r=1.5)
+
+
+@pytest.mark.parametrize("beta", [1e-320, 1e-300, 1e-20])
+def test_softmax_of_a_tiny_beta_is_no_false_counterexample(mu15, beta):
+    # log(sum exp) / beta held log(n) / beta = 4.2e20 at beta = 1e-20, where
+    # floats are 65,536 apart: every tail read 1 and every margin was
+    # negative.  log(mean exp) / beta tends to the row mean as beta -> 0
+    rep = conc.deviation_experiment(
+        mu15, n=64, statistic="softmax", beta=beta, t_grid=(1.0, 2.0, 3.0), count=100, seed=0, C=1.0, r=1.5
+    )
+    assert rep.empirical_tail == (0.0, 0.0, 0.0) and min(rep.margins) >= 0.0
+    assert abs(rep.constants["mean"]) < 0.01
 
 
 @pytest.mark.parametrize("t_grid", [(1.0, math.nan), (math.nan,), (1.0, math.inf)])
@@ -534,12 +545,12 @@ def test_transport_check_validations(exp_measure):
         conc.transport_check(m, 1.5)
 
 
-def test_softmax_statistic_dominates_max(mu15):
+def test_softmax_statistic_lies_within_log_n_over_beta_below_max(mu15):
     f, lr2 = conc._statistic("softmax", beta=2.0)
     g, _ = conc._statistic("max")
     x = np.random.Generator(np.random.PCG64(8)).normal(size=(100, 5))
-    assert np.all(f(x) >= g(x) - 1e-12)
-    assert np.all(f(x) <= g(x) + math.log(5.0) / 2.0 + 1e-12)
+    assert np.all(f(x) >= g(x) - math.log(5.0) / 2.0 - 1e-12)
+    assert np.all(f(x) <= g(x) + 1e-12)
     assert lr2(5, 1.5) == 1.0
     rep = conc.deviation_experiment(
         mu15, n=5, statistic="softmax", beta=2.0, t_grid=(1.0, 2.0), count=20_000, seed=4, C=5.0, r=1.5
@@ -565,10 +576,20 @@ def test_softmax_matches_one_shot_formula():
     kept = x.copy()
     m = np.max(x, axis=1, keepdims=True)
     w = beta * (x - m)
-    want = (m + np.log(np.sum(np.exp(w, out=w), axis=1, keepdims=True)) / beta)[:, 0]
+    want = (m + np.log1p(np.mean(np.expm1(w, out=w), axis=1, keepdims=True)) / beta)[:, 0]
     got = f(x)
     assert np.array_equal(got, want)
     assert np.array_equal(x, kept)  # the caller's array is not overwritten
+
+
+def test_softmax_is_the_log_sum_exp_less_log_n_over_beta():
+    # at beta = 2.5 the statistic is log(sum exp(beta x)) / beta - log(n) / beta
+    beta, n = 2.5, 64
+    f, _ = conc._statistic("softmax", beta=beta)
+    x = np.random.Generator(np.random.PCG64(11)).normal(size=(2000, n)) * 3.0
+    m = np.max(x, axis=1)
+    lse = m + np.log(np.sum(np.exp(beta * (x - m[:, None])), axis=1)) / beta
+    assert np.max(np.abs(f(x) - (lse - math.log(n) / beta))) <= 1e-12
 
 
 @pytest.mark.parametrize("statistic", ["mean_scaled", "softmax", "max"])

@@ -586,7 +586,7 @@ def _cell_log(ladder, a, b):
     ladder's own panel tolerance."""
     if not a < b:
         return -np.inf
-    logs, _, _, _ = quad.refine_log_panels(ladder.logf, [a], [b], ladder.ptol)
+    logs, _, _, _, _ = quad.refine_log_panels(ladder.logf, [a], [b], ladder.ptol)
     return float(logs[0])
 
 

@@ -444,7 +444,8 @@ def _by_node(values, a, b):
 def test_gk_log_equals_reference_formula(rows):
     # the kernel's one exponential per node against the former separate
     # log-sum-exps of K15 and G7: panel values with -inf entries and all--inf
-    # rows, in batches of 5, 128 and 700 panels; a nan or +inf value raises
+    # rows, in batches of 5, 128 and 700 panels; a nan or +inf value fails
+    # its panel (nan log K15 and err) and leaves the others as they are
     rng = np.random.default_rng(rows)
     gx = rng.normal(0.0, 300.0, size=(rows, 15))
     gx[rng.random((rows, 15)) < 0.2] = -np.inf
@@ -454,14 +455,17 @@ def test_gk_log_equals_reference_formula(rows):
     gx[2, 1::2] = -np.inf  # the Gauss nodes alone carry no mass
     a = np.sort(rng.uniform(-50.0, 50.0, rows))
     b = a + rng.uniform(1e-6, 3.0, rows)
-    for bad in (np.nan, np.inf):
-        nonfinite = gx.copy()
-        nonfinite[3, 7] = bad
-        with pytest.raises(DomainValidationError, match=f"log-integrand is {bad} on the panel \\[{a[3]:.17g}, "):
-            quad._gk_log(_by_node(nonfinite, a, b), a, b)
     with np.errstate(invalid="ignore"):  # the all--inf row's -inf - -inf
         logk, err = quad._gk_log(_by_node(gx, a, b), a, b)
         ref_k, ref_err = _gk_log_reference(lambda xs: gx.copy(), a, b)
+    for bad in (np.nan, np.inf):
+        nonfinite = gx.copy()
+        nonfinite[3, 7] = bad
+        failed_k, failed_err = quad._gk_log(_by_node(nonfinite, a, b), a, b)
+        assert np.isnan(failed_k[3]) and np.isnan(failed_err[3])
+        others = np.arange(rows) != 3
+        assert np.array_equal(_bits(failed_k[others]), _bits(logk[others]))
+        assert np.array_equal(_bits(failed_err[others]), _bits(err[others]))
     # panels 0-2 take ``_gk_log_separate``, the reference's formula: the same floats, sign bits included
     assert np.isfinite(ref_err[0]) and np.array_equal(err[:3], ref_err[:3])
     assert np.array_equal(logk[:3], ref_k[:3]) and np.array_equal(np.signbit(logk[:3]), np.signbit(ref_k[:3]))
@@ -485,8 +489,8 @@ def test_gk_log_node_blocks_equal_single_panels():
     # K15 and err equal those of a call for that panel alone, bit for bit,
     # over batches that end short of, at and past a block's end, with -inf
     # panels and panels whose G7 sum underflows (``_gk_log_separate``)
-    # spread over the blocks; a nan or +inf node raises naming the first
-    # panel holding one, in whichever block it sits
+    # spread over the blocks; a nan or +inf node fails its panel alone, in
+    # whichever block it sits
     nb = quad._NODE_BLOCK
     for rows in (1, nb - 1, nb, nb + 1, 3 * nb + 7):
         rng = np.random.default_rng(rows)
@@ -510,8 +514,21 @@ def test_gk_log_node_blocks_equal_single_panels():
             bad = gx.copy()
             bad[first, 3] = np.nan
             bad[first + 1 :: 3, 8] = np.inf
-            with pytest.raises(DomainValidationError, match=f"is nan on the panel \\[{a[first]:.17g}, "):
-                quad._gk_log(_by_node(bad, a, b), a, b)
+            failed = np.zeros(rows, dtype=bool)
+            failed[first], failed[first + 1 :: 3] = True, True
+            with np.errstate(invalid="ignore"):
+                failed_k, failed_err = quad._gk_log(_by_node(bad, a, b), a, b)
+            assert np.isnan(failed_k[failed]).all() and np.isnan(failed_err[failed]).all()
+            assert np.array_equal(_bits(failed_k[~failed]), _bits(logk[~failed]))
+            assert np.array_equal(_bits(failed_err[~failed]), _bits(err[~failed]))
+    # a mass-free panel (node maximum -inf) in a block leaves its other
+    # panels' node sums in node order, as they run alone
+    f = lambda t: np.where(np.abs(t) > 5.0, -np.inf, -np.abs(t) ** 3)
+    a, b = np.array([0.0, np.pi / 8, 6.0]), np.array([np.pi / 8, np.pi / 4, 7.0])
+    logk, err = quad._gk_log(f, a, b)
+    single = [quad._gk_log(f, a[i : i + 1], b[i : i + 1]) for i in range(3)]
+    assert np.array_equal(_bits(logk), _bits([k[0] for k, _ in single]))
+    assert np.array_equal(_bits(err), _bits([e[0] for _, e in single]))
 
 
 def _test_intervals():
@@ -527,6 +544,13 @@ def _jumps_inside(pot, lo, hi):
     """Whether V jumps (by more than 0.1) at an integer inside (lo[i], hi[i]), as the floor potentials do."""
     ks = [np.arange(math.floor(a) + 1.0, math.ceil(b)) for a, b in zip(lo, hi)]
     return np.array([bool(np.any(np.abs(pot.value(k + 1e-9) - pot.value(k - 1e-9)) > 0.1)) for k in ks])
+
+
+def _refine_raising(logf, lo, hi, ptol):
+    """``quad.refine_log_panels`` raising what one call over all its intervals raises."""
+    out = quad.refine_log_panels(logf, lo, hi, ptol)
+    quad._raise_first(out[4], 0, len(out[0]))
+    return out
 
 
 def _raised_alone(refine, logf, lo, hi):
@@ -552,15 +576,16 @@ def test_refine_log_panels_batch_equals_single_intervals(token):
     lo, hi = _test_intervals()
     jump = _jumps_inside(pot, lo, hi)
     for logf in (lambda x: -pot.value(x), lambda x: 0.4 * pot.value(x)):
-        raised = _raised_alone(quad.refine_log_panels, logf, lo, hi)
+        raised = _raised_alone(_refine_raising, logf, lo, hi)
         bad = np.array([r is not None for r in raised])
         assert not (bad & ~jump).any() and bad.any() == ("floor" in token)
         if bad.any():  # the batch names the worst of the panels the intervals name alone
             with pytest.raises(DepthExhaustedError) as exc:
-                quad.refine_log_panels(logf, lo, hi, 1e-9)
+                _refine_raising(logf, lo, hi, 1e-9)
             assert exc.value.panel in raised and exc.value.panel[2] == max(r[2] for r in raised if r)
         lo_ok, hi_ok = lo[~bad], hi[~bad]
-        logs, errs, panels, counts = quad.refine_log_panels(logf, lo_ok, hi_ok, 1e-9)
+        logs, errs, panels, counts, failures = quad.refine_log_panels(logf, lo_ok, hi_ok, 1e-9)
+        assert not failures
         single = [quad.refine_log_panels(logf, lo_ok[i : i + 1], hi_ok[i : i + 1], 1e-9) for i in range(len(lo_ok))]
         assert np.array_equal(logs, [s[0][0] for s in single])
         assert np.array_equal(errs, [s[1][0] for s in single])
@@ -573,13 +598,20 @@ def test_refine_log_panels_batch_equals_single_intervals(token):
 def _refine_log_panels_reference(logf, lo, hi, ptol):
     """The former refinement loop: segment totals by ``ufunc.at`` at every
     depth, boolean masks, and a compaction after every iteration, under
-    today's acceptance rule."""
+    today's acceptance rule.  A panel whose node maximum is nan or +inf
+    (nan log K15) raises for the whole call, the first in pass order, as
+    does the worst panel still rejected at MAX_DEPTH."""
     pa, pb = np.array(lo, dtype=float), np.array(hi, dtype=float)
     seg = np.arange(len(pa), dtype=np.int64)
     acc, accerr = np.full(len(pa), -np.inf), np.full(len(pa), -np.inf)
     panels_used, depth = 0, 0
     while len(pa):
         logk, err = quad._gk_log(logf, pa, pb)
+        if np.isnan(logk).any():
+            i = int(np.argmax(np.isnan(logk)))
+            with np.errstate(invalid="ignore"):
+                top = np.max(logf(quad._nodes(pa[i : i + 1], pb[i : i + 1])[0]))
+            raise DomainValidationError(f"log-integrand is {top} on the panel [{pa[i]:.17g}, {pb[i]:.17g}]")
         panels_used += len(pa)
         seg_tot = acc.copy()
         np.logaddexp.at(seg_tot, seg, logk)
@@ -614,7 +646,7 @@ def test_refine_log_panels_equals_former_loop(token):
     pot = msr.Potential.from_string(token)
     lo, hi = _test_intervals()
     for logf in (lambda x: -pot.value(x), lambda x: 0.4 * pot.value(x)):
-        raised = _raised_alone(quad.refine_log_panels, logf, lo, hi)
+        raised = _raised_alone(_refine_raising, logf, lo, hi)
         assert _raised_alone(_refine_log_panels_reference, logf, lo, hi) == raised
         ok = np.array([r is None for r in raised])
         got = quad.refine_log_panels(logf, lo[ok], hi[ok], 1e-9)
@@ -625,7 +657,7 @@ def test_refine_log_panels_equals_former_loop(token):
         assert got[2] == want[2]
         if not ok.all():
             errors = []
-            for refine in (quad.refine_log_panels, _refine_log_panels_reference):
+            for refine in (_refine_raising, _refine_log_panels_reference):
                 with pytest.raises(DepthExhaustedError) as exc:
                     refine(logf, lo, hi, 1e-9)
                 errors.append((str(exc.value), exc.value.panel))
@@ -639,7 +671,7 @@ def test_refine_log_panels_strict_max_depth_raises_as_former_loop():
         return np.where(x < 1.0, 0.0, -3.0) + np.where(x < 2.5, 0.0, -7.0)
 
     raised = []
-    for refine in (quad.refine_log_panels, _refine_log_panels_reference):
+    for refine in (_refine_raising, _refine_log_panels_reference):
         with pytest.raises(DepthExhaustedError) as exc:
             refine(logf, [0.3, 2.1], [1.95, 3.0], 1e-12)
         raised.append((str(exc.value), exc.value.panel))
@@ -653,7 +685,7 @@ def test_refine_log_panels_converges_on_a_cusp():
     # same at every scale: the panels at 0 hold a vanishing share of the
     # mass and are accepted by the floor, not refined to MAX_DEPTH.  With
     # t = u^20 the integral is that of the rational 20 u^19 / (1 + u)
-    logs, errs, panels, _ = quad.refine_log_panels(lambda t: -np.log1p(np.abs(t) ** 0.05), [0.0], [2.0], 1e-9)
+    logs, errs, panels, _, _ = quad.refine_log_panels(lambda t: -np.log1p(np.abs(t) ** 0.05), [0.0], [2.0], 1e-9)
     mpmath.mp.dps = 30
     exact = float(mpmath.log(mpmath.quad(lambda u: 20 * u**19 / (1 + u), [0, mpmath.mpf(2) ** (mpmath.mpf(1) / 20)])))
     assert abs(logs[0] - exact) <= 1e-12
@@ -694,7 +726,7 @@ def test_refine_log_panels_closed_forms_within_ptol(family, data, digits):
     lo = np.array([a for a, _ in segments])
     hi = lo + np.array([w for _, w in segments])
     ptol = 10.0**-digits
-    logs, errs, _, _ = quad.refine_log_panels(logf, lo, hi, ptol)
+    logs, errs, _, _, _ = quad.refine_log_panels(logf, lo, hi, ptol)
     want = np.array([exact(a, b) for a, b in zip(lo, hi)])
     assert np.all(np.abs(logs - want) <= ptol)
     assert np.all(errs <= 2.0 * ptol)
@@ -708,7 +740,7 @@ def test_needle_cell_closed_form_in_few_panels(slope, ptol):
     # sits in one end panel, and the panels holding slivers of it stop early
     # (accepted one by one at ptol, the cell took 33 panels at 1e-9 and 57 at 1e-11)
     b = quad.GRID_STEP
-    logs, errs, panels, _ = quad.refine_log_panels(lambda t: slope * t, [0.0], [b], ptol)
+    logs, errs, panels, _, _ = quad.refine_log_panels(lambda t: slope * t, [0.0], [b], ptol)
     if slope > 0.0:
         exact = slope * b - math.log(slope) + math.log1p(-math.exp(-slope * b))
     else:
@@ -737,7 +769,7 @@ def test_ladder_queries_refine_partial_cells_in_blocks(monkeypatch):
 def _former_prefix_suffix(logf, edges, after):
     """The former panel_log_prefix/suffix: one refinement call over all cells,
     then the mass beyond the end folded in after the accumulation."""
-    seg, _, _, _ = quad.refine_log_panels(logf, edges[:-1], edges[1:], 1e-9)
+    seg, _, _, _, _ = quad.refine_log_panels(logf, edges[:-1], edges[1:], 1e-9)
     prefix = np.concatenate([[-np.inf], np.logaddexp.accumulate(seg)])
     suffix = np.empty(len(edges))
     suffix[-1] = after
@@ -770,7 +802,8 @@ def _sequential_extension(logf, start, ptol, breakpoints=None):
             break
         bp = breakpoints(lo, hi) if breakpoints is not None and w <= quad._MAX_SPLIT_WIDTH else None
         edges = quad._initial_edges(lo, hi, bp)
-        seg_logs, _, panels, _ = quad.refine_log_panels(logf, edges[:-1], edges[1:], ptol)
+        seg_logs, _, panels, _, failures = quad.refine_log_panels(logf, edges[:-1], edges[1:], ptol)
+        quad._raise_first(failures, 0, len(seg_logs))
         chunk = float(np.logaddexp.reduce(seg_logs))
         total = float(np.logaddexp(total, chunk))
         if chunk < total - quad._NEGLIGIBLE_NATS:
@@ -914,7 +947,7 @@ def test_batched_truncation_and_extensions_equal_one_chunk_per_call(token, monke
 def test_speculative_chunks_raise_only_where_one_chunk_per_call_raises():
     # V is nan on 45 < |x| < 60: the Gaussian ladder ends at 32, and its
     # extension stops at 39, before the nan; the batch [32, 47] of that
-    # extension holds it, and is redone one chunk per call
+    # extension holds it, and its failed chunk is never read
     m = msr.normalize(msr.Potential.from_string("expr:x^2/2 + 0*sqrt((abs(x)-45)*(abs(x)-60))"))
     assert m.truncation == 7.130506848174264  # the Gaussian's
     # nan from 34 on is reached by the chunk [33, 35], and named there
@@ -922,7 +955,7 @@ def test_speculative_chunks_raise_only_where_one_chunk_per_call_raises():
         msr.normalize(msr.Potential.from_string("expr:x^2/2 + 0*sqrt((abs(x)-34)*(abs(x)-60))"))
     # V = |x|^3 stops its ladder at 8 and its extension at 11, and is nan on
     # 17 < |x| < 21: a ladder batch [0, 32] and an extension batch [8, 23]
-    # hold the nan, and are redone one chunk per call
+    # hold the nan, in chunks past the stop that are never read
     got = msr.normalize(msr.Potential.from_string("expr:abs(x)^3 + 0*sqrt((abs(x)-17)*(abs(x)-21))"))
     want = msr.normalize(msr.Potential.from_string("expr:abs(x)^3"))
     assert (got.truncation, got.log_z) == (want.truncation, want.log_z)
@@ -932,6 +965,40 @@ def test_speculative_chunks_raise_only_where_one_chunk_per_call_raises():
 _CORPUS_TOKENS = ("exp", "gaussian", "power:1.5", "sinpower:2,1", "sinpower:1.5,1", "sinpower:2,2", "floor",
                   "cattiaux:1.5,1.9")
 _ROOT_PS = (1e-300, 1e-15, 1e-6, 0.05, 0.5, 0.95, 1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("token", ["floor", "expr:floor(abs(x)) + 0.5*floor(x)"])
+def test_refine_log_panels_failures_equal_single_interval_raises(token):
+    # jumps unresolved at MAX_DEPTH and a nan on (10.3, 12.1): each failed
+    # interval of a batch carries the error that a call for it alone raises,
+    # and _raise_first over any run of the intervals raises what the former
+    # loop raised for them in one call (over the whole batch, its worst panel)
+    pot = msr.Potential.from_string(token)
+    lo, hi = _test_intervals()
+    spoiled = lambda x: np.where((x > 10.3) & (x < 12.1), np.nan, -pot.value(x))
+    for logf in (lambda x: -pot.value(x), lambda x: 0.4 * pot.value(x), spoiled):
+        failures = quad.refine_log_panels(logf, lo, hi, 1e-9)[4]
+        alone = {}
+        for i in range(len(lo)):
+            single = quad.refine_log_panels(logf, lo[i : i + 1], hi[i : i + 1], 1e-9)[4]
+            if single:
+                alone[i] = single[0][1]
+        assert sorted(failures) == sorted(alone) and failures
+        for i, (_, error) in failures.items():
+            assert (type(error), str(error)) == (type(alone[i]), str(alone[i]))
+        assert _error(lambda: quad._raise_first(failures, 0, len(lo))) is not None
+        for a, b in ((0, len(lo)), (0, 20), (20, len(lo)), (38, 43), (41, 42), (0, 1)):
+            want = _error(lambda: _refine_log_panels_reference(logf, lo[a:b], hi[a:b], 1e-9))
+            assert _error(lambda: quad._raise_first(failures, a, b)) == want
+
+
+def _error(run):
+    """The type and message of the error that ``run()`` raises, or None."""
+    try:
+        run()
+    except (DomainValidationError, DepthExhaustedError) as e:
+        return type(e), str(e)
+    return None
 
 
 def _random_potentials(seed, count):
@@ -1010,7 +1077,7 @@ def test_refine_log_panels_lean_first_pass_equals_former_loop():
     # batches whose intervals all pass whole in the first pass skip the
     # accumulation: they, batches that do not and rows without mass give the
     # former loop's floats, signs of zero included; a row reaching +inf or
-    # nan raises the former loop's error
+    # nan fails its interval with the error the former loop raised
     gauss, nu2, floor = (lambda x, p=msr.Potential.from_string(t): -p.value(x)
                          for t in ("gaussian", "sinpower:2,1", "floor"))
     no_mass = lambda x: np.where((x > 1.0) & (x < 2.0), -np.inf, gauss(x))
@@ -1031,11 +1098,14 @@ def test_refine_log_panels_lean_first_pass_equals_former_loop():
     for bad in (np.inf, np.nan):
         spoiled = lambda x: np.where((x > 1.0) & (x < 1.5), bad, gauss(x))
         errors = []
-        for refine in (quad.refine_log_panels, _refine_log_panels_reference):
+        for refine in (_refine_raising, _refine_log_panels_reference):
             with pytest.raises(DomainValidationError) as exc:
                 refine(spoiled, np.array([0.0, 1.0]), np.array([1.0, 2.0]), 1e-11)
             errors.append(str(exc.value))
         assert errors[0] == errors[1]
+        logs, errs, _, _, failures = quad.refine_log_panels(spoiled, np.array([0.0, 1.0]), np.array([1.0, 2.0]), 1e-11)
+        assert list(failures) == [1] and np.isnan(logs[1]) and np.isnan(errs[1])
+        assert logs[0] == _refine_log_panels_reference(spoiled, [0.0], [1.0], 1e-11)[0][0]
 
 
 @pytest.mark.parametrize("token", ["exp", "gaussian", "power:1.5", "sinpower:2,1"])
@@ -1112,58 +1182,43 @@ def _outcome(run):
 
 
 def _record_calls(monkeypatch):
-    """Patch quad to list each ``refine_log_panels`` call and each probe (a
-    ``_gk_log`` call outside one) as [kind, intervals, raised]."""
-    calls, inside = [], []
-    refine, gk_log = quad.refine_log_panels, quad._gk_log
+    """Patch quad to list each ``refine_log_panels`` call as [kind,
+    intervals, raised], a probe (at ptol inf) of kind "probe"."""
+    calls, refine = [], quad.refine_log_panels
 
-    def refining(logf, lo, *rest):
-        entry = ["refine", len(lo), True]
+    def refining(logf, lo, hi, ptol):
+        entry = ["probe" if ptol == math.inf else "refine", len(lo), True]
         calls.append(entry)
-        inside.append(entry)
-        try:
-            out = refine(logf, lo, *rest)
-        finally:
-            inside.pop()
-        entry[2] = False
-        return out
-
-    def probing(logf, a, b):
-        if inside:  # a refinement's own panels
-            return gk_log(logf, a, b)
-        entry = ["probe", len(a), True]
-        calls.append(entry)
-        out = gk_log(logf, a, b)
+        out = refine(logf, lo, hi, ptol)
         entry[2] = False
         return out
 
     monkeypatch.setattr(quad, "refine_log_panels", refining)
-    monkeypatch.setattr(quad, "_gk_log", probing)
     return calls
 
 
 @pytest.mark.parametrize("starts", [[0.0], [0.0, 5.0, 2e3]])
-@pytest.mark.parametrize("logf", [lambda t: np.where(t < 3e5, -np.inf, np.nan),
-                                  lambda t: np.where(t < 3e5, -np.inf, np.where(t < 1e7, -1e-4 * (t - 3e5), np.nan))],
+@pytest.mark.parametrize("logf, most_calls",
+                         [(lambda t: np.where(t < 3e5, -np.inf, np.nan), 5),
+                          (lambda t: np.where(t < 3e5, -np.inf, np.where(t < 1e7, -1e-4 * (t - 3e5), np.nan)), 14)],
                          ids=["mass-free", "mass-past-3e5"])
-def test_probe_call_that_raises_equals_one_chunk_per_call(starts, logf, monkeypatch):
+def test_probe_call_that_raises_equals_one_chunk_per_call(starts, logf, most_calls, monkeypatch):
     # the probe of the chunks wider than _MAX_SPLIT_WIDTH, shared by the
     # starts, reaches a nan past 3e5 (no mass before it) or past 1e7 (mass
-    # from 3e5 on, whose extension stops before 1e7): it is redone one start
-    # per call, then one chunk per call, and each start raises, or not,
-    # where the former loop does
+    # from 3e5 on, whose extension stops before 1e7): no call raises, the
+    # chunk that holds the nan fails, and each start raises, or not, where
+    # the former loop does, in a few calls
     want = _outcome(lambda: [_sequential_extension(logf, s, 1e-11) for s in starts])
     calls = _record_calls(monkeypatch)
     assert _outcome(lambda: quad.log_extension(logf, np.array(starts), 1e-11).tolist()) == want
-    kind, chunks, _ = next(c for c in calls if c[2])
-    assert kind == "probe" and chunks > len(starts)  # the first call that raised is a probe of several chunks
+    assert not any(raised for _, _, raised in calls) and len(calls) <= most_calls
 
 
 def test_start_sharing_a_probe_call_that_raises_is_redone_in_one_call(monkeypatch):
     # start 0 finds mass on (2e4, 3e4) and stops before the nan on (1e6,
     # 2e6) that its probe reaches; start 1e9, mass-free, shares that probe
-    # call and redoes its ~385 probed chunks in one call of its own, not one
-    # per chunk
+    # call, whose failed chunk is start 0's alone, and reads its ~385 probed
+    # chunks there, not one per chunk
     def logf(t):
         with np.errstate(invalid="ignore"):
             return np.where((t > 1e6) & (t < 2e6), np.nan, np.where((t > 2e4) & (t < 3e4), -1e-2 * (t - 2e4), -np.inf))
