@@ -221,8 +221,8 @@ def _ladder_quantile(ladders, log_z, p):
     ladder's end E (a doubling-chunk end) reads a copy grown to the first
     2^i E whose mass beyond is below the target; i is found by galloping,
     then bisecting, on the ``extension`` from each candidate end, which falls
-    as the end doubles, and only that copy is built.  ``quad._lattice_root``
-    finds the root in the cell the suffix names."""
+    as the end doubles, and only that copy is built.  ``LogLadder.root``
+    finds the root on 2^48 steps of the cell the suffix names."""
     left = log_z + math.log(p)
     sign, target = (-1, left) if left <= ladders[-1].suffix[0] else (1, log_z + math.log1p(-p))
     ladder = ladders[sign]
@@ -243,8 +243,7 @@ def _ladder_quantile(ladders, log_z, p):
             lo, hi = (lo, mid) if below(mid) else (mid, hi)
         ladder = ladder.grown(math.ldexp(end, hi))
     j = max(int(np.count_nonzero(ladder.suffix >= target)) - 1, 0)  # suffix[j] >= target > suffix[j + 1]
-    s = quad_mod._lattice_root(lambda t: ladder.upper(t) - target, ladder.edges[j : j + 2],
-                               ladder.suffix[j : j + 2] - target, 2**48)
+    s = ladder.root(target, ladder.edges[j], ladder.edges[j + 1], 2**48)
     return sign * s if s else 0.0  # a root at 0 gives +0.0, not -0.0
 
 

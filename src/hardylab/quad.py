@@ -387,15 +387,20 @@ def _raise_first(failures, a=0, b=math.inf):
 
 
 # Doubling chunks of one extension refined in one call: at most this many,
-# each at most _MAX_SPLIT_WIDTH wide, with at most this many segments
-# together (a first chunk of more goes alone).  Normalizing the 8 corpus
-# measures took 97 calls at 2 chunks, 88 at 4 and 87 at 6, where the
-# chunks past the stop raised the panels from 4,262 to 5,777.  Wider chunks
-# go one per call, so the panel budget bounds the memory of a call:
-# batched, they took normalizing 2 log(1 + |x|) + 0.1 sin x to its
-# NonIntegrableError at a peak RSS of 392 MiB instead of 82 MiB.
+# each at most _MAX_SPLIT_WIDTH wide.  Normalizing the 8 corpus measures
+# took 97 calls at 2 chunks, 88 at 4 and 87 at 6, where the chunks past the
+# stop raised the panels from 4,262 to 5,777.  Wider chunks go one per call,
+# so the panel budget bounds the memory of a call: batched, they took
+# normalizing 2 log(1 + |x|) + 0.1 sin x to its NonIntegrableError at a peak
+# RSS of 392 MiB instead of 82 MiB.
 _EXTENSION_BATCH_CHUNKS = 4
-_EXTENSION_BATCH_SEGMENTS = 64
+# New cells of the doubling chunks that a truncation search, or segments
+# that an extension, refines in one call: the chunks up to this many (the
+# first always), each at most _MAX_SPLIT_WIDTH wide.  Normalizing the 8 corpus
+# measures took 93 calls and 2,894 panels at 50 cells, 88 and 4,262 at 100,
+# 86 and 8,694 at 200 (17% slower) and 92 and 19,414 at 400: the cells past
+# the stop of a steep tail cost more panels than they save calls.
+_LADDER_BATCH_CELLS = 100
 
 
 def _tail(start, breakpoints):
@@ -417,7 +422,7 @@ def _tail(start, breakpoints):
             split = breakpoints is not None and b <= _MAX_SPLIT_WIDTH
             edges = _initial_edges(a, a + b, breakpoints(a, a + b) if split else None)
             if chunks and not probe and (b > _MAX_SPLIT_WIDTH or len(chunks) == _EXTENSION_BATCH_CHUNKS
-                                         or segments + len(edges) - 1 > _EXTENSION_BATCH_SEGMENTS):
+                                         or segments + len(edges) - 1 > _LADDER_BATCH_CELLS):
                 break
             chunks.append(edges)
             segments += len(edges) - 1
@@ -468,10 +473,10 @@ def log_extension(logf, start, ptol, breakpoints=None):
     ``_tail``) in a few ``refine_log_panels`` calls, and each start judges
     its own in order by their log masses and panel counts.  A start's batch
     holds up to ``_EXTENSION_BATCH_CHUNKS`` chunks and
-    ``_EXTENSION_BATCH_SEGMENTS`` segments, each chunk at most
-    ``_MAX_SPLIT_WIDTH`` wide; a wider chunk takes a call of its own, and
-    while no mass is found the wider chunks left are probed, one panel
-    each at ptol inf, read as mass or none.  The other batches share one
+    ``_LADDER_BATCH_CELLS`` segments (a first chunk of more goes alone),
+    each chunk at most ``_MAX_SPLIT_WIDTH`` wide; a wider chunk takes a call
+    of its own, and while no mass is found the wider chunks left are probed,
+    one panel each at ptol inf, read as mass or none.  The other batches share one
     call, and the probes another.  A start judging a chunk that a failed
     panel reaches raises the error of a call for that chunk alone, and the
     first start in order that raises raises.  Since
@@ -542,8 +547,9 @@ class LogLadder:
     each cell's log integral at ptol, all in one ``refine_log_panels`` call
     up to ``_LADDER_BLOCK`` cells; a failed cell raises what that call
     raises.  A query integrates its points' partial cells the same way, so
-    it equals a scalar query bit for bit; ``upper_lower`` refines the
-    partial cells of both sides of its points in one call.  A ladder given a
+    it equals a scalar query bit for bit; ``root`` finds where ``upper``
+    falls to a target (the truncation point, the median and every
+    quantile), one partial cell per probe.  A ladder given a
     side's ``breakpoints(a, b)`` starts at 0 and grows over the doubling
     chunks [0, 1], [1, 2], [2, 4], ..., split at the breakpoints and, up to
     ``_MAX_SPLIT_WIDTH`` wide, at the multiples of ``GRID_STEP`` (the scan
@@ -629,20 +635,14 @@ class LogLadder:
         j = np.searchsorted(self.edges, x, side="right") - 1
         return np.logaddexp(self.prefix[j], self._partial(self.edges[j], x))
 
-    def upper_lower(self, x):
-        """``upper(x)`` and ``lower(x)``, their partial cells in one ``_partial``."""
-        k, j = np.searchsorted(self.edges, x), np.searchsorted(self.edges, x, side="right") - 1
-        part = self._partial(np.concatenate([x, self.edges[j]]), np.concatenate([self.edges[k], x]))
-        return np.logaddexp(part[: len(x)], self.suffix[k]), np.logaddexp(self.prefix[j], part[len(x) :])
-
-
-# New cells of the doubling chunks a truncation search refines in one call:
-# the chunks up to this many (the first always), each at most
-# _MAX_SPLIT_WIDTH wide, up to the last chunk it tries.  Normalizing the 8
-# corpus measures took 93 calls and 2,894 panels at 50 cells, 88 and 4,262
-# at 100, 86 and 8,694 at 200 (17% slower) and 92 and 19,414 at 400: the
-# cells past the stop of a steep tail cost more panels than they save calls.
-_LADDER_BATCH_CELLS = 100
+    def root(self, target, lo, hi, steps):
+        """The smallest lattice point lo + k (hi - lo) / steps, k = 0..steps,
+        where ``upper`` <= target, given upper(hi) <= target: ``_lattice_root``
+        from ``upper`` at lo, hi and the edges between them (at an edge it is
+        the suffix, and refines nothing).  Each probe refines one partial cell."""
+        pts = np.concatenate([[lo], self.edges[(self.edges > lo) & (self.edges < hi)], [hi]])
+        h = lambda t: self.upper(t) - target
+        return _lattice_root(h, pts, h(pts), steps)
 
 
 def truncation_point(potential, eps, rel_tol=REL_TOL):
@@ -656,25 +656,23 @@ def truncation_point(potential, eps, rel_tol=REL_TOL):
     the last X the search tries.  The chunks are refined in batches of up
     to ``_LADDER_BATCH_CELLS`` new cells, each chunk at most
     ``_MAX_SPLIT_WIDTH`` wide, walked in order and cut back to B; a chunk
-    raises, as it is walked, what growing it alone raises.  Its cells are refined at the panel tolerance max(rel_tol / 10, 1e-14)
-    for the float ``rel_tol`` in (0, 1), and one ``log_extension`` from B
-    is the mass beyond.  h(X) = log tail(X) - log eps - log core(X), read
-    from the ladder (both partial cells in one call), decreases in X.  It is
-    bracketed by doubling, and its root is located on the lattice that 40
-    bisection steps of the bracket would visit, by a bracketed secant.
-    Returns (X, {+1: right ladder, -1: left ladder}), X the larger of the
-    two sides'; an even potential's one ladder serves both.  Raises
-    NonIntegrableError when the predicate never holds by X = 1e6.
+    raises, as it is walked, what growing it alone raises.  Its cells are
+    refined at the panel tolerance max(rel_tol / 10, 1e-14) for the float
+    ``rel_tol`` in (0, 1), and one ``log_extension`` from B is the mass
+    beyond.  Since the tail and the core make up the side's total, the
+    predicate is the tail root upper(X) <= log eps - log1p(eps) + suffix[0]
+    that the median and the quantiles read as well: it is bracketed by
+    doubling, and located by ``LogLadder.root`` on the lattice that 40
+    bisection steps of the bracket would visit.  Returns (X, {+1: right
+    ladder, -1: left ladder}), X the larger of the two sides'; an even
+    potential's one ladder serves both.  Raises NonIntegrableError when the
+    predicate never holds by X = 1e6.
     """
     _check_rel_tol(rel_tol)
     if not 0.0 < eps < 1.0:
         raise DomainValidationError("eps must be in (0, 1)")
-    log_eps = math.log(eps)
+    log_share = math.log(eps) - math.log1p(eps)  # of the side's total that the tail may hold
     ptol = max(rel_tol * 0.1, 1e-14)
-
-    def h(ladder, x):
-        upper, lower = ladder.upper_lower(np.atleast_1d(x))
-        return upper - log_eps - lower
 
     def grow(ladder):
         """The ladder cut at B, and B."""
@@ -697,24 +695,22 @@ def truncation_point(potential, eps, rel_tol=REL_TOL):
                 if last or chunk < total - _NEGLIGIBLE_NATS:
                     cut = ladder._cut(end)
                     cut._close()
-                    if last or h(cut, end)[0] <= 0.0:
+                    if last or cut.suffix[-1] <= log_share + cut.suffix[0]:
                         return cut, end
             hi = 2.0 * ends[n - 1]
 
     def one_side(sign):
         logf = (lambda s: -potential.value(s)) if sign > 0 else lambda s: -potential.value(sign * s)
         ladder, hi = grow(LogLadder(logf, [0.0], ptol, breakpoints=potential.side_breakpoints(sign)))
+        target = log_share + ladder.suffix[0]
         xs = 2.0 ** np.arange(round(math.log2(hi)) + 1)
-        hs = h(ladder, xs)
-        k = int(np.argmax(hs <= 0.0))
-        if hs[k] > 0.0:
+        tails = ladder.upper(xs)  # the suffix at these chunk ends: no quadrature
+        k = int(np.argmax(tails <= target))
+        if tails[k] > target:
             raise NonIntegrableError(
                 f"truncation search failed by X=1e6; exp(-V) at X is {math.exp(-potential.value(sign * hi)):.3g}"
             )
-        lo = xs[k - 1] if k else 1e-3
-        # h at the bracket's ends and every edge between them, read from the ladder (1e-3 is no edge)
-        pts = np.concatenate([[lo], ladder.edges[(ladder.edges > lo) & (ladder.edges < xs[k])], xs[k : k + 1]])
-        return _lattice_root(lambda t: h(ladder, t), pts, h(ladder, pts), 2**40), ladder
+        return ladder.root(target, xs[k - 1] if k else 1e-3, xs[k], 2**40), ladder
 
     xr, right = one_side(+1.0)
     if potential.even:

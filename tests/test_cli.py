@@ -101,6 +101,38 @@ def test_legendre_subcommand(capsys):
     assert get(doc, "h_star")["value"] == pytest.approx(1.0, abs=1e-14)
 
 
+def test_legendre_numeric_conjugate(capsys):
+    code, doc = run_json(capsys, ["legendre", "--rprime", "3", "--t", "2", "--numeric"])
+    assert code == 0
+    jsonschema.validate(doc, JSON_SCHEMA)
+    assert get(doc, "h_star")["value"] == pytest.approx(1.0, abs=1e-14)
+    assert get(doc, "numeric conjugate")["value"] == pytest.approx(1.0, abs=1e-4)
+
+
+def test_criteria_tailscale_csv(capsys, tmp_path):
+    path = str(tmp_path / "tailscale.csv")
+    code, doc = run_json(capsys, ["criteria", "--potential", "gaussian", "--kind", "tailscale", "--csv", path])
+    assert code == 0
+    jsonschema.validate(doc, JSON_SCHEMA)
+    theta, ratio = get(doc, "theta")["value"], get(doc, "ratio vs theta-scale")["value"]
+    assert len(theta) == len(ratio) == 400
+    assert all(0.0 < t <= 10.0 for t in theta) and all(math.isfinite(r) for r in ratio)
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x", "theta", "ratio_theta", "ratio_deriv"] and len(rows) == 401
+
+
+def test_criteria_asymptotics_csv(capsys, tmp_path):
+    path = str(tmp_path / "asymptotics.csv")
+    argv = ["criteria", "--potential", "cattiaux:1.5,1.9", "--kind", "asymptotics", "--r", "1.5", "--csv", path]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    jsonschema.validate(doc, JSON_SCHEMA)
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x", "br_ratio", "weighted_ratio", "vpp_ratio"] and len(rows) > 1
+
+
 def test_criteria_bp_json_and_csv(capsys, tmp_path):
     path = str(tmp_path / "bp.csv")
     code, doc = run_json(

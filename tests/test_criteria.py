@@ -464,7 +464,7 @@ def _horizon_800_build(token, which):
 def test_scan_ladders_refine_their_cells_in_one_call(token, which, monkeypatch):
     # the 2,043 cells of a weight ladder and the 2,024 new cells of a grown
     # tail ladder go to one refinement call (the calls of at most
-    # _EXTENSION_BATCH_SEGMENTS intervals are the mass beyond the end), and
+    # _LADDER_BATCH_CELLS intervals are the mass beyond the end), and
     # equal the former build in blocks of 192 intervals bit for bit; the
     # build's traced allocations peak within 1.5 MB
     build, old = _horizon_800_build(token, which)
@@ -474,7 +474,7 @@ def test_scan_ladders_refine_their_cells_in_one_call(token, which, monkeypatch):
     ladder = build()
     monkeypatch.undo()
     assert len(ladder.cells) - old > 2000
-    assert [n for n in calls if n > quad._EXTENSION_BATCH_SEGMENTS] == [len(ladder.cells) - old]
+    assert [n for n in calls if n > quad._LADDER_BATCH_CELLS] == [len(ladder.cells) - old]
     assert np.array_equal(ladder.cells, _cells_in_blocks_of_192(ladder))
     tracemalloc.start()
     try:

@@ -1043,8 +1043,8 @@ def test_fanned_roots_equal_the_former_scalar_search(monkeypatch):
 
 @pytest.mark.parametrize("token", ["gaussian", "sinpower:2,2"])
 def test_truncation_root_in_few_calls(token, monkeypatch):
-    # an even potential's one truncation root reads h, one upper_lower call
-    # each, in 2 fans here; the former scalar search read it 8 times
+    # an even potential's one truncation root reads upper, one call each,
+    # in 2 fans here; the former scalar search read it 8 times
     counts, root = [], quad._lattice_root
 
     def counting(h, *rest):
@@ -1056,6 +1056,26 @@ def test_truncation_root_in_few_calls(token, monkeypatch):
     monkeypatch.setattr(quad, "_lattice_root", counting)
     msr.normalize(msr.Potential.from_string(token))
     assert len(counts) == 1 and counts[0] <= 3
+
+
+@pytest.mark.parametrize("token", ["gaussian", "sinpower:2,2", "power:1.5"])
+def test_truncation_probes_refine_one_partial_cell_each(token, monkeypatch):
+    # the truncation predicate is a tail root: each point a probe reads asks
+    # _partial for one interval, its upper cell (the two-sided predicate of
+    # _sequential_truncation_point asks for two)
+    partials, probes, root, partial = [], [], quad._lattice_root, quad.LogLadder._partial
+
+    def recording(self, lo, hi):
+        partials.append(len(lo))
+        return partial(self, lo, hi)
+
+    def probing(h, *rest):
+        return root(lambda t: probes.append(len(t)) or h(t), *rest)
+
+    monkeypatch.setattr(quad.LogLadder, "_partial", recording)
+    monkeypatch.setattr(quad, "_lattice_root", probing)
+    msr.normalize(msr.Potential.from_string(token))
+    assert probes and partials[-len(probes) :] == probes
 
 
 @pytest.mark.parametrize("steps", [2**10, 2**40, 2**48])
